@@ -1,6 +1,6 @@
 // Online-serving benchmark (DESIGN.md §11): incremental predict/update via
 // kt::serve against the offline baseline that re-encodes the whole prefix
-// per prediction, plus micro-batcher throughput.
+// per prediction, plus counterfactual recourse fast path vs brute force.
 //
 // The two paths are bit-identical by contract (tests/serve_test.cc), so one
 // binary measures both on the same machine in the same run and writes
@@ -12,14 +12,12 @@
 #include <fstream>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "core/parallel.h"
 #include "data/simulator.h"
 #include "rckt/samples.h"
-#include "serve/batcher.h"
 #include "serve/engine.h"
 
 namespace kt {
@@ -51,8 +49,6 @@ struct Result {
 };
 
 std::vector<Result> g_results;
-double g_batcher_rps = 0.0;
-int g_batcher_connections = 0;
 
 // One long-history student per encoder: predict latency at history length
 // `T` for (a) the offline scorer re-encoding all T interactions and (b) the
@@ -185,54 +181,6 @@ void BenchRecourse(rckt::EncoderKind kind, const data::Dataset& ds,
               brute_ns / fast_ns);
 }
 
-// Micro-batcher throughput: concurrent closed-loop producers hammering one
-// engine through the batcher (in-process; no socket overhead).
-void BenchBatcher(const data::Dataset& ds) {
-  rckt::RcktConfig config;
-  config.encoder = rckt::EncoderKind::kDKT;
-  config.dim = 32;
-  config.seed = 4;
-  rckt::RCKT model(ds.num_questions, ds.num_concepts, config);
-  serve::EngineOptions options;
-  options.num_questions = ds.num_questions;
-  options.num_concepts = ds.num_concepts;
-  serve::InferenceEngine engine(model, options);
-  serve::BatcherOptions batcher_options;
-  batcher_options.max_batch = 16;
-  batcher_options.max_wait_us = 200;
-  serve::MicroBatcher batcher(engine, batcher_options);
-
-  constexpr int kProducers = 8;
-  constexpr int kRequests = 400;  // per producer
-  std::vector<std::thread> producers;
-  const auto start = std::chrono::steady_clock::now();
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      serve::ServeRequest request;
-      request.student = "p" + std::to_string(p);
-      for (int r = 0; r < kRequests; ++r) {
-        request.question = (p * 31 + r) % ds.num_questions;
-        if (r % 2 == 0) {
-          request.op = serve::Op::kPredict;
-        } else {
-          request.op = serve::Op::kUpdate;
-          request.response = r & 2 ? 1 : 0;
-        }
-        KT_CHECK(batcher.Submit(request).ok);
-      }
-    });
-  }
-  for (auto& producer : producers) producer.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  batcher.Stop();
-  g_batcher_connections = kProducers;
-  g_batcher_rps = kProducers * kRequests / elapsed;
-  std::printf("  batcher: %d producers, %.0f requests/s\n", kProducers,
-              g_batcher_rps);
-}
-
 bool WriteJson(const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
@@ -262,8 +210,7 @@ bool WriteJson(const std::string& path) {
     out << "    \"" << base.op << "_" << base.encoder << "_T" << base.seq_len
         << "\": " << base.ns_per_iter / opt.ns_per_iter;
   }
-  out << "\n  },\n  \"batcher\": {\"connections\": " << g_batcher_connections
-      << ", \"requests_per_second\": " << g_batcher_rps << "}\n}\n";
+  out << "\n  }\n}\n";
   return static_cast<bool>(out);
 }
 
@@ -297,7 +244,6 @@ int main(int argc, char** argv) {
        {kt::rckt::EncoderKind::kDKT, kt::rckt::EncoderKind::kSAKT}) {
     kt::BenchRecourse(kind, ds, /*T=*/100, /*k=*/3);
   }
-  kt::BenchBatcher(ds);
 
   if (!kt::WriteJson(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());

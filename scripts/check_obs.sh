@@ -50,6 +50,9 @@ for THREADS in 1 2 8; do
   "${OBS_CHECK}" runlog "${WORK}/run.jsonl"
   EPOCHS=$(wc -l < "${WORK}/run.jsonl")
   [ "${EPOCHS}" -ge 1 ] || { echo "FAIL: empty run log"; exit 1; }
+  # The first epoch grows the heap, so its getrusage delta cannot be zero.
+  head -n 1 "${WORK}/run.jsonl" | grep -q '"minflt":[1-9]' \
+    || { echo "FAIL: run log records no minor page faults"; exit 1; }
 
   # Telemetry off (the default): identical metrics, model, checkpoint.
   "${KTCLI}" "${TRAIN_FLAGS[@]}" --threads "${THREADS}" \
@@ -83,6 +86,13 @@ fi
 echo '{"run":"m","epoch":-1}' >"${WORK}/bad_run.jsonl"
 if "${OBS_CHECK}" runlog "${WORK}/bad_run.jsonl" 2>/dev/null; then
   echo "FAIL: obs_check accepted a malformed run log"
+  exit 1
+fi
+echo '{"run":"m","epoch":0,"train_loss":0.6,"val_auc":0.5,"val_acc":0.5,'\
+'"epoch_ms":1,"tokens":1,"tokens_per_sec":1,"gemm_flops":0,"ckpt_ms":0,'\
+'"rss_bytes":1}' >"${WORK}/no_usage_run.jsonl"
+if "${OBS_CHECK}" runlog "${WORK}/no_usage_run.jsonl" 2>/dev/null; then
+  echo "FAIL: obs_check accepted a run log without minflt/sys_ms"
   exit 1
 fi
 

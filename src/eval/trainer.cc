@@ -118,6 +118,9 @@ TrainResult TrainAndEvaluate(models::KTModel& model,
     WallTimer epoch_timer;
     const int64_t flops_before =
         obs::Enabled() ? obs::Counter::Get("gemm.flops")->Value() : 0;
+    const obs::ResourceUsage usage_before = obs::RunLogActive()
+                                                ? obs::CurrentResourceUsage()
+                                                : obs::ResourceUsage{};
     data::BatchIterator it(split.train, options.batch_size, shuffle_rng,
                            /*shuffle=*/true);
     data::Batch batch;
@@ -171,6 +174,7 @@ TrainResult TrainAndEvaluate(models::KTModel& model,
       entry.gemm_flops =
           obs::Counter::Get("gemm.flops")->Value() - flops_before;
       entry.ckpt_ms = ckpt_ms;
+      entry.usage_at_start = usage_before;
       obs::AppendRunLogEntry(entry);
     }
   }

@@ -9,6 +9,10 @@
 
 #include "obs/trace.h"
 
+#ifdef __linux__
+#include <sys/resource.h>
+#endif
+
 namespace kt {
 namespace obs {
 namespace {
@@ -239,6 +243,18 @@ int64_t CurrentRssBytes() {
 #else
   return 0;
 #endif
+}
+
+ResourceUsage CurrentResourceUsage() {
+  ResourceUsage usage;
+#ifdef __linux__
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) == 0) {
+    usage.minflt = ru.ru_minflt;
+    usage.sys_ms = ru.ru_stime.tv_sec * 1e3 + ru.ru_stime.tv_usec / 1e3;
+  }
+#endif
+  return usage;
 }
 
 }  // namespace obs

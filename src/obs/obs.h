@@ -170,6 +170,14 @@ void ResetAllMetrics();
 // 0 where unsupported). Observability only — never feeds computation.
 int64_t CurrentRssBytes();
 
+// Process-wide getrusage totals since start (zeros where unsupported):
+// minor page faults and kernel CPU time. Observability only.
+struct ResourceUsage {
+  int64_t minflt = 0;
+  double sys_ms = 0.0;
+};
+ResourceUsage CurrentResourceUsage();
+
 }  // namespace obs
 }  // namespace kt
 

@@ -11,14 +11,19 @@
 // Schema (one object per line; tools/obs_check.cc validates it):
 //   {"run":str, "epoch":int, "train_loss":num, "val_auc":num,
 //    "val_acc":num, "epoch_ms":num, "tokens":int, "tokens_per_sec":num,
-//    "gemm_flops":int, "ckpt_ms":num, "rss_bytes":int}
-// "ckpt_ms" is 0 on epochs without a checkpoint commit. Forward evolution
-// adds keys; existing keys are never renamed or retyped.
+//    "gemm_flops":int, "ckpt_ms":num, "rss_bytes":int, "minflt":int,
+//    "sys_ms":num}
+// "ckpt_ms" is 0 on epochs without a checkpoint commit. "minflt" and
+// "sys_ms" are the process's minor page faults and kernel CPU time over the
+// epoch (getrusage deltas; all threads). Forward evolution adds keys;
+// existing keys are never renamed or retyped.
 #ifndef KT_OBS_RUNLOG_H_
 #define KT_OBS_RUNLOG_H_
 
 #include <cstdint>
 #include <string>
+
+#include "obs/obs.h"
 
 namespace kt {
 namespace obs {
@@ -42,10 +47,12 @@ struct RunLogEntry {
   int64_t tokens = 0;        // interactions consumed by training this epoch
   int64_t gemm_flops = 0;    // kernel-layer FLOPs spent this epoch
   double ckpt_ms = 0.0;      // checkpoint commit latency (0 = no commit)
+  ResourceUsage usage_at_start;  // CurrentResourceUsage() as the epoch began
 };
 
-// Serializes `entry` (plus tokens_per_sec and rss_bytes) as one JSONL line
-// and atomically rewrites the log file. No-op when no path is set.
+// Serializes `entry` (plus tokens_per_sec, rss_bytes and the minflt/sys_ms
+// deltas since usage_at_start) as one JSONL line and atomically rewrites
+// the log file. No-op when no path is set.
 void AppendRunLogEntry(const RunLogEntry& entry);
 
 // One continual-trainer mini-epoch record (kt::continual). Lives in the

@@ -153,6 +153,9 @@ RcktTrainResult TrainAndEvaluateRckt(RCKT& model,
     WallTimer epoch_timer;
     const int64_t flops_before =
         obs::Enabled() ? obs::Counter::Get("gemm.flops")->Value() : 0;
+    const obs::ResourceUsage usage_before = obs::RunLogActive()
+                                                ? obs::CurrentResourceUsage()
+                                                : obs::ResourceUsage{};
     double loss_sum = 0.0;
     int64_t batches = 0;
     int64_t tokens = 0;
@@ -206,6 +209,7 @@ RcktTrainResult TrainAndEvaluateRckt(RCKT& model,
       entry.gemm_flops =
           obs::Counter::Get("gemm.flops")->Value() - flops_before;
       entry.ckpt_ms = ckpt_ms;
+      entry.usage_at_start = usage_before;
       obs::AppendRunLogEntry(entry);
     }
   }

@@ -173,9 +173,9 @@ struct EngineOptions {
   int shard_index = 0;
 };
 
-// NOT thread-safe: one engine is driven by one thread (the micro-batcher's
-// dispatcher in the server). Concurrency comes from kt::parallel inside the
-// stacked compute, not from concurrent Execute calls.
+// NOT thread-safe: one engine is driven by one thread (in the server, its
+// shard's worker; serve/shard.h). Concurrency comes from kt::parallel inside
+// the stacked compute, not from concurrent Execute calls.
 class InferenceEngine {
  public:
   InferenceEngine(rckt::RCKT& model, EngineOptions options);

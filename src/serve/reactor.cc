@@ -14,6 +14,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -159,6 +160,11 @@ void Reactor::Accept() {
       ::close(fd);
       continue;
     }
+    // Replies are small and pipelined. Under Nagle, each reply after the
+    // first waits until the client ACKs the one before it, which a client
+    // with delayed ACKs does only after up to 40 ms.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const uint32_t id = next_conn_id_++;
     auto conn = std::make_unique<Conn>(options_.max_line_bytes);
     conn->id = id;

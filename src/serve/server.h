@@ -24,15 +24,13 @@
 #include <functional>
 #include <string>
 
-#include "serve/batcher.h"
 #include "serve/engine.h"
 #include "serve/framing.h"
 #include "serve/json.h"
+#include "serve/shard.h"
 
 namespace kt {
 namespace serve {
-
-class ShardSet;
 
 // Lifecycle hooks around the serving loop. `on_start` runs after the
 // ShardSet is live and before the first request (the continual trainer

@@ -72,6 +72,13 @@ namespace {
 // O(1) predicts.
 bool HeavyOp(Op op) { return op == Op::kExplain || op == Op::kRecourse; }
 
+// Drops one queued item of `student` from a per-student pending count.
+void Release(std::unordered_map<std::string, int64_t>& pending,
+             const std::string& student) {
+  auto it = pending.find(student);
+  if (it != pending.end() && --it->second <= 0) pending.erase(it);
+}
+
 }  // namespace
 
 void ShardSet::Enqueue(Shard& shard, Item item) {
@@ -90,6 +97,9 @@ void ShardSet::Enqueue(Shard& shard, Item item) {
       ++shard.heavy_pending[item.request.student];
       shard.heavy_queue.push_back(std::move(item));
     } else {
+      if (!item.request.student.empty()) {
+        ++shard.light_pending[item.request.student];
+      }
       shard.queue.push_back(std::move(item));
     }
     if (obs::Enabled()) {
@@ -289,7 +299,7 @@ void ShardSet::WorkerLoop(Shard& shard) {
           static_cast<int64_t>(shard.queue.size()) < max_batch &&
           !stopping_.load() && options_.batcher.max_wait_us > 0) {
         // Brief straggler window so concurrent clients coalesce into one
-        // engine batch — the same trade the MicroBatcher makes.
+        // engine batch.
         shard.cv.wait_for(
             lock, std::chrono::microseconds(options_.batcher.max_wait_us),
             [&] {
@@ -304,19 +314,23 @@ void ShardSet::WorkerLoop(Shard& shard) {
                                            static_cast<ptrdiff_t>(take)));
       shard.queue.erase(shard.queue.begin(),
                         shard.queue.begin() + static_cast<ptrdiff_t>(take));
-      if (!shard.heavy_queue.empty()) {
-        // At most ONE heavy op per iteration, executed AFTER the light
-        // slice: O(1) predicts are delayed by at most one O(T) op.
+      for (const Item& item : slice) {
+        Release(shard.light_pending, item.request.student);
+      }
+      // At most ONE heavy op per iteration, executed AFTER the light
+      // slice: O(1) predicts are delayed by at most one O(T) op. It waits
+      // while its student still has light ops queued past this slice —
+      // those were enqueued before it and must execute first.
+      if (!shard.heavy_queue.empty() &&
+          shard.light_pending.count(
+              shard.heavy_queue.front().request.student) == 0) {
         heavy_item = std::move(shard.heavy_queue.front());
         shard.heavy_queue.erase(shard.heavy_queue.begin());
         have_heavy = true;
         // The pop is the routing boundary: ops for this student enqueued
         // from here on go to the light lane, where they land in a LATER
         // iteration than this item's execution below — order holds.
-        auto it = shard.heavy_pending.find(heavy_item.request.student);
-        if (it != shard.heavy_pending.end() && --it->second <= 0) {
-          shard.heavy_pending.erase(it);
-        }
+        Release(shard.heavy_pending, heavy_item.request.student);
       }
     }
     if (obs::Enabled()) {

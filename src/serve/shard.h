@@ -1,9 +1,7 @@
 // Sharded serving engine: N single-threaded InferenceEngines behind
 // student-hash routing.
 //
-// The engine is not thread-safe, so the original server put ONE engine
-// behind ONE dispatcher thread (serve/batcher.h) and scaled only the
-// model-internal parallelism. A ShardSet instead runs N engines, each
+// The engine is not thread-safe, so a ShardSet runs N engines, each
 // owned by its own worker thread with its own SessionStore slice
 // (budget/N) and its own coalescing loop, all sharing the read-only model
 // weights. Requests route by FNV-1a(student) % N, so a student's whole
@@ -39,11 +37,20 @@
 
 #include "data/dataset.h"
 #include "rckt/rckt_model.h"
-#include "serve/batcher.h"
 #include "serve/engine.h"
 
 namespace kt {
 namespace serve {
+
+// Per-shard coalescing knobs. A worker takes up to `max_batch` queued light
+// requests as one engine batch, waiting up to `max_wait_us` for stragglers
+// while fewer are queued. `max_queue` caps each connection's in-flight
+// requests and is enforced upstream by the reactor, not by the shard.
+struct BatcherOptions {
+  int64_t max_batch = 16;
+  int64_t max_wait_us = 1000;
+  int64_t max_queue = 256;
+};
 
 struct ShardSetOptions {
   int shards = 1;
@@ -51,9 +58,6 @@ struct ShardSetOptions {
   // 0 means "the offline-trained model"; a server resuming a published
   // continual checkpoint seeds this from the KTW2 meta chunk.
   int64_t initial_weight_version = 0;
-  // Per-shard coalescing knobs (max_batch slice size, max_wait_us poll for
-  // stragglers). max_queue is enforced upstream by the reactor's
-  // per-connection in-flight cap, not here.
   BatcherOptions batcher;
   // engine.session_budget_bytes is the TOTAL across shards; each shard
   // gets an equal slice. cold_dir (if set) is shared: snapshots are keyed
@@ -169,7 +173,10 @@ class ShardSet {
   // `heavy_pending` counts queued heavy-lane items per student: while a
   // student has heavy work queued, that student's later ops are routed to
   // the heavy lane too, preserving per-student operation order across the
-  // lane split (the bit-identity contracts depend on it).
+  // lane split (the bit-identity contracts depend on it). `light_pending`
+  // counts queued light-lane requests per student the same way: a heavy op
+  // is not popped while its student still has light ops queued ahead of
+  // it, so it cannot overtake them.
   struct Shard {
     std::unique_ptr<InferenceEngine> engine;
     std::mutex mu;
@@ -177,6 +184,7 @@ class ShardSet {
     std::vector<Item> queue;
     std::vector<Item> heavy_queue;
     std::unordered_map<std::string, int64_t> heavy_pending;
+    std::unordered_map<std::string, int64_t> light_pending;
     std::thread worker;
   };
 

@@ -1,6 +1,15 @@
+#include <cstdlib>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#ifdef __GLIBC__
+#include <sys/resource.h>
+#endif
+
 #include "core/check.h"
+#include "core/memory_policy.h"
 #include "core/rng.h"
 #include "core/status.h"
 #include "core/string_util.h"
@@ -151,6 +160,42 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_GE(timer.ElapsedMs(), 0.0);
   EXPECT_LT(timer.ElapsedSeconds(), 10.0);
 }
+
+#ifdef __GLIBC__
+int64_t MinorFaults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+// Allocates, touches and frees 64 x 1 MiB buffers; returns the minor page
+// faults taken. Under glibc's defaults each buffer is its own mmap, so every
+// round faults all 64 MiB in again.
+int64_t FaultsOfOneAllocationRound() {
+  constexpr size_t kBuffers = 64;
+  constexpr size_t kBytes = size_t{1} << 20;
+  const int64_t before = MinorFaults();
+  std::vector<void*> buffers(kBuffers);
+  for (void*& buffer : buffers) {
+    buffer = std::malloc(kBytes);
+    std::memset(buffer, 1, kBytes);
+    // Keeps the compiler from eliding the malloc/memset/free triple.
+    asm volatile("" : : "r"(buffer) : "memory");
+  }
+  for (void* buffer : buffers) std::free(buffer);
+  return MinorFaults() - before;
+}
+
+TEST(MemoryPolicyTest, RetainedMemoryIsReusedWithoutFaults) {
+  if (!RetainFreedMemory()) {
+    GTEST_SKIP() << "allocator ignores mallopt (sanitizer malloc)";
+  }
+  const int64_t first = FaultsOfOneAllocationRound();
+  const int64_t second = FaultsOfOneAllocationRound();
+  EXPECT_LT(second * 10, first) << "first round " << first
+                                << " faults, second round " << second;
+}
+#endif
 
 }  // namespace
 }  // namespace kt

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
 #include "core/fileio.h"
 #include "core/flags.h"
 #include "core/parallel.h"
@@ -143,6 +148,23 @@ TEST_F(ObsTest, CurrentRssBytesIsPositiveOnLinux) {
 #endif
 }
 
+TEST_F(ObsTest, ResourceUsageCountsFaultsOfFreshMemory) {
+#ifdef __linux__
+  const ResourceUsage before = CurrentResourceUsage();
+  // Fresh anonymous pages fault on first touch, whatever the allocator does.
+  const size_t bytes = size_t{8} << 20;
+  void* fresh = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(fresh, MAP_FAILED);
+  std::memset(fresh, 1, bytes);
+  ::munmap(fresh, bytes);
+  const ResourceUsage after = CurrentResourceUsage();
+  EXPECT_GE(after.minflt - before.minflt,
+            static_cast<int64_t>(bytes / ::sysconf(_SC_PAGESIZE) / 2));
+  EXPECT_GE(after.sys_ms, before.sys_ms);
+#endif
+}
+
 // ---- Chrome trace emission ----
 
 TEST_F(ObsTest, TraceFileIsValidChromeTraceJson) {
@@ -223,6 +245,8 @@ TEST_F(ObsTest, RunLogWritesOneJsonObjectPerEpoch) {
   EXPECT_NE(text.find("\"tokens_per_sec\":500.0"), std::string::npos);
   EXPECT_NE(text.find("\"gemm_flops\":123456"), std::string::npos);
   EXPECT_NE(text.find("\"rss_bytes\":"), std::string::npos);
+  EXPECT_NE(text.find("\"minflt\":"), std::string::npos);
+  EXPECT_NE(text.find("\"sys_ms\":"), std::string::npos);
 
   ResetRunLog();
   EXPECT_FALSE(RunLogActive());

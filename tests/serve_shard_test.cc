@@ -17,6 +17,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -222,6 +224,71 @@ TEST(ShardSetTest, StatsSumAcrossShardsMatchesSingleShard) {
   EXPECT_GT(one.history_bytes, 0) << "updates never charged history bytes";
 }
 
+// ---- concurrent producers ----
+
+// Each client thread drives its own student through predicts and updates
+// via SubmitSync; the shard workers coalesce arbitrary interleavings into
+// engine batches. Every thread's predictions must match a sequential
+// single-student run bit for bit, because session streams are independent
+// and the engine's stacking is row-wise.
+TEST(ShardSetTest, ConcurrentSubmissionsMatchSequentialPerStudent) {
+  data::Dataset ds = TinyDataset();
+  rckt::RCKT model(ds.num_questions, ds.num_concepts,
+                   SmallConfig(rckt::EncoderKind::kGRU));
+  ShardSetOptions options;
+  options.shards = 2;
+  options.batcher.max_batch = 8;
+  options.batcher.max_wait_us = 2000;
+  options.engine.num_questions = ds.num_questions;
+  options.engine.num_concepts = ds.num_concepts;
+  ShardSet shards(model, options, nullptr);
+
+  constexpr int kWorkers = 6;
+  constexpr int kSteps = 8;
+  const auto& seq = ds.sequences[2];
+  auto predict_at = [&](const std::string& student, int step) {
+    const auto& it = seq.interactions[static_cast<size_t>(step)];
+    ServeRequest predict = Predict(student, it.question);
+    predict.concepts = it.concepts;
+    return predict;
+  };
+  auto update_at = [&](const std::string& student, int step) {
+    ServeRequest update = predict_at(student, step);
+    update.op = Op::kUpdate;
+    update.response = seq.interactions[static_cast<size_t>(step)].response;
+    return update;
+  };
+
+  std::vector<std::vector<uint32_t>> got(kWorkers);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      const std::string student = "w" + std::to_string(w);
+      for (int step = 0; step < kSteps; ++step) {
+        const ServeResponse response =
+            shards.SubmitSync(predict_at(student, step));
+        ASSERT_TRUE(response.ok) << response.error;
+        got[static_cast<size_t>(w)].push_back(Bits(response.p));
+        ASSERT_TRUE(shards.SubmitSync(update_at(student, step)).ok);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  shards.Stop();
+
+  // Every student saw the same interactions, so every worker must have
+  // produced the sequential reference's exact bits.
+  InferenceEngine reference(model, options.engine);
+  std::vector<uint32_t> want;
+  for (int step = 0; step < kSteps; ++step) {
+    want.push_back(Bits(reference.Execute(predict_at("ref", step)).p));
+    ASSERT_TRUE(reference.Execute(update_at("ref", step)).ok);
+  }
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(got[static_cast<size_t>(w)], want) << "worker " << w;
+  }
+}
+
 // ---- head-of-line blocking ----
 
 // An O(T) counterfactual op must not convoy in front of O(1) predicts on
@@ -294,6 +361,70 @@ TEST(ShardSetTest, HeavyOpsDoNotHeadOfLineBlockPredicts) {
   EXPECT_LT(pos(2), pos(4))
       << "per-student order broken across the lane split";
   shards.Stop();
+}
+
+// The converse: a heavy op must not overtake the same student's light ops
+// queued before it. With max_batch = 1 the worker takes one light op per
+// iteration. While the sink holds the worker on a blocker's reply, N
+// updates and then an explain for one student queue up. A worker that pops
+// the heavy lane regardless runs the explain right after the first update
+// and explains a history of 1 instead of N.
+TEST(ShardSetTest, HeavyOpsDoNotOvertakeQueuedLightOps) {
+  data::Dataset ds = TinyDataset();
+  rckt::RCKT model(ds.num_questions, ds.num_concepts,
+                   SmallConfig(rckt::EncoderKind::kDKT));
+  ShardSetOptions options;
+  options.shards = 1;
+  options.batcher.max_batch = 1;
+  options.batcher.max_wait_us = 0;
+  options.engine.num_questions = ds.num_questions;
+  options.engine.num_concepts = ds.num_concepts;
+  ShardSet shards(model, options, nullptr);
+
+  constexpr uint64_t kBlockerTag = 0;
+  constexpr uint64_t kExplainTag = 1000;
+  constexpr int kUpdates = 5;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool blocked = false;
+  bool released = false;
+  std::vector<std::pair<uint64_t, std::string>> replies;
+  shards.set_sink([&](uint64_t tag, std::string line) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (tag == kBlockerTag) {
+      blocked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    }
+    replies.emplace_back(tag, std::move(line));
+    cv.notify_all();
+  });
+
+  shards.SubmitAsync(Predict("blocker", 1), kBlockerTag);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocked; });
+  }
+  for (int i = 0; i < kUpdates; ++i) {
+    shards.SubmitAsync(Update("ov", (i * 7) % 25, i % 2), 1 + i);
+  }
+  ServeRequest explain = Predict("ov", 5);
+  explain.op = Op::kExplain;
+  shards.SubmitAsync(explain, kExplainTag);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return replies.size() == kUpdates + 2; });
+  }
+  shards.Stop();
+
+  ASSERT_EQ(replies.back().first, kExplainTag)
+      << "explain delivered before the updates queued ahead of it";
+  EXPECT_NE(replies.back().second.find("\"history\":" +
+                                       std::to_string(kUpdates) + ","),
+            std::string::npos)
+      << replies.back().second;
 }
 
 // ---- bitwise parity across shard counts ----

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "rckt/encoders.h"
 #include "rckt/rckt_model.h"
 #include "rckt/samples.h"
-#include "serve/batcher.h"
 #include "serve/engine.h"
 #include "serve/json.h"
 #include "serve/server.h"
@@ -869,80 +867,6 @@ TEST(EngineBatchTest, TightBudgetBatchedUpdatesMatchSequential) {
   // The tight budget must be enforced once the runs complete (everything
   // evictable got evicted), while histories survive for replay.
   EXPECT_GT(batched_engine.sessions().evictions(), 0u);
-}
-
-TEST(BatcherTest, ConcurrentSubmissionsMatchSequentialPerStudent) {
-  data::Dataset ds = TinyDataset();
-  rckt::RCKT model(ds.num_questions, ds.num_concepts,
-                   SmallConfig(rckt::EncoderKind::kGRU));
-  EngineOptions options;
-  options.num_questions = ds.num_questions;
-  options.num_concepts = ds.num_concepts;
-  InferenceEngine engine(model, options);
-  InferenceEngine reference(model, options);
-
-  BatcherOptions batcher_options;
-  batcher_options.max_batch = 8;
-  batcher_options.max_wait_us = 2000;
-  MicroBatcher batcher(engine, batcher_options);
-
-  // Each worker drives its own student through updates + predicts via the
-  // batcher; the dispatcher coalesces arbitrary interleavings. Every
-  // worker's results must match a sequential single-student run, because
-  // session streams are independent and the engine's stacking is row-wise.
-  constexpr int kWorkers = 6;
-  const auto& seq = ds.sequences[2];
-  std::vector<std::vector<float>> got(kWorkers);
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&, w] {
-      const std::string student = "w" + std::to_string(w);
-      for (int64_t t = 0; t < 8; ++t) {
-        const auto& it = seq.interactions[static_cast<size_t>(t)];
-        ServeRequest predict;
-        predict.op = Op::kPredict;
-        predict.student = student;
-        predict.question = it.question;
-        predict.has_concepts = true;
-        predict.concepts = it.concepts;
-        const ServeResponse response = batcher.Submit(predict);
-        ASSERT_TRUE(response.ok) << response.error;
-        got[static_cast<size_t>(w)].push_back(response.p);
-
-        ServeRequest update = predict;
-        update.op = Op::kUpdate;
-        update.response = it.response;
-        ASSERT_TRUE(batcher.Submit(update).ok);
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  batcher.Stop();
-
-  // Sequential reference for one student (all students see the same
-  // interactions, so every worker must have produced these exact bits).
-  std::vector<float> want;
-  for (int64_t t = 0; t < 8; ++t) {
-    const auto& it = seq.interactions[static_cast<size_t>(t)];
-    ServeRequest predict;
-    predict.op = Op::kPredict;
-    predict.student = "ref";
-    predict.question = it.question;
-    predict.has_concepts = true;
-    predict.concepts = it.concepts;
-    want.push_back(reference.Execute(predict).p);
-    ServeRequest update = predict;
-    update.op = Op::kUpdate;
-    update.response = it.response;
-    ASSERT_TRUE(reference.Execute(update).ok);
-  }
-  for (int w = 0; w < kWorkers; ++w) {
-    ASSERT_EQ(got[static_cast<size_t>(w)].size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(Bits(got[static_cast<size_t>(w)][i]), Bits(want[i]))
-          << "worker " << w << " step " << i;
-    }
-  }
 }
 
 // ---- Engine validation and explain ----

@@ -9,8 +9,12 @@
 //   * no cap on a request line, so a client streaming bytes with no '\n'
 //     grew a server-side buffer without bound,
 //   * finished connection threads joined only when the NEXT connection
-//     arrived, so an idle server accumulated dead thread handles.
+//     arrived, so an idle server accumulated dead thread handles,
+//   * Nagle left on, so a pipelined reply waited for the client's delayed
+//     ACK of the one before it.
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <memory>
@@ -287,6 +291,46 @@ TEST(LineFramerTest, CompleteLineLongerThanCapIsOverflow) {
   framer.Resync();  // skips through the oversized line's newline
   ASSERT_EQ(framer.Next(&line), LineFramer::Result::kLine);
   EXPECT_EQ(line, "ok");
+}
+
+// ---- Nagle ----
+
+TEST(ServeTransportTest, PipelinedRepliesDoNotWaitForDelayedAcks) {
+  TransportServer server;
+  const int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  // A plain client: no TCP_NODELAY, no TCP_QUICKACK, so it delays its
+  // ACKs like any default Linux socket. Each round pipelines a burst of
+  // predicts in one write and reads every reply. A server that leaves
+  // Nagle on sends the first reply and holds the rest until that reply is
+  // ACKed, i.e. until the client's delayed-ACK timer (40 ms) fires.
+  constexpr int kRounds = 12;
+  constexpr int kBurst = 8;
+  std::vector<double> round_ms;
+  for (int round = 0; round < kRounds; ++round) {
+    std::string burst;
+    for (int i = 0; i < kBurst; ++i)
+      burst += PredictLine("nagle", (round * kBurst + i) % 25, {0}) + "\n";
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(SendAllNoSignal(fd, burst));
+    int replies = 0;
+    char buf[4096];
+    while (replies < kBurst) {
+      const ssize_t n = ReadRetryEintr(fd, buf, sizeof(buf));
+      ASSERT_GT(n, 0) << "server closed mid-burst";
+      for (ssize_t i = 0; i < n; ++i) replies += buf[i] == '\n';
+    }
+    round_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  ::close(fd);
+  // The first rounds may still ride on the kernel's quick-ACK start, so
+  // judge the later ones: all of them, not just a typical one, must finish
+  // far below the delayed-ACK timer.
+  const double slowest =
+      *std::max_element(round_ms.begin() + kRounds / 2, round_ms.end());
+  EXPECT_LT(slowest, 20.0) << "a pipelined reply waited for a delayed ACK";
 }
 
 // ---- timely reaping ----

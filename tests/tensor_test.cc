@@ -321,6 +321,22 @@ struct BroadcastCase {
   Shape a, b, expected;
 };
 
+// Names each case after its operand shapes ("2x1x4+3x1", "scalar+2x2").
+// Without it gtest prints the raw bytes of the three vectors, heap pointers
+// included, so the discovered test names changed with every build.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  auto print_shape = [os](const Shape& s) {
+    if (s.empty()) {
+      *os << "scalar";
+      return;
+    }
+    for (size_t i = 0; i < s.size(); ++i) *os << (i ? "x" : "") << s[i];
+  };
+  print_shape(c.a);
+  *os << "+";
+  print_shape(c.b);
+}
+
 class BroadcastShapeSweep : public ::testing::TestWithParam<BroadcastCase> {};
 
 TEST_P(BroadcastShapeSweep, AddProducesExpectedShapeAndValues) {

@@ -92,8 +92,9 @@
 //                 chrome://tracing or Perfetto); implies --obs on.
 //   --run-log PATH
 //                 Append per-epoch JSONL telemetry (loss, AUC/ACC,
-//                 tokens/sec, GEMM FLOPs, checkpoint latency, RSS),
-//                 rewritten atomically each epoch; implies --obs on.
+//                 tokens/sec, GEMM FLOPs, checkpoint latency, RSS, minor
+//                 page faults, kernel CPU time), rewritten atomically each
+//                 epoch; implies --obs on.
 //
 // Examples:
 //   ktcli simulate --preset assist09 --scale 0.2 --out /tmp/a09.csv
@@ -105,6 +106,7 @@
 
 #include "continual/trainer.h"
 #include "core/flags.h"
+#include "core/memory_policy.h"
 #include "data/io.h"
 #include "obs/obs_flags.h"
 #include "data/presets.h"
@@ -648,6 +650,12 @@ int CmdServe(const FlagParser& flags) {
 
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
+  const std::string command = argv[1];
+  // The offline commands free and rebuild a ~200 MB autograd graph every
+  // training step; keep that memory mapped instead of faulting it back in
+  // (DESIGN.md §9.5). serve keeps the allocator defaults: its allocations
+  // are small and its resident memory is what the session budget bounds.
+  if (command != "serve") RetainFreedMemory();
   FlagParser flags;
   const Status status = flags.Parse(argc - 1, argv + 1);
   if (!status.ok()) {
@@ -680,7 +688,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "ktcli: gemm kernel override: %s\n",
                  GemmKernelName(kernel));
   }
-  const std::string command = argv[1];
   if (command == "simulate") return CmdSimulate(flags);
   if (command == "train") return CmdTrain(flags, common);
   if (command == "evaluate") return CmdEvaluate(flags);

@@ -395,7 +395,8 @@ int CheckRunLog(const std::string& path) {
     if (run == nullptr || !run->IsString()) {
       return FailCheck(path, where + " lacks a string \"run\"");
     }
-    for (const char* key : {"epoch", "tokens", "gemm_flops", "rss_bytes"}) {
+    for (const char* key :
+         {"epoch", "tokens", "gemm_flops", "rss_bytes", "minflt"}) {
       const JsonValue* v = entry.Find(key);
       if (v == nullptr || !v->IsNumber() || !v->number_is_integral ||
           v->number < 0.0) {
@@ -404,11 +405,14 @@ int CheckRunLog(const std::string& path) {
       }
     }
     for (const char* key : {"train_loss", "val_auc", "val_acc", "epoch_ms",
-                            "tokens_per_sec", "ckpt_ms"}) {
+                            "tokens_per_sec", "ckpt_ms", "sys_ms"}) {
       const JsonValue* v = entry.Find(key);
       if (v == nullptr || !v->IsNumber()) {
         return FailCheck(path, where + " lacks a numeric \"" + key + "\"");
       }
+    }
+    if (entry.Find("sys_ms")->number < 0.0) {
+      return FailCheck(path, where + " \"sys_ms\" is negative");
     }
     for (const char* key : {"val_auc", "val_acc"}) {
       const double v = entry.Find(key)->number;
