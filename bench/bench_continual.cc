@@ -28,19 +28,12 @@
 #include "continual/trainer.h"
 #include "data/scenarios.h"
 #include "nn/serialize.h"
+#include "serve/loadgen.h"
 #include "serve/shard.h"
 
 namespace kt {
 namespace bench {
 namespace {
-
-double Percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(values.size() - 1) + 0.5);
-  return values[std::min(idx, values.size() - 1)];
-}
 
 double Mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
@@ -209,9 +202,10 @@ void Run(const std::string& out_path) {
     metrics.reservoir_size = stats.reservoir_size;
     metrics.mini_epochs = stats.mini_epochs;
     metrics.promotions = stats.promotions;
-    metrics.mini_epoch_p50_ms = Percentile(epoch_ms, 0.50);
-    metrics.mini_epoch_p99_ms = Percentile(epoch_ms, 0.99);
     metrics.mini_epoch_mean_ms = Mean(epoch_ms);
+    std::sort(epoch_ms.begin(), epoch_ms.end());
+    metrics.mini_epoch_p50_ms = serve::Percentile(epoch_ms, 0.50);
+    metrics.mini_epoch_p99_ms = serve::Percentile(epoch_ms, 0.99);
   }
 
   // --- swap pause: SwapWeights under live predict traffic ---
@@ -269,9 +263,10 @@ void Run(const std::string& out_path) {
     traffic.join();
     shards.Stop();
     metrics.swaps = swaps;
-    metrics.swap_p50_us = Percentile(swap_us, 0.50);
-    metrics.swap_p99_us = Percentile(swap_us, 0.99);
     metrics.swap_mean_us = Mean(swap_us);
+    std::sort(swap_us.begin(), swap_us.end());
+    metrics.swap_p50_us = serve::Percentile(swap_us, 0.50);
+    metrics.swap_p99_us = serve::Percentile(swap_us, 0.99);
   }
 
   TablePrinter table({"metric", "value"});

@@ -1,5 +1,6 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -18,6 +19,7 @@ using internal::Node;
 Tensor ExpandAlongDim(const Tensor& g, const Shape& full_shape, int64_t d,
                       bool keepdim) {
   Tensor out(full_shape);
+  if (out.numel() == 0) return out;  // memcpy must not see a null buffer
   const int64_t dim_size = full_shape[static_cast<size_t>(d)];
   int64_t outer = 1;
   for (int64_t i = 0; i < d; ++i) outer *= full_shape[static_cast<size_t>(i)];
@@ -27,6 +29,11 @@ Tensor ExpandAlongDim(const Tensor& g, const Shape& full_shape, int64_t d,
   (void)keepdim;  // g's layout is [outer, inner] either way.
   const float* src = g.data();
   float* dst = out.data();
+  if (inner == 1) {
+    for (int64_t o = 0; o < outer; ++o)
+      std::fill(dst + o * dim_size, dst + (o + 1) * dim_size, src[o]);
+    return out;
+  }
   for (int64_t o = 0; o < outer; ++o) {
     for (int64_t j = 0; j < dim_size; ++j) {
       std::memcpy(dst + (o * dim_size + j) * inner, src + o * inner,

@@ -512,13 +512,23 @@ ag::Variable RCKT::BuildLoss(const data::Batch& batch,
 float RCKT::RunTrainStep(const data::Batch& prefix_batch, bool exact) {
   KT_OBS_SCOPE("rckt/train_step");
   nn::Context ctx{/*train=*/true, &rng_};
-  InfluenceTensors influences =
-      exact ? ComputeInfluencesExact(prefix_batch, ctx)
-            : ComputeInfluences(prefix_batch, ctx, nullptr);
-  ag::Variable loss = BuildLoss(prefix_batch, influences, ctx);
-  optimizer_->ZeroGrad();
-  loss.Backward();
-  optimizer_->Step();
+  ag::Variable loss;
+  {
+    KT_OBS_SCOPE("rckt/forward");
+    const InfluenceTensors influences =
+        exact ? ComputeInfluencesExact(prefix_batch, ctx)
+              : ComputeInfluences(prefix_batch, ctx, nullptr);
+    loss = BuildLoss(prefix_batch, influences, ctx);
+  }
+  {
+    KT_OBS_SCOPE("rckt/backward");
+    optimizer_->ZeroGrad();
+    loss.Backward();
+  }
+  {
+    KT_OBS_SCOPE("rckt/adam");
+    optimizer_->Step();
+  }
   return loss.value().item();
 }
 

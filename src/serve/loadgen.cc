@@ -197,16 +197,12 @@ MismatchReport CheckPredictions(const PredictionMap& expected,
   return report;
 }
 
-namespace {
-
-double Percentile(const std::vector<double>& sorted_us, double q) {
-  if (sorted_us.empty()) return 0.0;
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(sorted_us.size() - 1) + 0.5);
-  return sorted_us[std::min(idx, sorted_us.size() - 1)];
+double Percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const size_t idx =
+      static_cast<size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[std::min(idx, sorted.size() - 1)];
 }
-
-}  // namespace
 
 LatencyStats SummarizeLatencies(std::vector<double>& us) {
   LatencyStats stats;

@@ -121,6 +121,10 @@ struct LatencyStats {
   int64_t count = 0;
 };
 
+// The exact nearest-rank q-quantile of ascending `sorted`: the element at
+// index round(q * (n - 1)). Empty input yields 0.
+double Percentile(const std::vector<double>& sorted, double q);
+
 // Sorts `us` in place. Empty input yields all-zero stats (the
 // empty-dataset path: a replay of zero windows is a valid, passing run).
 LatencyStats SummarizeLatencies(std::vector<double>& us);

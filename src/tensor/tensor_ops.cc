@@ -9,68 +9,88 @@
 namespace kt {
 namespace {
 
-// Row-major strides for `shape`.
-std::vector<int64_t> Strides(const Shape& shape) {
-  std::vector<int64_t> strides(shape.size(), 1);
-  for (int64_t i = static_cast<int64_t>(shape.size()) - 2; i >= 0; --i)
-    strides[i] = strides[i + 1] * shape[i + 1];
-  return strides;
-}
+// One loop of a broadcast loop nest: its extent and each operand's element
+// stride along it (0 where that operand is broadcast).
+struct LoopDim {
+  int64_t size, stride_a, stride_b;
+};
 
-// Strides of `shape` expanded (right-aligned) to broadcast over `out_shape`,
-// with 0-stride on broadcast dimensions.
-std::vector<int64_t> BroadcastStrides(const Shape& shape,
-                                      const Shape& out_shape) {
-  const auto base = Strides(shape);
-  std::vector<int64_t> out(out_shape.size(), 0);
-  const int64_t offset =
-      static_cast<int64_t>(out_shape.size()) - static_cast<int64_t>(shape.size());
-  for (size_t i = 0; i < shape.size(); ++i) {
-    if (shape[i] != 1) out[static_cast<size_t>(offset) + i] = base[i];
+// The loop nest that broadcasts `a` and `b` over `out_shape`, outermost
+// first. Size-1 dims are dropped, and adjacent dims merge wherever both
+// operands' strides chain, so [B,T,T]+[1,T,T] becomes {B: T*T, 0} and
+// {T*T: 1, 1}. The output is row-major over the kept dims, so it stays
+// contiguous across every merge. A single element gets one dim {1: 1, 1}.
+std::vector<LoopDim> BroadcastLoopNest(const Shape& a, const Shape& b,
+                                       const Shape& out_shape) {
+  std::vector<LoopDim> dims;
+  int64_t stride_a = 1, stride_b = 1;
+  for (size_t k = 0; k < out_shape.size(); ++k) {  // innermost first
+    const int64_t n = out_shape[out_shape.size() - 1 - k];
+    const int64_t da = k < a.size() ? a[a.size() - 1 - k] : 1;
+    const int64_t db = k < b.size() ? b[b.size() - 1 - k] : 1;
+    if (n != 1) {
+      const int64_t sa = da == 1 ? 0 : stride_a;
+      const int64_t sb = db == 1 ? 0 : stride_b;
+      if (!dims.empty() && sa == dims.back().stride_a * dims.back().size &&
+          sb == dims.back().stride_b * dims.back().size) {
+        dims.back().size *= n;
+      } else {
+        dims.push_back({n, sa, sb});
+      }
+    }
+    stride_a *= da;
+    stride_b *= db;
   }
-  return out;
+  if (dims.empty()) dims.push_back({1, 1, 1});
+  std::reverse(dims.begin(), dims.end());
+  return dims;
 }
 
+// out[i] = fn(a[i], b[i]) under broadcasting. Each output element is one
+// call of `fn` on the same two input elements whatever the loop structure,
+// so the result is bit-identical to a per-element walk of the index space;
+// the structure only decides what vectorizes. An odometer walks the outer
+// loops and a tight loop runs the innermost one.
 template <typename Fn>
 Tensor BinaryOp(const Tensor& a, const Tensor& b, Fn fn) {
-  // Fast path: identical shapes.
-  if (a.SameShape(b)) {
-    Tensor out(a.shape());
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    const int64_t n = a.numel();
-    for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
-    return out;
-  }
-
-  const Shape out_shape = BroadcastShape(a.shape(), b.shape());
-  Tensor out(out_shape);
-  const auto sa = BroadcastStrides(a.shape(), out_shape);
-  const auto sb = BroadcastStrides(b.shape(), out_shape);
-  const auto so = Strides(out_shape);
-  const int64_t rank = static_cast<int64_t>(out_shape.size());
-  const int64_t n = out.numel();
+  Tensor out(a.SameShape(b) ? a.shape()
+                            : BroadcastShape(a.shape(), b.shape()));
+  if (out.numel() == 0) return out;
+  const std::vector<LoopDim> dims =
+      BroadcastLoopNest(a.shape(), b.shape(), out.shape());
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-
-  std::vector<int64_t> idx(static_cast<size_t>(rank), 0);
+  // Every dim inside the innermost kept one has size 1, so each operand's
+  // stride along it is 1 or 0, and not 0 for both (the dim has size > 1).
+  const LoopDim inner = dims.back();
+  const int64_t n = inner.size;
+  auto row = [&](float* o, const float* x, const float* y) {
+    if (inner.stride_a == inner.stride_b) {
+      for (int64_t i = 0; i < n; ++i) o[i] = fn(x[i], y[i]);
+    } else if (inner.stride_b == 0) {
+      const float s = *y;
+      for (int64_t i = 0; i < n; ++i) o[i] = fn(x[i], s);
+    } else {
+      const float s = *x;
+      for (int64_t i = 0; i < n; ++i) o[i] = fn(s, y[i]);
+    }
+  };
+  const size_t outer_rank = dims.size() - 1;
+  std::vector<int64_t> idx(outer_rank, 0);
   int64_t ia = 0, ib = 0;
-  for (int64_t flat = 0; flat < n; ++flat) {
-    po[flat] = fn(pa[ia], pb[ib]);
-    // Odometer increment over the output index space, updating input offsets.
-    for (int64_t d = rank - 1; d >= 0; --d) {
-      idx[static_cast<size_t>(d)]++;
-      ia += sa[static_cast<size_t>(d)];
-      ib += sb[static_cast<size_t>(d)];
-      if (idx[static_cast<size_t>(d)] < out_shape[static_cast<size_t>(d)]) break;
-      ia -= sa[static_cast<size_t>(d)] * out_shape[static_cast<size_t>(d)];
-      ib -= sb[static_cast<size_t>(d)] * out_shape[static_cast<size_t>(d)];
-      idx[static_cast<size_t>(d)] = 0;
+  const int64_t rows = out.numel() / n;
+  for (int64_t r = 0; r < rows; ++r) {
+    row(po + r * n, pa + ia, pb + ib);
+    for (size_t d = outer_rank; d-- > 0;) {
+      ia += dims[d].stride_a;
+      ib += dims[d].stride_b;
+      if (++idx[d] < dims[d].size) break;
+      ia -= dims[d].stride_a * dims[d].size;
+      ib -= dims[d].stride_b * dims[d].size;
+      idx[d] = 0;
     }
   }
-  (void)so;
   return out;
 }
 
@@ -97,7 +117,7 @@ Shape BroadcastShape(const Shape& a, const Shape& b) {
     KT_CHECK(da == db || da == 1 || db == 1)
         << "incompatible broadcast " << ShapeToString(a) << " vs "
         << ShapeToString(b);
-    out[i] = std::max(da, db);
+    out[i] = da == 1 ? db : da;  // a size-0 dim broadcasts to 0, not 1
   }
   return out;
 }
@@ -259,6 +279,26 @@ Tensor Sum(const Tensor& a, int64_t d, bool keepdim) {
   Tensor out(out_shape);
   const float* src = a.data();
   float* dst = out.data();
+  if (inner == 1) {
+    // Each row is one serial chain 0 + s[0] + s[1] + ...; advancing eight
+    // rows' chains together hides the add latency without reordering any.
+    constexpr int64_t kRows = 8;
+    int64_t o = 0;
+    for (; o + kRows <= outer; o += kRows) {
+      const float* s = src + o * dim_size;
+      float acc[kRows] = {};
+      for (int64_t j = 0; j < dim_size; ++j)
+        for (int64_t r = 0; r < kRows; ++r) acc[r] += s[r * dim_size + j];
+      for (int64_t r = 0; r < kRows; ++r) dst[o + r] = acc[r];
+    }
+    for (; o < outer; ++o) {
+      const float* s = src + o * dim_size;
+      float acc = 0.0f;
+      for (int64_t j = 0; j < dim_size; ++j) acc += s[j];
+      dst[o] = acc;
+    }
+    return out;
+  }
   for (int64_t o = 0; o < outer; ++o) {
     for (int64_t j = 0; j < dim_size; ++j) {
       const float* s = src + (o * dim_size + j) * inner;

@@ -378,6 +378,36 @@ TEST_F(ObsTest, TelemetryOnOffIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// One train step times each of its phases exactly once, and timing them
+// leaves the step's loss and the trained weights bit-identical.
+TEST_F(ObsTest, TrainStepRecordsEachPhaseOnce) {
+  data::Dataset ds = ObsTinyDataset();
+  std::vector<rckt::PrefixSample> samples;
+  for (const auto& seq : ds.sequences) {
+    if (seq.length() > 7) samples.push_back({&seq, 7});
+    if (samples.size() == 4) break;
+  }
+  const data::Batch batch = rckt::MakePrefixBatch(samples);
+  auto step = [&](const std::string& save_path, std::string* model_bytes) {
+    rckt::RCKT model(ds.num_questions, ds.num_concepts, ObsSmallRckt());
+    const float loss = model.TrainStep(batch);
+    KT_CHECK(nn::SaveModule(model, save_path).ok());
+    KT_CHECK(ReadFileToString(save_path, model_bytes).ok());
+    return loss;
+  };
+  std::string off_bytes, on_bytes;
+  const float off = step(TempPath("phase_off.ktw"), &off_bytes);
+  SetEnabled(true);
+  const float on = step(TempPath("phase_on.ktw"), &on_bytes);
+  SetEnabled(false);
+  for (const char* scope : {"rckt/train_step", "rckt/forward",
+                            "rckt/backward", "rckt/adam"}) {
+    EXPECT_EQ(Histogram::Get(scope)->Snapshot().count, 1) << scope;
+  }
+  EXPECT_TRUE(BitEqualFloats({off}, {on}));
+  EXPECT_EQ(off_bytes, on_bytes);
+}
+
 // With telemetry on, the instrumented call sites actually fire: the GEMM
 // counters count, the scope histograms fill, and the trace carries slices.
 TEST_F(ObsTest, InstrumentationFiresWhenEnabled) {

@@ -3,11 +3,14 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "autograd/ops.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "tensor/gemm.h"
@@ -143,6 +146,8 @@ TEST(BroadcastTest, ShapeRules) {
   EXPECT_EQ(BroadcastShape({2, 3}, {3}), (Shape{2, 3}));
   EXPECT_EQ(BroadcastShape({2, 1}, {1, 4}), (Shape{2, 4}));
   EXPECT_EQ(BroadcastShape({}, {5}), (Shape{5}));
+  EXPECT_EQ(BroadcastShape({0, 3}, {3}), (Shape{0, 3}));
+  EXPECT_EQ(BroadcastShape({1}, {0}), (Shape{0}));
   EXPECT_DEATH(BroadcastShape({2, 3}, {4}), "KT_CHECK");
 }
 
@@ -362,6 +367,210 @@ INSTANTIATE_TEST_SUITE_P(
                       BroadcastCase{{1}, {5, 5}, {5, 5}},
                       BroadcastCase{{4, 1}, {1, 6}, {4, 6}},
                       BroadcastCase{{}, {2, 2}, {2, 2}}));
+
+// ---- Bitwise sweep: strided kernels vs the loops they replaced ----
+//
+// BinaryOp's broadcast path, Sum's 8-row interleave and Sum's backward
+// expansion promise the old loops' exact bits: every output element is the
+// same expression over the same inputs in the same order. The references
+// below restate the replaced loops.
+
+// The per-element odometer BinaryOp: one rank-deep index increment per
+// output element, input offsets tracked through broadcast strides.
+Tensor OdometerBinaryOp(const Tensor& a, const Tensor& b,
+                        const std::function<float(float, float)>& fn) {
+  const Shape out_shape = BroadcastShape(a.shape(), b.shape());
+  auto strides = [&out_shape](const Shape& shape) {
+    std::vector<int64_t> base(shape.size(), 1);
+    for (int64_t i = static_cast<int64_t>(shape.size()) - 2; i >= 0; --i)
+      base[i] = base[i + 1] * shape[i + 1];
+    std::vector<int64_t> out(out_shape.size(), 0);
+    const size_t offset = out_shape.size() - shape.size();
+    for (size_t i = 0; i < shape.size(); ++i)
+      if (shape[i] != 1) out[offset + i] = base[i];
+    return out;
+  };
+  const auto sa = strides(a.shape());
+  const auto sb = strides(b.shape());
+  Tensor out(out_shape);
+  const size_t rank = out_shape.size();
+  std::vector<int64_t> idx(rank, 0);
+  int64_t ia = 0, ib = 0;
+  for (int64_t flat = 0; flat < out.numel(); ++flat) {
+    out.data()[flat] = fn(a.data()[ia], b.data()[ib]);
+    for (size_t d = rank; d-- > 0;) {
+      ++idx[d];
+      ia += sa[d];
+      ib += sb[d];
+      if (idx[d] < out_shape[d]) break;
+      ia -= sa[d] * out_shape[d];
+      ib -= sb[d] * out_shape[d];
+      idx[d] = 0;
+    }
+  }
+  return out;
+}
+
+// The single-loop Sum: out[o, i] += src[o, j, i] for j ascending.
+Tensor SerialSum(const Tensor& a, int64_t d, bool keepdim) {
+  int64_t outer = 1, inner = 1;
+  for (int64_t i = 0; i < d; ++i) outer *= a.size(i);
+  for (int64_t i = d + 1; i < a.dim(); ++i) inner *= a.size(i);
+  Shape out_shape = a.shape();
+  if (keepdim) {
+    out_shape[static_cast<size_t>(d)] = 1;
+  } else {
+    out_shape.erase(out_shape.begin() + d);
+  }
+  Tensor out(out_shape);
+  for (int64_t o = 0; o < outer; ++o)
+    for (int64_t j = 0; j < a.size(d); ++j)
+      for (int64_t i = 0; i < inner; ++i)
+        out.data()[o * inner + i] += a.data()[(o * a.size(d) + j) * inner + i];
+  return out;
+}
+
+bool BitIdentical(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         (x.numel() == 0 ||
+          std::memcmp(x.data(), y.data(),
+                      sizeof(float) * static_cast<size_t>(x.numel())) == 0);
+}
+
+// Uniform values with -0.0, +0.0, NaN, +inf and (unless `with_neg_inf` is
+// false) -inf mixed in at seed-dependent positions.
+Tensor SpecialValues(const Shape& shape, uint64_t seed,
+                     bool with_neg_inf = true) {
+  Rng rng(seed);
+  Tensor t = Tensor::Uniform(shape, -2, 2, rng);
+  const float specials[] = {-0.0f, 0.0f, std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  const uint64_t num_specials = with_neg_inf ? 5 : 4;
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    const uint64_t pick = (static_cast<uint64_t>(i) * 7 + seed) % 13;
+    if (pick < num_specials) t.data()[i] = specials[pick];
+  }
+  return t;
+}
+
+TEST(KernelBitwiseSweep, BinaryOpsMatchOdometerReference) {
+  using Op = Tensor (*)(const Tensor&, const Tensor&);
+  const std::vector<std::pair<Op, std::function<float(float, float)>>> ops = {
+      {&Add, [](float x, float y) { return x + y; }},
+      {&Sub, [](float x, float y) { return x - y; }},
+      {&Mul, [](float x, float y) { return x * y; }},
+      {&Div, [](float x, float y) { return x / y; }},
+      {&Maximum, [](float x, float y) { return std::max(x, y); }},
+      {&Minimum, [](float x, float y) { return std::min(x, y); }},
+      {&GreaterEqualMask,
+       [](float x, float y) { return x >= y ? 1.0f : 0.0f; }},
+  };
+  // B, T, d of the SAKT attention and LayerNorm patterns.
+  const int64_t B = 3, T = 7, D = 5;
+  const std::vector<std::pair<Shape, Shape>> shapes = {
+      {{}, {}},                      // rank 0
+      {{}, {2, 3}},                  // scalar against a matrix
+      {{1, 1}, {1}},                 // every dim size 1
+      {{0, 3}, {3}},                 // size-0 dims
+      {{2, 0}, {2, 1}},
+      {{4, 33}, {4, 33}},            // same shape
+      {{3}, {2, 3}},                 // mismatched ranks
+      {{2, 1, 4}, {3, 1}},           // broadcasts on both sides
+      {{4, 1}, {1, 6}},
+      {{5, 9}, {5, 1}},              // innermost-dim broadcast
+      {{2, 3, 1}, {2, 3, 4}},
+      {{B, T, T}, {1, T, T}},        // SAKT patterns
+      {{B, T, T}, {1, T, 1}},
+      {{B, T, D}, {B, T, 1}},
+      {{B, T, D}, {D}},
+      {{2, 3, 4, 5}, {3, 1, 5}},     // odometer over two outer dims
+  };
+  for (const auto& [sa, sb] : shapes) {
+    // Both operand orders, so each side plays the broadcast one.
+    for (const auto& [x_shape, y_shape] :
+         {std::pair{sa, sb}, std::pair{sb, sa}}) {
+      const Tensor x = SpecialValues(x_shape, 3);
+      const Tensor y = SpecialValues(y_shape, 5);
+      for (size_t k = 0; k < ops.size(); ++k) {
+        EXPECT_TRUE(BitIdentical(ops[k].first(x, y),
+                                 OdometerBinaryOp(x, y, ops[k].second)))
+            << "op " << k << " on " << ShapeToString(x_shape) << " and "
+            << ShapeToString(y_shape);
+      }
+    }
+  }
+}
+
+TEST(KernelBitwiseSweep, SumMatchesSerialReference) {
+  std::vector<Shape> shapes = {{6}, {0}, {3, 5}, {2, 0, 3}, {2, 3, 4},
+                               {3, 1, 5, 2}, {4, 9, 11}};
+  // inner == 1 with every block/tail split of the 8-row interleave.
+  for (int64_t outer : {0, 1, 7, 8, 9, 17}) {
+    shapes.push_back({outer, 13});
+    shapes.push_back({outer, 1});
+  }
+  shapes.push_back({8, 0});
+  shapes.push_back({3, 3, 5});
+  for (const Shape& shape : shapes) {
+    // No -inf: inf + -inf makes a NaN with the sign bit set, and adding
+    // that to a +NaN keeps whichever operand the compiler placed first, so
+    // the NaN's sign says nothing about summation order.
+    Rng rng(21);
+    const std::vector<Tensor> inputs = {
+        Tensor::Uniform(shape, -2, 2, rng),
+        SpecialValues(shape, 7, /*with_neg_inf=*/false),
+        Tensor::Full(shape, -0.0f)};
+    for (const Tensor& x : inputs) {
+      for (int64_t d = 0; d < x.dim(); ++d) {
+        for (bool keepdim : {false, true}) {
+          EXPECT_TRUE(BitIdentical(Sum(x, d, keepdim),
+                                   SerialSum(x, d, keepdim)))
+              << ShapeToString(shape) << " dim " << d << " keepdim "
+              << keepdim;
+        }
+      }
+    }
+  }
+}
+
+// Sum's backward repeats the upstream gradient along the summed dim. The
+// gradient carries inf and NaN but no -0.0: the backward pass adds it into
+// zeroed grad buffers, which turns -0.0 into +0.0, so a plain copy would
+// not be the reference.
+TEST(KernelBitwiseSweep, SumBackwardMatchesMemcpyExpansion) {
+  const std::vector<Shape> shapes = {{9, 6}, {17, 1}, {2, 3, 4}, {3, 0, 2},
+                                     {5}};
+  for (const Shape& shape : shapes) {
+    for (int64_t d = 0; d < static_cast<int64_t>(shape.size()); ++d) {
+      for (bool keepdim : {false, true}) {
+        Rng rng(33);
+        ag::Variable x =
+            ag::Variable::Leaf(Tensor::Uniform(shape, -1, 1, rng), true);
+        ag::Variable y = ag::Sum(x, d, keepdim);
+        Tensor g = SpecialValues(y.value().shape(), 11);
+        for (int64_t i = 0; i < g.numel(); ++i)
+          if (std::signbit(g.data()[i]) && g.data()[i] == 0.0f)
+            g.data()[i] = 0.5f;
+        ag::SumAll(ag::Mul(y, ag::Variable::Leaf(g, false))).Backward();
+
+        int64_t outer = 1, inner = 1;
+        for (int64_t i = 0; i < d; ++i) outer *= shape[static_cast<size_t>(i)];
+        for (size_t i = static_cast<size_t>(d) + 1; i < shape.size(); ++i)
+          inner *= shape[i];
+        const int64_t n = shape[static_cast<size_t>(d)];
+        Tensor expected(shape);
+        for (int64_t o = 0; o < outer && inner > 0; ++o)
+          for (int64_t j = 0; j < n; ++j)
+            std::memcpy(expected.data() + (o * n + j) * inner,
+                        g.data() + o * inner,
+                        sizeof(float) * static_cast<size_t>(inner));
+        EXPECT_TRUE(BitIdentical(x.grad(), expected))
+            << ShapeToString(shape) << " dim " << d << " keepdim " << keepdim;
+      }
+    }
+  }
+}
 
 // ---- Parallel-vs-serial GEMM equivalence ----
 //
