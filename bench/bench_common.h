@@ -67,7 +67,7 @@ inline FlagParser InitBenchFlags(int* argc, char** argv) {
     GemmKernel kernel;
     KT_CHECK(GemmKernelByName(gemm_kernel, &kernel))
         << "unknown --gemm-kernel '" << gemm_kernel
-        << "' (want auto|reference|tiled|tiled_fma)";
+        << "' (want auto|reference|tiled)";
     SetGemmKernel(kernel);
   }
   int kept = 1;

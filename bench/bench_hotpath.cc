@@ -26,7 +26,6 @@
 #include "rckt/rckt_model.h"
 #include "rckt/samples.h"
 #include "tensor/gemm.h"
-#include "tensor/quant.h"
 #include "tensor/tensor.h"
 
 namespace kt {
@@ -94,76 +93,6 @@ void BenchGemmShape(int64_t m, int64_t k, int64_t n) {
                 r.op.c_str(), r.shape.c_str(), r.mode.c_str(), ns, r.rate);
   }
   SetGemmKernel(GemmKernel::kAuto);
-}
-
-// ---- Low-precision serve-path section ----
-//
-// Per-backend GEMM sweep at the serve predict-head shapes: (m, 2d, d) and
-// (m, d, 1) for the bench model dim plus a square encoder shape. The fp32
-// baseline is the tiled kernel exactly as the serve path runs it (B packed
-// per call); bf16/int8 use pre-packed weight panels, the way the serve
-// engine holds them after model load — the comparison measures what a
-// predict request actually pays per backend. int8 quantizes activations
-// per call against a fixed scale (static quantization), also as served.
-void BenchLowpShape(int64_t m, int64_t k, int64_t n) {
-  Rng rng(3);
-  Tensor a = Tensor::Uniform({m, k}, -1, 1, rng);
-  Tensor b = Tensor::Uniform({k, n}, -1, 1, rng);
-  Tensor c({m, n});
-  const double flops = 2.0 * static_cast<double>(m) * k * n;
-  char shape[64];
-  std::snprintf(shape, sizeof(shape), "m%lld_k%lld_n%lld",
-                static_cast<long long>(m), static_cast<long long>(k),
-                static_cast<long long>(n));
-  const quant::Bf16Panels bf16_panels = quant::PackBf16(b.data(), k, n);
-  const quant::Int8Panels int8_panels = quant::PackInt8(b.data(), k, n);
-  const quant::QuantParams a_params =
-      quant::CalibrateSymmetric(a.data(), a.numel());
-
-  struct Backend {
-    const char* name;
-    bool available;
-    std::function<void()> run;
-  };
-  const std::vector<Backend> backends = {
-      {"fp32_tiled", true,
-       [&] {
-         SetGemmKernel(GemmKernel::kTiled);
-         Gemm(a.data(), b.data(), c.data(), m, k, n);
-         SetGemmKernel(GemmKernel::kAuto);
-       }},
-      {"fp32_tiled_fma", FindGemmBackend("tiled_fma")->available,
-       [&] {
-         SetGemmKernel(GemmKernel::kTiledFma);
-         Gemm(a.data(), b.data(), c.data(), m, k, n);
-         SetGemmKernel(GemmKernel::kAuto);
-       }},
-      {"bf16", true,
-       [&] { quant::GemmBf16(a.data(), bf16_panels, c.data(), m); }},
-      {"int8", true,
-       [&] {
-         quant::GemmInt8FromFloat(a.data(), a_params, int8_panels, c.data(),
-                                  m);
-       }},
-  };
-  for (const Backend& backend : backends) {
-    if (!backend.available) continue;
-    const double ns = TimeNs([&] {
-      backend.run();
-      g_sink = c.data()[0];
-    });
-    Result r;
-    r.section = "lowp";
-    r.op = "Gemm";
-    r.shape = shape;
-    r.mode = backend.name;
-    r.threads = GetNumThreads();
-    r.ns_per_iter = ns;
-    r.rate = flops / ns;
-    g_results.push_back(r);
-    std::printf("  %-10s %-16s %-14s %12.0f ns  %7.2f GFLOP/s\n",
-                r.op.c_str(), r.shape.c_str(), r.mode.c_str(), ns, r.rate);
-  }
 }
 
 // ---- End-to-end section: full optimized stack vs full baseline stack ----
@@ -265,23 +194,6 @@ bool WriteJson(const std::string& path) {
                                 : base.op;
     out << "    \"" << key << "\": " << base.ns_per_iter / opt.ns_per_iter;
   }
-  out << "\n  },\n  \"lowp_speedups\": {\n";
-  // Low-precision backends vs the fp32 tiled row at the same shape.
-  first = true;
-  for (size_t i = 0; i < g_results.size(); ++i) {
-    const Result& base = g_results[i];
-    if (base.section != "lowp" || base.mode != "fp32_tiled") continue;
-    for (size_t j = i + 1;
-         j < g_results.size() && g_results[j].section == "lowp" &&
-         g_results[j].shape == base.shape;
-         ++j) {
-      const Result& other = g_results[j];
-      if (!first) out << ",\n";
-      first = false;
-      out << "    \"" << other.mode << "_" << other.shape
-          << "\": " << base.ns_per_iter / other.ns_per_iter;
-    }
-  }
   out << "\n  }\n}\n";
   return static_cast<bool>(out);
 }
@@ -300,15 +212,6 @@ int main(int argc, char** argv) {
   kt::BenchGemmShape(256, 64, 64);
   kt::BenchGemmShape(256, 128, 128);
   kt::BenchGemmShape(128, 128, 128);
-
-  std::printf("low-precision serve-path backends (vs fp32 tiled):\n");
-  // Serve predict-head shapes for dim 32 at single-request and full-batch
-  // sizes, plus a square encoder shape.
-  kt::BenchLowpShape(1, 64, 32);
-  kt::BenchLowpShape(16, 64, 32);
-  kt::BenchLowpShape(64, 64, 32);
-  kt::BenchLowpShape(64, 64, 64);
-  kt::BenchLowpShape(128, 128, 128);
 
   std::printf("end-to-end RCKT (baseline stack vs optimized stack):\n");
   kt::HotpathFixture fixture;

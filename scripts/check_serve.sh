@@ -15,7 +15,11 @@
 #      must serve the same bits (DESIGN.md §13).
 #   6. Re-checks through the stdio transport with a handful of hand-rolled
 #      requests, including eviction pressure (1 MB session budget).
-#   7. Unless KT_SERVE_TSAN=0: rebuilds ktcli + kt_loadgen with
+#   7. Gates recourse: the stacked fast path and --shards 4 must give the
+#      same reply digest as the brute per-candidate re-encode.
+#   8. For every paper-dataset preset (assist09, assist12, slepemapy,
+#      eedi), trains a tiny DKT model and repeats the bitwise replay.
+#   9. Unless KT_SERVE_TSAN=0: rebuilds ktcli + kt_loadgen with
 #      ThreadSanitizer (shared build-tsan tree, same as check_tsan.sh),
 #      drives a --shards 4 server with concurrent bench + replay traffic,
 #      and shuts it down gracefully over the wire ({"op":"shutdown"}).
@@ -44,6 +48,27 @@ cleanup() {
 }
 trap cleanup EXIT
 
+start_server() {  # start_server MODEL DATA EXTRA_FLAGS...
+  local model="$1" data="$2"
+  shift 2
+  "${KTCLI}" serve --load "${model}" --data "${data}" --port "${PORT}" \
+    --threads 2 --max-batch 8 --max-wait-us 500 "$@" &
+  SERVER_PID=$!
+  for _ in $(seq 50); do
+    if "${LOADGEN}" --port "${PORT}" --mode bench --connections 1 \
+         --requests 1 >/dev/null 2>&1; then
+      return 0
+    fi
+    sleep 0.1
+  done
+}
+
+stop_server() {
+  kill "${SERVER_PID}" 2>/dev/null || true
+  wait "${SERVER_PID}" 2>/dev/null || true
+  SERVER_PID=""
+}
+
 echo "== train a tiny model (saved with metadata) =="
 "${KTCLI}" simulate --preset assist09 --scale 0.05 --seed 7 \
   --out "${WORK}/data.csv"
@@ -56,45 +81,21 @@ echo "== offline reference: ktcli evaluate --json (1 thread) =="
 
 echo "== online replay over TCP (2 threads, 4 connections) =="
 # No --encoder/--dim flags: the server shapes itself from the metadata.
-"${KTCLI}" serve --load "${WORK}/model.ktw" --data "${WORK}/data.csv" \
-  --port "${PORT}" --threads 2 --max-batch 8 --max-wait-us 500 &
-SERVER_PID=$!
-for _ in $(seq 50); do
-  if "${LOADGEN}" --port "${PORT}" --mode bench --connections 1 \
-       --requests 1 >/dev/null 2>&1; then
-    break
-  fi
-  sleep 0.1
-done
-
+start_server "${WORK}/model.ktw" "${WORK}/data.csv"
 "${LOADGEN}" --port "${PORT}" --data "${WORK}/data.csv" \
   --expect "${WORK}/offline.json" --connections 4 | tee "${WORK}/replay.json"
 grep -q '"mismatches":0' "${WORK}/replay.json"
 grep -q '"missing":0' "${WORK}/replay.json"
-
-kill "${SERVER_PID}" 2>/dev/null || true
-wait "${SERVER_PID}" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 
 echo "== same replay against a 3-shard reactor: still bit-identical =="
-"${KTCLI}" serve --load "${WORK}/model.ktw" --data "${WORK}/data.csv" \
-  --port "${PORT}" --threads 2 --max-batch 8 --max-wait-us 500 --shards 3 &
-SERVER_PID=$!
-for _ in $(seq 50); do
-  if "${LOADGEN}" --port "${PORT}" --mode bench --connections 1 \
-       --requests 1 >/dev/null 2>&1; then
-    break
-  fi
-  sleep 0.1
-done
+start_server "${WORK}/model.ktw" "${WORK}/data.csv" --shards 3
 "${LOADGEN}" --port "${PORT}" --data "${WORK}/data.csv" \
   --expect "${WORK}/offline.json" --connections 4 \
   | tee "${WORK}/replay_sharded.json"
 grep -q '"mismatches":0' "${WORK}/replay_sharded.json"
 grep -q '"missing":0' "${WORK}/replay_sharded.json"
-kill "${SERVER_PID}" 2>/dev/null || true
-wait "${SERVER_PID}" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 
 echo "== stdio transport + eviction pressure (1 MB budget) =="
 {
@@ -115,23 +116,12 @@ echo "== recourse gate: suffix replay ≡ brute offline re-encode =="
 # (prefix-clone + suffix replay) and --brute (full per-candidate
 # re-encode). The reply digest folds base_p, every candidate probability
 # and every intervention, so digest equality is bitwise top-K equality.
-"${KTCLI}" serve --load "${WORK}/model.ktw" --data "${WORK}/data.csv" \
-  --port "${PORT}" --threads 2 --max-batch 8 --max-wait-us 500 &
-SERVER_PID=$!
-for _ in $(seq 50); do
-  if "${LOADGEN}" --port "${PORT}" --mode bench --connections 1 \
-       --requests 1 >/dev/null 2>&1; then
-    break
-  fi
-  sleep 0.1
-done
+start_server "${WORK}/model.ktw" "${WORK}/data.csv"
 "${LOADGEN}" --port "${PORT}" --mode recourse --data "${WORK}/data.csv" \
   --connections 4 --k 2 --top 3 | tee "${WORK}/recourse_fast.json"
 "${LOADGEN}" --port "${PORT}" --mode recourse --data "${WORK}/data.csv" \
   --connections 4 --k 2 --top 3 --brute > "${WORK}/recourse_brute.json"
-kill "${SERVER_PID}" 2>/dev/null || true
-wait "${SERVER_PID}" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 
 digest() { sed -n 's/.*"recourse_fnv64":"\([0-9a-f]*\)".*/\1/p' "$1"; }
 FAST_DIGEST="$(digest "${WORK}/recourse_fast.json")"
@@ -142,23 +132,31 @@ grep -q '"recourses":0' "${WORK}/recourse_fast.json" && {
   echo "recourse fast path diverges from brute re-encode"; exit 1; }
 
 echo "== recourse gate: --shards 4 serves the same bits =="
-"${KTCLI}" serve --load "${WORK}/model.ktw" --data "${WORK}/data.csv" \
-  --port "${PORT}" --threads 2 --max-batch 8 --max-wait-us 500 --shards 4 &
-SERVER_PID=$!
-for _ in $(seq 50); do
-  if "${LOADGEN}" --port "${PORT}" --mode bench --connections 1 \
-       --requests 1 >/dev/null 2>&1; then
-    break
-  fi
-  sleep 0.1
-done
+start_server "${WORK}/model.ktw" "${WORK}/data.csv" --shards 4
 "${LOADGEN}" --port "${PORT}" --mode recourse --data "${WORK}/data.csv" \
   --connections 4 --k 2 --top 3 > "${WORK}/recourse_sharded.json"
-kill "${SERVER_PID}" 2>/dev/null || true
-wait "${SERVER_PID}" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 [[ "${FAST_DIGEST}" == "$(digest "${WORK}/recourse_sharded.json")" ]] || {
   echo "recourse digests diverge between --shards 1 and --shards 4"; exit 1; }
+
+for PRESET in assist09 assist12 slepemapy eedi; do
+  echo "== ${PRESET}: tiny DKT model, bitwise replay =="
+  DATA="${WORK}/${PRESET}.csv"
+  MODEL="${WORK}/${PRESET}.ktw"
+  "${KTCLI}" simulate --preset "${PRESET}" --scale 0.03 --seed 11 \
+    --out "${DATA}"
+  "${KTCLI}" train --data "${DATA}" --encoder dkt --dim 16 --epochs 2 \
+    --verbose false --save "${MODEL}"
+  "${KTCLI}" evaluate --data "${DATA}" --load "${MODEL}" --threads 1 \
+    --json > "${WORK}/${PRESET}_offline.json"
+  start_server "${MODEL}" "${DATA}"
+  "${LOADGEN}" --port "${PORT}" --data "${DATA}" \
+    --expect "${WORK}/${PRESET}_offline.json" --connections 4 \
+    | tee "${WORK}/${PRESET}_replay.json"
+  stop_server
+  grep -q '"mismatches":0' "${WORK}/${PRESET}_replay.json"
+  grep -q '"missing":0' "${WORK}/${PRESET}_replay.json"
+done
 
 if [[ "${KT_SERVE_TSAN:-1}" != "0" ]]; then
   echo "== TSan: 4-shard reactor under concurrent mixed loadgen =="
@@ -214,11 +212,6 @@ if [[ "${KT_SERVE_TSAN:-1}" != "0" ]]; then
   wait "${SERVER_PID}"
   SERVER_PID=""
   echo "   TSan run clean: no races, graceful shutdown, parity held"
-fi
-
-if [[ "${KT_SERVE_PRECISION:-1}" != "0" ]]; then
-  echo "== low-precision serve path (scripts/check_precision.sh) =="
-  scripts/check_precision.sh "${BUILD_DIR}"
 fi
 
 echo "OK: online serving is bit-identical to offline evaluation"

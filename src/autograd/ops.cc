@@ -398,21 +398,17 @@ inline void AccumulateBiasGrad(const float* g, int64_t m, int64_t n,
 
 }  // namespace
 
-Variable LinearBiasAct(const Variable& x, const Variable& w,
-                       const Variable& b, Act act) {
-  KT_OBS_SCOPE("fused/linear_bias_act");
-  const Tensor& xv = x.value();
-  const Tensor& wv = w.value();
-  KT_CHECK_EQ(xv.shape().size(), 2u);
-  KT_CHECK_EQ(wv.shape().size(), 2u);
-  KT_CHECK_EQ(xv.size(1), wv.size(0));
-  const int64_t m = xv.size(0), in = xv.size(1), out = wv.size(1);
-  const bool has_bias = b.defined();
-  if (has_bias) KT_CHECK_EQ(b.numel(), out);
+Tensor LinearBiasActForward(const Tensor& x, const Tensor& w, const Tensor* b,
+                            Act act) {
+  KT_CHECK_EQ(x.shape().size(), 2u);
+  KT_CHECK_EQ(w.shape().size(), 2u);
+  KT_CHECK_EQ(x.size(1), w.size(0));
+  const int64_t m = x.size(0), in = x.size(1), out = w.size(1);
+  if (b != nullptr) KT_CHECK_EQ(b->numel(), out);
 
   Tensor y(Shape{m, out});
-  Gemm(xv.data(), wv.data(), y.data(), m, in, out);
-  const float* bias = has_bias ? b.value().data() : nullptr;
+  Gemm(x.data(), w.data(), y.data(), m, in, out);
+  const float* bias = b != nullptr ? b->data() : nullptr;
   float* yd = y.data();
   for (int64_t i = 0; i < m; ++i) {
     float* row = yd + i * out;
@@ -420,6 +416,15 @@ Variable LinearBiasAct(const Variable& x, const Variable& w,
       row[j] = ApplyAct(act, bias ? row[j] + bias[j] : row[j]);
     }
   }
+  return y;
+}
+
+Variable LinearBiasAct(const Variable& x, const Variable& w,
+                       const Variable& b, Act act) {
+  KT_OBS_SCOPE("fused/linear_bias_act");
+  const bool has_bias = b.defined();
+  Tensor y = LinearBiasActForward(x.value(), w.value(),
+                                  has_bias ? &b.value() : nullptr, act);
 
   std::vector<Variable> inputs{x, w};
   if (has_bias) inputs.push_back(b);

@@ -85,6 +85,13 @@ enum class Act { kIdentity, kRelu, kSigmoid, kTanh };
 Variable LinearBiasAct(const Variable& x, const Variable& w,
                        const Variable& b, Act act);
 
+// The forward half of LinearBiasAct on plain tensors, with no graph node:
+// the same GEMM and epilogue, so LinearBiasAct(...).value() equals it bit
+// for bit. `b` is [out] or null (no bias). For inference paths that never
+// run backward, e.g. the serve predict head.
+Tensor LinearBiasActForward(const Tensor& x, const Tensor& w, const Tensor* b,
+                            Act act);
+
 // z = x wx + h wh + b, the packed RNN pre-activation ([B, G*H]).
 // Bit-identical to Add(Add(MatMul(x, wx), MatMul(h, wh)), b).
 Variable DualLinearBias(const Variable& x, const Variable& wx,

@@ -10,7 +10,7 @@ Features Probe() {
   f.avx2 = __builtin_cpu_supports("avx2");
   f.fma = __builtin_cpu_supports("fma");
   // GCC only grew the "avx512bf16" probe string recently; guard so older
-  // toolchains still build. The bf16 GEMM does not require it either way.
+  // toolchains still build.
 #if defined(__GNUC__) && __GNUC__ >= 11
   f.bf16_cvt = __builtin_cpu_supports("avx512bf16");
 #endif

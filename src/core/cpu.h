@@ -1,14 +1,11 @@
 // One cached CPU feature probe for the whole process.
 //
-// Kernel TUs used to scatter `__builtin_cpu_supports` calls behind their
-// own function-local statics; every new ISA variant re-invented the probe.
-// This header is now the single source of truth: `cpu::Get()` probes once
-// (thread-safe static init) and every dispatch site, the GEMM backend
-// registry, and the autotuner cache key read the same struct.
+// `cpu::Get()` probes once (thread-safe static init); the GEMM dispatcher
+// reads it to pick the AVX2 tiled micro kernel, and benchmark reports
+// record `IdString()` as the host's identity.
 //
 // The probe itself never changes results: which micro-kernel runs is
-// unobservable for the bit-exact kernel families, and the low-precision
-// families document their own error bounds (tensor/quant.h).
+// unobservable for the bit-exact kernel families.
 #ifndef KT_CORE_CPU_H_
 #define KT_CORE_CPU_H_
 
@@ -19,18 +16,14 @@ namespace cpu {
 
 struct Features {
   bool avx2 = false;     // 256-bit integer + float SIMD
-  bool fma = false;      // fused multiply-add (vfmadd*)
-  bool bf16_cvt = false; // AVX512-BF16 native conversions (informational;
-                         // the bf16 kernels use shift-based conversion and
-                         // run anywhere AVX2+FMA does)
+  bool fma = false;      // fused multiply-add (vfmadd*); informational
+  bool bf16_cvt = false; // AVX512-BF16 native conversions; informational
 };
 
 // The process-wide probe, evaluated once on first use.
 const Features& Get();
 
 // Stable short string of the detected features ("avx2+fma", "scalar", ...).
-// Part of the autotuner cache key: a cache written on one machine is
-// ignored on a machine with different capabilities.
 std::string IdString();
 
 // Test hook: overrides the probe result (pass nullptr to restore the real

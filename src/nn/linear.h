@@ -25,8 +25,8 @@ class Linear : public Module {
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
 
-  // Raw parameter handles, for code that re-packs the weights into another
-  // storage format (e.g. the serve low-precision head). bias() is
+  // Raw parameter handles, for graph-free inference over the same weights
+  // (e.g. the serve predict head, via ag::LinearBiasActForward). bias() is
   // undefined (.defined() == false) when the layer was built without one.
   const ag::Variable& weight() const { return weight_; }
   const ag::Variable& bias() const { return bias_; }

@@ -263,7 +263,6 @@ std::vector<Tensor> BiLstmEncoder::StepForwardMany(
   // every GEMM row is its own accumulator chain, so row i of the stacked
   // step is bitwise the single-stream step.
   ag::Variable x = ag::Constant(StackRows(a_rows));
-  const int64_t hidden = forward_layers_[0]->hidden_size();
   for (size_t l = 0; l < forward_layers_.size(); ++l) {
     std::vector<Tensor> hs(static_cast<size_t>(k)), cs(static_cast<size_t>(k));
     for (int64_t i = 0; i < k; ++i) {

@@ -44,11 +44,6 @@ InferenceEngine::InferenceEngine(rckt::RCKT& model, EngineOptions options)
       options_(std::move(options)),
       dim_(model.config().dim),
       store_(options_.session_budget_bytes) {
-  if (options_.precision != Precision::kFp32) {
-    lowp_head_ = std::make_unique<LowpHead>(options_.precision,
-                                            model_.mlp_hidden(),
-                                            model_.mlp_out());
-  }
   if (!options_.cold_dir.empty()) {
     cold_ = std::make_unique<ColdTier>(
         options_.cold_dir, model_.bi_encoder(), model_.config().encoder,
@@ -66,66 +61,6 @@ void InferenceEngine::LoadConceptMap(const data::Dataset& dataset) {
       concept_map_.emplace(interaction.question, interaction.concepts);
     }
   }
-}
-
-bool InferenceEngine::lowp_active() const {
-  return lowp_head_ != nullptr && lowp_head_->calibrated();
-}
-
-void InferenceEngine::CalibrateLowp(const data::Dataset& dataset,
-                                    int64_t max_rows) {
-  if (lowp_head_ == nullptr || lowp_head_->calibrated()) return;
-  ag::NoGradGuard no_grad;
-  // Harvest real predict-head inputs: for each prefix position t of a
-  // sequence, the row the head would see is concat(f_{t-1}, e_t) — the
-  // exact construction PredictInputRow performs online. Sequences are
-  // visited in dataset order and capped per sequence so the sample spans
-  // many students; the whole procedure is deterministic.
-  constexpr int64_t kRowsPerSequence = 16;
-  std::vector<Tensor> rows;
-  for (const auto& sequence : dataset.sequences) {
-    if (static_cast<int64_t>(rows.size()) >= max_rows) break;
-    const int64_t n = static_cast<int64_t>(sequence.interactions.size());
-    if (n <= 0) continue;
-    std::vector<int64_t> questions(static_cast<size_t>(n));
-    std::vector<int64_t> categories(static_cast<size_t>(n));
-    std::vector<std::vector<int64_t>> bags(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      const auto& interaction = sequence.interactions[static_cast<size_t>(i)];
-      questions[static_cast<size_t>(i)] = interaction.question;
-      categories[static_cast<size_t>(i)] = interaction.response;
-      bags[static_cast<size_t>(i)] = interaction.concepts;
-    }
-    const ag::Variable e = model_.embedder().QuestionEmbedRows(questions, bags);
-    const ag::Variable r =
-        ag::EmbeddingLookup(model_.embedder().response_table(), categories);
-    const Tensor a = ag::Add(e, r).value().Reshape(Shape{1, n, dim_});
-    auto stream = model_.bi_encoder().NewForwardStream();
-    const Tensor f = model_.bi_encoder().ReplayForward(*stream, a);
-    const int64_t take = std::min<int64_t>(
-        {n, kRowsPerSequence, max_rows - static_cast<int64_t>(rows.size())});
-    for (int64_t t = 0; t < take; ++t) {
-      Tensor x(Shape{1, 2 * dim_});
-      if (t == 0) {
-        std::memset(x.data(), 0, static_cast<size_t>(dim_) * sizeof(float));
-      } else {
-        std::memcpy(x.data(), f.data() + (t - 1) * dim_,
-                    static_cast<size_t>(dim_) * sizeof(float));
-      }
-      std::memcpy(x.data() + dim_, e.value().data() + t * dim_,
-                  static_cast<size_t>(dim_) * sizeof(float));
-      rows.push_back(std::move(x));
-    }
-  }
-  if (rows.empty()) return;
-  const int64_t k = static_cast<int64_t>(rows.size());
-  Tensor stacked(Shape{k, 2 * dim_});
-  for (int64_t j = 0; j < k; ++j) {
-    std::memcpy(stacked.data() + j * 2 * dim_,
-                rows[static_cast<size_t>(j)].data(),
-                static_cast<size_t>(2 * dim_) * sizeof(float));
-  }
-  lowp_head_->CalibrateInt8(stacked);
 }
 
 const std::vector<int64_t>& InferenceEngine::ConceptsFor(
@@ -305,57 +240,13 @@ Tensor InferenceEngine::InteractionRow(int64_t question,
   return ag::Add(e, r).value();
 }
 
-ServeResponse InferenceEngine::ExecutePredict(const ServeRequest& request) {
-  ServeResponse response;
-  if (!Validate(request, &response)) return response;
-  KT_OBS_SCOPE("serve/predict");
-  ag::NoGradGuard no_grad;
-  Session& session = store_.GetOrCreate(request.student);
-  EnsureStream(session);
-  const Tensor x = PredictInputRow(session, request.question,
-                                   ConceptsFor(request));
-  if (lowp_active()) {
-    // Precision policy: the pure predict head may run below fp32; all
-    // state-bearing paths above stayed strict fp32.
-    BumpCounter("serve.lowp_predicts");
-    lowp_head_->Forward(x, &response.p);
-  } else {
-    const ag::Variable mid =
-        model_.mlp_hidden().ForwardAct(ag::Constant(x), ag::Act::kRelu);
-    const ag::Variable p =
-        model_.mlp_out().ForwardAct(mid, ag::Act::kSigmoid);  // [1, 1]
-    response.p = p.value().flat(0);
-  }
-  response.history = static_cast<int64_t>(session.history.size());
-  return response;
-}
-
-ServeResponse InferenceEngine::ExecuteUpdate(const ServeRequest& request) {
-  ServeResponse response;
-  if (!Validate(request, &response)) return response;
-  KT_OBS_SCOPE("serve/update");
-  ag::NoGradGuard no_grad;
-  Session& session = store_.GetOrCreate(request.student);
-  EnsureStream(session);
-  const std::vector<int64_t>& concepts = ConceptsFor(request);
-  const Tensor a = InteractionRow(request.question, concepts,
-                                  request.response);
-  const int64_t index = static_cast<int64_t>(session.history.size());
-  session.last_f = model_.bi_encoder().StepForward(*session.stream, a);
-  session.history.push_back(
-      data::Interaction{request.question, request.response, concepts});
-  AccountState(session);
-  if (options_.update_sink) {
-    UpdateEvent event;
-    event.student = session.id;
-    event.index = index;
-    event.question = request.question;
-    event.response = request.response;
-    event.concepts = &session.history.back().concepts;
-    options_.update_sink(options_.shard_index, event);
-  }
-  response.history = static_cast<int64_t>(session.history.size());
-  return response;
+Tensor InferenceEngine::HeadProbs(const Tensor& rows) const {
+  const nn::Linear& hidden = model_.mlp_hidden();
+  const nn::Linear& out = model_.mlp_out();
+  const Tensor mid = ag::LinearBiasActForward(
+      rows, hidden.weight().value(), &hidden.bias().value(), ag::Act::kRelu);
+  return ag::LinearBiasActForward(mid, out.weight().value(),
+                                  &out.bias().value(), ag::Act::kSigmoid);
 }
 
 ServeResponse InferenceEngine::ExecuteExplain(const ServeRequest& request) {
@@ -414,22 +305,12 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
   const int64_t history_len = static_cast<int64_t>(session.history.size());
   response.history = history_len;
 
-  // base_p: the factual prediction, always through the strict-fp32 head
-  // (recourse, like explain, never runs low precision) — bitwise the
-  // offline GeneratorScoreTargets result by the serve predict contract.
-  auto head_probs = [&](const Tensor& stacked_rows) -> std::vector<float> {
-    const int64_t rows = stacked_rows.shape()[0];
-    const ag::Variable mid = model_.mlp_hidden().ForwardAct(
-        ag::Constant(stacked_rows), ag::Act::kRelu);
-    const ag::Variable p =
-        model_.mlp_out().ForwardAct(mid, ag::Act::kSigmoid);  // [rows, 1]
-    std::vector<float> out(static_cast<size_t>(rows));
-    for (int64_t j = 0; j < rows; ++j) out[static_cast<size_t>(j)] =
-        p.value().flat(j);
-    return out;
-  };
-  response.base_p = head_probs(
-      PredictInputRow(session, request.question, target_bag))[0];
+  // base_p: the factual prediction, through the same head as predict —
+  // bitwise the offline GeneratorScoreTargets result by the serve predict
+  // contract.
+  response.base_p =
+      HeadProbs(PredictInputRow(session, request.question, target_bag))
+          .flat(0);
 
   // ---- Primitives ----
   // Flips: the most recent incorrect answers (newest first — recency is
@@ -452,7 +333,6 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
     prim.is_insert = false;
     primitives.push_back(prim);
   }
-  const size_t num_flips = primitives.size();
   // Inserts: requested practice questions (deduped in order, capped), else
   // practicing the target question itself.
   std::vector<int64_t> insert_questions;
@@ -548,7 +428,7 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
     // encoders, a snapshot from one shared prefix walk for recurrent ones —
     // then (b) bulk-replaying its short modified suffix (flipped rows, then
     // inserted practice) with StepForwardRun, and (c) scoring every final
-    // row in one stacked strict-fp32 head pass.
+    // row in one stacked head pass.
     const rckt::BiEncoder& encoder = model_.bi_encoder();
 
     std::vector<int64_t> earliest(candidates.size(), history_len);
@@ -690,7 +570,8 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
                   row.data(),
                   static_cast<size_t>(2 * dim_) * sizeof(float));
     }
-    probs = head_probs(stacked);
+    const Tensor p = HeadProbs(stacked);  // [candidates, 1]
+    probs.assign(p.data(), p.data() + p.numel());
   }
 
   // ---- Ranking ----
@@ -757,29 +638,23 @@ void InferenceEngine::OnModelSwapped(uint64_t fingerprint) {
     AccountState(session);
   });
   if (cold_ != nullptr) cold_->set_model_fingerprint(fingerprint);
-  // The int8 head's weight packs/calibration derive from the old weights;
-  // rebuild the packs and keep the activation scales' calibration policy:
-  // serve --continual requires fp32, so in practice this branch is cold.
-  if (lowp_head_ != nullptr) {
-    lowp_head_ = std::make_unique<LowpHead>(options_.precision,
-                                            model_.mlp_hidden(),
-                                            model_.mlp_out());
-  }
 }
 
 ServeResponse InferenceEngine::Execute(const ServeRequest& request) {
   BumpCounter("serve.requests");
+  ServeResponse response;
   switch (request.op) {
     case Op::kPredict:
-      return ExecutePredict(request);
+      PredictRun(&request, 1, &response);
+      return response;
     case Op::kUpdate:
-      return ExecuteUpdate(request);
+      UpdateRun(&request, 1, &response);
+      return response;
     case Op::kExplain:
       return ExecuteExplain(request);
     case Op::kRecourse:
       return ExecuteRecourse(request);
     case Op::kReset: {
-      ServeResponse response;
       if (!Validate(request, &response)) return response;
       store_.Erase(request.student);
       // A reset must forget the student everywhere — a surviving snapshot
@@ -790,28 +665,25 @@ ServeResponse InferenceEngine::Execute(const ServeRequest& request) {
     case Op::kStats:
       return ExecuteStats(request);
   }
-  ServeResponse response;
   response.ok = false;
   response.error = "unknown op";
   return response;
 }
 
-void InferenceEngine::PredictRun(const std::vector<ServeRequest>& requests,
-                                 size_t begin, size_t end,
-                                 std::vector<ServeResponse>* out) {
+void InferenceEngine::PredictRun(const ServeRequest* requests, size_t count,
+                                 ServeResponse* out) {
+  KT_OBS_SCOPE("serve/predict");
   ag::NoGradGuard no_grad;
-  BumpCounter("serve.requests", static_cast<int64_t>(end - begin));
   std::vector<size_t> slots;
   std::vector<Tensor> rows;
-  for (size_t i = begin; i < end; ++i) {
-    ServeResponse& response = (*out)[i];
-    if (!Validate(requests[i], &response)) continue;
+  for (size_t i = 0; i < count; ++i) {
+    if (!Validate(requests[i], &out[i])) continue;
     Session& session = store_.GetOrCreate(requests[i].student);
     EnsureStream(session);
     rows.push_back(PredictInputRow(session, requests[i].question,
                                    ConceptsFor(requests[i])));
     slots.push_back(i);
-    response.history = static_cast<int64_t>(session.history.size());
+    out[i].history = static_cast<int64_t>(session.history.size());
   }
   if (rows.empty()) return;
   // One stacked MLP-head pass for the whole run; row j is bitwise the
@@ -823,29 +695,16 @@ void InferenceEngine::PredictRun(const std::vector<ServeRequest>& requests,
                 rows[static_cast<size_t>(j)].data(),
                 static_cast<size_t>(2 * dim_) * sizeof(float));
   }
-  if (lowp_active()) {
-    BumpCounter("serve.lowp_predicts", k);
-    std::vector<float> probs(static_cast<size_t>(k));
-    lowp_head_->Forward(stacked, probs.data());
-    for (int64_t j = 0; j < k; ++j) {
-      (*out)[slots[static_cast<size_t>(j)]].p = probs[static_cast<size_t>(j)];
-    }
-    return;
-  }
-  const ag::Variable mid =
-      model_.mlp_hidden().ForwardAct(ag::Constant(stacked), ag::Act::kRelu);
-  const ag::Variable p =
-      model_.mlp_out().ForwardAct(mid, ag::Act::kSigmoid);  // [k, 1]
+  const Tensor p = HeadProbs(stacked);  // [k, 1]
   for (int64_t j = 0; j < k; ++j) {
-    (*out)[slots[static_cast<size_t>(j)]].p = p.value().flat(j);
+    out[slots[static_cast<size_t>(j)]].p = p.flat(j);
   }
 }
 
-void InferenceEngine::UpdateRun(const std::vector<ServeRequest>& requests,
-                                size_t begin, size_t end,
-                                std::vector<ServeResponse>* out) {
+void InferenceEngine::UpdateRun(const ServeRequest* requests, size_t count,
+                                ServeResponse* out) {
+  KT_OBS_SCOPE("serve/update");
   ag::NoGradGuard no_grad;
-  BumpCounter("serve.requests", static_cast<int64_t>(end - begin));
   std::vector<size_t> slots;
   std::vector<Session*> touched;
   std::vector<rckt::ForwardStreamState*> states;
@@ -856,9 +715,8 @@ void InferenceEngine::UpdateRun(const std::vector<ServeRequest>& requests,
   // can trigger eviction, which would free an earlier session's stream
   // under StepForwardMany. The budget is re-enforced when the scope ends.
   SessionStore::PinScope pins(store_);
-  for (size_t i = begin; i < end; ++i) {
-    ServeResponse& response = (*out)[i];
-    if (!Validate(requests[i], &response)) continue;
+  for (size_t i = 0; i < count; ++i) {
+    if (!Validate(requests[i], &out[i])) continue;
     Session& session = store_.GetOrCreate(requests[i].student);
     pins.Pin(session);
     EnsureStream(session);
@@ -871,7 +729,8 @@ void InferenceEngine::UpdateRun(const std::vector<ServeRequest>& requests,
     bags.push_back(&concepts);
   }
   if (rows.empty()) return;
-  // One batched encoder step across the distinct students of the run.
+  // One batched encoder step across the distinct students of the run
+  // (StepForward itself for a run of one).
   const std::vector<Tensor> outputs =
       model_.bi_encoder().StepForwardMany(states, rows);
   for (size_t j = 0; j < slots.size(); ++j) {
@@ -891,7 +750,7 @@ void InferenceEngine::UpdateRun(const std::vector<ServeRequest>& requests,
       event.concepts = &session.history.back().concepts;
       options_.update_sink(options_.shard_index, event);
     }
-    (*out)[slots[j]].history = static_cast<int64_t>(session.history.size());
+    out[slots[j]].history = static_cast<int64_t>(session.history.size());
   }
 }
 
@@ -910,7 +769,8 @@ std::vector<ServeResponse> InferenceEngine::ExecuteBatch(
     if (op == Op::kPredict) {
       size_t j = i;
       while (j < n && requests[j].op == Op::kPredict) ++j;
-      PredictRun(requests, i, j, &out);
+      BumpCounter("serve.requests", static_cast<int64_t>(j - i));
+      PredictRun(&requests[i], j - i, &out[i]);
       i = j;
     } else if (op == Op::kUpdate) {
       // A student appearing twice must step sequentially: close the run at
@@ -921,7 +781,8 @@ std::vector<ServeResponse> InferenceEngine::ExecuteBatch(
              seen.insert(requests[j].student).second) {
         ++j;
       }
-      UpdateRun(requests, i, j, &out);
+      BumpCounter("serve.requests", static_cast<int64_t>(j - i));
+      UpdateRun(&requests[i], j - i, &out[i]);
       i = j;
     } else {
       out[i] = Execute(requests[i]);

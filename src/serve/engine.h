@@ -32,7 +32,6 @@
 
 #include "rckt/rckt_model.h"
 #include "serve/coldtier.h"
-#include "serve/lowp_head.h"
 #include "serve/session.h"
 
 namespace kt {
@@ -123,7 +122,7 @@ struct ServeResponse {
   int64_t continual_reservoir_size = 0;
   uint64_t continual_reservoir_fnv64 = 0;
   // recourse payload
-  float base_p = 0.0f;     // factual predict probability (fp32 head)
+  float base_p = 0.0f;     // factual predict probability
   int64_t evaluated = 0;   // candidate sets scored
   std::vector<Counterfactual> candidates;  // ranked, best first
 };
@@ -154,12 +153,6 @@ struct EngineOptions {
   // the replay rebuild it replaces), and a restarted server resumes
   // snapshotted sessions — history included — without replay.
   std::string cold_dir;
-  // Serve precision policy (serve/lowp_head.h). Below fp32, ONLY the
-  // predict MLP head changes: update/replay/explain and all session state
-  // keep the bitwise fp32 contract. int8 additionally needs
-  // CalibrateLowp() with sample data before it takes effect; predicts
-  // fall back to fp32 until then.
-  Precision precision = Precision::kFp32;
   // Fingerprint of the serving weights at startup (see
   // nn::FingerprintModule); reported by `stats` and stamped into cold-tier
   // snapshot headers so stale-model snapshots read as misses.
@@ -183,24 +176,13 @@ class InferenceEngine {
   // Seeds the question->concepts fallback map (first occurrence wins).
   void LoadConceptMap(const data::Dataset& dataset);
 
-  // Static int8 activation calibration (no-op for fp32/bf16): harvests up
-  // to `max_rows` real predict-head input rows from the dataset (forward
-  // replay of sequence prefixes — the same math EnsureStream runs) and
-  // records per-tensor activation scales. Deterministic for a given
-  // dataset, so independently calibrated shards agree bit-for-bit.
-  void CalibrateLowp(const data::Dataset& dataset, int64_t max_rows = 256);
-
-  // The active precision, and whether predicts are actually served at it
-  // (int8 reports false until CalibrateLowp has run).
-  Precision precision() const { return options_.precision; }
-  bool lowp_active() const;
-
   ServeResponse Execute(const ServeRequest& request);
 
   // Executes `requests` with results equal to sequential Execute calls in
   // order, but coalesces adjacent runs of predicts (stacked MLP head) and
   // of updates on distinct students (stacked encoder step) — the dynamic
-  // micro-batching payoff. Stacked and sequential paths are bit-identical
+  // micro-batching payoff. A lone predict or update is a run of one, so
+  // stacked and sequential paths share their code and are bit-identical
   // (every GEMM row is an independent accumulator chain).
   std::vector<ServeResponse> ExecuteBatch(
       const std::vector<ServeRequest>& requests);
@@ -250,22 +232,24 @@ class InferenceEngine {
   // The embedded interaction row a = e + r_emb[response], [1, dim].
   Tensor InteractionRow(int64_t question, const std::vector<int64_t>& concepts,
                         int response) const;
+  // The generator's MLP head over stacked input rows [k, 2*dim]: p(correct)
+  // per row, [k, 1]. Graph-free (ag::LinearBiasActForward), so it runs the
+  // exact kernels of the offline head without building autograd nodes.
+  Tensor HeadProbs(const Tensor& rows) const;
 
-  ServeResponse ExecutePredict(const ServeRequest& request);
-  ServeResponse ExecuteUpdate(const ServeRequest& request);
   ServeResponse ExecuteExplain(const ServeRequest& request);
   ServeResponse ExecuteRecourse(const ServeRequest& request);
   ServeResponse ExecuteStats(const ServeRequest& request);
 
-  // Coalesced runs for ExecuteBatch ([begin, end) of same-op requests).
-  void PredictRun(const std::vector<ServeRequest>& requests, size_t begin,
-                  size_t end, std::vector<ServeResponse>* out);
-  void UpdateRun(const std::vector<ServeRequest>& requests, size_t begin,
-                 size_t end, std::vector<ServeResponse>* out);
+  // Runs of `count` same-op requests, responses written to out[0, count).
+  // Execute calls them with a run of one; callers count serve.requests.
+  void PredictRun(const ServeRequest* requests, size_t count,
+                  ServeResponse* out);
+  void UpdateRun(const ServeRequest* requests, size_t count,
+                 ServeResponse* out);
 
   rckt::RCKT& model_;
   EngineOptions options_;
-  std::unique_ptr<LowpHead> lowp_head_;  // null when precision is fp32
   int64_t dim_;
   SessionStore store_;
   std::unique_ptr<ColdTier> cold_;  // null when options_.cold_dir is empty

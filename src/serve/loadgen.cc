@@ -163,7 +163,7 @@ Result<ExpectedPredictions> ParseExpectedPredictions(
 
 MismatchReport CheckPredictions(const PredictionMap& expected,
                                 const PredictionMap& got,
-                                int64_t max_details, double tolerance) {
+                                int64_t max_details) {
   MismatchReport report;
   report.compared = static_cast<int64_t>(expected.size());
   for (const auto& [key, want] : expected) {
@@ -176,12 +176,7 @@ MismatchReport CheckPredictions(const PredictionMap& expected,
                                  static_cast<double>(want));
     if (std::isfinite(err)) report.max_abs_err =
         std::max(report.max_abs_err, err);
-    // tolerance == 0 keeps the bitwise contract (it also catches
-    // sign-of-zero and NaN divergences a numeric compare would miss).
-    const bool bad = tolerance > 0.0 ? !(err <= tolerance)
-                                     : FloatBits(found->second) !=
-                                           FloatBits(want);
-    if (bad) {
+    if (FloatBits(found->second) != FloatBits(want)) {
       if (++report.mismatches <= max_details) {
         char line[160];
         std::snprintf(line, sizeof(line),

@@ -8,9 +8,7 @@
 //   * ParseExpectedPredictions — the `ktcli evaluate --json` reader behind
 //                         --expect, returning Status instead of dying on
 //                         malformed input,
-//   * CheckPredictions  — the online-vs-offline mismatch checker (bit-exact
-//                         by default, tolerance-based for low-precision
-//                         serving),
+//   * CheckPredictions  — the online-vs-offline bitwise mismatch checker,
 //   * SummarizeLatencies / summary-JSON builders for all three modes,
 //   * RollingAuc        — bounded ring of (score, label) pairs for the
 //                         scenario mode's rolling online AUC at scales
@@ -95,15 +93,13 @@ Result<ExpectedPredictions> ParseExpectedPredictions(
     const std::string& json_text, int64_t default_stride,
     int64_t default_min_target);
 
-// Comparison of online probabilities against offline scores. The default
-// tolerance of exactly 0 keeps the historical contract: float BIT patterns
-// must match. A tolerance > 0 (kt_loadgen --expect-tol, for servers
-// running --precision bf16/int8 whose head is gated by accuracy instead of
-// bitwise parity) accepts |online - offline| <= tolerance and still
-// reports the largest deviation seen.
+// Comparison of online probabilities against offline scores: float BIT
+// patterns must match (which also catches sign-of-zero and NaN divergences
+// a numeric compare would miss). The largest deviation seen is reported as
+// a diagnostic.
 struct MismatchReport {
   int64_t compared = 0;    // expected entries examined
-  int64_t mismatches = 0;  // outside tolerance (bitwise when tol == 0)
+  int64_t mismatches = 0;  // bit patterns differ
   int64_t missing = 0;     // expected but never predicted online
   double max_abs_err = 0.0;  // largest |online - offline| over compared
   // Human-readable lines for the first few mismatches.
@@ -113,8 +109,7 @@ struct MismatchReport {
 };
 MismatchReport CheckPredictions(const PredictionMap& expected,
                                 const PredictionMap& got,
-                                int64_t max_details = 5,
-                                double tolerance = 0.0);
+                                int64_t max_details = 5);
 
 struct LatencyStats {
   double p50_us = 0.0, p99_us = 0.0, mean_us = 0.0;
@@ -137,10 +132,7 @@ struct ReplaySummary {
   MismatchReport check;
   // Online AUC of the replayed predictions against the dataset's actual
   // responses (0.5 when no predictions fired). Bitwise replay already pins
-  // every probability, so for fp32 servers this only restates the offline
-  // AUC; for low-precision servers (--expect-tol) it is the accuracy-
-  // parity gate: scripts/check_precision.sh asserts the quantized server's
-  // AUC stays within 1e-3 of fp32.
+  // every probability, so this restates the offline AUC.
   double auc = 0.5;
   int64_t auc_samples = 0;
   double elapsed_s = 0.0;

@@ -42,13 +42,7 @@ ShardSet::ShardSet(rckt::RCKT& model, const ShardSetOptions& options,
     auto shard = std::make_unique<Shard>();
     per_shard.shard_index = i;
     shard->engine = std::make_unique<InferenceEngine>(model, per_shard);
-    if (concept_data != nullptr) {
-      shard->engine->LoadConceptMap(*concept_data);
-      // int8 static calibration, per shard from the same data — the
-      // procedure is deterministic, so every shard lands on identical
-      // activation scales and the precision policy is shard-invariant.
-      shard->engine->CalibrateLowp(*concept_data);
-    }
+    if (concept_data != nullptr) shard->engine->LoadConceptMap(*concept_data);
     shards_.push_back(std::move(shard));
   }
   for (auto& shard : shards_) {

@@ -8,7 +8,6 @@
 #include "core/cpu.h"
 #include "core/parallel.h"
 #include "obs/obs.h"
-#include "tensor/autotune.h"
 #include "tensor/gemm_kernels.h"
 
 namespace kt {
@@ -44,7 +43,7 @@ inline void CountGemmDispatch(obs::Counter* flavor_calls,
 
 // Per-backend telemetry for the --gemm-kernel override contract (gemm.h):
 // every dispatch logs which backend actually ran, so operators can confirm
-// an override (or an autotuner decision) took effect from the obs summary.
+// an override took effect from the obs summary.
 inline void CountBackendDispatch(GemmKernel resolved, int64_t m, int64_t k,
                                  int64_t n) {
   if (!obs::Enabled()) return;
@@ -56,10 +55,6 @@ inline void CountBackendDispatch(GemmKernel resolved, int64_t m, int64_t k,
       obs::Counter::Get("gemm.backend.tiled.calls");
   static obs::Counter* const tiled_bytes =
       obs::Counter::Get("gemm.backend.tiled.bytes");
-  static obs::Counter* const fma_calls =
-      obs::Counter::Get("gemm.backend.tiled_fma.calls");
-  static obs::Counter* const fma_bytes =
-      obs::Counter::Get("gemm.backend.tiled_fma.bytes");
   const int64_t bytes = (m * k + k * n + m * n) * 4;
   switch (resolved) {
     case GemmKernel::kReference:
@@ -70,18 +65,12 @@ inline void CountBackendDispatch(GemmKernel resolved, int64_t m, int64_t k,
       tiled_calls->Add(1);
       tiled_bytes->Add(bytes);
       break;
-    case GemmKernel::kTiledFma:
-      fma_calls->Add(1);
-      fma_bytes->Add(bytes);
-      break;
     case GemmKernel::kAuto:
       break;  // never a resolved value
   }
 }
 
 std::atomic<GemmKernel> g_gemm_kernel{GemmKernel::kAuto};
-
-thread_local FpRegion t_fp_region = FpRegion::kStrict;
 
 // ---------------------------------------------------------------------------
 // Reference kernels. These define the floating-point contract: each C
@@ -290,36 +279,14 @@ void TiledRowsPortable(const float* a, int64_t lda, const float* bp, float* c,
   }
 }
 
-// True when the FMA micro kernel is both compiled in and runnable here.
-inline bool FmaKernelAvailable() {
-#ifdef KT_HAVE_AVX2_FMA_KERNEL
-  const cpu::Features& f = cpu::Get();
-  return f.avx2 && f.fma;
-#else
-  return false;
-#endif
-}
-
 // Runtime ISA dispatch. The default build is portable x86-64, so AVX2 is
-// reached via separately-compiled TUs (gemm_avx2.cc, gemm_avx2_fma.cc)
-// guarded by the cached core/cpu.h probe, not via build flags. The no-FMA
-// tiled implementations consume the same packed panels and replay the same
-// per-element chains, so which one runs is unobservable in the results;
-// `use_fma` (already availability-checked by ResolveKernel) switches to
-// the contracted kernel, which is observable and must have been chosen by
-// the precision policy.
+// reached via a separately-compiled TU (gemm_avx2.cc) guarded by the
+// cached core/cpu.h probe, not via build flags. Both implementations
+// consume the same packed panels and replay the same per-element chains,
+// so which one runs is unobservable in the results.
 template <bool kLoadC>
-inline void TiledRows(bool use_fma, const float* a, int64_t lda,
-                      const float* bp, float* c, int64_t ldc, int64_t m,
-                      int64_t k, int64_t n) {
-#ifdef KT_HAVE_AVX2_FMA_KERNEL
-  if (use_fma && FmaKernelAvailable()) {
-    internal::TiledRowsAvx2Fma(a, lda, bp, c, ldc, m, k, n, kLoadC);
-    return;
-  }
-#else
-  (void)use_fma;
-#endif
+inline void TiledRows(const float* a, int64_t lda, const float* bp, float* c,
+                      int64_t ldc, int64_t m, int64_t k, int64_t n) {
 #ifdef KT_HAVE_AVX2_KERNEL
   if (cpu::Get().avx2) {
     internal::TiledRowsAvx2(a, lda, bp, c, ldc, m, k, n, kLoadC);
@@ -359,31 +326,13 @@ inline bool TiledHeuristic(int64_t m, int64_t k, int64_t n) {
   return m >= kMR && n >= kNR && k >= 4 && m * k * n >= 4096;
 }
 
-// Resolves the kernel family that will actually run this product, in
-// priority order: explicit override, autotuned per-shape winner, built-in
-// heuristic. kTiledFma is availability-checked here (falling back to the
-// bit-exact tiled kernel), and in the kAuto path it is only eligible when
-// the CALLING thread is in a relaxed precision region — pool workers
-// inherit the decision, not the region, because resolution happens before
-// any row split. Never returns kAuto.
+// Resolves the kernel family that will actually run this product: the
+// explicit override, else the built-in heuristic. Never returns kAuto.
 GemmKernel ResolveKernel(int64_t m, int64_t k, int64_t n) {
   const GemmKernel override_kernel =
       g_gemm_kernel.load(std::memory_order_relaxed);
-  if (override_kernel == GemmKernel::kTiledFma) {
-    return FmaKernelAvailable() ? GemmKernel::kTiledFma : GemmKernel::kTiled;
-  }
   if (override_kernel != GemmKernel::kAuto) return override_kernel;
-  const bool relaxed = t_fp_region == FpRegion::kRelaxed;
-  GemmKernel tuned;
-  if (autotune::LookupForDispatch(m, k, n, relaxed, &tuned)) {
-    if (tuned == GemmKernel::kTiledFma && !FmaKernelAvailable()) {
-      return GemmKernel::kTiled;  // table written on a different host
-    }
-    return tuned;
-  }
-  if (!TiledHeuristic(m, k, n)) return GemmKernel::kReference;
-  return relaxed && FmaKernelAvailable() ? GemmKernel::kTiledFma
-                                         : GemmKernel::kTiled;
+  return TiledHeuristic(m, k, n) ? GemmKernel::kTiled : GemmKernel::kReference;
 }
 
 }  // namespace
@@ -396,57 +345,15 @@ GemmKernel GetGemmKernel() {
   return g_gemm_kernel.load(std::memory_order_relaxed);
 }
 
-FpRegion CurrentFpRegion() { return t_fp_region; }
-
-FpRegionScope::FpRegionScope(FpRegion region) : previous_(t_fp_region) {
-  t_fp_region = region;
-}
-
-FpRegionScope::~FpRegionScope() { t_fp_region = previous_; }
-
-const std::vector<GemmBackendDesc>& GemmBackends() {
-  static const std::vector<GemmBackendDesc>* const backends = [] {
-    bool avx2 = false;
-#ifdef KT_HAVE_AVX2_KERNEL
-    avx2 = cpu::Get().avx2;
-#endif
-    const bool fma = FmaKernelAvailable();
-    auto* v = new std::vector<GemmBackendDesc>();
-    v->push_back({"reference", GemmKernel::kReference, /*dispatchable=*/true,
-                  /*bit_exact=*/true, /*available=*/true, "scalar"});
-    v->push_back({"tiled", GemmKernel::kTiled, true, true, true,
-                  avx2 ? "avx2" : "portable-simd"});
-    v->push_back({"tiled_fma", GemmKernel::kTiledFma, true, false, fma,
-                  fma ? "avx2+fma" : "unavailable"});
-    // The low-precision storage families are not reachable through the
-    // fp32 dispatcher (they need pre-packed panels; see tensor/quant.h),
-    // but the registry still describes them so tools can enumerate
-    // capabilities. Portable fallbacks keep them available everywhere.
-    v->push_back({"bf16", GemmKernel::kAuto, false, false, true,
-                  fma ? "avx2+fma" : "scalar-fmaf"});
-    v->push_back({"int8", GemmKernel::kAuto, false, false, true,
-                  avx2 ? "avx2-maddwd" : "scalar"});
-    return v;
-  }();
-  return *backends;
-}
-
-const GemmBackendDesc* FindGemmBackend(const std::string& name) {
-  for (const GemmBackendDesc& desc : GemmBackends()) {
-    if (desc.name == name) return &desc;
-  }
-  return nullptr;
-}
-
 bool GemmKernelByName(const std::string& name, GemmKernel* out) {
-  if (name == "auto") {
-    *out = GemmKernel::kAuto;
-    return true;
+  for (const GemmKernel kernel :
+       {GemmKernel::kAuto, GemmKernel::kReference, GemmKernel::kTiled}) {
+    if (name == GemmKernelName(kernel)) {
+      *out = kernel;
+      return true;
+    }
   }
-  const GemmBackendDesc* desc = FindGemmBackend(name);
-  if (desc == nullptr || !desc->dispatchable) return false;
-  *out = desc->kernel;
-  return true;
+  return false;
 }
 
 const char* GemmKernelName(GemmKernel kernel) {
@@ -457,8 +364,6 @@ const char* GemmKernelName(GemmKernel kernel) {
       return "reference";
     case GemmKernel::kTiled:
       return "tiled";
-    case GemmKernel::kTiledFma:
-      return "tiled_fma";
   }
   return "auto";
 }
@@ -479,18 +384,17 @@ void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
   const GemmKernel resolved = ResolveKernel(m, k, n);
   CountBackendDispatch(resolved, m, k, n);
   if (resolved != GemmKernel::kReference) {
-    const bool fma = resolved == GemmKernel::kTiledFma;
     std::vector<float>& bp = PackBufB();
     bp.resize(static_cast<size_t>(k * n));
     PackB(b, k, n, bp.data());
     const float* bpp = bp.data();
     if (UseParallel(m, k, n)) {
       ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-        TiledRows<true>(fma, a + lo * k, k, bpp, c + lo * n, n, hi - lo, k, n);
+        TiledRows<true>(a + lo * k, k, bpp, c + lo * n, n, hi - lo, k, n);
       });
       return;
     }
-    TiledRows<true>(fma, a, k, bpp, c, n, m, k, n);
+    TiledRows<true>(a, k, bpp, c, n, m, k, n);
     return;
   }
   if (UseParallel(m, k, n)) {
@@ -510,7 +414,6 @@ void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
   const GemmKernel resolved = ResolveKernel(m, k, n);
   CountBackendDispatch(resolved, m, k, n);
   if (resolved != GemmKernel::kReference) {
-    const bool fma = resolved == GemmKernel::kTiledFma;
     // Pack A^T once so the micro kernel reads contiguous k-runs; the chain
     // per C element (p ascending) is unchanged from the reference forms.
     std::vector<float>& ap = PackBufA();
@@ -523,12 +426,11 @@ void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
     const float* bpp = bp.data();
     if (UseParallel(m, k, n)) {
       ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-        TiledRows<true>(fma, app + lo * k, k, bpp, c + lo * n, n, hi - lo, k,
-                        n);
+        TiledRows<true>(app + lo * k, k, bpp, c + lo * n, n, hi - lo, k, n);
       });
       return;
     }
-    TiledRows<true>(fma, app, k, bpp, c, n, m, k, n);
+    TiledRows<true>(app, k, bpp, c, n, m, k, n);
     return;
   }
   if (UseParallel(m, k, n)) {
@@ -568,19 +470,17 @@ void GemmTransBAccumulate(const float* a, const float* b, float* c, int64_t m,
   const GemmKernel resolved = ResolveKernel(m, k, n);
   CountBackendDispatch(resolved, m, k, n);
   if (resolved != GemmKernel::kReference) {
-    const bool fma = resolved == GemmKernel::kTiledFma;
     std::vector<float>& bp = PackBufB();
     bp.resize(static_cast<size_t>(k * n));
     PackBTransposed(b, k, n, bp.data());
     const float* bpp = bp.data();
     if (UseParallel(m, k, n)) {
       ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-        TiledRows<false>(fma, a + lo * k, k, bpp, c + lo * n, n, hi - lo, k,
-                         n);
+        TiledRows<false>(a + lo * k, k, bpp, c + lo * n, n, hi - lo, k, n);
       });
       return;
     }
-    TiledRows<false>(fma, a, k, bpp, c, n, m, k, n);
+    TiledRows<false>(a, k, bpp, c, n, m, k, n);
     return;
   }
   if (UseParallel(m, k, n)) {

@@ -1,8 +1,6 @@
-// Single-precision general matrix multiply kernels, plus the precision-
-// policy layer that decides which kernel family may serve a given region
-// of the program.
+// Single-precision general matrix multiply kernels.
 //
-// Three fp32 kernel families share the dispatcher:
+// Two fp32 kernel families share the dispatcher:
 //
 //   * reference: plain loop kernels (i-k-j saxpy for the normal/TransA
 //     forms, row-dot for TransB). These define the per-element update
@@ -13,117 +11,40 @@
 //     ascending-k accumulator chain, which is exactly the reference
 //     order, so the two families are bit-identical. The micro kernel is
 //     ISA-dispatched at runtime (portable vectors / AVX2 without FMA).
-//   * tiled_fma: the AVX2 tiled kernel with FMA contraction
-//     (gemm_avx2_fma.cc). An fma rounds once where the reference chain
-//     rounds twice, so this family is NOT bit-identical — only measurably
-//     faster. It is reachable ONLY by explicit override (SetGemmKernel /
-//     --gemm-kernel tiled_fma) or when the calling thread is inside a
-//     relaxed-precision region (FpRegionScope below): training,
-//     explanation, and default fp32 serving never see it.
-//
-// Low-precision storage families (bf16 panels, calibrated int8) need
-// pre-packed weights and live behind explicit entry points in
-// tensor/quant.h; the registry below still describes them so tools can
-// enumerate capabilities.
 //
 // Products above a size threshold are additionally row-blocked across the
 // kt::parallel pool (see core/parallel.h); the split is by output row with
 // per-element update order unchanged, so results are bit-identical for
-// every KT_NUM_THREADS value (within a family).
+// every KT_NUM_THREADS value.
 #ifndef KT_TENSOR_GEMM_H_
 #define KT_TENSOR_GEMM_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace kt {
 
-// Kernel selection. kAuto picks per shape: first the autotuner table
-// (tensor/autotune.h) when one has been published, then the built-in
-// heuristic (tiled for shapes large enough to amortize the pack,
-// reference otherwise).
+// Kernel selection. kAuto picks per shape: tiled for shapes large enough
+// to amortize the pack, reference otherwise.
 //
 // Override contract (SetGemmKernel / --gemm-kernel): the override is a
-// process-wide, test/bench/operator-facing escape hatch. kReference and
-// kTiled preserve the bit-identity contract for every shape and thread
-// count. kTiledFma deliberately BREAKS it (one rounding per multiply-add)
-// in exchange for FMA throughput; selecting it voids the bitwise replay
-// and pred_fnv64 parity gates, so production servers only use it when the
-// operator explicitly opts out of bit-exactness. If kTiledFma is forced
-// on a machine without AVX2+FMA, dispatch falls back to the bit-exact
-// tiled kernel. Every dispatch logs its resolved backend through kt::obs
-// ("gemm.backend.<name>.calls" / ".bytes") when observability is on.
+// process-wide, test/bench/operator-facing escape hatch. Both families
+// preserve the bit-identity contract for every shape and thread count, so
+// an override changes speed, never results. Every dispatch logs its
+// resolved backend through kt::obs ("gemm.backend.<name>.calls" /
+// ".bytes") when observability is on.
 enum class GemmKernel {
   kAuto,
   kReference,
   kTiled,
-  kTiledFma,
 };
 
 // Process-wide kernel override (default kAuto).
 void SetGemmKernel(GemmKernel kernel);
 GemmKernel GetGemmKernel();
 
-// ---------------------------------------------------------------------------
-// Precision regions
-// ---------------------------------------------------------------------------
-
-// Floating-point contract of the CURRENT THREAD's region, in the spirit of
-// attribute-driven region offload: callers mark a region, the dispatcher
-// picks the fastest kernel the region's contract allows.
-//
-//   kStrict  (default): results must be bit-identical to the reference
-//            chain — training, explanation/influence, state updates, and
-//            fp32 serving all run here.
-//   kRelaxed: correctly-rounded-per-op is not required; kAuto may choose
-//            the FMA tiled kernel. Entered only by code whose output is
-//            gated by an accuracy metric instead of bitwise parity (e.g.
-//            the serve predict head under --precision bf16/int8, and
-//            benches measuring the relaxed families).
-enum class FpRegion { kStrict, kRelaxed };
-
-FpRegion CurrentFpRegion();
-
-// RAII region marker (thread-local, nestable; restores on destruction).
-class FpRegionScope {
- public:
-  explicit FpRegionScope(FpRegion region);
-  ~FpRegionScope();
-  FpRegionScope(const FpRegionScope&) = delete;
-  FpRegionScope& operator=(const FpRegionScope&) = delete;
-
- private:
-  FpRegion previous_;
-};
-
-// ---------------------------------------------------------------------------
-// Backend registry
-// ---------------------------------------------------------------------------
-
-// One row per kernel backend the build knows about, with capability flags.
-// `available` reflects this host (compiled in AND the CPU supports the
-// fast path; the bf16/int8 rows stay available on any host because they
-// carry portable fallbacks, just without the SIMD speedup).
-struct GemmBackendDesc {
-  std::string name;     // "reference" | "tiled" | "tiled_fma" | "bf16" | "int8"
-  GemmKernel kernel;    // dispatch enum value (meaningful iff dispatchable)
-  bool dispatchable;    // selectable via SetGemmKernel / --gemm-kernel
-  bool bit_exact;       // replays the reference fp32 chain bit for bit
-  bool available;       // usable on this host at full speed
-  std::string isa;      // micro-kernel ISA resolved for this host
-};
-
-// All known backends (stable order: reference, tiled, tiled_fma, bf16,
-// int8). Availability is probed once via core/cpu.h.
-const std::vector<GemmBackendDesc>& GemmBackends();
-
-// Lookup by name; returns nullptr for unknown names.
-const GemmBackendDesc* FindGemmBackend(const std::string& name);
-
-// Parses a --gemm-kernel flag value ("auto" plus every dispatchable
-// backend name). Returns false (with *out untouched) on unknown names;
-// the caller prints the valid list from GemmBackends().
+// Parses a --gemm-kernel flag value ("auto", "reference" or "tiled").
+// Returns false (with *out untouched) on anything else.
 bool GemmKernelByName(const std::string& name, GemmKernel* out);
 
 // Canonical flag-facing name for a kernel value ("auto", "reference", ...).

@@ -24,17 +24,6 @@ void TiledRowsAvx2(const float* a, int64_t lda, const float* bp, float* c,
                    int64_t ldc, int64_t m, int64_t k, int64_t n, bool load_c);
 #endif
 
-#ifdef KT_HAVE_AVX2_FMA_KERNEL
-// Same sweep compiled -mavx2 -mfma -ffp-contract=fast (gemm_avx2_fma.cc):
-// each multiply-add contracts to one vfmadd, which rounds ONCE where the
-// reference chain rounds twice — NOT bit-identical, only faster. The
-// dispatcher reaches it solely via the kTiledFma override or a relaxed
-// precision region (see gemm.h). Call only if cpu::Get().avx2 && .fma.
-void TiledRowsAvx2Fma(const float* a, int64_t lda, const float* bp, float* c,
-                      int64_t ldc, int64_t m, int64_t k, int64_t n,
-                      bool load_c);
-#endif
-
 }  // namespace internal
 }  // namespace kt
 

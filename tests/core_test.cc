@@ -9,6 +9,7 @@
 #endif
 
 #include "core/check.h"
+#include "core/cpu.h"
 #include "core/memory_policy.h"
 #include "core/rng.h"
 #include "core/status.h"
@@ -140,6 +141,32 @@ TEST(StringUtilTest, JoinAndSplit) {
 TEST(StringUtilTest, FormatFloat) {
   EXPECT_EQ(FormatFloat(0.79468, 4), "0.7947");
   EXPECT_EQ(FormatFloat(1.0, 2), "1.00");
+}
+
+TEST(CpuProbeTest, MatchesBuiltinAndIsStable) {
+  const cpu::Features& f1 = cpu::Get();
+  const cpu::Features& f2 = cpu::Get();
+  EXPECT_EQ(&f1, &f2);  // one cached probe, not one per call
+#if defined(__x86_64__)
+  EXPECT_EQ(f1.avx2, static_cast<bool>(__builtin_cpu_supports("avx2")));
+  EXPECT_EQ(f1.fma, static_cast<bool>(__builtin_cpu_supports("fma")));
+#else
+  EXPECT_FALSE(f1.avx2);
+  EXPECT_FALSE(f1.fma);
+#endif
+}
+
+TEST(CpuProbeTest, IdStringReflectsFeatures) {
+  cpu::Features none;
+  cpu::SetForTest(&none);
+  EXPECT_EQ(cpu::IdString(), "scalar");
+  cpu::Features both;
+  both.avx2 = true;
+  both.fma = true;
+  cpu::SetForTest(&both);
+  EXPECT_EQ(cpu::IdString(), "avx2+fma");
+  cpu::SetForTest(nullptr);
+  EXPECT_FALSE(cpu::IdString().empty());
 }
 
 TEST(TablePrinterTest, RendersAlignedTable) {

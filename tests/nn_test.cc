@@ -398,6 +398,8 @@ class FusedToggleTest : public ::testing::Test {
   }
 };
 
+// The graph-free ag::LinearBiasActForward (the serve predict head's path)
+// is a third input to the same contract.
 TEST_F(FusedToggleTest, LinearForwardActMatchesComposed) {
   Rng rng(31);
   Linear linear(6, 4, rng);
@@ -409,6 +411,15 @@ TEST_F(FusedToggleTest, LinearForwardActMatchesComposed) {
     SetFusedOpsEnabled(false);
     ag::Variable composed = linear.ForwardAct(x, act);
     EXPECT_TRUE(BitEqual(fused.value(), composed.value()))
+        << "act=" << static_cast<int>(act);
+    const Tensor graph_free =
+        ag::LinearBiasActForward(x.value().Reshape({15, 6}),
+                                 linear.weight().value(),
+                                 &linear.bias().value(), act)
+            .Reshape({3, 5, 4});
+    EXPECT_TRUE(BitEqual(graph_free, fused.value()))
+        << "act=" << static_cast<int>(act);
+    EXPECT_TRUE(BitEqual(graph_free, composed.value()))
         << "act=" << static_cast<int>(act);
   }
 }

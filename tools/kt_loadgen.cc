@@ -60,8 +60,6 @@
 //   --connections N     concurrent client connections (default 1)
 //   replay:   --data data.csv [--expect eval.json] [--window 50]
 //             [--min-length 5] [--stride 4] [--min-target 4]
-//             [--expect-tol 0.0  accept |online-offline| <= tol instead of
-//              bitwise equality; for servers running --precision bf16/int8]
 //   bench:    [--requests 200 per connection] [--questions 100] [--seed 1]
 //   scenario: --scenario NAME [--students N] [--scale S] [--seed N]
 //             [--auc-window 50000] [--windows 1  drift phases]
@@ -243,13 +241,10 @@ int CmdReplay(const FlagParser& flags, int port, int connections) {
                                               f.c_str());
   if (!failures.empty()) return 1;
 
-  // Comparison against the offline scorer's generator_score: bitwise by
-  // default, |diff| <= --expect-tol when the server runs a low-precision
-  // predict head (scripts/check_precision.sh).
+  // Comparison against the offline scorer's generator_score, bit for bit.
   serve::ReplaySummary summary;
-  summary.check = serve::CheckPredictions(
-      expected.scores, got, /*max_details=*/5,
-      flags.GetDouble("expect-tol", 0.0));
+  summary.check =
+      serve::CheckPredictions(expected.scores, got, /*max_details=*/5);
   for (const auto& d : summary.check.details) {
     std::fprintf(stderr, "replay: %s\n", d.c_str());
   }

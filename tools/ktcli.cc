@@ -35,18 +35,12 @@
 //   serve     --load model.ktw [--data data.csv] [--port P] [--shards N]
 //             [--max-batch N] [--max-wait-us U] [--max-queue Q]
 //             [--memory-budget-mb M] [--cold-dir DIR]
-//             [--precision fp32|bf16|int8] [--autotune-cache PATH]
 //             Online inference server speaking newline-delimited JSON over
 //             stdin/stdout (default) or TCP on 127.0.0.1:P (--port). The
 //             optional --data seeds the question->concepts fallback map for
-//             requests that omit explicit concept bags.
-//             --precision bf16/int8 runs ONLY the predict MLP head in low
-//             precision (weights packed once at load; int8 activation
-//             scales calibrated from --data, which is then required);
-//             updates, replay, and explanations stay bitwise fp32.
-//             --autotune-cache enables the per-shape GEMM autotuner
-//             (tensor/autotune.h) for the head shapes, persisting winners
-//             keyed by CPU feature string at PATH.
+//             requests that omit explicit concept bags. Every reply is
+//             bit-identical to the offline scorer: predict, explain and
+//             recourse all read the same fp32 model.
 //             --continual [--continual-dir DIR] [--train-every N]
 //             [--reservoir K] [--tail K] [--holdout-every K] [--gate-eps E]
 //             [--gate-min N] [--drift-threshold D] [--continual-lr LR]
@@ -57,9 +51,9 @@
 //             committed updates feed a deterministic replay reservoir; a
 //             background trainer runs mini-epochs on a candidate clone and,
 //             when the candidate holds up on held-out traffic, publishes
-//             DIR/current.ktw and hot-swaps the serving weights. Requires
-//             --precision fp32. A restart resumes the incumbent from
-//             DIR/current.ktw and the trainer from DIR/continual.ktc.
+//             DIR/current.ktw and hot-swaps the serving weights. A restart
+//             resumes the incumbent from DIR/current.ktw and the trainer
+//             from DIR/continual.ktc.
 //
 // Models saved by `train --save` carry a metadata chunk (encoder kind,
 // dim, layers, heads, question/concept counts), so evaluate/explain/serve
@@ -70,13 +64,12 @@
 //   --threads N   Size of the kt::parallel thread pool (default: the
 //                 KT_NUM_THREADS env var, else hardware concurrency).
 //                 Outputs are bit-identical for every value.
-//   --gemm-kernel auto|reference|tiled|tiled_fma
+//   --gemm-kernel auto|reference|tiled
 //                 Process-wide GEMM dispatch override (tensor/gemm.h
-//                 contract). reference/tiled preserve bit-identity;
-//                 tiled_fma trades the bitwise replay contract for FMA
-//                 throughput. Default auto. The resolved backend is
-//                 counted per dispatch under kt::obs
-//                 (gemm.backend.*.calls / .bytes) when --obs is on.
+//                 contract). Every kernel gives the same bits; only speed
+//                 changes. Default auto. The resolved backend is counted
+//                 per dispatch under kt::obs (gemm.backend.*.calls /
+//                 .bytes) when --obs is on.
 //   --checkpoint-every N / --checkpoint PATH / --resume PATH
 //                 Crash-safe training checkpoints (kt::ckpt): every N
 //                 epochs the full training state (parameters, Adam moments,
@@ -117,7 +110,6 @@
 #include "serve/engine.h"
 #include "serve/json.h"
 #include "serve/server.h"
-#include "tensor/autotune.h"
 #include "tensor/gemm.h"
 
 namespace kt {
@@ -539,50 +531,10 @@ int CmdServe(const FlagParser& flags) {
   server_options.batcher.max_wait_us = flags.GetInt("max-wait-us", 1000);
   server_options.batcher.max_queue = flags.GetInt("max-queue", 256);
 
-  const std::string precision_name = flags.GetString("precision", "fp32");
-  if (!serve::PrecisionByName(precision_name,
-                              &server_options.engine.precision)) {
-    std::fprintf(stderr,
-                 "serve: unknown --precision '%s' (want fp32|bf16|int8)\n",
-                 precision_name.c_str());
-    return 2;
-  }
-  if (server_options.engine.precision == serve::Precision::kInt8 &&
-      !have_data) {
-    // Static activation calibration replays dataset prefixes; without it
-    // the int8 head would silently serve fp32 forever.
-    std::fprintf(stderr, "serve: --precision int8 requires --data "
-                         "(int8 activation calibration source)\n");
-    return 2;
-  }
-
-  // Per-shape autotuning for the serve hot path: the predict-head GEMMs
-  // at single-request and full-batch sizes. Winners persist at
-  // --autotune-cache keyed by CPU features; a second startup on the same
-  // host is pure cache hits. Runs before any shard worker exists, as the
-  // tuner briefly drives the process-wide kernel override.
-  const std::string autotune_cache = flags.GetString("autotune-cache", "");
-  if (!autotune_cache.empty()) {
-    const int64_t dim = model->config().dim;
-    const int64_t batch = std::max<int64_t>(1, server_options.batcher.max_batch);
-    autotune::Options tune_options;
-    tune_options.cache_path = autotune_cache;
-    const autotune::Result tuned = autotune::TuneShapes(
-        {{1, 2 * dim, dim}, {1, dim, 1}, {batch, 2 * dim, dim},
-         {batch, dim, 1}},
-        tune_options);
-    std::fprintf(stderr,
-                 "ktcli serve: autotune %d shapes measured, %d cached (%s)\n",
-                 tuned.measured, tuned.cached, autotune_cache.c_str());
-  }
-
   // ---- continual learning (kt::continual) ----
   std::unique_ptr<continual::ContinualTrainer> trainer;
   serve::ServeHooks hooks;
   if (flags.GetBool("continual", false)) {
-    KT_CHECK(server_options.engine.precision == serve::Precision::kFp32)
-        << "--continual requires --precision fp32 (the promotion gate "
-           "compares fp32 predictions)";
     continual::TrainerOptions trainer_options;
     trainer_options.dir = flags.GetString("continual-dir", "continual");
     trainer_options.shards = server_options.shards;
@@ -638,10 +590,9 @@ int CmdServe(const FlagParser& flags) {
 
   if (server_options.port > 0) {
     std::fprintf(stderr,
-                 "ktcli serve: %s on 127.0.0.1:%d (%d shards, %s head%s)\n",
+                 "ktcli serve: %s on 127.0.0.1:%d (%d shards%s)\n",
                  model->name().c_str(), server_options.port,
                  server_options.shards,
-                 serve::PrecisionName(server_options.engine.precision),
                  trainer != nullptr ? ", continual" : "");
   }
   return serve::RunServer(*model, server_options,
@@ -676,12 +627,10 @@ int Main(int argc, char** argv) {
   if (!gemm_kernel.empty()) {
     GemmKernel kernel;
     if (!GemmKernelByName(gemm_kernel, &kernel)) {
-      std::string valid = "auto";
-      for (const auto& backend : GemmBackends()) {
-        if (backend.dispatchable) valid += "|" + backend.name;
-      }
-      std::fprintf(stderr, "ktcli: unknown --gemm-kernel '%s' (want %s)\n",
-                   gemm_kernel.c_str(), valid.c_str());
+      std::fprintf(stderr,
+                   "ktcli: unknown --gemm-kernel '%s' (want "
+                   "auto|reference|tiled)\n",
+                   gemm_kernel.c_str());
       return 2;
     }
     SetGemmKernel(kernel);
