@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "obs/obs.h"
 #include "tensor/gemm.h"
@@ -47,16 +48,23 @@ Tensor ExpandAlongDim(const Tensor& g, const Shape& full_shape, int64_t d,
 
 Variable Add(const Variable& a, const Variable& b) {
   return MakeOpNode(kt::Add(a.value(), b.value()), {a, b}, [](Node& self) {
-    if (self.inputs[0]->requires_grad) self.inputs[0]->AccumulateGrad(self.grad);
-    if (self.inputs[1]->requires_grad) self.inputs[1]->AccumulateGrad(self.grad);
+    // The last consumer of self.grad takes it by move.
+    Node* an = self.inputs[0].get();
+    Node* bn = self.inputs[1].get();
+    if (an->requires_grad)
+      an->AccumulateGrad(bn->requires_grad ? self.grad : std::move(self.grad));
+    if (bn->requires_grad) bn->AccumulateGrad(std::move(self.grad));
   });
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
   return MakeOpNode(kt::Sub(a.value(), b.value()), {a, b}, [](Node& self) {
-    if (self.inputs[0]->requires_grad) self.inputs[0]->AccumulateGrad(self.grad);
-    if (self.inputs[1]->requires_grad)
-      self.inputs[1]->AccumulateGrad(kt::Neg(self.grad));
+    // -g is formed first so `a`, still accumulated first, can take g by move.
+    Node* an = self.inputs[0].get();
+    Node* bn = self.inputs[1].get();
+    Tensor neg_g = bn->requires_grad ? kt::Neg(self.grad) : Tensor();
+    if (an->requires_grad) an->AccumulateGrad(std::move(self.grad));
+    if (bn->requires_grad) bn->AccumulateGrad(std::move(neg_g));
   });
 }
 
@@ -101,7 +109,7 @@ Variable Maximum(const Variable& a, const Variable& b) {
 
 Variable AddScalar(const Variable& a, float s) {
   return MakeOpNode(kt::AddScalar(a.value(), s), {a}, [](Node& self) {
-    self.inputs[0]->AccumulateGrad(self.grad);
+    self.inputs[0]->AccumulateGrad(std::move(self.grad));
   });
 }
 
@@ -203,7 +211,7 @@ Variable SoftmaxLastDim(const Variable& a) {
     Tensor gy = kt::Mul(self.grad, y);
     Tensor s = kt::Sum(gy, -1, /*keepdim=*/true);
     Tensor dx = kt::Mul(y, kt::Sub(self.grad, s));
-    self.inputs[0]->AccumulateGrad(dx);
+    self.inputs[0]->AccumulateGrad(std::move(dx));
   });
 }
 
@@ -211,7 +219,10 @@ Variable Reshape(const Variable& a, Shape shape) {
   Tensor out = a.value().Reshape(std::move(shape));
   Shape in_shape = a.value().shape();
   return MakeOpNode(out, {a}, [in_shape](Node& self) {
-    self.inputs[0]->AccumulateGrad(self.grad.Reshape(in_shape));
+    // Rebinding self.grad to the reshaped alias leaves that alias the sole
+    // owner of the storage, so the input can adopt it.
+    self.grad = self.grad.Reshape(in_shape);
+    self.inputs[0]->AccumulateGrad(std::move(self.grad));
   });
 }
 
@@ -240,7 +251,7 @@ Variable Slice(const Variable& a, int64_t d, int64_t start, int64_t end) {
                   self.grad.data() + o * span,
                   sizeof(float) * static_cast<size_t>(span));
     }
-    self.inputs[0]->AccumulateGrad(full);
+    self.inputs[0]->AccumulateGrad(std::move(full));
   });
 }
 

@@ -1,6 +1,7 @@
 #include "autograd/variable.h"
 
 #include <unordered_set>
+#include <utility>
 
 #include "tensor/tensor_ops.h"
 
@@ -28,14 +29,34 @@ void Node::EnsureGrad() {
   }
 }
 
-void Node::AccumulateGrad(const Tensor& g) {
-  EnsureGrad();
-  if (g.SameShape(grad)) {
-    grad.AddInPlace(g);
-  } else {
+void Node::AccumulateGrad(Tensor g) {
+  if (!g.SameShape(value)) {
     // Reverse of broadcasting in the forward pass.
+    EnsureGrad();
     grad.AddInPlace(ReduceToShape(g, grad.shape()));
+    return;
   }
+  if (!has_grad && g.StorageIsUnique()) {
+    // Adopt g. The old path computed fl(0 + g[i]) into a zero-filled
+    // buffer; IEEE addition commutes, so fl(g[i] + 0) has the same bits,
+    // including -0 -> +0. Storage shared with anything else (a sibling's
+    // gradient, a saved tensor) is never adopted: later in-place
+    // accumulation into `grad` must not be seen through another handle.
+    float* d = g.data();
+    for (int64_t i = 0; i < g.numel(); ++i) d[i] = d[i] + 0.0f;
+    grad = std::move(g);
+    has_grad = true;
+    return;
+  }
+  EnsureGrad();
+  grad.AddInPlace(g);
+}
+
+void Node::ReleaseGrad() {
+  // Moving out frees the storage without allocating a placeholder; `grad`
+  // is not read again until has_grad is set.
+  Tensor released = std::move(grad);
+  has_grad = false;
 }
 
 }  // namespace internal
@@ -70,8 +91,7 @@ bool Variable::requires_grad() const {
 
 void Variable::ZeroGrad() {
   KT_CHECK(defined());
-  node_->has_grad = false;
-  node_->grad = Tensor();
+  node_->ReleaseGrad();
 }
 
 void Variable::Backward() const {
@@ -104,9 +124,14 @@ void Variable::Backward() const {
 
   node_->EnsureGrad();
   node_->grad.Fill(1.0f);
+  // Every consumer of a node runs before it, so its gradient is complete
+  // when its closure runs and dead right after: free interior gradients
+  // there, which keeps one step's working set to the live frontier.
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     internal::Node* n = *it;
-    if (n->backward_fn && n->has_grad) n->backward_fn();
+    if (!n->backward_fn || !n->has_grad) continue;
+    n->backward_fn();
+    n->ReleaseGrad();
   }
 }
 

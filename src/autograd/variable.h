@@ -7,7 +7,12 @@
 //
 // Conventions:
 //   * Variables are cheap shared handles; copying shares the node.
-//   * Gradients accumulate (+=) into `grad`, which is lazily allocated.
+//   * Gradients accumulate (+=) into `grad`, which is lazily allocated. A
+//     first contribution of the node's own shape whose storage nothing else
+//     references becomes `grad` itself instead of being added into zeros.
+//   * Backward() releases an interior (op output) node's gradient as soon as
+//     its closure has propagated it, so grad() of an interior Variable reads
+//     zeros afterwards. Leaves keep their gradients until ZeroGrad().
 //   * An op output requires grad iff any input does AND grad mode is on;
 //     otherwise no tape entry is recorded, making inference allocation-light.
 #ifndef KT_AUTOGRAD_VARIABLE_H_
@@ -41,7 +46,7 @@ namespace internal {
 
 struct Node {
   Tensor value;
-  Tensor grad;                 // allocated on first accumulation
+  Tensor grad;                 // allocated or adopted on first accumulation
   bool has_grad = false;
   bool requires_grad = false;
   // Parents in the computation graph (kept alive for backward).
@@ -50,8 +55,12 @@ struct Node {
   std::function<void()> backward_fn;
 
   void EnsureGrad();
-  // grad += g, where g broadcasts-to/equals value.shape().
-  void AccumulateGrad(const Tensor& g);
+  // grad += g, where g broadcasts-to/equals value.shape(). Pass temporaries
+  // by move: a first same-shape contribution that owns its storage alone is
+  // kept as `grad` without a zero-filled copy.
+  void AccumulateGrad(Tensor g);
+  // Frees `grad`; has_grad reads false until the next accumulation.
+  void ReleaseGrad();
 };
 
 }  // namespace internal
@@ -68,7 +77,8 @@ class Variable {
   bool defined() const { return node_ != nullptr; }
   const Tensor& value() const;
   Tensor& mutable_value();
-  // Gradient tensor; zeros if backward has not reached this node.
+  // Gradient tensor; zeros if backward has not reached this node or, for an
+  // op output, once Backward() has propagated and released it.
   Tensor grad() const;
   bool requires_grad() const;
 

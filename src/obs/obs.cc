@@ -252,6 +252,7 @@ ResourceUsage CurrentResourceUsage() {
   if (getrusage(RUSAGE_SELF, &ru) == 0) {
     usage.minflt = ru.ru_minflt;
     usage.sys_ms = ru.ru_stime.tv_sec * 1e3 + ru.ru_stime.tv_usec / 1e3;
+    usage.peak_rss_bytes = static_cast<int64_t>(ru.ru_maxrss) * 1024;  // KiB
   }
 #endif
   return usage;

@@ -170,11 +170,13 @@ void ResetAllMetrics();
 // 0 where unsupported). Observability only — never feeds computation.
 int64_t CurrentRssBytes();
 
-// Process-wide getrusage totals since start (zeros where unsupported):
-// minor page faults and kernel CPU time. Observability only.
+// Process-wide getrusage figures since start (zeros where unsupported):
+// minor page faults, kernel CPU time and the resident-set high-water mark.
+// Observability only.
 struct ResourceUsage {
   int64_t minflt = 0;
   double sys_ms = 0.0;
+  int64_t peak_rss_bytes = 0;
 };
 ResourceUsage CurrentResourceUsage();
 

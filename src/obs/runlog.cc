@@ -84,13 +84,14 @@ void AppendRunLogEntry(const RunLogEntry& entry) {
       "{\"run\":\"%s\",\"epoch\":%lld,\"train_loss\":%.9g,"
       "\"val_auc\":%.9g,\"val_acc\":%.9g,\"epoch_ms\":%.3f,"
       "\"tokens\":%lld,\"tokens_per_sec\":%.1f,\"gemm_flops\":%lld,"
-      "\"ckpt_ms\":%.3f,\"rss_bytes\":%lld,\"minflt\":%lld,"
-      "\"sys_ms\":%.3f}\n",
+      "\"ckpt_ms\":%.3f,\"rss_bytes\":%lld,\"peak_rss_bytes\":%lld,"
+      "\"minflt\":%lld,\"sys_ms\":%.3f}\n",
       EscapeJson(entry.run).c_str(), static_cast<long long>(entry.epoch),
       entry.train_loss, entry.val_auc, entry.val_acc, entry.epoch_ms,
       static_cast<long long>(entry.tokens), tokens_per_sec,
       static_cast<long long>(entry.gemm_flops), entry.ckpt_ms,
       static_cast<long long>(CurrentRssBytes()),
+      static_cast<long long>(usage.peak_rss_bytes),
       static_cast<long long>(usage.minflt - entry.usage_at_start.minflt),
       usage.sys_ms - entry.usage_at_start.sys_ms);
   Lines() += line;

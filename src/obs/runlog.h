@@ -3,7 +3,7 @@
 // When a path is set (--run-log), the training loops append one JSON object
 // per epoch: loss, validation AUC/ACC, wall time, token throughput, GEMM
 // FLOPs performed during the epoch (from the kernel-layer counters),
-// checkpoint commit latency, and process RSS. The file is rewritten through
+// checkpoint commit latency, and process RSS (current and peak). The file is rewritten through
 // AtomicWriteFile after every append, so a kill at any point leaves a
 // complete, parseable log of every finished epoch — the same crash contract
 // as kt::ckpt, which the log is designed to sit next to.
@@ -11,9 +11,12 @@
 // Schema (one object per line; tools/obs_check.cc validates it):
 //   {"run":str, "epoch":int, "train_loss":num, "val_auc":num,
 //    "val_acc":num, "epoch_ms":num, "tokens":int, "tokens_per_sec":num,
-//    "gemm_flops":int, "ckpt_ms":num, "rss_bytes":int, "minflt":int,
-//    "sys_ms":num}
-// "ckpt_ms" is 0 on epochs without a checkpoint commit. "minflt" and
+//    "gemm_flops":int, "ckpt_ms":num, "rss_bytes":int,
+//    "peak_rss_bytes":int, "minflt":int, "sys_ms":num}
+// "ckpt_ms" is 0 on epochs without a checkpoint commit. "peak_rss_bytes" is
+// the process's resident-set high-water mark so far (getrusage ru_maxrss),
+// not a per-epoch figure; the kernel's counters can leave it a few pages
+// below "rss_bytes". "minflt" and
 // "sys_ms" are the process's minor page faults and kernel CPU time over the
 // epoch (getrusage deltas; all threads). Forward evolution adds keys;
 // existing keys are never renamed or retyped.
@@ -50,9 +53,9 @@ struct RunLogEntry {
   ResourceUsage usage_at_start;  // CurrentResourceUsage() as the epoch began
 };
 
-// Serializes `entry` (plus tokens_per_sec, rss_bytes and the minflt/sys_ms
-// deltas since usage_at_start) as one JSONL line and atomically rewrites
-// the log file. No-op when no path is set.
+// Serializes `entry` (plus tokens_per_sec, rss_bytes, peak_rss_bytes and the
+// minflt/sys_ms deltas since usage_at_start) as one JSONL line and atomically
+// rewrites the log file. No-op when no path is set.
 void AppendRunLogEntry(const RunLogEntry& entry);
 
 // One continual-trainer mini-epoch record (kt::continual). Lives in the

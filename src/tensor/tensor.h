@@ -6,8 +6,9 @@
 //   * storage is always contiguous row-major; slicing copies (no views),
 //   * shapes are std::vector<int64_t>; a scalar is rank-0 with one element,
 //   * data is shared via shared_ptr so Tensor is cheap to copy by value;
-//     mutation through data() affects all copies (autograd relies on this
-//     for in-place gradient accumulation).
+//     mutation through data() affects all copies. Autograd accumulates
+//     gradients in place, so it adopts a tensor as a gradient buffer only
+//     when StorageIsUnique() says no other copy can see that mutation.
 #ifndef KT_TENSOR_TENSOR_H_
 #define KT_TENSOR_TENSOR_H_
 
@@ -53,6 +54,8 @@ class Tensor {
   int64_t dim() const { return static_cast<int64_t>(shape_.size()); }
   int64_t size(int64_t d) const;
   int64_t numel() const { return numel_; }
+  // True when this handle is the only one referencing its storage.
+  bool StorageIsUnique() const { return data_.use_count() == 1; }
 
   float* data() { return data_->data(); }
   const float* data() const { return data_->data(); }

@@ -82,6 +82,80 @@ TEST(VariableTest, DiamondGraphAccumulates) {
   EXPECT_FLOAT_EQ(x.grad().flat(1), -8.0f);
 }
 
+// ---- Gradient lifetime and first-contribution handover ----
+
+uint32_t Bits(float v) {
+  uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+TEST(VariableTest, BackwardReleasesInteriorGradsAndKeepsLeafGrads) {
+  // loss = sum((2x)^2) -> dx = 8x.
+  Variable x = Param(Tensor({3}, {1, -2, 3}));
+  Variable y = MulScalar(x, 2.0f);
+  Variable z = Mul(y, y);
+  Variable loss = SumAll(z);
+  loss.Backward();
+  for (int64_t i = 0; i < 3; ++i)
+    EXPECT_EQ(x.grad().flat(i), 8.0f * x.value().flat(i));
+  for (const Variable* interior : {&y, &z, &loss}) {
+    EXPECT_FALSE(interior->node()->has_grad);
+    const Tensor g = interior->grad();
+    EXPECT_EQ(g.shape(), interior->shape());
+    for (int64_t i = 0; i < g.numel(); ++i) EXPECT_EQ(Bits(g.flat(i)), 0u);
+  }
+
+  // A second loss over the same interior node adds only its own gradient:
+  // the first pass's gradient at `y` is gone, not propagated again.
+  SumAll(MulScalar(y, 0.5f)).Backward();  // adds 2 * 0.5 = 1 to dx
+  for (int64_t i = 0; i < 3; ++i)
+    EXPECT_EQ(x.grad().flat(i), 8.0f * x.value().flat(i) + 1.0f);
+}
+
+TEST(VariableTest, HandoverTurnsNegativeZeroIntoPositiveZero) {
+  // The only contribution to dx is 1 * -0 = -0, a fresh tensor the leaf
+  // adopts. The zero-then-add path computed 0 + -0 = +0; so must this.
+  Variable x = Param(Tensor({4}, {1, -2, 3, -4}));
+  SumAll(MulScalar(x, -0.0f)).Backward();
+  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(Bits(x.grad().flat(i)), 0u);
+}
+
+TEST(VariableTest, HandoverNeverAliasesSiblingGradients) {
+  // s = p + q hands one gradient tensor to both p and q. p then gets a
+  // second contribution from `first` while its gradient buffer is live;
+  // if p and q shared that buffer, q (and b) would see p's addition.
+  Variable a = Param(Tensor({2}, {1, 2}));
+  Variable b = Param(Tensor({2}, {3, 4}));
+  Variable p = MulScalar(a, 2.0f);
+  Variable q = MulScalar(b, 3.0f);
+  Variable first = Add(p, MulScalar(q, 5.0f));
+  Variable s = Add(p, q);
+  SumAll(Add(first, s)).Backward();
+  // dp = 1 + 1 -> da = 2 * 2; dq = 5 + 1 -> db = 3 * 6.
+  for (int64_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(a.grad().flat(i), 4.0f);
+    EXPECT_EQ(b.grad().flat(i), 18.0f);
+  }
+}
+
+TEST(VariableTest, BroadcastFirstContributionStillReduces) {
+  // bias [3] broadcast over m [2, 3]; d(sum(w * (m + bias))) / dbias is the
+  // column sum of w, reduced into zeros (so -0 + -0 = -0 ends as +0).
+  Variable m = Param(Tensor({2, 3}, {1, 2, 3, 4, 5, 6}));
+  Variable bias = Param(Tensor({3}, {7, 8, 9}));
+  Tensor w({2, 3}, {0.5f, -0.0f, 1.25f, 0.25f, -0.0f, -3.0f});
+  SumAll(Mul(Add(m, bias), Constant(w))).Backward();
+  const Tensor db = bias.grad();
+  ASSERT_EQ(db.shape(), (Shape{3}));
+  EXPECT_EQ(db.flat(0), 0.75f);
+  EXPECT_EQ(Bits(db.flat(1)), 0u);
+  EXPECT_EQ(db.flat(2), -1.75f);
+  const Tensor dm = m.grad();
+  for (int64_t i = 0; i < 6; ++i)
+    EXPECT_EQ(Bits(dm.flat(i)), Bits(w.flat(i) + 0.0f));
+}
+
 // ---- Gradient checks per op ----
 
 TEST(GradCheckTest, AddSubMulDiv) {

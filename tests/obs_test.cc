@@ -245,6 +245,7 @@ TEST_F(ObsTest, RunLogWritesOneJsonObjectPerEpoch) {
   EXPECT_NE(text.find("\"tokens_per_sec\":500.0"), std::string::npos);
   EXPECT_NE(text.find("\"gemm_flops\":123456"), std::string::npos);
   EXPECT_NE(text.find("\"rss_bytes\":"), std::string::npos);
+  EXPECT_NE(text.find("\"peak_rss_bytes\":"), std::string::npos);
   EXPECT_NE(text.find("\"minflt\":"), std::string::npos);
   EXPECT_NE(text.find("\"sys_ms\":"), std::string::npos);
 

@@ -396,7 +396,8 @@ int CheckRunLog(const std::string& path) {
       return FailCheck(path, where + " lacks a string \"run\"");
     }
     for (const char* key :
-         {"epoch", "tokens", "gemm_flops", "rss_bytes", "minflt"}) {
+         {"epoch", "tokens", "gemm_flops", "rss_bytes", "peak_rss_bytes",
+          "minflt"}) {
       const JsonValue* v = entry.Find(key);
       if (v == nullptr || !v->IsNumber() || !v->number_is_integral ||
           v->number < 0.0) {
