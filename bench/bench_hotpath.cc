@@ -1,30 +1,18 @@
-// Before/after benchmark for the hot-path compute overhaul (DESIGN.md
-// Sec. 9): tiled vs reference GEMM kernels at encoder shapes, and
-// end-to-end RCKT throughput with the full optimized stack (tiled kernels
-// + fused ops + stacked counterfactual fan-out) against the baseline stack
-// (reference kernels, composed ops, per-pass fan-out).
-//
-// Because every optimization is toggleable at runtime and bit-identical by
-// contract, one binary measures both modes on the same machine in the same
-// run — no pre-PR checkout needed — and writes BENCH_hotpath.json
+// GEMM kernel benchmark (DESIGN.md Sec. 9.4): the tiled kernels that
+// kAuto dispatches against the reference loop kernels, at encoder shapes.
+// Both families are bit-identical by contract, so one binary measures both
+// on the same machine in the same run and writes BENCH_hotpath.json
 // (override the path with --out=<path>).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "core/parallel.h"
 #include "core/rng.h"
-#include "data/presets.h"
-#include "data/simulator.h"
-#include "nn/module.h"
-#include "rckt/rckt_model.h"
-#include "rckt/samples.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
@@ -51,18 +39,15 @@ double TimeNs(const std::function<void()>& fn, double min_time_sec = 0.25,
 }
 
 struct Result {
-  std::string section;  // "gemm" | "e2e"
   std::string op;
   std::string shape;
   std::string mode;  // "baseline" | "optimized"
   int threads = 1;
   double ns_per_iter = 0.0;
-  double rate = 0.0;  // GFLOP/s for gemm, items/s for e2e
+  double rate = 0.0;  // GFLOP/s
 };
 
 std::vector<Result> g_results;
-
-// ---- GEMM section: tiled vs reference at encoder shapes ----
 
 void BenchGemmShape(int64_t m, int64_t k, int64_t n) {
   Rng rng(1);
@@ -81,7 +66,6 @@ void BenchGemmShape(int64_t m, int64_t k, int64_t n) {
       g_sink = c.data()[0];
     });
     Result r;
-    r.section = "gemm";
     r.op = "Gemm";
     r.shape = shape;
     r.mode = kernel == GemmKernel::kReference ? "baseline" : "optimized";
@@ -95,74 +79,6 @@ void BenchGemmShape(int64_t m, int64_t k, int64_t n) {
   SetGemmKernel(GemmKernel::kAuto);
 }
 
-// ---- End-to-end section: full optimized stack vs full baseline stack ----
-
-struct HotpathFixture {
-  HotpathFixture() {
-    data::SimulatorConfig config = data::Assist09Preset(0.05);
-    data::StudentSimulator simulator(config);
-    windows = data::SplitIntoWindows(simulator.Generate(), 50, 5);
-    std::vector<rckt::PrefixSample> samples;
-    for (const auto& seq : windows.sequences) {
-      if (seq.length() > 24) samples.push_back({&seq, 24});
-      if (samples.size() == 16) break;
-    }
-    batch = rckt::MakePrefixBatch(samples);
-  }
-
-  std::unique_ptr<rckt::RCKT> MakeModel(bool optimized) const {
-    rckt::RcktConfig config;
-    config.dim = 32;
-    config.seed = 9;
-    config.stacked_fanout = optimized;
-    return std::make_unique<rckt::RCKT>(windows.num_questions,
-                                        windows.num_concepts, config);
-  }
-
-  data::Dataset windows;
-  data::Batch batch;
-};
-
-void BenchEndToEnd(const HotpathFixture& fixture) {
-  struct Op {
-    const char* name;
-    double min_time;
-    std::function<void(rckt::RCKT&)> run;
-  };
-  const std::vector<Op> ops = {
-      {"ScoreTargets", 0.5,
-       [&](rckt::RCKT& m) { g_sink = m.ScoreTargets(fixture.batch)[0]; }},
-      {"ScoreTargetsExact", 1.0,
-       [&](rckt::RCKT& m) { g_sink = m.ScoreTargetsExact(fixture.batch)[0]; }},
-      {"TrainStep", 0.5,
-       [&](rckt::RCKT& m) { g_sink = m.TrainStep(fixture.batch); }},
-  };
-  for (const Op& op : ops) {
-    for (bool optimized : {false, true}) {
-      // The whole stack toggles together: kernel family, op fusion, and
-      // stacked fan-out (the last via the model config).
-      SetGemmKernel(optimized ? GemmKernel::kAuto : GemmKernel::kReference);
-      nn::SetFusedOpsEnabled(optimized);
-      auto model = fixture.MakeModel(optimized);
-      const double ns =
-          TimeNs([&] { op.run(*model); }, op.min_time, /*min_iters=*/3);
-      Result r;
-      r.section = "e2e";
-      r.op = op.name;
-      r.shape = "batch16_len24_dim32";
-      r.mode = optimized ? "optimized" : "baseline";
-      r.threads = GetNumThreads();
-      r.ns_per_iter = ns;
-      r.rate = static_cast<double>(fixture.batch.batch_size) * 1e9 / ns;
-      g_results.push_back(r);
-      std::printf("  %-18s %-9s %12.0f ns  %8.2f samples/s\n", op.name,
-                  r.mode.c_str(), ns, r.rate);
-    }
-  }
-  SetGemmKernel(GemmKernel::kAuto);
-  nn::SetFusedOpsEnabled(true);
-}
-
 bool WriteJson(const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
@@ -170,12 +86,12 @@ bool WriteJson(const std::string& path) {
       << ",\n  \"results\": [\n";
   for (size_t i = 0; i < g_results.size(); ++i) {
     const Result& r = g_results[i];
-    out << "    {\"section\": \"" << r.section << "\", \"op\": \"" << r.op
+    out << "    {\"section\": \"gemm\", \"op\": \"" << r.op
         << "\", \"shape\": \"" << r.shape << "\", \"mode\": \"" << r.mode
         << "\", \"threads\": " << r.threads
-        << ", \"ns_per_iter\": " << r.ns_per_iter << ", ";
-    out << (r.section == "gemm" ? "\"gflops\": " : "\"items_per_second\": ")
-        << r.rate << "}" << (i + 1 < g_results.size() ? "," : "") << "\n";
+        << ", \"ns_per_iter\": " << r.ns_per_iter
+        << ", \"gflops\": " << r.rate << "}"
+        << (i + 1 < g_results.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"speedups\": {\n";
   // baseline/optimized pairs are adjacent: speedup = ns_base / ns_opt.
@@ -189,10 +105,8 @@ bool WriteJson(const std::string& path) {
     }
     if (!first) out << ",\n";
     first = false;
-    const std::string key = base.section == "gemm"
-                                ? base.op + "_" + base.shape
-                                : base.op;
-    out << "    \"" << key << "\": " << base.ns_per_iter / opt.ns_per_iter;
+    out << "    \"" << base.op << "_" << base.shape
+        << "\": " << base.ns_per_iter / opt.ns_per_iter;
   }
   out << "\n  }\n}\n";
   return static_cast<bool>(out);
@@ -204,18 +118,13 @@ bool WriteJson(const std::string& path) {
 int main(int argc, char** argv) {
   const kt::FlagParser flags = kt::bench::InitBenchFlags(&argc, argv);
   const std::string out_path = flags.GetString("out", "BENCH_hotpath.json");
-  std::printf("hot-path before/after (threads=%d)\n", kt::GetNumThreads());
+  std::printf("GEMM kernels (threads=%d)\n", kt::GetNumThreads());
 
-  std::printf("GEMM kernels (reference vs tiled):\n");
   kt::BenchGemmShape(64, 64, 64);
   kt::BenchGemmShape(64, 128, 128);
   kt::BenchGemmShape(256, 64, 64);
   kt::BenchGemmShape(256, 128, 128);
   kt::BenchGemmShape(128, 128, 128);
-
-  std::printf("end-to-end RCKT (baseline stack vs optimized stack):\n");
-  kt::HotpathFixture fixture;
-  kt::BenchEndToEnd(fixture);
 
   if (!kt::WriteJson(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());

@@ -173,7 +173,7 @@ void BenchRecourse(rckt::EncoderKind kind, const data::Dataset& ds,
 
   const char* name = rckt::EncoderKindName(kind);
   g_results.push_back({name, "recourse", T, "brute_per_candidate", brute_ns});
-  g_results.push_back({name, "recourse", T, "stacked_fanout", fast_ns});
+  g_results.push_back({name, "recourse", T, "suffix_replay", fast_ns});
   std::printf("  %-4s T=%-4lld recourse k=%d (%lld sets)  brute %10.0f ns"
               "  stacked %9.0f ns  (%.1fx)\n",
               name, static_cast<long long>(T), k,
@@ -202,7 +202,7 @@ bool WriteJson(const std::string& path) {
                               opt.mode == "online_incremental" &&
                               base.op == opt.op;
     const bool recourse_pair = base.mode == "brute_per_candidate" &&
-                               opt.mode == "stacked_fanout" &&
+                               opt.mode == "suffix_replay" &&
                                base.op == "recourse" && opt.op == "recourse";
     if (!predict_pair && !recourse_pair) continue;
     if (!first) out << ",\n";

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.h"
 #include "tensor/gemm.h"
@@ -355,15 +357,41 @@ Variable EmbeddingBagMean(const Variable& table,
 }
 
 Variable Dropout(const Variable& a, float p, Rng& rng, bool train) {
+  return Dropout(a, p, &rng, 1, train);
+}
+
+Variable Dropout(const Variable& a, float p, Rng* streams,
+                 int64_t num_streams, bool train) {
   if (!train || p <= 0.0f) return a;
   KT_CHECK_LT(p, 1.0f);
+  KT_CHECK(streams != nullptr);
+  KT_CHECK_GT(num_streams, 0);
+  const Tensor& x = a.value();
+  const int64_t n = x.numel();
+  KT_CHECK(num_streams == 1 || (x.dim() > 0 && x.size(0) % num_streams == 0))
+      << "dropout rows must split into " << num_streams << " equal blocks";
+  const int64_t block = n / num_streams;
   const float scale = 1.0f / (1.0f - p);
-  Tensor mask(a.value().shape());
-  for (int64_t i = 0; i < mask.numel(); ++i)
-    mask.flat(i) = rng.Bernoulli(p) ? 0.0f : scale;
-  Tensor out = kt::Mul(a.value(), mask);
-  return MakeOpNode(out, {a}, [mask](Node& self) {
-    self.inputs[0]->AccumulateGrad(kt::Mul(self.grad, mask));
+  // One byte per element; both passes multiply by (keep ? scale : 0).
+  std::vector<uint8_t> keep(static_cast<size_t>(n));
+  for (int64_t j = 0; j < num_streams; ++j) {
+    Rng& rng = streams[j];
+    for (int64_t i = j * block; i < (j + 1) * block; ++i)
+      keep[static_cast<size_t>(i)] = rng.Bernoulli(p) ? 0 : 1;
+  }
+  Tensor out(x.shape());
+  const float* src = x.data();
+  float* dst = out.data();
+  for (int64_t i = 0; i < n; ++i)
+    dst[i] = src[i] * (keep[static_cast<size_t>(i)] ? scale : 0.0f);
+  return MakeOpNode(std::move(out), {a},
+                    [keep = std::move(keep), scale](Node& self) {
+    Tensor g(self.grad.shape());
+    const float* gs = self.grad.data();
+    float* gd = g.data();
+    for (int64_t i = 0; i < g.numel(); ++i)
+      gd[i] = gs[i] * (keep[static_cast<size_t>(i)] ? scale : 0.0f);
+    self.inputs[0]->AccumulateGrad(std::move(g));
   });
 }
 

@@ -66,6 +66,11 @@ Variable EmbeddingBagMean(const Variable& table,
 // Inverted dropout: scales kept activations by 1/(1-p) during training; the
 // identity when `train` is false or p == 0.
 Variable Dropout(const Variable& a, float p, Rng& rng, bool train);
+// Row-block form: `a`'s leading dimension splits into `num_streams` equal
+// blocks, and block j's mask is drawn from streams[j] in element order.
+// With one stream it is the form above.
+Variable Dropout(const Variable& a, float p, Rng* streams,
+                 int64_t num_streams, bool train);
 
 // ---- Fused ops (DESIGN.md §9) ----
 //

@@ -90,10 +90,7 @@ ag::Variable MultiHeadAttention::AttendHeads(
     // Rows that can attend nowhere become exact zeros instead of uniform.
     probs = ag::Mul(probs, row_any_mask);
     if (attention_out) attention_out->push_back(probs.value().Clone());
-    if (ctx.train && dropout_p_ > 0.0f) {
-      KT_CHECK(ctx.rng != nullptr);
-      probs = ag::Dropout(probs, dropout_p_, *ctx.rng, ctx.train);
-    }
+    probs = ag::Dropout(probs, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
     head_outputs.push_back(ag::BatchMatMul(probs, vh));  // [B, Tq, dh]
   }
 
@@ -260,9 +257,7 @@ TransformerBlock::TransformerBlock(int64_t dim, int64_t num_heads,
 ag::Variable TransformerBlock::FeedForward(const ag::Variable& x,
                                            const Context& ctx) const {
   ag::Variable hidden = ff1_.ForwardAct(x, ag::Act::kRelu);
-  if (ctx.train && dropout_p_ > 0.0f) {
-    hidden = ag::Dropout(hidden, dropout_p_, *ctx.rng, ctx.train);
-  }
+  hidden = ag::Dropout(hidden, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
   return ff2_.ForwardAct(hidden, ag::Act::kIdentity);
 }
 

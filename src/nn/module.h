@@ -18,11 +18,15 @@
 namespace kt {
 namespace nn {
 
-// Per-call context: training mode and RNG (dropout). `rng` may be null when
-// train is false.
+// Per-call context: training mode and the dropout RNG streams. `rng` points
+// at `rng_count` consecutive streams and may be null when train is false. A
+// stacked forward over K row blocks (the RCKT counterfactual fan-out) sets
+// rng_count = K, and dropout draws row block j's mask from rng[j] — the
+// draws a lone pass over that block would make from its own stream.
 struct Context {
   bool train = false;
   Rng* rng = nullptr;
+  int64_t rng_count = 1;
 };
 
 // Process-wide toggle for the fused forward paths (ag::LinearBiasAct and

@@ -118,14 +118,12 @@ ag::Variable BiLstmEncoder::Encode(const ag::Variable& a,
   ag::Variable f = a;
   for (const auto& layer : forward_layers_) {
     f = layer->Forward(f, /*reverse=*/false);
-    if (ctx.train && dropout_p_ > 0.0f)
-      f = ag::Dropout(f, dropout_p_, *ctx.rng, true);
+    f = ag::Dropout(f, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
   }
   ag::Variable b = a;
   for (const auto& layer : backward_layers_) {
     b = layer->Forward(b, /*reverse=*/true);
-    if (ctx.train && dropout_p_ > 0.0f)
-      b = ag::Dropout(b, dropout_p_, *ctx.rng, true);
+    b = ag::Dropout(b, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
   }
   return ShiftAndAdd(f, b);
 }
@@ -147,14 +145,12 @@ ag::Variable BiGruEncoder::Encode(const ag::Variable& a,
   ag::Variable f = a;
   for (const auto& layer : forward_layers_) {
     f = layer->Forward(f, /*reverse=*/false);
-    if (ctx.train && dropout_p_ > 0.0f)
-      f = ag::Dropout(f, dropout_p_, *ctx.rng, true);
+    f = ag::Dropout(f, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
   }
   ag::Variable b = a;
   for (const auto& layer : backward_layers_) {
     b = layer->Forward(b, /*reverse=*/true);
-    if (ctx.train && dropout_p_ > 0.0f)
-      b = ag::Dropout(b, dropout_p_, *ctx.rng, true);
+    b = ag::Dropout(b, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
   }
   return ShiftAndAdd(f, b);
 }

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "autograd/ops.h"
-#include "core/parallel.h"
 #include "nn/losses.h"
 #include "obs/obs.h"
 #include "rckt/counterfactual.h"
@@ -36,21 +34,9 @@ void PutRow(std::vector<int>& flat, const data::Batch& batch, int64_t b,
   }
 }
 
-// Runs `count` independent generator passes across the kt::parallel pool
-// (the counterfactual fan-out: each pass builds its own forward graph
-// against the shared, read-only parameters). Two pieces of per-thread state
-// are handled so results are bit-identical for any KT_NUM_THREADS:
-//   * the autograd grad mode is thread-local, so the caller's mode is
-//     re-applied inside every task (pool workers default to grad-on);
-//   * when dropout is live, each pass draws from its own Rng, pre-forked
-//     from the caller's stream in pass order — masks then never depend on
-//     which thread runs which pass.
-// True when dropout masks will actually be drawn this pass — the one case
-// where stacked and per-pass fan-out cannot share RNG streams, forcing the
-// per-pass path.
-bool DropoutLive(const nn::Context& ctx, float dropout) {
-  return ctx.train && ctx.rng != nullptr && dropout > 0.0f;
-}
+// Exact mode stacks its O(t) counterfactual passes in chunks of this many
+// passes per stacked batch, bounding peak graph memory.
+constexpr int64_t kExactStackChunk = 8;
 
 // Replicates a batch k times along the row dimension for a stacked fan-out
 // pass. Only the fields the generator path reads (questions, concept bags,
@@ -77,22 +63,31 @@ data::Batch StackBatch(const data::Batch& batch, int64_t k) {
   return out;
 }
 
-void RunGeneratorPasses(
-    int64_t count, const nn::Context& ctx, float dropout,
-    const std::function<void(int64_t, const nn::Context&)>& pass) {
-  const bool grad_enabled = ag::GradModeEnabled();
-  std::vector<Rng> pass_rngs;
+// When dropout will actually be drawn, forks one Rng per pass from the
+// caller's stream, in pass order; otherwise returns no streams. A stacked
+// pass hands these to dropout as row-block streams, so each pass's masks are
+// the draws a lone pass would make.
+std::vector<Rng> ForkPassStreams(const nn::Context& ctx, int64_t count,
+                                 float dropout) {
+  std::vector<Rng> streams;
   if (ctx.train && ctx.rng != nullptr && dropout > 0.0f) {
-    pass_rngs.reserve(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) pass_rngs.push_back(ctx.rng->Fork());
+    streams.reserve(static_cast<size_t>(count));
+    for (int64_t i = 0; i < count; ++i) streams.push_back(ctx.rng->Fork());
   }
-  ParallelFor(0, count, /*grain=*/1, [&](int64_t i) {
-    std::optional<ag::NoGradGuard> no_grad;
-    if (!grad_enabled) no_grad.emplace();
-    nn::Context local = ctx;
-    if (!pass_rngs.empty()) local.rng = &pass_rngs[static_cast<size_t>(i)];
-    pass(i, local);
-  });
+  return streams;
+}
+
+// The context for a stacked pass over `count` row blocks drawing from
+// streams [first, first + count), or `ctx` itself when no streams were
+// forked.
+nn::Context StreamContext(const nn::Context& ctx, std::vector<Rng>& streams,
+                          int64_t first, int64_t count) {
+  nn::Context local = ctx;
+  if (!streams.empty()) {
+    local.rng = &streams[static_cast<size_t>(first)];
+    local.rng_count = count;
+  }
+  return local;
 }
 
 }  // namespace
@@ -196,10 +191,9 @@ ag::Variable RCKT::GenerateProbs(const data::Batch& batch,
 
   ag::Variable h = encoder_->Encode(a, ctx);
   ag::Variable x = ag::Concat({h, e}, 2);  // [B, T, 2d]
-  ag::Variable mid = mlp_hidden_.ForwardAct(x, ag::Act::kRelu);
-  if (ctx.train && config_.dropout > 0.0f) {
-    mid = ag::Dropout(mid, config_.dropout, *ctx.rng, true);
-  }
+  ag::Variable mid = ag::Dropout(mlp_hidden_.ForwardAct(x, ag::Act::kRelu),
+                                 config_.dropout, ctx.rng, ctx.rng_count,
+                                 ctx.train);
   return ag::Reshape(mlp_out_.ForwardAct(mid, ag::Act::kSigmoid),
                      Shape{b, t});
 }
@@ -214,38 +208,21 @@ std::vector<ag::Variable> RCKT::GenerateProbsFanOut(
     static obs::Counter* const passes = obs::Counter::Get("rckt.fanout_passes");
     passes->Add(k);
   }
-  if (config_.stacked_fanout && k > 1 && !DropoutLive(ctx, config_.dropout)) {
-    return GenerateProbsStacked(batch, category_sets, ctx, probe);
-  }
-  KT_OBS_SCOPE("rckt/fanout_pooled");
-  std::vector<ag::Variable> out(static_cast<size_t>(k));
-  RunGeneratorPasses(k, ctx, config_.dropout,
-                     [&](int64_t rep, const nn::Context& local) {
-                       out[static_cast<size_t>(rep)] = GenerateProbs(
-                           batch, *category_sets[static_cast<size_t>(rep)],
-                           local, probe);
-                     });
-  return out;
-}
+  std::vector<Rng> streams = ForkPassStreams(ctx, k, config_.dropout);
+  const nn::Context local = StreamContext(ctx, streams, 0, k);
+  if (k == 1) return {GenerateProbs(batch, *category_sets[0], local, probe)};
 
-std::vector<ag::Variable> RCKT::GenerateProbsStacked(
-    const data::Batch& batch,
-    const std::vector<const std::vector<int>*>& category_sets,
-    const nn::Context& ctx, const ag::Variable* probe) const {
   KT_OBS_SCOPE("rckt/fanout_stacked");
-  const int64_t k = static_cast<int64_t>(category_sets.size());
   const int64_t b = batch.batch_size;
   const size_t flat = static_cast<size_t>(b * batch.max_len);
-
-  data::Batch stacked = StackBatch(batch, k);
   std::vector<int> cats;
   cats.reserve(flat * static_cast<size_t>(k));
   for (const std::vector<int>* set : category_sets) {
     KT_CHECK_EQ(set->size(), flat);
     cats.insert(cats.end(), set->begin(), set->end());
   }
-
-  ag::Variable probs = GenerateProbs(stacked, cats, ctx, probe);  // [K*B, T]
+  ag::Variable probs =
+      GenerateProbs(StackBatch(batch, k), cats, local, probe);  // [K*B, T]
   std::vector<ag::Variable> out(static_cast<size_t>(k));
   for (int64_t rep = 0; rep < k; ++rep) {
     out[static_cast<size_t>(rep)] =
@@ -280,7 +257,7 @@ RCKT::InfluenceTensors RCKT::ComputeInfluences(const data::Batch& batch,
                                             config_.use_monotonicity));
   }
 
-  // All four assignments fan out across the pool as independent passes.
+  // All four assignments run as one stacked fan-out pass.
   const auto probs = GenerateProbsFanOut(
       batch, {&cats_f_plus, &cats_cf_minus, &cats_f_minus, &cats_cf_plus},
       ctx, probe);
@@ -346,9 +323,9 @@ RCKT::InfluenceTensors RCKT::ComputeInfluencesExact(
 
   // One counterfactual pass per history position: flip response i, apply
   // mask/retain, read the target probability. The passes are independent
-  // given p_f, so they fan out across the pool (the t-1 passes are the
-  // entire cost of exact mode — see Table VI); columns land in
-  // position-indexed slots and concatenate in fixed order.
+  // given p_f, so they stack (the t-1 passes are the entire cost of exact
+  // mode — see Table VI); columns land in position-indexed slots and
+  // concatenate in fixed order.
   std::vector<ag::Variable> plus_cols(static_cast<size_t>(t)),
       minus_cols(static_cast<size_t>(t));
   InfluenceTensors result;
@@ -394,39 +371,24 @@ RCKT::InfluenceTensors RCKT::ComputeInfluencesExact(
   plus_cols[static_cast<size_t>(target)] = zero;
   minus_cols[static_cast<size_t>(target)] = zero;
 
-  if (config_.stacked_fanout && !DropoutLive(ctx, config_.dropout)) {
-    // Chunked stacking: positions [0, target) run as ceil(target/chunk)
-    // stacked passes of up to chunk*B rows each, fanned out across the
-    // pool. Row-wise ops make this bit-identical to one pass per position.
-    const int64_t chunk = std::max<int64_t>(1, config_.exact_stack_chunk);
-    const int64_t num_chunks = (target + chunk - 1) / chunk;
-    RunGeneratorPasses(
-        num_chunks, ctx, config_.dropout,
-        [&](int64_t ci, const nn::Context& local) {
-          const int64_t lo = ci * chunk;
-          const int64_t hi = std::min(target, lo + chunk);
-          const int64_t kk = hi - lo;
-          data::Batch stacked = StackBatch(batch, kk);
-          std::vector<int> cats(flat * static_cast<size_t>(kk));
-          for (int64_t i = lo; i < hi; ++i) {
-            fill_counterfactual(i, cats,
-                                static_cast<size_t>(i - lo) * flat);
-          }
-          ag::Variable p_cf =
-              GenerateProbs(stacked, cats, local, nullptr);  // [kk*B, T]
-          for (int64_t i = lo; i < hi; ++i) {
-            store_columns(
-                i, ag::Slice(p_cf, 0, (i - lo) * b, (i - lo + 1) * b));
-          }
-        });
-  } else {
-    RunGeneratorPasses(
-        t, ctx, config_.dropout, [&](int64_t i, const nn::Context& local) {
-          if (i == target) return;
-          std::vector<int> cats_cf(flat);
-          fill_counterfactual(i, cats_cf, 0);
-          store_columns(i, GenerateProbs(batch, cats_cf, local, nullptr));
-        });
+  // Chunked stacking: positions [0, target) run as ceil(target/chunk)
+  // stacked passes of up to chunk*B rows each. Under live dropout, t streams
+  // are forked in position order and chunk [lo, hi) draws from streams
+  // lo..hi-1, so each position's masks match a lone pass's.
+  std::vector<Rng> streams = ForkPassStreams(ctx, t, config_.dropout);
+  for (int64_t lo = 0; lo < target; lo += kExactStackChunk) {
+    const int64_t hi = std::min(target, lo + kExactStackChunk);
+    const int64_t kk = hi - lo;
+    std::vector<int> cats(flat * static_cast<size_t>(kk));
+    for (int64_t i = lo; i < hi; ++i) {
+      fill_counterfactual(i, cats, static_cast<size_t>(i - lo) * flat);
+    }
+    ag::Variable p_cf = GenerateProbs(StackBatch(batch, kk), cats,
+                                      StreamContext(ctx, streams, lo, kk),
+                                      nullptr);  // [kk*B, T]
+    for (int64_t i = lo; i < hi; ++i) {
+      store_columns(i, ag::Slice(p_cf, 0, (i - lo) * b, (i - lo + 1) * b));
+    }
   }
 
   result.delta_plus_per_pos = ag::Concat(plus_cols, 1);    // [B, T]

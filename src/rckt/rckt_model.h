@@ -60,18 +60,6 @@ struct RcktConfig {
   bool joint_training = true;
   bool use_monotonicity = true;
   bool use_constraint = true;
-  // Fan-out execution (DESIGN.md §9). When true (default), the K generator
-  // passes of a counterfactual fan-out run as one stacked K*B-row pass, so
-  // the encoder amortizes GEMM and dispatch cost across all variants. The
-  // encoder stack is row-wise, so stacked and per-pass results are
-  // bit-identical; the per-pass path (false) is kept for A/B verification.
-  // Stacking falls back to per-pass automatically when dropout is live,
-  // because the per-pass pre-forked RNG streams are the determinism
-  // contract there.
-  bool stacked_fanout = true;
-  // Exact mode stacks its O(t) counterfactual passes in chunks of this many
-  // passes per stacked batch, bounding peak graph memory.
-  int64_t exact_stack_chunk = 8;
   uint64_t seed = 1;
 };
 
@@ -170,15 +158,10 @@ class RCKT : public nn::Module {
   std::vector<float> ScoreTargetsExact(const data::Batch& prefix_batch);
   float TrainStepExact(const data::Batch& prefix_batch);
 
- private:
-  struct InfluenceTensors {
-    ag::Variable delta_plus_per_pos;   // [B, T]
-    ag::Variable delta_minus_per_pos;  // [B, T]
-    ag::Variable delta_plus;           // [B]
-    ag::Variable delta_minus;          // [B]
-    Tensor mask_correct;               // [B, T] history positions with r=1
-    Tensor mask_incorrect;             // [B, T] history positions with r=0
-  };
+  // ---- Generator passes ----
+  // Public so tests can hold the stacked fan-out to a per-pass reference
+  // built from lone GenerateProbs calls; the model's own entry points above
+  // are what callers use.
 
   // One generator pass: probabilities [B, T] for the given flattened
   // category assignment. If `probe` (shape [1, d]) is non-null it replaces
@@ -188,26 +171,27 @@ class RCKT : public nn::Module {
                              const nn::Context& ctx,
                              const ag::Variable* probe) const;
 
-  // Runs K category assignments through the generator, returning K
-  // probability tensors of [B, T] each. Default execution (stacked_fanout)
-  // is one K*B-row stacked pass split back into K slices; the fallback is K
-  // independent passes fanned out across the kt::parallel pool. Every op on
-  // the generator path computes each output row from that row alone, so the
-  // two strategies are bit-identical; with live dropout the per-pass path
-  // is forced, with per-pass RNG streams pre-forked in pass order so masks
-  // stay bit-identical for any KT_NUM_THREADS.
+  // Runs K category assignments through the generator as one stacked
+  // K*B-row pass and slices the [K*B, T] result back into K tensors of
+  // [B, T]. Every op on the generator path computes each output row from
+  // that row alone, so the result equals K lone GenerateProbs calls bit for
+  // bit. When dropout is live, K streams are forked from ctx.rng in pass
+  // order and row block k draws its masks from stream k (DESIGN.md §9.3),
+  // so the forward also matches K lone passes each given its own stream.
   std::vector<ag::Variable> GenerateProbsFanOut(
       const data::Batch& batch,
       const std::vector<const std::vector<int>*>& category_sets,
       const nn::Context& ctx, const ag::Variable* probe) const;
 
-  // The stacked strategy: concatenates the K category sets over one
-  // K*B-row replica batch, runs a single generator pass, and slices the
-  // [K*B, T] result back into K tensors of [B, T].
-  std::vector<ag::Variable> GenerateProbsStacked(
-      const data::Batch& batch,
-      const std::vector<const std::vector<int>*>& category_sets,
-      const nn::Context& ctx, const ag::Variable* probe) const;
+ private:
+  struct InfluenceTensors {
+    ag::Variable delta_plus_per_pos;   // [B, T]
+    ag::Variable delta_minus_per_pos;  // [B, T]
+    ag::Variable delta_plus;           // [B]
+    ag::Variable delta_minus;          // [B]
+    Tensor mask_correct;               // [B, T] history positions with r=1
+    Tensor mask_incorrect;             // [B, T] history positions with r=0
+  };
 
   InfluenceTensors ComputeInfluences(const data::Batch& batch,
                                      const nn::Context& ctx,
