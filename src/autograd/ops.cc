@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel.h"
 #include "obs/obs.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
@@ -411,20 +412,6 @@ namespace {
 
 inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
-inline float ApplyAct(Act act, float x) {
-  switch (act) {
-    case Act::kIdentity:
-      return x;
-    case Act::kRelu:
-      return x > 0.0f ? x : 0.0f;
-    case Act::kSigmoid:
-      return SigmoidF(x);
-    case Act::kTanh:
-      return std::tanh(x);
-  }
-  return x;
-}
-
 // Accumulates column sums of g [m, n] into bias_grad [n], rows ascending —
 // the same order AccumulateGrad's broadcast reduction uses.
 inline void AccumulateBiasGrad(const float* g, int64_t m, int64_t n,
@@ -447,13 +434,30 @@ Tensor LinearBiasActForward(const Tensor& x, const Tensor& w, const Tensor* b,
 
   Tensor y(Shape{m, out});
   Gemm(x.data(), w.data(), y.data(), m, in, out);
-  const float* bias = b != nullptr ? b->data() : nullptr;
+  // One bias pass, then one loop per activation: each element still gets
+  // act(x + bias), the composed Add-then-activation expressions, but no
+  // loop tests the activation or the bias per element.
   float* yd = y.data();
-  for (int64_t i = 0; i < m; ++i) {
-    float* row = yd + i * out;
-    for (int64_t j = 0; j < out; ++j) {
-      row[j] = ApplyAct(act, bias ? row[j] + bias[j] : row[j]);
+  if (b != nullptr) {
+    const float* bias = b->data();
+    for (int64_t i = 0; i < m; ++i) {
+      float* row = yd + i * out;
+      for (int64_t j = 0; j < out; ++j) row[j] = row[j] + bias[j];
     }
+  }
+  const int64_t total = m * out;
+  switch (act) {
+    case Act::kIdentity:
+      break;
+    case Act::kRelu:
+      for (int64_t i = 0; i < total; ++i) yd[i] = yd[i] > 0.0f ? yd[i] : 0.0f;
+      break;
+    case Act::kSigmoid:
+      for (int64_t i = 0; i < total; ++i) yd[i] = SigmoidF(yd[i]);
+      break;
+    case Act::kTanh:
+      for (int64_t i = 0; i < total; ++i) yd[i] = std::tanh(yd[i]);
+      break;
   }
   return y;
 }
@@ -810,6 +814,341 @@ Variable GruCellCombine(const Variable& zx, const Variable& zh,
       }
     }
   });
+}
+
+// ---- Multi-head attention core ----
+//
+// The composed chain this replaces, per head h (nn/attention.cc keeps it as
+// the reference): q_h = Slice(q), k_hᵀ = TransposeLast2(Slice(k)),
+// S = BatchMatMul(q_h, k_hᵀ)·scale, S -= softplus·dist (decay),
+// S += additive, P0 = softmax(S), P1 = P0·row_any, P2 = Dropout(P1),
+// y_h = BatchMatMul(P2, v_h), then Concat over heads. Every GEMM here
+// produces each element as the same ascending accumulator chain from +0
+// that those BatchMatMuls do (a TransB dot chain added once to a zeroed C
+// equals the normal form's chain started at C = 0), so values match bit
+// for bit; the row passes replay the elementwise ops' expressions in order.
+//
+// Backward mirrors the composed closures. The composed graph also adds
+// +0.0f wherever AccumulateGrad adopts a buffer, which turns -0 into +0;
+// every consumer of those gradients here is again a sum chain started at
+// +0, which absorbs the sign of a zero, so the adds are left out.
+
+namespace {
+
+// Batch rows per parallel chunk: one when a head's work is large enough
+// to amortize the pool, else the whole batch (the BatchMatMul threshold).
+inline int64_t AttentionGrain(int64_t b, int64_t per_row_work) {
+  return b * per_row_work >= (int64_t{1} << 17) ? 1 : b;
+}
+
+// Copies the [rows, dh] head block at `src` (row stride `ld`) into packed
+// rows, and back.
+inline void GatherHead(const float* src, int64_t rows, int64_t ld, int64_t dh,
+                       float* dst) {
+  for (int64_t r = 0; r < rows; ++r)
+    std::memcpy(dst + r * dh, src + r * ld,
+                sizeof(float) * static_cast<size_t>(dh));
+}
+inline void ScatterHead(const float* src, int64_t rows, int64_t ld,
+                        int64_t dh, float* dst) {
+  for (int64_t r = 0; r < rows; ++r)
+    std::memcpy(dst + r * ld, src + r * dh,
+                sizeof(float) * static_cast<size_t>(dh));
+}
+
+// Per-thread scratch, grown to the largest request and reused.
+inline float* AttentionScratch(size_t n) {
+  static thread_local std::vector<float> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+// P2 = (P0 · row_any) · (keep ? drop_scale : 0) over one [tq, tk] block —
+// the composed Mul and Dropout, in that order. `keep` is null without
+// dropout; `p1_out`, if non-null, receives P0 · row_any.
+inline void DropoutProbs(const float* p0, const float* row_any,
+                         const uint8_t* keep, float drop_scale, int64_t tq,
+                         int64_t tk, float* p1_out, float* p2) {
+  for (int64_t i = 0; i < tq; ++i) {
+    const float ra = row_any[i];
+    for (int64_t c = i * tk; c < (i + 1) * tk; ++c) {
+      const float p1 = p0[c] * ra;
+      if (p1_out != nullptr) p1_out[c] = p1;
+      p2[c] = keep != nullptr ? p1 * (keep[c] ? drop_scale : 0.0f) : p1;
+    }
+  }
+}
+
+}  // namespace
+
+Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
+                                const Variable& v, const Tensor& mask,
+                                const Variable& decay,
+                                const AttentionCoreOptions& options,
+                                std::vector<Tensor>* attention_out) {
+  KT_OBS_SCOPE("fused/attention");
+  const Tensor& qv = q.value();
+  const Tensor& kv = k.value();
+  const Tensor& vv = v.value();
+  KT_CHECK_EQ(qv.dim(), 3);
+  KT_CHECK_EQ(kv.dim(), 3);
+  KT_CHECK(kv.SameShape(vv));
+  const int64_t b = qv.size(0), tq = qv.size(1), d = qv.size(2);
+  const int64_t tk = kv.size(1);
+  KT_CHECK_EQ(kv.size(0), b);
+  KT_CHECK_EQ(kv.size(2), d);
+  KT_CHECK_EQ(mask.dim(), 2);
+  KT_CHECK_EQ(mask.size(0), tq);
+  KT_CHECK_EQ(mask.size(1), tk);
+  const int64_t heads = options.num_heads;
+  KT_CHECK_GT(heads, 0);
+  KT_CHECK_EQ(d % heads, 0);
+  const int64_t dh = d / heads;
+  const int64_t tt = tq * tk;
+  const bool monotonic = decay.defined();
+  if (monotonic) KT_CHECK_EQ(decay.numel(), heads);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+
+  // The composed path's mask terms: additive (m - 1)·1e9, and row_any, the
+  // row maximum of the mask from 0 (0 on rows that attend nowhere).
+  std::vector<float> additive(static_cast<size_t>(tt));
+  std::vector<float> row_any(static_cast<size_t>(tq));
+  for (int64_t i = 0; i < tq; ++i) {
+    float any = 0.0f;
+    for (int64_t j = 0; j < tk; ++j) {
+      const float m = mask.data()[i * tk + j];
+      additive[static_cast<size_t>(i * tk + j)] = (m - 1.0f) * 1e9f;
+      any = std::max(any, m);
+    }
+    row_any[static_cast<size_t>(i)] = any;
+  }
+
+  // Decay: dist = |query_offset + i - j| and softplus(θ) = log(exp(θ) + 1),
+  // keeping exp(θ) and exp(θ) + 1 for backward.
+  std::vector<float> dist;
+  std::vector<float> exp_theta, softplus_arg, softplus;
+  if (monotonic) {
+    dist.resize(static_cast<size_t>(tt));
+    for (int64_t i = 0; i < tq; ++i)
+      for (int64_t j = 0; j < tk; ++j)
+        dist[static_cast<size_t>(i * tk + j)] =
+            static_cast<float>(std::abs(options.query_offset + i - j));
+    for (int64_t h = 0; h < heads; ++h) {
+      const float e = std::exp(decay.value().data()[h]);
+      const float a = e + 1.0f;
+      exp_theta.push_back(e);
+      softplus_arg.push_back(a);
+      softplus.push_back(std::log(a));
+    }
+  }
+
+  // Dropout masks in the composed draw order: head by head, row block j of
+  // the batch from stream j, in element order.
+  const bool dropout = options.train && options.dropout_p > 0.0f;
+  std::vector<uint8_t> keep;
+  float drop_scale = 0.0f;
+  if (dropout) {
+    const float p = options.dropout_p;
+    KT_CHECK_LT(p, 1.0f);
+    KT_CHECK(options.rng != nullptr);
+    KT_CHECK_GT(options.rng_count, 0);
+    KT_CHECK(options.rng_count == 1 || b % options.rng_count == 0)
+        << "dropout rows must split into " << options.rng_count
+        << " equal blocks";
+    drop_scale = 1.0f / (1.0f - p);
+    const int64_t n = b * tt;
+    const int64_t block = n / options.rng_count;
+    keep.resize(static_cast<size_t>(heads * n));
+    for (int64_t h = 0; h < heads; ++h) {
+      for (int64_t j = 0; j < options.rng_count; ++j) {
+        Rng& rng = options.rng[j];
+        for (int64_t i = j * block; i < (j + 1) * block; ++i)
+          keep[static_cast<size_t>(h * n + i)] = rng.Bernoulli(p) ? 0 : 1;
+      }
+    }
+  }
+
+  // Backward keeps the softmax output P0 of every head, [heads, B, Tq, Tk]:
+  // the softmax gradient reads P0 itself, which the row mask and dropout
+  // zero out, and P2 is recomputed from it. Without a tape each block lives
+  // in scratch only.
+  const bool needs_grad =
+      GradModeEnabled() && (q.requires_grad() || k.requires_grad() ||
+                            v.requires_grad() ||
+                            (monotonic && decay.requires_grad()));
+  Tensor probs = needs_grad ? Tensor(Shape{heads, b, tq, tk}) : Tensor();
+  std::vector<Tensor> head_probs;
+  if (attention_out != nullptr) {
+    for (int64_t h = 0; h < heads; ++h)
+      head_probs.emplace_back(Shape{b, tq, tk});
+  }
+
+  Tensor y(Shape{b, tq, d});
+  const int64_t grain = AttentionGrain(b, tt * dh);
+  const int64_t rows_max = std::max(tq, tk);
+  for (int64_t h = 0; h < heads; ++h) {
+    const int64_t lo = h * dh;
+    const float sp = monotonic ? softplus[static_cast<size_t>(h)] : 0.0f;
+    float* p1_head =
+        attention_out != nullptr ? head_probs[static_cast<size_t>(h)].data()
+                                 : nullptr;
+    ParallelForRange(0, b, grain, [&](int64_t b0, int64_t b1) {
+      float* qh =
+          AttentionScratch(static_cast<size_t>(4 * rows_max * dh + 2 * tt));
+      float* kh = qh + rows_max * dh;
+      float* vh = kh + rows_max * dh;
+      float* oh = vh + rows_max * dh;
+      float* p0_scratch = oh + rows_max * dh;
+      float* p2 = p0_scratch + tt;
+      for (int64_t bi = b0; bi < b1; ++bi) {
+        const int64_t block = h * b + bi;
+        GatherHead(qv.data() + bi * tq * d + lo, tq, d, dh, qh);
+        GatherHead(kv.data() + bi * tk * d + lo, tk, d, dh, kh);
+        GatherHead(vv.data() + bi * tk * d + lo, tk, d, dh, vh);
+        float* p0 = needs_grad ? probs.data() + block * tt : p0_scratch;
+        std::fill(p0, p0 + tt, 0.0f);
+        GemmTransBAccumulate(qh, kh, p0, tq, dh, tk);
+        for (int64_t i = 0; i < tq; ++i) {
+          float* row = p0 + i * tk;
+          const float* add = additive.data() + i * tk;
+          if (monotonic) {
+            const float* dr = dist.data() + i * tk;
+            for (int64_t c = 0; c < tk; ++c)
+              row[c] = (row[c] * scale - sp * dr[c]) + add[c];
+          } else {
+            for (int64_t c = 0; c < tk; ++c) row[c] = row[c] * scale + add[c];
+          }
+          SoftmaxRow(row, row, tk);
+        }
+        DropoutProbs(p0, row_any.data(),
+                     dropout ? keep.data() + block * tt : nullptr, drop_scale,
+                     tq, tk, p1_head != nullptr ? p1_head + bi * tt : nullptr,
+                     p2);
+        Gemm(p2, vh, oh, tq, tk, dh);
+        ScatterHead(oh, tq, d, dh, y.data() + bi * tq * d + lo);
+      }
+    });
+  }
+  if (attention_out != nullptr) {
+    for (Tensor& t : head_probs) attention_out->push_back(std::move(t));
+  }
+
+  std::vector<Variable> inputs{q, k, v};
+  if (monotonic) inputs.push_back(decay);
+  return MakeOpNode(
+      std::move(y), inputs,
+      [probs, keep = std::move(keep), row_any = std::move(row_any),
+       dist = std::move(dist), exp_theta = std::move(exp_theta),
+       softplus_arg = std::move(softplus_arg), heads, dh, scale, drop_scale,
+       dropout, monotonic, grain, rows_max](Node& self) {
+        KT_OBS_SCOPE("fused/attention_bwd");
+        Node* qn = self.inputs[0].get();
+        Node* kn = self.inputs[1].get();
+        Node* vn = self.inputs[2].get();
+        Node* dn = monotonic ? self.inputs[3].get() : nullptr;
+        const bool need_q = qn->requires_grad;
+        const bool need_k = kn->requires_grad;
+        const bool need_v = vn->requires_grad;
+        const bool need_decay = dn != nullptr && dn->requires_grad;
+        const bool need_scores = need_q || need_k || need_decay;
+        const int64_t b = self.grad.size(0), tq = self.grad.size(1);
+        const int64_t d = self.grad.size(2), tk = kn->value.size(1);
+        const int64_t tt = tq * tk;
+        Tensor dq = need_q ? Tensor(qn->value.shape()) : Tensor();
+        Tensor dk = need_k ? Tensor(kn->value.shape()) : Tensor();
+        Tensor dv = need_v ? Tensor(vn->value.shape()) : Tensor();
+        // The score gradient of every batch row of one head, kept for the
+        // decay's reduction over B (ascending, after the parallel pass).
+        std::vector<float> ds_head(need_decay ? static_cast<size_t>(b * tt)
+                                              : 0);
+        Tensor decay_grad = need_decay ? Tensor(Shape{heads}) : Tensor();
+        const float* g = self.grad.data();
+        for (int64_t h = 0; h < heads; ++h) {
+          const int64_t lo = h * dh;
+          ParallelForRange(0, b, grain, [&](int64_t b0, int64_t b1) {
+            float* gh = AttentionScratch(static_cast<size_t>(
+                3 * rows_max * dh + 3 * tt));
+            float* xh = gh + rows_max * dh;  // v_h, k_h or q_h
+            float* oh = xh + rows_max * dh;
+            float* p2 = oh + rows_max * dh;
+            float* dp = p2 + tt;
+            float* ds_scratch = dp + tt;
+            for (int64_t bi = b0; bi < b1; ++bi) {
+              const int64_t block = h * b + bi;
+              const float* p0 = probs.data() + block * tt;
+              const uint8_t* kp = dropout ? keep.data() + block * tt : nullptr;
+              GatherHead(g + bi * tq * d + lo, tq, d, dh, gh);
+              if (need_v) {
+                // dV_h = P2ᵀ G_h.
+                DropoutProbs(p0, row_any.data(), kp, drop_scale, tq, tk,
+                             nullptr, p2);
+                std::fill(oh, oh + tk * dh, 0.0f);
+                GemmTransAAccumulate(p2, gh, oh, tk, tq, dh);
+                ScatterHead(oh, tk, d, dh, dv.data() + bi * tk * d + lo);
+              }
+              if (!need_scores) continue;
+              // dP2 = G_h V_hᵀ, then per row: dropout, row mask, softmax.
+              GatherHead(vn->value.data() + bi * tk * d + lo, tk, d, dh, xh);
+              std::fill(dp, dp + tt, 0.0f);
+              GemmTransBAccumulate(gh, xh, dp, tq, dh, tk);
+              float* ds = need_decay ? ds_head.data() + bi * tt : ds_scratch;
+              for (int64_t i = 0; i < tq; ++i) {
+                float* gr = dp + i * tk;
+                const float* yr = p0 + i * tk;
+                float* dsr = ds + i * tk;
+                if (kp != nullptr) {
+                  const uint8_t* kr = kp + i * tk;
+                  for (int64_t c = 0; c < tk; ++c)
+                    gr[c] = gr[c] * (kr[c] ? drop_scale : 0.0f);
+                }
+                const float ra = row_any[static_cast<size_t>(i)];
+                float sum = 0.0f;
+                for (int64_t c = 0; c < tk; ++c) {
+                  gr[c] = gr[c] * ra;
+                  sum += gr[c] * yr[c];
+                }
+                for (int64_t c = 0; c < tk; ++c) dsr[c] = yr[c] * (gr[c] - sum);
+              }
+              if (!need_q && !need_k) continue;
+              // dS0 = dS·scale; dQ_h = dS0 K_h, dK_h = dS0ᵀ Q_h.
+              for (int64_t c = 0; c < tt; ++c) dp[c] = ds[c] * scale;
+              if (need_q) {
+                GatherHead(kn->value.data() + bi * tk * d + lo, tk, d, dh, xh);
+                Gemm(dp, xh, oh, tq, tk, dh);
+                ScatterHead(oh, tq, d, dh, dq.data() + bi * tq * d + lo);
+              }
+              if (need_k) {
+                GatherHead(qn->value.data() + bi * tq * d + lo, tq, d, dh,
+                           xh);
+                std::fill(oh, oh + tk * dh, 0.0f);
+                GemmTransAAccumulate(dp, xh, oh, tk, tq, dh);
+                ScatterHead(oh, tk, d, dh, dk.data() + bi * tk * d + lo);
+              }
+            }
+          });
+          if (need_decay) {
+            // The composed reductions in order: Neg and Sum over B
+            // (ascending), × dist, Sum over Tq, then over Tk; then the
+            // chain rule through log(a) and a = exp(θ) + 1.
+            std::vector<float> penalty_grad(static_cast<size_t>(tt), 0.0f);
+            for (int64_t bi = 0; bi < b; ++bi) {
+              const float* ds = ds_head.data() + bi * tt;
+              for (int64_t c = 0; c < tt; ++c) penalty_grad[c] += -ds[c];
+            }
+            std::vector<float> col(static_cast<size_t>(tk), 0.0f);
+            for (int64_t i = 0; i < tq; ++i)
+              for (int64_t c = 0; c < tk; ++c)
+                col[c] += penalty_grad[i * tk + c] * dist[i * tk + c];
+            float total = 0.0f;
+            for (int64_t c = 0; c < tk; ++c) total += col[c];
+            decay_grad.data()[h] = (total / softplus_arg[h]) * exp_theta[h];
+          }
+        }
+        if (need_q) qn->AccumulateGrad(std::move(dq));
+        if (need_k) kn->AccumulateGrad(std::move(dk));
+        if (need_v) vn->AccumulateGrad(std::move(dv));
+        if (need_decay) dn->AccumulateGrad(std::move(decay_grad));
+      });
 }
 
 }  // namespace ag

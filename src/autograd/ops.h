@@ -115,6 +115,40 @@ Variable LstmCellOutput(const Variable& z, const Variable& c_next);
 Variable GruCellCombine(const Variable& zx, const Variable& zh,
                         const Variable& h_prev);
 
+// Everything MultiHeadAttentionCore needs besides its tensors. The dropout
+// fields mirror nn::Context: `rng` points at `rng_count` streams, and the
+// probabilities of head h draw their mask head by head, row block j of the
+// batch from rng[j] in element order — what ag::Dropout does per head.
+struct AttentionCoreOptions {
+  int64_t num_heads = 1;
+  // Global position of query row 0 within the key sequence; the decay's
+  // distance is |query_offset + i - j|. Zero for a full pass, the cache
+  // length before the new rows for incremental decode.
+  int64_t query_offset = 0;
+  float dropout_p = 0.0f;
+  Rng* rng = nullptr;
+  int64_t rng_count = 1;
+  bool train = false;
+};
+
+// The multi-head attention core between the projections and the output
+// projection: heads are column chunks of the [B, T, D] inputs q, k and v,
+// and per head
+//   s = (q_h k_hᵀ)·scale [- softplus(decay[h])·dist] + additive(mask),
+//   p = softmax(s) · row_any(mask),  y_h = dropout(p) v_h,
+// with the merged [B, Tq, D] result holding y_h in columns of head h. `mask`
+// is [Tq, Tk] (1 = attend); `decay` is [num_heads] or undefined (no
+// distance decay). Bit-identical, values and every gradient, to the
+// composed Slice/BatchMatMul/.../Dropout/Concat chain in
+// nn::MultiHeadAttention. If `attention_out` is non-null it receives p, the
+// row-masked probabilities before dropout, as one [B, Tq, Tk] tensor per
+// head.
+Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
+                                const Variable& v, const Tensor& mask,
+                                const Variable& decay,
+                                const AttentionCoreOptions& options,
+                                std::vector<Tensor>* attention_out);
+
 // ---- Constants ----
 // Wraps a tensor as a non-differentiable graph input.
 Variable Constant(Tensor t);

@@ -61,9 +61,56 @@ MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t num_heads,
 
 ag::Variable MultiHeadAttention::AttendHeads(
     const ag::Variable& qp, const ag::Variable& kp, const ag::Variable& vp,
-    const ag::Variable& additive_mask, const ag::Variable& row_any_mask,
-    const ag::Variable& distance, const Context& ctx,
+    const Tensor& mask, int64_t query_offset, const Context& ctx,
     std::vector<Tensor>* attention_out) const {
+  ag::Variable merged;
+  if (FusedOpsEnabled()) {
+    ag::AttentionCoreOptions options;
+    options.num_heads = num_heads_;
+    options.query_offset = query_offset;
+    options.dropout_p = dropout_p_;
+    options.rng = ctx.rng;
+    options.rng_count = ctx.rng_count;
+    options.train = ctx.train;
+    merged = ag::MultiHeadAttentionCore(qp, kp, vp, mask, decay_, options,
+                                        attention_out);
+  } else {
+    merged = ComposedHeads(qp, kp, vp, mask, query_offset, ctx,
+                           attention_out);
+  }
+  return out_proj_.Forward(merged);
+}
+
+ag::Variable MultiHeadAttention::ComposedHeads(
+    const ag::Variable& qp, const ag::Variable& kp, const ag::Variable& vp,
+    const Tensor& mask, int64_t query_offset, const Context& ctx,
+    std::vector<Tensor>* attention_out) const {
+  const int64_t tq = mask.size(0);
+  const int64_t tk = mask.size(1);
+  // Additive mask: 0 where allowed, -1e9 where blocked, shaped [1, Tq, Tk]
+  // to broadcast over the batch.
+  Tensor additive = Map(mask, [](float m) { return (m - 1.0f) * 1e9f; })
+                        .Reshape(Shape{1, tq, tk});
+  ag::Variable additive_mask = ag::Constant(additive);
+  // Zero-out factor for rows with no attendable positions, [1, Tq, 1].
+  Tensor row_any(Shape{1, tq, 1});
+  for (int64_t i = 0; i < tq; ++i) {
+    float any = 0.0f;
+    for (int64_t j = 0; j < tk; ++j) any = std::max(any, mask.at({i, j}));
+    row_any.flat(i) = any;
+  }
+  ag::Variable row_any_mask = ag::Constant(row_any);
+  // Distance matrix for monotonic decay, [1, Tq, Tk].
+  ag::Variable distance;
+  if (monotonic_) {
+    Tensor dist(Shape{1, tq, tk});
+    for (int64_t i = 0; i < tq; ++i)
+      for (int64_t j = 0; j < tk; ++j)
+        dist.flat(i * tk + j) =
+            static_cast<float>(std::abs(query_offset + i - j));
+    distance = ag::Constant(dist);
+  }
+
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   std::vector<ag::Variable> head_outputs;
   head_outputs.reserve(static_cast<size_t>(num_heads_));
@@ -93,10 +140,7 @@ ag::Variable MultiHeadAttention::AttendHeads(
     probs = ag::Dropout(probs, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
     head_outputs.push_back(ag::BatchMatMul(probs, vh));  // [B, Tq, dh]
   }
-
-  ag::Variable merged = num_heads_ == 1 ? head_outputs[0]
-                                        : ag::Concat(head_outputs, 2);
-  return out_proj_.Forward(merged);
+  return num_heads_ == 1 ? head_outputs[0] : ag::Concat(head_outputs, 2);
 }
 
 ag::Variable MultiHeadAttention::Forward(
@@ -123,32 +167,7 @@ ag::Variable MultiHeadAttention::Forward(
     cache_out->len += tk;
   }
 
-  // Additive mask: 0 where allowed, -1e9 where blocked, shaped [1, Tq, Tk]
-  // to broadcast over the batch.
-  Tensor additive = Map(mask, [](float m) { return (m - 1.0f) * 1e9f; })
-                        .Reshape(Shape{1, tq, tk});
-  ag::Variable additive_mask = ag::Constant(additive);
-  // Zero-out factor for rows with no attendable positions, [1, Tq, 1].
-  Tensor row_any(Shape{1, tq, 1});
-  for (int64_t i = 0; i < tq; ++i) {
-    float any = 0.0f;
-    for (int64_t j = 0; j < tk; ++j) any = std::max(any, mask.at({i, j}));
-    row_any.flat(i) = any;
-  }
-  ag::Variable row_any_mask = ag::Constant(row_any);
-
-  // Distance matrix for monotonic decay, [1, Tq, Tk].
-  ag::Variable distance;
-  if (monotonic_) {
-    Tensor dist(Shape{1, tq, tk});
-    for (int64_t i = 0; i < tq; ++i)
-      for (int64_t j = 0; j < tk; ++j)
-        dist.flat(i * tk + j) =
-            static_cast<float>(std::abs(i - j));
-    distance = ag::Constant(dist);
-  }
-
-  return AttendHeads(qp, kp, vp, additive_mask, row_any_mask, distance, ctx,
+  return AttendHeads(qp, kp, vp, mask, /*query_offset=*/0, ctx,
                      attention_out);
 }
 
@@ -157,38 +176,7 @@ ag::Variable MultiHeadAttention::StepCausal(const ag::Variable& x_row,
   KT_CHECK_EQ(x_row.size(0), 1);
   KT_CHECK_EQ(x_row.size(1), 1);
   KT_CHECK_EQ(x_row.size(2), dim_);
-
-  ag::Variable qp = q_proj_.Forward(x_row);  // [1, 1, dim]
-  ag::Variable kp = k_proj_.Forward(x_row);
-  ag::Variable vp = v_proj_.Forward(x_row);
-  const Tensor& kt = kp.value();
-  const Tensor& vt = vp.value();
-  cache.k.insert(cache.k.end(), kt.data(), kt.data() + dim_);
-  cache.v.insert(cache.v.end(), vt.data(), vt.data() + dim_);
-  cache.len += 1;
-
-  // The query is row i = len-1 of the causal-inclusive full pass; every
-  // cached position j <= i is allowed, so the additive mask row is exactly
-  // the +0.0f the full pass adds at allowed entries, and row_any is 1. The
-  // full pass's blocked tail (j > i) contributes exact zero probability
-  // mass, so truncating to the prefix preserves every bit.
-  const int64_t tk = cache.len;
-  ag::Variable kc =
-      ag::Constant(Tensor(Shape{1, tk, dim_}, cache.k));
-  ag::Variable vc =
-      ag::Constant(Tensor(Shape{1, tk, dim_}, cache.v));
-  ag::Variable additive_mask = ag::Constant(Tensor::Zeros(Shape{1, 1, tk}));
-  ag::Variable row_any_mask = ag::Constant(Tensor::Ones(Shape{1, 1, 1}));
-  ag::Variable distance;
-  if (monotonic_) {
-    Tensor dist(Shape{1, 1, tk});
-    for (int64_t j = 0; j < tk; ++j)
-      dist.flat(j) = static_cast<float>(tk - 1 - j);  // |i - j| at i = tk-1
-    distance = ag::Constant(dist);
-  }
-  const Context inference;  // no dropout on the decode path
-  return AttendHeads(qp, kc, vc, additive_mask, row_any_mask, distance,
-                     inference, nullptr);
+  return StepCausalRun(x_row, cache);
 }
 
 ag::Variable MultiHeadAttention::StepCausalRun(const ag::Variable& x_rows,
@@ -210,33 +198,15 @@ ag::Variable MultiHeadAttention::StepCausalRun(const ag::Variable& x_rows,
   const int64_t tk = cache.len;
   ag::Variable kc = ag::Constant(Tensor(Shape{1, tk, dim_}, cache.k));
   ag::Variable vc = ag::Constant(Tensor(Shape{1, tk, dim_}, cache.v));
-  // Row i queries global position offset+i: allowed entries (j <= offset+i)
-  // add the exact +0.0f of the full pass, blocked ones the same -1e9, so
-  // their post-softmax mass is exactly zero and each row reproduces the
-  // single-step bits.
-  Tensor additive = Tensor::Zeros(Shape{1, s, tk});
-  for (int64_t i = 0; i < s; ++i) {
-    for (int64_t j = offset + i + 1; j < tk; ++j) {
-      additive.flat(i * tk + j) = -1e9f;
-    }
-  }
-  ag::Variable additive_mask = ag::Constant(additive);
-  // Every row can at least attend to itself.
-  ag::Variable row_any_mask = ag::Constant(Tensor::Ones(Shape{1, s, 1}));
-  ag::Variable distance;
-  if (monotonic_) {
-    Tensor dist(Shape{1, s, tk});
-    for (int64_t i = 0; i < s; ++i) {
-      for (int64_t j = 0; j < tk; ++j) {
-        dist.flat(i * tk + j) =
-            static_cast<float>(std::abs(offset + i - j));
-      }
-    }
-    distance = ag::Constant(dist);
-  }
+  // Row i queries global position offset+i: the causal-inclusive mask rows
+  // offset..offset+S-1 of the full pass. Allowed entries add the same +0.0f
+  // and blocked ones the same -1e9, so blocked entries carry exactly zero
+  // probability mass and truncating the keys to the prefix keeps every bit.
+  Tensor mask(Shape{s, tk});
+  for (int64_t i = 0; i < s; ++i)
+    for (int64_t j = 0; j <= offset + i; ++j) mask.flat(i * tk + j) = 1.0f;
   const Context inference;  // no dropout on the decode path
-  return AttendHeads(qp, kc, vc, additive_mask, row_any_mask, distance,
-                     inference, nullptr);
+  return AttendHeads(qp, kc, vc, mask, offset, inference, nullptr);
 }
 
 TransformerBlock::TransformerBlock(int64_t dim, int64_t num_heads,

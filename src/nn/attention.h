@@ -97,15 +97,23 @@ class MultiHeadAttention : public Module {
 
  private:
   // Shared head loop: scores, decay, mask, softmax, weighted sum, merge,
-  // out-projection. Both Forward and StepCausal run through this single
-  // code path, so the incremental step replays exactly the op chain of the
-  // full pass. `distance` is undefined when the decay is off.
+  // out-projection. Forward, StepCausal and StepCausalRun all run through
+  // it, so the incremental steps replay exactly the arithmetic of the full
+  // pass. `mask` is [Tq, Tk] (1 = attend) and query row i sits at global
+  // position query_offset + i for the decay's distance. Runs the fused
+  // ag::MultiHeadAttentionCore when FusedOpsEnabled(), else ComposedHeads.
   ag::Variable AttendHeads(const ag::Variable& qp, const ag::Variable& kp,
-                           const ag::Variable& vp,
-                           const ag::Variable& additive_mask,
-                           const ag::Variable& row_any_mask,
-                           const ag::Variable& distance, const Context& ctx,
+                           const ag::Variable& vp, const Tensor& mask,
+                           int64_t query_offset, const Context& ctx,
                            std::vector<Tensor>* attention_out) const;
+
+  // The op-per-node reference chain the fused core must match bit for bit:
+  // per head Slice, BatchMatMul, scale, decay, additive mask, softmax, row
+  // mask and Dropout, then Concat. Returns the merged [B, Tq, dim] heads.
+  ag::Variable ComposedHeads(const ag::Variable& qp, const ag::Variable& kp,
+                             const ag::Variable& vp, const Tensor& mask,
+                             int64_t query_offset, const Context& ctx,
+                             std::vector<Tensor>* attention_out) const;
 
   int64_t dim_;
   int64_t num_heads_;

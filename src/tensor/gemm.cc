@@ -174,9 +174,26 @@ void PackBTransposed(const float* b, int64_t k, int64_t n, float* bp) {
 }
 
 // Packs A^T [m, k] row-major from A [k, m] row-major (the TransA operand).
+// Blocks of kPackRows output rows are filled p-outer, so each step reads
+// kPackRows adjacent floats of one A row instead of one float per A row:
+// the weight-gradient GEMMs have k = all batch rows against m = 32..64, and
+// the column walk touched a fresh cache line per element.
 void PackATransposed(const float* a, int64_t k, int64_t m, float* ap) {
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t p = 0; p < k; ++p) ap[i * k + p] = a[p * m + i];
+  constexpr int64_t kPackRows = 8;
+  for (int64_t i0 = 0; i0 < m; i0 += kPackRows) {
+    const int64_t rows = std::min<int64_t>(kPackRows, m - i0);
+    float* dst = ap + i0 * k;
+    const float* src = a + i0;
+    if (rows == kPackRows) {
+      for (int64_t p = 0; p < k; ++p) {
+        for (int64_t ii = 0; ii < kPackRows; ++ii)
+          dst[ii * k + p] = src[p * m + ii];
+      }
+    } else {
+      for (int64_t p = 0; p < k; ++p) {
+        for (int64_t ii = 0; ii < rows; ++ii) dst[ii * k + p] = src[p * m + ii];
+      }
+    }
   }
 }
 

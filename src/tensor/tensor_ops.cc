@@ -335,24 +335,30 @@ Tensor MaxLastDim(const Tensor& a, std::vector<int64_t>* argmax) {
   return out;
 }
 
+void SoftmaxRow(const float* in, float* out, int64_t n) {
+  // exp(z) is exactly 0.0f for every float z below -103.97, so entries this
+  // far under the row maximum (masked ones sit near -1e9) skip the call
+  // without changing a bit.
+  constexpr float kExpZeroBelow = -128.0f;
+  float max_val = in[0];
+  for (int64_t c = 1; c < n; ++c) max_val = std::max(max_val, in[c]);
+  float denom = 0.0f;
+  for (int64_t c = 0; c < n; ++c) {
+    const float z = in[c] - max_val;
+    out[c] = z < kExpZeroBelow ? 0.0f : std::exp(z);
+    denom += out[c];
+  }
+  const float inv = 1.0f / denom;
+  for (int64_t c = 0; c < n; ++c) out[c] *= inv;
+}
+
 Tensor SoftmaxLastDim(const Tensor& a) {
   KT_CHECK_GE(a.dim(), 1);
   const int64_t cols = a.size(-1);
   const int64_t rows = a.numel() / cols;
   Tensor out(a.shape());
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* s = a.data() + r * cols;
-    float* t = out.data() + r * cols;
-    float max_val = s[0];
-    for (int64_t c = 1; c < cols; ++c) max_val = std::max(max_val, s[c]);
-    float denom = 0.0f;
-    for (int64_t c = 0; c < cols; ++c) {
-      t[c] = std::exp(s[c] - max_val);
-      denom += t[c];
-    }
-    const float inv = 1.0f / denom;
-    for (int64_t c = 0; c < cols; ++c) t[c] *= inv;
-  }
+  for (int64_t r = 0; r < rows; ++r)
+    SoftmaxRow(a.data() + r * cols, out.data() + r * cols, cols);
   return out;
 }
 

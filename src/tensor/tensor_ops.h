@@ -66,6 +66,11 @@ Tensor MaxLastDim(const Tensor& a, std::vector<int64_t>* argmax = nullptr);
 // ---- Softmax ----
 // Numerically stable softmax along the last dimension.
 Tensor SoftmaxLastDim(const Tensor& a);
+// Softmax of one contiguous row of n > 0 values: the running max from
+// in[0], exp(x - max), an ascending denominator, then × 1/denom. `out` may
+// equal `in`. SoftmaxLastDim runs it per row; fused kernels run it on rows
+// they already hold, so both give the same bits.
+void SoftmaxRow(const float* in, float* out, int64_t n);
 
 }  // namespace kt
 

@@ -518,6 +518,31 @@ TEST(FusedOpsTest, GruCombineGradients) {
       params);
 }
 
+// Bitwise equality with the composed attention chain is checked at module
+// level (nn_test.cc, FusedToggleTest); this pins the gradients themselves,
+// decay included, with Tq != Tk, a query offset and a fully blocked row.
+TEST(FusedOpsTest, MultiHeadAttentionCoreGradients) {
+  Rng rng(25);
+  Tensor mask(Shape{3, 4});  // row 0 attends nowhere
+  for (int64_t i = 1; i < 3; ++i)
+    for (int64_t j = 0; j <= i + 1; ++j) mask.at({i, j}) = 1.0f;
+  const Tensor weights = Tensor::Uniform({2, 3, 4}, -1, 1, rng);
+  AttentionCoreOptions options;
+  options.num_heads = 2;
+  options.query_offset = 1;
+  std::vector<Variable> params{Param(Tensor::Uniform({2, 3, 4}, -1, 1, rng)),
+                               Param(Tensor::Uniform({2, 4, 4}, -1, 1, rng)),
+                               Param(Tensor::Uniform({2, 4, 4}, -1, 1, rng)),
+                               Param(Tensor::Uniform({2}, -1, 1, rng))};
+  ExpectGradOk(
+      [&](const auto& p) {
+        return SumAll(Mul(MultiHeadAttentionCore(p[0], p[1], p[2], mask,
+                                                 p[3], options, nullptr),
+                          Constant(weights)));
+      },
+      params);
+}
+
 }  // namespace
 }  // namespace ag
 }  // namespace kt

@@ -1,9 +1,13 @@
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/grad_check.h"
+#include "core/parallel.h"
 #include "nn/adam.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
@@ -444,6 +448,227 @@ TEST_F(FusedToggleTest, GruForwardMatchesComposed) {
   SetFusedOpsEnabled(false);
   ag::Variable composed = gru.Forward(ag::Constant(x));
   EXPECT_TRUE(BitEqual(fused.value(), composed.value()));
+}
+
+// ---- Fused attention core vs the composed reference ----
+//
+// Unlike the cell ops above, the attention core is held bitwise in both
+// directions: the output, the captured maps, and the gradients of every
+// input and parameter (decay included).
+
+struct AttentionRun {
+  Tensor out;
+  std::vector<Tensor> attention;
+  std::vector<Tensor> grads;  // inputs in order, then every parameter
+};
+
+using AttentionForward = std::function<ag::Variable(
+    const std::vector<ag::Variable>&, const Context&, std::vector<Tensor>*)>;
+
+// One forward and backward through `forward` with the fused toggle at
+// `fused`. The loss weights the output by fixed noise so every element
+// carries its own gradient; dropout streams are re-seeded per run.
+AttentionRun RunAttention(bool fused, Module& module,
+                          const std::vector<Tensor>& inputs,
+                          const AttentionForward& forward, bool train,
+                          int64_t rng_count) {
+  SetFusedOpsEnabled(fused);
+  module.ZeroGrad();
+  std::vector<ag::Variable> leaves;
+  for (const Tensor& t : inputs) leaves.push_back(ag::Variable::Leaf(t, true));
+  std::vector<Rng> streams;
+  for (int64_t j = 0; j < rng_count; ++j) streams.emplace_back(100 + j);
+  Context ctx;
+  ctx.train = train;
+  ctx.rng = streams.data();
+  ctx.rng_count = rng_count;
+  AttentionRun run;
+  ag::Variable out = forward(leaves, ctx, &run.attention);
+  Rng noise(7);
+  ag::SumAll(ag::Mul(out, ag::Constant(Tensor::Uniform(out.shape(), -1, 1,
+                                                       noise))))
+      .Backward();
+  run.out = out.value();
+  for (const ag::Variable& leaf : leaves) run.grads.push_back(leaf.grad());
+  for (const ag::Variable& param : module.Parameters())
+    run.grads.push_back(param.grad());
+  return run;
+}
+
+void ExpectRunsBitEqual(const AttentionRun& fused,
+                        const AttentionRun& composed) {
+  auto bit_equal = [](const Tensor& a, const Tensor& b) {
+    return a.SameShape(b) &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+  };
+  EXPECT_TRUE(bit_equal(fused.out, composed.out)) << "output";
+  ASSERT_EQ(fused.attention.size(), composed.attention.size());
+  for (size_t h = 0; h < fused.attention.size(); ++h)
+    EXPECT_TRUE(bit_equal(fused.attention[h], composed.attention[h]))
+        << "attention map of head " << h;
+  ASSERT_EQ(fused.grads.size(), composed.grads.size());
+  for (size_t i = 0; i < fused.grads.size(); ++i)
+    EXPECT_TRUE(bit_equal(fused.grads[i], composed.grads[i]))
+        << "gradient " << i;
+}
+
+// Distinct per-head decay values, so a head mix-up cannot cancel out.
+void SetDistinctDecay(Module& module) {
+  const std::vector<std::string> names = module.ParameterNames();
+  std::vector<ag::Variable> params = module.Parameters();
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i].find("decay") == std::string::npos) continue;
+    Tensor& decay = params[i].mutable_value();
+    for (int64_t h = 0; h < decay.numel(); ++h)
+      decay.flat(h) = 0.35f * static_cast<float>(h) - 0.4f;
+  }
+}
+
+TEST_F(FusedToggleTest, AttentionMatchesComposedBitwise) {
+  struct DropoutCase {
+    float p;
+    int64_t streams;
+  };
+  const AttentionMaskKind kinds[] = {
+      AttentionMaskKind::kCausalInclusive,
+      AttentionMaskKind::kAntiCausalInclusive,
+      AttentionMaskKind::kCausalStrict,  // row 0 attends nowhere
+      AttentionMaskKind::kFull};
+  const int64_t b = 4, t = 6, dim = 8;
+  Rng data_rng(41);
+  const std::vector<Tensor> inputs = {
+      Tensor::Uniform({b, t, dim}, -1, 1, data_rng),
+      Tensor::Uniform({b, t, dim}, -1, 1, data_rng),
+      Tensor::Uniform({b, t, dim}, -1, 1, data_rng)};
+  for (bool monotonic : {false, true}) {
+    for (int64_t heads : {1, 2, 4}) {
+      for (DropoutCase drop : {DropoutCase{0.0f, 1}, DropoutCase{0.2f, 1},
+                               DropoutCase{0.2f, 2}}) {
+        Rng init(50 + heads);
+        MultiHeadAttention mha(dim, heads, drop.p, monotonic, init);
+        SetDistinctDecay(mha);
+        for (AttentionMaskKind kind : kinds) {
+          SCOPED_TRACE(::testing::Message()
+                       << "monotonic=" << monotonic << " heads=" << heads
+                       << " p=" << drop.p << " streams=" << drop.streams
+                       << " mask=" << static_cast<int>(kind));
+          // The mask is a temporary that is gone before backward runs, as
+          // in the encoders: backward must not read it.
+          const AttentionForward forward =
+              [&](const std::vector<ag::Variable>& x, const Context& ctx,
+                  std::vector<Tensor>* maps) {
+                return mha.Forward(x[0], x[1], x[2],
+                                   MakeAttentionMask(t, kind), ctx, maps);
+              };
+          ExpectRunsBitEqual(
+              RunAttention(true, mha, inputs, forward, true, drop.streams),
+              RunAttention(false, mha, inputs, forward, true, drop.streams));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FusedToggleTest, CrossAttentionBlockMatchesComposedBitwise) {
+  // Tq != Tk, and a mask whose first row attends nowhere.
+  const int64_t b = 4, tq = 3, tk = 5, dim = 8;
+  Tensor mask(Shape{tq, tk});
+  for (int64_t i = 1; i < tq; ++i)
+    for (int64_t j = 0; j < tk; ++j) mask.at({i, j}) = (i + j) % 3 ? 1.0f : 0.0f;
+  Rng data_rng(42);
+  const std::vector<Tensor> inputs = {
+      Tensor::Uniform({b, tq, dim}, -1, 1, data_rng),
+      Tensor::Uniform({b, tk, dim}, -1, 1, data_rng)};
+  for (bool monotonic : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "monotonic=" << monotonic);
+    Rng init(60);
+    TransformerBlock block(dim, 2, 0.2f, monotonic, init);
+    SetDistinctDecay(block);
+    const AttentionForward forward = [&](const std::vector<ag::Variable>& x,
+                                         const Context& ctx,
+                                         std::vector<Tensor>* maps) {
+      return block.ForwardCross(x[0], x[1], mask, ctx, maps);
+    };
+    ExpectRunsBitEqual(RunAttention(true, block, inputs, forward, true, 2),
+                       RunAttention(false, block, inputs, forward, true, 2));
+  }
+}
+
+// A batch large enough for the core to split it across the pool: fused
+// equals composed at 1 and 4 threads (and so across thread counts).
+TEST_F(FusedToggleTest, AttentionBatchSplitMatchesComposedAcrossThreads) {
+  const int64_t b = 16, t = 32, dim = 16;
+  Rng data_rng(44);
+  const std::vector<Tensor> inputs = {
+      Tensor::Uniform({b, t, dim}, -1, 1, data_rng),
+      Tensor::Uniform({b, t, dim}, -1, 1, data_rng),
+      Tensor::Uniform({b, t, dim}, -1, 1, data_rng)};
+  const int saved_threads = GetNumThreads();
+  for (bool monotonic : {false, true}) {
+    Rng init(80);
+    MultiHeadAttention mha(dim, 2, 0.2f, monotonic, init);
+    SetDistinctDecay(mha);
+    const AttentionForward forward = [&](const std::vector<ag::Variable>& x,
+                                         const Context& ctx,
+                                         std::vector<Tensor>* maps) {
+      return mha.Forward(
+          x[0], x[1], x[2],
+          MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive), ctx,
+          maps);
+    };
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "monotonic=" << monotonic << " threads=" << threads);
+      SetNumThreads(threads);
+      ExpectRunsBitEqual(RunAttention(true, mha, inputs, forward, true, 2),
+                         RunAttention(false, mha, inputs, forward, true, 2));
+    }
+  }
+  SetNumThreads(saved_threads);
+}
+
+// Incremental decode through the fused core reproduces the fused full pass
+// row for row, one position at a time and in runs.
+TEST_F(FusedToggleTest, StepCausalMatchesFusedFullPass) {
+  const int64_t t = 7, dim = 8;
+  Rng data_rng(43);
+  const Tensor x = Tensor::Uniform({1, t, dim}, -1, 1, data_rng);
+  const Tensor mask = MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive);
+  auto row = [&](const Tensor& full, int64_t i) {
+    return std::vector<float>(full.data() + i * dim,
+                              full.data() + (i + 1) * dim);
+  };
+  for (bool monotonic : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "monotonic=" << monotonic);
+    Rng init(70);
+    TransformerBlock block(dim, 2, 0.1f, monotonic, init);
+    SetDistinctDecay(block);
+    ag::NoGradGuard no_grad;
+    const Tensor full =
+        block.Forward(ag::Constant(x), mask, Context()).value();
+
+    AttentionKVCache step_cache;
+    for (int64_t i = 0; i < t; ++i) {
+      Tensor xi(Shape{1, 1, dim}, row(x, i));
+      const Tensor yi = block.StepCausal(ag::Constant(xi), step_cache).value();
+      EXPECT_EQ(row(yi, 0), row(full, i)) << "step " << i;
+    }
+
+    AttentionKVCache run_cache;
+    int64_t pos = 0;
+    for (int64_t len : {2, 4, 1}) {
+      std::vector<float> chunk(x.data() + pos * dim,
+                               x.data() + (pos + len) * dim);
+      const Tensor ys =
+          block.StepCausalRun(ag::Constant(Tensor(Shape{1, len, dim}, chunk)),
+                              run_cache)
+              .value();
+      for (int64_t i = 0; i < len; ++i)
+        EXPECT_EQ(row(ys, i), row(full, pos + i)) << "run row " << pos + i;
+      pos += len;
+    }
+  }
 }
 
 }  // namespace
