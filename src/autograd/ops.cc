@@ -375,11 +375,8 @@ Variable Dropout(const Variable& a, float p, Rng* streams,
   const float scale = 1.0f / (1.0f - p);
   // One byte per element; both passes multiply by (keep ? scale : 0).
   std::vector<uint8_t> keep(static_cast<size_t>(n));
-  for (int64_t j = 0; j < num_streams; ++j) {
-    Rng& rng = streams[j];
-    for (int64_t i = j * block; i < (j + 1) * block; ++i)
-      keep[static_cast<size_t>(i)] = rng.Bernoulli(p) ? 0 : 1;
-  }
+  for (int64_t j = 0; j < num_streams; ++j)
+    streams[j].FillKeepMask(p, keep.data() + j * block, block);
   Tensor out(x.shape());
   const float* src = x.data();
   float* dst = out.data();
@@ -816,6 +813,148 @@ Variable GruCellCombine(const Variable& zx, const Variable& zh,
   });
 }
 
+// ---- Layer normalization ----
+//
+// The composed chain this replaces (nn::LayerNorm keeps it as the
+// reference): mu = Sum(x)·(1/d), c = x - mu, var = Sum(c·c)·(1/d),
+// sd = Sqrt(var + eps), out = (c / sd)·gamma + beta, eleven nodes.
+//
+// Backward replays their closures element by element, +0.0f adoption adds
+// included, since the x gradient is not a sum chain from +0. Reverse
+// topological order runs the composed nodes back to back (the DFS reaches
+// all of them from the output before any other consumer of x), so this
+// node lands x's two contributions at the same point and in the same
+// order: x.grad = (base + dc) + ds1, where dc reaches c from Div and from
+// Mul(c, c) twice, and ds1 is the gradient of the row sum.
+
+namespace {
+
+// Adds the sum of value(row, j) over the leading dims of `shape`
+// ([lead..., d], rows of d) into `param`'s [d] gradient the way
+// AccumulateGrad's ReduceToShape does: Sum over dim 0, again and again, each
+// an ascending chain from +0.
+template <typename Value>
+void AccumulateOverLeadingDims(Node* param, const Shape& shape, Value value) {
+  const int64_t d = shape.back();
+  std::vector<float> cur(static_cast<size_t>(d));
+  if (shape.size() == 1) {
+    for (int64_t j = 0; j < d; ++j) cur[j] = value(0, j);
+  } else {
+    int64_t inner = 1;
+    for (size_t dim = 1; dim < shape.size(); ++dim) inner *= shape[dim];
+    const int64_t slice_rows = inner / d;
+    cur.assign(static_cast<size_t>(inner), 0.0f);
+    for (int64_t i0 = 0; i0 < shape[0]; ++i0) {
+      for (int64_t rr = 0; rr < slice_rows; ++rr) {
+        float* cr = cur.data() + rr * d;
+        const int64_t row = i0 * slice_rows + rr;
+        for (int64_t j = 0; j < d; ++j) cr[j] += value(row, j);
+      }
+    }
+    for (size_t dim = 1; dim + 1 < shape.size(); ++dim) {
+      inner /= shape[dim];
+      std::vector<float> next(static_cast<size_t>(inner), 0.0f);
+      for (int64_t i = 0; i < shape[dim]; ++i)
+        for (int64_t r = 0; r < inner; ++r) next[r] += cur[i * inner + r];
+      cur.swap(next);
+    }
+  }
+  param->EnsureGrad();
+  float* pg = param->grad.data();
+  for (int64_t j = 0; j < d; ++j) pg[j] += cur[j];
+}
+
+}  // namespace
+
+Variable LayerNormCore(const Variable& x, const Variable& gamma,
+                       const Variable& beta, float eps) {
+  KT_OBS_SCOPE("fused/layer_norm");
+  const Tensor& xv = x.value();
+  KT_CHECK_GE(xv.dim(), 1);
+  const int64_t d = xv.size(-1);
+  KT_CHECK_GT(d, 0);
+  KT_CHECK_EQ(gamma.numel(), d);
+  KT_CHECK_EQ(beta.numel(), d);
+  const int64_t rows = xv.numel() / d;
+  const float inv_d = 1.0f / static_cast<float>(d);
+  Tensor centered(xv.shape());
+  Tensor sd(Shape{rows});
+  Tensor y(xv.shape());
+  const float* gam = gamma.value().data();
+  const float* bet = beta.value().data();
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = xv.data() + r * d;
+    float* cr = centered.data() + r * d;
+    float* yr = y.data() + r * d;
+    float s1 = 0.0f;
+    for (int64_t j = 0; j < d; ++j) s1 += xr[j];
+    const float mu = s1 * inv_d;
+    float s2 = 0.0f;
+    for (int64_t j = 0; j < d; ++j) {
+      cr[j] = xr[j] - mu;
+      s2 += cr[j] * cr[j];
+    }
+    const float sdv = std::sqrt(s2 * inv_d + eps);
+    sd.data()[r] = sdv;
+    for (int64_t j = 0; j < d; ++j) yr[j] = (cr[j] / sdv) * gam[j] + bet[j];
+  }
+
+  return MakeOpNode(y, {x, gamma, beta}, [centered, sd, inv_d](Node& self) {
+    KT_OBS_SCOPE("fused/layer_norm_bwd");
+    Node* xn = self.inputs[0].get();
+    Node* gn = self.inputs[1].get();
+    Node* bn = self.inputs[2].get();
+    const Shape& shape = centered.shape();
+    const int64_t d = shape.back();
+    const int64_t rows = centered.numel() / d;
+    const float* g = self.grad.data();
+    const float* c = centered.data();
+    const float* sdp = sd.data();
+    const float* gam = gn->value.data();
+    // The output Add hands beta the gradient itself and the Mul node
+    // 0 + g, which Mul passes on times gamma (to x) and times c/sd (to
+    // gamma).
+    if (bn->requires_grad) {
+      AccumulateOverLeadingDims(
+          bn, shape, [=](int64_t r, int64_t j) { return g[r * d + j]; });
+    }
+    if (gn->requires_grad) {
+      AccumulateOverLeadingDims(gn, shape, [=](int64_t r, int64_t j) {
+        return (g[r * d + j] + 0.0f) * (c[r * d + j] / sdp[r]);
+      });
+    }
+    if (!xn->requires_grad) return;
+    xn->EnsureGrad();
+    float* xg = xn->grad.data();
+    std::vector<float> dc(static_cast<size_t>(d));
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* gr = g + r * d;
+      const float* cr = c + r * d;
+      float* xr = xg + r * d;
+      const float sdv = sdp[r];
+      const float sd2 = sdv * sdv;
+      // Div: dn = (0 + g)·gamma + 0 to c (÷ sd, + 0) and to sd.
+      float dsd = 0.0f;
+      for (int64_t j = 0; j < d; ++j) {
+        const float dn = ((gr[j] + 0.0f) * gam[j]) + 0.0f;
+        dc[j] = (dn / sdv) + 0.0f;
+        dsd += -((dn * cr[j]) / sd2);
+      }
+      // Sqrt, AddScalar, MulScalar and the Sum's expand, each adopted.
+      const float dvar = (((0.0f + dsd) * (0.5f / sdv)) + 0.0f) + 0.0f;
+      const float dsq = ((dvar * inv_d) + 0.0f) + 0.0f;
+      // Mul(c, c) adds dsq·c once per operand.
+      float dmu = 0.0f;
+      for (int64_t j = 0; j < d; ++j) {
+        dc[j] = (dc[j] + dsq * cr[j]) + dsq * cr[j];
+        dmu += -dc[j];
+      }
+      const float ds1 = ((0.0f + dmu) * inv_d) + 0.0f;
+      for (int64_t j = 0; j < d; ++j) xr[j] = (xr[j] + dc[j]) + ds1;
+    }
+  });
+}
+
 // ---- Multi-head attention core ----
 //
 // The composed chain this replaces, per head h (nn/attention.cc keeps it as
@@ -832,6 +971,17 @@ Variable GruCellCombine(const Variable& zx, const Variable& zh,
 // +0.0f wherever AccumulateGrad adopts a buffer, which turns -0 into +0;
 // every consumer of those gradients here is again a sum chain started at
 // +0, which absorbs the sign of a zero, so the adds are left out.
+//
+// Banding: in a row that has an allowed key, a blocked entry's score sits
+// near -1e9, so its P0 is exactly +0, and so are its P1, P2 and score
+// gradient (y·(…) with y = +0). Every consumer of those entries is an
+// ascending chain from +0, which a ±0 term leaves unchanged. The core
+// therefore computes each block of kGemmBandRows query rows only over the
+// keys its rows' allowed spans cover (AttentionBands) and skips the rest:
+// the softmax, the six GEMMs and every row pass. Entries inside a block's
+// band but blocked for a row (interior holes, the other rows' spans) are
+// computed and masked as before. A row with no allowed key is computed in
+// full.
 
 namespace {
 
@@ -863,20 +1013,76 @@ inline float* AttentionScratch(size_t n) {
   return buf.data();
 }
 
-// P2 = (P0 · row_any) · (keep ? drop_scale : 0) over one [tq, tk] block —
-// the composed Mul and Dropout, in that order. `keep` is null without
-// dropout; `p1_out`, if non-null, receives P0 · row_any.
+// The GEMM bands of one [Tq, Tk] mask (see GemmBandedAccumulate).
+// `query` holds, per block of kGemmBandRows query rows, the key range its
+// rows' allowed keys span, [0, Tk) if a row has none, rounded out to whole
+// 8-key panels. `key` holds, per block of keys, the query range of the
+// query blocks whose ranges reach it (empty if none do).
+struct AttentionBands {
+  std::vector<int64_t> query;
+  std::vector<int64_t> key;
+
+  int64_t lo(int64_t i) const { return query[2 * (i / kGemmBandRows)]; }
+  int64_t hi(int64_t i) const { return query[2 * (i / kGemmBandRows) + 1]; }
+};
+
+AttentionBands MakeAttentionBands(const Tensor& mask) {
+  constexpr int64_t kB = kGemmBandRows;
+  const int64_t tq = mask.size(0), tk = mask.size(1);
+  const float* md = mask.data();
+  AttentionBands bands;
+  const int64_t q_blocks = (tq + kB - 1) / kB;
+  for (int64_t r = 0; r < q_blocks; ++r) {
+    int64_t lo = tk, hi = 0;
+    for (int64_t i = r * kB; i < std::min(tq, (r + 1) * kB); ++i) {
+      const float* row = md + i * tk;
+      int64_t first = 0, last = tk;
+      while (first < tk && row[first] == 0.0f) ++first;
+      while (last > first && row[last - 1] == 0.0f) --last;
+      if (first == tk) first = 0, last = tk;  // attends nowhere: in full
+      lo = std::min(lo, first);
+      hi = std::max(hi, last);
+    }
+    bands.query.push_back(lo / kB * kB);
+    bands.query.push_back(std::min(tk, (hi + kB - 1) / kB * kB));
+  }
+  for (int64_t s = 0; s * kB < tk; ++s) {
+    int64_t lo = tq, hi = 0;
+    for (int64_t r = 0; r < q_blocks; ++r) {
+      if (bands.query[2 * r] < (s + 1) * kB &&
+          bands.query[2 * r + 1] > s * kB) {
+        lo = std::min(lo, r * kB);
+        hi = std::max(hi, std::min(tq, (r + 1) * kB));
+      }
+    }
+    bands.key.push_back(lo < hi ? lo : 0);
+    bands.key.push_back(lo < hi ? hi : 0);
+  }
+  return bands;
+}
+
+// P2 = (P0 · row_any) · (keep ? drop_scale : 0) over each row's band of one
+// [tq, tk] block — the composed Mul and Dropout, in that order. `keep` is
+// null without dropout; `p1_out`, if non-null, receives P0 · row_any.
 inline void DropoutProbs(const float* p0, const float* row_any,
-                         const uint8_t* keep, float drop_scale, int64_t tq,
-                         int64_t tk, float* p1_out, float* p2) {
+                         const uint8_t* keep, float drop_scale,
+                         const AttentionBands& bands, int64_t tq, int64_t tk,
+                         float* p1_out, float* p2) {
   for (int64_t i = 0; i < tq; ++i) {
     const float ra = row_any[i];
-    for (int64_t c = i * tk; c < (i + 1) * tk; ++c) {
+    for (int64_t c = i * tk + bands.lo(i); c < i * tk + bands.hi(i); ++c) {
       const float p1 = p0[c] * ra;
       if (p1_out != nullptr) p1_out[c] = p1;
       p2[c] = keep != nullptr ? p1 * (keep[c] ? drop_scale : 0.0f) : p1;
     }
   }
+}
+
+// Zeroes each row's band of a [tq, tk] block.
+inline void ZeroBands(const AttentionBands& bands, int64_t tq, int64_t tk,
+                      float* x) {
+  for (int64_t i = 0; i < tq; ++i)
+    std::fill(x + i * tk + bands.lo(i), x + i * tk + bands.hi(i), 0.0f);
 }
 
 }  // namespace
@@ -922,6 +1128,7 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
     }
     row_any[static_cast<size_t>(i)] = any;
   }
+  AttentionBands bands = MakeAttentionBands(mask);
 
   // Decay: dist = |query_offset + i - j| and softplus(θ) = log(exp(θ) + 1),
   // keeping exp(θ) and exp(θ) + 1 for backward.
@@ -943,7 +1150,7 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
   }
 
   // Dropout masks in the composed draw order: head by head, row block j of
-  // the batch from stream j, in element order.
+  // the batch from stream j, every element in order (out-of-band ones too).
   const bool dropout = options.train && options.dropout_p > 0.0f;
   std::vector<uint8_t> keep;
   float drop_scale = 0.0f;
@@ -960,18 +1167,15 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
     const int64_t block = n / options.rng_count;
     keep.resize(static_cast<size_t>(heads * n));
     for (int64_t h = 0; h < heads; ++h) {
-      for (int64_t j = 0; j < options.rng_count; ++j) {
-        Rng& rng = options.rng[j];
-        for (int64_t i = j * block; i < (j + 1) * block; ++i)
-          keep[static_cast<size_t>(h * n + i)] = rng.Bernoulli(p) ? 0 : 1;
-      }
+      for (int64_t j = 0; j < options.rng_count; ++j)
+        options.rng[j].FillKeepMask(p, keep.data() + h * n + j * block, block);
     }
   }
 
   // Backward keeps the softmax output P0 of every head, [heads, B, Tq, Tk]:
   // the softmax gradient reads P0 itself, which the row mask and dropout
   // zero out, and P2 is recomputed from it. Without a tape each block lives
-  // in scratch only.
+  // in scratch only. Entries outside the bands stay +0.
   const bool needs_grad =
       GradModeEnabled() && (q.requires_grad() || k.requires_grad() ||
                             v.requires_grad() ||
@@ -1000,31 +1204,38 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
       float* oh = vh + rows_max * dh;
       float* p0_scratch = oh + rows_max * dh;
       float* p2 = p0_scratch + tt;
+      // The P·V GEMM reads P2 across whole 8-row blocks: +0 off the bands.
+      std::fill(p2, p2 + tt, 0.0f);
       for (int64_t bi = b0; bi < b1; ++bi) {
         const int64_t block = h * b + bi;
         GatherHead(qv.data() + bi * tq * d + lo, tq, d, dh, qh);
         GatherHead(kv.data() + bi * tk * d + lo, tk, d, dh, kh);
         GatherHead(vv.data() + bi * tk * d + lo, tk, d, dh, vh);
         float* p0 = needs_grad ? probs.data() + block * tt : p0_scratch;
-        std::fill(p0, p0 + tt, 0.0f);
-        GemmTransBAccumulate(qh, kh, p0, tq, dh, tk);
+        ZeroBands(bands, tq, tk, p0);
+        GemmBandedAccumulate(GemmForm::kTransB, qh, kh, p0, tq, dh, tk,
+                             bands.query.data());
         for (int64_t i = 0; i < tq; ++i) {
+          const int64_t c0 = bands.lo(i), c1 = bands.hi(i);
           float* row = p0 + i * tk;
           const float* add = additive.data() + i * tk;
           if (monotonic) {
             const float* dr = dist.data() + i * tk;
-            for (int64_t c = 0; c < tk; ++c)
+            for (int64_t c = c0; c < c1; ++c)
               row[c] = (row[c] * scale - sp * dr[c]) + add[c];
           } else {
-            for (int64_t c = 0; c < tk; ++c) row[c] = row[c] * scale + add[c];
+            for (int64_t c = c0; c < c1; ++c)
+              row[c] = row[c] * scale + add[c];
           }
-          SoftmaxRow(row, row, tk);
+          SoftmaxRow(row + c0, row + c0, c1 - c0);
         }
         DropoutProbs(p0, row_any.data(),
                      dropout ? keep.data() + block * tt : nullptr, drop_scale,
-                     tq, tk, p1_head != nullptr ? p1_head + bi * tt : nullptr,
-                     p2);
-        Gemm(p2, vh, oh, tq, tk, dh);
+                     bands, tq, tk,
+                     p1_head != nullptr ? p1_head + bi * tt : nullptr, p2);
+        std::fill(oh, oh + tq * dh, 0.0f);
+        GemmBandedAccumulate(GemmForm::kNN, p2, vh, oh, tq, tk, dh,
+                             bands.query.data());
         ScatterHead(oh, tq, d, dh, y.data() + bi * tq * d + lo);
       }
     });
@@ -1038,7 +1249,8 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
   return MakeOpNode(
       std::move(y), inputs,
       [probs, keep = std::move(keep), row_any = std::move(row_any),
-       dist = std::move(dist), exp_theta = std::move(exp_theta),
+       bands = std::move(bands), dist = std::move(dist),
+       exp_theta = std::move(exp_theta),
        softplus_arg = std::move(softplus_arg), heads, dh, scale, drop_scale,
        dropout, monotonic, grain, rows_max](Node& self) {
         KT_OBS_SCOPE("fused/attention_bwd");
@@ -1058,7 +1270,8 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
         Tensor dk = need_k ? Tensor(kn->value.shape()) : Tensor();
         Tensor dv = need_v ? Tensor(vn->value.shape()) : Tensor();
         // The score gradient of every batch row of one head, kept for the
-        // decay's reduction over B (ascending, after the parallel pass).
+        // decay's reduction over B (ascending, after the parallel pass);
+        // +0 off the bands.
         std::vector<float> ds_head(need_decay ? static_cast<size_t>(b * tt)
                                               : 0);
         Tensor decay_grad = need_decay ? Tensor(Shape{heads}) : Tensor();
@@ -1073,6 +1286,9 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
             float* p2 = oh + rows_max * dh;
             float* dp = p2 + tt;
             float* ds_scratch = dp + tt;
+            // The dV and dK GEMMs read P2 and dS0 across whole key blocks:
+            // +0 off the bands.
+            std::fill(p2, p2 + 2 * tt, 0.0f);
             for (int64_t bi = b0; bi < b1; ++bi) {
               const int64_t block = h * b + bi;
               const float* p0 = probs.data() + block * tt;
@@ -1080,48 +1296,59 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
               GatherHead(g + bi * tq * d + lo, tq, d, dh, gh);
               if (need_v) {
                 // dV_h = P2ᵀ G_h.
-                DropoutProbs(p0, row_any.data(), kp, drop_scale, tq, tk,
-                             nullptr, p2);
+                DropoutProbs(p0, row_any.data(), kp, drop_scale, bands, tq,
+                             tk, nullptr, p2);
                 std::fill(oh, oh + tk * dh, 0.0f);
-                GemmTransAAccumulate(p2, gh, oh, tk, tq, dh);
+                GemmBandedAccumulate(GemmForm::kTransA, p2, gh, oh, tk, tq,
+                                     dh, bands.key.data());
                 ScatterHead(oh, tk, d, dh, dv.data() + bi * tk * d + lo);
               }
               if (!need_scores) continue;
               // dP2 = G_h V_hᵀ, then per row: dropout, row mask, softmax.
               GatherHead(vn->value.data() + bi * tk * d + lo, tk, d, dh, xh);
-              std::fill(dp, dp + tt, 0.0f);
-              GemmTransBAccumulate(gh, xh, dp, tq, dh, tk);
+              ZeroBands(bands, tq, tk, dp);
+              GemmBandedAccumulate(GemmForm::kTransB, gh, xh, dp, tq, dh, tk,
+                                   bands.query.data());
               float* ds = need_decay ? ds_head.data() + bi * tt : ds_scratch;
               for (int64_t i = 0; i < tq; ++i) {
+                const int64_t c0 = bands.lo(i), c1 = bands.hi(i);
                 float* gr = dp + i * tk;
                 const float* yr = p0 + i * tk;
                 float* dsr = ds + i * tk;
                 if (kp != nullptr) {
                   const uint8_t* kr = kp + i * tk;
-                  for (int64_t c = 0; c < tk; ++c)
+                  for (int64_t c = c0; c < c1; ++c)
                     gr[c] = gr[c] * (kr[c] ? drop_scale : 0.0f);
                 }
                 const float ra = row_any[static_cast<size_t>(i)];
                 float sum = 0.0f;
-                for (int64_t c = 0; c < tk; ++c) {
+                for (int64_t c = c0; c < c1; ++c) {
                   gr[c] = gr[c] * ra;
                   sum += gr[c] * yr[c];
                 }
-                for (int64_t c = 0; c < tk; ++c) dsr[c] = yr[c] * (gr[c] - sum);
+                for (int64_t c = c0; c < c1; ++c)
+                  dsr[c] = yr[c] * (gr[c] - sum);
               }
               if (!need_q && !need_k) continue;
               // dS0 = dS·scale; dQ_h = dS0 K_h, dK_h = dS0ᵀ Q_h.
-              for (int64_t c = 0; c < tt; ++c) dp[c] = ds[c] * scale;
+              for (int64_t i = 0; i < tq; ++i) {
+                for (int64_t c = i * tk + bands.lo(i); c < i * tk + bands.hi(i);
+                     ++c)
+                  dp[c] = ds[c] * scale;
+              }
               if (need_q) {
                 GatherHead(kn->value.data() + bi * tk * d + lo, tk, d, dh, xh);
-                Gemm(dp, xh, oh, tq, tk, dh);
+                std::fill(oh, oh + tq * dh, 0.0f);
+                GemmBandedAccumulate(GemmForm::kNN, dp, xh, oh, tq, tk, dh,
+                                     bands.query.data());
                 ScatterHead(oh, tq, d, dh, dq.data() + bi * tq * d + lo);
               }
               if (need_k) {
                 GatherHead(qn->value.data() + bi * tq * d + lo, tq, d, dh,
                            xh);
                 std::fill(oh, oh + tk * dh, 0.0f);
-                GemmTransAAccumulate(dp, xh, oh, tk, tq, dh);
+                GemmBandedAccumulate(GemmForm::kTransA, dp, xh, oh, tk, tq,
+                                     dh, bands.key.data());
                 ScatterHead(oh, tk, d, dh, dk.data() + bi * tk * d + lo);
               }
             }

@@ -115,6 +115,14 @@ Variable LstmCellOutput(const Variable& z, const Variable& c_next);
 Variable GruCellCombine(const Variable& zx, const Variable& zh,
                         const Variable& h_prev);
 
+// Layer normalization over the last dimension of x ([*, d]) as one node:
+// (x - mean)/sqrt(var + eps)·gamma + beta with gamma and beta [d].
+// Bit-identical, value and the gradients of x, gamma and beta, to the
+// composed Mean/Sub/Mul/Mean/AddScalar/Sqrt/Div/Mul/Add chain of
+// nn::LayerNorm. Keeps x - mean and the row deviations for backward.
+Variable LayerNormCore(const Variable& x, const Variable& gamma,
+                       const Variable& beta, float eps);
+
 // Everything MultiHeadAttentionCore needs besides its tensors. The dropout
 // fields mirror nn::Context: `rng` points at `rng_count` streams, and the
 // probabilities of head h draw their mask head by head, row block j of the
@@ -142,7 +150,9 @@ struct AttentionCoreOptions {
 // composed Slice/BatchMatMul/.../Dropout/Concat chain in
 // nn::MultiHeadAttention. If `attention_out` is non-null it receives p, the
 // row-masked probabilities before dropout, as one [B, Tq, Tk] tensor per
-// head.
+// head. Work is banded: blocks of query rows visit only the keys their
+// rows may attend (exact for 0/1 masks, finite v and scores far from the
+// -1e9 mask offset; DESIGN.md §9.2).
 Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
                                 const Variable& v, const Tensor& mask,
                                 const Variable& decay,

@@ -18,6 +18,19 @@ uint64_t SplitMix64(uint64_t& x) {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// One xoshiro256** step on the state words `s`.
+inline uint64_t Xoshiro256StarStar(uint64_t* s) {
+  const uint64_t result = Rotl(s[1] * 5, 7) * 9;
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = Rotl(s[3], 45);
+  return result;
+}
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,18 +38,7 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : state_) s = SplitMix64(sm);
 }
 
-uint64_t Rng::NextU64() {
-  // xoshiro256**
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
+uint64_t Rng::NextU64() { return Xoshiro256StarStar(state_); }
 
 double Rng::Uniform() {
   // 53 random mantissa bits -> double in [0, 1).
@@ -80,6 +82,20 @@ double Rng::Gaussian(double mean, double stddev) {
 }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
+
+void Rng::FillKeepMask(double p, uint8_t* keep, int64_t n) {
+  // Uniform() < p  <=>  (x >> 11) * 2^-53 < p  <=>  (x >> 11) < ceil(p * 2^53):
+  // the scaling by 2^53 is exact and x >> 11 is an integer. p <= 0 (or NaN)
+  // never drops and p >= 1 always does, as Bernoulli does.
+  const uint64_t threshold =
+      !(p > 0.0) ? 0
+      : p >= 1.0 ? (uint64_t{1} << 53)
+                 : static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+  uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
+  for (int64_t i = 0; i < n; ++i)
+    keep[i] = (Xoshiro256StarStar(s) >> 11) < threshold ? 0 : 1;
+  for (int i = 0; i < 4; ++i) state_[i] = s[i];
+}
 
 Rng Rng::Fork() { return Rng(NextU64()); }
 

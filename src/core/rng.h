@@ -31,6 +31,10 @@ class Rng {
   double Gaussian(double mean, double stddev);
   // Bernoulli draw with probability `p` of true.
   bool Bernoulli(double p);
+  // Dropout keep mask: keep[i] = Bernoulli(p) ? 0 : 1 for i in [0, n), one
+  // draw per element in order. The masks and the generator state after the
+  // call are exactly those of n Bernoulli(p) calls; the draws run inline.
+  void FillKeepMask(double p, uint8_t* keep, int64_t n);
 
   // Fisher-Yates shuffle.
   template <typename T>

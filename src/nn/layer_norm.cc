@@ -10,6 +10,7 @@ LayerNorm::LayerNorm(int64_t dim, float eps) : dim_(dim), eps_(eps) {
 
 ag::Variable LayerNorm::Forward(const ag::Variable& x) const {
   KT_CHECK_EQ(x.shape().back(), dim_);
+  if (FusedOpsEnabled()) return ag::LayerNormCore(x, gamma_, beta_, eps_);
   ag::Variable mu = ag::Mean(x, -1, /*keepdim=*/true);
   ag::Variable centered = ag::Sub(x, mu);
   ag::Variable var =

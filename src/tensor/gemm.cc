@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/check.h"
 #include "core/cpu.h"
 #include "core/parallel.h"
 #include "obs/obs.h"
@@ -21,25 +22,25 @@ namespace {
 // stay bit-identical. Flavor handles are resolved once per call site
 // (function-local statics) to keep the registry mutex off the hot path.
 inline void CountGemmDispatch(obs::Counter* flavor_calls,
-                              obs::Counter* flavor_flops, int64_t m,
-                              int64_t k, int64_t n) {
+                              obs::Counter* flavor_flops, int64_t mul_adds) {
   static obs::Counter* const calls = obs::Counter::Get("gemm.calls");
   static obs::Counter* const flops = obs::Counter::Get("gemm.flops");
-  const int64_t mul_adds = 2 * m * k * n;
   calls->Add(1);
   flops->Add(mul_adds);
   flavor_calls->Add(1);
   flavor_flops->Add(mul_adds);
 }
 
-#define KT_COUNT_GEMM(flavor, m, k, n)                                      \
+#define KT_COUNT_GEMM_FLOPS(flavor, flops)                                  \
   if (obs::Enabled()) {                                                     \
     static obs::Counter* const kt_gemm_calls =                              \
         obs::Counter::Get("gemm." flavor ".calls");                         \
     static obs::Counter* const kt_gemm_flops =                              \
         obs::Counter::Get("gemm." flavor ".flops");                         \
-    CountGemmDispatch(kt_gemm_calls, kt_gemm_flops, (m), (k), (n));         \
+    CountGemmDispatch(kt_gemm_calls, kt_gemm_flops, (flops));               \
   }
+#define KT_COUNT_GEMM(flavor, m, k, n) \
+  KT_COUNT_GEMM_FLOPS(flavor, 2 * (m) * (k) * (n))
 
 // Per-backend telemetry for the --gemm-kernel override contract (gemm.h):
 // every dispatch logs which backend actually ran, so operators can confirm
@@ -79,13 +80,14 @@ std::atomic<GemmKernel> g_gemm_kernel{GemmKernel::kAuto};
 // tiles, so the two families are bit-identical.
 // ---------------------------------------------------------------------------
 
-// C (+)= A * B with the i-k-j ordering. The innermost j loop is a
-// contiguous saxpy over the output row, which the compiler auto-vectorizes.
-inline void GemmIkj(const float* a, const float* b, float* c, int64_t m,
-                    int64_t k, int64_t n) {
+// C (+)= A * B with the i-k-j ordering; A has row stride lda. The innermost
+// j loop is a contiguous saxpy over the output row, which the compiler
+// auto-vectorizes.
+inline void GemmIkj(const float* a, int64_t lda, const float* b, float* c,
+                    int64_t m, int64_t k, int64_t n) {
   for (int64_t i = 0; i < m; ++i) {
     float* c_row = c + i * n;
-    const float* a_row = a + i * k;
+    const float* a_row = a + i * lda;
     for (int64_t p = 0; p < k; ++p) {
       const float a_val = a_row[p];
       const float* b_row = b + p * n;
@@ -109,14 +111,15 @@ inline void GemmTransARows(const float* a, const float* b, float* c,
   }
 }
 
-// C += A * B^T, rows [lo, hi); B is [n, k] row-major. The inner p loop is a
-// dot product accumulated from zero, then added to C once — the TransB
-// chain shape the tiled kernel must reproduce.
+// C += A * B^T, rows [lo, hi); B is [n, k] row-major and C has row stride
+// ldc. The inner p loop is a dot product accumulated from zero, then added
+// to C once — the TransB chain shape the tiled kernel must reproduce.
 inline void GemmTransBRows(const float* a, const float* b, float* c,
-                           int64_t lo, int64_t hi, int64_t k, int64_t n) {
+                           int64_t ldc, int64_t lo, int64_t hi, int64_t k,
+                           int64_t n) {
   for (int64_t i = lo; i < hi; ++i) {
     const float* a_row = a + i * k;
-    float* c_row = c + i * n;
+    float* c_row = c + i * ldc;
     for (int64_t j = 0; j < n; ++j) {
       const float* b_row = b + j * k;
       float acc = 0.0f;
@@ -416,11 +419,11 @@ void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
   }
   if (UseParallel(m, k, n)) {
     ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-      GemmIkj(a + lo * k, b, c + lo * n, hi - lo, k, n);
+      GemmIkj(a + lo * k, k, b, c + lo * n, hi - lo, k, n);
     });
     return;
   }
-  GemmIkj(a, b, c, m, k, n);
+  GemmIkj(a, k, b, c, m, k, n);
 }
 
 void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
@@ -502,11 +505,86 @@ void GemmTransBAccumulate(const float* a, const float* b, float* c, int64_t m,
   }
   if (UseParallel(m, k, n)) {
     ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-      GemmTransBRows(a, b, c, lo, hi, k, n);
+      GemmTransBRows(a, b, c, n, lo, hi, k, n);
     });
     return;
   }
-  GemmTransBRows(a, b, c, 0, m, k, n);
+  GemmTransBRows(a, b, c, n, 0, m, k, n);
+}
+
+void GemmBandedAccumulate(GemmForm form, const float* a, const float* b,
+                          float* c, int64_t m, int64_t k, int64_t n,
+                          const int64_t* band) {
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  const int64_t blocks = (m + kGemmBandRows - 1) / kGemmBandRows;
+  if (obs::Enabled()) {
+    int64_t mul_adds = 0;
+    for (int64_t r = 0; r < blocks; ++r) {
+      const int64_t rows = std::min(kGemmBandRows, m - r * kGemmBandRows);
+      mul_adds += 2 * rows * (band[2 * r + 1] - band[2 * r]) *
+                  (form == GemmForm::kTransB ? k : n);
+    }
+    KT_COUNT_GEMM_FLOPS("banded", mul_adds);
+  }
+  const GemmKernel resolved = ResolveKernel(m, k, n);
+  CountBackendDispatch(resolved, m, k, n);
+  if (resolved == GemmKernel::kReference) {
+    for (int64_t r = 0; r < blocks; ++r) {
+      const int64_t i0 = r * kGemmBandRows;
+      const int64_t i1 = std::min(m, i0 + kGemmBandRows);
+      const int64_t lo = band[2 * r], hi = band[2 * r + 1];
+      if (lo >= hi) continue;
+      switch (form) {
+        case GemmForm::kNN:
+          GemmIkj(a + i0 * k + lo, k, b + lo * n, c + i0 * n, i1 - i0, hi - lo,
+                  n);
+          break;
+        case GemmForm::kTransA:
+          GemmTransARows(a + lo * m, b + lo * n, c, i0, i1, m, hi - lo, n);
+          break;
+        case GemmForm::kTransB:
+          GemmTransBRows(a, b + lo * k, c + lo, n, i0, i1, k, hi - lo);
+          break;
+      }
+    }
+    return;
+  }
+  // Tiled: pack once for the whole product, then sweep each row block over
+  // its band. kTransA packs A^T and then runs as kNN.
+  const float* ap = a;
+  if (form == GemmForm::kTransA) {
+    std::vector<float>& buf = PackBufA();
+    buf.resize(static_cast<size_t>(m * k));
+    PackATransposed(a, k, m, buf.data());
+    ap = buf.data();
+  }
+  std::vector<float>& bp = PackBufB();
+  bp.resize(static_cast<size_t>(k * n));
+  if (form == GemmForm::kTransB) {
+    PackBTransposed(b, k, n, bp.data());
+  } else {
+    PackB(b, k, n, bp.data());
+  }
+  const float* bpp = bp.data();
+  for (int64_t r = 0; r < blocks; ++r) {
+    const int64_t i0 = r * kGemmBandRows;
+    const int64_t rows = std::min(kGemmBandRows, m - i0);
+    const int64_t lo = band[2 * r], hi = band[2 * r + 1];
+    if (lo >= hi) continue;
+    if (form == GemmForm::kTransB) {
+      // Whole panels: panel j0 starts at bpp + j0 * k.
+      KT_DCHECK(lo % kNR == 0 && (hi % kNR == 0 || hi == n));
+      TiledRows<false>(a + i0 * k, k, bpp + lo * k, c + i0 * n + lo, n, rows,
+                       k, hi - lo);
+      continue;
+    }
+    // The k range [lo, hi) of each w-wide panel starts at row lo of it.
+    for (int64_t j0 = 0; j0 < n; j0 += kNR) {
+      const int64_t w = std::min<int64_t>(kNR, n - j0);
+      TiledRows<true>(ap + i0 * k + lo, k, bpp + j0 * k + lo * w,
+                      c + i0 * n + j0, n, rows, hi - lo, w);
+    }
+  }
 }
 
 }  // namespace kt

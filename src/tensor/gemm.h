@@ -71,6 +71,26 @@ void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
 void GemmTransBAccumulate(const float* a, const float* b, float* c, int64_t m,
                           int64_t k, int64_t n);
 
+// Banded products, for operands that are zero outside a known band (the
+// attention core's masked score matrices). C is cut into blocks of
+// kGemmBandRows rows; block r (rows [8r, 8r + 8)) visits only the half-open
+// range band[2r], band[2r + 1]:
+//   kNN     C += A * B   over k in the range (A [m, k], B [k, n]);
+//   kTransA C += A^T * B over k in the range (A [k, m], B [k, n]);
+//   kTransB C += A * B^T on the columns of C in the range (B [n, k]); other
+//           columns are not touched. Column ranges start on a multiple of
+//           kGemmBandRows and end on one or at n (whole packed panels).
+// Each visited element is the same ascending accumulator chain as in the
+// full form. So for kNN and kTransA the result equals the full product
+// whenever A is ±0 outside the band, B is finite and no element of C is -0
+// before the call: a chain from a non-(-0) value is unchanged by ±0 terms.
+// Does nothing if k <= 0. Runs on the calling thread; honours SetGemmKernel.
+enum class GemmForm { kNN, kTransA, kTransB };
+inline constexpr int64_t kGemmBandRows = 8;
+void GemmBandedAccumulate(GemmForm form, const float* a, const float* b,
+                          float* c, int64_t m, int64_t k, int64_t n,
+                          const int64_t* band);
+
 }  // namespace kt
 
 #endif  // KT_TENSOR_GEMM_H_

@@ -543,6 +543,23 @@ TEST(FusedOpsTest, MultiHeadAttentionCoreGradients) {
       params);
 }
 
+// Bitwise equality with the composed LayerNorm chain is checked at module
+// level (nn_test.cc, FusedToggleTest); this pins the gradients of x, gamma
+// and beta against finite differences.
+TEST(FusedOpsTest, LayerNormCoreGradients) {
+  Rng rng(26);
+  const Tensor weights = Tensor::Uniform({2, 3, 5}, -1, 1, rng);
+  std::vector<Variable> params{Param(Tensor::Uniform({2, 3, 5}, -2, 2, rng)),
+                               Param(Tensor::Uniform({5}, 0.5f, 1.5f, rng)),
+                               Param(Tensor::Uniform({5}, -1, 1, rng))};
+  ExpectGradOk(
+      [&](const auto& p) {
+        return SumAll(
+            Mul(LayerNormCore(p[0], p[1], p[2], 1e-5f), Constant(weights)));
+      },
+      params);
+}
+
 }  // namespace
 }  // namespace ag
 }  // namespace kt

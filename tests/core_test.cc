@@ -109,6 +109,26 @@ TEST(RngTest, BernoulliRate) {
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.03);
 }
 
+// FillKeepMask is the dropout mask drawn inline: the same bytes and the
+// same generator state afterwards as a loop of Bernoulli calls.
+TEST(RngTest, FillKeepMaskMatchesBernoulliLoop) {
+  const double ps[] = {0.1, 0.2, 0.3, 1.0 / 3.0, 0.5,
+                       static_cast<float>(1.0 / 3.0), 0.0, 1.0};
+  for (double p : ps) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    Rng loop_rng(29), fill_rng(29);
+    const int64_t n = 10007;
+    std::vector<uint8_t> expected(static_cast<size_t>(n));
+    for (uint8_t& keep : expected) keep = loop_rng.Bernoulli(p) ? 0 : 1;
+    std::vector<uint8_t> keep(static_cast<size_t>(n), 7);
+    fill_rng.FillKeepMask(p, keep.data(), n);
+    EXPECT_EQ(keep, expected);
+    const Rng::State a = loop_rng.GetState(), b = fill_rng.GetState();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]) << "word " << i;
+    EXPECT_EQ(loop_rng.NextU64(), fill_rng.NextU64());
+  }
+}
+
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(19);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

@@ -17,6 +17,8 @@
 #include "nn/losses.h"
 #include "nn/lstm.h"
 #include "nn/module.h"
+#include "rckt/encoders.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
 namespace kt {
@@ -393,7 +395,10 @@ TEST(LossTest, GradCheckBothForms) {
 
 class FusedToggleTest : public ::testing::Test {
  protected:
-  void TearDown() override { SetFusedOpsEnabled(true); }
+  void TearDown() override {
+    SetFusedOpsEnabled(true);
+    SetGemmKernel(GemmKernel::kAuto);
+  }
 
   static bool BitEqual(const Tensor& a, const Tensor& b) {
     return a.SameShape(b) &&
@@ -571,27 +576,94 @@ TEST_F(FusedToggleTest, AttentionMatchesComposedBitwise) {
 }
 
 TEST_F(FusedToggleTest, CrossAttentionBlockMatchesComposedBitwise) {
-  // Tq != Tk, and a mask whose first row attends nowhere.
-  const int64_t b = 4, tq = 3, tk = 5, dim = 8;
-  Tensor mask(Shape{tq, tk});
-  for (int64_t i = 1; i < tq; ++i)
-    for (int64_t j = 0; j < tk; ++j) mask.at({i, j}) = (i + j) % 3 ? 1.0f : 0.0f;
-  Rng data_rng(42);
-  const std::vector<Tensor> inputs = {
-      Tensor::Uniform({b, tq, dim}, -1, 1, data_rng),
-      Tensor::Uniform({b, tk, dim}, -1, 1, data_rng)};
-  for (bool monotonic : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "monotonic=" << monotonic);
-    Rng init(60);
-    TransformerBlock block(dim, 2, 0.2f, monotonic, init);
-    SetDistinctDecay(block);
-    const AttentionForward forward = [&](const std::vector<ag::Variable>& x,
-                                         const Context& ctx,
-                                         std::vector<Tensor>* maps) {
-      return block.ForwardCross(x[0], x[1], mask, ctx, maps);
-    };
-    ExpectRunsBitEqual(RunAttention(true, block, inputs, forward, true, 2),
-                       RunAttention(false, block, inputs, forward, true, 2));
+  // Tq != Tk, and a mask whose first row attends nowhere; the larger shape
+  // spans several 8-row bands and takes the tiled GEMMs.
+  struct CrossCase {
+    int64_t tq, tk, dim;
+  };
+  const int64_t b = 4;
+  for (CrossCase shape : {CrossCase{3, 5, 8}, CrossCase{9, 17, 32}}) {
+    const int64_t tq = shape.tq, tk = shape.tk, dim = shape.dim;
+    Tensor mask(Shape{tq, tk});
+    for (int64_t i = 1; i < tq; ++i)
+      for (int64_t j = 0; j < tk; ++j)
+        mask.at({i, j}) = (i + j) % 3 ? 1.0f : 0.0f;
+    Rng data_rng(42);
+    const std::vector<Tensor> inputs = {
+        Tensor::Uniform({b, tq, dim}, -1, 1, data_rng),
+        Tensor::Uniform({b, tk, dim}, -1, 1, data_rng)};
+    for (bool monotonic : {false, true}) {
+      Rng init(60);
+      TransformerBlock block(dim, 2, 0.2f, monotonic, init);
+      SetDistinctDecay(block);
+      const AttentionForward forward = [&](const std::vector<ag::Variable>& x,
+                                           const Context& ctx,
+                                           std::vector<Tensor>* maps) {
+        return block.ForwardCross(x[0], x[1], mask, ctx, maps);
+      };
+      for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "tq=" << tq << " tk=" << tk << " monotonic="
+                     << monotonic << " kernel=" << GemmKernelName(kernel));
+        SetGemmKernel(kernel);
+        ExpectRunsBitEqual(
+            RunAttention(true, block, inputs, forward, true, 2),
+            RunAttention(false, block, inputs, forward, true, 2));
+      }
+    }
+  }
+}
+
+// The banded core at sizes that cross 8-row bands and take the tiled GEMMs
+// (dim 32, two heads): every mask kind, both kernel families, and the
+// captured maps exactly +0 wherever the mask blocks.
+TEST_F(FusedToggleTest, BandedAttentionMatchesComposedBitwise) {
+  const AttentionMaskKind kinds[] = {
+      AttentionMaskKind::kCausalStrict, AttentionMaskKind::kCausalInclusive,
+      AttentionMaskKind::kAntiCausalInclusive,
+      AttentionMaskKind::kBidirectionalNoSelf, AttentionMaskKind::kFull};
+  const int64_t b = 4, dim = 32;
+  for (int64_t t : {1, 7, 9, 17, 50}) {
+    Rng data_rng(45);
+    const std::vector<Tensor> inputs = {
+        Tensor::Uniform({b, t, dim}, -1, 1, data_rng),
+        Tensor::Uniform({b, t, dim}, -1, 1, data_rng),
+        Tensor::Uniform({b, t, dim}, -1, 1, data_rng)};
+    for (bool monotonic : {false, true}) {
+      Rng init(90);
+      MultiHeadAttention mha(dim, 2, 0.2f, monotonic, init);
+      SetDistinctDecay(mha);
+      for (AttentionMaskKind kind : kinds) {
+        const Tensor mask = MakeAttentionMask(t, kind);
+        const AttentionForward forward =
+            [&](const std::vector<ag::Variable>& x, const Context& ctx,
+                std::vector<Tensor>* maps) {
+              return mha.Forward(x[0], x[1], x[2], mask, ctx, maps);
+            };
+        for (GemmKernel kernel :
+             {GemmKernel::kReference, GemmKernel::kTiled}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "t=" << t << " monotonic=" << monotonic
+                       << " mask=" << static_cast<int>(kind)
+                       << " kernel=" << GemmKernelName(kernel));
+          SetGemmKernel(kernel);
+          const AttentionRun fused =
+              RunAttention(true, mha, inputs, forward, true, 2);
+          ExpectRunsBitEqual(
+              fused, RunAttention(false, mha, inputs, forward, true, 2));
+          for (const Tensor& map : fused.attention) {
+            int64_t nonzero_blocked = 0;
+            for (int64_t c = 0; c < map.numel(); ++c) {
+              const float p = map.flat(c);
+              if (mask.flat(c % (t * t)) == 0.0f &&
+                  (p != 0.0f || std::signbit(p)))
+                ++nonzero_blocked;
+            }
+            EXPECT_EQ(nonzero_blocked, 0);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -629,45 +701,120 @@ TEST_F(FusedToggleTest, AttentionBatchSplitMatchesComposedAcrossThreads) {
 }
 
 // Incremental decode through the fused core reproduces the fused full pass
-// row for row, one position at a time and in runs.
+// row for row, one position at a time and in runs; the longer sequence
+// puts runs at query offsets inside and past the first 8-row band.
 TEST_F(FusedToggleTest, StepCausalMatchesFusedFullPass) {
-  const int64_t t = 7, dim = 8;
-  Rng data_rng(43);
-  const Tensor x = Tensor::Uniform({1, t, dim}, -1, 1, data_rng);
-  const Tensor mask = MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive);
-  auto row = [&](const Tensor& full, int64_t i) {
-    return std::vector<float>(full.data() + i * dim,
-                              full.data() + (i + 1) * dim);
+  struct StepCase {
+    int64_t t, dim;
+    std::vector<int64_t> runs;  // run lengths, summing to t
   };
+  const std::vector<StepCase> cases = {{7, 8, {2, 4, 1}},
+                                       {20, 32, {3, 9, 1, 7}}};
+  for (const StepCase& step_case : cases) {
+    const int64_t t = step_case.t, dim = step_case.dim;
+    Rng data_rng(43);
+    const Tensor x = Tensor::Uniform({1, t, dim}, -1, 1, data_rng);
+    const Tensor mask =
+        MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive);
+    auto row = [&](const Tensor& full, int64_t i) {
+      return std::vector<float>(full.data() + i * dim,
+                                full.data() + (i + 1) * dim);
+    };
+    for (bool monotonic : {false, true}) {
+      Rng init(70);
+      TransformerBlock block(dim, 2, 0.1f, monotonic, init);
+      SetDistinctDecay(block);
+      ag::NoGradGuard no_grad;
+      for (GemmKernel kernel :
+           {GemmKernel::kReference, GemmKernel::kTiled}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "t=" << t << " monotonic=" << monotonic
+                     << " kernel=" << GemmKernelName(kernel));
+        SetGemmKernel(kernel);
+        const Tensor full =
+            block.Forward(ag::Constant(x), mask, Context()).value();
+
+        AttentionKVCache step_cache;
+        for (int64_t i = 0; i < t; ++i) {
+          Tensor xi(Shape{1, 1, dim}, row(x, i));
+          const Tensor yi =
+              block.StepCausal(ag::Constant(xi), step_cache).value();
+          EXPECT_EQ(row(yi, 0), row(full, i)) << "step " << i;
+        }
+
+        AttentionKVCache run_cache;
+        int64_t pos = 0;
+        for (int64_t len : step_case.runs) {
+          std::vector<float> chunk(x.data() + pos * dim,
+                                   x.data() + (pos + len) * dim);
+          const Tensor ys = block
+                                .StepCausalRun(ag::Constant(Tensor(
+                                                   Shape{1, len, dim}, chunk)),
+                                               run_cache)
+                                .value();
+          for (int64_t i = 0; i < len; ++i)
+            EXPECT_EQ(row(ys, i), row(full, pos + i))
+                << "run row " << pos + i;
+          pos += len;
+        }
+        EXPECT_EQ(pos, t);
+      }
+    }
+  }
+}
+
+// ---- Fused LayerNorm vs the composed reference ----
+//
+// ag::LayerNormCore is held bitwise like the attention core: the value and
+// the gradients of x, gamma and beta, with and without a residual consumer
+// that hands x a gradient before the norm's backward runs.
+TEST_F(FusedToggleTest, LayerNormMatchesComposedBitwise) {
+  const int64_t d = 12;
+  const std::vector<Shape> shapes = {{4, 6, d}, {9, d}, {1, 1, d}};
+  Rng init(95);
+  LayerNorm norm(d);
+  for (ag::Variable& param : norm.Parameters()) {
+    Tensor& value = param.mutable_value();
+    value = Tensor::Uniform(value.shape(), -2, 2, init);
+  }
+  for (const Shape& shape : shapes) {
+    Rng data_rng(46);
+    const std::vector<Tensor> inputs = {Tensor::Uniform(shape, -3, 3, data_rng)};
+    for (bool residual : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "shape=" << ShapeToString(shape)
+                                        << " residual=" << residual);
+      const AttentionForward forward = [&](const std::vector<ag::Variable>& x,
+                                           const Context&,
+                                           std::vector<Tensor>*) {
+        ag::Variable y = norm.Forward(x[0]);
+        return residual ? ag::Add(x[0], y) : y;
+      };
+      ExpectRunsBitEqual(RunAttention(true, norm, inputs, forward, false, 1),
+                         RunAttention(false, norm, inputs, forward, false, 1));
+    }
+  }
+}
+
+// Both streams of the bidirectional SAKT/AKT encoder start from the same
+// input, so its gradient collects the contributions of two residual Adds
+// and two norms: the order the fused nodes must land them in.
+TEST_F(FusedToggleTest, BiAttentionEncoderMatchesComposedBitwise) {
+  const int64_t b = 4, t = 11, dim = 16;
+  Rng data_rng(47);
+  const std::vector<Tensor> inputs = {
+      Tensor::Uniform({b, t, dim}, -1, 1, data_rng)};
   for (bool monotonic : {false, true}) {
     SCOPED_TRACE(::testing::Message() << "monotonic=" << monotonic);
-    Rng init(70);
-    TransformerBlock block(dim, 2, 0.1f, monotonic, init);
-    SetDistinctDecay(block);
-    ag::NoGradGuard no_grad;
-    const Tensor full =
-        block.Forward(ag::Constant(x), mask, Context()).value();
-
-    AttentionKVCache step_cache;
-    for (int64_t i = 0; i < t; ++i) {
-      Tensor xi(Shape{1, 1, dim}, row(x, i));
-      const Tensor yi = block.StepCausal(ag::Constant(xi), step_cache).value();
-      EXPECT_EQ(row(yi, 0), row(full, i)) << "step " << i;
-    }
-
-    AttentionKVCache run_cache;
-    int64_t pos = 0;
-    for (int64_t len : {2, 4, 1}) {
-      std::vector<float> chunk(x.data() + pos * dim,
-                               x.data() + (pos + len) * dim);
-      const Tensor ys =
-          block.StepCausalRun(ag::Constant(Tensor(Shape{1, len, dim}, chunk)),
-                              run_cache)
-              .value();
-      for (int64_t i = 0; i < len; ++i)
-        EXPECT_EQ(row(ys, i), row(full, pos + i)) << "run row " << pos + i;
-      pos += len;
-    }
+    Rng init(96);
+    rckt::BiAttentionEncoder encoder(dim, 2, 2, 0.2f, monotonic, init);
+    SetDistinctDecay(encoder);
+    const AttentionForward forward = [&](const std::vector<ag::Variable>& x,
+                                         const Context& ctx,
+                                         std::vector<Tensor>*) {
+      return encoder.Encode(x[0], ctx);
+    };
+    ExpectRunsBitEqual(RunAttention(true, encoder, inputs, forward, true, 2),
+                       RunAttention(false, encoder, inputs, forward, true, 2));
   }
 }
 

@@ -752,6 +752,93 @@ TEST(GemmKernelEquivalence, TiledAndAutoMatchReferenceBitForBit) {
   SetNumThreads(previous_threads);
 }
 
+// The banded entry point equals the full forms: kNN and kTransA wherever A
+// is zero off the band, kTransB on the kept columns (the rest untouched),
+// for both kernel families and for bands that cross 8-row blocks.
+TEST(GemmKernelEquivalence, BandedMatchesFullOnKeptRegion) {
+  const GemmKernel previous_kernel = GetGemmKernel();
+  Rng rng(98);
+  auto bits_equal = [](const std::vector<float>& x,
+                       const std::vector<float>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), sizeof(float) * x.size()) == 0;
+  };
+  auto uniform = [&rng](size_t count) {
+    std::vector<float> v(count);
+    for (float& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    return v;
+  };
+  for (int64_t m : {1, 7, 9, 17, 50}) {
+    for (int64_t k : {1, 5, 16, 33}) {
+      for (int64_t n : {3, 8, 17, 50}) {
+        const int64_t blocks = (m + kGemmBandRows - 1) / kGemmBandRows;
+        // k ranges for kNN/kTransA, whole-panel column ranges for kTransB.
+        std::vector<int64_t> k_band, n_band;
+        for (int64_t r = 0; r < blocks; ++r) {
+          const int64_t lo = rng.UniformInt(k + 1);
+          k_band.push_back(lo);
+          k_band.push_back(lo + rng.UniformInt(k - lo + 1));
+          const int64_t panels = (n + 7) / 8;
+          const int64_t p0 = rng.UniformInt(panels + 1);
+          const int64_t p1 = p0 + rng.UniformInt(panels - p0 + 1);
+          n_band.push_back(std::min(n, p0 * 8));
+          n_band.push_back(std::min(n, p1 * 8));
+        }
+        // A (and its [k, m] transpose) zero outside each row's k range.
+        std::vector<float> a = uniform(static_cast<size_t>(m * k));
+        std::vector<float> at(static_cast<size_t>(k * m));
+        for (int64_t i = 0; i < m; ++i) {
+          const int64_t r = i / kGemmBandRows;
+          for (int64_t p = 0; p < k; ++p) {
+            if (p < k_band[2 * r] || p >= k_band[2 * r + 1])
+              a[i * k + p] = 0.0f;
+            at[p * m + i] = a[i * k + p];
+          }
+        }
+        const std::vector<float> b = uniform(static_cast<size_t>(k * n));
+        const std::vector<float> bt = uniform(static_cast<size_t>(n * k));
+        const std::vector<float> seed = uniform(static_cast<size_t>(m * n));
+        for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
+          SCOPED_TRACE(::testing::Message()
+                       << m << "x" << k << "x" << n << " kernel="
+                       << GemmKernelName(kernel));
+          SetGemmKernel(kernel);
+          std::vector<float> full(static_cast<size_t>(m * n), 0.0f);
+          std::vector<float> banded = full;
+          GemmAccumulate(a.data(), b.data(), full.data(), m, k, n);
+          GemmBandedAccumulate(GemmForm::kNN, a.data(), b.data(),
+                               banded.data(), m, k, n, k_band.data());
+          EXPECT_TRUE(bits_equal(banded, full)) << "kNN";
+
+          std::fill(full.begin(), full.end(), 0.0f);
+          std::fill(banded.begin(), banded.end(), 0.0f);
+          GemmTransAAccumulate(at.data(), b.data(), full.data(), m, k, n);
+          GemmBandedAccumulate(GemmForm::kTransA, at.data(), b.data(),
+                               banded.data(), m, k, n, k_band.data());
+          EXPECT_TRUE(bits_equal(banded, full)) << "kTransA";
+
+          full = seed;
+          banded = seed;
+          GemmTransBAccumulate(a.data(), bt.data(), full.data(), m, k, n);
+          GemmBandedAccumulate(GemmForm::kTransB, a.data(), bt.data(),
+                               banded.data(), m, k, n, n_band.data());
+          for (int64_t i = 0; i < m; ++i) {
+            const int64_t r = i / kGemmBandRows;
+            for (int64_t j = 0; j < n; ++j) {
+              const bool kept = j >= n_band[2 * r] && j < n_band[2 * r + 1];
+              const float want = kept ? full[i * n + j] : seed[i * n + j];
+              EXPECT_EQ(std::memcmp(&banded[i * n + j], &want, sizeof(float)),
+                        0)
+                  << "kTransB (" << i << ", " << j << ") kept=" << kept;
+            }
+          }
+        }
+      }
+    }
+  }
+  SetGemmKernel(previous_kernel);
+}
+
 // --gemm-kernel accepts exactly the dispatchable kernels and round-trips
 // their names.
 TEST(GemmKernelTest, ByNameAcceptsOnlyDispatchableKernels) {
