@@ -22,7 +22,7 @@ using internal::Node;
 // `full_shape` by repetition; the adjoint of Sum(dim).
 Tensor ExpandAlongDim(const Tensor& g, const Shape& full_shape, int64_t d,
                       bool keepdim) {
-  Tensor out(full_shape);
+  Tensor out = Tensor::Uninitialized(full_shape);
   if (out.numel() == 0) return out;  // memcpy must not see a null buffer
   const int64_t dim_size = full_shape[static_cast<size_t>(d)];
   int64_t outer = 1;
@@ -373,22 +373,24 @@ Variable Dropout(const Variable& a, float p, Rng* streams,
       << "dropout rows must split into " << num_streams << " equal blocks";
   const int64_t block = n / num_streams;
   const float scale = 1.0f / (1.0f - p);
-  // One byte per element; both passes multiply by (keep ? scale : 0).
+  // One byte per element; both passes multiply by (keep ? scale : 0),
+  // with the factor picked branch-free.
   std::vector<uint8_t> keep(static_cast<size_t>(n));
   for (int64_t j = 0; j < num_streams; ++j)
     streams[j].FillKeepMask(p, keep.data() + j * block, block);
-  Tensor out(x.shape());
+  Tensor out = Tensor::Uninitialized(x.shape());
   const float* src = x.data();
+  const uint8_t* kp = keep.data();
   float* dst = out.data();
-  for (int64_t i = 0; i < n; ++i)
-    dst[i] = src[i] * (keep[static_cast<size_t>(i)] ? scale : 0.0f);
+  for (int64_t i = 0; i < n; ++i) dst[i] = src[i] * SelectOrZero(kp[i], scale);
   return MakeOpNode(std::move(out), {a},
                     [keep = std::move(keep), scale](Node& self) {
-    Tensor g(self.grad.shape());
+    Tensor g = Tensor::Uninitialized(self.grad.shape());
     const float* gs = self.grad.data();
+    const uint8_t* kp = keep.data();
     float* gd = g.data();
     for (int64_t i = 0; i < g.numel(); ++i)
-      gd[i] = gs[i] * (keep[static_cast<size_t>(i)] ? scale : 0.0f);
+      gd[i] = gs[i] * SelectOrZero(kp[i], scale);
     self.inputs[0]->AccumulateGrad(std::move(g));
   });
 }
@@ -429,7 +431,7 @@ Tensor LinearBiasActForward(const Tensor& x, const Tensor& w, const Tensor* b,
   const int64_t m = x.size(0), in = x.size(1), out = w.size(1);
   if (b != nullptr) KT_CHECK_EQ(b->numel(), out);
 
-  Tensor y(Shape{m, out});
+  Tensor y = Tensor::Uninitialized(Shape{m, out});
   Gemm(x.data(), w.data(), y.data(), m, in, out);
   // One bias pass, then one loop per activation: each element still gets
   // act(x + bias), the composed Add-then-activation expressions, but no
@@ -481,7 +483,7 @@ Variable LinearBiasAct(const Variable& x, const Variable& w,
     if (act == Act::kIdentity) {
       dp = self.grad.data();
     } else {
-      d_pre_buf = Tensor(self.grad.shape());
+      d_pre_buf = Tensor::Uninitialized(self.grad.shape());
       const float* gd = self.grad.data();
       const float* yv = y.data();
       float* o = d_pre_buf.data();
@@ -489,7 +491,7 @@ Variable LinearBiasAct(const Variable& x, const Variable& w,
       switch (act) {
         case Act::kRelu:
           for (int64_t i = 0; i < total; ++i)
-            o[i] = gd[i] * (yv[i] > 0.0f ? 1.0f : 0.0f);
+            o[i] = gd[i] * SelectOrZero(yv[i] > 0.0f, 1.0f);
           break;
         case Act::kSigmoid:
           for (int64_t i = 0; i < total; ++i)
@@ -533,9 +535,9 @@ Variable DualLinearBias(const Variable& x, const Variable& wx,
   KT_CHECK_EQ(wh.value().size(1), n);
   KT_CHECK_EQ(b.numel(), n);
 
-  Tensor z(Shape{m, n});
+  Tensor z = Tensor::Uninitialized(Shape{m, n});
   Gemm(xv.data(), wx.value().data(), z.data(), m, kx, n);
-  Tensor t(Shape{m, n});
+  Tensor t = Tensor::Uninitialized(Shape{m, n});
   Gemm(hv.data(), wh.value().data(), t.data(), m, kh, n);
   // fl(fl(xwx + hwh) + bias): the composed Add(Add(..), bias) order.
   const float* td = t.data();
@@ -588,10 +590,10 @@ Variable LstmCellState(const Variable& z, const Variable& c_prev) {
   KT_CHECK_EQ(zv.size(0), b);
   KT_CHECK_EQ(zv.size(1), 4 * h);
 
-  Tensor c_next(Shape{b, h});
+  Tensor c_next = Tensor::Uninitialized(Shape{b, h});
   // Saved gate activations [i|f|g] ([B, 3H]), reused by backward in place
   // of the composed path's intermediate tensors.
-  Tensor gates(Shape{b, 3 * h});
+  Tensor gates = Tensor::Uninitialized(Shape{b, 3 * h});
   {
     const float* zd = zv.data();
     const float* cd = cv.data();
@@ -662,8 +664,8 @@ Variable LstmCellOutput(const Variable& z, const Variable& c_next) {
   KT_CHECK_EQ(zv.size(0), b);
   KT_CHECK_EQ(zv.size(1), 4 * h);
 
-  Tensor h_next(Shape{b, h});
-  Tensor saved(Shape{b, 2 * h});  // [o|tanh(c')]
+  Tensor h_next = Tensor::Uninitialized(Shape{b, h});
+  Tensor saved = Tensor::Uninitialized(Shape{b, 2 * h});  // [o|tanh(c')]
   {
     const float* zd = zv.data();
     const float* cd = cv.data();
@@ -732,8 +734,8 @@ Variable GruCellCombine(const Variable& zx, const Variable& zh,
   KT_CHECK_EQ(zhv.size(0), b);
   KT_CHECK_EQ(zhv.size(1), 3 * h);
 
-  Tensor h_next(Shape{b, h});
-  Tensor saved(Shape{b, 3 * h});  // [r|u|n]
+  Tensor h_next = Tensor::Uninitialized(Shape{b, h});
+  Tensor saved = Tensor::Uninitialized(Shape{b, 3 * h});  // [r|u|n]
   {
     const float* zxd = zxv.data();
     const float* zhd = zhv.data();
@@ -877,9 +879,9 @@ Variable LayerNormCore(const Variable& x, const Variable& gamma,
   KT_CHECK_EQ(beta.numel(), d);
   const int64_t rows = xv.numel() / d;
   const float inv_d = 1.0f / static_cast<float>(d);
-  Tensor centered(xv.shape());
-  Tensor sd(Shape{rows});
-  Tensor y(xv.shape());
+  Tensor centered = Tensor::Uninitialized(xv.shape());
+  Tensor sd = Tensor::Uninitialized(Shape{rows});
+  Tensor y = Tensor::Uninitialized(xv.shape());
   const float* gam = gamma.value().data();
   const float* bet = beta.value().data();
   for (int64_t r = 0; r < rows; ++r) {
@@ -1073,7 +1075,7 @@ inline void DropoutProbs(const float* p0, const float* row_any,
     for (int64_t c = i * tk + bands.lo(i); c < i * tk + bands.hi(i); ++c) {
       const float p1 = p0[c] * ra;
       if (p1_out != nullptr) p1_out[c] = p1;
-      p2[c] = keep != nullptr ? p1 * (keep[c] ? drop_scale : 0.0f) : p1;
+      p2[c] = keep != nullptr ? p1 * SelectOrZero(keep[c], drop_scale) : p1;
     }
   }
 }
@@ -1187,7 +1189,8 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
       head_probs.emplace_back(Shape{b, tq, tk});
   }
 
-  Tensor y(Shape{b, tq, d});
+  // Every head scatters its columns of every batch row.
+  Tensor y = Tensor::Uninitialized(Shape{b, tq, d});
   const int64_t grain = AttentionGrain(b, tt * dh);
   const int64_t rows_max = std::max(tq, tk);
   for (int64_t h = 0; h < heads; ++h) {
@@ -1266,9 +1269,13 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
         const int64_t b = self.grad.size(0), tq = self.grad.size(1);
         const int64_t d = self.grad.size(2), tk = kn->value.size(1);
         const int64_t tt = tq * tk;
-        Tensor dq = need_q ? Tensor(qn->value.shape()) : Tensor();
-        Tensor dk = need_k ? Tensor(kn->value.shape()) : Tensor();
-        Tensor dv = need_v ? Tensor(vn->value.shape()) : Tensor();
+        // Each head scatters its columns of every batch row.
+        Tensor dq = need_q ? Tensor::Uninitialized(qn->value.shape())
+                           : Tensor();
+        Tensor dk = need_k ? Tensor::Uninitialized(kn->value.shape())
+                           : Tensor();
+        Tensor dv = need_v ? Tensor::Uninitialized(vn->value.shape())
+                           : Tensor();
         // The score gradient of every batch row of one head, kept for the
         // decay's reduction over B (ascending, after the parallel pass);
         // +0 off the bands.
@@ -1318,7 +1325,7 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
                 if (kp != nullptr) {
                   const uint8_t* kr = kp + i * tk;
                   for (int64_t c = c0; c < c1; ++c)
-                    gr[c] = gr[c] * (kr[c] ? drop_scale : 0.0f);
+                    gr[c] = gr[c] * SelectOrZero(kr[c], drop_scale);
                 }
                 const float ra = row_any[static_cast<size_t>(i)];
                 float sum = 0.0f;

@@ -5,6 +5,7 @@
 
 #include "core/fileio.h"
 #include "core/logging.h"
+#include "core/parallel.h"
 #include "obs/obs.h"
 
 namespace kt {
@@ -85,7 +86,7 @@ void AppendRunLogEntry(const RunLogEntry& entry) {
       "\"val_auc\":%.9g,\"val_acc\":%.9g,\"epoch_ms\":%.3f,"
       "\"tokens\":%lld,\"tokens_per_sec\":%.1f,\"gemm_flops\":%lld,"
       "\"ckpt_ms\":%.3f,\"rss_bytes\":%lld,\"peak_rss_bytes\":%lld,"
-      "\"minflt\":%lld,\"sys_ms\":%.3f}\n",
+      "\"minflt\":%lld,\"sys_ms\":%.3f,\"threads\":%d}\n",
       EscapeJson(entry.run).c_str(), static_cast<long long>(entry.epoch),
       entry.train_loss, entry.val_auc, entry.val_acc, entry.epoch_ms,
       static_cast<long long>(entry.tokens), tokens_per_sec,
@@ -93,7 +94,7 @@ void AppendRunLogEntry(const RunLogEntry& entry) {
       static_cast<long long>(CurrentRssBytes()),
       static_cast<long long>(usage.peak_rss_bytes),
       static_cast<long long>(usage.minflt - entry.usage_at_start.minflt),
-      usage.sys_ms - entry.usage_at_start.sys_ms);
+      usage.sys_ms - entry.usage_at_start.sys_ms, GetNumThreads());
   Lines() += line;
   const Status status = AtomicWriteFile(PathStorage(), Lines());
   if (!status.ok()) {
@@ -112,7 +113,8 @@ void AppendContinualLogEntry(const ContinualLogEntry& entry) {
       "{\"run\":\"continual\",\"mini_epoch\":%lld,\"events\":%lld,"
       "\"reservoir_size\":%lld,\"samples\":%lld,\"train_loss\":%.9g,"
       "\"epoch_ms\":%.3f,\"candidate_auc\":%.9g,\"incumbent_auc\":%.9g,"
-      "\"gate_samples\":%lld,\"promoted\":%s,\"weight_version\":%lld}\n",
+      "\"gate_samples\":%lld,\"promoted\":%s,\"weight_version\":%lld,"
+      "\"threads\":%d}\n",
       static_cast<long long>(entry.mini_epoch),
       static_cast<long long>(entry.events),
       static_cast<long long>(entry.reservoir_size),
@@ -120,7 +122,7 @@ void AppendContinualLogEntry(const ContinualLogEntry& entry) {
       entry.candidate_auc, entry.incumbent_auc,
       static_cast<long long>(entry.gate_samples),
       entry.promoted ? "true" : "false",
-      static_cast<long long>(entry.weight_version));
+      static_cast<long long>(entry.weight_version), GetNumThreads());
   Lines() += line;
   const Status status = AtomicWriteFile(PathStorage(), Lines());
   if (!status.ok()) {

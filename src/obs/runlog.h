@@ -12,14 +12,16 @@
 //   {"run":str, "epoch":int, "train_loss":num, "val_auc":num,
 //    "val_acc":num, "epoch_ms":num, "tokens":int, "tokens_per_sec":num,
 //    "gemm_flops":int, "ckpt_ms":num, "rss_bytes":int,
-//    "peak_rss_bytes":int, "minflt":int, "sys_ms":num}
+//    "peak_rss_bytes":int, "minflt":int, "sys_ms":num, "threads":int}
 // "ckpt_ms" is 0 on epochs without a checkpoint commit. "peak_rss_bytes" is
 // the process's resident-set high-water mark so far (getrusage ru_maxrss),
 // not a per-epoch figure; the kernel's counters can leave it a few pages
 // below "rss_bytes". "minflt" and
 // "sys_ms" are the process's minor page faults and kernel CPU time over the
-// epoch (getrusage deltas; all threads). Forward evolution adds keys;
-// existing keys are never renamed or retyped.
+// epoch (getrusage deltas; all threads). "threads" is the resolved
+// kt::parallel pool size (GetNumThreads()) when the line was written; the
+// continual records carry it too. Forward evolution adds keys; existing
+// keys are never renamed or retyped.
 #ifndef KT_OBS_RUNLOG_H_
 #define KT_OBS_RUNLOG_H_
 
@@ -53,9 +55,9 @@ struct RunLogEntry {
   ResourceUsage usage_at_start;  // CurrentResourceUsage() as the epoch began
 };
 
-// Serializes `entry` (plus tokens_per_sec, rss_bytes, peak_rss_bytes and the
-// minflt/sys_ms deltas since usage_at_start) as one JSONL line and atomically
-// rewrites the log file. No-op when no path is set.
+// Serializes `entry` (plus tokens_per_sec, rss_bytes, peak_rss_bytes, the
+// minflt/sys_ms deltas since usage_at_start, and threads) as one JSONL line
+// and atomically rewrites the log file. No-op when no path is set.
 void AppendRunLogEntry(const RunLogEntry& entry);
 
 // One continual-trainer mini-epoch record (kt::continual). Lives in the

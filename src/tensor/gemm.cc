@@ -131,7 +131,8 @@ inline void GemmTransBRows(const float* a, const float* b, float* c,
 
 // ---------------------------------------------------------------------------
 // Tiled kernels. B is packed once into kNR-wide column panels (contiguous
-// per k step) on the calling thread; C is produced in kMR x kNR register
+// per k step) on the calling thread, except by the TransA form, which
+// reads A and B in place; C is produced in kMR x kNR register
 // tiles. Each accumulator runs the full k range ascending, so the chain per
 // C element is identical to the reference kernels. kMR*kNR accumulators fit
 // the 16 xmm registers of baseline x86-64; with wider vectors (KT_NATIVE)
@@ -141,10 +142,8 @@ inline void GemmTransBRows(const float* a, const float* b, float* c,
 constexpr int kMR = 4;  // register rows per micro tile (portable kernel)
 constexpr int kNR = internal::kGemmPanelWidth;  // packed panel width (floats)
 
-inline std::vector<float>& PackBufA() {
-  static thread_local std::vector<float> buf;
-  return buf;
-}
+using internal::TileChain;
+
 inline std::vector<float>& PackBufB() {
   static thread_local std::vector<float> buf;
   return buf;
@@ -176,30 +175,6 @@ void PackBTransposed(const float* b, int64_t k, int64_t n, float* bp) {
   }
 }
 
-// Packs A^T [m, k] row-major from A [k, m] row-major (the TransA operand).
-// Blocks of kPackRows output rows are filled p-outer, so each step reads
-// kPackRows adjacent floats of one A row instead of one float per A row:
-// the weight-gradient GEMMs have k = all batch rows against m = 32..64, and
-// the column walk touched a fresh cache line per element.
-void PackATransposed(const float* a, int64_t k, int64_t m, float* ap) {
-  constexpr int64_t kPackRows = 8;
-  for (int64_t i0 = 0; i0 < m; i0 += kPackRows) {
-    const int64_t rows = std::min<int64_t>(kPackRows, m - i0);
-    float* dst = ap + i0 * k;
-    const float* src = a + i0;
-    if (rows == kPackRows) {
-      for (int64_t p = 0; p < k; ++p) {
-        for (int64_t ii = 0; ii < kPackRows; ++ii)
-          dst[ii * k + p] = src[p * m + ii];
-      }
-    } else {
-      for (int64_t p = 0; p < k; ++p) {
-        for (int64_t ii = 0; ii < rows; ++ii) dst[ii * k + p] = src[p * m + ii];
-      }
-    }
-  }
-}
-
 // 4-wide vector lane (GCC/Clang vector extension). Lane arithmetic is
 // element-wise IEEE single precision — identical to the scalar ops — so
 // using vectors changes scheduling, never results. Spelling the lanes out
@@ -215,85 +190,94 @@ inline V4 Load4(const float* p) {
 }
 inline void Store4(float* p, V4 v) { __builtin_memcpy(p, &v, sizeof(v)); }
 
-// Full kMR x kNR register tile over a packed panel. kLoadC selects the
-// chain shape: true  -> accumulators start from C ("(c+p0)+p1..."), the
-// accumulate-form contract; false -> accumulators start from zero with one
-// final `c += acc` ("c + ((0+p0)+p1...)"), the TransB dot contract.
-template <bool kLoadC>
-inline void MicroTile(const float* a, int64_t lda, const float* bp, float* c,
-                      int64_t ldc, int64_t k) {
+// Full kMR x kNR register tile; kChain selects the chain shape (see
+// internal::TileChain). Operands: A [m, k] with row stride lda against a
+// packed panel (ldb = kNR), or, with kTransA, A [k, m] and B [k, n] read in
+// place with row strides lda and ldb — step p broadcasts A[p, i] and loads
+// B[p, j0..j0+8), so nothing is packed.
+template <TileChain kChain, bool kTransA>
+inline void MicroTile(const float* a, int64_t lda, const float* b,
+                      int64_t ldb, float* c, int64_t ldc, int64_t k) {
   static_assert(kNR == 8, "micro tile hand-unrolls two 4-wide lanes");
+  constexpr bool kLoadC = kChain == TileChain::kAccumulate;
   V4 acc[kMR][2];
   for (int i = 0; i < kMR; ++i) {
     acc[i][0] = kLoadC ? Load4(c + i * ldc) : V4{};
     acc[i][1] = kLoadC ? Load4(c + i * ldc + 4) : V4{};
   }
   for (int64_t p = 0; p < k; ++p) {
-    const float* b_row = bp + p * kNR;
+    const float* b_row = b + p * ldb;
     const V4 b0 = Load4(b_row);
     const V4 b1 = Load4(b_row + 4);
     for (int i = 0; i < kMR; ++i) {
-      const float s = a[i * lda + p];
+      const float s = kTransA ? a[p * lda + i] : a[i * lda + p];
       const V4 av = {s, s, s, s};
       acc[i][0] += av * b0;
       acc[i][1] += av * b1;
     }
   }
   for (int i = 0; i < kMR; ++i) {
-    if (kLoadC) {
-      Store4(c + i * ldc, acc[i][0]);
-      Store4(c + i * ldc + 4, acc[i][1]);
-    } else {
+    if (kChain == TileChain::kDot) {
       Store4(c + i * ldc, Load4(c + i * ldc) + acc[i][0]);
       Store4(c + i * ldc + 4, Load4(c + i * ldc + 4) + acc[i][1]);
+    } else {
+      Store4(c + i * ldc, acc[i][0]);
+      Store4(c + i * ldc + 4, acc[i][1]);
     }
   }
 }
 
-// Edge tile with runtime extents (mr <= kMR, nr <= kNR); `bw` is the packed
-// panel width (== nr for a narrow edge panel, kNR otherwise).
-template <bool kLoadC>
-inline void MicroTileEdge(const float* a, int64_t lda, const float* bp,
-                          int64_t bw, float* c, int64_t ldc, int64_t k,
+// Edge tile with runtime extents (mr <= kMR, nr <= kNR); `ldb` is the row
+// stride of B (the panel width, == nr, for a packed edge panel).
+template <TileChain kChain, bool kTransA>
+inline void MicroTileEdge(const float* a, int64_t lda, const float* b,
+                          int64_t ldb, float* c, int64_t ldc, int64_t k,
                           int64_t mr, int64_t nr) {
   float acc[kMR][kNR];
   for (int64_t i = 0; i < mr; ++i) {
-    for (int64_t j = 0; j < nr; ++j) acc[i][j] = kLoadC ? c[i * ldc + j] : 0.0f;
+    for (int64_t j = 0; j < nr; ++j)
+      acc[i][j] = kChain == TileChain::kAccumulate ? c[i * ldc + j] : 0.0f;
   }
   for (int64_t p = 0; p < k; ++p) {
-    const float* b_row = bp + p * bw;
+    const float* b_row = b + p * ldb;
     for (int64_t i = 0; i < mr; ++i) {
-      const float a_val = a[i * lda + p];
+      const float a_val = kTransA ? a[p * lda + i] : a[i * lda + p];
       for (int64_t j = 0; j < nr; ++j) acc[i][j] += a_val * b_row[j];
     }
   }
   for (int64_t i = 0; i < mr; ++i) {
     for (int64_t j = 0; j < nr; ++j) {
-      if (kLoadC) {
-        c[i * ldc + j] = acc[i][j];
-      } else {
+      if (kChain == TileChain::kDot) {
         c[i * ldc + j] += acc[i][j];
+      } else {
+        c[i * ldc + j] = acc[i][j];
       }
     }
   }
 }
 
-// Tiled sweep over m rows of C against pre-packed B panels. `a` addresses
-// the first of the m rows ([m, k]-ish with row stride lda).
-template <bool kLoadC>
-void TiledRowsPortable(const float* a, int64_t lda, const float* bp, float* c,
-                       int64_t ldc, int64_t m, int64_t k, int64_t n) {
+// Tiled sweep over m rows of C. `a` addresses the first of the m rows: row
+// i0 of A [m, k] (row stride lda), or column i0 of A [k, m] with kTransA.
+// `b` is packed panels (ldb unused), or B [k, n] itself with kTransA.
+template <TileChain kChain, bool kTransA>
+void TiledRowsPortable(const float* a, int64_t lda, const float* b,
+                       int64_t ldb, float* c, int64_t ldc, int64_t m,
+                       int64_t k, int64_t n) {
   for (int64_t i0 = 0; i0 < m; i0 += kMR) {
     const int64_t mr = std::min<int64_t>(kMR, m - i0);
+    const float* a_tile = kTransA ? a + i0 : a + i0 * lda;
     for (int64_t j0 = 0; j0 < n; j0 += kNR) {
       const int64_t nr = std::min<int64_t>(kNR, n - j0);
-      const float* panel = bp + j0 * k;
+      // In place: columns j0.. of B. Packed: panel j0, nr floats per step.
+      const float* b_tile = kTransA ? b + j0 : b + j0 * k;
       float* c_tile = c + i0 * ldc + j0;
-      const float* a_tile = a + i0 * lda;
       if (mr == kMR && nr == kNR) {
-        MicroTile<kLoadC>(a_tile, lda, panel, c_tile, ldc, k);
+        MicroTile<kChain, kTransA>(a_tile, lda, b_tile, kTransA ? ldb : kNR,
+                                   c_tile, ldc, k);
       } else {
-        MicroTileEdge<kLoadC>(a_tile, lda, panel, nr, c_tile, ldc, k, mr, nr);
+        MicroTileEdge<kChain, kTransA>(a_tile, lda, b_tile,
+                                       kTransA ? ldb : nr, c_tile, ldc, k, mr,
+                                       nr);
       }
     }
   }
@@ -302,18 +286,21 @@ void TiledRowsPortable(const float* a, int64_t lda, const float* bp, float* c,
 // Runtime ISA dispatch. The default build is portable x86-64, so AVX2 is
 // reached via a separately-compiled TU (gemm_avx2.cc) guarded by the
 // cached core/cpu.h probe, not via build flags. Both implementations
-// consume the same packed panels and replay the same per-element chains,
+// read the same operand layouts and replay the same per-element chains,
 // so which one runs is unobservable in the results.
-template <bool kLoadC>
-inline void TiledRows(const float* a, int64_t lda, const float* bp, float* c,
-                      int64_t ldc, int64_t m, int64_t k, int64_t n) {
+template <TileChain kChain, bool kTransA = false>
+inline void TiledRows(const float* a, int64_t lda, const float* b,
+                      int64_t ldb, float* c, int64_t ldc, int64_t m,
+                      int64_t k, int64_t n) {
+  static_assert(!kTransA || kChain == TileChain::kAccumulate,
+                "the TransA form only accumulates");
 #ifdef KT_HAVE_AVX2_KERNEL
   if (cpu::Get().avx2) {
-    internal::TiledRowsAvx2(a, lda, bp, c, ldc, m, k, n, kLoadC);
+    internal::TiledRowsAvx2(a, lda, b, ldb, c, ldc, m, k, n, kChain, kTransA);
     return;
   }
 #endif
-  TiledRowsPortable<kLoadC>(a, lda, bp, c, ldc, m, k, n);
+  TiledRowsPortable<kChain, kTransA>(a, lda, b, ldb, c, ldc, m, k, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,6 +342,26 @@ GemmKernel ResolveKernel(int64_t m, int64_t k, int64_t n) {
   return TiledHeuristic(m, k, n) ? GemmKernel::kTiled : GemmKernel::kReference;
 }
 
+// The tiled C (=|+=) A * B: B packed once into panels on the calling
+// thread, then row-blocked over the pool above the size threshold.
+template <TileChain kChain>
+void GemmTiledNN(const float* a, const float* b, float* c, int64_t m,
+                 int64_t k, int64_t n) {
+  KT_COUNT_GEMM("nn", m, k, n);
+  CountBackendDispatch(GemmKernel::kTiled, m, k, n);
+  std::vector<float>& bp = PackBufB();
+  bp.resize(static_cast<size_t>(k * n));
+  PackB(b, k, n, bp.data());
+  const float* bpp = bp.data();
+  if (UseParallel(m, k, n)) {
+    ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
+      TiledRows<kChain>(a + lo * k, k, bpp, 0, c + lo * n, n, hi - lo, k, n);
+    });
+    return;
+  }
+  TiledRows<kChain>(a, k, bpp, 0, c, n, m, k, n);
+}
+
 }  // namespace
 
 void SetGemmKernel(GemmKernel kernel) {
@@ -393,6 +400,13 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
   // Guard the memset: c may legitimately be null when the output is empty
   // (e.g. a zero-size buffer's data()), and memset(nullptr, 0, 0) is UB.
   if (m <= 0 || n <= 0) return;
+  if (k > 0 && ResolveKernel(m, k, n) == GemmKernel::kTiled) {
+    // Store form: each tile starts its accumulators at +0 and stores them,
+    // the chain +0 + a1*b1 + ... that zeroing C and accumulating runs.
+    GemmTiledNN<TileChain::kStore>(a, b, c, m, k, n);
+    return;
+  }
+  // The reference family defines the contract: C = 0, then accumulate.
   std::memset(c, 0, sizeof(float) * static_cast<size_t>(m * n));
   GemmAccumulate(a, b, c, m, k, n);
 }
@@ -400,23 +414,12 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  KT_COUNT_GEMM("nn", m, k, n);
-  const GemmKernel resolved = ResolveKernel(m, k, n);
-  CountBackendDispatch(resolved, m, k, n);
-  if (resolved != GemmKernel::kReference) {
-    std::vector<float>& bp = PackBufB();
-    bp.resize(static_cast<size_t>(k * n));
-    PackB(b, k, n, bp.data());
-    const float* bpp = bp.data();
-    if (UseParallel(m, k, n)) {
-      ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-        TiledRows<true>(a + lo * k, k, bpp, c + lo * n, n, hi - lo, k, n);
-      });
-      return;
-    }
-    TiledRows<true>(a, k, bpp, c, n, m, k, n);
+  if (ResolveKernel(m, k, n) == GemmKernel::kTiled) {
+    GemmTiledNN<TileChain::kAccumulate>(a, b, c, m, k, n);
     return;
   }
+  KT_COUNT_GEMM("nn", m, k, n);
+  CountBackendDispatch(GemmKernel::kReference, m, k, n);
   if (UseParallel(m, k, n)) {
     ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
       GemmIkj(a + lo * k, k, b, c + lo * n, hi - lo, k, n);
@@ -434,23 +437,17 @@ void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
   const GemmKernel resolved = ResolveKernel(m, k, n);
   CountBackendDispatch(resolved, m, k, n);
   if (resolved != GemmKernel::kReference) {
-    // Pack A^T once so the micro kernel reads contiguous k-runs; the chain
-    // per C element (p ascending) is unchanged from the reference forms.
-    std::vector<float>& ap = PackBufA();
-    ap.resize(static_cast<size_t>(m * k));
-    PackATransposed(a, k, m, ap.data());
-    std::vector<float>& bp = PackBufB();
-    bp.resize(static_cast<size_t>(k * n));
-    PackB(b, k, n, bp.data());
-    const float* app = ap.data();
-    const float* bpp = bp.data();
+    // Both operands are read in place (rows p of A and B at each step), so
+    // nothing is packed; the chain per C element (p ascending) is unchanged
+    // from the reference forms. Rows lo.. of C are columns lo.. of A.
     if (UseParallel(m, k, n)) {
       ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-        TiledRows<true>(app + lo * k, k, bpp, c + lo * n, n, hi - lo, k, n);
+        TiledRows<TileChain::kAccumulate, true>(a + lo, m, b, n, c + lo * n,
+                                                n, hi - lo, k, n);
       });
       return;
     }
-    TiledRows<true>(app, k, bpp, c, n, m, k, n);
+    TiledRows<TileChain::kAccumulate, true>(a, m, b, n, c, n, m, k, n);
     return;
   }
   if (UseParallel(m, k, n)) {
@@ -496,11 +493,12 @@ void GemmTransBAccumulate(const float* a, const float* b, float* c, int64_t m,
     const float* bpp = bp.data();
     if (UseParallel(m, k, n)) {
       ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-        TiledRows<false>(a + lo * k, k, bpp, c + lo * n, n, hi - lo, k, n);
+        TiledRows<TileChain::kDot>(a + lo * k, k, bpp, 0, c + lo * n, n,
+                                   hi - lo, k, n);
       });
       return;
     }
-    TiledRows<false>(a, k, bpp, c, n, m, k, n);
+    TiledRows<TileChain::kDot>(a, k, bpp, 0, c, n, m, k, n);
     return;
   }
   if (UseParallel(m, k, n)) {
@@ -549,14 +547,19 @@ void GemmBandedAccumulate(GemmForm form, const float* a, const float* b,
     }
     return;
   }
-  // Tiled: pack once for the whole product, then sweep each row block over
-  // its band. kTransA packs A^T and then runs as kNN.
-  const float* ap = a;
+  // Tiled. kTransA reads A and B in place: block r runs rows [lo, hi) of
+  // both. The other forms pack B once for the whole product, then sweep
+  // each row block over its band.
   if (form == GemmForm::kTransA) {
-    std::vector<float>& buf = PackBufA();
-    buf.resize(static_cast<size_t>(m * k));
-    PackATransposed(a, k, m, buf.data());
-    ap = buf.data();
+    for (int64_t r = 0; r < blocks; ++r) {
+      const int64_t i0 = r * kGemmBandRows;
+      const int64_t lo = band[2 * r], hi = band[2 * r + 1];
+      if (lo >= hi) continue;
+      TiledRows<TileChain::kAccumulate, true>(
+          a + lo * m + i0, m, b + lo * n, n, c + i0 * n, n,
+          std::min(kGemmBandRows, m - i0), hi - lo, n);
+    }
+    return;
   }
   std::vector<float>& bp = PackBufB();
   bp.resize(static_cast<size_t>(k * n));
@@ -574,15 +577,16 @@ void GemmBandedAccumulate(GemmForm form, const float* a, const float* b,
     if (form == GemmForm::kTransB) {
       // Whole panels: panel j0 starts at bpp + j0 * k.
       KT_DCHECK(lo % kNR == 0 && (hi % kNR == 0 || hi == n));
-      TiledRows<false>(a + i0 * k, k, bpp + lo * k, c + i0 * n + lo, n, rows,
-                       k, hi - lo);
+      TiledRows<TileChain::kDot>(a + i0 * k, k, bpp + lo * k, 0,
+                                 c + i0 * n + lo, n, rows, k, hi - lo);
       continue;
     }
     // The k range [lo, hi) of each w-wide panel starts at row lo of it.
     for (int64_t j0 = 0; j0 < n; j0 += kNR) {
       const int64_t w = std::min<int64_t>(kNR, n - j0);
-      TiledRows<true>(ap + i0 * k + lo, k, bpp + j0 * k + lo * w,
-                      c + i0 * n + j0, n, rows, hi - lo, w);
+      TiledRows<TileChain::kAccumulate>(a + i0 * k + lo, k,
+                                        bpp + j0 * k + lo * w, 0,
+                                        c + i0 * n + j0, n, rows, hi - lo, w);
     }
   }
 }

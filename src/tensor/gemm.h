@@ -6,8 +6,9 @@
 //     forms, row-dot for TransB). These define the per-element update
 //     order and are kept as the serial ground truth.
 //   * tiled: cache-blocked, register-tiled kernels. B is packed once into
-//     kNR-wide column panels; C is computed in kMR x kNR register tiles.
-//     The k dimension is never split: every C element is produced by one
+//     kNR-wide column panels (the TransA form reads A and B in place
+//     instead); C is computed in kMR x kNR register tiles. The k
+//     dimension is never split: every C element is produced by one
 //     ascending-k accumulator chain, which is exactly the reference
 //     order, so the two families are bit-identical. The micro kernel is
 //     ISA-dispatched at runtime (portable vectors / AVX2 without FMA).
@@ -55,7 +56,9 @@ const char* GemmKernelName(GemmKernel kernel);
 // ---------------------------------------------------------------------------
 
 // C = A * B where A is [m, k], B is [k, n], C is [m, n], all row-major.
-// C is overwritten.
+// C is overwritten and never read, so it may be uninitialized: the tiled
+// family starts each chain at +0 and stores it, which equals zeroing C
+// and accumulating; the reference family does exactly that.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n);
 

@@ -13,7 +13,8 @@
 //
 // The panel layout is shared with gemm.cc (kNR = 8 floats per k step), so
 // packing is ISA-independent; only the row-tile height differs (8 ymm
-// accumulator rows here vs 4x2 xmm there).
+// accumulator rows here vs 4x2 xmm there). The TransA form packs nothing:
+// it reads A and B where they lie.
 #include "tensor/gemm_kernels.h"
 
 #include <algorithm>
@@ -35,74 +36,82 @@ inline V8 Load8(const float* p) {
 }
 inline void Store8(float* p, V8 v) { __builtin_memcpy(p, &v, sizeof(v)); }
 
-// Full kMR x kNR tile. Same two chain shapes as the portable kernels:
-// kLoadC starts the accumulators from C, !kLoadC starts from zero and adds
-// to C once at the end (the TransB dot contract).
-template <bool kLoadC>
-inline void MicroTile(const float* a, int64_t lda, const float* bp, float* c,
-                      int64_t ldc, int64_t k) {
+// Full kMR x kNR tile. Same chain shapes as the portable kernels (see
+// TileChain). kTransA reads A [k, m] and B [k, n] in place: step p
+// broadcasts A[p, i] and loads B[p, 0..8) at row stride ldb. Otherwise A is
+// [m, k] and B a packed panel (ldb = kNR).
+template <TileChain kChain, bool kTransA>
+inline void MicroTile(const float* a, int64_t lda, const float* b,
+                      int64_t ldb, float* c, int64_t ldc, int64_t k) {
   V8 acc[kMR];
-  for (int i = 0; i < kMR; ++i) acc[i] = kLoadC ? Load8(c + i * ldc) : V8{};
+  for (int i = 0; i < kMR; ++i)
+    acc[i] = kChain == TileChain::kAccumulate ? Load8(c + i * ldc) : V8{};
   for (int64_t p = 0; p < k; ++p) {
-    const V8 b = Load8(bp + p * kNR);
+    const V8 bv = Load8(b + p * ldb);
     for (int i = 0; i < kMR; ++i) {
-      const float s = a[i * lda + p];
+      const float s = kTransA ? a[p * lda + i] : a[i * lda + p];
       const V8 av = {s, s, s, s, s, s, s, s};
-      acc[i] += av * b;
+      acc[i] += av * bv;
     }
   }
   for (int i = 0; i < kMR; ++i) {
-    if (kLoadC) {
-      Store8(c + i * ldc, acc[i]);
-    } else {
+    if (kChain == TileChain::kDot) {
       Store8(c + i * ldc, Load8(c + i * ldc) + acc[i]);
+    } else {
+      Store8(c + i * ldc, acc[i]);
     }
   }
 }
 
-// Edge tile with runtime extents (mr <= kMR, nr <= kNR); `bw` is the packed
-// panel width. Scalar: edges are a vanishing fraction of the work, and the
-// scalar expressions are the chain contract itself.
-template <bool kLoadC>
-inline void MicroTileEdge(const float* a, int64_t lda, const float* bp,
-                          int64_t bw, float* c, int64_t ldc, int64_t k,
+// Edge tile with runtime extents (mr <= kMR, nr <= kNR); `ldb` is the row
+// stride of B (the panel width for a packed panel). Scalar: edges are a
+// vanishing fraction of the work, and the scalar expressions are the chain
+// contract itself.
+template <TileChain kChain, bool kTransA>
+inline void MicroTileEdge(const float* a, int64_t lda, const float* b,
+                          int64_t ldb, float* c, int64_t ldc, int64_t k,
                           int64_t mr, int64_t nr) {
   float acc[kMR][kNR];
   for (int64_t i = 0; i < mr; ++i) {
-    for (int64_t j = 0; j < nr; ++j) acc[i][j] = kLoadC ? c[i * ldc + j] : 0.0f;
+    for (int64_t j = 0; j < nr; ++j)
+      acc[i][j] = kChain == TileChain::kAccumulate ? c[i * ldc + j] : 0.0f;
   }
   for (int64_t p = 0; p < k; ++p) {
-    const float* b_row = bp + p * bw;
+    const float* b_row = b + p * ldb;
     for (int64_t i = 0; i < mr; ++i) {
-      const float a_val = a[i * lda + p];
+      const float a_val = kTransA ? a[p * lda + i] : a[i * lda + p];
       for (int64_t j = 0; j < nr; ++j) acc[i][j] += a_val * b_row[j];
     }
   }
   for (int64_t i = 0; i < mr; ++i) {
     for (int64_t j = 0; j < nr; ++j) {
-      if (kLoadC) {
-        c[i * ldc + j] = acc[i][j];
-      } else {
+      if (kChain == TileChain::kDot) {
         c[i * ldc + j] += acc[i][j];
+      } else {
+        c[i * ldc + j] = acc[i][j];
       }
     }
   }
 }
 
-template <bool kLoadC>
-void TiledRows(const float* a, int64_t lda, const float* bp, float* c,
-               int64_t ldc, int64_t m, int64_t k, int64_t n) {
+template <TileChain kChain, bool kTransA>
+void TiledRows(const float* a, int64_t lda, const float* b, int64_t ldb,
+               float* c, int64_t ldc, int64_t m, int64_t k, int64_t n) {
   for (int64_t i0 = 0; i0 < m; i0 += kMR) {
     const int64_t mr = std::min<int64_t>(kMR, m - i0);
+    const float* a_tile = kTransA ? a + i0 : a + i0 * lda;
     for (int64_t j0 = 0; j0 < n; j0 += kNR) {
       const int64_t nr = std::min<int64_t>(kNR, n - j0);
-      const float* panel = bp + j0 * k;
+      // In place: columns j0.. of B. Packed: panel j0, nr floats per step.
+      const float* b_tile = kTransA ? b + j0 : b + j0 * k;
       float* c_tile = c + i0 * ldc + j0;
-      const float* a_tile = a + i0 * lda;
       if (mr == kMR && nr == kNR) {
-        MicroTile<kLoadC>(a_tile, lda, panel, c_tile, ldc, k);
+        MicroTile<kChain, kTransA>(a_tile, lda, b_tile, kTransA ? ldb : kNR,
+                                   c_tile, ldc, k);
       } else {
-        MicroTileEdge<kLoadC>(a_tile, lda, panel, nr, c_tile, ldc, k, mr, nr);
+        MicroTileEdge<kChain, kTransA>(a_tile, lda, b_tile,
+                                       kTransA ? ldb : nr, c_tile, ldc, k, mr,
+                                       nr);
       }
     }
   }
@@ -110,12 +119,25 @@ void TiledRows(const float* a, int64_t lda, const float* bp, float* c,
 
 }  // namespace
 
-void TiledRowsAvx2(const float* a, int64_t lda, const float* bp, float* c,
-                   int64_t ldc, int64_t m, int64_t k, int64_t n, bool load_c) {
-  if (load_c) {
-    TiledRows<true>(a, lda, bp, c, ldc, m, k, n);
-  } else {
-    TiledRows<false>(a, lda, bp, c, ldc, m, k, n);
+void TiledRowsAvx2(const float* a, int64_t lda, const float* b, int64_t ldb,
+                   float* c, int64_t ldc, int64_t m, int64_t k, int64_t n,
+                   TileChain chain, bool trans_a) {
+  switch (chain) {
+    case TileChain::kAccumulate:
+      if (trans_a) {
+        TiledRows<TileChain::kAccumulate, true>(a, lda, b, ldb, c, ldc, m, k,
+                                                n);
+      } else {
+        TiledRows<TileChain::kAccumulate, false>(a, lda, b, ldb, c, ldc, m, k,
+                                                 n);
+      }
+      break;
+    case TileChain::kStore:
+      TiledRows<TileChain::kStore, false>(a, lda, b, ldb, c, ldc, m, k, n);
+      break;
+    case TileChain::kDot:
+      TiledRows<TileChain::kDot, false>(a, lda, b, ldb, c, ldc, m, k, n);
+      break;
   }
 }
 

@@ -14,14 +14,25 @@ namespace internal {
 // contiguous floats per k step, w = min(kGemmPanelWidth, n - j0).
 inline constexpr int kGemmPanelWidth = 8;
 
+// How a micro tile starts and finishes each C element's chain. All three
+// run the products in ascending k order.
+enum class TileChain {
+  kAccumulate,  // acc = C, acc += a*b ..., C = acc    (C += A*B)
+  kStore,       // acc = +0, acc += a*b ..., C = acc   (C = A*B)
+  kDot,         // acc = +0, acc += a*b ..., C += acc  (the TransB dot)
+};
+
 #ifdef KT_HAVE_AVX2_KERNEL
-// Tiled sweep over m rows of C against pre-packed B panels, using 8-row
-// ymm register tiles (gemm_avx2.cc, compiled -mavx2 -mno-fma). Bit-identical
-// to the portable tiled and reference kernels; call only if
-// cpu::Get().avx2. `load_c` selects the accumulate chain
-// (true) vs the dot chain with one final add (false).
-void TiledRowsAvx2(const float* a, int64_t lda, const float* bp, float* c,
-                   int64_t ldc, int64_t m, int64_t k, int64_t n, bool load_c);
+// Tiled sweep over m rows of C (gemm_avx2.cc, compiled -mavx2 -mno-fma),
+// with 8-row ymm register tiles. Bit-identical to the portable tiled and
+// reference kernels; call only if cpu::Get().avx2. Operand layouts:
+//   trans_a = false: A is [m, k] with row stride lda; B is packed panels
+//                    (ldb unused);
+//   trans_a = true:  A is [k, m] and B is [k, n], both read in place with
+//                    row strides lda and ldb (no packing).
+void TiledRowsAvx2(const float* a, int64_t lda, const float* b, int64_t ldb,
+                   float* c, int64_t ldc, int64_t m, int64_t k, int64_t n,
+                   TileChain chain, bool trans_a);
 #endif
 
 }  // namespace internal

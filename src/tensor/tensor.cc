@@ -1,5 +1,7 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -32,15 +34,30 @@ Tensor::Tensor() : Tensor(Shape{}) {}
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)),
       numel_(NumElements(shape_)),
-      data_(std::make_shared<std::vector<float>>(
-          static_cast<size_t>(numel_), 0.0f)) {}
+      data_(std::make_shared<Storage>(static_cast<size_t>(numel_), 0.0f)) {}
 
-Tensor::Tensor(Shape shape, std::vector<float> values)
+Tensor::Tensor(Shape shape, const std::vector<float>& values)
     : shape_(std::move(shape)), numel_(NumElements(shape_)) {
   KT_CHECK_EQ(numel_, static_cast<int64_t>(values.size()))
       << "shape " << ShapeToString(shape_) << " vs " << values.size()
       << " values";
-  data_ = std::make_shared<std::vector<float>>(std::move(values));
+  data_ = std::make_shared<Storage>(values.begin(), values.end());
+}
+
+Tensor::Tensor(Shape shape, UninitializedTag)
+    : shape_(std::move(shape)),
+      numel_(NumElements(shape_)),
+      data_(std::make_shared<Storage>(static_cast<size_t>(numel_))) {
+#ifdef KT_POISON_UNINITIALIZED
+  // A quiet NaN that no kernel computes by accident: an element a kernel
+  // forgets to write reaches the bitwise tests as this NaN.
+  std::fill(data_->begin(), data_->end(),
+            std::bit_cast<float>(uint32_t{0x7FC0DEADu}));
+#endif
+}
+
+Tensor Tensor::Uninitialized(Shape shape) {
+  return Tensor(std::move(shape), UninitializedTag{});
 }
 
 Tensor Tensor::Zeros(Shape shape) { return Tensor(std::move(shape)); }
@@ -139,7 +156,7 @@ Tensor Tensor::Reshape(Shape new_shape) const {
 }
 
 Tensor Tensor::Clone() const {
-  Tensor out(shape_);
+  Tensor out = Uninitialized(shape_);
   std::memcpy(out.data(), data(), sizeof(float) * static_cast<size_t>(numel_));
   return out;
 }
@@ -151,7 +168,7 @@ Tensor Tensor::TransposeLast2() const {
   const int64_t batch = numel_ / (rows * cols);
   Shape out_shape = shape_;
   std::swap(out_shape[out_shape.size() - 2], out_shape[out_shape.size() - 1]);
-  Tensor out(out_shape);
+  Tensor out = Uninitialized(out_shape);
   const float* src = data();
   float* dst = out.data();
   for (int64_t b = 0; b < batch; ++b) {
@@ -172,7 +189,7 @@ Tensor Tensor::Slice(int64_t d, int64_t start, int64_t end) const {
 
   Shape out_shape = shape_;
   out_shape[static_cast<size_t>(d)] = end - start;
-  Tensor out(out_shape);
+  Tensor out = Uninitialized(out_shape);
 
   // View the tensor as [outer, dim_size, inner] and copy contiguous spans.
   int64_t outer = 1;
@@ -206,7 +223,7 @@ Tensor Tensor::Concat(const std::vector<Tensor>& tensors, int64_t d) {
 
   Shape out_shape = first.shape();
   out_shape[static_cast<size_t>(axis)] = total;
-  Tensor out(out_shape);
+  Tensor out = Uninitialized(out_shape);
 
   int64_t outer = 1;
   for (int64_t i = 0; i < axis; ++i) outer *= first.size(i);
@@ -231,7 +248,8 @@ Tensor Tensor::IndexSelectRows(const Tensor& table,
   KT_CHECK_EQ(table.dim(), 2);
   const int64_t rows = table.size(0);
   const int64_t cols = table.size(1);
-  Tensor out(Shape{static_cast<int64_t>(indices.size()), cols});
+  Tensor out =
+      Uninitialized(Shape{static_cast<int64_t>(indices.size()), cols});
   for (size_t i = 0; i < indices.size(); ++i) {
     const int64_t r = indices[i];
     KT_CHECK(r >= 0 && r < rows) << "index " << r << " out of " << rows;

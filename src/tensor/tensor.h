@@ -8,13 +8,17 @@
 //   * data is shared via shared_ptr so Tensor is cheap to copy by value;
 //     mutation through data() affects all copies. Autograd accumulates
 //     gradients in place, so it adopts a tensor as a gradient buffer only
-//     when StorageIsUnique() says no other copy can see that mutation.
+//     when StorageIsUnique() says no other copy can see that mutation,
+//   * Tensor(shape) is zero-filled; Tensor::Uninitialized(shape) is not,
+//     for kernels that write every element (DESIGN.md §9.7).
 #ifndef KT_TENSOR_TENSOR_H_
 #define KT_TENSOR_TENSOR_H_
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -35,7 +39,15 @@ class Tensor {
   Tensor();
   // Zero-initialized tensor of `shape`.
   explicit Tensor(Shape shape);
-  Tensor(Shape shape, std::vector<float> values);
+  // Copies `values` (numel(shape) of them).
+  Tensor(Shape shape, const std::vector<float>& values);
+
+  // A tensor of `shape` whose elements are unspecified until written. Only
+  // for kernels that overwrite every element; anything that accumulates
+  // into the buffer needs Tensor(shape). Sanitizer builds (KT_SANITIZE)
+  // fill it with a quiet-NaN pattern, so a missed element shows up as a
+  // NaN in the bitwise tests.
+  static Tensor Uninitialized(Shape shape);
 
   // ---- Factories ----
   static Tensor Zeros(Shape shape);
@@ -105,9 +117,34 @@ class Tensor {
   std::string ToString(int64_t max_per_dim = 8) const;
 
  private:
+  struct UninitializedTag {};
+  Tensor(Shape shape, UninitializedTag);
+
+  // std::allocator that default-initializes: a vector sized with it leaves
+  // its floats unwritten instead of zero-filling them.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  using Storage = std::vector<float, DefaultInitAllocator<float>>;
+
   Shape shape_;
   int64_t numel_ = 1;
-  std::shared_ptr<std::vector<float>> data_;
+  std::shared_ptr<Storage> data_;
 };
 
 }  // namespace kt

@@ -53,8 +53,8 @@ std::vector<LoopDim> BroadcastLoopNest(const Shape& a, const Shape& b,
 // loops and a tight loop runs the innermost one.
 template <typename Fn>
 Tensor BinaryOp(const Tensor& a, const Tensor& b, Fn fn) {
-  Tensor out(a.SameShape(b) ? a.shape()
-                            : BroadcastShape(a.shape(), b.shape()));
+  Tensor out = Tensor::Uninitialized(
+      a.SameShape(b) ? a.shape() : BroadcastShape(a.shape(), b.shape()));
   if (out.numel() == 0) return out;
   const std::vector<LoopDim> dims =
       BroadcastLoopNest(a.shape(), b.shape(), out.shape());
@@ -96,7 +96,7 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, Fn fn) {
 
 template <typename Fn>
 Tensor UnaryOp(const Tensor& a, Fn fn) {
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   const float* pa = a.data();
   float* po = out.data();
   const int64_t n = a.numel();
@@ -213,7 +213,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   KT_CHECK_EQ(a.size(1), b.size(0))
       << ShapeToString(a.shape()) << " x " << ShapeToString(b.shape());
   const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  Tensor out(Shape{m, n});
+  Tensor out = Tensor::Uninitialized(Shape{m, n});  // Gemm writes every C
   Gemm(a.data(), b.data(), out.data(), m, k, n);
   return out;
 }
@@ -230,7 +230,7 @@ Tensor BatchMatMul(const Tensor& a, const Tensor& b) {
 
   Shape out_shape = a.shape();
   out_shape[out_shape.size() - 1] = n;
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);  // Gemm writes every C
   // Parallelize across the batch when the per-matrix products are too small
   // for Gemm's own row-blocking to kick in; each batch index writes a
   // disjoint output slab, so results match the serial loop bit-for-bit.
@@ -356,7 +356,7 @@ Tensor SoftmaxLastDim(const Tensor& a) {
   KT_CHECK_GE(a.dim(), 1);
   const int64_t cols = a.size(-1);
   const int64_t rows = a.numel() / cols;
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   for (int64_t r = 0; r < rows; ++r)
     SoftmaxRow(a.data() + r * cols, out.data() + r * cols, cols);
   return out;

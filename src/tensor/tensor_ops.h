@@ -4,6 +4,8 @@
 #ifndef KT_TENSOR_TENSOR_OPS_H_
 #define KT_TENSOR_TENSOR_OPS_H_
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 
 #include "tensor/tensor.h"
@@ -33,6 +35,15 @@ Tensor GreaterEqualMask(const Tensor& a, const Tensor& b);
 // Scalar forms.
 Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
+
+// `s` if `keep`, else +0.0f, picked by a bit mask (bits(s) & -keep)
+// rather than a branch. x * SelectOrZero(keep, s) has the bits of
+// x * (keep ? s : 0.0f) for every x and s, NaN and ±0 included, and a loop
+// over it vectorizes where the ternary compiles to a data-dependent branch.
+inline float SelectOrZero(bool keep, float s) {
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(s) &
+                              (0u - static_cast<uint32_t>(keep)));
+}
 
 // ---- Elementwise unary ----
 Tensor Neg(const Tensor& a);

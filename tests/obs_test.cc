@@ -248,6 +248,9 @@ TEST_F(ObsTest, RunLogWritesOneJsonObjectPerEpoch) {
   EXPECT_NE(text.find("\"peak_rss_bytes\":"), std::string::npos);
   EXPECT_NE(text.find("\"minflt\":"), std::string::npos);
   EXPECT_NE(text.find("\"sys_ms\":"), std::string::npos);
+  EXPECT_NE(text.find("\"threads\":" + std::to_string(GetNumThreads()) +
+                      "}"),
+            std::string::npos);
 
   ResetRunLog();
   EXPECT_FALSE(RunLogActive());

@@ -1,6 +1,8 @@
 #include "tensor/tensor.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "core/cpu.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "tensor/gemm.h"
@@ -186,6 +189,25 @@ TEST(BroadcastTest, ReduceToShapeIsAdjoint) {
   EXPECT_NEAR(reduced.at({1, 0}), expected, 1e-5f);
 }
 
+// Uninitialized hands out a buffer of the right shape that a kernel then
+// overwrites; sanitizer builds poison it with one fixed quiet NaN so a
+// missed element shows up in the bitwise tests. Tensor(shape) stays zeroed.
+TEST(TensorTest, UninitializedHasShapeAndIsPoisonedUnderSanitizers) {
+  Tensor t = Tensor::Uninitialized({3, 5});
+  EXPECT_EQ(t.shape(), (Shape{3, 5}));
+  EXPECT_EQ(t.numel(), 15);
+#ifdef KT_POISON_UNINITIALIZED
+  for (int64_t i = 0; i < t.numel(); ++i)
+    EXPECT_EQ(std::bit_cast<uint32_t>(t.flat(i)), 0x7FC0DEADu) << i;
+#endif
+  for (int64_t i = 0; i < t.numel(); ++i) t.flat(i) = static_cast<float>(i);
+  EXPECT_FLOAT_EQ(t.at({2, 4}), 14.0f);
+  EXPECT_EQ(Tensor::Uninitialized({0, 4}).numel(), 0);
+  Tensor z({4, 4});
+  for (int64_t i = 0; i < z.numel(); ++i)
+    EXPECT_EQ(std::bit_cast<uint32_t>(z.flat(i)), 0u) << i;
+}
+
 // ---- Elementwise ops ----
 
 TEST(OpsTest, UnaryFunctions) {
@@ -206,6 +228,44 @@ TEST(OpsTest, GreaterEqualMask) {
   EXPECT_FLOAT_EQ(m.flat(0), 0.0f);
   EXPECT_FLOAT_EQ(m.flat(1), 1.0f);
   EXPECT_FLOAT_EQ(m.flat(2), 1.0f);
+}
+
+// The dropout and ReLU-backward loops pick their factor with a bit mask.
+// That must be the ternary's float for every x, special values included,
+// both one element at a time and in a loop the compiler vectorizes.
+TEST(OpsTest, SelectOrZeroMatchesTernaryBitwise) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> xs = {
+      0.0f,    -0.0f,   denorm, -denorm, 3e-39f, -3e-39f, inf,
+      -inf,    std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      1.0f,    -1.0f,   0.37f,  -2.5f,   1e30f,  -1e-30f, 65504.0f};
+  std::vector<float> scales = {1.0f};
+  for (float p : {0.1f, 0.2f}) scales.push_back(1.0f / (1.0f - p));
+  auto bits = [](float f) { return std::bit_cast<uint32_t>(f); };
+  for (float s : scales) {
+    // Every x with both keep values, laid out for a vectorized loop.
+    std::vector<float> x;
+    std::vector<uint8_t> keep;
+    for (int rep = 0; rep < 5; ++rep) {
+      for (float v : xs) {
+        x.push_back(v);
+        keep.push_back(static_cast<uint8_t>((rep + keep.size()) % 2));
+      }
+    }
+    std::vector<float> masked(x.size()), ternary(x.size());
+    for (size_t i = 0; i < x.size(); ++i)
+      masked[i] = x[i] * SelectOrZero(keep[i], s);
+    for (size_t i = 0; i < x.size(); ++i)
+      ternary[i] = x[i] * (keep[i] ? s : 0.0f);
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(bits(masked[i]), bits(ternary[i]))
+          << "x=" << x[i] << " keep=" << int{keep[i]} << " s=" << s;
+    }
+    EXPECT_EQ(bits(SelectOrZero(true, s)), bits(s));
+    EXPECT_EQ(bits(SelectOrZero(false, s)), 0u);  // +0, never -0
+  }
 }
 
 // ---- Matrix products ----
@@ -837,6 +897,133 @@ TEST(GemmKernelEquivalence, BandedMatchesFullOnKeptRegion) {
     }
   }
   SetGemmKernel(previous_kernel);
+}
+
+// Operands for the store-form and in-place TransA sweeps: uniform values
+// with about a quarter of them +0 or -0.
+std::vector<float> SignedZeroOperand(Rng& rng, int64_t count) {
+  std::vector<float> v(static_cast<size_t>(count));
+  for (float& x : v) {
+    const int64_t pick = rng.UniformInt(8);
+    x = pick == 0 ? 0.0f
+        : pick == 1 ? -0.0f
+                    : static_cast<float>(rng.Uniform(-1.0, 1.0));
+  }
+  return v;
+}
+
+bool BitsEqual(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), sizeof(float) * x.size()) == 0;
+}
+
+// The micro kernel the tiled family runs: the probed one (AVX2 where the
+// CPU has it) or, forced through the test hook, the portable one.
+void UseMicroKernel(bool portable) {
+  static const cpu::Features kPortable{};
+  cpu::SetForTest(portable ? &kPortable : nullptr);
+}
+
+// Gemm's tiled family stores each tile's chain from +0 instead of zeroing
+// C and accumulating. Whatever C held before (-0, ordinary values), the
+// result is the serial reference's zero-filled C plus GemmAccumulate, for
+// both families, both micro kernels, at 1, 2 and 8 threads (the
+// row-blocked path included).
+TEST(GemmKernelEquivalence, StoreFormMatchesZeroFillThenAccumulate) {
+  const GemmKernel previous_kernel = GetGemmKernel();
+  const int previous_threads = GetNumThreads();
+  Rng rng(99);
+  for (int64_t m : {1, 5, 9, 17, 33}) {
+    for (int64_t k : {1, 7, 1533}) {
+      for (int64_t n : {3, 8, 13, 17}) {
+        const std::vector<float> a = SignedZeroOperand(rng, m * k);
+        const std::vector<float> b = SignedZeroOperand(rng, k * n);
+        SetGemmKernel(GemmKernel::kReference);
+        SetNumThreads(1);
+        std::vector<float> expected(static_cast<size_t>(m * n), 0.0f);
+        GemmAccumulate(a.data(), b.data(), expected.data(), m, k, n);
+        for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled,
+                                  GemmKernel::kAuto}) {
+          SetGemmKernel(kernel);
+          for (bool portable : {false, true}) {
+            UseMicroKernel(portable);
+            for (int threads : {1, 2, 8}) {
+              SetNumThreads(threads);
+              for (float preload : {-0.0f, 3.5f}) {
+                std::vector<float> c(static_cast<size_t>(m * n), preload);
+                Gemm(a.data(), b.data(), c.data(), m, k, n);
+                EXPECT_TRUE(BitsEqual(c, expected))
+                    << m << "x" << k << "x" << n
+                    << " kernel=" << GemmKernelName(kernel)
+                    << " portable=" << portable << " threads=" << threads
+                    << " preload=" << preload;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  UseMicroKernel(false);
+  SetGemmKernel(previous_kernel);
+  SetNumThreads(previous_threads);
+}
+
+// The tiled TransA form reads A [k, m] and B [k, n] in place. It must equal
+// the packed form it replaced — A transposed into rows, then the packed-
+// panel GemmAccumulate — and the serial reference, onto C preloaded with
+// -0 and with ordinary values, for both families and both micro kernels at
+// 1, 2 and 8 threads.
+TEST(GemmKernelEquivalence, TransAInPlaceMatchesPackedAndReference) {
+  const GemmKernel previous_kernel = GetGemmKernel();
+  const int previous_threads = GetNumThreads();
+  Rng rng(100);
+  for (int64_t m : {1, 5, 9, 17, 33}) {
+    for (int64_t k : {1, 7, 1533}) {
+      for (int64_t n : {3, 8, 13, 17}) {
+        const std::vector<float> at = SignedZeroOperand(rng, k * m);
+        const std::vector<float> b = SignedZeroOperand(rng, k * n);
+        std::vector<float> a(static_cast<size_t>(m * k));  // A^T, [m, k]
+        for (int64_t p = 0; p < k; ++p)
+          for (int64_t i = 0; i < m; ++i) a[i * k + p] = at[p * m + i];
+        std::vector<float> nonzero = SignedZeroOperand(rng, m * n);
+        for (const std::vector<float>& seed :
+             {std::vector<float>(static_cast<size_t>(m * n), -0.0f),
+              nonzero}) {
+          SetNumThreads(1);
+          SetGemmKernel(GemmKernel::kReference);
+          std::vector<float> reference = seed;
+          GemmTransAAccumulate(at.data(), b.data(), reference.data(), m, k, n);
+          for (bool portable : {false, true}) {
+            UseMicroKernel(portable);
+            SetNumThreads(1);
+            SetGemmKernel(GemmKernel::kTiled);
+            std::vector<float> packed = seed;
+            GemmAccumulate(a.data(), b.data(), packed.data(), m, k, n);
+            EXPECT_TRUE(BitsEqual(packed, reference))
+                << m << "x" << k << "x" << n << " packed portable="
+                << portable;
+            for (GemmKernel kernel :
+                 {GemmKernel::kReference, GemmKernel::kTiled}) {
+              SetGemmKernel(kernel);
+              for (int threads : {1, 2, 8}) {
+                SetNumThreads(threads);
+                std::vector<float> c = seed;
+                GemmTransAAccumulate(at.data(), b.data(), c.data(), m, k, n);
+                EXPECT_TRUE(BitsEqual(c, reference))
+                    << m << "x" << k << "x" << n
+                    << " kernel=" << GemmKernelName(kernel)
+                    << " portable=" << portable << " threads=" << threads;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  UseMicroKernel(false);
+  SetGemmKernel(previous_kernel);
+  SetNumThreads(previous_threads);
 }
 
 // --gemm-kernel accepts exactly the dispatchable kernels and round-trips

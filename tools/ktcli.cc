@@ -63,7 +63,9 @@
 // Global flags (any subcommand):
 //   --threads N   Size of the kt::parallel thread pool (default: the
 //                 KT_NUM_THREADS env var, else hardware concurrency).
-//                 Outputs are bit-identical for every value.
+//                 Outputs are bit-identical for every value. The resolved
+//                 size is logged to stderr at startup ("ktcli: N threads")
+//                 and recorded as "threads" in every run-log entry.
 //   --gemm-kernel auto|reference|tiled
 //                 Process-wide GEMM dispatch override (tensor/gemm.h
 //                 contract). Every kernel gives the same bits; only speed
@@ -100,6 +102,7 @@
 #include "continual/trainer.h"
 #include "core/flags.h"
 #include "core/memory_policy.h"
+#include "core/parallel.h"
 #include "data/io.h"
 #include "obs/obs_flags.h"
 #include "data/presets.h"
@@ -620,6 +623,10 @@ int Main(int argc, char** argv) {
   // and flush their artifacts through an atexit hook.
   const CommonFlagValues common = ApplyCommonFlags(flags);
   obs::ApplyCommonObsFlags(common);
+  // The pool size every later parallel region uses: --threads, else
+  // KT_NUM_THREADS, else the hardware count. The run log repeats it per
+  // entry.
+  std::fprintf(stderr, "ktcli: %d threads\n", GetNumThreads());
   // --gemm-kernel lives here rather than in ApplyCommonFlags because
   // kt_core cannot see kt_tensor; the override is process-wide and applies
   // to every subcommand (contract in tensor/gemm.h).

@@ -397,7 +397,7 @@ int CheckRunLog(const std::string& path) {
     }
     for (const char* key :
          {"epoch", "tokens", "gemm_flops", "rss_bytes", "peak_rss_bytes",
-          "minflt"}) {
+          "minflt", "threads"}) {
       const JsonValue* v = entry.Find(key);
       if (v == nullptr || !v->IsNumber() || !v->number_is_integral ||
           v->number < 0.0) {
