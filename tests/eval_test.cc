@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "eval/trainer.h"
 #include "eval/ttest.h"
 #include "models/dkt.h"
+#include "nn/serialize.h"
 
 namespace kt {
 namespace eval {
@@ -220,6 +223,48 @@ TEST(TrainerTest, EarlyStoppingRestoresBestEpoch) {
   // Early stopping fired no later than best + patience.
   EXPECT_LE(result.epochs_run,
             result.best_epoch + options.patience + 1);
+}
+
+// Golden-value regression for the epoch driver: a fixed-seed 3-epoch DKT
+// run (dropout on) that commits a checkpoint after every epoch. The
+// literals were recorded from a known-good build; a change to the shuffle
+// stream, the order of calls into the model, the best-epoch restore or the
+// checkpoint path that moves one bit fails here.
+TEST(TrainerGoldenTest, DktThreeEpochsCheckpointEveryEpoch) {
+  data::SimulatorConfig config;
+  config.num_students = 50;
+  config.num_questions = 30;
+  config.num_concepts = 4;
+  config.min_responses = 10;
+  config.max_responses = 20;
+  config.seed = 3;
+  data::StudentSimulator sim(config);
+  data::Dataset ds = sim.Generate();
+  Rng rng(5);
+  const auto folds =
+      data::KFoldAssignment(static_cast<int64_t>(ds.sequences.size()), 5, rng);
+  data::FoldSplit split = data::MakeFold(ds, folds, 0, 0.2, rng);
+
+  models::NeuralConfig nc;
+  nc.dim = 8;
+  models::DKT model(ds.num_questions, ds.num_concepts, nc);
+  const std::string path =
+      std::string(::testing::TempDir()) + "/trainer_golden_dkt.ktc";
+  TrainOptions options;
+  options.max_epochs = 3;
+  options.batch_size = 16;
+  options.checkpoint_every = 1;
+  options.checkpoint_path = path;
+  const TrainResult result = TrainAndEvaluate(model, split, options);
+  std::remove(path.c_str());
+
+  const std::vector<double> kGoldenLoss = {
+      0.6948888897895813, 0.69383305311203003, 0.69241204857826233};
+  const std::vector<double> kGoldenValAuc = {
+      0.54535947712418298, 0.55738562091503263, 0.57333333333333336};
+  EXPECT_EQ(nn::FingerprintModule(model), 0x99e46d1b70998301ULL);
+  EXPECT_EQ(result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(result.val_auc_history, kGoldenValAuc);
 }
 
 TEST(CrossValidationTest, ProducesOneResultPerFold) {

@@ -9,6 +9,7 @@
 #include "data/simulator.h"
 #include "models/embedder.h"
 #include "nn/losses.h"
+#include "nn/serialize.h"
 #include "rckt/counterfactual.h"
 #include "rckt/encoders.h"
 #include "rckt/rckt_model.h"
@@ -895,6 +896,52 @@ INSTANTIATE_TEST_SUITE_P(AllEncoders, RcktLearningSuite,
                          [](const auto& info) {
                            return EncoderKindName(info.param);
                          });
+
+// ---- Golden trainer output ----
+
+// Golden-value regressions for the RCKT side of the epoch driver and the
+// fold loop, recorded from a known-good build. The SAKT run keeps dropout on
+// so the dropout stream is pinned along with the shuffle stream.
+TEST(TrainerGoldenRcktTest, SaktTwoEpochs) {
+  data::Dataset ds = TinyDataset();
+  Rng rng(77);
+  const auto folds =
+      data::KFoldAssignment(static_cast<int64_t>(ds.sequences.size()), 4, rng);
+  data::FoldSplit split = data::MakeFold(ds, folds, 0, 0.2, rng);
+
+  RcktConfig config = SmallRckt(EncoderKind::kSAKT);
+  config.dropout = 0.1f;
+  RCKT model(ds.num_questions, ds.num_concepts, config);
+  RcktTrainOptions options;
+  options.max_epochs = 2;
+  options.batch_size = 16;
+  const RcktTrainResult result = TrainAndEvaluateRckt(model, split, options);
+
+  const std::vector<double> kGoldenLoss = {1.0440245100430079,
+                                          0.91735333630016869};
+  const std::vector<double> kGoldenValAuc = {0.51923076923076927,
+                                            0.48076923076923078};
+  EXPECT_EQ(nn::FingerprintModule(model), 0x8dbb22c2c83fdda2ULL);
+  EXPECT_EQ(result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(result.val_auc_history, kGoldenValAuc);
+}
+
+TEST(TrainerGoldenRcktTest, TwoFoldCrossValidationFoldAuc) {
+  data::Dataset ds = TinyDataset();
+  RcktTrainOptions options;
+  options.max_epochs = 2;
+  options.batch_size = 16;
+  const RcktFactory factory = [](const data::Dataset& train) {
+    return std::make_unique<RCKT>(train.num_questions, train.num_concepts,
+                                  SmallRckt(EncoderKind::kDKT));
+  };
+  const eval::CrossValidationResult cv = RunRcktCrossValidation(
+      ds, 2, factory, options, /*seed=*/11, /*validation_fraction=*/0.2);
+
+  const std::vector<double> kGoldenFoldAuc = {0.66727941176470584,
+                                             0.39849624060150374};
+  EXPECT_EQ(cv.fold_auc, kGoldenFoldAuc);
+}
 
 }  // namespace
 }  // namespace rckt
