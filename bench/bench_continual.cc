@@ -10,16 +10,13 @@
 //     traffic (the quiesce barrier every promotion pays).
 //
 // Traffic is the drift scenario (data/scenarios.h) — the workload the
-// continual loop exists for. Results merge into BENCH_serve_scenarios.json
-// as a "continual" section (override the path with --out=<path>); the rest
-// of the file is left untouched, so run bench_serve_scenarios first for a
-// full refresh.
+// continual loop exists for. Results go to BENCH_continual.json (override
+// the path with --out=<path>).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,62 +67,23 @@ struct ContinualMetrics {
   double swap_mean_us = 0.0;
 };
 
-std::string MetricsJson(const ContinualMetrics& m) {
-  std::ostringstream out;
-  out << "{\"threads\":" << GetNumThreads() << ",\"events\":" << m.events
-      << ",\"ingest_elapsed_s\":" << m.ingest_elapsed_s
-      << ",\"ingest_events_per_sec\":" << m.ingest_events_per_sec
-      << ",\"reservoir_size\":" << m.reservoir_size
-      << ",\"reservoir_capacity\":" << m.reservoir_capacity
-      << ",\"mini_epochs\":" << m.mini_epochs
-      << ",\"promotions\":" << m.promotions
-      << ",\"mini_epoch_p50_ms\":" << m.mini_epoch_p50_ms
-      << ",\"mini_epoch_p99_ms\":" << m.mini_epoch_p99_ms
-      << ",\"mini_epoch_mean_ms\":" << m.mini_epoch_mean_ms
-      << ",\"swaps\":" << m.swaps << ",\"swap_p50_us\":" << m.swap_p50_us
-      << ",\"swap_p99_us\":" << m.swap_p99_us
-      << ",\"swap_mean_us\":" << m.swap_mean_us << "}";
-  return out.str();
-}
-
-// Splices `section` in as the (single, last) "continual" key of the JSON
-// object at `path`, replacing an existing section from a prior run. Creates
-// a minimal document when the file is missing so the bench can run alone.
-bool MergeIntoScenarioJson(const std::string& path,
-                           const std::string& section) {
-  std::string text;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      text = buffer.str();
-    }
-  }
-  if (text.find('{') == std::string::npos) {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << "{\n  \"continual\": " << section << "\n}\n";
-    return static_cast<bool>(out);
-  }
-  const size_t existing = text.find("\n  \"continual\":");
-  if (existing != std::string::npos) {
-    const size_t comma = text.rfind(',', existing);
-    if (comma == std::string::npos) return false;
-    text.erase(comma);
-  } else {
-    const size_t brace = text.rfind('}');
-    if (brace == std::string::npos) return false;
-    text.erase(brace);
-  }
-  while (!text.empty() &&
-         (text.back() == '\n' || text.back() == ' ' || text.back() == '\t')) {
-    text.pop_back();
-  }
-  text += ",\n  \"continual\": " + section + "\n}\n";
+bool WriteJson(const std::string& path, const ContinualMetrics& m) {
   std::ofstream out(path);
-  if (!out) return false;
-  out << text;
+  out << "{\n  \"bench\": \"continual\",\n  \"threads\": " << GetNumThreads()
+      << ",\n  \"events\": " << m.events
+      << ",\n  \"ingest_elapsed_s\": " << m.ingest_elapsed_s
+      << ",\n  \"ingest_events_per_sec\": " << m.ingest_events_per_sec
+      << ",\n  \"reservoir_size\": " << m.reservoir_size
+      << ",\n  \"reservoir_capacity\": " << m.reservoir_capacity
+      << ",\n  \"mini_epochs\": " << m.mini_epochs
+      << ",\n  \"promotions\": " << m.promotions
+      << ",\n  \"mini_epoch_p50_ms\": " << m.mini_epoch_p50_ms
+      << ",\n  \"mini_epoch_p99_ms\": " << m.mini_epoch_p99_ms
+      << ",\n  \"mini_epoch_mean_ms\": " << m.mini_epoch_mean_ms
+      << ",\n  \"swaps\": " << m.swaps
+      << ",\n  \"swap_p50_us\": " << m.swap_p50_us
+      << ",\n  \"swap_p99_us\": " << m.swap_p99_us
+      << ",\n  \"swap_mean_us\": " << m.swap_mean_us << "\n}\n";
   return static_cast<bool>(out);
 }
 
@@ -287,11 +245,11 @@ void Run(const std::string& out_path) {
                     FormatFloat(metrics.swap_p99_us, 0)});
   table.Print(std::cout);
 
-  if (!MergeIntoScenarioJson(out_path, MetricsJson(metrics))) {
-    std::fprintf(stderr, "failed to update %s\n", out_path.c_str());
+  if (!WriteJson(out_path, metrics)) {
+    std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     std::exit(1);
   }
-  std::printf("\nmerged continual section into %s\n", out_path.c_str());
+  std::printf("\nwrote %s\n", out_path.c_str());
 }
 
 }  // namespace
@@ -300,6 +258,6 @@ void Run(const std::string& out_path) {
 
 int main(int argc, char** argv) {
   const kt::FlagParser flags = kt::bench::InitBenchFlags(&argc, argv);
-  kt::bench::Run(flags.GetString("out", "BENCH_serve_scenarios.json"));
+  kt::bench::Run(flags.GetString("out", "BENCH_continual.json"));
   return 0;
 }

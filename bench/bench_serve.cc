@@ -1,12 +1,12 @@
-// Online-serving benchmark (DESIGN.md §11): incremental predict/update via
-// kt::serve against the offline baseline that re-encodes the whole prefix
-// per prediction, plus counterfactual recourse fast path vs brute force.
+// Counterfactual recourse benchmark (DESIGN.md §15): the serving engine's
+// stacked fast path against its --brute reference, an algorithmic A/B.
 //
 // The two paths are bit-identical by contract (tests/serve_test.cc), so one
 // binary measures both on the same machine in the same run and writes
 // BENCH_serve.json (override with --out=<path>). The headline number is
-// "speedups.predict_<enc>_T<len>": single-response latency of the O(1)
-// session-cache path over full re-encoding at that history length.
+// "speedups.recourse_<enc>_T<len>": brute-force latency over the fast
+// path's at that history length. Served predict/update latency is measured
+// end to end over TCP by perfbench (BENCHMARK.json).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -17,7 +17,6 @@
 #include "bench/bench_common.h"
 #include "core/parallel.h"
 #include "data/simulator.h"
-#include "rckt/samples.h"
 #include "serve/engine.h"
 
 namespace kt {
@@ -42,81 +41,13 @@ double TimeNs(const std::function<void()>& fn, double min_time_sec = 0.2,
 
 struct Result {
   std::string encoder;
-  std::string op;      // "predict" | "update"
+  std::string op;      // "recourse"
   int64_t seq_len = 0;
-  std::string mode;    // "offline_reencode" | "online_incremental"
+  std::string mode;    // "brute_per_candidate" | "suffix_replay"
   double ns_per_iter = 0.0;
 };
 
 std::vector<Result> g_results;
-
-// One long-history student per encoder: predict latency at history length
-// `T` for (a) the offline scorer re-encoding all T interactions and (b) the
-// serving engine answering from its session cache.
-void BenchEncoder(rckt::EncoderKind kind, const data::Dataset& ds,
-                  int64_t T) {
-  rckt::RcktConfig config;
-  config.encoder = kind;
-  config.dim = 32;
-  config.num_layers = 1;
-  config.num_heads = 2;
-  config.dropout = 0.0f;
-  config.seed = 4;
-  rckt::RCKT model(ds.num_questions, ds.num_concepts, config);
-  const auto& seq = ds.sequences[0];
-  KT_CHECK(seq.length() > T) << "simulated sequence shorter than T";
-
-  // Offline baseline: every request re-builds and re-encodes the prefix.
-  data::Batch batch = rckt::MakePrefixBatch({{&seq, T}});
-  const double offline_ns = TimeNs([&] {
-    g_sink = model.GeneratorScoreTargets(batch)[0];
-  });
-
-  // Online: warm a session to T history steps, then serve predicts from the
-  // cached forward stream.
-  serve::EngineOptions options;
-  options.num_questions = ds.num_questions;
-  options.num_concepts = ds.num_concepts;
-  serve::InferenceEngine engine(model, options);
-  for (int64_t t = 0; t < T; ++t) {
-    const auto& it = seq.interactions[static_cast<size_t>(t)];
-    serve::ServeRequest update;
-    update.op = serve::Op::kUpdate;
-    update.student = "s";
-    update.question = it.question;
-    update.response = it.response;
-    update.has_concepts = true;
-    update.concepts = it.concepts;
-    KT_CHECK(engine.Execute(update).ok);
-  }
-  serve::ServeRequest predict;
-  predict.op = serve::Op::kPredict;
-  predict.student = "s";
-  predict.question = seq.interactions[static_cast<size_t>(T)].question;
-  predict.has_concepts = true;
-  predict.concepts = seq.interactions[static_cast<size_t>(T)].concepts;
-  const double online_ns = TimeNs([&] {
-    g_sink = engine.Execute(predict).p;
-  });
-
-  // Incremental update cost at this history depth (grows the session; keep
-  // the measurement window modest so attention caches stay near T).
-  serve::ServeRequest update = predict;
-  update.op = serve::Op::kUpdate;
-  update.response = 1;
-  const double update_ns = TimeNs([&] {
-    g_sink = static_cast<float>(engine.Execute(update).history);
-  }, /*min_time_sec=*/0.05);
-
-  const char* name = rckt::EncoderKindName(kind);
-  g_results.push_back({name, "predict", T, "offline_reencode", offline_ns});
-  g_results.push_back({name, "predict", T, "online_incremental", online_ns});
-  g_results.push_back({name, "update", T, "online_incremental", update_ns});
-  std::printf("  %-4s T=%-4lld offline %10.0f ns  online %8.0f ns  "
-              "(%.1fx)  update %8.0f ns\n",
-              name, static_cast<long long>(T), offline_ns, online_ns,
-              offline_ns / online_ns, update_ns);
-}
 
 // Counterfactual recourse at history length T: the stacked fast path
 // (insert-only candidates scored from cloned forward streams, flip
@@ -194,21 +125,12 @@ bool WriteJson(const std::string& path) {
         << (i + 1 < g_results.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"speedups\": {\n";
-  bool first = true;
-  for (size_t i = 0; i + 1 < g_results.size(); ++i) {
-    const Result& base = g_results[i];
-    const Result& opt = g_results[i + 1];
-    const bool predict_pair = base.mode == "offline_reencode" &&
-                              opt.mode == "online_incremental" &&
-                              base.op == opt.op;
-    const bool recourse_pair = base.mode == "brute_per_candidate" &&
-                               opt.mode == "suffix_replay" &&
-                               base.op == "recourse" && opt.op == "recourse";
-    if (!predict_pair && !recourse_pair) continue;
-    if (!first) out << ",\n";
-    first = false;
-    out << "    \"" << base.op << "_" << base.encoder << "_T" << base.seq_len
-        << "\": " << base.ns_per_iter / opt.ns_per_iter;
+  for (size_t i = 0; i + 1 < g_results.size(); i += 2) {
+    const Result& brute = g_results[i];
+    const Result& fast = g_results[i + 1];
+    out << (i > 0 ? ",\n" : "") << "    \"" << brute.op << "_" << brute.encoder
+        << "_T" << brute.seq_len
+        << "\": " << brute.ns_per_iter / fast.ns_per_iter;
   }
   out << "\n  }\n}\n";
   return static_cast<bool>(out);
@@ -231,15 +153,9 @@ int main(int argc, char** argv) {
   kt::data::StudentSimulator sim(sim_config);
   const kt::data::Dataset ds = sim.Generate();
 
-  std::printf("serving latency: incremental session cache vs full "
-              "re-encoding (threads=%d)\n",
+  std::printf("recourse: stacked fan-out vs brute per-candidate passes "
+              "(threads=%d)\n",
               kt::GetNumThreads());
-  for (kt::rckt::EncoderKind kind :
-       {kt::rckt::EncoderKind::kDKT, kt::rckt::EncoderKind::kGRU,
-        kt::rckt::EncoderKind::kSAKT, kt::rckt::EncoderKind::kAKT}) {
-    kt::BenchEncoder(kind, ds, /*T=*/100);
-  }
-  std::printf("recourse: stacked fan-out vs brute per-candidate passes\n");
   for (kt::rckt::EncoderKind kind :
        {kt::rckt::EncoderKind::kDKT, kt::rckt::EncoderKind::kSAKT}) {
     kt::BenchRecourse(kind, ds, /*T=*/100, /*k=*/3);

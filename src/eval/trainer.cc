@@ -1,5 +1,6 @@
 #include "eval/trainer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ckpt/training_state.h"
@@ -54,55 +55,37 @@ EvalResult Evaluate(models::KTModel& model, const data::Dataset& dataset,
   return result;
 }
 
-TrainResult TrainAndEvaluate(models::KTModel& model,
-                             const data::FoldSplit& split,
-                             const TrainOptions& options) {
-  TrainResult result;
-
-  if (!model.SupportsBatchTraining()) {
-    model.Fit(split.train);
-    result.test = Evaluate(model, split.test, options.batch_size);
-    result.epochs_run = 1;
-    result.best_epoch = 0;
-    return result;
-  }
-
-  auto* module = dynamic_cast<nn::Module*>(&model);
-  auto* neural = dynamic_cast<models::NeuralKTModel*>(&model);
+TrainResult TrainEpochs(const std::string& name, nn::Module& module,
+                        nn::Adam* optimizer, Rng* dropout_rng,
+                        uint64_t shuffle_seed, const TrainOptions& options,
+                        const TrainEpochFn& train_epoch,
+                        const ValidateFn& validate) {
   std::vector<Tensor> best_state;
-  Rng shuffle_rng(options.seed * 977 + 3);
+  Rng shuffle_rng(shuffle_seed);
   ckpt::TrainerProgress progress;
 
   // Checkpointing covers every piece of state the loop consumes: the
   // parameters, the Adam moments, the shuffle and dropout RNG streams, the
   // best-epoch snapshot, and the progress counters. Restoring all of them
   // at an epoch boundary makes the resumed run bit-identical to one that
-  // was never killed.
+  // was never killed. (Whatever the epoch callback derives from the split
+  // alone, such as RCKT's prefix samples, need not be saved.)
   const bool want_ckpt =
       options.checkpoint_every > 0 && !options.checkpoint_path.empty();
-  const bool want_resume = !options.resume_path.empty();
   ckpt::TrainingState snapshot;
-  bool ckpt_active = false;
-  if ((want_ckpt || want_resume) && module == nullptr) {
-    KT_LOG(WARNING) << model.name()
-                    << " is not an nn::Module; checkpointing disabled";
-  } else if (want_ckpt || want_resume) {
-    ckpt_active = true;
-    snapshot.tag = model.name();
-    snapshot.module = module;
-    snapshot.optimizer = neural ? neural->optimizer() : nullptr;
-    snapshot.rngs.emplace_back("shuffle", &shuffle_rng);
-    if (neural) snapshot.rngs.emplace_back("dropout", neural->dropout_rng());
-    snapshot.progress = &progress;
-    snapshot.best_state = &best_state;
-  }
-  if (ckpt_active && want_resume && FileExists(options.resume_path)) {
+  snapshot.tag = name;
+  snapshot.module = &module;
+  snapshot.optimizer = optimizer;
+  snapshot.rngs = {{"shuffle", &shuffle_rng}, {"dropout", dropout_rng}};
+  snapshot.progress = &progress;
+  snapshot.best_state = &best_state;
+  if (!options.resume_path.empty() && FileExists(options.resume_path)) {
     const Status status =
         ckpt::LoadTrainingState(snapshot, options.resume_path);
     KT_CHECK(status.ok()) << "cannot resume from " << options.resume_path
                           << ": " << status.ToString();
     if (options.verbose) {
-      KT_LOG(INFO) << model.name() << " resumed from " << options.resume_path
+      KT_LOG(INFO) << name << " resumed from " << options.resume_path
                    << " at epoch " << progress.next_epoch;
     }
   }
@@ -121,40 +104,29 @@ TrainResult TrainAndEvaluate(models::KTModel& model,
     const obs::ResourceUsage usage_before = obs::RunLogActive()
                                                 ? obs::CurrentResourceUsage()
                                                 : obs::ResourceUsage{};
-    data::BatchIterator it(split.train, options.batch_size, shuffle_rng,
-                           /*shuffle=*/true);
-    data::Batch batch;
-    double loss_sum = 0.0;
-    int64_t batches = 0;
-    int64_t tokens = 0;
-    while (it.Next(&batch)) {
-      loss_sum += model.TrainBatch(batch);
-      tokens += batch.batch_size * batch.max_len;
-      ++batches;
-    }
+    const EpochTotals totals = train_epoch(shuffle_rng);
+    const double mean_loss =
+        totals.loss_sum / std::max<int64_t>(totals.batches, 1);
     ++progress.epochs_run;
 
-    const EvalResult val = Evaluate(model, split.validation, options.batch_size);
+    const EvalResult val = validate();
     progress.val_auc_history.push_back(val.auc);
-    progress.train_loss_history.push_back(loss_sum /
-                                          std::max<int64_t>(batches, 1));
+    progress.train_loss_history.push_back(mean_loss);
     if (options.verbose) {
-      KT_LOG(INFO) << model.name() << " epoch " << epoch << " loss "
-                   << loss_sum / std::max<int64_t>(batches, 1) << " val auc "
-                   << val.auc;
+      KT_LOG(INFO) << name << " epoch " << epoch << " loss " << mean_loss
+                   << " val auc " << val.auc;
     }
     if (val.auc > progress.best_val_auc) {
       progress.best_val_auc = val.auc;
       progress.best_epoch = epoch;
       progress.epochs_since_best = 0;
-      if (module) best_state = module->StateClone();
+      best_state = module.StateClone();
     } else {
       ++progress.epochs_since_best;
     }
     progress.next_epoch = epoch + 1;
     double ckpt_ms = 0.0;
-    if (ckpt_active && want_ckpt &&
-        (epoch + 1) % options.checkpoint_every == 0) {
+    if (want_ckpt && (epoch + 1) % options.checkpoint_every == 0) {
       WallTimer ckpt_timer;
       const Status status =
           ckpt::SaveTrainingState(snapshot, options.checkpoint_path);
@@ -164,13 +136,13 @@ TrainResult TrainAndEvaluate(models::KTModel& model,
     }
     if (obs::RunLogActive()) {
       obs::RunLogEntry entry;
-      entry.run = model.name();
+      entry.run = name;
       entry.epoch = epoch;
-      entry.train_loss = loss_sum / std::max<int64_t>(batches, 1);
+      entry.train_loss = mean_loss;
       entry.val_auc = val.auc;
       entry.val_acc = val.acc;
       entry.epoch_ms = epoch_timer.ElapsedMs();
-      entry.tokens = tokens;
+      entry.tokens = totals.tokens;
       entry.gemm_flops =
           obs::Counter::Get("gemm.flops")->Value() - flops_before;
       entry.ckpt_ms = ckpt_ms;
@@ -179,64 +151,67 @@ TrainResult TrainAndEvaluate(models::KTModel& model,
     }
   }
 
+  TrainResult result;
   result.best_val_auc = progress.best_val_auc;
   result.best_epoch = static_cast<int>(progress.best_epoch);
   result.epochs_run = static_cast<int>(progress.epochs_run);
   result.val_auc_history = progress.val_auc_history;
   result.train_loss_history = progress.train_loss_history;
-  if (module && !best_state.empty()) module->SetState(best_state);
+  if (!best_state.empty()) module.SetState(best_state);
+  return result;
+}
+
+TrainResult TrainAndEvaluate(models::KTModel& model,
+                             const data::FoldSplit& split,
+                             const TrainOptions& options) {
+  if (!model.SupportsBatchTraining()) {
+    model.Fit(split.train);
+    TrainResult result;
+    result.test = Evaluate(model, split.test, options.batch_size);
+    result.epochs_run = 1;
+    result.best_epoch = 0;
+    return result;
+  }
+
+  auto* neural = dynamic_cast<models::NeuralKTModel*>(&model);
+  KT_CHECK(neural != nullptr)
+      << model.name() << " trains in batches but is not a NeuralKTModel";
+  TrainResult result = TrainEpochs(
+      model.name(), *neural, neural->optimizer(), neural->dropout_rng(),
+      options.seed * 977 + 3, options,
+      [&](Rng& shuffle_rng) {
+        EpochTotals totals;
+        data::BatchIterator it(split.train, options.batch_size, shuffle_rng,
+                               /*shuffle=*/true);
+        data::Batch batch;
+        while (it.Next(&batch)) {
+          totals.loss_sum += model.TrainBatch(batch);
+          totals.tokens += batch.batch_size * batch.max_len;
+          ++totals.batches;
+        }
+        return totals;
+      },
+      [&] { return Evaluate(model, split.validation, options.batch_size); });
   result.test = Evaluate(model, split.test, options.batch_size);
   return result;
 }
 
-// Gives fold `fold` its own checkpoint/resume files ("<path>.fold<f>") so a
-// killed k-fold run restarts at the interrupted fold: completed folds
-// fast-resume (restore + final test evaluation, no retraining) and the
-// interrupted fold continues from its last epoch boundary.
-TrainOptions FoldOptions(const TrainOptions& options, int fold) {
-  TrainOptions fold_options = options;
-  const std::string suffix = ".fold" + std::to_string(fold);
-  if (!options.checkpoint_path.empty()) {
-    fold_options.checkpoint_path = options.checkpoint_path + suffix;
-  }
-  if (!options.resume_path.empty()) {
-    fold_options.resume_path = options.resume_path + suffix;
-  }
-  return fold_options;
-}
-
-CrossValidationResult RunCrossValidation(const data::Dataset& windows, int k,
-                                         const ModelFactory& factory,
-                                         const TrainOptions& options,
-                                         uint64_t seed,
-                                         double validation_fraction) {
+CrossValidationResult RunFolds(const data::Dataset& windows, int k,
+                               uint64_t seed, double validation_fraction,
+                               int folds_to_run, const FoldFn& run_fold) {
   CrossValidationResult result;
   Rng fold_rng(seed);
-  const std::vector<int> folds =
-      data::KFoldAssignment(static_cast<int64_t>(windows.sequences.size()), k,
-                            fold_rng);
-  // Fold-level parallelism: every fold derives its own RNG stream from the
-  // seed and fold index alone and owns a private model, so per-fold results
-  // are independent of scheduling and land in fold-indexed slots. (Nested
-  // parallel leaves — GEMM, counterfactual fan-out — run inline inside a
-  // fold task.)
-  result.fold_auc.resize(static_cast<size_t>(k));
-  result.fold_acc.resize(static_cast<size_t>(k));
-  ParallelFor(0, k, /*grain=*/1, [&](int64_t fold) {
+  const std::vector<int> folds = data::KFoldAssignment(
+      static_cast<int64_t>(windows.sequences.size()), k, fold_rng);
+  const int run_count = folds_to_run < 0 ? k : std::min(k, folds_to_run);
+  for (int fold = 0; fold < run_count; ++fold) {
     Rng split_rng(seed * 131 + static_cast<uint64_t>(fold));
-    data::FoldSplit split = data::MakeFold(
-        windows, folds, static_cast<int>(fold), validation_fraction,
-        split_rng);
-    std::unique_ptr<models::KTModel> model = factory(split.train);
-    TrainResult fold_result = TrainAndEvaluate(
-        *model, split, FoldOptions(options, static_cast<int>(fold)));
-    result.fold_auc[static_cast<size_t>(fold)] = fold_result.test.auc;
-    result.fold_acc[static_cast<size_t>(fold)] = fold_result.test.acc;
-    if (options.verbose) {
-      KT_LOG(INFO) << "fold " << fold << " auc " << fold_result.test.auc
-                   << " acc " << fold_result.test.acc;
-    }
-  });
+    const data::FoldSplit split =
+        data::MakeFold(windows, folds, fold, validation_fraction, split_rng);
+    const EvalResult test = run_fold(split, fold);
+    result.fold_auc.push_back(test.auc);
+    result.fold_acc.push_back(test.acc);
+  }
 
   double auc_sum = 0.0, acc_sum = 0.0;
   for (size_t i = 0; i < result.fold_auc.size(); ++i) {

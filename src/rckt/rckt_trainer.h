@@ -13,24 +13,20 @@
 namespace kt {
 namespace rckt {
 
-struct RcktTrainOptions {
-  int max_epochs = 15;
-  int patience = 5;
-  int64_t batch_size = 32;
+// eval::TrainOptions with the prefix-sample protocol's defaults (15 epochs,
+// patience 5, batches of 32) and its own knobs.
+struct RcktTrainOptions : eval::TrainOptions {
+  RcktTrainOptions() {
+    max_epochs = 15;
+    patience = 5;
+    batch_size = 32;
+  }
   // Target enumeration strides (see MakePrefixSamples).
   int64_t train_stride = 6;
   int64_t eval_stride = 6;
   int64_t min_target = 4;
-  uint64_t seed = 3;
-  bool verbose = false;
   // Use the exact forward influence computation (Table VI "Before").
   bool exact = false;
-  // Crash-safe checkpointing (kt::ckpt); see eval::TrainOptions for the
-  // exact semantics. Under cross-validation both paths get a ".fold<k>"
-  // suffix per fold.
-  int checkpoint_every = 0;
-  std::string checkpoint_path;
-  std::string resume_path;
 };
 
 // Scores every prefix sample of `dataset` with RCKT and computes AUC/ACC
@@ -68,25 +64,16 @@ eval::EvalResult EvaluateModelOnSamples(models::KTModel& model,
                                         const data::Dataset& dataset,
                                         const RcktTrainOptions& options);
 
-struct RcktTrainResult {
-  eval::EvalResult test;
-  double best_val_auc = 0.0;
-  int best_epoch = -1;
-  int epochs_run = 0;
-  std::vector<double> val_auc_history;
-  // Mean training loss per epoch; a resumed run must log the same values as
-  // a straight-through run (asserted in tests/ckpt_test.cc).
-  std::vector<double> train_loss_history;
-};
+using RcktTrainResult = eval::TrainResult;
 
-// Counterfactual training with early stopping on validation AUC and
-// best-epoch weight restore, then test evaluation.
+// Counterfactual training through eval::TrainEpochs (early stopping on
+// validation AUC, best-epoch weight restore), then test evaluation.
 RcktTrainResult TrainAndEvaluateRckt(RCKT& model,
                                      const data::FoldSplit& split,
                                      const RcktTrainOptions& options);
 
-// Cross-validation driver mirroring eval::RunCrossValidation but on the
-// prefix-sample protocol. The factory builds a fresh RCKT per fold.
+// k-fold cross validation (eval::RunFolds) on the prefix-sample protocol.
+// The factory builds a fresh RCKT per fold.
 using RcktFactory = std::function<std::unique_ptr<RCKT>(
     const data::Dataset& train)>;
 // `folds_to_run` < 0 runs all k folds; smaller values evaluate only the

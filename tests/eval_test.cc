@@ -13,6 +13,7 @@
 #include "eval/ttest.h"
 #include "models/dkt.h"
 #include "nn/serialize.h"
+#include "rckt/rckt_trainer.h"
 
 namespace kt {
 namespace eval {
@@ -289,7 +290,8 @@ TEST(CrossValidationTest, ProducesOneResultPerFold) {
     return std::make_unique<models::DKT>(train.num_questions,
                                          train.num_concepts, nc);
   };
-  const auto cv = RunCrossValidation(ds, 3, factory, options);
+  const auto cv = rckt::RunBaselineCrossValidation(
+      ds, 3, factory, options, rckt::RcktTrainOptions());
   EXPECT_EQ(cv.fold_auc.size(), 3u);
   EXPECT_EQ(cv.fold_acc.size(), 3u);
   double mean = 0.0;

@@ -16,6 +16,7 @@
 #include "eval/trainer.h"
 #include "models/dkt.h"
 #include "rckt/rckt_model.h"
+#include "rckt/rckt_trainer.h"
 #include "rckt/samples.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
@@ -250,15 +251,19 @@ TEST(ParallelDeterminismTest, CrossValidationBitIdenticalAcrossThreadCounts) {
                                          train.num_concepts, config);
   };
 
+  const rckt::RcktTrainOptions sample_options;
+
   eval::CrossValidationResult reference;
   {
     ThreadCountScope scope(1);
-    reference = eval::RunCrossValidation(ds, 2, factory, options, 31);
+    reference = rckt::RunBaselineCrossValidation(ds, 2, factory, options,
+                                                 sample_options, 31);
   }
   for (int threads : {1, 8}) {
     ThreadCountScope scope(threads);
     const eval::CrossValidationResult result =
-        eval::RunCrossValidation(ds, 2, factory, options, 31);
+        rckt::RunBaselineCrossValidation(ds, 2, factory, options,
+                                         sample_options, 31);
     ASSERT_EQ(result.fold_auc.size(), reference.fold_auc.size());
     for (size_t fold = 0; fold < reference.fold_auc.size(); ++fold) {
       EXPECT_EQ(result.fold_auc[fold], reference.fold_auc[fold])
