@@ -24,7 +24,6 @@ void Run() {
               "paper: AUC/ACC peak for lambda in [0.01, 0.1] on both "
               "ASSIST datasets and both encoders (inverted-U shape)");
 
-  const BenchScale scale = GetScale();
   for (const std::string& dataset_name : kDatasets()) {
     const char* dataset = dataset_name.c_str();
     data::Dataset windows = MakeWindows(dataset);

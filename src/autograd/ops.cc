@@ -817,8 +817,8 @@ Variable GruCellCombine(const Variable& zx, const Variable& zh,
 
 // ---- Layer normalization ----
 //
-// The composed chain this replaces (nn::LayerNorm keeps it as the
-// reference): mu = Sum(x)·(1/d), c = x - mu, var = Sum(c·c)·(1/d),
+// The composed chain this replaces (tests/composed_reference.h keeps it as
+// the reference): mu = Sum(x)·(1/d), c = x - mu, var = Sum(c·c)·(1/d),
 // sd = Sqrt(var + eps), out = (c / sd)·gamma + beta, eleven nodes.
 //
 // Backward replays their closures element by element, +0.0f adoption adds
@@ -959,8 +959,8 @@ Variable LayerNormCore(const Variable& x, const Variable& gamma,
 
 // ---- Multi-head attention core ----
 //
-// The composed chain this replaces, per head h (nn/attention.cc keeps it as
-// the reference): q_h = Slice(q), k_hᵀ = TransposeLast2(Slice(k)),
+// The composed chain this replaces, per head h (composed_reference.h in
+// tests keeps it): q_h = Slice(q), k_hᵀ = TransposeLast2(Slice(k)),
 // S = BatchMatMul(q_h, k_hᵀ)·scale, S -= softplus·dist (decay),
 // S += additive, P0 = softmax(S), P1 = P0·row_any, P2 = Dropout(P1),
 // y_h = BatchMatMul(P2, v_h), then Concat over heads. Every GEMM here

@@ -79,6 +79,8 @@ Variable Dropout(const Variable& a, float p, Rng* streams,
 // the composed chain (the epilogues replay the same per-element expressions
 // in the same order; autograd/ops.cc builds with -ffp-contract=off so no
 // FMA contraction can merge what the composed path rounds separately).
+// The composed chains themselves live in tests/composed_reference.h, the
+// references the tests hold the nn modules to.
 
 // Activation epilogue selector for LinearBiasAct.
 enum class Act { kIdentity, kRelu, kSigmoid, kTanh };
@@ -118,8 +120,9 @@ Variable GruCellCombine(const Variable& zx, const Variable& zh,
 // Layer normalization over the last dimension of x ([*, d]) as one node:
 // (x - mean)/sqrt(var + eps)·gamma + beta with gamma and beta [d].
 // Bit-identical, value and the gradients of x, gamma and beta, to the
-// composed Mean/Sub/Mul/Mean/AddScalar/Sqrt/Div/Mul/Add chain of
-// nn::LayerNorm. Keeps x - mean and the row deviations for backward.
+// composed Mean/Sub/Mul/Mean/AddScalar/Sqrt/Div/Mul/Add chain
+// (ComposedLayerNorm in tests/composed_reference.h). Keeps x - mean and
+// the row deviations for backward.
 Variable LayerNormCore(const Variable& x, const Variable& gamma,
                        const Variable& beta, float eps);
 
@@ -147,12 +150,12 @@ struct AttentionCoreOptions {
 // with the merged [B, Tq, D] result holding y_h in columns of head h. `mask`
 // is [Tq, Tk] (1 = attend); `decay` is [num_heads] or undefined (no
 // distance decay). Bit-identical, values and every gradient, to the
-// composed Slice/BatchMatMul/.../Dropout/Concat chain in
-// nn::MultiHeadAttention. If `attention_out` is non-null it receives p, the
-// row-masked probabilities before dropout, as one [B, Tq, Tk] tensor per
-// head. Work is banded: blocks of query rows visit only the keys their
-// rows may attend (exact for 0/1 masks, finite v and scores far from the
-// -1e9 mask offset; DESIGN.md §9.2).
+// composed Slice/BatchMatMul/.../Dropout/Concat chain (the attention-head
+// reference in tests/composed_reference.h). If `attention_out` is non-null
+// it receives p, the row-masked probabilities before dropout, as one
+// [B, Tq, Tk] tensor per head. Work is banded: blocks of query rows visit
+// only the keys their rows may attend (exact for 0/1 masks, finite v and
+// scores far from the -1e9 mask offset; DESIGN.md §9.2).
 Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
                                 const Variable& v, const Tensor& mask,
                                 const Variable& decay,

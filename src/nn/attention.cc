@@ -1,9 +1,5 @@
 #include "nn/attention.h"
 
-#include <cmath>
-
-#include "tensor/tensor_ops.h"
-
 namespace kt {
 namespace nn {
 
@@ -35,20 +31,29 @@ Tensor MakeAttentionMask(int64_t t, AttentionMaskKind kind) {
   return mask;
 }
 
+namespace {
+
+// Checks the head count before anything divides by it.
+int64_t CheckedHeads(int64_t dim, int64_t num_heads) {
+  KT_CHECK_GT(num_heads, 0) << "attention needs at least one head";
+  KT_CHECK_EQ(dim % num_heads, 0)
+      << "dim " << dim << " not divisible by heads " << num_heads;
+  return num_heads;
+}
+
+}  // namespace
+
 MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t num_heads,
                                        float dropout_p, bool monotonic,
                                        Rng& rng)
     : dim_(dim),
-      num_heads_(num_heads),
-      head_dim_(dim / num_heads),
+      num_heads_(CheckedHeads(dim, num_heads)),
       dropout_p_(dropout_p),
       monotonic_(monotonic),
       q_proj_(dim, dim, rng, /*use_bias=*/false),
       k_proj_(dim, dim, rng, /*use_bias=*/false),
       v_proj_(dim, dim, rng, /*use_bias=*/false),
       out_proj_(dim, dim, rng) {
-  KT_CHECK_EQ(dim % num_heads, 0)
-      << "dim " << dim << " not divisible by heads " << num_heads;
   RegisterChild("q_proj", &q_proj_);
   RegisterChild("k_proj", &k_proj_);
   RegisterChild("v_proj", &v_proj_);
@@ -63,84 +68,15 @@ ag::Variable MultiHeadAttention::AttendHeads(
     const ag::Variable& qp, const ag::Variable& kp, const ag::Variable& vp,
     const Tensor& mask, int64_t query_offset, const Context& ctx,
     std::vector<Tensor>* attention_out) const {
-  ag::Variable merged;
-  if (FusedOpsEnabled()) {
-    ag::AttentionCoreOptions options;
-    options.num_heads = num_heads_;
-    options.query_offset = query_offset;
-    options.dropout_p = dropout_p_;
-    options.rng = ctx.rng;
-    options.rng_count = ctx.rng_count;
-    options.train = ctx.train;
-    merged = ag::MultiHeadAttentionCore(qp, kp, vp, mask, decay_, options,
-                                        attention_out);
-  } else {
-    merged = ComposedHeads(qp, kp, vp, mask, query_offset, ctx,
-                           attention_out);
-  }
-  return out_proj_.Forward(merged);
-}
-
-ag::Variable MultiHeadAttention::ComposedHeads(
-    const ag::Variable& qp, const ag::Variable& kp, const ag::Variable& vp,
-    const Tensor& mask, int64_t query_offset, const Context& ctx,
-    std::vector<Tensor>* attention_out) const {
-  const int64_t tq = mask.size(0);
-  const int64_t tk = mask.size(1);
-  // Additive mask: 0 where allowed, -1e9 where blocked, shaped [1, Tq, Tk]
-  // to broadcast over the batch.
-  Tensor additive = Map(mask, [](float m) { return (m - 1.0f) * 1e9f; })
-                        .Reshape(Shape{1, tq, tk});
-  ag::Variable additive_mask = ag::Constant(additive);
-  // Zero-out factor for rows with no attendable positions, [1, Tq, 1].
-  Tensor row_any(Shape{1, tq, 1});
-  for (int64_t i = 0; i < tq; ++i) {
-    float any = 0.0f;
-    for (int64_t j = 0; j < tk; ++j) any = std::max(any, mask.at({i, j}));
-    row_any.flat(i) = any;
-  }
-  ag::Variable row_any_mask = ag::Constant(row_any);
-  // Distance matrix for monotonic decay, [1, Tq, Tk].
-  ag::Variable distance;
-  if (monotonic_) {
-    Tensor dist(Shape{1, tq, tk});
-    for (int64_t i = 0; i < tq; ++i)
-      for (int64_t j = 0; j < tk; ++j)
-        dist.flat(i * tk + j) =
-            static_cast<float>(std::abs(query_offset + i - j));
-    distance = ag::Constant(dist);
-  }
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<ag::Variable> head_outputs;
-  head_outputs.reserve(static_cast<size_t>(num_heads_));
-  for (int64_t h = 0; h < num_heads_; ++h) {
-    const int64_t lo = h * head_dim_;
-    const int64_t hi = lo + head_dim_;
-    ag::Variable qh = ag::Slice(qp, 2, lo, hi);  // [B, Tq, dh]
-    ag::Variable kh = ag::Slice(kp, 2, lo, hi);  // [B, Tk, dh]
-    ag::Variable vh = ag::Slice(vp, 2, lo, hi);  // [B, Tk, dh]
-
-    ag::Variable scores = ag::MulScalar(
-        ag::BatchMatMul(qh, ag::TransposeLast2(kh)), scale);  // [B, Tq, Tk]
-    if (monotonic_) {
-      // softplus keeps the decay positive; larger distance -> lower score.
-      ag::Variable theta = ag::Slice(decay_, 0, h, h + 1);        // [1]
-      ag::Variable softplus =
-          ag::Log(ag::AddScalar(ag::Exp(theta), 1.0f));           // [1]
-      ag::Variable penalty =
-          ag::Mul(ag::Reshape(softplus, Shape{1, 1, 1}), distance);
-      scores = ag::Sub(scores, penalty);
-    }
-    scores = ag::Add(scores, additive_mask);
-    ag::Variable probs = ag::SoftmaxLastDim(scores);
-    // Rows that can attend nowhere become exact zeros instead of uniform.
-    probs = ag::Mul(probs, row_any_mask);
-    if (attention_out) attention_out->push_back(probs.value().Clone());
-    probs = ag::Dropout(probs, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
-    head_outputs.push_back(ag::BatchMatMul(probs, vh));  // [B, Tq, dh]
-  }
-  return num_heads_ == 1 ? head_outputs[0] : ag::Concat(head_outputs, 2);
+  ag::AttentionCoreOptions options;
+  options.num_heads = num_heads_;
+  options.query_offset = query_offset;
+  options.dropout_p = dropout_p_;
+  options.rng = ctx.rng;
+  options.rng_count = ctx.rng_count;
+  options.train = ctx.train;
+  return out_proj_.Forward(ag::MultiHeadAttentionCore(
+      qp, kp, vp, mask, decay_, options, attention_out));
 }
 
 ag::Variable MultiHeadAttention::Forward(

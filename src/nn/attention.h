@@ -96,28 +96,19 @@ class MultiHeadAttention : public Module {
   int64_t num_heads() const { return num_heads_; }
 
  private:
-  // Shared head loop: scores, decay, mask, softmax, weighted sum, merge,
+  // Shared head loop: the fused ag::MultiHeadAttentionCore (scores, decay,
+  // mask, softmax, dropout, weighted sum, head merge) and the
   // out-projection. Forward, StepCausal and StepCausalRun all run through
   // it, so the incremental steps replay exactly the arithmetic of the full
   // pass. `mask` is [Tq, Tk] (1 = attend) and query row i sits at global
-  // position query_offset + i for the decay's distance. Runs the fused
-  // ag::MultiHeadAttentionCore when FusedOpsEnabled(), else ComposedHeads.
+  // position query_offset + i for the decay's distance.
   ag::Variable AttendHeads(const ag::Variable& qp, const ag::Variable& kp,
                            const ag::Variable& vp, const Tensor& mask,
                            int64_t query_offset, const Context& ctx,
                            std::vector<Tensor>* attention_out) const;
 
-  // The op-per-node reference chain the fused core must match bit for bit:
-  // per head Slice, BatchMatMul, scale, decay, additive mask, softmax, row
-  // mask and Dropout, then Concat. Returns the merged [B, Tq, dim] heads.
-  ag::Variable ComposedHeads(const ag::Variable& qp, const ag::Variable& kp,
-                             const ag::Variable& vp, const Tensor& mask,
-                             int64_t query_offset, const Context& ctx,
-                             std::vector<Tensor>* attention_out) const;
-
   int64_t dim_;
   int64_t num_heads_;
-  int64_t head_dim_;
   float dropout_p_;
   bool monotonic_;
   Linear q_proj_;

@@ -18,30 +18,11 @@ GRUCell::GRUCell(int64_t input_size, int64_t hidden_size, Rng& rng)
 ag::Variable GRUCell::Forward(const ag::Variable& x,
                               const ag::Variable& h) const {
   KT_CHECK_EQ(x.shape().back(), input_size_);
-  const int64_t n = hidden_size_;
-  if (FusedOpsEnabled()) {
-    // Fused per-step path: the gate math below collapses into one node;
-    // bit-identical to the composed chain.
-    ag::Variable zx =
-        ag::LinearBiasAct(x, w_x_, bias_, ag::Act::kIdentity);  // [B, 3h]
-    ag::Variable zh = ag::MatMul(h, w_h_);                      // [B, 3h]
-    return ag::GruCellCombine(zx, zh, h);
-  }
-  ag::Variable zx = ag::Add(ag::MatMul(x, w_x_), bias_);  // [B, 3h]
-  ag::Variable zh = ag::MatMul(h, w_h_);                  // [B, 3h]
-
-  ag::Variable r = ag::Sigmoid(
-      ag::Add(ag::Slice(zx, 1, 0, n), ag::Slice(zh, 1, 0, n)));
-  ag::Variable z = ag::Sigmoid(
-      ag::Add(ag::Slice(zx, 1, n, 2 * n), ag::Slice(zh, 1, n, 2 * n)));
-  ag::Variable candidate = ag::Tanh(ag::Add(
-      ag::Slice(zx, 1, 2 * n, 3 * n),
-      ag::Mul(r, ag::Slice(zh, 1, 2 * n, 3 * n))));
-
-  // h' = (1 - z) * candidate + z * h
-  ag::Variable one_minus_z =
-      ag::Sub(ag::Constant(Tensor::Ones(z.shape())), z);
-  return ag::Add(ag::Mul(one_minus_z, candidate), ag::Mul(z, h));
+  // The gate math collapses into one node after the two projections.
+  ag::Variable zx =
+      ag::LinearBiasAct(x, w_x_, bias_, ag::Act::kIdentity);  // [B, 3h]
+  ag::Variable zh = ag::MatMul(h, w_h_);                      // [B, 3h]
+  return ag::GruCellCombine(zx, zh, h);
 }
 
 ag::Variable GRUCell::InitialState(int64_t batch) const {

@@ -10,14 +10,7 @@ LayerNorm::LayerNorm(int64_t dim, float eps) : dim_(dim), eps_(eps) {
 
 ag::Variable LayerNorm::Forward(const ag::Variable& x) const {
   KT_CHECK_EQ(x.shape().back(), dim_);
-  if (FusedOpsEnabled()) return ag::LayerNormCore(x, gamma_, beta_, eps_);
-  ag::Variable mu = ag::Mean(x, -1, /*keepdim=*/true);
-  ag::Variable centered = ag::Sub(x, mu);
-  ag::Variable var =
-      ag::Mean(ag::Mul(centered, centered), -1, /*keepdim=*/true);
-  ag::Variable inv_std = ag::Sqrt(ag::AddScalar(var, eps_));
-  ag::Variable normalized = ag::Div(centered, inv_std);
-  return ag::Add(ag::Mul(normalized, gamma_), beta_);
+  return ag::LayerNormCore(x, gamma_, beta_, eps_);
 }
 
 }  // namespace nn

@@ -13,8 +13,7 @@ class LayerNorm : public Module {
   explicit LayerNorm(int64_t dim, float eps = 1e-5f);
 
   // `x` is [*, dim]; normalizes the last dimension, then applies the learned
-  // gain and bias. Runs the fused ag::LayerNormCore when FusedOpsEnabled(),
-  // else the composed chain it is held bitwise to.
+  // gain and bias, as one fused ag::LayerNormCore node.
   ag::Variable Forward(const ag::Variable& x) const;
 
  private:

@@ -37,24 +37,9 @@ ag::Variable Linear::ForwardAct(const ag::Variable& x, ag::Act act) const {
 
   Shape out_shape(in_shape.begin(), in_shape.end() - 1);
   out_shape.push_back(out_features_);
-
-  if (FusedOpsEnabled()) {
-    ag::Variable flat = ag::Reshape(x, Shape{-1, in_features_});
-    return ag::Reshape(ag::LinearBiasAct(flat, weight_, bias_, act),
-                       std::move(out_shape));
-  }
-  ag::Variable out = Forward(x);
-  switch (act) {
-    case ag::Act::kIdentity:
-      return out;
-    case ag::Act::kRelu:
-      return ag::Relu(out);
-    case ag::Act::kSigmoid:
-      return ag::Sigmoid(out);
-    case ag::Act::kTanh:
-      return ag::Tanh(out);
-  }
-  return out;
+  ag::Variable flat = ag::Reshape(x, Shape{-1, in_features_});
+  return ag::Reshape(ag::LinearBiasAct(flat, weight_, bias_, act),
+                     std::move(out_shape));
 }
 
 }  // namespace nn

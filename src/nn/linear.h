@@ -18,8 +18,8 @@ class Linear : public Module {
   ag::Variable Forward(const ag::Variable& x) const;
 
   // act(x W + b) with the bias add and activation fused into the GEMM node
-  // when FusedOpsEnabled(); otherwise the composed Forward + activation
-  // chain. Both paths produce identical bits.
+  // (ag::LinearBiasAct): the same bits as Forward followed by the
+  // activation op, in one tape node.
   ag::Variable ForwardAct(const ag::Variable& x, ag::Act act) const;
 
   int64_t in_features() const { return in_features_; }

@@ -21,25 +21,11 @@ LSTMCell::LSTMCell(int64_t input_size, int64_t hidden_size, Rng& rng)
 LSTMCell::State LSTMCell::Forward(const ag::Variable& x,
                                   const State& state) const {
   KT_CHECK_EQ(x.shape().back(), input_size_);
-  if (FusedOpsEnabled()) {
-    // Fused per-step path: 3 tape nodes instead of ~18, no gate slices or
-    // intermediate gate tensors; bit-identical to the composed chain below.
-    ag::Variable z = ag::DualLinearBias(x, w_x_, state.h, w_h_, bias_);
-    ag::Variable c_next = ag::LstmCellState(z, state.c);
-    ag::Variable h_next = ag::LstmCellOutput(z, c_next);
-    return {h_next, c_next};
-  }
-  ag::Variable z = ag::Add(
-      ag::Add(ag::MatMul(x, w_x_), ag::MatMul(state.h, w_h_)), bias_);
-  const int64_t h = hidden_size_;
-  ag::Variable i_gate = ag::Sigmoid(ag::Slice(z, 1, 0, h));
-  ag::Variable f_gate = ag::Sigmoid(ag::Slice(z, 1, h, 2 * h));
-  ag::Variable g_gate = ag::Tanh(ag::Slice(z, 1, 2 * h, 3 * h));
-  ag::Variable o_gate = ag::Sigmoid(ag::Slice(z, 1, 3 * h, 4 * h));
-
-  ag::Variable c_next =
-      ag::Add(ag::Mul(f_gate, state.c), ag::Mul(i_gate, g_gate));
-  ag::Variable h_next = ag::Mul(o_gate, ag::Tanh(c_next));
+  // Three tape nodes per step, no gate slices or intermediate gate
+  // tensors.
+  ag::Variable z = ag::DualLinearBias(x, w_x_, state.h, w_h_, bias_);
+  ag::Variable c_next = ag::LstmCellState(z, state.c);
+  ag::Variable h_next = ag::LstmCellOutput(z, c_next);
   return {h_next, c_next};
 }
 

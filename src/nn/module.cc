@@ -1,19 +1,7 @@
 #include "nn/module.h"
 
-#include <atomic>
-
 namespace kt {
 namespace nn {
-
-namespace {
-std::atomic<bool> g_fused_ops{true};
-}  // namespace
-
-bool FusedOpsEnabled() { return g_fused_ops.load(std::memory_order_relaxed); }
-
-void SetFusedOpsEnabled(bool enabled) {
-  g_fused_ops.store(enabled, std::memory_order_relaxed);
-}
 
 std::vector<ag::Variable> Module::Parameters() const {
   std::vector<ag::Variable> out;

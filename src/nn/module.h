@@ -29,13 +29,6 @@ struct Context {
   int64_t rng_count = 1;
 };
 
-// Process-wide toggle for the fused forward paths (ag::LinearBiasAct and
-// the fused LSTM/GRU cell ops). Fused and composed graphs are bit-identical
-// by contract; the toggle exists for A/B equivalence tests and the
-// before/after benchmarks. Default on.
-bool FusedOpsEnabled();
-void SetFusedOpsEnabled(bool enabled);
-
 class Module {
  public:
   virtual ~Module() = default;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "autograd/ops.h"
 #include "nn/losses.h"
@@ -91,6 +93,36 @@ nn::Context StreamContext(const nn::Context& ctx, std::vector<Rng>& streams,
 }
 
 }  // namespace
+
+Status ValidateArchitecture(const RcktConfig& config, int64_t num_questions,
+                            int64_t num_concepts) {
+  const int encoder = static_cast<int>(config.encoder);
+  if (encoder < 0 || encoder > static_cast<int>(EncoderKind::kGRU)) {
+    return Status::InvalidArgument("unknown encoder kind " +
+                                   std::to_string(encoder));
+  }
+  const std::pair<const char*, int64_t> positive[] = {
+      {"dim", config.dim},
+      {"num_layers", config.num_layers},
+      {"num_questions", num_questions},
+      {"num_concepts", num_concepts}};
+  for (const auto& [name, value] : positive) {
+    if (value <= 0) {
+      return Status::InvalidArgument(std::string(name) + " " +
+                                     std::to_string(value) +
+                                     " must be positive");
+    }
+  }
+  if (config.encoder == EncoderKind::kSAKT ||
+      config.encoder == EncoderKind::kAKT) {
+    if (config.num_heads <= 0 || config.dim % config.num_heads != 0) {
+      return Status::InvalidArgument(
+          "num_heads " + std::to_string(config.num_heads) +
+          " must be positive and divide dim " + std::to_string(config.dim));
+    }
+  }
+  return Status::Ok();
+}
 
 RcktConfig RcktConfigFor(const std::string& dataset, EncoderKind encoder) {
   // Paper Table III: {lr, lambda, l2, dropout, layers} per dataset/encoder.

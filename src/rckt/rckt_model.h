@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "core/status.h"
 #include "data/batch.h"
 #include "models/embedder.h"
 #include "nn/adam.h"
@@ -67,6 +68,14 @@ struct RcktConfig {
 // {lr, lambda, l2, dropout, layers}. Layer counts are capped at 2 in this
 // CPU build.
 RcktConfig RcktConfigFor(const std::string& dataset, EncoderKind encoder);
+
+// Whether RCKT can be built from `config` and the id counts: a known
+// encoder; positive dim, num_layers, num_questions and num_concepts; and,
+// for the attention encoders (SAKT, AKT) only, a positive num_heads that
+// divides dim. Loaders check architecture values read from a file or from
+// flags with it, since the constructor KT_CHECKs (or divides by) them.
+Status ValidateArchitecture(const RcktConfig& config, int64_t num_questions,
+                            int64_t num_concepts);
 
 class RCKT : public nn::Module {
  public:

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "autograd/grad_check.h"
+#include "composed_reference.h"
 #include "tensor/tensor_ops.h"
 
 namespace kt {
@@ -378,20 +379,6 @@ bool BitEqualTensors(const Tensor& a, const Tensor& b) {
                      sizeof(float) * static_cast<size_t>(a.numel())) == 0;
 }
 
-Variable ApplyActComposed(const Variable& v, Act act) {
-  switch (act) {
-    case Act::kIdentity:
-      return v;
-    case Act::kRelu:
-      return Relu(v);
-    case Act::kSigmoid:
-      return Sigmoid(v);
-    case Act::kTanh:
-      return Tanh(v);
-  }
-  return v;
-}
-
 TEST(FusedOpsTest, LinearBiasActMatchesComposedBitForBit) {
   Rng rng(21);
   Variable x = Param(Tensor::Uniform({9, 5}, -2, 2, rng));
@@ -399,13 +386,14 @@ TEST(FusedOpsTest, LinearBiasActMatchesComposedBitForBit) {
   Variable b = Param(Tensor::Uniform({7}, -1, 1, rng));
   for (Act act : {Act::kIdentity, Act::kRelu, Act::kSigmoid, Act::kTanh}) {
     Variable fused = LinearBiasAct(x, w, b, act);
-    Variable composed = ApplyActComposed(Add(MatMul(x, w), b), act);
+    Variable composed = reference::ComposedLinearAct(x, w, b, act);
     EXPECT_TRUE(BitEqualTensors(fused.value(), composed.value()))
         << "act=" << static_cast<int>(act);
   }
   // No-bias form.
   Variable fused = LinearBiasAct(x, w, Variable(), Act::kSigmoid);
-  Variable composed = Sigmoid(MatMul(x, w));
+  Variable composed =
+      reference::ComposedLinearAct(x, w, Variable(), Act::kSigmoid);
   EXPECT_TRUE(BitEqualTensors(fused.value(), composed.value()));
 }
 
@@ -442,19 +430,6 @@ TEST(FusedOpsTest, DualLinearBiasMatchesComposedAndGradients) {
       params);
 }
 
-// Composed LSTM cell exactly as nn::LSTMCell's fallback path builds it.
-std::pair<Variable, Variable> ComposedLstmCell(const Variable& z,
-                                               const Variable& c,
-                                               int64_t h) {
-  Variable i_gate = Sigmoid(Slice(z, 1, 0, h));
-  Variable f_gate = Sigmoid(Slice(z, 1, h, 2 * h));
-  Variable g_gate = Tanh(Slice(z, 1, 2 * h, 3 * h));
-  Variable o_gate = Sigmoid(Slice(z, 1, 3 * h, 4 * h));
-  Variable c_next = Add(Mul(f_gate, c), Mul(i_gate, g_gate));
-  Variable h_next = Mul(o_gate, Tanh(c_next));
-  return {h_next, c_next};
-}
-
 TEST(FusedOpsTest, LstmCellMatchesComposedBitForBit) {
   Rng rng(24);
   const int64_t h = 3;
@@ -462,9 +437,9 @@ TEST(FusedOpsTest, LstmCellMatchesComposedBitForBit) {
   Variable c = Param(Tensor::Uniform({5, h}, -1, 1, rng));
   Variable c_next = LstmCellState(z, c);
   Variable h_next = LstmCellOutput(z, c_next);
-  auto [h_ref, c_ref] = ComposedLstmCell(z, c, h);
-  EXPECT_TRUE(BitEqualTensors(c_next.value(), c_ref.value()));
-  EXPECT_TRUE(BitEqualTensors(h_next.value(), h_ref.value()));
+  const nn::LSTMCell::State ref = reference::ComposedLstmGates(z, c);
+  EXPECT_TRUE(BitEqualTensors(c_next.value(), ref.c.value()));
+  EXPECT_TRUE(BitEqualTensors(h_next.value(), ref.h.value()));
 }
 
 TEST(FusedOpsTest, LstmCellGradients) {
@@ -483,17 +458,6 @@ TEST(FusedOpsTest, LstmCellGradients) {
       params);
 }
 
-// Composed GRU combine exactly as nn::GRUCell's fallback path builds it.
-Variable ComposedGruCombine(const Variable& zx, const Variable& zh,
-                            const Variable& h_prev, int64_t n) {
-  Variable r = Sigmoid(Add(Slice(zx, 1, 0, n), Slice(zh, 1, 0, n)));
-  Variable z = Sigmoid(Add(Slice(zx, 1, n, 2 * n), Slice(zh, 1, n, 2 * n)));
-  Variable candidate = Tanh(Add(Slice(zx, 1, 2 * n, 3 * n),
-                                Mul(r, Slice(zh, 1, 2 * n, 3 * n))));
-  Variable one_minus_z = Sub(Constant(Tensor::Ones(z.shape())), z);
-  return Add(Mul(one_minus_z, candidate), Mul(z, h_prev));
-}
-
 TEST(FusedOpsTest, GruCombineMatchesComposedBitForBit) {
   Rng rng(26);
   const int64_t n = 3;
@@ -501,7 +465,7 @@ TEST(FusedOpsTest, GruCombineMatchesComposedBitForBit) {
   Variable zh = Param(Tensor::Uniform({5, 3 * n}, -2, 2, rng));
   Variable h = Param(Tensor::Uniform({5, n}, -1, 1, rng));
   Variable fused = GruCellCombine(zx, zh, h);
-  Variable composed = ComposedGruCombine(zx, zh, h, n);
+  Variable composed = reference::ComposedGruCombine(zx, zh, h);
   EXPECT_TRUE(BitEqualTensors(fused.value(), composed.value()));
 }
 
@@ -518,9 +482,10 @@ TEST(FusedOpsTest, GruCombineGradients) {
       params);
 }
 
-// Bitwise equality with the composed attention chain is checked at module
-// level (nn_test.cc, FusedToggleTest); this pins the gradients themselves,
-// decay included, with Tq != Tk, a query offset and a fully blocked row.
+// Bitwise equality with the composed attention chain (ComposedHeads) is
+// checked at module level (nn_test.cc, FusedToggleTest); this pins the
+// gradients themselves, decay included, with Tq != Tk, a query offset and a
+// fully blocked row.
 TEST(FusedOpsTest, MultiHeadAttentionCoreGradients) {
   Rng rng(25);
   Tensor mask(Shape{3, 4});  // row 0 attends nowhere
@@ -543,9 +508,9 @@ TEST(FusedOpsTest, MultiHeadAttentionCoreGradients) {
       params);
 }
 
-// Bitwise equality with the composed LayerNorm chain is checked at module
-// level (nn_test.cc, FusedToggleTest); this pins the gradients of x, gamma
-// and beta against finite differences.
+// Bitwise equality with the composed LayerNorm chain (ComposedLayerNorm) is
+// checked at module level (nn_test.cc, FusedToggleTest); this pins the
+// gradients of x, gamma and beta against finite differences.
 TEST(FusedOpsTest, LayerNormCoreGradients) {
   Rng rng(26);
   const Tensor weights = Tensor::Uniform({2, 3, 5}, -1, 1, rng);

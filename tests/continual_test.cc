@@ -202,7 +202,9 @@ TEST(ReservoirTest, CanonicalOrderIsSortedByPriority) {
   for (const TrainSample* sample : reservoir.Ordered()) {
     const uint64_t priority =
         SamplePriority(1, sample->student_fnv, sample->index);
-    if (!first) EXPECT_GE(priority, previous);
+    if (!first) {
+      EXPECT_GE(priority, previous);
+    }
     previous = priority;
     first = false;
   }

@@ -203,7 +203,7 @@ TEST(TablePrinterTest, RendersAlignedTable) {
 TEST(TimerTest, MeasuresElapsed) {
   WallTimer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
   EXPECT_GE(timer.ElapsedMs(), 0.0);
   EXPECT_LT(timer.ElapsedSeconds(), 10.0);
 }

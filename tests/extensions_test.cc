@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "autograd/grad_check.h"
 #include "data/io.h"
 #include "data/simulator.h"
 #include "nn/gru.h"
@@ -49,6 +50,24 @@ TEST(GruTest, GradientsFlow) {
     Tensor g = p.grad();
     for (int64_t i = 0; i < g.numel(); ++i) norm += std::fabs(g.flat(i));
     EXPECT_GT(norm, 0.0f);
+  }
+
+  // The fused cell's backward against finite differences: x, an explicit
+  // initial state and every parameter, in both directions.
+  const Tensor weights = Tensor::Uniform({1, 5, 3}, -1, 1, rng);
+  for (bool reverse : {false, true}) {
+    SCOPED_TRACE(reverse ? "reverse" : "forward");
+    std::vector<ag::Variable> leaves = {
+        ag::Variable::Leaf(x, true),
+        ag::Variable::Leaf(Tensor::Uniform({1, 3}, -1, 1, rng), true)};
+    for (const ag::Variable& p : gru.Parameters()) leaves.push_back(p);
+    ag::GradCheckResult result = ag::CheckGradients(
+        [&](const std::vector<ag::Variable>& v) {
+          return ag::SumAll(ag::Mul(gru.Forward(v[0], reverse, &v[1]),
+                                    ag::Constant(weights)));
+        },
+        leaves);
+    EXPECT_TRUE(result.ok) << result.max_abs_error;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "autograd/grad_check.h"
+#include "composed_reference.h"
 #include "core/parallel.h"
 #include "nn/adam.h"
 #include "nn/attention.h"
@@ -172,6 +173,36 @@ TEST(LstmTest, GradFlowsThroughTime) {
     for (int64_t i = 0; i < g.numel(); ++i) norm += std::fabs(g.flat(i));
     EXPECT_GT(norm, 0.0f);
   }
+
+  // The fused cell's backward against finite differences: x, an explicit
+  // initial state and every parameter, in both directions.
+  const Tensor weights = Tensor::Uniform({1, 6, 3}, -1, 1, rng);
+  for (bool reverse : {false, true}) {
+    SCOPED_TRACE(reverse ? "reverse" : "forward");
+    std::vector<ag::Variable> leaves = {
+        ag::Variable::Leaf(x, true),
+        ag::Variable::Leaf(Tensor::Uniform({1, 3}, -1, 1, rng), true),
+        ag::Variable::Leaf(Tensor::Uniform({1, 3}, -1, 1, rng), true)};
+    for (const ag::Variable& p : lstm.Parameters()) leaves.push_back(p);
+    ag::GradCheckResult result = ag::CheckGradients(
+        [&](const std::vector<ag::Variable>& v) {
+          const LSTMCell::State initial{v[1], v[2]};
+          return ag::SumAll(ag::Mul(lstm.Forward(v[0], reverse, &initial),
+                                    ag::Constant(weights)));
+        },
+        leaves);
+    EXPECT_TRUE(result.ok) << result.max_abs_error;
+  }
+}
+
+TEST(AttentionDeathTest, NonPositiveHeadsFailCheckBeforeDividing) {
+  Rng rng(12);
+  EXPECT_DEATH({ MultiHeadAttention mha(32, 0, 0.0f, false, rng); },
+               "at least one head");
+  EXPECT_DEATH({ MultiHeadAttention mha(32, -2, 0.0f, false, rng); },
+               "at least one head");
+  EXPECT_DEATH({ MultiHeadAttention mha(32, 3, 0.0f, false, rng); },
+               "not divisible by heads 3");
 }
 
 TEST(AttentionMaskTest, Kinds) {
@@ -209,7 +240,9 @@ TEST(AttentionTest, OutputShapeAndMaskRespected) {
     for (int64_t b = 0; b < 2; ++b) {
       for (int64_t i = 0; i < 4; ++i) {
         for (int64_t j = 0; j < 4; ++j) {
-          if (j >= i) EXPECT_FLOAT_EQ(a.at({b, i, j}), 0.0f);
+          if (j >= i) {
+            EXPECT_FLOAT_EQ(a.at({b, i, j}), 0.0f);
+          }
         }
       }
     }
@@ -386,19 +419,21 @@ TEST(LossTest, GradCheckBothForms) {
   EXPECT_TRUE(r2.ok) << r2.max_abs_error;
 }
 
-// ---- Fused-vs-composed module paths (DESIGN.md §9) ----
+// ---- Fused module paths vs the composed references (DESIGN.md §9) ----
 //
-// The fused forward paths behind SetFusedOpsEnabled must match the composed
-// op-per-node graphs bit-for-bit, values and parameter gradients included
-// where the graph structure is unchanged (values always; here we assert
-// values, which is the contract the golden influence tests rely on).
+// Each module's one forward path runs the fused ops; it must match the
+// op-per-node chains of composed_reference.h bit for bit. For the linear
+// and recurrent layers the tests assert values, the contract the golden
+// influence tests rely on; the fused LSTM/GRU backward is held to finite
+// differences instead (LstmTest.GradFlowsThroughTime,
+// GruTest.GradientsFlow).
+
+using reference::ComposedAttention;
+using reference::Param;
 
 class FusedToggleTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    SetFusedOpsEnabled(true);
-    SetGemmKernel(GemmKernel::kAuto);
-  }
+  void TearDown() override { SetGemmKernel(GemmKernel::kAuto); }
 
   static bool BitEqual(const Tensor& a, const Tensor& b) {
     return a.SameShape(b) &&
@@ -415,10 +450,9 @@ TEST_F(FusedToggleTest, LinearForwardActMatchesComposed) {
   ag::Variable x = ag::Constant(Tensor::Uniform({3, 5, 6}, -1, 1, rng));
   for (ag::Act act : {ag::Act::kIdentity, ag::Act::kRelu, ag::Act::kSigmoid,
                       ag::Act::kTanh}) {
-    SetFusedOpsEnabled(true);
     ag::Variable fused = linear.ForwardAct(x, act);
-    SetFusedOpsEnabled(false);
-    ag::Variable composed = linear.ForwardAct(x, act);
+    ag::Variable composed = reference::ComposedLinearAct(
+        x, Param(linear, "weight"), Param(linear, "bias"), act);
     EXPECT_TRUE(BitEqual(fused.value(), composed.value()))
         << "act=" << static_cast<int>(act);
     const Tensor graph_free =
@@ -433,26 +467,44 @@ TEST_F(FusedToggleTest, LinearForwardActMatchesComposed) {
   }
 }
 
+// Step t of x ([B, T, in]) as [B, in], the slice LSTM/GRU::Forward feed
+// their cell.
+ag::Variable TimeStep(const ag::Variable& x, int64_t t) {
+  return ag::Reshape(ag::Slice(x, 1, t, t + 1), Shape{x.size(0), x.size(2)});
+}
+
 TEST_F(FusedToggleTest, LstmForwardMatchesComposed) {
   Rng rng(32);
   LSTM lstm(3, 5, rng);
   Tensor x = Tensor::Uniform({2, 6, 3}, -1, 1, rng);
-  SetFusedOpsEnabled(true);
   ag::Variable fused = lstm.Forward(ag::Constant(x));
-  SetFusedOpsEnabled(false);
-  ag::Variable composed = lstm.Forward(ag::Constant(x));
-  EXPECT_TRUE(BitEqual(fused.value(), composed.value()));
+  const ag::Variable in = ag::Constant(x);
+  LSTMCell::State state = lstm.cell().InitialState(2);
+  std::vector<ag::Variable> outputs;
+  for (int64_t t = 0; t < 6; ++t) {
+    state = reference::ComposedLstmCell(
+        TimeStep(in, t), state, Param(lstm, "cell.w_x"),
+        Param(lstm, "cell.w_h"), Param(lstm, "cell.bias"));
+    outputs.push_back(ag::Reshape(state.h, Shape{2, 1, 5}));
+  }
+  EXPECT_TRUE(BitEqual(fused.value(), ag::Concat(outputs, 1).value()));
 }
 
 TEST_F(FusedToggleTest, GruForwardMatchesComposed) {
   Rng rng(33);
   GRU gru(3, 5, rng);
   Tensor x = Tensor::Uniform({2, 6, 3}, -1, 1, rng);
-  SetFusedOpsEnabled(true);
   ag::Variable fused = gru.Forward(ag::Constant(x));
-  SetFusedOpsEnabled(false);
-  ag::Variable composed = gru.Forward(ag::Constant(x));
-  EXPECT_TRUE(BitEqual(fused.value(), composed.value()));
+  const ag::Variable in = ag::Constant(x);
+  ag::Variable h = gru.cell().InitialState(2);
+  std::vector<ag::Variable> outputs;
+  for (int64_t t = 0; t < 6; ++t) {
+    h = reference::ComposedGruCell(TimeStep(in, t), h, Param(gru, "cell.w_x"),
+                                   Param(gru, "cell.w_h"),
+                                   Param(gru, "cell.bias"));
+    outputs.push_back(ag::Reshape(h, Shape{2, 1, 5}));
+  }
+  EXPECT_TRUE(BitEqual(fused.value(), ag::Concat(outputs, 1).value()));
 }
 
 // ---- Fused attention core vs the composed reference ----
@@ -470,14 +522,13 @@ struct AttentionRun {
 using AttentionForward = std::function<ag::Variable(
     const std::vector<ag::Variable>&, const Context&, std::vector<Tensor>*)>;
 
-// One forward and backward through `forward` with the fused toggle at
-// `fused`. The loss weights the output by fixed noise so every element
-// carries its own gradient; dropout streams are re-seeded per run.
-AttentionRun RunAttention(bool fused, Module& module,
-                          const std::vector<Tensor>& inputs,
+// One forward and backward through `forward`, the module's own path or its
+// composed reference over the same parameters. The loss weights the output
+// by fixed noise so every element carries its own gradient; dropout
+// streams are re-seeded per run.
+AttentionRun RunAttention(Module& module, const std::vector<Tensor>& inputs,
                           const AttentionForward& forward, bool train,
                           int64_t rng_count) {
-  SetFusedOpsEnabled(fused);
   module.ZeroGrad();
   std::vector<ag::Variable> leaves;
   for (const Tensor& t : inputs) leaves.push_back(ag::Variable::Leaf(t, true));
@@ -566,9 +617,16 @@ TEST_F(FusedToggleTest, AttentionMatchesComposedBitwise) {
                 return mha.Forward(x[0], x[1], x[2],
                                    MakeAttentionMask(t, kind), ctx, maps);
               };
+          const AttentionForward composed =
+              [&](const std::vector<ag::Variable>& x, const Context& ctx,
+                  std::vector<Tensor>* maps) {
+                return ComposedAttention(mha, "", x[0], x[1], x[2],
+                                         MakeAttentionMask(t, kind), heads,
+                                         drop.p, ctx, maps);
+              };
           ExpectRunsBitEqual(
-              RunAttention(true, mha, inputs, forward, true, drop.streams),
-              RunAttention(false, mha, inputs, forward, true, drop.streams));
+              RunAttention(mha, inputs, forward, true, drop.streams),
+              RunAttention(mha, inputs, composed, true, drop.streams));
         }
       }
     }
@@ -601,14 +659,20 @@ TEST_F(FusedToggleTest, CrossAttentionBlockMatchesComposedBitwise) {
                                            std::vector<Tensor>* maps) {
         return block.ForwardCross(x[0], x[1], mask, ctx, maps);
       };
+      const AttentionForward composed = [&](const std::vector<ag::Variable>& x,
+                                            const Context& ctx,
+                                            std::vector<Tensor>* maps) {
+        return reference::ComposedTransformerBlock(block, "", x[0], &x[1],
+                                                   mask, 2, 0.2f, ctx, maps);
+      };
       for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
         SCOPED_TRACE(::testing::Message()
                      << "tq=" << tq << " tk=" << tk << " monotonic="
                      << monotonic << " kernel=" << GemmKernelName(kernel));
         SetGemmKernel(kernel);
         ExpectRunsBitEqual(
-            RunAttention(true, block, inputs, forward, true, 2),
-            RunAttention(false, block, inputs, forward, true, 2));
+            RunAttention(block, inputs, forward, true, 2),
+            RunAttention(block, inputs, composed, true, 2));
       }
     }
   }
@@ -640,6 +704,12 @@ TEST_F(FusedToggleTest, BandedAttentionMatchesComposedBitwise) {
                 std::vector<Tensor>* maps) {
               return mha.Forward(x[0], x[1], x[2], mask, ctx, maps);
             };
+        const AttentionForward composed =
+            [&](const std::vector<ag::Variable>& x, const Context& ctx,
+                std::vector<Tensor>* maps) {
+              return ComposedAttention(mha, "", x[0], x[1], x[2], mask, 2,
+                                       0.2f, ctx, maps);
+            };
         for (GemmKernel kernel :
              {GemmKernel::kReference, GemmKernel::kTiled}) {
           SCOPED_TRACE(::testing::Message()
@@ -648,9 +718,9 @@ TEST_F(FusedToggleTest, BandedAttentionMatchesComposedBitwise) {
                        << " kernel=" << GemmKernelName(kernel));
           SetGemmKernel(kernel);
           const AttentionRun fused =
-              RunAttention(true, mha, inputs, forward, true, 2);
-          ExpectRunsBitEqual(
-              fused, RunAttention(false, mha, inputs, forward, true, 2));
+              RunAttention(mha, inputs, forward, true, 2);
+          ExpectRunsBitEqual(fused,
+                             RunAttention(mha, inputs, composed, true, 2));
           for (const Tensor& map : fused.attention) {
             int64_t nonzero_blocked = 0;
             for (int64_t c = 0; c < map.numel(); ++c) {
@@ -689,12 +759,20 @@ TEST_F(FusedToggleTest, AttentionBatchSplitMatchesComposedAcrossThreads) {
           MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive), ctx,
           maps);
     };
+    const AttentionForward composed = [&](const std::vector<ag::Variable>& x,
+                                          const Context& ctx,
+                                          std::vector<Tensor>* maps) {
+      return ComposedAttention(
+          mha, "", x[0], x[1], x[2],
+          MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive), 2, 0.2f,
+          ctx, maps);
+    };
     for (int threads : {1, 4}) {
       SCOPED_TRACE(::testing::Message()
                    << "monotonic=" << monotonic << " threads=" << threads);
       SetNumThreads(threads);
-      ExpectRunsBitEqual(RunAttention(true, mha, inputs, forward, true, 2),
-                         RunAttention(false, mha, inputs, forward, true, 2));
+      ExpectRunsBitEqual(RunAttention(mha, inputs, forward, true, 2),
+                         RunAttention(mha, inputs, composed, true, 2));
     }
   }
   SetNumThreads(saved_threads);
@@ -789,8 +867,15 @@ TEST_F(FusedToggleTest, LayerNormMatchesComposedBitwise) {
         ag::Variable y = norm.Forward(x[0]);
         return residual ? ag::Add(x[0], y) : y;
       };
-      ExpectRunsBitEqual(RunAttention(true, norm, inputs, forward, false, 1),
-                         RunAttention(false, norm, inputs, forward, false, 1));
+      const AttentionForward composed = [&](const std::vector<ag::Variable>& x,
+                                            const Context&,
+                                            std::vector<Tensor>*) {
+        ag::Variable y = reference::ComposedLayerNorm(
+            x[0], Param(norm, "gamma"), Param(norm, "beta"), 1e-5f);
+        return residual ? ag::Add(x[0], y) : y;
+      };
+      ExpectRunsBitEqual(RunAttention(norm, inputs, forward, false, 1),
+                         RunAttention(norm, inputs, composed, false, 1));
     }
   }
 }
@@ -813,8 +898,14 @@ TEST_F(FusedToggleTest, BiAttentionEncoderMatchesComposedBitwise) {
                                          std::vector<Tensor>*) {
       return encoder.Encode(x[0], ctx);
     };
-    ExpectRunsBitEqual(RunAttention(true, encoder, inputs, forward, true, 2),
-                       RunAttention(false, encoder, inputs, forward, true, 2));
+    const AttentionForward composed = [&](const std::vector<ag::Variable>& x,
+                                          const Context& ctx,
+                                          std::vector<Tensor>*) {
+      return reference::ComposedBiAttentionEncode(encoder, x[0], 2, 2, 0.2f,
+                                                  ctx);
+    };
+    ExpectRunsBitEqual(RunAttention(encoder, inputs, forward, true, 2),
+                       RunAttention(encoder, inputs, composed, true, 2));
   }
 }
 

@@ -348,6 +348,47 @@ TEST(RcktModelTest, TrainingReducesLoss) {
   EXPECT_LT(last, first);
 }
 
+TEST(ValidateArchitectureTest, RejectsUnbuildableConfigs) {
+  auto config = [](EncoderKind encoder, int64_t dim, int64_t heads) {
+    RcktConfig c;
+    c.encoder = encoder;
+    c.dim = dim;
+    c.num_heads = heads;
+    return c;
+  };
+  EXPECT_TRUE(ValidateArchitecture(config(EncoderKind::kSAKT, 32, 2), 10, 4)
+                  .ok());
+  EXPECT_TRUE(ValidateArchitecture(config(EncoderKind::kAKT, 32, 4), 10, 4)
+                  .ok());
+  // DKT and GRU never read heads: an odd dim or zero heads still builds.
+  EXPECT_TRUE(ValidateArchitecture(config(EncoderKind::kDKT, 33, 2), 10, 4)
+                  .ok());
+  EXPECT_TRUE(ValidateArchitecture(config(EncoderKind::kGRU, 33, 0), 10, 4)
+                  .ok());
+  for (EncoderKind attention : {EncoderKind::kSAKT, EncoderKind::kAKT}) {
+    for (int64_t heads : {0, -2, 3}) {
+      const Status status =
+          ValidateArchitecture(config(attention, 32, heads), 10, 4);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << EncoderKindName(attention) << " heads=" << heads;
+      EXPECT_NE(status.message().find("num_heads"), std::string::npos);
+    }
+  }
+  for (EncoderKind encoder : {EncoderKind::kDKT, EncoderKind::kSAKT,
+                              EncoderKind::kAKT, EncoderKind::kGRU}) {
+    RcktConfig c = config(encoder, 32, 2);
+    EXPECT_FALSE(ValidateArchitecture(c, 0, 4).ok());
+    EXPECT_FALSE(ValidateArchitecture(c, 10, -1).ok());
+    c.num_layers = 0;
+    EXPECT_FALSE(ValidateArchitecture(c, 10, 4).ok());
+    c = config(encoder, 0, 2);
+    EXPECT_FALSE(ValidateArchitecture(c, 10, 4).ok());
+  }
+  EXPECT_FALSE(
+      ValidateArchitecture(config(static_cast<EncoderKind>(7), 32, 2), 10, 4)
+          .ok());
+}
+
 TEST(RcktModelTest, RequiresEqualLengthRows) {
   data::Dataset ds = TinyDataset();
   RCKT model(ds.num_questions, ds.num_concepts, SmallRckt(EncoderKind::kDKT));

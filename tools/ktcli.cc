@@ -192,6 +192,8 @@ int LoadData(const FlagParser& flags, LoadedData* out) {
   return 0;
 }
 
+// Builds a fresh model from the architecture flags; null (after printing
+// why) when they describe no buildable model.
 std::unique_ptr<rckt::RCKT> BuildModel(const FlagParser& flags,
                                        const data::Dataset& windows) {
   rckt::RcktConfig config;
@@ -202,6 +204,12 @@ std::unique_ptr<rckt::RCKT> BuildModel(const FlagParser& flags,
   config.lr = static_cast<float>(flags.GetDouble("lr", 1e-3));
   config.dropout = static_cast<float>(flags.GetDouble("dropout", 0.1));
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const Status status = rckt::ValidateArchitecture(
+      config, windows.num_questions, windows.num_concepts);
+  if (!status.ok()) {
+    std::fprintf(stderr, "train: %s\n", status.ToString().c_str());
+    return nullptr;
+  }
   return std::make_unique<rckt::RCKT>(windows.num_questions,
                                       windows.num_concepts, config);
 }
@@ -217,6 +225,7 @@ int CmdTrain(const FlagParser& flags, const CommonFlagValues& common) {
       data::MakeFold(loaded.windows, folds, 0, 0.1, rng);
 
   std::unique_ptr<rckt::RCKT> model = BuildModel(flags, loaded.windows);
+  if (model == nullptr) return 1;
   rckt::RcktTrainOptions options;
   options.max_epochs = static_cast<int>(flags.GetInt("epochs", 8));
   options.patience = static_cast<int>(flags.GetInt("patience", 4));
@@ -281,13 +290,6 @@ std::unique_ptr<rckt::RCKT> LoadModelAuto(const FlagParser& flags,
   int64_t num_questions = 0;
   int64_t num_concepts = 0;
   if (has_meta) {
-    if (meta.encoder_kind < 0 ||
-        meta.encoder_kind > static_cast<int32_t>(rckt::EncoderKind::kGRU)) {
-      std::fprintf(stderr, "load: %s: unknown encoder kind %d in metadata\n",
-                   load.c_str(), meta.encoder_kind);
-      *rc = 1;
-      return nullptr;
-    }
     config.encoder = static_cast<rckt::EncoderKind>(meta.encoder_kind);
     config.dim = meta.dim;
     config.num_layers = meta.num_layers;
@@ -308,6 +310,13 @@ std::unique_ptr<rckt::RCKT> LoadModelAuto(const FlagParser& flags,
                  "re-save with a current `ktcli train`\n",
                  load.c_str());
     *rc = 2;
+    return nullptr;
+  }
+  status = rckt::ValidateArchitecture(config, num_questions, num_concepts);
+  if (!status.ok()) {
+    std::fprintf(stderr, "load: %s: %s\n", load.c_str(),
+                 status.ToString().c_str());
+    *rc = 1;
     return nullptr;
   }
   auto model =
