@@ -36,6 +36,22 @@ void PutRow(std::vector<int>& flat, const data::Batch& batch, int64_t b,
   }
 }
 
+// The joint-term sequences of Eq. 27-28, flattened: the factual responses,
+// then the two correctness-masked augmentations.
+std::vector<std::vector<int>> JointCategories(const data::Batch& batch) {
+  const size_t flat = static_cast<size_t>(batch.batch_size * batch.max_len);
+  std::vector<std::vector<int>> cats(3, std::vector<int>(flat));
+  for (int64_t row = 0; row < batch.batch_size; ++row) {
+    const std::vector<int> responses = RowResponses(batch, row);
+    PutRow(cats[0], batch, row, responses);
+    PutRow(cats[1], batch, row,
+           MaskByCorrectness(responses, /*keep_correct=*/true));
+    PutRow(cats[2], batch, row,
+           MaskByCorrectness(responses, /*keep_correct=*/false));
+  }
+  return cats;
+}
+
 // Exact mode stacks its O(t) counterfactual passes in chunks of this many
 // passes per stacked batch, bounding peak graph memory.
 constexpr int64_t kExactStackChunk = 8;
@@ -233,39 +249,88 @@ ag::Variable RCKT::GenerateProbs(const data::Batch& batch,
 std::vector<ag::Variable> RCKT::GenerateProbsFanOut(
     const data::Batch& batch,
     const std::vector<const std::vector<int>*>& category_sets,
-    const nn::Context& ctx, const ag::Variable* probe) const {
+    const nn::Context& ctx, const ag::Variable* probe,
+    const std::vector<const std::vector<int>*>& gathered_sets) const {
   const int64_t k = static_cast<int64_t>(category_sets.size());
-  KT_CHECK_GT(k, 0);
-  if (obs::Enabled()) {
-    static obs::Counter* const passes = obs::Counter::Get("rckt.fanout_passes");
-    passes->Add(k);
-  }
-  std::vector<Rng> streams = ForkPassStreams(ctx, k, config_.dropout);
-  const nn::Context local = StreamContext(ctx, streams, 0, k);
-  if (k == 1) return {GenerateProbs(batch, *category_sets[0], local, probe)};
-
-  KT_OBS_SCOPE("rckt/fanout_stacked");
   const int64_t b = batch.batch_size;
-  const size_t flat = static_cast<size_t>(b * batch.max_len);
+  const int64_t t = batch.max_len;
+  const size_t flat = static_cast<size_t>(b * t);
   std::vector<int> cats;
-  cats.reserve(flat * static_cast<size_t>(k));
+  cats.reserve(flat * category_sets.size());
   for (const std::vector<int>* set : category_sets) {
     KT_CHECK_EQ(set->size(), flat);
     cats.insert(cats.end(), set->begin(), set->end());
   }
-  ag::Variable probs =
-      GenerateProbs(StackBatch(batch, k), cats, local, probe);  // [K*B, T]
-  std::vector<ag::Variable> out(static_cast<size_t>(k));
+
+  // Block plan for the gathered sets: row r reuses the first block whose
+  // row r is identical, else takes row r of the first extra block where
+  // that row is still free. An extra block starts as the factual
+  // responses, so a row no gathered set claims still holds valid
+  // categories.
+  std::vector<std::vector<int64_t>> gather_rows(gathered_sets.size());
+  std::vector<int64_t> extra_rows_taken(static_cast<size_t>(b), 0);
+  for (size_t j = 0; j < gathered_sets.size(); ++j) {
+    const std::vector<int>& set = *gathered_sets[j];
+    KT_CHECK_EQ(set.size(), flat);
+    gather_rows[j].resize(static_cast<size_t>(b));
+    for (int64_t row = 0; row < b; ++row) {
+      const auto first = set.begin() + batch.FlatIndex(row, 0);
+      int64_t block = 0;
+      while (block < k &&
+             !std::equal(first, first + t,
+                         category_sets[static_cast<size_t>(block)]->begin() +
+                             batch.FlatIndex(row, 0))) {
+        ++block;
+      }
+      if (block == k) {
+        block = k + extra_rows_taken[static_cast<size_t>(row)]++;
+        if (cats.size() == flat * static_cast<size_t>(block)) {
+          cats.insert(cats.end(), batch.responses.begin(),
+                      batch.responses.end());
+        }
+        std::copy(first, first + t,
+                  cats.begin() + static_cast<int64_t>(flat) * block +
+                      batch.FlatIndex(row, 0));
+      }
+      gather_rows[j][static_cast<size_t>(row)] = block * b + row;
+    }
+  }
+
+  const int64_t blocks = static_cast<int64_t>(cats.size() / flat);
+  KT_CHECK_GT(blocks, 0);
+  if (obs::Enabled()) {
+    static obs::Counter* const passes = obs::Counter::Get("rckt.fanout_passes");
+    passes->Add(blocks);
+  }
+  std::vector<Rng> streams = ForkPassStreams(ctx, blocks, config_.dropout);
+  const nn::Context local = StreamContext(ctx, streams, 0, blocks);
+  ag::Variable probs;  // [blocks*B, T]
+  if (blocks == 1) {
+    probs = GenerateProbs(batch, cats, local, probe);
+  } else {
+    KT_OBS_SCOPE("rckt/fanout_stacked");
+    probs = GenerateProbs(StackBatch(batch, blocks), cats, local, probe);
+  }
+  std::vector<ag::Variable> out;
+  out.reserve(category_sets.size() + gathered_sets.size());
   for (int64_t rep = 0; rep < k; ++rep) {
-    out[static_cast<size_t>(rep)] =
-        ag::Slice(probs, 0, rep * b, (rep + 1) * b);  // [B, T]
+    out.push_back(blocks == 1 ? probs
+                              : ag::Slice(probs, 0, rep * b, (rep + 1) * b));
+  }
+  // The probabilities are a 2-D table of rows, so the embedding lookup is
+  // the row gather, and its backward scatter-adds each gathered row's
+  // gradient into the row it was read from.
+  for (const std::vector<int64_t>& rows : gather_rows) {
+    out.push_back(ag::EmbeddingLookup(probs, rows));
   }
   return out;
 }
 
-RCKT::InfluenceTensors RCKT::ComputeInfluences(const data::Batch& batch,
-                                               const nn::Context& ctx,
-                                               const ag::Variable* probe) const {
+RCKT::InfluenceTensors RCKT::ComputeInfluences(
+    const data::Batch& batch, const nn::Context& ctx,
+    const ag::Variable* probe,
+    const std::vector<const std::vector<int>*>& joint_sets,
+    std::vector<ag::Variable>* joint_probs) const {
   CheckEqualLength(batch);
   const int64_t b = batch.batch_size;
   const int64_t t = batch.max_len;
@@ -289,14 +354,18 @@ RCKT::InfluenceTensors RCKT::ComputeInfluences(const data::Batch& batch,
                                             config_.use_monotonicity));
   }
 
-  // All four assignments run as one stacked fan-out pass.
+  // All four assignments run as one stacked fan-out pass, the joint sets
+  // with them.
   const auto probs = GenerateProbsFanOut(
       batch, {&cats_f_plus, &cats_cf_minus, &cats_f_minus, &cats_cf_plus},
-      ctx, probe);
+      ctx, probe, joint_sets);
   const ag::Variable& p_a = probs[0];
   const ag::Variable& p_b = probs[1];
   const ag::Variable& p_c = probs[2];
   const ag::Variable& p_d = probs[3];
+  if (joint_probs != nullptr) {
+    joint_probs->assign(probs.begin() + 4, probs.end());
+  }
 
   InfluenceTensors result;
   result.mask_correct = Tensor::Zeros(Shape{b, t});
@@ -435,9 +504,9 @@ RCKT::InfluenceTensors RCKT::ComputeInfluencesExact(
   return result;
 }
 
-ag::Variable RCKT::BuildLoss(const data::Batch& batch,
-                             const InfluenceTensors& influences,
-                             const nn::Context& ctx) const {
+ag::Variable RCKT::BuildLoss(
+    const data::Batch& batch, const InfluenceTensors& influences,
+    const std::vector<ag::Variable>& joint_probs) const {
   const int64_t b = batch.batch_size;
   const int64_t t = batch.max_len;
   const int64_t target = t - 1;
@@ -475,22 +544,8 @@ ag::Variable RCKT::BuildLoss(const data::Batch& batch,
 
   // Joint training terms (Eq. 27-29): BCE of the generator on the factual
   // sequence and the two correctness-masked augmentations.
-  if (config_.joint_training && config_.lambda > 0.0f) {
-    const size_t flat = static_cast<size_t>(b * t);
-    std::vector<int> cats_factual(flat), cats_keep_correct(flat),
-        cats_keep_incorrect(flat);
-    for (int64_t row = 0; row < b; ++row) {
-      const std::vector<int> responses = RowResponses(batch, row);
-      PutRow(cats_factual, batch, row, responses);
-      PutRow(cats_keep_correct, batch, row,
-             MaskByCorrectness(responses, /*keep_correct=*/true));
-      PutRow(cats_keep_incorrect, batch, row,
-             MaskByCorrectness(responses, /*keep_correct=*/false));
-    }
+  if (!joint_probs.empty()) {
     const Tensor all_positions = Tensor::Ones(Shape{b, t});
-    const auto joint_probs = GenerateProbsFanOut(
-        batch, {&cats_factual, &cats_keep_correct, &cats_keep_incorrect},
-        ctx, nullptr);
     ag::Variable l_f = nn::BinaryCrossEntropyFromProbs(
         joint_probs[0], batch.targets, all_positions);
     ag::Variable l_m_plus = nn::BinaryCrossEntropyFromProbs(
@@ -509,10 +564,28 @@ float RCKT::RunTrainStep(const data::Batch& prefix_batch, bool exact) {
   ag::Variable loss;
   {
     KT_OBS_SCOPE("rckt/forward");
-    const InfluenceTensors influences =
-        exact ? ComputeInfluencesExact(prefix_batch, ctx)
-              : ComputeInfluences(prefix_batch, ctx, nullptr);
-    loss = BuildLoss(prefix_batch, influences, ctx);
+    // The joint terms' sequences are gathered sets of the step's fan-out,
+    // after the influence blocks in approximate mode, so each one that an
+    // influence block already holds is generated once.
+    std::vector<std::vector<int>> joint_cats;
+    if (config_.joint_training && config_.lambda > 0.0f) {
+      joint_cats = JointCategories(prefix_batch);
+    }
+    std::vector<const std::vector<int>*> joint_sets;
+    for (const std::vector<int>& cats : joint_cats) joint_sets.push_back(&cats);
+    std::vector<ag::Variable> joint_probs;
+    InfluenceTensors influences;
+    if (exact) {
+      influences = ComputeInfluencesExact(prefix_batch, ctx);
+      if (!joint_sets.empty()) {
+        joint_probs =
+            GenerateProbsFanOut(prefix_batch, {}, ctx, nullptr, joint_sets);
+      }
+    } else {
+      influences = ComputeInfluences(prefix_batch, ctx, nullptr, joint_sets,
+                                     &joint_probs);
+    }
+    loss = BuildLoss(prefix_batch, influences, joint_probs);
   }
   {
     KT_OBS_SCOPE("rckt/backward");

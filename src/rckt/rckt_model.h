@@ -20,7 +20,9 @@
 //     and the prediction rule  r^ = 1(sum Delta+ >= sum Delta-)  (Eq. 13);
 //   * the counterfactual optimization (Eq. 16-17) with the non-negativity
 //     constraint, jointly trained with the generator BCE terms L_F, L_M+,
-//     L_M- (Eq. 27-29);
+//     L_M- (Eq. 27-29). Their factual sequence is F+ or F- row for row, and
+//     under monotonicity one of the two masked sequences is CF+ or CF-, so
+//     a training step runs five B-row blocks, not seven;
 //   * the exact forward formulation (Eq. 4-9), retained for the Table VI
 //     efficiency comparison, costing one generator pass per history
 //     response.
@@ -184,13 +186,23 @@ class RCKT : public nn::Module {
   // K*B-row pass and slices the [K*B, T] result back into K tensors of
   // [B, T]. Every op on the generator path computes each output row from
   // that row alone, so the result equals K lone GenerateProbs calls bit for
-  // bit. When dropout is live, K streams are forked from ctx.rng in pass
-  // order and row block k draws its masks from stream k (DESIGN.md §9.3),
-  // so the forward also matches K lone passes each given its own stream.
+  // bit. When dropout is live, one stream per block is forked from ctx.rng
+  // in block order and row block k draws its masks from stream k
+  // (DESIGN.md §9.3), so the forward also matches lone passes each given
+  // its own stream.
+  //
+  // Each of `gathered_sets` comes back after the K block tensors as a
+  // [B, T] row gather of the same stacked output. Its row r is read from
+  // the first of the K blocks whose row r holds the same categories; the
+  // rows no block holds are packed, each at its own row index, into extra
+  // B-row blocks stacked after the K. Training passes the joint-term
+  // assignments this way, so a sequence an influence block already holds
+  // is generated once.
   std::vector<ag::Variable> GenerateProbsFanOut(
       const data::Batch& batch,
       const std::vector<const std::vector<int>*>& category_sets,
-      const nn::Context& ctx, const ag::Variable* probe) const;
+      const nn::Context& ctx, const ag::Variable* probe,
+      const std::vector<const std::vector<int>*>& gathered_sets = {}) const;
 
  private:
   struct InfluenceTensors {
@@ -202,16 +214,23 @@ class RCKT : public nn::Module {
     Tensor mask_incorrect;             // [B, T] history positions with r=0
   };
 
-  InfluenceTensors ComputeInfluences(const data::Batch& batch,
-                                     const nn::Context& ctx,
-                                     const ag::Variable* probe) const;
+  // The four influence blocks F+, CF-, F-, CF+ as one fan-out. The
+  // `joint_sets` ride in it as gathered sets, and their probabilities are
+  // stored in *joint_probs.
+  InfluenceTensors ComputeInfluences(
+      const data::Batch& batch, const nn::Context& ctx,
+      const ag::Variable* probe,
+      const std::vector<const std::vector<int>*>& joint_sets = {},
+      std::vector<ag::Variable>* joint_probs = nullptr) const;
   InfluenceTensors ComputeInfluencesExact(const data::Batch& batch,
                                           const nn::Context& ctx) const;
 
-  // Shared loss assembly (Eq. 16-17 + joint terms) given influences.
+  // Shared loss assembly (Eq. 16-17 + joint terms) given influences and
+  // the generator probabilities of the factual, keep-correct and
+  // keep-incorrect sequences (empty when the joint terms are off).
   ag::Variable BuildLoss(const data::Batch& batch,
                          const InfluenceTensors& influences,
-                         const nn::Context& ctx) const;
+                         const std::vector<ag::Variable>& joint_probs) const;
 
   float RunTrainStep(const data::Batch& prefix_batch, bool exact);
   std::vector<float> ScoreFromInfluences(const InfluenceTensors& influences,

@@ -19,6 +19,13 @@ void BumpCounter(const char* name, int64_t n = 1) {
   obs::Counter::Get(name)->Add(n);
 }
 
+// What one kept interaction costs the session budget: the record plus its
+// concept bag.
+size_t InteractionBytes(const data::Interaction& interaction) {
+  return sizeof(data::Interaction) +
+         interaction.concepts.size() * sizeof(int64_t);
+}
+
 }  // namespace
 
 const char* OpName(Op op) {
@@ -137,14 +144,25 @@ void InferenceEngine::EnsureStream(Session& session) {
     return;
   }
   BumpCounter("serve.cache_miss");
-  if (cold_ != nullptr && cold_->Load(&session)) {
-    // Demoted (or snapshotted by a previous server run): the disk state is
-    // bit-identical to the replay rebuild below, at O(bytes) instead of
-    // O(T) encoder work — and after a warm restart it carries the history
-    // a fresh session wouldn't even have.
-    ++cold_loads_;
-    AccountState(session);
-    return;
+  if (cold_ != nullptr) {
+    const bool loaded = cold_->Load(&session);
+    // A load can replace the history wholesale (a warm restart adopts the
+    // snapshot's history even when its stream is stale), so the history is
+    // charged anew here; updates charge only what they append.
+    size_t history_bytes = 0;
+    for (const data::Interaction& interaction : session.history) {
+      history_bytes += InteractionBytes(interaction);
+    }
+    store_.SetHistoryBytes(session, history_bytes);
+    if (loaded) {
+      // Demoted (or snapshotted by a previous server run): the disk state
+      // is bit-identical to the replay rebuild below, at O(bytes) instead
+      // of O(T) encoder work — and after a warm restart it carries the
+      // history a fresh session wouldn't even have.
+      ++cold_loads_;
+      AccountState(session);
+      return;
+    }
   }
   session.stream = model_.bi_encoder().NewForwardStream();
   const int64_t n = static_cast<int64_t>(session.history.size());
@@ -181,16 +199,8 @@ void InferenceEngine::EnsureStream(Session& session) {
 void InferenceEngine::AccountState(Session& session) {
   // Charge what the session actually holds: a session whose stream was
   // evicted out from under it carries no neural state regardless of its
-  // history length. The history itself is also real resident memory —
-  // interactions plus their concept bags — and is charged separately so
-  // long-lived students squeeze cold neural state out of the budget
-  // instead of growing unaccounted.
-  size_t history_bytes = 0;
-  for (const auto& interaction : session.history) {
-    history_bytes += sizeof(data::Interaction) +
-                     interaction.concepts.size() * sizeof(int64_t);
-  }
-  store_.SetHistoryBytes(session, history_bytes);
+  // history length. (The history is charged where it changes: appended in
+  // UpdateRun, replaced by a cold load in EnsureStream.)
   const size_t bytes =
       session.stream == nullptr
           ? 0
@@ -740,6 +750,9 @@ void InferenceEngine::UpdateRun(const ServeRequest* requests, size_t count,
     session.last_f = outputs[j];
     session.history.push_back(
         data::Interaction{request.question, request.response, *bags[j]});
+    store_.SetHistoryBytes(
+        session,
+        session.history_bytes + InteractionBytes(session.history.back()));
     AccountState(session);
     if (options_.update_sink) {
       UpdateEvent event;

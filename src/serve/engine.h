@@ -216,7 +216,7 @@ class InferenceEngine {
   // Makes sure `session.stream` exists, replaying the history if it was
   // evicted. Counts serve.cache_hit / serve.cache_miss.
   void EnsureStream(Session& session);
-  // Bookkeeping after the stream advanced (state size + LRU budget).
+  // Bookkeeping after the stream advanced (neural state size + LRU budget).
   void AccountState(Session& session);
   // The MLP-head input row [1, 2*dim] for predicting `question` on
   // `session` (h-half from the cached forward stream, e-half embedded).

@@ -703,6 +703,73 @@ TEST_P(ColdTierSuite, ResetErasesTheSnapshotWithTheSession) {
   EXPECT_EQ(second.cold_loads(), 0);
 }
 
+// Updates charge only the interaction they append to the history; a full
+// recount happens only where a cold load can replace the history. `stats`
+// must still equal a full recount of every kept history after updates,
+// evictions, cold loads, a weight swap and a warm restart (which adopts
+// histories from fresh snapshots and from stale ones alike).
+TEST(ColdTierTest, HistoryBytesEqualAFullRecount) {
+  data::Dataset ds = TinyDataset();
+  rckt::RCKT model(ds.num_questions, ds.num_concepts,
+                   SmallConfig(rckt::EncoderKind::kDKT));
+  EngineOptions options;
+  options.num_questions = ds.num_questions;
+  options.num_concepts = ds.num_concepts;
+  options.session_budget_bytes = 1;  // evict (= snapshot) on every touch
+  options.cold_dir = MakeTempDir();
+
+  auto stats = [](InferenceEngine& engine) {
+    ServeRequest request;
+    request.op = Op::kStats;
+    const ServeResponse response = engine.Execute(request);
+    EXPECT_TRUE(response.ok);
+    return response;
+  };
+  size_t want = 0;
+  auto update = [&](InferenceEngine& engine, const std::string& student,
+                    int64_t question, size_t bag_size) {
+    ServeRequest request = Update(student, question, question % 2);
+    request.concepts.clear();
+    for (size_t c = 0; c < bag_size; ++c) {
+      request.concepts.push_back(static_cast<int64_t>(c));
+    }
+    ASSERT_TRUE(engine.Execute(request).ok);
+    want += sizeof(data::Interaction) + bag_size * sizeof(int64_t);
+  };
+
+  {
+    InferenceEngine first(model, options);
+    for (int64_t step = 0; step < 5; ++step) {
+      for (const char* student : {"a", "b", "c"}) {
+        update(first, student, step * 3 + student[0] % 3,
+               static_cast<size_t>(step + student[0]) % 4);
+        EXPECT_EQ(static_cast<size_t>(stats(first).history_bytes), want);
+      }
+    }
+    EXPECT_GT(stats(first).evictions, 0);
+    ASSERT_TRUE(first.Execute(Predict("a", 3)).ok);
+    EXPECT_GT(first.cold_loads(), 0);
+    EXPECT_EQ(static_cast<size_t>(stats(first).history_bytes), want);
+
+    first.OnModelSwapped(first.model_fingerprint() + 1);
+    EXPECT_EQ(static_cast<size_t>(stats(first).history_bytes), want);
+    update(first, "b", 7, 2);  // replays against the swapped weights
+    EXPECT_EQ(static_cast<size_t>(stats(first).history_bytes), want);
+    first.FlushColdSnapshots();
+  }
+
+  // "a" and "c" were snapshotted before the swap and load whole; "b" was
+  // flushed under the swapped fingerprint, so only its history is adopted.
+  options.session_budget_bytes = 0;
+  InferenceEngine second(model, options);
+  for (const char* student : {"a", "b", "c"}) {
+    ASSERT_TRUE(second.Execute(Predict(student, 4)).ok);
+  }
+  EXPECT_EQ(second.cold_loads(), 2);
+  EXPECT_EQ(second.replays(), 1);
+  EXPECT_EQ(static_cast<size_t>(stats(second).history_bytes), want);
+}
+
 TEST(ColdTierTest, StaleSnapshotWithDivergentHistoryIsDropped) {
   data::Dataset ds = TinyDataset();
   rckt::RCKT model(ds.num_questions, ds.num_concepts,

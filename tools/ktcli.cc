@@ -8,7 +8,8 @@
 //             workload from the scenario registry (DESIGN.md §12).
 //             Unknown names list the valid ones.
 //   train     --data data.csv --encoder dkt|sakt|akt|gru [--epochs N]
-//             [--dim D] [--lambda L] [--save model.ktw]
+//             [--dim D] [--layers N] [--heads H] [--lambda L]
+//             [--save model.ktw]
 //             [--checkpoint-every N --checkpoint ckpt.ktc]
 //             [--resume ckpt.ktc]
 //             Train RCKT with early stopping; print test AUC/ACC.
@@ -200,6 +201,7 @@ std::unique_ptr<rckt::RCKT> BuildModel(const FlagParser& flags,
   config.encoder = ParseEncoder(flags.GetString("encoder", "dkt"));
   config.dim = flags.GetInt("dim", 32);
   config.num_layers = flags.GetInt("layers", 1);
+  config.num_heads = flags.GetInt("heads", 2);
   config.lambda = static_cast<float>(flags.GetDouble("lambda", 0.1));
   config.lr = static_cast<float>(flags.GetDouble("lr", 1e-3));
   config.dropout = static_cast<float>(flags.GetDouble("dropout", 0.1));
