@@ -831,6 +831,69 @@ TEST(ColdTierTest, SchemaMismatchIsAMissNotState) {
   EXPECT_FALSE(wrong_dim.Load(&restored));
 }
 
+uint64_t Fnv64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Cold-tier snapshots carry SerializeStream bytes verbatim, so those bytes
+// are an on-disk format: a server upgraded over a cold dir must load what
+// the previous build wrote. Each encoder (2 layers) steps a fixed history
+// through stacked two-student updates, then rebuilds the stream by replay
+// after a weight-swap notification; both streams must serialize to the
+// pinned FNV-64.
+TEST(ColdTierTest, StreamBytesMatchGoldenForEveryEncoder) {
+  struct Golden {
+    rckt::EncoderKind kind;
+    uint64_t fnv64;
+  };
+  const Golden goldens[] = {
+      {rckt::EncoderKind::kDKT, 0xb15d224182f615ceull},
+      {rckt::EncoderKind::kGRU, 0xdaff2947489e1b75ull},
+      {rckt::EncoderKind::kSAKT, 0xe1bb4d396c45f6e9ull},
+      {rckt::EncoderKind::kAKT, 0xe319a9f1a743150dull},
+  };
+  data::Dataset ds = TinyDataset();
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(rckt::EncoderKindName(golden.kind));
+    rckt::RCKT model(ds.num_questions, ds.num_concepts,
+                     SmallConfig(golden.kind));
+    EngineOptions options;
+    options.num_questions = ds.num_questions;
+    options.num_concepts = ds.num_concepts;
+    InferenceEngine engine(model, options);
+    for (int64_t step = 0; step < 9; ++step) {
+      const auto out = engine.ExecuteBatch(
+          {Update("a", (step * 7) % 25, step % 3 == 0 ? 0 : 1),
+           Update("b", (step * 4 + 2) % 25, static_cast<int>(step % 2))});
+      ASSERT_TRUE(out[0].ok && out[1].ok);
+    }
+    auto stream_bytes = [&] {
+      Session* session =
+          const_cast<SessionStore&>(engine.sessions()).Find("a");
+      EXPECT_NE(session, nullptr);
+      std::string bytes;
+      if (session == nullptr || session->stream == nullptr) return bytes;
+      model.bi_encoder().SerializeStream(*session->stream, &bytes);
+      return bytes;
+    };
+    const std::string stepped = stream_bytes();
+
+    engine.OnModelSwapped(engine.model_fingerprint());
+    ASSERT_TRUE(engine.Execute(Predict("a", 5)).ok);
+    EXPECT_EQ(engine.replays(), 1);
+    const std::string replayed = stream_bytes();
+
+    EXPECT_EQ(stepped, replayed) << "replay rebuild differs from stepping";
+    EXPECT_EQ(Fnv64(replayed), golden.fnv64)
+        << std::hex << "0x" << Fnv64(replayed);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEncoders, ColdTierSuite,
                          ::testing::Values(rckt::EncoderKind::kDKT,
                                            rckt::EncoderKind::kGRU,
