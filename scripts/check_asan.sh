@@ -11,7 +11,9 @@
 # whose tiles read A and B at strided offsets with no packed copy.
 # The trainer suites run the shared epoch driver, which hands the shuffle
 # stream, the best-epoch snapshot and the progress counters to the
-# checkpoint code across the epoch and validation callbacks.
+# checkpoint code across the epoch and validation callbacks. The
+# forward-stream suite writes each attention stream's rows into one
+# Uninitialized [k, S, d] output, so a row left unwritten shows as poison.
 # Sanitizer builds fill Tensor::Uninitialized storage with a NaN pattern,
 # so a kernel that leaves an output element unwritten fails the bitwise
 # suites here. Any ASan/UBSan report fails the script.
@@ -39,6 +41,7 @@ FILTER+=':*StackedFanOut*:DropoutTest*:GemmKernelEquivalence.Banded*'
 FILTER+=':GemmKernelEquivalence.StoreForm*:GemmKernelEquivalence.TransAInPlace*'
 FILTER+=':TensorTest.Uninitialized*:OpsTest.SelectOrZero*'
 FILTER+=':TrainerTest*:TrainerGolden*:CrossValidationTest*'
+FILTER+=':*ForwardStreamSuite*'
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 halt_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"

@@ -82,7 +82,7 @@ ag::Variable MultiHeadAttention::AttendHeads(
 ag::Variable MultiHeadAttention::Forward(
     const ag::Variable& q, const ag::Variable& k, const ag::Variable& v,
     const Tensor& mask, const Context& ctx,
-    std::vector<Tensor>* attention_out, AttentionKVCache* cache_out) const {
+    std::vector<Tensor>* attention_out) const {
   const int64_t tq = q.size(1);
   const int64_t tk = k.size(1);
   KT_CHECK_EQ(mask.size(0), tq);
@@ -92,27 +92,8 @@ ag::Variable MultiHeadAttention::Forward(
   ag::Variable kp = k_proj_.Forward(k);
   ag::Variable vp = v_proj_.Forward(v);
 
-  if (cache_out != nullptr) {
-    // Bulk cache build (replay): the projected rows are exactly what
-    // StepCausal would have appended position by position.
-    KT_CHECK_EQ(q.size(0), 1) << "KV cache capture is single-sequence";
-    const Tensor& kt = kp.value();
-    const Tensor& vt = vp.value();
-    cache_out->k.insert(cache_out->k.end(), kt.data(), kt.data() + kt.numel());
-    cache_out->v.insert(cache_out->v.end(), vt.data(), vt.data() + vt.numel());
-    cache_out->len += tk;
-  }
-
   return AttendHeads(qp, kp, vp, mask, /*query_offset=*/0, ctx,
                      attention_out);
-}
-
-ag::Variable MultiHeadAttention::StepCausal(const ag::Variable& x_row,
-                                            AttentionKVCache& cache) const {
-  KT_CHECK_EQ(x_row.size(0), 1);
-  KT_CHECK_EQ(x_row.size(1), 1);
-  KT_CHECK_EQ(x_row.size(2), dim_);
-  return StepCausalRun(x_row, cache);
 }
 
 ag::Variable MultiHeadAttention::StepCausalRun(const ag::Variable& x_rows,
@@ -167,24 +148,14 @@ ag::Variable TransformerBlock::FeedForward(const ag::Variable& x,
   return ff2_.ForwardAct(hidden, ag::Act::kIdentity);
 }
 
-ag::Variable TransformerBlock::Forward(const ag::Variable& x,
-                                       const Tensor& mask, const Context& ctx,
-                                       std::vector<Tensor>* attention_out,
-                                       AttentionKVCache* cache_out) const {
+ag::Variable TransformerBlock::Forward(
+    const ag::Variable& x, const Tensor& mask, const Context& ctx,
+    std::vector<Tensor>* attention_out) const {
   ag::Variable normed = norm1_.Forward(x);
-  ag::Variable attended = attention_.Forward(normed, normed, normed, mask,
-                                             ctx, attention_out, cache_out);
+  ag::Variable attended =
+      attention_.Forward(normed, normed, normed, mask, ctx, attention_out);
   ag::Variable mid = ag::Add(x, attended);
   return ag::Add(mid, FeedForward(norm2_.Forward(mid), ctx));
-}
-
-ag::Variable TransformerBlock::StepCausal(const ag::Variable& x_row,
-                                          AttentionKVCache& cache) const {
-  ag::Variable normed = norm1_.Forward(x_row);
-  ag::Variable attended = attention_.StepCausal(normed, cache);
-  ag::Variable mid = ag::Add(x_row, attended);
-  const Context inference;
-  return ag::Add(mid, FeedForward(norm2_.Forward(mid), inference));
 }
 
 ag::Variable TransformerBlock::StepCausalRun(const ag::Variable& x_rows,

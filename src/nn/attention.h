@@ -63,33 +63,21 @@ class MultiHeadAttention : public Module {
 
   // q, k, v: [B, T, dim]; `mask` is [Tq, Tk] (1 = attend). If
   // `attention_out` is non-null it receives one [B, Tq, Tk] probability
-  // tensor per head (detached; for interpretability analyses). If
-  // `cache_out` is non-null (requires B == 1 and k == v), the Tk
-  // post-projection key/value rows are appended to it — the bulk
-  // (replay) way to build the cache StepCausal extends row by row.
+  // tensor per head (detached; for interpretability analyses).
   ag::Variable Forward(const ag::Variable& q, const ag::Variable& k,
                        const ag::Variable& v, const Tensor& mask,
                        const Context& ctx,
-                       std::vector<Tensor>* attention_out = nullptr,
-                       AttentionKVCache* cache_out = nullptr) const;
+                       std::vector<Tensor>* attention_out = nullptr) const;
 
-  // One causal-inclusive decode step: `x_row` is [1, 1, dim], the new
-  // position's (already normed) input. Appends this position's key/value
-  // projections to `cache` and returns the attended output row [1, 1, dim].
-  // Bitwise equal to row `cache.len` (pre-call) of Forward(x, x, x, m, ...)
-  // over the full sequence with m = kCausalInclusive — masked-softmax tail
-  // entries of the full pass are exact zeros, so the prefix computation
-  // reproduces the same bits (inference only: no dropout is applied).
-  ag::Variable StepCausal(const ag::Variable& x_row,
-                          AttentionKVCache& cache) const;
-
-  // Bulk causal-inclusive decode: `x_rows` is [1, S, dim], S new positions
-  // appended to `cache` in one pass. Row i of the result is bitwise the
-  // StepCausal output at global position len+i (pre-call len): projections,
-  // norms and the weighted sum are all row-independent, and the blocked
-  // future entries of each row's masked softmax carry exact-zero
-  // probability mass, the same argument that makes StepCausal equal the
-  // full pass (inference only).
+  // Causal-inclusive decode of ONE sequence: `x_rows` is [1, S, dim], the
+  // (already normed) inputs of S new positions, whose key/value
+  // projections are appended to `cache` in one pass. Row i of the result
+  // is bitwise row len+i (pre-call len) of Forward(x, x, x, m, ...) over
+  // the full sequence with m = kCausalInclusive, for any split of the
+  // sequence into runs: projections and the weighted sum are
+  // row-independent, and the blocked future entries of each row's masked
+  // softmax carry exact-zero probability mass (inference only: no dropout
+  // is applied).
   ag::Variable StepCausalRun(const ag::Variable& x_rows,
                              AttentionKVCache& cache) const;
 
@@ -98,9 +86,9 @@ class MultiHeadAttention : public Module {
  private:
   // Shared head loop: the fused ag::MultiHeadAttentionCore (scores, decay,
   // mask, softmax, dropout, weighted sum, head merge) and the
-  // out-projection. Forward, StepCausal and StepCausalRun all run through
-  // it, so the incremental steps replay exactly the arithmetic of the full
-  // pass. `mask` is [Tq, Tk] (1 = attend) and query row i sits at global
+  // out-projection. Forward and StepCausalRun both run through it, so
+  // incremental decode replays exactly the arithmetic of the full pass.
+  // `mask` is [Tq, Tk] (1 = attend) and query row i sits at global
   // position query_offset + i for the decay's distance.
   ag::Variable AttendHeads(const ag::Variable& qp, const ag::Variable& kp,
                            const ag::Variable& vp, const Tensor& mask,
@@ -124,27 +112,21 @@ class TransformerBlock : public Module {
   TransformerBlock(int64_t dim, int64_t num_heads, float dropout_p,
                    bool monotonic, Rng& rng);
 
-  // Self-attention over x with the given mask. `cache_out` forwards to
-  // MultiHeadAttention::Forward (bulk KV-cache build during replay).
+  // Self-attention over x with the given mask.
   ag::Variable Forward(const ag::Variable& x, const Tensor& mask,
                        const Context& ctx,
-                       std::vector<Tensor>* attention_out = nullptr,
-                       AttentionKVCache* cache_out = nullptr) const;
+                       std::vector<Tensor>* attention_out = nullptr) const;
 
   // Cross-attention: queries from `q`, keys/values from `kv`.
   ag::Variable ForwardCross(const ag::Variable& q, const ag::Variable& kv,
                             const Tensor& mask, const Context& ctx,
                             std::vector<Tensor>* attention_out = nullptr) const;
 
-  // One causal-inclusive decode step through the whole block (pre-LN
-  // attention + feed-forward), appending to `cache`. `x_row` is [1, 1, dim];
-  // bitwise equal to row `cache.len` (pre-call) of Forward(x, causal
-  // inclusive mask) over the full sequence, inference mode (no dropout).
-  ag::Variable StepCausal(const ag::Variable& x_row,
-                          AttentionKVCache& cache) const;
-
-  // Bulk decode through the whole block: `x_rows` is [1, S, dim]; row i is
-  // bitwise the StepCausal output of the i-th successive single-row call.
+  // Causal-inclusive decode of S new positions through the whole block
+  // (pre-LN attention + feed-forward), appending to `cache`. `x_rows` is
+  // [1, S, dim]; row i is bitwise row len+i (pre-call len) of Forward(x,
+  // causal inclusive mask) over the full sequence, inference mode (no
+  // dropout).
   ag::Variable StepCausalRun(const ag::Variable& x_rows,
                              AttentionKVCache& cache) const;
 

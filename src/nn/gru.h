@@ -34,6 +34,8 @@ class GRUCell : public Module {
 
 class GRU : public Module {
  public:
+  using State = ag::Variable;  // the hidden rows [B, hidden]
+
   GRU(int64_t input_size, int64_t hidden_size, Rng& rng);
 
   // x is [B, T, input]; returns all hidden states [B, T, hidden]. With
@@ -48,7 +50,6 @@ class GRU : public Module {
                        ag::Variable* final_state = nullptr) const;
 
   int64_t hidden_size() const { return cell_.hidden_size(); }
-  // The shared step cell (for single-step incremental decode).
   const GRUCell& cell() const { return cell_; }
 
  private:

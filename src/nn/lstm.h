@@ -41,6 +41,8 @@ class LSTMCell : public Module {
 
 class LSTM : public Module {
  public:
+  using State = LSTMCell::State;
+
   LSTM(int64_t input_size, int64_t hidden_size, Rng& rng);
 
   // x is [B, T, input]; returns all hidden states [B, T, hidden].
@@ -54,13 +56,12 @@ class LSTM : public Module {
   // sequence can be processed in chunks: Forward on x[:, :k] capturing the
   // final state, then Forward on x[:, k:] seeded with it, is bit-identical
   // to one Forward over the whole sequence (incremental decode relies on
-  // this; see kt::serve).
+  // this; see kt::serve). Every batch row is an independent recurrence.
   ag::Variable Forward(const ag::Variable& x, bool reverse = false,
                        const LSTMCell::State* initial = nullptr,
                        LSTMCell::State* final_state = nullptr) const;
 
   int64_t hidden_size() const { return cell_.hidden_size(); }
-  // The shared step cell (for single-step incremental decode).
   const LSTMCell& cell() const { return cell_; }
 
  private:

@@ -7,47 +7,17 @@
 #include "autograd/ops.h"
 #include "core/binio.h"
 #include "core/parallel.h"
+#include "nn/gru.h"
+#include "nn/lstm.h"
 
 namespace kt {
 namespace rckt {
 
 namespace {
 
-// Concrete forward-stream states. Recurrent streams hold one [1, hidden]
-// state per layer; the attention stream holds one KV cache per block.
-struct LstmStreamState : ForwardStreamState {
-  std::vector<nn::LSTMCell::State> layers;
-};
-
-struct GruStreamState : ForwardStreamState {
-  std::vector<ag::Variable> layers;  // hidden rows, each [1, hidden]
-};
-
 struct AttentionStreamState : ForwardStreamState {
-  std::vector<nn::AttentionKVCache> caches;
+  std::vector<nn::AttentionKVCache> caches;  // one per forward block
 };
-
-// Copies row `row` of a [k, d] tensor into a fresh [1, d] tensor.
-Tensor CopyRow(const Tensor& t, int64_t row) {
-  const int64_t d = t.size(1);
-  Tensor out(Shape{1, d});
-  std::memcpy(out.data(), t.data() + row * d,
-              static_cast<size_t>(d) * sizeof(float));
-  return out;
-}
-
-// Stacks k [1, d] rows into one [k, d] tensor.
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  const int64_t k = static_cast<int64_t>(rows.size());
-  const int64_t d = rows[0].size(1);
-  Tensor out(Shape{k, d});
-  for (int64_t i = 0; i < k; ++i) {
-    KT_CHECK_EQ(rows[static_cast<size_t>(i)].numel(), d);
-    std::memcpy(out.data() + i * d, rows[static_cast<size_t>(i)].data(),
-                static_cast<size_t>(d) * sizeof(float));
-  }
-  return out;
-}
 
 // Stream serialization helpers: a [1, n] row is `u32 n` + n raw floats.
 void AppendRow(std::string* out, const Tensor& row) {
@@ -70,6 +40,147 @@ bool ReadRow(BinCursor* cursor, int64_t expect_numel, Tensor* out) {
   *out = std::move(row);
   return true;
 }
+
+// A recurrent layer state viewed as its [B, hidden] rows: (h, c) for an
+// LSTM, (h) for a GRU. Stacking, splitting and (de)serializing streams go
+// through this view, so one encoder template serves both cells.
+std::vector<ag::Variable*> Rows(nn::LSTMCell::State& state) {
+  return {&state.h, &state.c};
+}
+std::vector<ag::Variable*> Rows(ag::Variable& h) { return {&h}; }
+
+// Stacked LSTMs (RCKT-DKT) or GRUs (RCKT-GRU) per direction. A forward
+// stream holds each layer's [1, hidden] state.
+template <typename Layer>
+class BiRecurrentEncoder : public BiEncoder {
+ public:
+  using State = typename Layer::State;
+
+  BiRecurrentEncoder(int64_t dim, int64_t num_layers, float dropout_p,
+                     Rng& rng)
+      : dropout_p_(dropout_p) {
+    KT_CHECK_GT(num_layers, 0);
+    for (int64_t l = 0; l < num_layers; ++l) {
+      forward_layers_.push_back(std::make_unique<Layer>(dim, dim, rng));
+      RegisterChild("fwd" + std::to_string(l), forward_layers_.back().get());
+      backward_layers_.push_back(std::make_unique<Layer>(dim, dim, rng));
+      RegisterChild("bwd" + std::to_string(l), backward_layers_.back().get());
+    }
+    State initial = forward_layers_[0]->cell().InitialState(1);
+    state_rows_ = Rows(initial).size();
+  }
+
+  ag::Variable Encode(const ag::Variable& a, const nn::Context& ctx) override {
+    ag::Variable f = a;
+    for (const auto& layer : forward_layers_) {
+      f = layer->Forward(f, /*reverse=*/false);
+      f = ag::Dropout(f, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
+    }
+    ag::Variable b = a;
+    for (const auto& layer : backward_layers_) {
+      b = layer->Forward(b, /*reverse=*/true);
+      b = ag::Dropout(b, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
+    }
+    return ShiftAndAdd(f, b);
+  }
+
+  std::unique_ptr<ForwardStreamState> NewForwardStream() const override {
+    auto stream = std::make_unique<Stream>();
+    for (const auto& layer : forward_layers_) {
+      stream->layers.push_back(layer->cell().InitialState(1));
+    }
+    return stream;
+  }
+
+  Tensor StepForwardRun(const std::vector<ForwardStreamState*>& states,
+                        const Tensor& a) const override {
+    ag::NoGradGuard no_grad;
+    const int64_t k = static_cast<int64_t>(states.size());
+    KT_CHECK_EQ(a.size(0), k);
+    for (ForwardStreamState* state : states) {
+      KT_CHECK_EQ(Layers(state).size(), forward_layers_.size());
+    }
+    // The k streams are the batch rows of the layer pass training runs,
+    // seeded with their stacked states. Every GEMM row is its own
+    // ascending-k accumulator chain and the layer's chunking contract makes
+    // a seeded pass equal the steps it continues, so row i is bitwise
+    // stream i run alone, step by step.
+    ag::Variable f = ag::Constant(a);
+    for (size_t l = 0; l < forward_layers_.size(); ++l) {
+      State stacked;
+      const std::vector<ag::Variable*> stacked_rows = Rows(stacked);
+      for (size_t r = 0; r < state_rows_; ++r) {
+        std::vector<Tensor> parts;
+        for (ForwardStreamState* state : states) {
+          parts.push_back(Rows(Layers(state)[l])[r]->value());
+        }
+        *stacked_rows[r] = ag::Constant(Tensor::Concat(parts, 0));
+      }
+      State final_state;
+      f = forward_layers_[l]->Forward(f, /*reverse=*/false, &stacked,
+                                      &final_state);
+      const std::vector<ag::Variable*> final_rows = Rows(final_state);
+      for (int64_t i = 0; i < k; ++i) {
+        const std::vector<ag::Variable*> rows =
+            Rows(Layers(states[static_cast<size_t>(i)])[l]);
+        for (size_t r = 0; r < state_rows_; ++r) {
+          *rows[r] = ag::Constant(final_rows[r]->value().Slice(0, i, i + 1));
+        }
+      }
+    }
+    return f.value();
+  }
+
+  size_t StateBytes(int64_t /*history_len*/) const override {
+    return forward_layers_.size() * state_rows_ *
+           static_cast<size_t>(forward_layers_[0]->hidden_size()) *
+           sizeof(float);
+  }
+
+  // `u32 layers`, then each layer's state rows in Rows order.
+  void SerializeStream(const ForwardStreamState& state,
+                       std::string* out) const override {
+    const auto& stream = static_cast<const Stream&>(state);
+    AppendPod<uint32_t>(out, static_cast<uint32_t>(stream.layers.size()));
+    for (State layer : stream.layers) {
+      for (const ag::Variable* row : Rows(layer)) AppendRow(out, row->value());
+    }
+  }
+
+  std::unique_ptr<ForwardStreamState> DeserializeStream(
+      const char* data, size_t size) const override {
+    BinCursor cursor(data, size);
+    uint32_t layers = 0;
+    if (!cursor.Read(&layers) || layers != forward_layers_.size()) {
+      return nullptr;
+    }
+    const int64_t hidden = forward_layers_[0]->hidden_size();
+    auto stream = std::make_unique<Stream>();
+    stream->layers.resize(layers);
+    for (State& layer : stream->layers) {
+      for (ag::Variable* row : Rows(layer)) {
+        Tensor values;
+        if (!ReadRow(&cursor, hidden, &values)) return nullptr;
+        *row = ag::Constant(values);
+      }
+    }
+    if (!cursor.done()) return nullptr;
+    return stream;
+  }
+
+ private:
+  struct Stream : ForwardStreamState {
+    std::vector<State> layers;
+  };
+  static std::vector<State>& Layers(ForwardStreamState* state) {
+    return static_cast<Stream*>(state)->layers;
+  }
+
+  float dropout_p_;
+  size_t state_rows_ = 0;
+  std::vector<std::unique_ptr<Layer>> forward_layers_;
+  std::vector<std::unique_ptr<Layer>> backward_layers_;
+};
 
 }  // namespace
 
@@ -99,60 +210,6 @@ ag::Variable ShiftAndAdd(const ag::Variable& forward_stream,
   ag::Variable b_shift =
       ag::Concat({ag::Slice(backward_stream, 1, 1, t), zeros}, 1);
   return ag::Add(f_shift, b_shift);
-}
-
-BiLstmEncoder::BiLstmEncoder(int64_t dim, int64_t num_layers, float dropout_p,
-                             Rng& rng)
-    : dropout_p_(dropout_p) {
-  KT_CHECK_GT(num_layers, 0);
-  for (int64_t l = 0; l < num_layers; ++l) {
-    forward_layers_.push_back(std::make_unique<nn::LSTM>(dim, dim, rng));
-    RegisterChild("fwd" + std::to_string(l), forward_layers_.back().get());
-    backward_layers_.push_back(std::make_unique<nn::LSTM>(dim, dim, rng));
-    RegisterChild("bwd" + std::to_string(l), backward_layers_.back().get());
-  }
-}
-
-ag::Variable BiLstmEncoder::Encode(const ag::Variable& a,
-                                   const nn::Context& ctx) {
-  ag::Variable f = a;
-  for (const auto& layer : forward_layers_) {
-    f = layer->Forward(f, /*reverse=*/false);
-    f = ag::Dropout(f, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
-  }
-  ag::Variable b = a;
-  for (const auto& layer : backward_layers_) {
-    b = layer->Forward(b, /*reverse=*/true);
-    b = ag::Dropout(b, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
-  }
-  return ShiftAndAdd(f, b);
-}
-
-BiGruEncoder::BiGruEncoder(int64_t dim, int64_t num_layers, float dropout_p,
-                           Rng& rng)
-    : dropout_p_(dropout_p) {
-  KT_CHECK_GT(num_layers, 0);
-  for (int64_t l = 0; l < num_layers; ++l) {
-    forward_layers_.push_back(std::make_unique<nn::GRU>(dim, dim, rng));
-    RegisterChild("fwd" + std::to_string(l), forward_layers_.back().get());
-    backward_layers_.push_back(std::make_unique<nn::GRU>(dim, dim, rng));
-    RegisterChild("bwd" + std::to_string(l), backward_layers_.back().get());
-  }
-}
-
-ag::Variable BiGruEncoder::Encode(const ag::Variable& a,
-                                  const nn::Context& ctx) {
-  ag::Variable f = a;
-  for (const auto& layer : forward_layers_) {
-    f = layer->Forward(f, /*reverse=*/false);
-    f = ag::Dropout(f, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
-  }
-  ag::Variable b = a;
-  for (const auto& layer : backward_layers_) {
-    b = layer->Forward(b, /*reverse=*/true);
-    b = ag::Dropout(b, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
-  }
-  return ShiftAndAdd(f, b);
 }
 
 BiAttentionEncoder::BiAttentionEncoder(int64_t dim, int64_t num_layers,
@@ -189,278 +246,9 @@ ag::Variable BiAttentionEncoder::Encode(const ag::Variable& a,
   return ShiftAndAdd(f, b);
 }
 
-Tensor BiEncoder::StepForwardRun(ForwardStreamState& state,
-                                 const Tensor& a_run) const {
-  const int64_t s = a_run.size(1);
-  const int64_t d = a_run.size(2);
-  Tensor out(Shape{1, s, d});
-  for (int64_t t = 0; t < s; ++t) {
-    Tensor row(Shape{1, d});
-    std::memcpy(row.data(), a_run.data() + t * d,
-                static_cast<size_t>(d) * sizeof(float));
-    const Tensor f = StepForward(state, row);
-    KT_CHECK_EQ(f.numel(), d);
-    std::memcpy(out.data() + t * d, f.data(),
-                static_cast<size_t>(d) * sizeof(float));
-  }
-  return out;
-}
-
 std::unique_ptr<ForwardStreamState> BiEncoder::CloneStreamPrefix(
     const ForwardStreamState& /*state*/, int64_t /*prefix_len*/) const {
   return nullptr;
-}
-
-std::vector<Tensor> BiEncoder::StepForwardMany(
-    const std::vector<ForwardStreamState*>& states,
-    const std::vector<Tensor>& a_rows) const {
-  KT_CHECK_EQ(states.size(), a_rows.size());
-  std::vector<Tensor> out(states.size());
-  // Streams are independent, so per-row steps can run on the pool; each
-  // StepForward is internally grad-free and bit-deterministic.
-  ParallelFor(0, static_cast<int64_t>(states.size()), /*grain=*/1,
-              [&](int64_t i) {
-                const size_t s = static_cast<size_t>(i);
-                out[s] = StepForward(*states[s], a_rows[s]);
-              });
-  return out;
-}
-
-std::unique_ptr<ForwardStreamState> BiLstmEncoder::NewForwardStream() const {
-  auto state = std::make_unique<LstmStreamState>();
-  state->layers.reserve(forward_layers_.size());
-  for (const auto& layer : forward_layers_) {
-    state->layers.push_back(layer->cell().InitialState(1));
-  }
-  return state;
-}
-
-Tensor BiLstmEncoder::StepForward(ForwardStreamState& state,
-                                  const Tensor& a_row) const {
-  ag::NoGradGuard no_grad;
-  auto& s = static_cast<LstmStreamState&>(state);
-  KT_CHECK_EQ(s.layers.size(), forward_layers_.size());
-  ag::Variable x = ag::Constant(a_row);  // [1, d]
-  for (size_t l = 0; l < forward_layers_.size(); ++l) {
-    s.layers[l] = forward_layers_[l]->cell().Forward(x, s.layers[l]);
-    x = s.layers[l].h;
-  }
-  return x.value();
-}
-
-std::vector<Tensor> BiLstmEncoder::StepForwardMany(
-    const std::vector<ForwardStreamState*>& states,
-    const std::vector<Tensor>& a_rows) const {
-  KT_CHECK_EQ(states.size(), a_rows.size());
-  const int64_t k = static_cast<int64_t>(states.size());
-  if (k == 1) return {StepForward(*states[0], a_rows[0])};
-  ag::NoGradGuard no_grad;
-  // Stack the k independent streams into one [k, d] cell step per layer;
-  // every GEMM row is its own accumulator chain, so row i of the stacked
-  // step is bitwise the single-stream step.
-  ag::Variable x = ag::Constant(StackRows(a_rows));
-  for (size_t l = 0; l < forward_layers_.size(); ++l) {
-    std::vector<Tensor> hs(static_cast<size_t>(k)), cs(static_cast<size_t>(k));
-    for (int64_t i = 0; i < k; ++i) {
-      auto& s = static_cast<LstmStreamState&>(*states[static_cast<size_t>(i)]);
-      KT_CHECK_EQ(s.layers.size(), forward_layers_.size());
-      hs[static_cast<size_t>(i)] = s.layers[l].h.value();
-      cs[static_cast<size_t>(i)] = s.layers[l].c.value();
-    }
-    nn::LSTMCell::State stacked{ag::Constant(StackRows(hs)),
-                                ag::Constant(StackRows(cs))};
-    stacked = forward_layers_[l]->cell().Forward(x, stacked);
-    for (int64_t i = 0; i < k; ++i) {
-      auto& s = static_cast<LstmStreamState&>(*states[static_cast<size_t>(i)]);
-      s.layers[l].h = ag::Constant(CopyRow(stacked.h.value(), i));
-      s.layers[l].c = ag::Constant(CopyRow(stacked.c.value(), i));
-    }
-    x = stacked.h;
-  }
-  std::vector<Tensor> out(static_cast<size_t>(k));
-  for (int64_t i = 0; i < k; ++i) {
-    out[static_cast<size_t>(i)] = CopyRow(x.value(), i);
-  }
-  return out;
-}
-
-Tensor BiLstmEncoder::ReplayForward(ForwardStreamState& state,
-                                    const Tensor& a_seq) const {
-  ag::NoGradGuard no_grad;
-  auto& s = static_cast<LstmStreamState&>(state);
-  s.layers.clear();
-  ag::Variable f = ag::Constant(a_seq);  // [1, T, d]
-  for (const auto& layer : forward_layers_) {
-    nn::LSTMCell::State final_state;
-    f = layer->Forward(f, /*reverse=*/false, nullptr, &final_state);
-    s.layers.push_back(final_state);
-  }
-  return f.value();
-}
-
-Tensor BiLstmEncoder::StepForwardRun(ForwardStreamState& state,
-                                     const Tensor& a_run) const {
-  ag::NoGradGuard no_grad;
-  auto& s = static_cast<LstmStreamState&>(state);
-  KT_CHECK_EQ(s.layers.size(), forward_layers_.size());
-  // Chunked layer pass seeded with the stream state: bit-identical to S
-  // single StepForward calls by the LSTM::Forward chunking contract.
-  ag::Variable f = ag::Constant(a_run);  // [1, S, d]
-  for (size_t l = 0; l < forward_layers_.size(); ++l) {
-    nn::LSTMCell::State final_state;
-    f = forward_layers_[l]->Forward(f, /*reverse=*/false, &s.layers[l],
-                                    &final_state);
-    s.layers[l] = final_state;
-  }
-  return f.value();
-}
-
-size_t BiLstmEncoder::StateBytes(int64_t /*history_len*/) const {
-  return forward_layers_.size() * 2 *
-         static_cast<size_t>(forward_layers_[0]->hidden_size()) *
-         sizeof(float);
-}
-
-void BiLstmEncoder::SerializeStream(const ForwardStreamState& state,
-                                    std::string* out) const {
-  const auto& s = static_cast<const LstmStreamState&>(state);
-  AppendPod<uint32_t>(out, static_cast<uint32_t>(s.layers.size()));
-  for (const auto& layer : s.layers) {
-    AppendRow(out, layer.h.value());
-    AppendRow(out, layer.c.value());
-  }
-}
-
-std::unique_ptr<ForwardStreamState> BiLstmEncoder::DeserializeStream(
-    const char* data, size_t size) const {
-  BinCursor cursor(data, size);
-  uint32_t layers = 0;
-  if (!cursor.Read(&layers) || layers != forward_layers_.size())
-    return nullptr;
-  const int64_t hidden = forward_layers_[0]->hidden_size();
-  auto state = std::make_unique<LstmStreamState>();
-  state->layers.reserve(layers);
-  for (uint32_t l = 0; l < layers; ++l) {
-    Tensor h, c;
-    if (!ReadRow(&cursor, hidden, &h) || !ReadRow(&cursor, hidden, &c))
-      return nullptr;
-    state->layers.push_back(
-        nn::LSTMCell::State{ag::Constant(h), ag::Constant(c)});
-  }
-  if (!cursor.done()) return nullptr;
-  return state;
-}
-
-std::unique_ptr<ForwardStreamState> BiGruEncoder::NewForwardStream() const {
-  auto state = std::make_unique<GruStreamState>();
-  state->layers.reserve(forward_layers_.size());
-  for (const auto& layer : forward_layers_) {
-    state->layers.push_back(layer->cell().InitialState(1));
-  }
-  return state;
-}
-
-Tensor BiGruEncoder::StepForward(ForwardStreamState& state,
-                                 const Tensor& a_row) const {
-  ag::NoGradGuard no_grad;
-  auto& s = static_cast<GruStreamState&>(state);
-  KT_CHECK_EQ(s.layers.size(), forward_layers_.size());
-  ag::Variable x = ag::Constant(a_row);
-  for (size_t l = 0; l < forward_layers_.size(); ++l) {
-    s.layers[l] = forward_layers_[l]->cell().Forward(x, s.layers[l]);
-    x = s.layers[l];
-  }
-  return x.value();
-}
-
-std::vector<Tensor> BiGruEncoder::StepForwardMany(
-    const std::vector<ForwardStreamState*>& states,
-    const std::vector<Tensor>& a_rows) const {
-  KT_CHECK_EQ(states.size(), a_rows.size());
-  const int64_t k = static_cast<int64_t>(states.size());
-  if (k == 1) return {StepForward(*states[0], a_rows[0])};
-  ag::NoGradGuard no_grad;
-  ag::Variable x = ag::Constant(StackRows(a_rows));
-  for (size_t l = 0; l < forward_layers_.size(); ++l) {
-    std::vector<Tensor> hs(static_cast<size_t>(k));
-    for (int64_t i = 0; i < k; ++i) {
-      auto& s = static_cast<GruStreamState&>(*states[static_cast<size_t>(i)]);
-      KT_CHECK_EQ(s.layers.size(), forward_layers_.size());
-      hs[static_cast<size_t>(i)] = s.layers[l].value();
-    }
-    ag::Variable stacked = forward_layers_[l]->cell().Forward(
-        x, ag::Constant(StackRows(hs)));
-    for (int64_t i = 0; i < k; ++i) {
-      auto& s = static_cast<GruStreamState&>(*states[static_cast<size_t>(i)]);
-      s.layers[l] = ag::Constant(CopyRow(stacked.value(), i));
-    }
-    x = stacked;
-  }
-  std::vector<Tensor> out(static_cast<size_t>(k));
-  for (int64_t i = 0; i < k; ++i) {
-    out[static_cast<size_t>(i)] = CopyRow(x.value(), i);
-  }
-  return out;
-}
-
-Tensor BiGruEncoder::ReplayForward(ForwardStreamState& state,
-                                   const Tensor& a_seq) const {
-  ag::NoGradGuard no_grad;
-  auto& s = static_cast<GruStreamState&>(state);
-  s.layers.clear();
-  ag::Variable f = ag::Constant(a_seq);
-  for (const auto& layer : forward_layers_) {
-    ag::Variable final_state;
-    f = layer->Forward(f, /*reverse=*/false, nullptr, &final_state);
-    s.layers.push_back(final_state);
-  }
-  return f.value();
-}
-
-Tensor BiGruEncoder::StepForwardRun(ForwardStreamState& state,
-                                    const Tensor& a_run) const {
-  ag::NoGradGuard no_grad;
-  auto& s = static_cast<GruStreamState&>(state);
-  KT_CHECK_EQ(s.layers.size(), forward_layers_.size());
-  ag::Variable f = ag::Constant(a_run);  // [1, S, d]
-  for (size_t l = 0; l < forward_layers_.size(); ++l) {
-    ag::Variable final_state;
-    f = forward_layers_[l]->Forward(f, /*reverse=*/false, &s.layers[l],
-                                    &final_state);
-    s.layers[l] = final_state;
-  }
-  return f.value();
-}
-
-void BiGruEncoder::SerializeStream(const ForwardStreamState& state,
-                                   std::string* out) const {
-  const auto& s = static_cast<const GruStreamState&>(state);
-  AppendPod<uint32_t>(out, static_cast<uint32_t>(s.layers.size()));
-  for (const auto& layer : s.layers) AppendRow(out, layer.value());
-}
-
-std::unique_ptr<ForwardStreamState> BiGruEncoder::DeserializeStream(
-    const char* data, size_t size) const {
-  BinCursor cursor(data, size);
-  uint32_t layers = 0;
-  if (!cursor.Read(&layers) || layers != forward_layers_.size())
-    return nullptr;
-  const int64_t hidden = forward_layers_[0]->hidden_size();
-  auto state = std::make_unique<GruStreamState>();
-  state->layers.reserve(layers);
-  for (uint32_t l = 0; l < layers; ++l) {
-    Tensor h;
-    if (!ReadRow(&cursor, hidden, &h)) return nullptr;
-    state->layers.push_back(ag::Constant(h));
-  }
-  if (!cursor.done()) return nullptr;
-  return state;
-}
-
-size_t BiGruEncoder::StateBytes(int64_t /*history_len*/) const {
-  return forward_layers_.size() *
-         static_cast<size_t>(forward_layers_[0]->hidden_size()) *
-         sizeof(float);
 }
 
 std::unique_ptr<ForwardStreamState> BiAttentionEncoder::NewForwardStream()
@@ -470,46 +258,27 @@ std::unique_ptr<ForwardStreamState> BiAttentionEncoder::NewForwardStream()
   return state;
 }
 
-Tensor BiAttentionEncoder::StepForward(ForwardStreamState& state,
-                                       const Tensor& a_row) const {
-  ag::NoGradGuard no_grad;
-  auto& s = static_cast<AttentionStreamState&>(state);
-  KT_CHECK_EQ(s.caches.size(), forward_blocks_.size());
-  ag::Variable x =
-      ag::Constant(a_row.Reshape(Shape{1, 1, a_row.size(1)}));
-  for (size_t l = 0; l < forward_blocks_.size(); ++l) {
-    x = forward_blocks_[l]->StepCausal(x, s.caches[l]);
-  }
-  return x.value().Reshape(Shape{1, dim_});
-}
-
-Tensor BiAttentionEncoder::ReplayForward(ForwardStreamState& state,
-                                         const Tensor& a_seq) const {
-  ag::NoGradGuard no_grad;
-  auto& s = static_cast<AttentionStreamState&>(state);
-  s.caches.assign(forward_blocks_.size(), nn::AttentionKVCache{});
-  const int64_t t = a_seq.size(1);
-  const Tensor causal =
-      nn::MakeAttentionMask(t, nn::AttentionMaskKind::kCausalInclusive);
-  const nn::Context inference;
-  ag::Variable f = ag::Constant(a_seq);
-  for (size_t l = 0; l < forward_blocks_.size(); ++l) {
-    f = forward_blocks_[l]->Forward(f, causal, inference, nullptr,
-                                    &s.caches[l]);
-  }
-  return f.value();
-}
-
-Tensor BiAttentionEncoder::StepForwardRun(ForwardStreamState& state,
-                                          const Tensor& a_run) const {
-  ag::NoGradGuard no_grad;
-  auto& s = static_cast<AttentionStreamState&>(state);
-  KT_CHECK_EQ(s.caches.size(), forward_blocks_.size());
-  ag::Variable x = ag::Constant(a_run);  // [1, S, d]
-  for (size_t l = 0; l < forward_blocks_.size(); ++l) {
-    x = forward_blocks_[l]->StepCausalRun(x, s.caches[l]);
-  }
-  return x.value();
+Tensor BiAttentionEncoder::StepForwardRun(
+    const std::vector<ForwardStreamState*>& states, const Tensor& a) const {
+  const int64_t k = static_cast<int64_t>(states.size());
+  KT_CHECK_EQ(a.size(0), k);
+  Tensor out = Tensor::Uninitialized(a.shape());
+  // Each stream decodes its run against its own KV caches, so the streams
+  // run independently on the pool with disjoint writes.
+  ParallelFor(0, k, /*grain=*/1, [&](int64_t i) {
+    ag::NoGradGuard no_grad;
+    auto& stream =
+        static_cast<AttentionStreamState&>(*states[static_cast<size_t>(i)]);
+    KT_CHECK_EQ(stream.caches.size(), forward_blocks_.size());
+    ag::Variable x = ag::Constant(a.Slice(0, i, i + 1));  // [1, S, d]
+    for (size_t l = 0; l < forward_blocks_.size(); ++l) {
+      x = forward_blocks_[l]->StepCausalRun(x, stream.caches[l]);
+    }
+    const Tensor& rows = x.value();
+    std::memcpy(out.data() + i * rows.numel(), rows.data(),
+                static_cast<size_t>(rows.numel()) * sizeof(float));
+  });
+  return out;
 }
 
 std::unique_ptr<ForwardStreamState> BiAttentionEncoder::CloneStreamPrefix(
@@ -581,7 +350,8 @@ std::unique_ptr<BiEncoder> MakeBiEncoder(EncoderKind kind, int64_t dim,
                                          Rng& rng) {
   switch (kind) {
     case EncoderKind::kDKT:
-      return std::make_unique<BiLstmEncoder>(dim, num_layers, dropout_p, rng);
+      return std::make_unique<BiRecurrentEncoder<nn::LSTM>>(
+          dim, num_layers, dropout_p, rng);
     case EncoderKind::kSAKT:
       return std::make_unique<BiAttentionEncoder>(
           dim, num_layers, num_heads, dropout_p, /*monotonic=*/false, rng);
@@ -589,7 +359,8 @@ std::unique_ptr<BiEncoder> MakeBiEncoder(EncoderKind kind, int64_t dim,
       return std::make_unique<BiAttentionEncoder>(
           dim, num_layers, num_heads, dropout_p, /*monotonic=*/true, rng);
     case EncoderKind::kGRU:
-      return std::make_unique<BiGruEncoder>(dim, num_layers, dropout_p, rng);
+      return std::make_unique<BiRecurrentEncoder<nn::GRU>>(
+          dim, num_layers, dropout_p, rng);
   }
   KT_CHECK(false) << "unreachable";
   return nullptr;

@@ -9,10 +9,11 @@
 // any multi-layer bidirectional mixing (a BERT-style no-self mask) would
 // leak it through two hops.
 //
-// Three flavors adapt the sequential encoders of DKT, SAKT and AKT
+// Two flavors adapt the sequential encoders of DKT, SAKT and AKT
 // (paper Sec. V-A4):
-//   * BiLstmEncoder          — stacked LSTMs per direction (RCKT-DKT),
-//   * BiAttentionEncoder     — stacked transformer blocks with causal /
+//   * a recurrent encoder   — stacked LSTMs (RCKT-DKT) or GRUs (RCKT-GRU)
+//     per direction, one template in encoders.cc behind MakeBiEncoder,
+//   * BiAttentionEncoder    — stacked transformer blocks with causal /
 //     anticausal inclusive masks; standard dot-product attention (RCKT-SAKT)
 //     or monotonic distance-decay attention (RCKT-AKT).
 #ifndef KT_RCKT_ENCODERS_H_
@@ -22,8 +23,6 @@
 #include <vector>
 
 #include "nn/attention.h"
-#include "nn/gru.h"
-#include "nn/lstm.h"
 #include "nn/module.h"
 
 namespace kt {
@@ -56,46 +55,29 @@ class BiEncoder : public nn::Module {
   // An online predict request targets the LAST position of a session, and
   // ShiftAndAdd gives h_target = fwd_{T-2} + 0: the backward stream's
   // contribution at the final position is the zero boundary row. Serving
-  // therefore only ever advances the forward stream, one interaction at a
-  // time, and each method below is bit-identical (at any thread count) to
-  // the corresponding rows of an inference-mode Encode over the full
-  // sequence. All methods run grad-free internally.
+  // therefore only ever advances the forward stream, and StepForwardRun is
+  // bit-identical (at any thread count) to the corresponding rows of an
+  // inference-mode Encode over the full sequence. All methods run grad-free
+  // internally.
 
   // Fresh zero-history stream.
   virtual std::unique_ptr<ForwardStreamState> NewForwardStream() const = 0;
 
-  // Advance one interaction: `a_row` is [1, d] (the embedded a_t); returns
-  // the forward-stream output f_t, [1, d] — bitwise row t of the forward
-  // stream inside Encode.
-  virtual Tensor StepForward(ForwardStreamState& state,
-                             const Tensor& a_row) const = 0;
-
-  // Micro-batched advance: one independent stream per row, `a_rows[i]` is
-  // [1, d]. Returns the per-stream outputs. The default runs per-row
-  // StepForward on the thread pool; recurrent encoders override it to stack
-  // the rows into one batched cell step (same bits either way — every GEMM
-  // row is an independent ascending-k accumulator chain).
-  virtual std::vector<Tensor> StepForwardMany(
-      const std::vector<ForwardStreamState*>& states,
-      const std::vector<Tensor>& a_rows) const;
-
-  // Rebuild `state` from a full history in one pass: `a_seq` is [1, T, d].
-  // Resets the state, then leaves it exactly as T StepForward calls would
-  // (used when a session's neural state was evicted but its history kept).
-  // Returns the whole forward stream [1, T, d].
-  virtual Tensor ReplayForward(ForwardStreamState& state,
-                               const Tensor& a_seq) const = 0;
-
-  // Advance the stream over a RUN of S interactions in one bulk pass
-  // (continuing from the current state, unlike ReplayForward): `a_run` is
-  // [1, S, d]; returns the S forward rows [1, S, d], bitwise what S
-  // successive StepForward calls would produce. The default loops
-  // StepForward; concrete encoders override with a chunked layer pass
-  // (recurrent) or a bulk multi-row causal decode (attention), so a short
-  // suffix costs a handful of tensor ops instead of S step calls. Powers
-  // the serve recourse suffix replay (DESIGN.md §15).
-  virtual Tensor StepForwardRun(ForwardStreamState& state,
-                                const Tensor& a_run) const;
+  // Advances k distinct, independent streams by S interactions each: `a`
+  // is [k, S, d], row i holding the embedded interactions (a_t) that
+  // continue `*states[i]`. Returns the forward-stream outputs [k, S, d]:
+  // row i, position s is bitwise row len_i + s (pre-call length) of the
+  // forward stream inside Encode over stream i's whole history, however
+  // that history was split into runs and however streams were grouped.
+  // One row per stream is an update; a whole history from a fresh stream
+  // is a replay (used when a session's neural state was evicted but its
+  // history kept); a short suffix from a rewound stream is the serve
+  // recourse replay (DESIGN.md §15). Recurrent encoders stack the streams'
+  // states into one seeded layer pass, the path training runs; attention
+  // encoders decode each stream's run against its own KV caches on the
+  // thread pool.
+  virtual Tensor StepForwardRun(const std::vector<ForwardStreamState*>& states,
+                                const Tensor& a) const = 0;
 
   // Clone the stream as it stood after only its first `prefix_len` steps,
   // in O(bytes) with no encoder work. Only possible when the state keeps
@@ -125,60 +107,6 @@ class BiEncoder : public nn::Module {
       const char* data, size_t size) const = 0;
 };
 
-class BiLstmEncoder : public BiEncoder {
- public:
-  BiLstmEncoder(int64_t dim, int64_t num_layers, float dropout_p, Rng& rng);
-  ag::Variable Encode(const ag::Variable& a, const nn::Context& ctx) override;
-
-  std::unique_ptr<ForwardStreamState> NewForwardStream() const override;
-  Tensor StepForward(ForwardStreamState& state,
-                     const Tensor& a_row) const override;
-  std::vector<Tensor> StepForwardMany(
-      const std::vector<ForwardStreamState*>& states,
-      const std::vector<Tensor>& a_rows) const override;
-  Tensor ReplayForward(ForwardStreamState& state,
-                       const Tensor& a_seq) const override;
-  Tensor StepForwardRun(ForwardStreamState& state,
-                        const Tensor& a_run) const override;
-  size_t StateBytes(int64_t history_len) const override;
-  void SerializeStream(const ForwardStreamState& state,
-                       std::string* out) const override;
-  std::unique_ptr<ForwardStreamState> DeserializeStream(
-      const char* data, size_t size) const override;
-
- private:
-  float dropout_p_;
-  std::vector<std::unique_ptr<nn::LSTM>> forward_layers_;
-  std::vector<std::unique_ptr<nn::LSTM>> backward_layers_;
-};
-
-class BiGruEncoder : public BiEncoder {
- public:
-  BiGruEncoder(int64_t dim, int64_t num_layers, float dropout_p, Rng& rng);
-  ag::Variable Encode(const ag::Variable& a, const nn::Context& ctx) override;
-
-  std::unique_ptr<ForwardStreamState> NewForwardStream() const override;
-  Tensor StepForward(ForwardStreamState& state,
-                     const Tensor& a_row) const override;
-  std::vector<Tensor> StepForwardMany(
-      const std::vector<ForwardStreamState*>& states,
-      const std::vector<Tensor>& a_rows) const override;
-  Tensor ReplayForward(ForwardStreamState& state,
-                       const Tensor& a_seq) const override;
-  Tensor StepForwardRun(ForwardStreamState& state,
-                        const Tensor& a_run) const override;
-  size_t StateBytes(int64_t history_len) const override;
-  void SerializeStream(const ForwardStreamState& state,
-                       std::string* out) const override;
-  std::unique_ptr<ForwardStreamState> DeserializeStream(
-      const char* data, size_t size) const override;
-
- private:
-  float dropout_p_;
-  std::vector<std::unique_ptr<nn::GRU>> forward_layers_;
-  std::vector<std::unique_ptr<nn::GRU>> backward_layers_;
-};
-
 class BiAttentionEncoder : public BiEncoder {
  public:
   BiAttentionEncoder(int64_t dim, int64_t num_layers, int64_t num_heads,
@@ -186,12 +114,8 @@ class BiAttentionEncoder : public BiEncoder {
   ag::Variable Encode(const ag::Variable& a, const nn::Context& ctx) override;
 
   std::unique_ptr<ForwardStreamState> NewForwardStream() const override;
-  Tensor StepForward(ForwardStreamState& state,
-                     const Tensor& a_row) const override;
-  Tensor ReplayForward(ForwardStreamState& state,
-                       const Tensor& a_seq) const override;
-  Tensor StepForwardRun(ForwardStreamState& state,
-                        const Tensor& a_run) const override;
+  Tensor StepForwardRun(const std::vector<ForwardStreamState*>& states,
+                        const Tensor& a) const override;
   std::unique_ptr<ForwardStreamState> CloneStreamPrefix(
       const ForwardStreamState& state, int64_t prefix_len) const override;
   size_t StateBytes(int64_t history_len) const override;
@@ -206,7 +130,7 @@ class BiAttentionEncoder : public BiEncoder {
   std::vector<std::unique_ptr<nn::TransformerBlock>> backward_blocks_;
 };
 
-// Factory over the three paper variants.
+// Factory over the three paper variants and RCKT-GRU.
 std::unique_ptr<BiEncoder> MakeBiEncoder(EncoderKind kind, int64_t dim,
                                          int64_t num_layers,
                                          int64_t num_heads, float dropout_p,

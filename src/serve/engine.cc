@@ -169,29 +169,16 @@ void InferenceEngine::EnsureStream(Session& session) {
   if (n > 0) {
     ++replays_;
     // The neural state was evicted (or never built): rebuild it with one
-    // bulk pass over the kept history — bit-identical to having stepped.
+    // run over the kept history — bit-identical to having stepped.
     KT_OBS_SCOPE("serve/replay");
     if (obs::Enabled()) {
       obs::Histogram::Get("serve.replay_len")->Record(static_cast<double>(n));
     }
-    ag::NoGradGuard no_grad;
-    std::vector<int64_t> questions(static_cast<size_t>(n));
-    std::vector<int64_t> categories(static_cast<size_t>(n));
-    std::vector<std::vector<int64_t>> bags(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      const auto& interaction = session.history[static_cast<size_t>(i)];
-      questions[static_cast<size_t>(i)] = interaction.question;
-      categories[static_cast<size_t>(i)] = interaction.response;
-      bags[static_cast<size_t>(i)] = interaction.concepts;
-    }
-    ag::Variable e = model_.embedder().QuestionEmbedRows(questions, bags);
-    ag::Variable r = ag::EmbeddingLookup(
-        model_.embedder().response_table(), categories);
-    const Tensor a = ag::Add(e, r).value().Reshape(Shape{1, n, dim_});
-    const Tensor f = model_.bi_encoder().ReplayForward(*session.stream, a);
-    session.last_f = Tensor(Shape{1, dim_});
-    std::memcpy(session.last_f.data(), f.data() + (n - 1) * dim_,
-                static_cast<size_t>(dim_) * sizeof(float));
+    const Tensor a =
+        EmbedInteractions(session.history).Reshape(Shape{1, n, dim_});
+    const Tensor f =
+        model_.bi_encoder().StepForwardRun({session.stream.get()}, a);
+    session.last_f = f.Slice(1, n - 1, n).Reshape(Shape{1, dim_});
   }
   AccountState(session);
 }
@@ -239,14 +226,21 @@ Tensor InferenceEngine::HeadInputRow(
   return x;
 }
 
-Tensor InferenceEngine::InteractionRow(int64_t question,
-                                       const std::vector<int64_t>& concepts,
-                                       int response) const {
+Tensor InferenceEngine::EmbedInteractions(
+    const std::vector<data::Interaction>& interactions) const {
   ag::NoGradGuard no_grad;
-  const ag::Variable e =
-      model_.embedder().QuestionEmbedRows({question}, {concepts});
-  const ag::Variable r = ag::EmbeddingLookup(
-      model_.embedder().response_table(), {response});
+  const size_t n = interactions.size();
+  std::vector<int64_t> questions(n);
+  std::vector<int64_t> responses(n);
+  std::vector<std::vector<int64_t>> bags(n);
+  for (size_t i = 0; i < n; ++i) {
+    questions[i] = interactions[i].question;
+    responses[i] = interactions[i].response;
+    bags[i] = interactions[i].concepts;
+  }
+  const ag::Variable e = model_.embedder().QuestionEmbedRows(questions, bags);
+  const ag::Variable r =
+      ag::EmbeddingLookup(model_.embedder().response_table(), responses);
   return ag::Add(e, r).value();
 }
 
@@ -451,45 +445,23 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
       }
     }
 
-    // Factual embedded rows, one batched embed — bit-identical per row to
-    // the InteractionRow steps that built the session stream.
-    Tensor a_factual;
-    if (history_len > 0) {
-      std::vector<int64_t> questions(static_cast<size_t>(history_len));
-      std::vector<int64_t> categories(static_cast<size_t>(history_len));
-      std::vector<std::vector<int64_t>> bags(
-          static_cast<size_t>(history_len));
-      for (int64_t i = 0; i < history_len; ++i) {
-        const auto& interaction = session.history[static_cast<size_t>(i)];
-        questions[static_cast<size_t>(i)] = interaction.question;
-        categories[static_cast<size_t>(i)] = interaction.response;
-        bags[static_cast<size_t>(i)] = interaction.concepts;
-      }
-      const ag::Variable e =
-          model_.embedder().QuestionEmbedRows(questions, bags);
-      const ag::Variable r = ag::EmbeddingLookup(
-          model_.embedder().response_table(), categories);
-      a_factual = ag::Add(e, r).value();  // [history_len, d]
-    }
-
-    // Edited rows, cached across candidates: a flip re-embeds the position
-    // with its response forced correct, an insert embeds correct practice.
-    std::map<int64_t, Tensor> flip_rows;     // history position -> [1, d]
-    std::map<int64_t, Tensor> insert_rows;   // question -> [1, d]
+    // Factual embedded rows, then one edited row per primitive: a flip
+    // re-embeds its position with the response forced correct, an insert
+    // embeds correct practice. Rows embed independently, so each is
+    // bitwise the row the session stream was built from.
+    Tensor a_factual;  // [history_len, d]
+    if (history_len > 0) a_factual = EmbedInteractions(session.history);
+    std::vector<data::Interaction> edits;
     for (const Primitive& prim : primitives) {
-      if (prim.is_insert) {
-        insert_rows.emplace(
-            prim.intervention.question,
-            InteractionRow(prim.intervention.question,
-                           BagFor(prim.intervention.question), 1));
-      } else {
-        const auto& interaction =
-            session.history[static_cast<size_t>(prim.intervention.position)];
-        flip_rows.emplace(
-            prim.intervention.position,
-            InteractionRow(interaction.question, interaction.concepts, 1));
-      }
+      const int64_t q = prim.intervention.question;
+      const std::vector<int64_t>& bag =
+          prim.is_insert ? BagFor(q)
+                         : session.history[static_cast<size_t>(
+                                               prim.intervention.position)]
+                               .concepts;
+      edits.push_back(data::Interaction{q, 1, bag});
     }
+    const Tensor edited = EmbedInteractions(edits);  // [primitives, d]
 
     // Prefix states. Attention encoders rewind in O(bytes); recurrent ones
     // cannot, so one shared walk over the factual prefix snapshots the
@@ -510,10 +482,9 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
       int64_t pos = 0;
       for (const int64_t p : needed) {
         if (p > pos) {
-          Tensor segment(Shape{1, p - pos, dim_});
-          std::memcpy(segment.data(), a_factual.data() + pos * dim_,
-                      static_cast<size_t>((p - pos) * dim_) * sizeof(float));
-          encoder.StepForwardRun(*walk, segment);
+          encoder.StepForwardRun(
+              {walk.get()},
+              a_factual.Slice(0, pos, p).Reshape(Shape{1, p - pos, dim_}));
           pos = p;
         }
         encoder.SerializeStream(*walk, &snapshots[p]);
@@ -559,23 +530,16 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
       int64_t write = tail;
       for (const int pi : candidates[c]) {
         const Primitive& prim = primitives[static_cast<size_t>(pi)];
-        if (prim.is_insert) {
-          std::memcpy(suffix.data() + write * dim_,
-                      insert_rows.at(prim.intervention.question).data(),
-                      static_cast<size_t>(dim_) * sizeof(float));
-          ++write;
-        } else {
-          std::memcpy(suffix.data() + (prim.intervention.position - p) * dim_,
-                      flip_rows.at(prim.intervention.position).data(),
-                      static_cast<size_t>(dim_) * sizeof(float));
-        }
+        const int64_t at =
+            prim.is_insert ? write++ : prim.intervention.position - p;
+        std::memcpy(suffix.data() + at * dim_, edited.data() + pi * dim_,
+                    static_cast<size_t>(dim_) * sizeof(float));
       }
       auto stream = state_at(p);
-      const Tensor f_run = encoder.StepForwardRun(*stream, suffix);
-      Tensor f_last(Shape{1, dim_});
-      std::memcpy(f_last.data(), f_run.data() + (suffix_len - 1) * dim_,
-                  static_cast<size_t>(dim_) * sizeof(float));
-      const Tensor row = HeadInputRow(f_last, request.question, target_bag);
+      const Tensor f_run = encoder.StepForwardRun({stream.get()}, suffix);
+      const Tensor row = HeadInputRow(
+          f_run.Slice(1, suffix_len - 1, suffix_len).Reshape(Shape{1, dim_}),
+          request.question, target_bag);
       std::memcpy(stacked.data() + static_cast<int64_t>(c) * 2 * dim_,
                   row.data(),
                   static_cast<size_t>(2 * dim_) * sizeof(float));
@@ -718,38 +682,35 @@ void InferenceEngine::UpdateRun(const ServeRequest* requests, size_t count,
   std::vector<size_t> slots;
   std::vector<Session*> touched;
   std::vector<rckt::ForwardStreamState*> states;
-  std::vector<Tensor> rows;
-  std::vector<const std::vector<int64_t>*> bags;
+  std::vector<data::Interaction> appended;
   // The raw stream pointers in `states` stay live across the whole run:
   // pin every session before a later request's EnsureStream/AccountState
   // can trigger eviction, which would free an earlier session's stream
-  // under StepForwardMany. The budget is re-enforced when the scope ends.
+  // under StepForwardRun. The budget is re-enforced when the scope ends.
   SessionStore::PinScope pins(store_);
   for (size_t i = 0; i < count; ++i) {
     if (!Validate(requests[i], &out[i])) continue;
     Session& session = store_.GetOrCreate(requests[i].student);
     pins.Pin(session);
     EnsureStream(session);
-    const std::vector<int64_t>& concepts = ConceptsFor(requests[i]);
-    rows.push_back(InteractionRow(requests[i].question, concepts,
-                                  requests[i].response));
+    appended.push_back(data::Interaction{
+        requests[i].question, requests[i].response, ConceptsFor(requests[i])});
     slots.push_back(i);
     touched.push_back(&session);
     states.push_back(session.stream.get());
-    bags.push_back(&concepts);
   }
-  if (rows.empty()) return;
-  // One batched encoder step across the distinct students of the run
-  // (StepForward itself for a run of one).
-  const std::vector<Tensor> outputs =
-      model_.bi_encoder().StepForwardMany(states, rows);
+  if (appended.empty()) return;
+  // One encoder run across the distinct students of the run, one row each.
+  const int64_t k = static_cast<int64_t>(appended.size());
+  const Tensor f = model_.bi_encoder().StepForwardRun(
+      states, EmbedInteractions(appended).Reshape(Shape{k, 1, dim_}));
   for (size_t j = 0; j < slots.size(); ++j) {
     Session& session = *touched[j];
     const ServeRequest& request = requests[slots[j]];
     const int64_t index = static_cast<int64_t>(session.history.size());
-    session.last_f = outputs[j];
-    session.history.push_back(
-        data::Interaction{request.question, request.response, *bags[j]});
+    const int64_t row = static_cast<int64_t>(j);
+    session.last_f = f.Slice(0, row, row + 1).Reshape(Shape{1, dim_});
+    session.history.push_back(std::move(appended[j]));
     store_.SetHistoryBytes(
         session,
         session.history_bytes + InteractionBytes(session.history.back()));

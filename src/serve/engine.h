@@ -229,9 +229,10 @@ class InferenceEngine {
                       const std::vector<int64_t>& concepts) const;
   // Concept bag for an arbitrary question id (map lookup, else empty).
   const std::vector<int64_t>& BagFor(int64_t question) const;
-  // The embedded interaction row a = e + r_emb[response], [1, dim].
-  Tensor InteractionRow(int64_t question, const std::vector<int64_t>& concepts,
-                        int response) const;
+  // The embedded interaction rows a_i = e_i + r_emb[response_i], [n, dim].
+  // Rows are independent: row i is bitwise interaction i embedded alone.
+  Tensor EmbedInteractions(
+      const std::vector<data::Interaction>& interactions) const;
   // The generator's MLP head over stacked input rows [k, 2*dim]: p(correct)
   // per row, [k, 1]. Graph-free (ag::LinearBiasActForward), so it runs the
   // exact kernels of the offline head without building autograd nodes.

@@ -7,7 +7,7 @@
 // configurable memory budget counting neural state AND history bytes —
 // when the budget is exceeded the least-recently-used sessions' neural
 // state is dropped while their histories are kept, so a returning student
-// is rebuilt by one ReplayForward pass instead of being forgotten.
+// is rebuilt by one StepForwardRun over its history, not forgotten.
 // Histories still count against the budget (they are real resident
 // memory): a store full of long histories evicts neural state earlier,
 // and `stats` reports history_bytes so operators can size budgets.

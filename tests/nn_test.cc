@@ -816,7 +816,7 @@ TEST_F(FusedToggleTest, StepCausalMatchesFusedFullPass) {
         for (int64_t i = 0; i < t; ++i) {
           Tensor xi(Shape{1, 1, dim}, row(x, i));
           const Tensor yi =
-              block.StepCausal(ag::Constant(xi), step_cache).value();
+              block.StepCausalRun(ag::Constant(xi), step_cache).value();
           EXPECT_EQ(row(yi, 0), row(full, i)) << "step " << i;
         }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -302,11 +303,34 @@ TEST(ServeStreamTest, GruChunkedForwardBitIdentical) {
             0);
 }
 
-// ---- Forward-stream step == replay, per encoder ----
+// ---- Forward-stream runs, per encoder ----
+//
+// StepForwardRun is the one way to advance streams; these tests hold it to
+// its contract across run splits and stream groupings, comparing both the
+// output rows and the serialized stream state.
 
 class ForwardStreamSuite
     : public ::testing::TestWithParam<rckt::EncoderKind> {};
 
+// Runs one stream over `a` ([1, S, d]).
+Tensor RunOne(const rckt::BiEncoder& encoder, rckt::ForwardStreamState& state,
+              const Tensor& a) {
+  return encoder.StepForwardRun({&state}, a);
+}
+
+// Rows [begin, end) of a [1, T, d] sequence, as [1, end - begin, d].
+Tensor Rows(const Tensor& a_seq, int64_t begin, int64_t end) {
+  return a_seq.Slice(1, begin, end);
+}
+
+std::string StreamBytes(const rckt::BiEncoder& encoder,
+                        const rckt::ForwardStreamState& state) {
+  std::string bytes;
+  encoder.SerializeStream(state, &bytes);
+  return bytes;
+}
+
+// One-row runs from a fresh stream equal one whole-history run (a replay).
 TEST_P(ForwardStreamSuite, StepByStepMatchesReplay) {
   Rng rng(7);
   auto encoder = rckt::MakeBiEncoder(GetParam(), /*dim=*/16, /*num_layers=*/2,
@@ -316,97 +340,105 @@ TEST_P(ForwardStreamSuite, StepByStepMatchesReplay) {
   const Tensor a_seq = Tensor::Uniform({1, T, d}, -1.0f, 1.0f, rng);
 
   auto replay_state = encoder->NewForwardStream();
-  const Tensor replayed = encoder->ReplayForward(*replay_state, a_seq);
+  const Tensor replayed = RunOne(*encoder, *replay_state, a_seq);
   ASSERT_EQ(replayed.numel(), T * d);
 
   auto step_state = encoder->NewForwardStream();
   for (int64_t t = 0; t < T; ++t) {
-    Tensor row = Tensor::Zeros({1, d});
-    std::memcpy(row.data(), a_seq.data() + t * d,
-                static_cast<size_t>(d) * sizeof(float));
-    const Tensor f = encoder->StepForward(*step_state, row);
+    const Tensor f = RunOne(*encoder, *step_state, Rows(a_seq, t, t + 1));
     ASSERT_EQ(f.numel(), d);
-    EXPECT_EQ(std::memcmp(f.data(), replayed.data() + t * d,
-                          static_cast<size_t>(d) * sizeof(float)),
-              0)
+    EXPECT_TRUE(BitEqual(f, Rows(replayed, t, t + 1)))
         << "step " << t << " diverges from replay";
   }
+  EXPECT_EQ(StreamBytes(*encoder, *step_state),
+            StreamBytes(*encoder, *replay_state));
   EXPECT_GT(encoder->StateBytes(T), 0u);
 }
 
+// One run over k streams x 1 row equals k one-stream runs.
 TEST_P(ForwardStreamSuite, StepForwardManyMatchesSingles) {
   Rng rng(11);
   auto encoder = rckt::MakeBiEncoder(GetParam(), 16, 2, 2, 0.0f, rng);
   const int64_t k = 5, d = 16;
-  // Advance k independent streams a few steps, then compare one batched
-  // StepForwardMany against per-stream StepForward from identical states.
   std::vector<std::unique_ptr<rckt::ForwardStreamState>> batched, singles;
+  std::vector<rckt::ForwardStreamState*> batched_ptrs;
   Rng data_rng(13);
-  std::vector<Tensor> warm(static_cast<size_t>(k));
   for (int64_t i = 0; i < k; ++i) {
     batched.push_back(encoder->NewForwardStream());
     singles.push_back(encoder->NewForwardStream());
-    warm[static_cast<size_t>(i)] =
-        Tensor::Uniform({1, d}, -1.0f, 1.0f, data_rng);
+    batched_ptrs.push_back(batched.back().get());
+    const Tensor warm = Tensor::Uniform({1, 1, d}, -1.0f, 1.0f, data_rng);
+    RunOne(*encoder, *batched.back(), warm);
+    RunOne(*encoder, *singles.back(), warm);
   }
+  const Tensor rows = Tensor::Uniform({k, 1, d}, -1.0f, 1.0f, data_rng);
+  const Tensor many = encoder->StepForwardRun(batched_ptrs, rows);
+  ASSERT_EQ(many.numel(), k * d);
   for (int64_t i = 0; i < k; ++i) {
-    encoder->StepForward(*batched[static_cast<size_t>(i)],
-                         warm[static_cast<size_t>(i)]);
-    encoder->StepForward(*singles[static_cast<size_t>(i)],
-                         warm[static_cast<size_t>(i)]);
-  }
-  std::vector<Tensor> rows(static_cast<size_t>(k));
-  std::vector<rckt::ForwardStreamState*> batched_ptrs;
-  for (int64_t i = 0; i < k; ++i) {
-    rows[static_cast<size_t>(i)] =
-        Tensor::Uniform({1, d}, -1.0f, 1.0f, data_rng);
-    batched_ptrs.push_back(batched[static_cast<size_t>(i)].get());
-  }
-  const auto many = encoder->StepForwardMany(batched_ptrs, rows);
-  ASSERT_EQ(many.size(), static_cast<size_t>(k));
-  for (int64_t i = 0; i < k; ++i) {
-    const Tensor single = encoder->StepForward(
-        *singles[static_cast<size_t>(i)], rows[static_cast<size_t>(i)]);
-    EXPECT_TRUE(BitEqual(many[static_cast<size_t>(i)], single))
-        << "stream " << i << " diverges under batched stepping";
+    const size_t s = static_cast<size_t>(i);
+    const Tensor single =
+        RunOne(*encoder, *singles[s], rows.Slice(0, i, i + 1));
+    EXPECT_TRUE(BitEqual(many.Slice(0, i, i + 1), single))
+        << "stream " << i << " diverges under stacked stepping";
+    EXPECT_EQ(StreamBytes(*encoder, *batched[s]),
+              StreamBytes(*encoder, *singles[s]))
+        << "stream " << i << " state diverges under stacked stepping";
   }
 }
 
+// One run over k streams x S rows equals per-stream runs, with the streams
+// at different history lengths.
+TEST_P(ForwardStreamSuite, StackedRunsMatchPerStreamRuns) {
+  Rng rng(23);
+  auto encoder = rckt::MakeBiEncoder(GetParam(), 16, 2, 2, 0.0f, rng);
+  const int64_t k = 3, run = 4, d = 16;
+  std::vector<std::unique_ptr<rckt::ForwardStreamState>> stacked, singles;
+  std::vector<rckt::ForwardStreamState*> stacked_ptrs;
+  for (int64_t i = 0; i < k; ++i) {
+    stacked.push_back(encoder->NewForwardStream());
+    singles.push_back(encoder->NewForwardStream());
+    stacked_ptrs.push_back(stacked.back().get());
+    const Tensor warm = Tensor::Uniform({1, i + 1, d}, -1.0f, 1.0f, rng);
+    RunOne(*encoder, *stacked.back(), warm);
+    RunOne(*encoder, *singles.back(), warm);
+  }
+  const Tensor a = Tensor::Uniform({k, run, d}, -1.0f, 1.0f, rng);
+  const Tensor out = encoder->StepForwardRun(stacked_ptrs, a);
+  ASSERT_EQ(out.numel(), k * run * d);
+  for (int64_t i = 0; i < k; ++i) {
+    const size_t s = static_cast<size_t>(i);
+    const Tensor single = RunOne(*encoder, *singles[s], a.Slice(0, i, i + 1));
+    EXPECT_TRUE(BitEqual(out.Slice(0, i, i + 1), single))
+        << "stream " << i << " diverges in a stacked run";
+    EXPECT_EQ(StreamBytes(*encoder, *stacked[s]),
+              StreamBytes(*encoder, *singles[s]))
+        << "stream " << i << " state diverges in a stacked run";
+  }
+}
+
+// A warm stream advanced by one bulk run equals one advanced row by row.
 TEST_P(ForwardStreamSuite, StepForwardRunMatchesSingleSteps) {
   Rng rng(17);
   auto encoder = rckt::MakeBiEncoder(GetParam(), 16, 2, 2, 0.0f, rng);
   const int64_t warm = 6, run = 5, d = 16;
   const Tensor a_seq = Tensor::Uniform({1, warm + run, d}, -1.0f, 1.0f, rng);
-  // Warm both streams identically, then advance one with a bulk run and
-  // the other step by step over the same rows.
   auto bulk = encoder->NewForwardStream();
   auto single = encoder->NewForwardStream();
-  for (int64_t t = 0; t < warm; ++t) {
-    Tensor row = Tensor::Zeros({1, d});
-    std::memcpy(row.data(), a_seq.data() + t * d,
-                static_cast<size_t>(d) * sizeof(float));
-    encoder->StepForward(*bulk, row);
-    encoder->StepForward(*single, row);
-  }
-  Tensor a_run = Tensor::Zeros({1, run, d});
-  std::memcpy(a_run.data(), a_seq.data() + warm * d,
-              static_cast<size_t>(run * d) * sizeof(float));
-  const Tensor bulk_out = encoder->StepForwardRun(*bulk, a_run);
+  RunOne(*encoder, *bulk, Rows(a_seq, 0, warm));
+  RunOne(*encoder, *single, Rows(a_seq, 0, warm));
+  const Tensor bulk_out =
+      RunOne(*encoder, *bulk, Rows(a_seq, warm, warm + run));
   ASSERT_EQ(bulk_out.numel(), run * d);
   for (int64_t t = 0; t < run; ++t) {
-    Tensor row = Tensor::Zeros({1, d});
-    std::memcpy(row.data(), a_run.data() + t * d,
-                static_cast<size_t>(d) * sizeof(float));
-    const Tensor f = encoder->StepForward(*single, row);
-    EXPECT_EQ(std::memcmp(f.data(), bulk_out.data() + t * d,
-                          static_cast<size_t>(d) * sizeof(float)),
-              0)
+    const Tensor f =
+        RunOne(*encoder, *single, Rows(a_seq, warm + t, warm + t + 1));
+    EXPECT_TRUE(BitEqual(f, Rows(bulk_out, t, t + 1)))
         << "bulk run row " << t << " diverges from single steps";
   }
   // The bulk run must leave the stream in the stepped state too.
-  Tensor probe = Tensor::Uniform({1, d}, -1.0f, 1.0f, rng);
-  EXPECT_TRUE(BitEqual(encoder->StepForward(*bulk, probe),
-                       encoder->StepForward(*single, probe)))
+  const Tensor probe = Tensor::Uniform({1, 1, d}, -1.0f, 1.0f, rng);
+  EXPECT_TRUE(BitEqual(RunOne(*encoder, *bulk, probe),
+                       RunOne(*encoder, *single, probe)))
       << "stream state diverges after a bulk run";
 }
 
@@ -416,7 +448,7 @@ TEST_P(ForwardStreamSuite, CloneStreamPrefixRewindsAttentionStreams) {
   const int64_t T = 10, prefix = 4, d = 16;
   const Tensor a_seq = Tensor::Uniform({1, T, d}, -1.0f, 1.0f, rng);
   auto full = encoder->NewForwardStream();
-  encoder->ReplayForward(*full, a_seq);
+  RunOne(*encoder, *full, a_seq);
   auto clone = encoder->CloneStreamPrefix(*full, prefix);
   const bool is_attention = GetParam() == rckt::EncoderKind::kSAKT ||
                             GetParam() == rckt::EncoderKind::kAKT;
@@ -430,21 +462,18 @@ TEST_P(ForwardStreamSuite, CloneStreamPrefixRewindsAttentionStreams) {
   // prefix: stepping the next row reproduces the prefix-only stream's bits.
   auto prefix_only = encoder->NewForwardStream();
   for (int64_t t = 0; t < prefix; ++t) {
-    Tensor row = Tensor::Zeros({1, d});
-    std::memcpy(row.data(), a_seq.data() + t * d,
-                static_cast<size_t>(d) * sizeof(float));
-    encoder->StepForward(*prefix_only, row);
+    RunOne(*encoder, *prefix_only, Rows(a_seq, t, t + 1));
   }
-  Tensor next = Tensor::Uniform({1, d}, -1.0f, 1.0f, rng);
-  EXPECT_TRUE(BitEqual(encoder->StepForward(*clone, next),
-                       encoder->StepForward(*prefix_only, next)))
+  const Tensor next = Tensor::Uniform({1, 1, d}, -1.0f, 1.0f, rng);
+  EXPECT_TRUE(BitEqual(RunOne(*encoder, *clone, next),
+                       RunOne(*encoder, *prefix_only, next)))
       << "prefix clone diverges from a prefix-only stream";
   // Cloning never disturbs the donor stream.
-  Tensor probe = Tensor::Uniform({1, d}, -1.0f, 1.0f, rng);
+  const Tensor probe = Tensor::Uniform({1, 1, d}, -1.0f, 1.0f, rng);
   auto untouched = encoder->NewForwardStream();
-  encoder->ReplayForward(*untouched, a_seq);
-  EXPECT_TRUE(BitEqual(encoder->StepForward(*full, probe),
-                       encoder->StepForward(*untouched, probe)))
+  RunOne(*encoder, *untouched, a_seq);
+  EXPECT_TRUE(BitEqual(RunOne(*encoder, *full, probe),
+                       RunOne(*encoder, *untouched, probe)))
       << "CloneStreamPrefix mutated the source stream";
 }
 
@@ -819,7 +848,7 @@ TEST(EngineBatchTest, TightBudgetBatchedUpdatesMatchSequential) {
   // Regression test: a coalesced update run collects raw stream pointers
   // for several sessions before stepping them together. Under a tight
   // budget, EnsureStream for a later student used to evict an earlier
-  // student's stream mid-run (use-after-free in StepForwardMany). The
+  // student's stream mid-run (use-after-free in StepForwardRun). The
   // one-byte budget plus SAKT's KV caches makes every accounting call an
   // eviction candidate.
   data::Dataset ds = TinyDataset();
