@@ -49,9 +49,9 @@ struct Result {
 
 std::vector<Result> g_results;
 
-// Counterfactual recourse at history length T: the stacked fast path
-// (insert-only candidates scored from cloned forward streams, flip
-// candidates fanned out through GeneratorScoreTargetsStacked) against
+// Counterfactual recourse at history length T: the suffix-replay fast path
+// (each candidate set rewinds the cached forward stream to its earliest
+// edit and replays only the edited suffix through StepForwardRun) against
 // --brute, which runs one full forward pass per candidate set. The two
 // are bit-identical by contract (tests/serve_test.cc), so the speedup is
 // pure batching.

@@ -14,6 +14,8 @@
 # checkpoint code across the epoch and validation callbacks. The
 # forward-stream suite writes each attention stream's rows into one
 # Uninitialized [k, S, d] output, so a row left unwritten shows as poison.
+# The JSON suite feeds the one JSON parser (core/json.cc) malformed and
+# truncated text; it reads untrusted bytes off the serving wire.
 # Sanitizer builds fill Tensor::Uninitialized storage with a NaN pattern,
 # so a kernel that leaves an output element unwritten fails the bitwise
 # suites here. Any ASan/UBSan report fails the script.
@@ -41,7 +43,7 @@ FILTER+=':*StackedFanOut*:DropoutTest*:GemmKernelEquivalence.Banded*'
 FILTER+=':GemmKernelEquivalence.StoreForm*:GemmKernelEquivalence.TransAInPlace*'
 FILTER+=':TensorTest.Uninitialized*:OpsTest.SelectOrZero*'
 FILTER+=':TrainerTest*:TrainerGolden*:CrossValidationTest*'
-FILTER+=':*ForwardStreamSuite*'
+FILTER+=':*ForwardStreamSuite*:ServeJsonTest*'
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 halt_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"

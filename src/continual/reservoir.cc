@@ -4,13 +4,11 @@
 #include <utility>
 
 #include "core/binio.h"
+#include "core/hash.h"
 
 namespace kt {
 namespace continual {
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 uint64_t Splitmix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -19,18 +17,14 @@ uint64_t Splitmix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void MixPod(uint64_t* h, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    *h ^= (value >> (8 * i)) & 0xffu;
-    *h *= kFnvPrime;
+uint64_t MixInteraction(uint64_t h, const data::Interaction& it) {
+  h = FnvMixU64(h, static_cast<uint64_t>(it.question));
+  h = FnvMixU64(h, static_cast<uint64_t>(it.response));
+  h = FnvMixU64(h, it.concepts.size());
+  for (const int64_t c : it.concepts) {
+    h = FnvMixU64(h, static_cast<uint64_t>(c));
   }
-}
-
-void MixInteraction(uint64_t* h, const data::Interaction& it) {
-  MixPod(h, static_cast<uint64_t>(it.question));
-  MixPod(h, static_cast<uint64_t>(it.response));
-  MixPod(h, it.concepts.size());
-  for (const int64_t c : it.concepts) MixPod(h, static_cast<uint64_t>(c));
+  return h;
 }
 
 void AppendInteraction(std::string* out, const data::Interaction& it) {
@@ -74,10 +68,9 @@ bool ReadSample(BinCursor* cursor, TrainSample* sample) {
 // content-aware tie-break their eviction and canonical order would depend
 // on the reservoir's internal heap arrangement (i.e. on history).
 uint64_t ContentFnv(const TrainSample& sample) {
-  uint64_t h = kFnvOffset;
-  MixInteraction(&h, sample.target);
-  MixPod(&h, sample.context.size());
-  for (const data::Interaction& it : sample.context) MixInteraction(&h, it);
+  uint64_t h = MixInteraction(kFnvOffset, sample.target);
+  h = FnvMixU64(h, sample.context.size());
+  for (const data::Interaction& it : sample.context) h = MixInteraction(h, it);
   return h;
 }
 
@@ -121,14 +114,7 @@ bool ParseSamples(const char* data, size_t size,
   return true;
 }
 
-uint64_t HashStudent(std::string_view student) {
-  uint64_t h = kFnvOffset;
-  for (const char c : student) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
+uint64_t HashStudent(std::string_view student) { return Fnv1a(student); }
 
 uint64_t SamplePriority(uint64_t seed, uint64_t student_fnv, int64_t index) {
   return Splitmix64(seed ^ Splitmix64(student_fnv ^
@@ -196,12 +182,12 @@ std::vector<const TrainSample*> Reservoir::Ordered() const {
 uint64_t Reservoir::Digest() const {
   uint64_t h = kFnvOffset;
   for (const TrainSample* sample : Ordered()) {
-    MixPod(&h, sample->student_fnv);
-    MixPod(&h, static_cast<uint64_t>(sample->index));
-    MixInteraction(&h, sample->target);
-    MixPod(&h, sample->context.size());
+    h = FnvMixU64(h, sample->student_fnv);
+    h = FnvMixU64(h, static_cast<uint64_t>(sample->index));
+    h = MixInteraction(h, sample->target);
+    h = FnvMixU64(h, sample->context.size());
     for (const data::Interaction& it : sample->context) {
-      MixInteraction(&h, it);
+      h = MixInteraction(h, it);
     }
   }
   return h;

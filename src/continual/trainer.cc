@@ -1,18 +1,15 @@
 #include "continual/trainer.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <iterator>
 #include <utility>
-
-#include <sys/stat.h>
-#include <sys/types.h>
 
 #include "ckpt/ckpt.h"
 #include "ckpt/training_state.h"
 #include "core/binio.h"
 #include "core/check.h"
+#include "core/fileio.h"
 #include "core/logging.h"
 #include "eval/metrics.h"
 #include "nn/serialize.h"
@@ -25,24 +22,6 @@ namespace continual {
 namespace {
 
 constexpr uint32_t kCheckpointSchemaVersion = 1;
-
-// mkdir -p (EEXIST is success).
-bool MakeDirs(const std::string& path) {
-  std::string prefix;
-  prefix.reserve(path.size());
-  for (size_t i = 0; i <= path.size(); ++i) {
-    if (i < path.size() && path[i] != '/') {
-      prefix.push_back(path[i]);
-      continue;
-    }
-    if (!prefix.empty() &&
-        ::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-      return false;
-    }
-    if (i < path.size()) prefix.push_back('/');
-  }
-  return true;
-}
 
 // The candidate is trained with dropout OFF so a mini-epoch over a fixed
 // replay set is a pure function of (weights, optimizer, samples) — no RNG

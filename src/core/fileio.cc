@@ -99,4 +99,21 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
 }
 
+bool MakeDirs(const std::string& path) {
+  std::string prefix;
+  prefix.reserve(path.size());
+  for (size_t i = 0; i <= path.size(); ++i) {
+    if (i < path.size() && path[i] != '/') {
+      prefix.push_back(path[i]);
+      continue;
+    }
+    if (!prefix.empty() &&
+        ::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
+      return false;
+    }
+    if (i < path.size()) prefix.push_back('/');
+  }
+  return true;
+}
+
 }  // namespace kt

@@ -24,6 +24,10 @@ Status AtomicWriteFile(const std::string& path, const std::string& contents);
 // True if `path` exists and is a regular file.
 bool FileExists(const std::string& path);
 
+// mkdir -p: creates every missing component of `path` (mode 0755). An
+// existing directory is success.
+bool MakeDirs(const std::string& path);
+
 }  // namespace kt
 
 #endif  // KT_CORE_FILEIO_H_

@@ -1,11 +1,10 @@
-#include "serve/json.h"
+#include "core/json.h"
 
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace kt {
-namespace serve {
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (kind != Kind::kObject) return nullptr;
@@ -78,9 +77,25 @@ class Parser {
 
   void SkipSpace() {
     while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r')) {
       ++pos_;
     }
+  }
+
+  // Consumes a run of decimal digits; returns how many.
+  size_t Digits() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ - start;
+  }
+
+  bool Accept(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
   }
 
   bool Literal(const char* word, size_t len) {
@@ -232,20 +247,41 @@ class Parser {
         }
         continue;
       }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Fail("raw control byte in string");
+      }
       out->push_back(c);
       ++pos_;
     }
     return Fail("unterminated string");
   }
 
+  // RFC 8259 grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?. The
+  // validated span then goes to strtod, which must consume exactly it (it
+  // would read "0x10" as 16) and yield a finite value.
   bool ParseNumber(JsonValue* out) {
-    const char* start = text_.c_str() + pos_;
+    const size_t start = pos_;
+    Accept('-');
+    if (!Accept('0') && Digits() == 0) return Fail("expected value");
+    bool integral = true;
+    if (Accept('.')) {
+      integral = false;
+      if (Digits() == 0) return Fail("malformed number");
+    }
+    if (Accept('e') || Accept('E')) {
+      integral = false;
+      if (!Accept('+')) Accept('-');
+      if (Digits() == 0) return Fail("malformed number");
+    }
+    const char* begin = text_.c_str() + start;
     char* end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start) return Fail("expected value");
+    const double value = std::strtod(begin, &end);
+    if (end != text_.c_str() + pos_ || !std::isfinite(value)) {
+      return Fail("malformed number");
+    }
     out->kind = JsonValue::Kind::kNumber;
     out->number = value;
-    pos_ += static_cast<size_t>(end - start);
+    out->number_is_integral = integral;
     return true;
   }
 
@@ -371,5 +407,4 @@ JsonWriter& JsonWriter::Null() {
   return *this;
 }
 
-}  // namespace serve
 }  // namespace kt

@@ -7,6 +7,7 @@
 #include "core/binio.h"
 #include "core/crc32.h"
 #include "core/fileio.h"
+#include "core/hash.h"
 
 namespace kt {
 namespace nn {
@@ -94,18 +95,13 @@ Status ParseMetaChunk(const char* data, size_t size, bool* present,
 uint64_t FingerprintModule(const Module& module) {
   const auto params = module.Parameters();
   const auto names = module.ParameterNames();
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](const char* data, size_t size) {
-    for (size_t i = 0; i < size; ++i) {
-      h ^= static_cast<unsigned char>(data[i]);
-      h *= 1099511628211ull;
-    }
-  };
+  uint64_t h = kFnvOffset;
   for (size_t i = 0; i < params.size(); ++i) {
-    mix(names[i].data(), names[i].size());
+    h = Fnv1a(names[i], h);
     const Tensor& value = params[i].value();
-    mix(reinterpret_cast<const char*>(value.data()),
-        sizeof(float) * static_cast<size_t>(value.numel()));
+    h = Fnv1a({reinterpret_cast<const char*>(value.data()),
+               sizeof(float) * static_cast<size_t>(value.numel())},
+              h);
   }
   return h;
 }

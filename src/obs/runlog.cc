@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "core/fileio.h"
+#include "core/json.h"
 #include "core/logging.h"
 #include "core/parallel.h"
 #include "obs/obs.h"
@@ -27,30 +28,6 @@ std::string& PathStorage() {
 std::string& Lines() {
   static auto* s = new std::string();
   return *s;
-}
-
-// Minimal JSON string escaping for run tags (quotes, backslashes, control
-// bytes); tags are model names, so this rarely fires.
-std::string EscapeJson(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -82,19 +59,21 @@ void AppendRunLogEntry(const RunLogEntry& entry) {
   char line[512];
   std::snprintf(
       line, sizeof(line),
-      "{\"run\":\"%s\",\"epoch\":%lld,\"train_loss\":%.9g,"
+      ",\"epoch\":%lld,\"train_loss\":%.9g,"
       "\"val_auc\":%.9g,\"val_acc\":%.9g,\"epoch_ms\":%.3f,"
       "\"tokens\":%lld,\"tokens_per_sec\":%.1f,\"gemm_flops\":%lld,"
       "\"ckpt_ms\":%.3f,\"rss_bytes\":%lld,\"peak_rss_bytes\":%lld,"
       "\"minflt\":%lld,\"sys_ms\":%.3f,\"threads\":%d}\n",
-      EscapeJson(entry.run).c_str(), static_cast<long long>(entry.epoch),
-      entry.train_loss, entry.val_auc, entry.val_acc, entry.epoch_ms,
+      static_cast<long long>(entry.epoch), entry.train_loss, entry.val_auc,
+      entry.val_acc, entry.epoch_ms,
       static_cast<long long>(entry.tokens), tokens_per_sec,
       static_cast<long long>(entry.gemm_flops), entry.ckpt_ms,
       static_cast<long long>(CurrentRssBytes()),
       static_cast<long long>(usage.peak_rss_bytes),
       static_cast<long long>(usage.minflt - entry.usage_at_start.minflt),
       usage.sys_ms - entry.usage_at_start.sys_ms, GetNumThreads());
+  Lines() += "{\"run\":";
+  AppendJsonString(&Lines(), entry.run);
   Lines() += line;
   const Status status = AtomicWriteFile(PathStorage(), Lines());
   if (!status.ok()) {

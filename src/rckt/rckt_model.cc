@@ -656,53 +656,6 @@ std::vector<float> RCKT::GeneratorScoreTargets(
   return out;
 }
 
-std::vector<std::vector<float>> RCKT::GeneratorScoreTargetsStacked(
-    const data::Batch& prefix_batch,
-    const std::vector<std::vector<std::vector<int>>>& response_variants) {
-  ag::NoGradGuard no_grad;
-  CheckEqualLength(prefix_batch);
-  nn::Context ctx;
-  const int64_t b = prefix_batch.batch_size;
-  const int64_t t = prefix_batch.max_len;
-  const int64_t target = t - 1;
-  const size_t k = response_variants.size();
-  std::vector<std::vector<float>> out(k);
-  if (k == 0) return out;
-  // Bounded chunks keep the stacked batch's working set (K*B rows) inside
-  // cache-friendly territory; results are read per-chunk so chunking cannot
-  // change bits.
-  constexpr size_t kChunk = 64;
-  for (size_t begin = 0; begin < k; begin += kChunk) {
-    const size_t end = std::min(k, begin + kChunk);
-    std::vector<std::vector<int>> cats(end - begin);
-    std::vector<const std::vector<int>*> sets(end - begin);
-    for (size_t v = begin; v < end; ++v) {
-      const auto& variant = response_variants[v];
-      KT_CHECK_EQ(variant.size(), static_cast<size_t>(b));
-      std::vector<int>& flat = cats[v - begin];
-      flat.resize(static_cast<size_t>(b * t));
-      for (int64_t row = 0; row < b; ++row) {
-        const auto& responses = variant[static_cast<size_t>(row)];
-        KT_CHECK_EQ(responses.size(), static_cast<size_t>(t));
-        PutRow(flat, prefix_batch, row,
-               MaskedTargetCategories(responses, target));
-      }
-      sets[v - begin] = &flat;
-    }
-    const auto probs = GenerateProbsFanOut(prefix_batch, sets, ctx, nullptr);
-    for (size_t v = begin; v < end; ++v) {
-      std::vector<float>& row_probs = out[v];
-      row_probs.resize(static_cast<size_t>(b));
-      const Tensor& value = probs[v - begin].value();
-      for (int64_t row = 0; row < b; ++row) {
-        row_probs[static_cast<size_t>(row)] =
-            value.flat(prefix_batch.FlatIndex(row, target));
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<float> RCKT::ScoreTargetsExact(const data::Batch& prefix_batch) {
   ag::NoGradGuard no_grad;
   nn::Context ctx;

@@ -149,20 +149,6 @@ class RCKT : public nn::Module {
   // influence aggregation (see bench_interpretability).
   std::vector<float> GeneratorScoreTargets(const data::Batch& prefix_batch);
 
-  // Stacked multi-variant generator scoring: evaluates `response_variants`
-  // alternative response assignments of the SAME prefix batch (each variant
-  // is [B][T] responses; the target position is masked exactly as in
-  // GeneratorScoreTargets) and returns [variant][row] probabilities at the
-  // target. Variants run through the stacked fan-out in bounded chunks, so
-  // a K-variant search costs one batched pass per chunk instead of K full
-  // re-encodes — bitwise equal to K GeneratorScoreTargets calls by the
-  // stacked == per-pass contract. Offline counterpart of the serve
-  // recourse search (which scores variants online against the session's
-  // cached forward stream instead; see DESIGN.md §15).
-  std::vector<std::vector<float>> GeneratorScoreTargetsStacked(
-      const data::Batch& prefix_batch,
-      const std::vector<std::vector<std::vector<int>>>& response_variants);
-
   // ---- Exact forward mode (Table VI) ----
   // Influence computation without the backward approximation: one generator
   // pass per history response. Same decision rule.

@@ -1,14 +1,12 @@
 #include "serve/coldtier.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <utility>
 
-#include <sys/stat.h>
-#include <sys/types.h>
-
 #include "ckpt/ckpt.h"
 #include "core/binio.h"
+#include "core/fileio.h"
+#include "core/hash.h"
 #include "core/logging.h"
 #include "obs/obs.h"
 
@@ -19,33 +17,6 @@ namespace {
 // v2 appended the model fingerprint to the schema section. v1 snapshots
 // (no fingerprint) predate hot weight swaps and read as misses.
 constexpr uint32_t kSnapshotVersion = 2;
-
-uint64_t Fnv64(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// mkdir -p: create every missing component; EEXIST is success.
-bool MakeDirs(const std::string& path) {
-  std::string prefix;
-  prefix.reserve(path.size());
-  for (size_t i = 0; i <= path.size(); ++i) {
-    if (i < path.size() && path[i] != '/') {
-      prefix.push_back(path[i]);
-      continue;
-    }
-    if (!prefix.empty() &&
-        ::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-      return false;
-    }
-    if (i < path.size()) prefix.push_back('/');
-  }
-  return true;
-}
 
 void AppendHistory(std::string* out,
                    const std::vector<data::Interaction>& history) {
@@ -118,7 +89,7 @@ ColdTier::ColdTier(std::string dir, const rckt::BiEncoder& encoder,
 std::string ColdTier::PathFor(const std::string& student) const {
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(Fnv64(student)));
+                static_cast<unsigned long long>(Fnv1a(student)));
   return dir_ + "/" + hex + ".ktc";
 }
 

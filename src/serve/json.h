@@ -1,89 +1,16 @@
-// Minimal JSON for the serving wire protocol (newline-delimited JSON over
-// stdio or TCP). Zero-dependency by design: a recursive-descent parser into
-// a small variant type plus a comma-managing writer.
-//
-// Floats are emitted with %.9g, which round-trips every float bit pattern
-// through decimal — the parity checks in scripts/check_serve.sh compare
-// server output against `ktcli evaluate --json` output literally.
+// The serving layer's names for the JSON codec in core/json.h.
 #ifndef KT_SERVE_JSON_H_
 #define KT_SERVE_JSON_H_
 
-#include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
+#include "core/json.h"
 
 namespace kt {
 namespace serve {
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  double number = 0.0;
-  std::string string_value;
-  std::vector<JsonValue> array;
-  // Insertion-ordered; duplicate keys keep the first occurrence on Find.
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  bool IsNull() const { return kind == Kind::kNull; }
-  bool IsBool() const { return kind == Kind::kBool; }
-  bool IsNumber() const { return kind == Kind::kNumber; }
-  bool IsString() const { return kind == Kind::kString; }
-  bool IsArray() const { return kind == Kind::kArray; }
-  bool IsObject() const { return kind == Kind::kObject; }
-
-  // Safe number -> int64 conversion: false when this value is not a
-  // number or lies outside int64 range (where the raw double cast would
-  // be undefined behaviour). NaN fails; fractional values truncate.
-  bool ToInt(int64_t* out) const;
-
-  // Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-
-  // Typed member accessors with defaults (object-only helpers).
-  int64_t GetInt(const std::string& key, int64_t fallback) const;
-  double GetNumber(const std::string& key, double fallback) const;
-  std::string GetString(const std::string& key,
-                        const std::string& fallback) const;
-  bool GetBool(const std::string& key, bool fallback) const;
-};
-
-// Parses exactly one JSON value (trailing non-space content is an error).
-// On failure returns false and fills *error with a position-annotated
-// message.
-bool ParseJson(const std::string& text, JsonValue* out, std::string* error);
-
-// Escapes `s` per RFC 8259 and appends the quoted result to *out.
-void AppendJsonString(std::string* out, const std::string& s);
-
-// Single-line JSON writer with automatic comma placement.
-class JsonWriter {
- public:
-  JsonWriter& BeginObject();
-  JsonWriter& EndObject();
-  JsonWriter& BeginArray();
-  JsonWriter& EndArray();
-  // Starts an object member; follow with exactly one value call (or
-  // BeginObject/BeginArray).
-  JsonWriter& Key(const std::string& name);
-  JsonWriter& String(const std::string& value);
-  JsonWriter& Int(int64_t value);
-  JsonWriter& Float(float value);   // %.9g — float round-trip safe
-  JsonWriter& Double(double value); // %.17g — double round-trip safe
-  JsonWriter& Bool(bool value);
-  JsonWriter& Null();
-
-  const std::string& str() const { return out_; }
-
- private:
-  void MaybeComma();
-  std::string out_;
-  // true when the next emission at this depth needs a leading comma.
-  std::vector<bool> need_comma_;
-  bool after_key_ = false;
-};
+using ::kt::AppendJsonString;
+using ::kt::JsonValue;
+using ::kt::JsonWriter;
+using ::kt::ParseJson;
 
 }  // namespace serve
 }  // namespace kt

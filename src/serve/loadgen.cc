@@ -9,8 +9,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "core/json.h"
 #include "eval/metrics.h"
-#include "serve/json.h"
 
 namespace kt {
 namespace serve {
@@ -372,15 +372,6 @@ void RollingAuc::Merge(const RollingAuc& other) {
 double RollingAuc::Auc() const {
   if (scores_.empty()) return 0.5;
   return eval::ComputeAuc(scores_, labels_);
-}
-
-uint64_t FnvMixU64(uint64_t h, uint64_t v) {
-  constexpr uint64_t kPrime = 1099511628211ull;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kPrime;
-  }
-  return h;
 }
 
 uint64_t FnvMixInteraction(uint64_t h, int64_t question,

@@ -15,7 +15,7 @@
 //                         where keeping every prediction is not an option.
 //
 // Everything here is deterministic given its inputs: the JSON builders
-// format through serve::JsonWriter (shortest round-trip doubles), and
+// format through kt::JsonWriter (shortest round-trip doubles), and
 // RollingAuc::Auc delegates to eval::ComputeAuc, which is permutation-
 // invariant — merging per-worker rings in any order yields one AUC.
 #ifndef KT_SERVE_LOADGEN_H_
@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/hash.h"
+#include "core/json.h"
 #include "core/status.h"
 
 namespace kt {
@@ -51,8 +53,6 @@ class LineClient {
   int fd_ = -1;
   std::string buffer_;
 };
-
-struct JsonValue;
 
 // NDJSON request lines understood by `ktcli serve`.
 std::string PredictLine(const std::string& student, int64_t question,
@@ -252,8 +252,8 @@ class RollingAuc {
 // FNV-1a over one interaction, for ScenarioSummary::traffic_fnv64. Fold
 // each student's interactions left-to-right starting from `h` (pass
 // kFnvOffset for the first), then XOR the per-student digests together.
-inline constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-uint64_t FnvMixU64(uint64_t h, uint64_t v);
+using ::kt::FnvMixU64;
+using ::kt::kFnvOffset;
 uint64_t FnvMixInteraction(uint64_t h, int64_t question,
                            const std::vector<int64_t>& concepts,
                            int response);

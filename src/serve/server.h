@@ -24,9 +24,9 @@
 #include <functional>
 #include <string>
 
+#include "core/json.h"
 #include "serve/engine.h"
 #include "serve/framing.h"
-#include "serve/json.h"
 #include "serve/shard.h"
 
 namespace kt {

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <utility>
 
+#include "core/hash.h"
 #include "obs/obs.h"
 #include "serve/server.h"
 
@@ -12,12 +13,7 @@ namespace kt {
 namespace serve {
 
 uint32_t ShardSet::ShardFor(std::string_view student, uint32_t shards) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : student) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return shards == 0 ? 0 : static_cast<uint32_t>(h % shards);
+  return shards == 0 ? 0 : static_cast<uint32_t>(Fnv1a(student) % shards);
 }
 
 uint32_t ShardSet::shard_for(std::string_view student) const {

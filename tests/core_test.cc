@@ -10,6 +10,7 @@
 
 #include "core/check.h"
 #include "core/cpu.h"
+#include "core/hash.h"
 #include "core/memory_policy.h"
 #include "core/rng.h"
 #include "core/status.h"
@@ -143,6 +144,17 @@ TEST(RngTest, ForkIsIndependent) {
   Rng child = a.Fork();
   // Forked stream differs from the parent's continuation.
   EXPECT_NE(child.NextU64(), a.NextU64());
+}
+
+TEST(FnvTest, KnownAnswerVectors) {
+  constexpr uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
+  EXPECT_EQ(Fnv1a("", kOffsetBasis), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a("a", kOffsetBasis), 0xaf63dc4c8601ec8cull);
+  // The project seed, which shard routing and cold-tier file names store.
+  EXPECT_EQ(Fnv1a("a"), 0x44bd8ad473cd9906ull);
+  // Integers fold least significant byte first on every host.
+  EXPECT_EQ(FnvMixU64(kFnvOffset, 0x61),
+            Fnv1a(std::string("a\0\0\0\0\0\0\0", 8)));
 }
 
 TEST(StringUtilTest, StrPrintf) {

@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/json.h"
+#include "core/json.h"
 #include "serve/loadgen.h"
 
 namespace kt {

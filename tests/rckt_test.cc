@@ -976,44 +976,6 @@ TEST_P(StackedFanOutTest, GatheredJointRowsEqualLonePasses) {
   obs::SetEnabled(obs_was_enabled);
 }
 
-TEST_P(StackedFanOutTest, GeneratorScoreTargetsStackedMatchesPerCall) {
-  data::Dataset ds = TinyDataset();
-  data::Batch batch = SmallPrefixBatch(ds);
-  RCKT model(ds.num_questions, ds.num_concepts, SmallRckt(GetParam()));
-
-  // Three response-variant assignments of the same batch: factual, all
-  // correct, and alternating — scored stacked and one at a time.
-  const int64_t rows = batch.batch_size;
-  const int64_t T = batch.max_len;
-  std::vector<std::vector<std::vector<int>>> variants;
-  for (int v = 0; v < 3; ++v) {
-    std::vector<std::vector<int>> variant(static_cast<size_t>(rows));
-    for (int64_t b = 0; b < rows; ++b) {
-      std::vector<int> responses(static_cast<size_t>(T));
-      for (int64_t t = 0; t < T; ++t) {
-        const int factual =
-            batch.responses[static_cast<size_t>(batch.FlatIndex(b, t))];
-        responses[static_cast<size_t>(t)] =
-            v == 0 ? factual : (v == 1 ? 1 : static_cast<int>(t % 2));
-      }
-      variant[static_cast<size_t>(b)] = std::move(responses);
-    }
-    variants.push_back(std::move(variant));
-  }
-  const auto stacked = model.GeneratorScoreTargetsStacked(batch, variants);
-  ASSERT_EQ(stacked.size(), variants.size());
-  for (size_t v = 0; v < variants.size(); ++v) {
-    const auto single =
-        model.GeneratorScoreTargetsStacked(batch, {variants[v]});
-    ASSERT_EQ(single.size(), 1u);
-    EXPECT_TRUE(BitEqualFloats(stacked[v], single[0]))
-        << "variant " << v << " diverges when stacked with others";
-  }
-  // The factual variant must agree with the plain generator score.
-  EXPECT_TRUE(BitEqualFloats(stacked[0], model.GeneratorScoreTargets(batch)))
-      << "factual variant diverges from GeneratorScoreTargets";
-}
-
 INSTANTIATE_TEST_SUITE_P(AllEncoders, StackedFanOutTest,
                          ::testing::Values(EncoderKind::kDKT,
                                            EncoderKind::kSAKT,

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/json.h"
 #include "core/parallel.h"
 #include "data/simulator.h"
 #include "nn/gru.h"
@@ -21,7 +22,6 @@
 #include "rckt/rckt_model.h"
 #include "rckt/samples.h"
 #include "serve/engine.h"
-#include "serve/json.h"
 #include "serve/server.h"
 #include "serve/session.h"
 
@@ -97,6 +97,30 @@ TEST(ServeJsonTest, RejectsMalformedInput) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(ParseJson(deep, &v, &error));
+  // Numbers outside the RFC 8259 grammar or beyond a finite double, and
+  // raw control bytes inside a string. strtod alone reads 0x10 as 16.
+  for (const char* text :
+       {R"({"question":0x10})", R"({"p":Infinity})", R"({"p":NaN})",
+        R"({"p":1e999})", R"({"p":+1})", R"({"p":01})", R"({"p":.5})",
+        "{\"s\":\"a\tb\"}"}) {
+    EXPECT_FALSE(ParseJson(text, &v, &error)) << text;
+  }
+}
+
+TEST(ServeJsonTest, ParsesRfcNumbersAndMarksIntegralSpelling) {
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(ParseJson(
+      R"({"i":7,"neg":-0,"f":7.0,"e":7e0,"big":1E+2,"small":-0.5e-3})", &v,
+      &error))
+      << error;
+  EXPECT_TRUE(v.Find("i")->number_is_integral);
+  EXPECT_TRUE(v.Find("neg")->number_is_integral);
+  EXPECT_FALSE(v.Find("f")->number_is_integral);
+  EXPECT_FALSE(v.Find("e")->number_is_integral);
+  EXPECT_DOUBLE_EQ(v.GetNumber("big", 0.0), 100.0);
+  EXPECT_DOUBLE_EQ(v.GetNumber("small", 0.0), -0.0005);
+  EXPECT_EQ(v.GetInt("f", -1), 7);
 }
 
 TEST(ServeJsonTest, GetIntRejectsOutOfRangeNumbers) {

@@ -11,7 +11,9 @@
 //   * finished connection threads joined only when the NEXT connection
 //     arrived, so an idle server accumulated dead thread handles,
 //   * Nagle left on, so a pipelined reply waited for the client's delayed
-//     ACK of the one before it.
+//     ACK of the one before it,
+//   * a strtod-based number parser, so `"question":0x10` was served as
+//     question 16 instead of refused.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -244,6 +246,21 @@ TEST(ServeTransportTest, OversizedLineIsRejectedAndConnectionClosed) {
   EXPECT_NE(got.find("\"ok\":false"), std::string::npos) << got;
   EXPECT_NE(got.find("exceeds"), std::string::npos) << got;
   // A fresh, well-behaved connection still works.
+  EXPECT_TRUE(server.Ping());
+}
+
+// ---- request parsing ----
+
+TEST(ServeTransportTest, HexNumberGetsAnErrorReply) {
+  TransportServer server;
+  LineClient client;
+  std::string response, error;
+  ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
+  ASSERT_TRUE(client.RoundTrip(
+      R"({"op":"predict","student":"s","question":0x10})", &response,
+      &error))
+      << error;
+  EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
   EXPECT_TRUE(server.Ping());
 }
 

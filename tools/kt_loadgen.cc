@@ -77,7 +77,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/fileio.h"
 #include "core/flags.h"
+#include "core/json.h"
 #include "core/rng.h"
 #include "data/io.h"
 #include "data/scenarios.h"
@@ -85,27 +87,12 @@
 #include "eval/metrics.h"
 #include "obs/obs.h"
 #include "rckt/samples.h"
-#include "serve/json.h"
 #include "serve/loadgen.h"
 
 namespace kt {
 namespace {
 
 using serve::LineClient;
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char chunk[1 << 16];
-  size_t n;
-  out->clear();
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    out->append(chunk, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
 
 int CmdReplay(const FlagParser& flags, int port, int connections) {
   const std::string data_path = flags.GetString("data", "");
@@ -129,8 +116,9 @@ int CmdReplay(const FlagParser& flags, int port, int connections) {
   const std::string expect_path = flags.GetString("expect", "");
   if (!expect_path.empty()) {
     std::string text;
-    if (!ReadFile(expect_path, &text)) {
-      std::fprintf(stderr, "replay: cannot read %s\n", expect_path.c_str());
+    const Status read = ReadFileToString(expect_path, &text);
+    if (!read.ok()) {
+      std::fprintf(stderr, "replay: %s\n", read.ToString().c_str());
       return 1;
     }
     auto parsed = serve::ParseExpectedPredictions(text, expected.stride,
@@ -200,8 +188,8 @@ int CmdReplay(const FlagParser& flags, int port, int connections) {
             local_us.push_back(
                 std::chrono::duration<double, std::micro>(stop - start)
                     .count());
-            serve::JsonValue reply;
-            if (!serve::ParseJson(response, &reply, &error) ||
+            JsonValue reply;
+            if (!ParseJson(response, &reply, &error) ||
                 !reply.GetBool("ok", false)) {
               std::lock_guard<std::mutex> lock(mu);
               failures.push_back("bad predict reply: " + response);
@@ -349,8 +337,8 @@ int CmdRecourse(const FlagParser& flags, int port, int connections) {
         const auto t1 = std::chrono::steady_clock::now();
         local_us.push_back(
             std::chrono::duration<double, std::micro>(t1 - t0).count());
-        serve::JsonValue reply;
-        if (!serve::ParseJson(response, &reply, &error) ||
+        JsonValue reply;
+        if (!ParseJson(response, &reply, &error) ||
             !reply.GetBool("ok", false)) {
           std::lock_guard<std::mutex> lock(mu);
           failures.push_back("bad recourse reply: " + response);
@@ -358,7 +346,7 @@ int CmdRecourse(const FlagParser& flags, int port, int connections) {
         }
         ++local_recourses;
         local_fnv ^= serve::FnvMixRecourseReply(serve::kFnvOffset, reply);
-        if (const serve::JsonValue* cands = reply.Find("candidates")) {
+        if (const JsonValue* cands = reply.Find("candidates")) {
           if (cands->IsArray() && !cands->array.empty()) {
             local_candidates += static_cast<int64_t>(cands->array.size());
             local_lift_sum += cands->array[0].GetNumber("lift", 0.0);
@@ -444,8 +432,8 @@ int CmdBench(const FlagParser& flags, int port, int connections) {
         const auto t1 = std::chrono::steady_clock::now();
         local_us.push_back(
             std::chrono::duration<double, std::micro>(t1 - t0).count());
-        serve::JsonValue reply;
-        if (!serve::ParseJson(response, &reply, &error) ||
+        JsonValue reply;
+        if (!ParseJson(response, &reply, &error) ||
             !reply.GetBool("ok", false)) {
           std::lock_guard<std::mutex> lock(mu);
           failures.push_back("bad reply: " + response);
@@ -482,12 +470,12 @@ bool PollModelIdentity(int port, std::string* fingerprint, int64_t* version) {
   std::string error, response;
   if (!client.Connect(port, &error)) return false;
   if (!client.RoundTrip("{\"op\":\"stats\"}", &response, &error)) return false;
-  serve::JsonValue reply;
-  if (!serve::ParseJson(response, &reply, &error) ||
+  JsonValue reply;
+  if (!ParseJson(response, &reply, &error) ||
       !reply.GetBool("ok", false)) {
     return false;
   }
-  const serve::JsonValue* model = reply.Find("model");
+  const JsonValue* model = reply.Find("model");
   if (model == nullptr || !model->IsObject()) return false;
   *fingerprint = model->GetString("fingerprint", "");
   *version = model->GetInt("weight_version", 0);
@@ -583,8 +571,8 @@ int CmdScenario(const FlagParser& flags, int port, int connections) {
             const auto t1 = std::chrono::steady_clock::now();
             predict_hist->Record(
                 std::chrono::duration<double, std::micro>(t1 - t0).count());
-            serve::JsonValue reply;
-            if (!serve::ParseJson(response, &reply, &error) ||
+            JsonValue reply;
+            if (!ParseJson(response, &reply, &error) ||
                 !reply.GetBool("ok", false)) {
               std::lock_guard<std::mutex> lock(mu);
               failures.push_back("bad predict reply: " + response);

@@ -102,6 +102,7 @@
 
 #include "continual/trainer.h"
 #include "core/flags.h"
+#include "core/json.h"
 #include "core/memory_policy.h"
 #include "core/parallel.h"
 #include "data/io.h"
@@ -112,7 +113,6 @@
 #include "rckt/rckt_model.h"
 #include "rckt/rckt_trainer.h"
 #include "serve/engine.h"
-#include "serve/json.h"
 #include "serve/server.h"
 #include "tensor/gemm.h"
 
@@ -345,7 +345,7 @@ int CmdEvaluate(const FlagParser& flags) {
   if (flags.GetBool("json", false)) {
     const auto detailed =
         rckt::EvaluateRcktDetailed(*model, loaded.windows, options);
-    serve::JsonWriter w;
+    JsonWriter w;
     w.BeginObject();
     w.Key("model").String(model->name());
     w.Key("data").String(flags.GetString("data", ""));

@@ -26,265 +26,22 @@
 // over a short training run; scripts/check_scenarios.sh runs the scenario
 // mode over every registered workload.
 //
-// The JSON parser below is deliberately minimal (objects, arrays, strings,
-// numbers, true/false/null; no \uXXXX decoding beyond pass-through) — just
-// enough to hold the two schemas to account without external dependencies.
+// Files are parsed with kt::ParseJson (core/json.h), the same strict
+// RFC 8259 reader the serving wire protocol uses, so hex or non-finite
+// numbers, raw control bytes in strings, trailing bytes and truncated
+// input all fail. Integer-typed fields must also be written without a
+// fraction or exponent.
 #include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/fileio.h"
 #include "core/flags.h"
+#include "core/json.h"
 
 namespace kt {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  double number = 0.0;
-  bool number_is_integral = false;
-  std::string string_value;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool IsObject() const { return kind == Kind::kObject; }
-  bool IsArray() const { return kind == Kind::kArray; }
-  bool IsString() const { return kind == Kind::kString; }
-  bool IsNumber() const { return kind == Kind::kNumber; }
-  const JsonValue* Find(const std::string& key) const {
-    auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  // Parses one JSON value spanning the whole input (trailing whitespace
-  // allowed). Returns false with error() set on malformed input.
-  bool Parse(JsonValue* out) {
-    pos_ = 0;
-    if (!ParseValue(out)) return false;
-    SkipWhitespace();
-    if (pos_ != text_.size()) return Fail("trailing bytes after JSON value");
-    return true;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  bool Fail(const std::string& message) {
-    if (error_.empty()) {
-      error_ = message + " (at byte " + std::to_string(pos_) + ")";
-    }
-    return false;
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWhitespace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->string_value);
-    }
-    if (c == 't' || c == 'f') return ParseKeyword(out);
-    if (c == 'n') return ParseKeyword(out);
-    return ParseNumber(out);
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    if (!Consume('{')) return false;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      SkipWhitespace();
-      if (!ParseString(&key)) return false;
-      if (!Consume(':')) return false;
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->object.emplace(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    if (!Consume('[')) return false;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->array.push_back(std::move(value));
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Fail("expected string");
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("raw control byte in string");
-      }
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("dangling escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'u': {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              return Fail("malformed \\u escape");
-            }
-            ++pos_;
-          }
-          *out += '?';  // placeholder; schemas never compare escaped text
-          break;
-        }
-        default:
-          return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseKeyword(JsonValue* out) {
-    auto match = [&](const char* word) {
-      const size_t n = std::string(word).size();
-      if (text_.compare(pos_, n, word) != 0) return false;
-      pos_ += n;
-      return true;
-    };
-    if (match("true")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->bool_value = true;
-      return true;
-    }
-    if (match("false")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->bool_value = false;
-      return true;
-    }
-    if (match("null")) {
-      out->kind = JsonValue::Kind::kNull;
-      return true;
-    }
-    return Fail("unknown keyword");
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = (c == '+' || c == '-') ? integral : false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) return Fail("expected a value");
-    char* end = nullptr;
-    const std::string token = text_.substr(start, pos_ - start);
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
-      return Fail("malformed number '" + token + "'");
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = value;
-    out->number_is_integral = integral;
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
-
-// ---------------------------------------------------------------------------
-// Schema checks
-// ---------------------------------------------------------------------------
 
 int FailCheck(const std::string& what, const std::string& why) {
   std::fprintf(stderr, "obs_check: %s: %s\n", what.c_str(), why.c_str());
@@ -302,8 +59,8 @@ int CheckTrace(const std::string& path) {
   const Status read = ReadFileToString(path, &text);
   if (!read.ok()) return FailCheck(path, read.ToString());
   JsonValue root;
-  JsonParser parser(text);
-  if (!parser.Parse(&root)) return FailCheck(path, parser.error());
+  std::string error;
+  if (!ParseJson(text, &root, &error)) return FailCheck(path, error);
   if (!root.IsObject()) return FailCheck(path, "top level is not an object");
   const JsonValue* events = root.Find("traceEvents");
   if (events == nullptr || !events->IsArray()) {
@@ -384,9 +141,9 @@ int CheckRunLog(const std::string& path) {
     if (line.empty()) continue;
     const std::string where = "line " + std::to_string(line_number);
     JsonValue entry;
-    JsonParser parser(line);
-    if (!parser.Parse(&entry)) {
-      return FailCheck(path, where + ": " + parser.error());
+    std::string error;
+    if (!ParseJson(line, &entry, &error)) {
+      return FailCheck(path, where + ": " + error);
     }
     if (!entry.IsObject()) {
       return FailCheck(path, where + " is not a JSON object");
@@ -437,8 +194,8 @@ int CheckScenario(const std::string& path, const FlagParser& flags) {
   const Status read = ReadFileToString(path, &text);
   if (!read.ok()) return FailCheck(path, read.ToString());
   JsonValue root;
-  JsonParser parser(text);
-  if (!parser.Parse(&root)) return FailCheck(path, parser.error());
+  std::string error;
+  if (!ParseJson(text, &root, &error)) return FailCheck(path, error);
   if (!root.IsObject()) return FailCheck(path, "top level is not an object");
 
   const JsonValue* mode = root.Find("mode");
