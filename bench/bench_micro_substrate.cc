@@ -13,6 +13,7 @@
 
 #include "autograd/ops.h"
 #include "bench/bench_common.h"
+#include "core/cpu.h"
 #include "core/parallel.h"
 #include "data/presets.h"
 #include "nn/attention.h"
@@ -251,7 +252,9 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
   bool WriteJson(const std::string& path) const {
     std::ofstream out(path);
     if (!out) return false;
-    out << "{\n  \"bench\": \"micro_substrate\",\n  \"results\": [\n";
+    // The CPU probe's id names the micro kernel the GEMM rows ran on.
+    out << "{\n  \"bench\": \"micro_substrate\",\n  \"cpu\": \""
+        << cpu::IdString() << "\",\n  \"results\": [\n";
     for (size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];
       out << "    {\"op\": \"" << r.op << "\", \"shape\": \"" << r.shape

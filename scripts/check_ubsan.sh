@@ -5,7 +5,9 @@
 # dims) most likely to hide UB, the broadcast and reduction suites and their
 # bitwise sweeps (strided loop nests over size-0, size-1 and mismatched-rank
 # shapes), plus the autograd grad-check suites that drive the fused backward
-# kernels. Any UBSan report fails the script.
+# kernels, and the JSON writer and request-parser cases for non-finite
+# floats and fractional ids (double-to-int conversions). Any UBSan report
+# fails the script.
 #
 # Usage: scripts/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail
@@ -24,7 +26,7 @@ cmake --build "${BUILD_DIR}" --target kt_tests -j "$(nproc)"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 
 "${BUILD_DIR}/tests/kt_tests" \
-  --gtest_filter='GemmKernelEquivalence*:*GemmParallelEquivalence*:BroadcastTest*:*BroadcastShapeSweep*:ReduceTest*:OpsTest*:KernelBitwiseSweep*:GradCheck*:FusedOps*' \
+  --gtest_filter='GemmKernelEquivalence*:*GemmParallelEquivalence*:BroadcastTest*:*BroadcastShapeSweep*:ReduceTest*:OpsTest*:KernelBitwiseSweep*:GradCheck*:FusedOps*:ServeJsonTest.WriterEmitsNullForNonFinite:ServeProtocolTest.RefusesFractionalIds' \
   --gtest_brief=1
 
 echo "UBSan check passed"

@@ -47,6 +47,21 @@ Tensor ExpandAlongDim(const Tensor& g, const Shape& full_shape, int64_t d,
   return out;
 }
 
+// x's gradient (+)= G W^T (G [m, n], W [k, n], the gradient [m, k]). An
+// input with no gradient yet gets a fresh buffer written by the store-form
+// GemmTransB: its chains start at +0 and are never -0, so the bits equal
+// a zero-filled gradient plus GemmTransBAccumulate.
+void TransBIntoGrad(Node* xn, const float* g, const float* w, int64_t m,
+                    int64_t n, int64_t k) {
+  if (xn->has_grad) {
+    GemmTransBAccumulate(g, w, xn->grad.data(), m, n, k);
+    return;
+  }
+  xn->grad = Tensor::Uninitialized(xn->value.shape());
+  xn->has_grad = true;
+  GemmTransB(g, w, xn->grad.data(), m, n, k);
+}
+
 }  // namespace
 
 Variable Add(const Variable& a, const Variable& b) {
@@ -135,9 +150,8 @@ Variable MatMul(const Variable& a, const Variable& b) {
     const int64_t m = av.size(0), k = av.size(1), n = bv.size(1);
     const float* g = self.grad.data();
     if (an->requires_grad) {
-      an->EnsureGrad();
       // dA += dC B^T; B is [k, n], exactly the TransB operand layout.
-      GemmTransBAccumulate(g, bv.data(), an->grad.data(), m, n, k);
+      TransBIntoGrad(an, g, bv.data(), m, n, k);
     }
     if (bn->requires_grad) {
       bn->EnsureGrad();
@@ -506,10 +520,7 @@ Variable LinearBiasAct(const Variable& x, const Variable& w,
       }
       dp = d_pre_buf.data();
     }
-    if (xn->requires_grad) {
-      xn->EnsureGrad();
-      GemmTransBAccumulate(dp, wn->value.data(), xn->grad.data(), m, out, in);
-    }
+    if (xn->requires_grad) TransBIntoGrad(xn, dp, wn->value.data(), m, out, in);
     if (wn->requires_grad) {
       wn->EnsureGrad();
       GemmTransAAccumulate(xn->value.data(), dp, wn->grad.data(), in, m, out);
@@ -559,18 +570,12 @@ Variable DualLinearBias(const Variable& x, const Variable& wx,
     const int64_t m = self.grad.size(0), n = self.grad.size(1);
     const int64_t kx = xn->value.size(1), kh = hn->value.size(1);
     const float* g = self.grad.data();
-    if (xn->requires_grad) {
-      xn->EnsureGrad();
-      GemmTransBAccumulate(g, wxn->value.data(), xn->grad.data(), m, n, kx);
-    }
+    if (xn->requires_grad) TransBIntoGrad(xn, g, wxn->value.data(), m, n, kx);
     if (wxn->requires_grad) {
       wxn->EnsureGrad();
       GemmTransAAccumulate(xn->value.data(), g, wxn->grad.data(), kx, m, n);
     }
-    if (hn->requires_grad) {
-      hn->EnsureGrad();
-      GemmTransBAccumulate(g, whn->value.data(), hn->grad.data(), m, n, kh);
-    }
+    if (hn->requires_grad) TransBIntoGrad(hn, g, whn->value.data(), m, n, kh);
     if (whn->requires_grad) {
       whn->EnsureGrad();
       GemmTransAAccumulate(hn->value.data(), g, whn->grad.data(), kh, m, n);
@@ -1177,12 +1182,14 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
   // Backward keeps the softmax output P0 of every head, [heads, B, Tq, Tk]:
   // the softmax gradient reads P0 itself, which the row mask and dropout
   // zero out, and P2 is recomputed from it. Without a tape each block lives
-  // in scratch only. Entries outside the bands stay +0.
+  // in scratch only. Only the bands are ever written or read, so the
+  // buffer is not zero-filled.
   const bool needs_grad =
       GradModeEnabled() && (q.requires_grad() || k.requires_grad() ||
                             v.requires_grad() ||
                             (monotonic && decay.requires_grad()));
-  Tensor probs = needs_grad ? Tensor(Shape{heads, b, tq, tk}) : Tensor();
+  Tensor probs = needs_grad ? Tensor::Uninitialized(Shape{heads, b, tq, tk})
+                            : Tensor();
   std::vector<Tensor> head_probs;
   if (attention_out != nullptr) {
     for (int64_t h = 0; h < heads; ++h)

@@ -1,8 +1,8 @@
 // One cached CPU feature probe for the whole process.
 //
 // `cpu::Get()` probes once (thread-safe static init); the GEMM dispatcher
-// reads it to pick the AVX2 tiled micro kernel, and benchmark reports
-// record `IdString()` as the host's identity.
+// reads it to pick the AVX2 or AVX-512 tiled micro kernel, and benchmark
+// reports record `IdString()` as the host's identity.
 //
 // The probe itself never changes results: which micro-kernel runs is
 // unobservable for the bit-exact kernel families.
@@ -17,13 +17,14 @@ namespace cpu {
 struct Features {
   bool avx2 = false;     // 256-bit integer + float SIMD
   bool fma = false;      // fused multiply-add (vfmadd*); informational
+  bool avx512f = false;  // 512-bit float SIMD with mask registers
   bool bf16_cvt = false; // AVX512-BF16 native conversions; informational
 };
 
 // The process-wide probe, evaluated once on first use.
 const Features& Get();
 
-// Stable short string of the detected features ("avx2+fma", "scalar", ...).
+// Stable short string of the detected features ("avx2+fma+avx512f", "scalar", ...).
 std::string IdString();
 
 // Test hook: overrides the probe result (pass nullptr to restore the real

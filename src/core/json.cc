@@ -380,6 +380,7 @@ JsonWriter& JsonWriter::Int(int64_t value) {
 }
 
 JsonWriter& JsonWriter::Float(float value) {
+  if (!std::isfinite(value)) return Null();
   MaybeComma();
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(value));
@@ -388,6 +389,7 @@ JsonWriter& JsonWriter::Float(float value) {
 }
 
 JsonWriter& JsonWriter::Double(double value) {
+  if (!std::isfinite(value)) return Null();
   MaybeComma();
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", value);

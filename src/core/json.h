@@ -12,7 +12,8 @@
 //
 // Floats are emitted with %.9g, which round-trips every float bit pattern
 // through decimal — the parity checks in scripts/check_serve.sh compare
-// server output against `ktcli evaluate --json` output literally.
+// server output against `ktcli evaluate --json` output literally. JSON has
+// no NaN or infinity, so the writer emits those as null.
 #ifndef KT_CORE_JSON_H_
 #define KT_CORE_JSON_H_
 
@@ -80,8 +81,10 @@ class JsonWriter {
   JsonWriter& Key(const std::string& name);
   JsonWriter& String(const std::string& value);
   JsonWriter& Int(int64_t value);
-  JsonWriter& Float(float value);   // %.9g — float round-trip safe
-  JsonWriter& Double(double value); // %.17g — double round-trip safe
+  JsonWriter& Float(float value);   // %.9g — float round-trip safe; null
+                                    // if not finite
+  JsonWriter& Double(double value); // %.17g — double round-trip safe; null
+                                    // if not finite
   JsonWriter& Bool(bool value);
   JsonWriter& Null();
 

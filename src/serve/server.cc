@@ -15,6 +15,15 @@
 
 namespace kt {
 namespace serve {
+namespace {
+
+// An id or count on the wire: a JSON number within int64 range, spelled
+// without a fraction or an exponent. 7.9 is refused, never truncated to 7.
+bool WireInt(const JsonValue& v, int64_t* out) {
+  return v.number_is_integral && v.ToInt(out);
+}
+
+}  // namespace
 
 bool ParseServeRequest(const JsonValue& json, ServeRequest* out,
                        std::string* error) {
@@ -41,23 +50,33 @@ bool ParseServeRequest(const JsonValue& json, ServeRequest* out,
     return false;
   }
   out->student = json.GetString("student", "");
-  out->question = json.GetInt("question", -1);
+  // A missing question, or one that is not a number within int64 range,
+  // reads -1, which the engine refuses; a fractional one is refused here.
+  out->question = -1;
+  if (const JsonValue* question = json.Find("question");
+      question != nullptr && question->ToInt(&out->question) &&
+      !question->number_is_integral) {
+    *error = "'question' must be an integer";
+    return false;
+  }
   // Clamp just outside the valid {0, 1} range so the engine's validation
   // rejects out-of-range values without an undefined narrowing cast.
   auto clamp_response = [](int64_t value) {
     return value < 0 ? -1 : value > 1 ? 2 : static_cast<int>(value);
   };
-  if (out->op == Op::kUpdate) {
-    const JsonValue* response = json.Find("response");
-    int64_t response_value = 0;
-    if (response == nullptr || !response->ToInt(&response_value)) {
-      *error = "update needs a numeric 'response'";
-      return false;
-    }
-    out->response = clamp_response(response_value);
-  } else {
-    out->response = clamp_response(json.GetInt("response", 0));
+  const JsonValue* response = json.Find("response");
+  int64_t response_value = 0;
+  if (out->op == Op::kUpdate &&
+      (response == nullptr || !WireInt(*response, &response_value))) {
+    *error = "update needs an integer 'response'";
+    return false;
   }
+  if (response != nullptr && response->ToInt(&response_value) &&
+      !response->number_is_integral) {
+    *error = "'response' must be an integer";
+    return false;
+  }
+  out->response = clamp_response(response_value);
   if (const JsonValue* concepts = json.Find("concepts")) {
     if (!concepts->IsArray()) {
       *error = "'concepts' must be an array";
@@ -67,8 +86,8 @@ bool ParseServeRequest(const JsonValue& json, ServeRequest* out,
     out->concepts.reserve(concepts->array.size());
     for (const JsonValue& c : concepts->array) {
       int64_t concept_id = 0;
-      if (!c.ToInt(&concept_id)) {
-        *error = "'concepts' entries must be numbers";
+      if (!WireInt(c, &concept_id)) {
+        *error = "'concepts' entries must be integers";
         return false;
       }
       out->concepts.push_back(concept_id);
@@ -80,7 +99,7 @@ bool ParseServeRequest(const JsonValue& json, ServeRequest* out,
     // "k":1e300 cannot silently fall back to 2).
     if (const JsonValue* k = json.Find("k")) {
       int64_t value = 0;
-      if (!k->ToInt(&value)) {
+      if (!WireInt(*k, &value)) {
         *error = "'k' must be an integer";
         return false;
       }
@@ -89,7 +108,7 @@ bool ParseServeRequest(const JsonValue& json, ServeRequest* out,
     }
     if (const JsonValue* top = json.Find("top")) {
       int64_t value = 0;
-      if (!top->ToInt(&value)) {
+      if (!WireInt(*top, &value)) {
         *error = "'top' must be an integer";
         return false;
       }
@@ -112,8 +131,8 @@ bool ParseServeRequest(const JsonValue& json, ServeRequest* out,
       out->insert_questions.reserve(inserts->array.size());
       for (const JsonValue& q : inserts->array) {
         int64_t question = 0;
-        if (!q.ToInt(&question)) {
-          *error = "'insert_questions' entries must be numbers";
+        if (!WireInt(q, &question)) {
+          *error = "'insert_questions' entries must be integers";
           return false;
         }
         out->insert_questions.push_back(question);

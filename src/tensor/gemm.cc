@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstring>
 #include <vector>
 
@@ -130,18 +131,16 @@ inline void GemmTransBRows(const float* a, const float* b, float* c,
 }
 
 // ---------------------------------------------------------------------------
-// Tiled kernels. B is packed once into kNR-wide column panels (contiguous
-// per k step) on the calling thread, except by the TransA form, which
-// reads A and B in place; C is produced in kMR x kNR register
-// tiles. Each accumulator runs the full k range ascending, so the chain per
-// C element is identical to the reference kernels. kMR*kNR accumulators fit
-// the 16 xmm registers of baseline x86-64; with wider vectors (KT_NATIVE)
-// the same source compiles to ymm/zmm tiles.
+// Tiled kernels. B is packed once into column panels of the micro kernel's
+// width (contiguous per k step) on the calling thread, except by the TransA
+// form, which reads A and B in place; C is produced in register tiles of
+// kTileRows rows and one vector of columns (gemm_kernels.h). Each C element
+// is still one ascending-k accumulator chain, identical to the reference
+// kernels. The micro kernel is picked at runtime from the CPU probe: the
+// portable 4-wide one below, AVX2 (8-wide) or AVX-512 (16-wide).
 // ---------------------------------------------------------------------------
 
-constexpr int kMR = 4;  // register rows per micro tile (portable kernel)
-constexpr int kNR = internal::kGemmPanelWidth;  // packed panel width (floats)
-
+using internal::MicroKernel;
 using internal::TileChain;
 
 inline std::vector<float>& PackBufB() {
@@ -150,10 +149,10 @@ inline std::vector<float>& PackBufB() {
 }
 
 // Packs B [k, n] row-major into column panels: panel j0 holds columns
-// [j0, j0+w) as w contiguous floats per k step.
-void PackB(const float* b, int64_t k, int64_t n, float* bp) {
-  for (int64_t j0 = 0; j0 < n; j0 += kNR) {
-    const int64_t w = std::min<int64_t>(kNR, n - j0);
+// [j0, j0+w) as w contiguous floats per k step, w = min(width, n - j0).
+void PackB(const float* b, int64_t k, int64_t n, int64_t width, float* bp) {
+  for (int64_t j0 = 0; j0 < n; j0 += width) {
+    const int64_t w = std::min<int64_t>(width, n - j0);
     float* panel = bp + j0 * k;
     for (int64_t p = 0; p < k; ++p) {
       std::memcpy(panel + p * w, b + p * n + j0,
@@ -164,9 +163,10 @@ void PackB(const float* b, int64_t k, int64_t n, float* bp) {
 
 // Packs B^T into the same panel layout, where B is [n, k] row-major (the
 // TransB operand): panel element (p, jj) = B[j0 + jj, p].
-void PackBTransposed(const float* b, int64_t k, int64_t n, float* bp) {
-  for (int64_t j0 = 0; j0 < n; j0 += kNR) {
-    const int64_t w = std::min<int64_t>(kNR, n - j0);
+void PackBTransposed(const float* b, int64_t k, int64_t n, int64_t width,
+                     float* bp) {
+  for (int64_t j0 = 0; j0 < n; j0 += width) {
+    const int64_t w = std::min<int64_t>(width, n - j0);
     float* panel = bp + j0 * k;
     for (int64_t jj = 0; jj < w; ++jj) {
       const float* b_row = b + (j0 + jj) * k;
@@ -175,132 +175,51 @@ void PackBTransposed(const float* b, int64_t k, int64_t n, float* bp) {
   }
 }
 
-// 4-wide vector lane (GCC/Clang vector extension). Lane arithmetic is
-// element-wise IEEE single precision — identical to the scalar ops — so
-// using vectors changes scheduling, never results. Spelling the lanes out
-// (instead of a scalar j loop) matters: GCC's loop vectorizer otherwise
-// targets the k loop and emits a shuffle-heavy transposed form ~3x slower
-// than the reference kernels.
-typedef float V4 __attribute__((vector_size(16)));
+// The portable micro kernel: 4-wide GCC/Clang vectors, which baseline
+// x86-64 runs as SSE. Lane arithmetic is element-wise IEEE single
+// precision, identical to the scalar ops. Its edge masks are plain byte
+// copies of the nr valid columns.
+struct Portable {
+  typedef float V __attribute__((vector_size(16)));
+  using Mask = int64_t;  // the valid column count
+  static constexpr int kWidth = 4;
+  static V Zero() { return V{}; }
+  static V Broadcast(float s) { return V{s, s, s, s}; }
+  static V Load(const float* p) {
+    V v;
+    __builtin_memcpy(&v, p, sizeof(v));  // unaligned-safe, movups
+    return v;
+  }
+  static void Store(float* p, V v) { __builtin_memcpy(p, &v, sizeof(v)); }
+  static Mask ColumnMask(int64_t nr) { return nr; }
+  static V LoadMasked(const float* p, Mask nr) {
+    V v{};
+    __builtin_memcpy(&v, p, sizeof(float) * static_cast<size_t>(nr));
+    return v;
+  }
+  static void StoreMasked(float* p, Mask nr, V v) {
+    __builtin_memcpy(p, &v, sizeof(float) * static_cast<size_t>(nr));
+  }
+};
 
-inline V4 Load4(const float* p) {
-  V4 v;
-  __builtin_memcpy(&v, p, sizeof(v));  // unaligned-safe, compiles to movups
-  return v;
-}
-inline void Store4(float* p, V4 v) { __builtin_memcpy(p, &v, sizeof(v)); }
+constexpr MicroKernel kPortableKernel = {Portable::kWidth,
+                                         &internal::TiledRowsFor<Portable>};
 
-// Full kMR x kNR register tile; kChain selects the chain shape (see
-// internal::TileChain). Operands: A [m, k] with row stride lda against a
-// packed panel (ldb = kNR), or, with kTransA, A [k, m] and B [k, n] read in
-// place with row strides lda and ldb — step p broadcasts A[p, i] and loads
-// B[p, j0..j0+8), so nothing is packed.
-template <TileChain kChain, bool kTransA>
-inline void MicroTile(const float* a, int64_t lda, const float* b,
-                      int64_t ldb, float* c, int64_t ldc, int64_t k) {
-  static_assert(kNR == 8, "micro tile hand-unrolls two 4-wide lanes");
-  constexpr bool kLoadC = kChain == TileChain::kAccumulate;
-  V4 acc[kMR][2];
-  for (int i = 0; i < kMR; ++i) {
-    acc[i][0] = kLoadC ? Load4(c + i * ldc) : V4{};
-    acc[i][1] = kLoadC ? Load4(c + i * ldc + 4) : V4{};
-  }
-  for (int64_t p = 0; p < k; ++p) {
-    const float* b_row = b + p * ldb;
-    const V4 b0 = Load4(b_row);
-    const V4 b1 = Load4(b_row + 4);
-    for (int i = 0; i < kMR; ++i) {
-      const float s = kTransA ? a[p * lda + i] : a[i * lda + p];
-      const V4 av = {s, s, s, s};
-      acc[i][0] += av * b0;
-      acc[i][1] += av * b1;
-    }
-  }
-  for (int i = 0; i < kMR; ++i) {
-    if (kChain == TileChain::kDot) {
-      Store4(c + i * ldc, Load4(c + i * ldc) + acc[i][0]);
-      Store4(c + i * ldc + 4, Load4(c + i * ldc + 4) + acc[i][1]);
-    } else {
-      Store4(c + i * ldc, acc[i][0]);
-      Store4(c + i * ldc + 4, acc[i][1]);
-    }
-  }
-}
-
-// Edge tile with runtime extents (mr <= kMR, nr <= kNR); `ldb` is the row
-// stride of B (the panel width, == nr, for a packed edge panel).
-template <TileChain kChain, bool kTransA>
-inline void MicroTileEdge(const float* a, int64_t lda, const float* b,
-                          int64_t ldb, float* c, int64_t ldc, int64_t k,
-                          int64_t mr, int64_t nr) {
-  float acc[kMR][kNR];
-  for (int64_t i = 0; i < mr; ++i) {
-    for (int64_t j = 0; j < nr; ++j)
-      acc[i][j] = kChain == TileChain::kAccumulate ? c[i * ldc + j] : 0.0f;
-  }
-  for (int64_t p = 0; p < k; ++p) {
-    const float* b_row = b + p * ldb;
-    for (int64_t i = 0; i < mr; ++i) {
-      const float a_val = kTransA ? a[p * lda + i] : a[i * lda + p];
-      for (int64_t j = 0; j < nr; ++j) acc[i][j] += a_val * b_row[j];
-    }
-  }
-  for (int64_t i = 0; i < mr; ++i) {
-    for (int64_t j = 0; j < nr; ++j) {
-      if (kChain == TileChain::kDot) {
-        c[i * ldc + j] += acc[i][j];
-      } else {
-        c[i * ldc + j] = acc[i][j];
-      }
-    }
-  }
-}
-
-// Tiled sweep over m rows of C. `a` addresses the first of the m rows: row
-// i0 of A [m, k] (row stride lda), or column i0 of A [k, m] with kTransA.
-// `b` is packed panels (ldb unused), or B [k, n] itself with kTransA.
-template <TileChain kChain, bool kTransA>
-void TiledRowsPortable(const float* a, int64_t lda, const float* b,
-                       int64_t ldb, float* c, int64_t ldc, int64_t m,
-                       int64_t k, int64_t n) {
-  for (int64_t i0 = 0; i0 < m; i0 += kMR) {
-    const int64_t mr = std::min<int64_t>(kMR, m - i0);
-    const float* a_tile = kTransA ? a + i0 : a + i0 * lda;
-    for (int64_t j0 = 0; j0 < n; j0 += kNR) {
-      const int64_t nr = std::min<int64_t>(kNR, n - j0);
-      // In place: columns j0.. of B. Packed: panel j0, nr floats per step.
-      const float* b_tile = kTransA ? b + j0 : b + j0 * k;
-      float* c_tile = c + i0 * ldc + j0;
-      if (mr == kMR && nr == kNR) {
-        MicroTile<kChain, kTransA>(a_tile, lda, b_tile, kTransA ? ldb : kNR,
-                                   c_tile, ldc, k);
-      } else {
-        MicroTileEdge<kChain, kTransA>(a_tile, lda, b_tile,
-                                       kTransA ? ldb : nr, c_tile, ldc, k, mr,
-                                       nr);
-      }
-    }
-  }
-}
-
-// Runtime ISA dispatch. The default build is portable x86-64, so AVX2 is
-// reached via a separately-compiled TU (gemm_avx2.cc) guarded by the
-// cached core/cpu.h probe, not via build flags. Both implementations
-// read the same operand layouts and replay the same per-element chains,
-// so which one runs is unobservable in the results.
-template <TileChain kChain, bool kTransA = false>
-inline void TiledRows(const float* a, int64_t lda, const float* b,
-                      int64_t ldb, float* c, int64_t ldc, int64_t m,
-                      int64_t k, int64_t n) {
-  static_assert(!kTransA || kChain == TileChain::kAccumulate,
-                "the TransA form only accumulates");
-#ifdef KT_HAVE_AVX2_KERNEL
-  if (cpu::Get().avx2) {
-    internal::TiledRowsAvx2(a, lda, b, ldb, c, ldc, m, k, n, kChain, kTransA);
-    return;
-  }
+// The widest micro kernel this CPU runs, or the widest whose panels are at
+// most max_width floats wide. The default build is portable x86-64, so AVX2 and AVX-512
+// are reached through separately compiled TUs guarded by the cached
+// core/cpu.h probe, not through build flags. All kernels replay the same
+// per-element chains, so which one runs is unobservable in the results.
+const MicroKernel& PickKernel(int max_width = INT_MAX) {
+#ifdef KT_HAVE_AVX512_KERNEL
+  if (max_width >= internal::kAvx512Kernel.width && cpu::Get().avx512f)
+    return internal::kAvx512Kernel;
 #endif
-  TiledRowsPortable<kChain, kTransA>(a, lda, b, ldb, c, ldc, m, k, n);
+#ifdef KT_HAVE_AVX2_KERNEL
+  if (max_width >= internal::kAvx2Kernel.width && cpu::Get().avx2)
+    return internal::kAvx2Kernel;
+#endif
+  return kPortableKernel;
 }
 
 // ---------------------------------------------------------------------------
@@ -327,10 +246,26 @@ inline int64_t RowGrain(int64_t k, int64_t n) {
   return rows > 0 ? rows : 1;
 }
 
-// Tiled kernels win once the k*n pack is amortized over enough rows and the
-// tile has real width; tiny or skinny products keep the reference loops.
+// Runs rows(lo, hi) over the m rows of C: row-blocked across the pool
+// above the size threshold, else once on the calling thread (with no
+// std::function in between).
+template <class Rows>
+inline void ForRows(int64_t m, int64_t k, int64_t n, const Rows& rows) {
+  if (UseParallel(m, k, n)) {
+    ParallelForRange(0, m, RowGrain(k, n), rows);
+    return;
+  }
+  rows(0, m);
+}
+
+// Tiled kernels win once the B pack is amortized over two rows or more.
+// The AVX2 and AVX-512 kernels mask their edge panels, so on this side of
+// that they win from about 128 multiply-adds on (the 5 x 16 x 5 attention
+// score GEMM included); the portable kernel's byte-copy edges pay off only
+// on wide tiles, so tiny or skinny products keep the reference loops there.
 inline bool TiledHeuristic(int64_t m, int64_t k, int64_t n) {
-  return m >= kMR && n >= kNR && k >= 4 && m * k * n >= 4096;
+  if (PickKernel().width >= 8) return m >= 2 && m * k * n >= 128;
+  return m >= 4 && n >= 8 && k >= 4 && m * k * n >= 4096;
 }
 
 // Resolves the kernel family that will actually run this product: the
@@ -342,24 +277,54 @@ GemmKernel ResolveKernel(int64_t m, int64_t k, int64_t n) {
   return TiledHeuristic(m, k, n) ? GemmKernel::kTiled : GemmKernel::kReference;
 }
 
-// The tiled C (=|+=) A * B: B packed once into panels on the calling
-// thread, then row-blocked over the pool above the size threshold.
-template <TileChain kChain>
-void GemmTiledNN(const float* a, const float* b, float* c, int64_t m,
-                 int64_t k, int64_t n) {
-  KT_COUNT_GEMM("nn", m, k, n);
+// The packed tiled product C (=|+=) A * op(B): B, or with kDot and kStore
+// from GemmTransB* the [n, k] operand transposed, is packed once into the
+// kernel's panels on the calling thread, then the rows of C are swept.
+template <TileChain kChain, bool kTransposedB>
+void GemmTiledPacked(const float* a, const float* b, float* c, int64_t m,
+                     int64_t k, int64_t n) {
   CountBackendDispatch(GemmKernel::kTiled, m, k, n);
+  const MicroKernel& kernel = PickKernel();
   std::vector<float>& bp = PackBufB();
   bp.resize(static_cast<size_t>(k * n));
-  PackB(b, k, n, bp.data());
+  if (kTransposedB) {
+    PackBTransposed(b, k, n, kernel.width, bp.data());
+  } else {
+    PackB(b, k, n, kernel.width, bp.data());
+  }
   const float* bpp = bp.data();
-  if (UseParallel(m, k, n)) {
-    ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-      TiledRows<kChain>(a + lo * k, k, bpp, 0, c + lo * n, n, hi - lo, k, n);
-    });
+  ForRows(m, k, n, [=, &kernel](int64_t lo, int64_t hi) {
+    kernel.rows(a + lo * k, k, bpp, 0, c + lo * n, n, hi - lo, k, n, kChain,
+                false);
+  });
+}
+
+// C (=|+=) A * B^T with B [n, k]: each element's dot chain starts at +0;
+// kDot adds it to C, kStore stores it.
+template <TileChain kChain>
+void GemmTransBForm(const float* a, const float* b, float* c, int64_t m,
+                    int64_t k, int64_t n) {
+  if (m <= 0 || n <= 0) return;
+  KT_COUNT_GEMM("tb", m, k, n);
+  constexpr bool kStore = kChain == TileChain::kStore;
+  if (k <= 0) {
+    // The reference dot form still executes `c += 0.0f` per element; keep
+    // that (it normalizes -0.0f) so all paths agree bit-for-bit.
+    for (int64_t i = 0; i < m * n; ++i) c[i] = kStore ? 0.0f : c[i] + 0.0f;
     return;
   }
-  TiledRows<kChain>(a, k, bpp, 0, c, n, m, k, n);
+  const GemmKernel resolved = ResolveKernel(m, k, n);
+  if (resolved != GemmKernel::kReference) {
+    GemmTiledPacked<kChain, true>(a, b, c, m, k, n);
+    return;
+  }
+  CountBackendDispatch(GemmKernel::kReference, m, k, n);
+  // A chain from +0 is never -0, so 0 + chain is the chain: zeroing C and
+  // adding equals storing.
+  if (kStore) std::memset(c, 0, sizeof(float) * static_cast<size_t>(m * n));
+  ForRows(m, k, n, [=](int64_t lo, int64_t hi) {
+    GemmTransBRows(a, b, c, n, lo, hi, k, n);
+  });
 }
 
 }  // namespace
@@ -403,7 +368,8 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
   if (k > 0 && ResolveKernel(m, k, n) == GemmKernel::kTiled) {
     // Store form: each tile starts its accumulators at +0 and stores them,
     // the chain +0 + a1*b1 + ... that zeroing C and accumulating runs.
-    GemmTiledNN<TileChain::kStore>(a, b, c, m, k, n);
+    KT_COUNT_GEMM("nn", m, k, n);
+    GemmTiledPacked<TileChain::kStore, false>(a, b, c, m, k, n);
     return;
   }
   // The reference family defines the contract: C = 0, then accumulate.
@@ -414,19 +380,15 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  if (ResolveKernel(m, k, n) == GemmKernel::kTiled) {
-    GemmTiledNN<TileChain::kAccumulate>(a, b, c, m, k, n);
-    return;
-  }
   KT_COUNT_GEMM("nn", m, k, n);
-  CountBackendDispatch(GemmKernel::kReference, m, k, n);
-  if (UseParallel(m, k, n)) {
-    ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-      GemmIkj(a + lo * k, k, b, c + lo * n, hi - lo, k, n);
-    });
+  if (ResolveKernel(m, k, n) == GemmKernel::kTiled) {
+    GemmTiledPacked<TileChain::kAccumulate, false>(a, b, c, m, k, n);
     return;
   }
-  GemmIkj(a, k, b, c, m, k, n);
+  CountBackendDispatch(GemmKernel::kReference, m, k, n);
+  ForRows(m, k, n, [=](int64_t lo, int64_t hi) {
+    GemmIkj(a + lo * k, k, b, c + lo * n, hi - lo, k, n);
+  });
 }
 
 void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
@@ -439,15 +401,13 @@ void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
   if (resolved != GemmKernel::kReference) {
     // Both operands are read in place (rows p of A and B at each step), so
     // nothing is packed; the chain per C element (p ascending) is unchanged
-    // from the reference forms. Rows lo.. of C are columns lo.. of A.
-    if (UseParallel(m, k, n)) {
-      ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-        TiledRows<TileChain::kAccumulate, true>(a + lo, m, b, n, c + lo * n,
-                                                n, hi - lo, k, n);
-      });
-      return;
-    }
-    TiledRows<TileChain::kAccumulate, true>(a, m, b, n, c, n, m, k, n);
+    // from the reference forms, k-blocked or not. Rows lo.. of C are
+    // columns lo.. of A.
+    const MicroKernel& kernel = PickKernel();
+    ForRows(m, k, n, [=, &kernel](int64_t lo, int64_t hi) {
+      kernel.rows(a + lo, m, b, n, c + lo * n, n, hi - lo, k, n,
+                  TileChain::kAccumulate, true);
+    });
     return;
   }
   if (UseParallel(m, k, n)) {
@@ -473,41 +433,14 @@ void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
+void GemmTransB(const float* a, const float* b, float* c, int64_t m,
+                int64_t k, int64_t n) {
+  GemmTransBForm<TileChain::kStore>(a, b, c, m, k, n);
+}
+
 void GemmTransBAccumulate(const float* a, const float* b, float* c, int64_t m,
                           int64_t k, int64_t n) {
-  // B is [n, k] row-major; C[i, j] += sum_p A[i, p] * B[j, p].
-  if (m <= 0 || n <= 0) return;
-  KT_COUNT_GEMM("tb", m, k, n);
-  if (k <= 0) {
-    // The reference dot form still executes `c += 0.0f` per element; keep
-    // that (it normalizes -0.0f) so all paths agree bit-for-bit.
-    for (int64_t i = 0; i < m * n; ++i) c[i] += 0.0f;
-    return;
-  }
-  const GemmKernel resolved = ResolveKernel(m, k, n);
-  CountBackendDispatch(resolved, m, k, n);
-  if (resolved != GemmKernel::kReference) {
-    std::vector<float>& bp = PackBufB();
-    bp.resize(static_cast<size_t>(k * n));
-    PackBTransposed(b, k, n, bp.data());
-    const float* bpp = bp.data();
-    if (UseParallel(m, k, n)) {
-      ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-        TiledRows<TileChain::kDot>(a + lo * k, k, bpp, 0, c + lo * n, n,
-                                   hi - lo, k, n);
-      });
-      return;
-    }
-    TiledRows<TileChain::kDot>(a, k, bpp, 0, c, n, m, k, n);
-    return;
-  }
-  if (UseParallel(m, k, n)) {
-    ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-      GemmTransBRows(a, b, c, n, lo, hi, k, n);
-    });
-    return;
-  }
-  GemmTransBRows(a, b, c, n, 0, m, k, n);
+  GemmTransBForm<TileChain::kDot>(a, b, c, m, k, n);
 }
 
 void GemmBandedAccumulate(GemmForm form, const float* a, const float* b,
@@ -547,26 +480,30 @@ void GemmBandedAccumulate(GemmForm form, const float* a, const float* b,
     }
     return;
   }
-  // Tiled. kTransA reads A and B in place: block r runs rows [lo, hi) of
-  // both. The other forms pack B once for the whole product, then sweep
-  // each row block over its band.
+  // Tiled, on kernels no wider than a band block: kTransB column ranges
+  // start on multiples of kGemmBandRows, which must be panel boundaries.
+  // kTransA reads A and B in place: block r runs rows [lo, hi) of both.
+  // The other forms pack B once for the whole product, then sweep each row
+  // block over its band.
+  const MicroKernel& kernel = PickKernel(kGemmBandRows);
+  const int64_t width = kernel.width;
   if (form == GemmForm::kTransA) {
     for (int64_t r = 0; r < blocks; ++r) {
       const int64_t i0 = r * kGemmBandRows;
       const int64_t lo = band[2 * r], hi = band[2 * r + 1];
       if (lo >= hi) continue;
-      TiledRows<TileChain::kAccumulate, true>(
-          a + lo * m + i0, m, b + lo * n, n, c + i0 * n, n,
-          std::min(kGemmBandRows, m - i0), hi - lo, n);
+      kernel.rows(a + lo * m + i0, m, b + lo * n, n, c + i0 * n, n,
+                  std::min(kGemmBandRows, m - i0), hi - lo, n,
+                  TileChain::kAccumulate, true);
     }
     return;
   }
   std::vector<float>& bp = PackBufB();
   bp.resize(static_cast<size_t>(k * n));
   if (form == GemmForm::kTransB) {
-    PackBTransposed(b, k, n, bp.data());
+    PackBTransposed(b, k, n, width, bp.data());
   } else {
-    PackB(b, k, n, bp.data());
+    PackB(b, k, n, width, bp.data());
   }
   const float* bpp = bp.data();
   for (int64_t r = 0; r < blocks; ++r) {
@@ -576,17 +513,17 @@ void GemmBandedAccumulate(GemmForm form, const float* a, const float* b,
     if (lo >= hi) continue;
     if (form == GemmForm::kTransB) {
       // Whole panels: panel j0 starts at bpp + j0 * k.
-      KT_DCHECK(lo % kNR == 0 && (hi % kNR == 0 || hi == n));
-      TiledRows<TileChain::kDot>(a + i0 * k, k, bpp + lo * k, 0,
-                                 c + i0 * n + lo, n, rows, k, hi - lo);
+      KT_DCHECK(lo % width == 0 && (hi % width == 0 || hi == n));
+      kernel.rows(a + i0 * k, k, bpp + lo * k, 0, c + i0 * n + lo, n, rows, k,
+                  hi - lo, TileChain::kDot, false);
       continue;
     }
     // The k range [lo, hi) of each w-wide panel starts at row lo of it.
-    for (int64_t j0 = 0; j0 < n; j0 += kNR) {
-      const int64_t w = std::min<int64_t>(kNR, n - j0);
-      TiledRows<TileChain::kAccumulate>(a + i0 * k + lo, k,
-                                        bpp + j0 * k + lo * w, 0,
-                                        c + i0 * n + j0, n, rows, hi - lo, w);
+    for (int64_t j0 = 0; j0 < n; j0 += width) {
+      const int64_t w = std::min<int64_t>(width, n - j0);
+      kernel.rows(a + i0 * k + lo, k, bpp + j0 * k + lo * w, 0,
+                  c + i0 * n + j0, n, rows, hi - lo, w,
+                  TileChain::kAccumulate, false);
     }
   }
 }

@@ -6,12 +6,14 @@
 //     forms, row-dot for TransB). These define the per-element update
 //     order and are kept as the serial ground truth.
 //   * tiled: cache-blocked, register-tiled kernels. B is packed once into
-//     kNR-wide column panels (the TransA form reads A and B in place
-//     instead); C is computed in kMR x kNR register tiles. The k
-//     dimension is never split: every C element is produced by one
-//     ascending-k accumulator chain, which is exactly the reference
-//     order, so the two families are bit-identical. The micro kernel is
-//     ISA-dispatched at runtime (portable vectors / AVX2 without FMA).
+//     column panels as wide as the micro kernel's vectors (the TransA form
+//     reads A and B in place instead); C is computed in 8-row register
+//     tiles, with masked vector tiles on the edges. Every C element is
+//     produced by one ascending-k accumulator chain, which is exactly the
+//     reference order, so the two families are bit-identical (the TransA
+//     form splits k into cache-sized blocks, but C carries each chain
+//     across them). The micro kernel is ISA-dispatched at runtime:
+//     portable 4-wide vectors, AVX2 or AVX-512, all without FMA.
 //
 // Products above a size threshold are additionally row-blocked across the
 // kt::parallel pool (see core/parallel.h); the split is by output row with
@@ -71,8 +73,15 @@ void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
                           int64_t k, int64_t n);
 
 // C += A * B^T where B is [n, k] stored row-major (so B^T is [k, n]).
+// Each element adds its dot chain, accumulated from +0, to C once.
 void GemmTransBAccumulate(const float* a, const float* b, float* c, int64_t m,
                           int64_t k, int64_t n);
+
+// C = A * B^T, the store form: C is overwritten and never read, so it may
+// be uninitialized. A dot chain from +0 is never -0, so storing it equals
+// zero-filling C and calling GemmTransBAccumulate.
+void GemmTransB(const float* a, const float* b, float* c, int64_t m,
+                int64_t k, int64_t n);
 
 // Banded products, for operands that are zero outside a known band (the
 // attention core's masked score matrices). C is cut into blocks of

@@ -430,6 +430,77 @@ TEST(FusedOpsTest, DualLinearBiasMatchesComposedAndGradients) {
       params);
 }
 
+// An input with no gradient yet gets its dX from the store-form GemmTransB;
+// one that already holds a gradient P gets P + dX from
+// GemmTransBAccumulate. Both must give the bits of the old zero-fill plus
+// accumulate: dX itself, and P[i] + dX[i]. Checked for MatMul,
+// LinearBiasAct (every activation) and DualLinearBias, on shapes that take
+// the reference and the tiled kernels, with an upstream gradient that
+// contains +0 and -0 and a held gradient that contains zeros.
+TEST(FusedOpsTest, InputGradientSameWhetherOrNotInputHoldsGradient) {
+  Rng rng(26);
+  auto signed_zeros = [&rng](const Shape& shape) {
+    Tensor t = Tensor::Uniform(shape, -1, 1, rng);
+    for (int64_t i = 0; i < t.numel(); i += 3)
+      t.data()[i] = i % 2 == 0 ? 0.0f : -0.0f;
+    return t;
+  };
+  struct Op {
+    const char* name;
+    std::function<Variable(const Variable&, const Variable&)> run;
+  };
+  for (const Shape& dims : {Shape{3, 2, 5}, Shape{37, 19, 21},
+                            Shape{50, 32, 64}}) {
+    const int64_t m = dims[0], in = dims[1], out = dims[2];
+    const Tensor xv = Tensor::Uniform({m, in}, -1, 1, rng);
+    const Tensor hv = Tensor::Uniform({m, in}, -1, 1, rng);
+    const Variable w = Param(Tensor::Uniform({in, out}, -1, 1, rng));
+    const Variable wh = Param(Tensor::Uniform({in, out}, -1, 1, rng));
+    const Variable b = Param(Tensor::Uniform({out}, -1, 1, rng));
+    const Tensor upstream = signed_zeros({m, out});
+    const Tensor held = signed_zeros({m, in});
+    std::vector<Op> ops = {
+        {"MatMul",
+         [&](const Variable& x, const Variable&) { return MatMul(x, w); }},
+        {"DualLinearBias", [&](const Variable& x, const Variable& h) {
+           return DualLinearBias(x, w, h, wh, b);
+         }}};
+    for (Act act : {Act::kIdentity, Act::kRelu, Act::kSigmoid, Act::kTanh}) {
+      ops.push_back({"LinearBiasAct", [&, act](const Variable& x,
+                                                const Variable&) {
+                       return LinearBiasAct(x, w, b, act);
+                     }});
+    }
+    for (const Op& op : ops) {
+      SCOPED_TRACE(::testing::Message() << op.name << " " << m << "x" << in
+                                        << "x" << out);
+      Variable x = Param(xv);
+      Variable h = Param(hv);
+      SumAll(Mul(op.run(x, h), Constant(upstream))).Backward();
+      const Tensor fresh_x = x.grad();
+      const Tensor fresh_h = h.grad();
+
+      Variable x2 = Param(xv);
+      Variable h2 = Param(hv);
+      SumAll(Add(Mul(x2, Constant(held)), Mul(h2, Constant(held))))
+          .Backward();
+      const Tensor before_x = x2.grad().Clone();
+      const Tensor before_h = h2.grad().Clone();
+      SumAll(Mul(op.run(x2, h2), Constant(upstream))).Backward();
+      const Tensor after_x = x2.grad();
+      const Tensor after_h = h2.grad();
+      for (int64_t i = 0; i < m * in; ++i) {
+        ASSERT_EQ(Bits(after_x.flat(i)),
+                  Bits(before_x.flat(i) + fresh_x.flat(i)))
+            << "x element " << i;
+        ASSERT_EQ(Bits(after_h.flat(i)),
+                  Bits(before_h.flat(i) + fresh_h.flat(i)))
+            << "h element " << i;
+      }
+    }
+  }
+}
+
 TEST(FusedOpsTest, LstmCellMatchesComposedBitForBit) {
   Rng rng(24);
   const int64_t h = 3;

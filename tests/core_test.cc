@@ -182,9 +182,12 @@ TEST(CpuProbeTest, MatchesBuiltinAndIsStable) {
 #if defined(__x86_64__)
   EXPECT_EQ(f1.avx2, static_cast<bool>(__builtin_cpu_supports("avx2")));
   EXPECT_EQ(f1.fma, static_cast<bool>(__builtin_cpu_supports("fma")));
+  EXPECT_EQ(f1.avx512f,
+            static_cast<bool>(__builtin_cpu_supports("avx512f")));
 #else
   EXPECT_FALSE(f1.avx2);
   EXPECT_FALSE(f1.fma);
+  EXPECT_FALSE(f1.avx512f);
 #endif
 }
 
@@ -197,6 +200,10 @@ TEST(CpuProbeTest, IdStringReflectsFeatures) {
   both.fma = true;
   cpu::SetForTest(&both);
   EXPECT_EQ(cpu::IdString(), "avx2+fma");
+  cpu::Features wide = both;
+  wide.avx512f = true;
+  cpu::SetForTest(&wide);
+  EXPECT_EQ(cpu::IdString(), "avx2+fma+avx512f");
   cpu::SetForTest(nullptr);
   EXPECT_FALSE(cpu::IdString().empty());
 }

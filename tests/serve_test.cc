@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -159,6 +160,29 @@ TEST(ServeJsonTest, WriterRoundTripsFloatBits) {
   }
 }
 
+// JSON has no NaN or infinity: the writer emits null for them, so the line
+// still parses, and finite neighbours keep their exact bytes.
+TEST(ServeJsonTest, WriterEmitsNullForNonFinite) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("nan").Float(std::numeric_limits<float>::quiet_NaN());
+  w.Key("inf").Float(std::numeric_limits<float>::infinity());
+  w.Key("ninf").Double(-std::numeric_limits<double>::infinity());
+  w.Key("dnan").Double(std::numeric_limits<double>::quiet_NaN());
+  w.Key("p").Float(0.25f);
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            R"({"nan":null,"inf":null,"ninf":null,"dnan":null,"p":0.25})");
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(ParseJson(w.str(), &v, &error)) << error;
+  for (const char* key : {"nan", "inf", "ninf", "dnan"}) {
+    ASSERT_NE(v.Find(key), nullptr) << key;
+    EXPECT_EQ(v.Find(key)->kind, JsonValue::Kind::kNull) << key;
+  }
+  EXPECT_EQ(v.GetNumber("p", -1.0), 0.25);
+}
+
 TEST(ServeJsonTest, WriterPlacesCommas) {
   JsonWriter w;
   w.BeginObject();
@@ -215,6 +239,35 @@ TEST(ServeProtocolTest, RejectsBadRequests) {
       R"({"op":"predict","student":"s","question":1,"concepts":[1e300]})", &v,
       &error));
   EXPECT_FALSE(ParseServeRequest(v, &request, &error));
+}
+
+// Ids and counts must be spelled as integers: 7.9 is refused, not served
+// as question 7. The integral spelling of the same request is the control.
+TEST(ServeProtocolTest, RefusesFractionalIds) {
+  std::string error;
+  JsonValue v;
+  ServeRequest request;
+  ASSERT_TRUE(ParseJson(R"({"op":"predict","student":"amy","question":7})",
+                        &v, &error));
+  ASSERT_TRUE(ParseServeRequest(v, &request, &error)) << error;
+  EXPECT_EQ(request.question, 7);
+  ASSERT_TRUE(ParseJson(R"({"op":"predict","student":"amy","question":7.9})",
+                        &v, &error));
+  EXPECT_FALSE(ParseServeRequest(v, &request, &error));
+  EXPECT_NE(error.find("question"), std::string::npos) << error;
+  for (const char* text :
+       {R"({"op":"predict","student":"s","question":7.0})",
+        R"({"op":"predict","student":"s","question":7e0})",
+        R"({"op":"update","student":"s","question":1,"response":1.0})",
+        R"({"op":"predict","student":"s","question":1,"response":0.5})",
+        R"({"op":"predict","student":"s","question":1,"concepts":[2.5]})",
+        R"({"op":"recourse","student":"s","question":1,"k":2.5})",
+        R"({"op":"recourse","student":"s","question":1,"top":3.5})",
+        R"({"op":"recourse","student":"s","question":1,)"
+        R"("insert_questions":[4,5.5]})"}) {
+    ASSERT_TRUE(ParseJson(text, &v, &error)) << text;
+    EXPECT_FALSE(ParseServeRequest(v, &request, &error)) << text;
+  }
 }
 
 TEST(ServeProtocolTest, ParsesAndRejectsRecourseFields) {

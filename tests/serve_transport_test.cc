@@ -13,7 +13,9 @@
 //   * Nagle left on, so a pipelined reply waited for the client's delayed
 //     ACK of the one before it,
 //   * a strtod-based number parser, so `"question":0x10` was served as
-//     question 16 instead of refused.
+//     question 16 instead of refused,
+//   * ids read through a truncating cast, so `"question":7.9` was served
+//     as question 7.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -261,6 +263,20 @@ TEST(ServeTransportTest, HexNumberGetsAnErrorReply) {
       &error))
       << error;
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+  EXPECT_TRUE(server.Ping());
+}
+
+TEST(ServeTransportTest, FractionalQuestionGetsAnErrorReply) {
+  TransportServer server;
+  LineClient client;
+  std::string response, error;
+  ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
+  ASSERT_TRUE(client.RoundTrip(
+      R"({"op":"predict","student":"amy","question":7.9})", &response,
+      &error))
+      << error;
+  EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+  EXPECT_NE(response.find("integer"), std::string::npos) << response;
   EXPECT_TRUE(server.Ping());
 }
 

@@ -727,18 +727,49 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmParallelEquivalence,
 //
 // The tiled/packed kernels promise the same bits as the serial reference
 // loops for every shape: each C element is a single ascending-k accumulator
-// chain in both families. The sweep crosses awkward extents around the
-// register-tile sizes (kMR=4 rows, kNR=8 panel columns), plus empty dims,
-// and checks reference/tiled/auto at several thread counts against the
-// serial reference result.
+// chain in both families. Every sweep runs under each micro kernel the host
+// can run (portable 4-wide, AVX2 8-wide, AVX-512 16-wide), forced through
+// the CPU probe's test hook; a kernel the CPU lacks is skipped.
+
+struct MicroKernelCase {
+  const char* name;
+  cpu::Features features;
+};
+
+std::vector<MicroKernelCase> HostMicroKernels() {
+  cpu::SetForTest(nullptr);
+  const cpu::Features host = cpu::Get();
+  std::vector<MicroKernelCase> kernels = {{"portable", cpu::Features{}}};
+  cpu::Features features;
+  if (host.avx2) {
+    features.avx2 = true;
+    kernels.push_back({"avx2", features});
+  }
+  if (host.avx2 && host.avx512f) {
+    features.avx512f = true;
+    kernels.push_back({"avx512f", features});
+  }
+  return kernels;
+}
+
+// Selects the micro kernel the tiled family runs (nullptr: the probed one).
+void UseMicroKernel(const MicroKernelCase* kernel) {
+  cpu::SetForTest(kernel != nullptr ? &kernel->features : nullptr);
+}
+
+// The sweep crosses awkward extents around the register tile (8 rows) and
+// the 4/8/16-wide panels, the training prefix lengths T (5 ... 50), and
+// empty dims, and checks reference/tiled/auto at several thread counts
+// against the serial reference result.
 TEST(GemmKernelEquivalence, TiledAndAutoMatchReferenceBitForBit) {
   const GemmKernel previous_kernel = GetGemmKernel();
   const int previous_threads = GetNumThreads();
-  // Dims from {1, 2, 3, 7, 17, 64, 65} plus tile+-1 (3..5 around kMR, 7..9
-  // around kNR) and 0 for the empty cases.
-  const std::vector<int64_t> ms = {0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 64, 65};
+  const std::vector<int64_t> ms = {0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 17,
+                                   23, 33, 47, 50, 65};
   const std::vector<int64_t> ks = {0, 1, 3, 8, 17, 64};
-  const std::vector<int64_t> ns = {0, 1, 4, 7, 8, 9, 17, 65};
+  const std::vector<int64_t> ns = {0,  1,  4,  5,  7,  8,  9,  11, 15,
+                                   16, 17, 23, 31, 33, 47, 50};
+  const std::vector<MicroKernelCase> micro_kernels = HostMicroKernels();
   Rng rng(97);
   auto fill = [&rng](std::vector<float>& v) {
     for (float& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
@@ -785,38 +816,48 @@ TEST(GemmKernelEquivalence, TiledAndAutoMatchReferenceBitForBit) {
                out = seed;
                GemmTransBAccumulate(a.data(), bt.data(), out.data(), m, k, n);
              }},
+            {"GemmTransB",
+             [&](std::vector<float>& out) {
+               GemmTransB(a.data(), bt.data(), out.data(), m, k, n);
+             }},
         };
         for (const Form& form : forms) {
           std::vector<float> reference(static_cast<size_t>(m * n));
           SetGemmKernel(GemmKernel::kReference);
           SetNumThreads(1);
           form.run(reference);
-          for (GemmKernel kernel : {GemmKernel::kTiled, GemmKernel::kAuto}) {
-            SetGemmKernel(kernel);
-            for (int threads : {1, 2, 8}) {
-              SetNumThreads(threads);
-              std::vector<float> out(static_cast<size_t>(m * n));
-              form.run(out);
-              EXPECT_TRUE(bits_equal(out, reference))
-                  << form.name << " " << m << "x" << k << "x" << n
-                  << " diverges from serial reference (kernel="
-                  << (kernel == GemmKernel::kTiled ? "tiled" : "auto")
-                  << ", threads=" << threads << ")";
+          for (const MicroKernelCase& micro : micro_kernels) {
+            UseMicroKernel(&micro);
+            for (GemmKernel kernel : {GemmKernel::kTiled, GemmKernel::kAuto}) {
+              SetGemmKernel(kernel);
+              for (int threads : {1, 2, 8}) {
+                SetNumThreads(threads);
+                std::vector<float> out(static_cast<size_t>(m * n));
+                form.run(out);
+                EXPECT_TRUE(bits_equal(out, reference))
+                    << form.name << " " << m << "x" << k << "x" << n
+                    << " diverges from serial reference (kernel="
+                    << GemmKernelName(kernel) << ", micro=" << micro.name
+                    << ", threads=" << threads << ")";
+              }
             }
           }
         }
       }
     }
   }
+  UseMicroKernel(nullptr);
   SetGemmKernel(previous_kernel);
   SetNumThreads(previous_threads);
 }
 
 // The banded entry point equals the full forms: kNN and kTransA wherever A
 // is zero off the band, kTransB on the kept columns (the rest untouched),
-// for both kernel families and for bands that cross 8-row blocks.
+// for both kernel families, every micro kernel, and bands that cross
+// 8-row blocks.
 TEST(GemmKernelEquivalence, BandedMatchesFullOnKeptRegion) {
   const GemmKernel previous_kernel = GetGemmKernel();
+  const std::vector<MicroKernelCase> micro_kernels = HostMicroKernels();
   Rng rng(98);
   auto bits_equal = [](const std::vector<float>& x,
                        const std::vector<float>& y) {
@@ -828,9 +869,9 @@ TEST(GemmKernelEquivalence, BandedMatchesFullOnKeptRegion) {
     for (float& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
     return v;
   };
-  for (int64_t m : {1, 7, 9, 17, 50}) {
+  for (int64_t m : {1, 5, 7, 9, 11, 17, 23, 47, 50}) {
     for (int64_t k : {1, 5, 16, 33}) {
-      for (int64_t n : {3, 8, 17, 50}) {
+      for (int64_t n : {3, 5, 8, 16, 17, 47, 50}) {
         const int64_t blocks = (m + kGemmBandRows - 1) / kGemmBandRows;
         // k ranges for kNN/kTransA, whole-panel column ranges for kTransB.
         std::vector<int64_t> k_band, n_band;
@@ -858,44 +899,49 @@ TEST(GemmKernelEquivalence, BandedMatchesFullOnKeptRegion) {
         const std::vector<float> b = uniform(static_cast<size_t>(k * n));
         const std::vector<float> bt = uniform(static_cast<size_t>(n * k));
         const std::vector<float> seed = uniform(static_cast<size_t>(m * n));
-        for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-          SCOPED_TRACE(::testing::Message()
-                       << m << "x" << k << "x" << n << " kernel="
-                       << GemmKernelName(kernel));
-          SetGemmKernel(kernel);
-          std::vector<float> full(static_cast<size_t>(m * n), 0.0f);
-          std::vector<float> banded = full;
-          GemmAccumulate(a.data(), b.data(), full.data(), m, k, n);
-          GemmBandedAccumulate(GemmForm::kNN, a.data(), b.data(),
-                               banded.data(), m, k, n, k_band.data());
-          EXPECT_TRUE(bits_equal(banded, full)) << "kNN";
+        for (const MicroKernelCase& micro : micro_kernels) {
+          UseMicroKernel(&micro);
+          for (GemmKernel kernel :
+               {GemmKernel::kReference, GemmKernel::kTiled}) {
+            SCOPED_TRACE(::testing::Message()
+                         << m << "x" << k << "x" << n << " kernel="
+                         << GemmKernelName(kernel) << " micro=" << micro.name);
+            SetGemmKernel(kernel);
+            std::vector<float> full(static_cast<size_t>(m * n), 0.0f);
+            std::vector<float> banded = full;
+            GemmAccumulate(a.data(), b.data(), full.data(), m, k, n);
+            GemmBandedAccumulate(GemmForm::kNN, a.data(), b.data(),
+                                 banded.data(), m, k, n, k_band.data());
+            EXPECT_TRUE(bits_equal(banded, full)) << "kNN";
 
-          std::fill(full.begin(), full.end(), 0.0f);
-          std::fill(banded.begin(), banded.end(), 0.0f);
-          GemmTransAAccumulate(at.data(), b.data(), full.data(), m, k, n);
-          GemmBandedAccumulate(GemmForm::kTransA, at.data(), b.data(),
-                               banded.data(), m, k, n, k_band.data());
-          EXPECT_TRUE(bits_equal(banded, full)) << "kTransA";
+            std::fill(full.begin(), full.end(), 0.0f);
+            std::fill(banded.begin(), banded.end(), 0.0f);
+            GemmTransAAccumulate(at.data(), b.data(), full.data(), m, k, n);
+            GemmBandedAccumulate(GemmForm::kTransA, at.data(), b.data(),
+                                 banded.data(), m, k, n, k_band.data());
+            EXPECT_TRUE(bits_equal(banded, full)) << "kTransA";
 
-          full = seed;
-          banded = seed;
-          GemmTransBAccumulate(a.data(), bt.data(), full.data(), m, k, n);
-          GemmBandedAccumulate(GemmForm::kTransB, a.data(), bt.data(),
-                               banded.data(), m, k, n, n_band.data());
-          for (int64_t i = 0; i < m; ++i) {
-            const int64_t r = i / kGemmBandRows;
-            for (int64_t j = 0; j < n; ++j) {
-              const bool kept = j >= n_band[2 * r] && j < n_band[2 * r + 1];
-              const float want = kept ? full[i * n + j] : seed[i * n + j];
-              EXPECT_EQ(std::memcmp(&banded[i * n + j], &want, sizeof(float)),
-                        0)
-                  << "kTransB (" << i << ", " << j << ") kept=" << kept;
+            full = seed;
+            banded = seed;
+            GemmTransBAccumulate(a.data(), bt.data(), full.data(), m, k, n);
+            GemmBandedAccumulate(GemmForm::kTransB, a.data(), bt.data(),
+                                 banded.data(), m, k, n, n_band.data());
+            for (int64_t i = 0; i < m; ++i) {
+              const int64_t r = i / kGemmBandRows;
+              for (int64_t j = 0; j < n; ++j) {
+                const bool kept = j >= n_band[2 * r] && j < n_band[2 * r + 1];
+                const float want = kept ? full[i * n + j] : seed[i * n + j];
+                EXPECT_EQ(
+                    std::memcmp(&banded[i * n + j], &want, sizeof(float)), 0)
+                    << "kTransB (" << i << ", " << j << ") kept=" << kept;
+              }
             }
           }
         }
       }
     }
   }
+  UseMicroKernel(nullptr);
   SetGemmKernel(previous_kernel);
 }
 
@@ -917,25 +963,26 @@ bool BitsEqual(const std::vector<float>& x, const std::vector<float>& y) {
          std::memcmp(x.data(), y.data(), sizeof(float) * x.size()) == 0;
 }
 
-// The micro kernel the tiled family runs: the probed one (AVX2 where the
-// CPU has it) or, forced through the test hook, the portable one.
-void UseMicroKernel(bool portable) {
-  static const cpu::Features kPortable{};
-  cpu::SetForTest(portable ? &kPortable : nullptr);
-}
+// Dims for the store-form and TransA sweeps: around the 8-row tile and the
+// 16-wide panel, two training T values, and k from one step to several
+// TransA k-blocks (1533 spans six).
+const std::vector<int64_t> kSweepRows = {1, 5, 9, 16, 17, 33, 47};
+const std::vector<int64_t> kSweepDepths = {1, 7, 300, 1533};
+const std::vector<int64_t> kSweepCols = {3, 8, 13, 15, 16, 17, 31, 50};
 
 // Gemm's tiled family stores each tile's chain from +0 instead of zeroing
 // C and accumulating. Whatever C held before (-0, ordinary values), the
 // result is the serial reference's zero-filled C plus GemmAccumulate, for
-// both families, both micro kernels, at 1, 2 and 8 threads (the
+// both families, every micro kernel, at 1, 2 and 8 threads (the
 // row-blocked path included).
 TEST(GemmKernelEquivalence, StoreFormMatchesZeroFillThenAccumulate) {
   const GemmKernel previous_kernel = GetGemmKernel();
   const int previous_threads = GetNumThreads();
+  const std::vector<MicroKernelCase> micro_kernels = HostMicroKernels();
   Rng rng(99);
-  for (int64_t m : {1, 5, 9, 17, 33}) {
-    for (int64_t k : {1, 7, 1533}) {
-      for (int64_t n : {3, 8, 13, 17}) {
+  for (int64_t m : kSweepRows) {
+    for (int64_t k : kSweepDepths) {
+      for (int64_t n : kSweepCols) {
         const std::vector<float> a = SignedZeroOperand(rng, m * k);
         const std::vector<float> b = SignedZeroOperand(rng, k * n);
         SetGemmKernel(GemmKernel::kReference);
@@ -945,8 +992,8 @@ TEST(GemmKernelEquivalence, StoreFormMatchesZeroFillThenAccumulate) {
         for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled,
                                   GemmKernel::kAuto}) {
           SetGemmKernel(kernel);
-          for (bool portable : {false, true}) {
-            UseMicroKernel(portable);
+          for (const MicroKernelCase& micro : micro_kernels) {
+            UseMicroKernel(&micro);
             for (int threads : {1, 2, 8}) {
               SetNumThreads(threads);
               for (float preload : {-0.0f, 3.5f}) {
@@ -955,7 +1002,7 @@ TEST(GemmKernelEquivalence, StoreFormMatchesZeroFillThenAccumulate) {
                 EXPECT_TRUE(BitsEqual(c, expected))
                     << m << "x" << k << "x" << n
                     << " kernel=" << GemmKernelName(kernel)
-                    << " portable=" << portable << " threads=" << threads
+                    << " micro=" << micro.name << " threads=" << threads
                     << " preload=" << preload;
               }
             }
@@ -964,23 +1011,70 @@ TEST(GemmKernelEquivalence, StoreFormMatchesZeroFillThenAccumulate) {
       }
     }
   }
-  UseMicroKernel(false);
+  UseMicroKernel(nullptr);
   SetGemmKernel(previous_kernel);
   SetNumThreads(previous_threads);
 }
 
-// The tiled TransA form reads A [k, m] and B [k, n] in place. It must equal
-// the packed form it replaced — A transposed into rows, then the packed-
+// The store-form GemmTransB equals zero-filling C and calling
+// GemmTransBAccumulate (the serial reference), whatever C held before: its
+// dot chains start at +0, and a chain from +0 is never -0. Checked onto -0
+// and non-zero preloads, for both families, every micro kernel, at 1, 2
+// and 8 threads.
+TEST(GemmKernelEquivalence, TransBStoreFormMatchesZeroFillThenAccumulate) {
+  const GemmKernel previous_kernel = GetGemmKernel();
+  const int previous_threads = GetNumThreads();
+  const std::vector<MicroKernelCase> micro_kernels = HostMicroKernels();
+  Rng rng(101);
+  for (int64_t m : kSweepRows) {
+    for (int64_t k : {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{300}}) {
+      for (int64_t n : kSweepCols) {
+        const std::vector<float> a = SignedZeroOperand(rng, m * k);
+        const std::vector<float> bt = SignedZeroOperand(rng, n * k);
+        SetGemmKernel(GemmKernel::kReference);
+        SetNumThreads(1);
+        std::vector<float> expected(static_cast<size_t>(m * n), 0.0f);
+        GemmTransBAccumulate(a.data(), bt.data(), expected.data(), m, k, n);
+        for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled,
+                                  GemmKernel::kAuto}) {
+          SetGemmKernel(kernel);
+          for (const MicroKernelCase& micro : micro_kernels) {
+            UseMicroKernel(&micro);
+            for (int threads : {1, 2, 8}) {
+              SetNumThreads(threads);
+              for (float preload : {-0.0f, 3.5f}) {
+                std::vector<float> c(static_cast<size_t>(m * n), preload);
+                GemmTransB(a.data(), bt.data(), c.data(), m, k, n);
+                EXPECT_TRUE(BitsEqual(c, expected))
+                    << m << "x" << k << "x" << n
+                    << " kernel=" << GemmKernelName(kernel)
+                    << " micro=" << micro.name << " threads=" << threads
+                    << " preload=" << preload;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  UseMicroKernel(nullptr);
+  SetGemmKernel(previous_kernel);
+  SetNumThreads(previous_threads);
+}
+
+// The tiled TransA form reads A [k, m] and B [k, n] in place, k-blocked. It
+// must equal the packed form — A transposed into rows, then the packed-
 // panel GemmAccumulate — and the serial reference, onto C preloaded with
-// -0 and with ordinary values, for both families and both micro kernels at
-// 1, 2 and 8 threads.
+// -0 and with ordinary values, for both families and every micro kernel
+// at 1, 2 and 8 threads.
 TEST(GemmKernelEquivalence, TransAInPlaceMatchesPackedAndReference) {
   const GemmKernel previous_kernel = GetGemmKernel();
   const int previous_threads = GetNumThreads();
+  const std::vector<MicroKernelCase> micro_kernels = HostMicroKernels();
   Rng rng(100);
-  for (int64_t m : {1, 5, 9, 17, 33}) {
-    for (int64_t k : {1, 7, 1533}) {
-      for (int64_t n : {3, 8, 13, 17}) {
+  for (int64_t m : kSweepRows) {
+    for (int64_t k : kSweepDepths) {
+      for (int64_t n : kSweepCols) {
         const std::vector<float> at = SignedZeroOperand(rng, k * m);
         const std::vector<float> b = SignedZeroOperand(rng, k * n);
         std::vector<float> a(static_cast<size_t>(m * k));  // A^T, [m, k]
@@ -994,15 +1088,14 @@ TEST(GemmKernelEquivalence, TransAInPlaceMatchesPackedAndReference) {
           SetGemmKernel(GemmKernel::kReference);
           std::vector<float> reference = seed;
           GemmTransAAccumulate(at.data(), b.data(), reference.data(), m, k, n);
-          for (bool portable : {false, true}) {
-            UseMicroKernel(portable);
+          for (const MicroKernelCase& micro : micro_kernels) {
+            UseMicroKernel(&micro);
             SetNumThreads(1);
             SetGemmKernel(GemmKernel::kTiled);
             std::vector<float> packed = seed;
             GemmAccumulate(a.data(), b.data(), packed.data(), m, k, n);
             EXPECT_TRUE(BitsEqual(packed, reference))
-                << m << "x" << k << "x" << n << " packed portable="
-                << portable;
+                << m << "x" << k << "x" << n << " packed micro=" << micro.name;
             for (GemmKernel kernel :
                  {GemmKernel::kReference, GemmKernel::kTiled}) {
               SetGemmKernel(kernel);
@@ -1013,7 +1106,7 @@ TEST(GemmKernelEquivalence, TransAInPlaceMatchesPackedAndReference) {
                 EXPECT_TRUE(BitsEqual(c, reference))
                     << m << "x" << k << "x" << n
                     << " kernel=" << GemmKernelName(kernel)
-                    << " portable=" << portable << " threads=" << threads;
+                    << " micro=" << micro.name << " threads=" << threads;
               }
             }
           }
@@ -1021,7 +1114,7 @@ TEST(GemmKernelEquivalence, TransAInPlaceMatchesPackedAndReference) {
       }
     }
   }
-  UseMicroKernel(false);
+  UseMicroKernel(nullptr);
   SetGemmKernel(previous_kernel);
   SetNumThreads(previous_threads);
 }
