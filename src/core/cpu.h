@@ -24,7 +24,8 @@ struct Features {
 // The process-wide probe, evaluated once on first use.
 const Features& Get();
 
-// Stable short string of the detected features ("avx2+fma+avx512f", "scalar", ...).
+// Stable short string of the detected features ("avx2+fma+avx512f",
+// "scalar", ...).
 std::string IdString();
 
 // Test hook: overrides the probe result (pass nullptr to restore the real

@@ -66,14 +66,14 @@ bool ParseServeRequest(const JsonValue& json, ServeRequest* out,
   };
   const JsonValue* response = json.Find("response");
   int64_t response_value = 0;
-  if (out->op == Op::kUpdate &&
-      (response == nullptr || !WireInt(*response, &response_value))) {
-    *error = "update needs an integer 'response'";
+  const bool has_response =
+      response != nullptr && response->ToInt(&response_value);
+  if (has_response && !response->number_is_integral) {
+    *error = "'response' must be an integer";
     return false;
   }
-  if (response != nullptr && response->ToInt(&response_value) &&
-      !response->number_is_integral) {
-    *error = "'response' must be an integer";
+  if (out->op == Op::kUpdate && !has_response) {
+    *error = "update needs an integer 'response'";
     return false;
   }
   out->response = clamp_response(response_value);
