@@ -134,10 +134,10 @@ inline void GemmTransBRows(const float* a, const float* b, float* c,
 // Tiled kernels. B is packed once into column panels of the micro kernel's
 // width (contiguous per k step) on the calling thread, except by the TransA
 // form, which reads A and B in place; C is produced in register tiles of
-// kTileRows rows and one vector of columns (gemm_kernels.h). Each C element
-// is still one ascending-k accumulator chain, identical to the reference
-// kernels. The micro kernel is picked at runtime from the CPU probe: the
-// portable 4-wide one below, AVX2 (8-wide) or AVX-512 (16-wide).
+// the kernel's row count and one vector of columns (gemm_kernels.h). Each C
+// element is still one ascending-k accumulator chain, identical to the
+// reference kernels. The micro kernel is picked at runtime from the CPU
+// probe: the portable 4 x 8 one below, AVX2 (8 x 8) or AVX-512 (8 x 16).
 // ---------------------------------------------------------------------------
 
 using internal::MicroKernel;
@@ -175,30 +175,67 @@ void PackBTransposed(const float* b, int64_t k, int64_t n, int64_t width,
   }
 }
 
-// The portable micro kernel: 4-wide GCC/Clang vectors, which baseline
-// x86-64 runs as SSE. Lane arithmetic is element-wise IEEE single
-// precision, identical to the scalar ops. Its edge masks are plain byte
-// copies of the nr valid columns.
+// The portable micro kernel: 4-row tiles of two 4-wide GCC/Clang vectors
+// per row (eight accumulators, four broadcasts of A per step), which
+// baseline x86-64 runs as SSE. Lane arithmetic is element-wise IEEE single
+// precision, identical to the scalar ops. Edge masks are the valid column
+// count: the partial half is built from its 1-3 valid floats, zeros after.
 struct Portable {
-  typedef float V __attribute__((vector_size(16)));
+  typedef float V4 __attribute__((vector_size(16)));
+  struct V {  // 8 columns: lanes 0-3 in lo, 4-7 in hi
+    V4 lo, hi;
+    V operator*(const V& o) const { return {lo * o.lo, hi * o.hi}; }
+    V operator+(const V& o) const { return {lo + o.lo, hi + o.hi}; }
+    V& operator+=(const V& o) {
+      lo += o.lo;
+      hi += o.hi;
+      return *this;
+    }
+  };
   using Mask = int64_t;  // the valid column count
-  static constexpr int kWidth = 4;
-  static V Zero() { return V{}; }
-  static V Broadcast(float s) { return V{s, s, s, s}; }
-  static V Load(const float* p) {
-    V v;
+  static constexpr int kWidth = 8;
+  static constexpr int kRows = 4;
+  static V4 Load4(const float* p) {
+    V4 v;
     __builtin_memcpy(&v, p, sizeof(v));  // unaligned-safe, movups
     return v;
   }
-  static void Store(float* p, V v) { __builtin_memcpy(p, &v, sizeof(v)); }
+  // The first `count` (0..4) floats of p.
+  static V4 LoadPart(const float* p, int64_t count) {
+    switch (count) {
+      case 0:
+        return V4{};
+      case 1:
+        return V4{p[0], 0.0f, 0.0f, 0.0f};
+      case 2:
+        return V4{p[0], p[1], 0.0f, 0.0f};
+      case 3:
+        return V4{p[0], p[1], p[2], 0.0f};
+      default:
+        return Load4(p);
+    }
+  }
+  static void StorePart(float* p, int64_t count, V4 v) {
+    for (int64_t j = 0; j < count; ++j) p[j] = v[j];
+  }
+  static V Zero() { return V{}; }
+  static V Broadcast(float s) {
+    const V4 b = {s, s, s, s};
+    return {b, b};
+  }
+  static V Load(const float* p) { return {Load4(p), Load4(p + 4)}; }
+  static void Store(float* p, V v) {
+    __builtin_memcpy(p, &v.lo, sizeof(v.lo));
+    __builtin_memcpy(p + 4, &v.hi, sizeof(v.hi));
+  }
   static Mask ColumnMask(int64_t nr) { return nr; }
   static V LoadMasked(const float* p, Mask nr) {
-    V v{};
-    __builtin_memcpy(&v, p, sizeof(float) * static_cast<size_t>(nr));
-    return v;
+    if (nr < 4) return {LoadPart(p, nr), V4{}};
+    return {Load4(p), LoadPart(p + 4, nr - 4)};
   }
   static void StoreMasked(float* p, Mask nr, V v) {
-    __builtin_memcpy(p, &v, sizeof(float) * static_cast<size_t>(nr));
+    StorePart(p, nr < 4 ? nr : 4, v.lo);
+    if (nr > 4) StorePart(p + 4, nr - 4, v.hi);
   }
 };
 
@@ -259,13 +296,12 @@ inline void ForRows(int64_t m, int64_t k, int64_t n, const Rows& rows) {
 }
 
 // Tiled kernels win once the B pack is amortized over two rows or more.
-// The AVX2 and AVX-512 kernels mask their edge panels, so on this side of
-// that they win from about 128 multiply-adds on (the 5 x 16 x 5 attention
-// score GEMM included); the portable kernel's byte-copy edges pay off only
-// on wide tiles, so tiny or skinny products keep the reference loops there.
+// Every kernel masks its edge panel in registers, so from about 128
+// multiply-adds on they win (the 5 x 16 x 5 attention score GEMM included)
+// on all three kernels alike; the same few pack-bound shapes (a 2-4 row
+// normal product, a 1-2 column TransB one) lose on all three.
 inline bool TiledHeuristic(int64_t m, int64_t k, int64_t n) {
-  if (PickKernel().width >= 8) return m >= 2 && m * k * n >= 128;
-  return m >= 4 && n >= 8 && k >= 4 && m * k * n >= 4096;
+  return m >= 2 && m * k * n >= 128;
 }
 
 // Resolves the kernel family that will actually run this product: the

@@ -18,6 +18,7 @@ namespace {
 
 struct Avx2 {
   static constexpr int kWidth = 8;
+  static constexpr int kRows = 8;
   using V = __m256;
   using Mask = __m256i;
   static V Zero() { return _mm256_setzero_ps(); }

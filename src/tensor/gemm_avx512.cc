@@ -16,6 +16,7 @@ namespace {
 
 struct Avx512 {
   static constexpr int kWidth = 16;
+  static constexpr int kRows = 8;
   using V = __m512;
   using Mask = __mmask16;
   static V Zero() { return _mm512_setzero_ps(); }

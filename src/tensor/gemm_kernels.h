@@ -4,7 +4,7 @@
 //
 // One templated tile body serves every micro kernel. Each TU that includes
 // this header supplies an ISA traits type in its own anonymous namespace
-// (portable 4-wide vectors in gemm.cc, AVX2 in gemm_avx2.cc, AVX-512 in
+// (portable 8-float vectors in gemm.cc, AVX2 in gemm_avx2.cc, AVX-512 in
 // gemm_avx512.cc), so every instantiation is local to a TU built with that
 // ISA's flags. The body calls nothing but the traits: an inline helper
 // shared across TUs built with different -m flags could be emitted once
@@ -44,9 +44,6 @@ struct MicroKernel {
   TiledRowsFn rows;
 };
 
-// Rows per register tile, for every kernel: one accumulator vector per row.
-inline constexpr int kTileRows = 8;
-
 // The TransA form splits k into blocks of this many steps so that a block
 // of A and B stays in cache while every tile of C consumes it. Each C
 // element's chain continues across the blocks (C holds it in between), so
@@ -64,7 +61,9 @@ extern const MicroKernel kAvx512Kernel;
 
 // ---------------------------------------------------------------------------
 // The shared tile body. An ISA traits type provides:
-//   kWidth                     floats per vector (= the panel width);
+//   kWidth                     floats per V (= the panel width);
+//   kRows                      rows per register tile, one accumulator
+//                              vector per row;
 //   V, Mask                    the vector and column-mask types;
 //   Zero(), Broadcast(s)       +0 in every lane; s in every lane;
 //   Load(p), Store(p, v)       kWidth unaligned floats;
@@ -118,7 +117,7 @@ inline void MicroTile(const float* a, int64_t lda, const float* b,
 // The tile for the last mr < kRows rows: a compile-time search down to the
 // row count, so every edge tile still keeps its accumulators in registers.
 template <class Isa, TileChain kChain, bool kTransA, bool kMasked,
-          int kRows = kTileRows>
+          int kRows = Isa::kRows>
 inline void MicroTileRows(int64_t mr, const float* a, int64_t lda,
                           const float* b, int64_t ldb, float* c, int64_t ldc,
                           int64_t k, typename Isa::Mask mask) {
@@ -137,11 +136,12 @@ template <class Isa, TileChain kChain, bool kTransA>
 void TiledRowsT(const float* a, int64_t lda, const float* b, int64_t ldb,
                 float* c, int64_t ldc, int64_t m, int64_t k, int64_t n) {
   constexpr int64_t kW = Isa::kWidth;
+  constexpr int64_t kR = Isa::kRows;
   const int64_t block = kTransA ? kTransABlockK : k;
   for (int64_t p0 = 0; p0 < k; p0 += block) {
     const int64_t kb = k - p0 < block ? k - p0 : block;
-    for (int64_t i0 = 0; i0 < m; i0 += kTileRows) {
-      const int64_t mr = m - i0 < kTileRows ? m - i0 : kTileRows;
+    for (int64_t i0 = 0; i0 < m; i0 += kR) {
+      const int64_t mr = m - i0 < kR ? m - i0 : kR;
       const float* a_tile = kTransA ? a + p0 * lda + i0 : a + i0 * lda;
       for (int64_t j0 = 0; j0 < n; j0 += kW) {
         const int64_t nr = n - j0 < kW ? n - j0 : kW;

@@ -728,7 +728,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmParallelEquivalence,
 // The tiled/packed kernels promise the same bits as the serial reference
 // loops for every shape: each C element is a single ascending-k accumulator
 // chain in both families. Every sweep runs under each micro kernel the host
-// can run (portable 4-wide, AVX2 8-wide, AVX-512 16-wide), forced through
+// can run (portable 4x8, AVX2 8x8, AVX-512 8x16 tiles), forced through
 // the CPU probe's test hook; a kernel the CPU lacks is skipped.
 
 struct MicroKernelCase {
@@ -757,18 +757,20 @@ void UseMicroKernel(const MicroKernelCase* kernel) {
   cpu::SetForTest(kernel != nullptr ? &kernel->features : nullptr);
 }
 
-// The sweep crosses awkward extents around the register tile (8 rows) and
-// the 4/8/16-wide panels, the training prefix lengths T (5 ... 50), and
-// empty dims, and checks reference/tiled/auto at several thread counts
-// against the serial reference result.
+// The sweep crosses awkward extents around the register tiles (4 and 8
+// rows) and the 8/16-wide panels, the training prefix lengths T (5 ... 50),
+// and empty dims, and checks reference/tiled/auto at several thread counts
+// against the serial reference result. The 64- and 65-row shapes with
+// k = 64 and n = 65 reach the parallel threshold (m*k*n >= 1<<18), so every
+// micro kernel's row-blocked pool path is in the sweep.
 TEST(GemmKernelEquivalence, TiledAndAutoMatchReferenceBitForBit) {
   const GemmKernel previous_kernel = GetGemmKernel();
   const int previous_threads = GetNumThreads();
   const std::vector<int64_t> ms = {0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 17,
-                                   23, 33, 47, 50, 65};
+                                   23, 33, 47, 50, 64, 65};
   const std::vector<int64_t> ks = {0, 1, 3, 8, 17, 64};
   const std::vector<int64_t> ns = {0,  1,  4,  5,  7,  8,  9,  11, 15,
-                                   16, 17, 23, 31, 33, 47, 50};
+                                   16, 17, 23, 31, 33, 47, 50, 65};
   const std::vector<MicroKernelCase> micro_kernels = HostMicroKernels();
   Rng rng(97);
   auto fill = [&rng](std::vector<float>& v) {
