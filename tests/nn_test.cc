@@ -8,6 +8,7 @@
 
 #include "autograd/grad_check.h"
 #include "composed_reference.h"
+#include "core/hash.h"
 #include "core/parallel.h"
 #include "nn/adam.h"
 #include "nn/attention.h"
@@ -193,6 +194,90 @@ TEST(LstmTest, GradFlowsThroughTime) {
         leaves);
     EXPECT_TRUE(result.ok) << result.max_abs_error;
   }
+}
+
+// ---- Recurrent layer gradient goldens ----
+//
+// Digests of every gradient one LSTM/GRU layer call produces, forward and
+// reverse, recorded from a known-good build. Finite differences cannot see
+// a changed rounding order in the backward; these pin its bits.
+
+// FNV-1a over the bytes of `tensors`, in order.
+uint64_t DigestTensors(const std::vector<Tensor>& tensors) {
+  uint64_t h = kFnvOffset;
+  for (const Tensor& t : tensors) {
+    h = Fnv1a(std::string_view(reinterpret_cast<const char*>(t.data()),
+                               sizeof(float) * static_cast<size_t>(t.numel())),
+              h);
+  }
+  return h;
+}
+
+// Weights the goldens reduce a layer's output with. Planted -0 and +0
+// entries give the output gradient the signed zeros a dropout mask does.
+Tensor GoldenOutputWeights(const Shape& shape, Rng& rng) {
+  Tensor w = Tensor::Uniform(shape, -1, 1, rng);
+  for (int64_t i = 0; i < w.numel(); i += 5) w.flat(i) = -0.0f;
+  for (int64_t i = 3; i < w.numel(); i += 7) w.flat(i) = 0.0f;
+  return w;
+}
+
+// Gradients of x, of the seeded initial state rows and of every parameter
+// after SumAll(layer(x) * weights).Backward(), forward then reverse.
+// `run(x, reverse, initial_rows)` calls the layer.
+template <typename Run>
+std::vector<Tensor> LayerGradients(const Module& layer, const Tensor& x,
+                                   const Tensor& weights, int64_t state_rows,
+                                   Rng& rng, const Run& run) {
+  std::vector<Tensor> grads;
+  const int64_t batch = x.size(0), hidden = weights.size(2);
+  for (bool reverse : {false, true}) {
+    for (const ag::Variable& p : layer.Parameters()) {
+      ag::Variable(p).ZeroGrad();
+    }
+    std::vector<ag::Variable> leaves;
+    leaves.push_back(ag::Variable::Leaf(x, true));
+    for (int64_t r = 0; r < state_rows; ++r) {
+      leaves.push_back(ag::Variable::Leaf(
+          Tensor::Uniform({batch, hidden}, -1, 1, rng), true));
+    }
+    ag::SumAll(ag::Mul(run(leaves[0], reverse, leaves), ag::Constant(weights)))
+        .Backward();
+    for (const ag::Variable& v : leaves) grads.push_back(v.grad().Clone());
+    for (const ag::Variable& p : layer.Parameters()) {
+      grads.push_back(p.grad().Clone());
+    }
+  }
+  return grads;
+}
+
+TEST(LstmTest, GradientGolden) {
+  Rng rng(41);
+  LSTM lstm(6, 8, rng);
+  const Tensor x = Tensor::Uniform({3, 7, 6}, -1, 1, rng);
+  const Tensor weights = GoldenOutputWeights({3, 7, 8}, rng);
+  const std::vector<Tensor> grads = LayerGradients(
+      lstm, x, weights, 2, rng,
+      [&](const ag::Variable& in, bool reverse,
+          const std::vector<ag::Variable>& v) {
+        const LSTM::State initial{v[1], v[2]};
+        return lstm.Forward(in, reverse, &initial);
+      });
+  EXPECT_EQ(DigestTensors(grads), 0xf8013d0612896feeULL);
+}
+
+TEST(GruTest, GradientGolden) {
+  Rng rng(42);
+  GRU gru(6, 8, rng);
+  const Tensor x = Tensor::Uniform({3, 7, 6}, -1, 1, rng);
+  const Tensor weights = GoldenOutputWeights({3, 7, 8}, rng);
+  const std::vector<Tensor> grads = LayerGradients(
+      gru, x, weights, 1, rng,
+      [&](const ag::Variable& in, bool reverse,
+          const std::vector<ag::Variable>& v) {
+        return gru.Forward(in, reverse, &v[1]);
+      });
+  EXPECT_EQ(DigestTensors(grads), 0x8f50acbe0fb4334aULL);
 }
 
 TEST(AttentionDeathTest, NonPositiveHeadsFailCheckBeforeDividing) {

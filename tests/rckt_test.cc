@@ -1035,30 +1035,66 @@ INSTANTIATE_TEST_SUITE_P(AllEncoders, RcktLearningSuite,
 // ---- Golden trainer output ----
 
 // Golden-value regressions for the RCKT side of the epoch driver and the
-// fold loop, recorded from a known-good build. The SAKT run keeps dropout on
-// so the dropout stream is pinned along with the shuffle stream.
-TEST(TrainerGoldenRcktTest, SaktTwoEpochs) {
+// fold loop, recorded from a known-good build. The two-epoch runs keep
+// dropout on so the dropout stream is pinned along with the shuffle stream.
+struct GoldenRun {
+  uint64_t fingerprint;
+  RcktTrainResult result;
+};
+
+GoldenRun TrainTwoEpochs(RcktConfig config) {
   data::Dataset ds = TinyDataset();
   Rng rng(77);
   const auto folds =
       data::KFoldAssignment(static_cast<int64_t>(ds.sequences.size()), 4, rng);
   data::FoldSplit split = data::MakeFold(ds, folds, 0, 0.2, rng);
 
-  RcktConfig config = SmallRckt(EncoderKind::kSAKT);
   config.dropout = 0.1f;
   RCKT model(ds.num_questions, ds.num_concepts, config);
   RcktTrainOptions options;
   options.max_epochs = 2;
   options.batch_size = 16;
-  const RcktTrainResult result = TrainAndEvaluateRckt(model, split, options);
+  RcktTrainResult result = TrainAndEvaluateRckt(model, split, options);
+  return {nn::FingerprintModule(model), std::move(result)};
+}
 
+TEST(TrainerGoldenRcktTest, SaktTwoEpochs) {
+  const GoldenRun run = TrainTwoEpochs(SmallRckt(EncoderKind::kSAKT));
   const std::vector<double> kGoldenLoss = {1.0371009962899345,
                                           0.91850585171154564};
   const std::vector<double> kGoldenValAuc = {0.55769230769230771,
                                             0.48076923076923078};
-  EXPECT_EQ(nn::FingerprintModule(model), 0x90c016ef254e58f0ULL);
-  EXPECT_EQ(result.train_loss_history, kGoldenLoss);
-  EXPECT_EQ(result.val_auc_history, kGoldenValAuc);
+  EXPECT_EQ(run.fingerprint, 0x90c016ef254e58f0ULL);
+  EXPECT_EQ(run.result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
+}
+
+// The recurrent encoders stack two layers, so the backward runs through a
+// layer fed by the dropout of another as well as one fed by the input.
+TEST(TrainerGoldenRcktTest, DktTwoEpochs) {
+  RcktConfig config = SmallRckt(EncoderKind::kDKT);
+  config.num_layers = 2;
+  const GoldenRun run = TrainTwoEpochs(config);
+  const std::vector<double> kGoldenLoss = {0.91004415495055058,
+                                          0.8977404492241996};
+  const std::vector<double> kGoldenValAuc = {0.61538461538461542,
+                                            0.69230769230769229};
+  EXPECT_EQ(run.fingerprint, 0xc88bdbb0469ba1aaULL);
+  EXPECT_EQ(run.result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
+}
+
+TEST(TrainerGoldenRcktTest, GruTwoEpochs) {
+  RcktConfig config = SmallRckt(EncoderKind::kGRU);
+  config.num_layers = 2;
+  const GoldenRun run = TrainTwoEpochs(config);
+  const std::vector<double> kGoldenLoss = {0.9133773233209338,
+                                          0.89632993936538696};
+  const std::vector<double> kGoldenValAuc = {0.46153846153846156,
+                                            0.46153846153846156};
+  EXPECT_EQ(run.fingerprint, 0x96d7adaf899ed0c6ULL);
+  EXPECT_EQ(run.result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
 }
 
 TEST(TrainerGoldenRcktTest, TwoFoldCrossValidationFoldAuc) {
