@@ -17,7 +17,7 @@
 #include "core/parallel.h"
 #include "data/presets.h"
 #include "nn/attention.h"
-#include "nn/lstm.h"
+#include "nn/recurrent.h"
 #include "rckt/rckt_model.h"
 #include "rckt/samples.h"
 #include "tensor/tensor_ops.h"

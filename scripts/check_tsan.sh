@@ -29,7 +29,7 @@ export KT_NUM_THREADS="${KT_NUM_THREADS:-8}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 
 "${BUILD_DIR}/tests/kt_tests" \
-  --gtest_filter='Parallel*:*GemmParallel*:*Rckt*:*StackedFanOut*:TrainerTest*:TrainerGolden*:FusedToggleTest.AttentionBatchSplit*:*ForwardStreamSuite*' \
+  --gtest_filter='Parallel*:*GemmParallel*:*Rckt*:*StackedFanOut*:TrainerTest*:TrainerGolden*:FusedToggleTest.AttentionBatchSplit*:FusedToggleTest.*ForwardMatchesComposed:*GradientGolden:*ForwardStreamSuite*' \
   --gtest_brief=1
 
 echo "TSan check passed (KT_NUM_THREADS=${KT_NUM_THREADS})"

@@ -532,292 +532,361 @@ Variable LinearBiasAct(const Variable& x, const Variable& w,
   });
 }
 
-Variable DualLinearBias(const Variable& x, const Variable& wx,
-                        const Variable& h, const Variable& wh,
-                        const Variable& b) {
-  KT_OBS_SCOPE("fused/dual_linear_bias");
-  const Tensor& xv = x.value();
-  const Tensor& hv = h.value();
-  const int64_t m = xv.size(0), kx = xv.size(1), kh = hv.size(1);
-  const int64_t n = wx.value().size(1);
-  KT_CHECK_EQ(hv.size(0), m);
-  KT_CHECK_EQ(wx.value().size(0), kx);
-  KT_CHECK_EQ(wh.value().size(0), kh);
-  KT_CHECK_EQ(wh.value().size(1), n);
-  KT_CHECK_EQ(b.numel(), n);
+// ---- Gated recurrent layers ----
+//
+// One node per layer call. The forward computes x W_x for every row in one
+// GEMM, then runs h W_h and the cell epilogue step by step. The backward
+// replays the steps in reverse for the pre-activation gradients, then
+// computes the input, weight and bias gradients as whole-sequence GEMMs.
+// The epilogues are the per-element expressions of the per-step graph this
+// op replaced, and the gradient sums keep that graph's order, so values and
+// gradients keep their bits; DESIGN.md §9.2 gives the ordering argument.
+// That graph also added +0 wherever a gradient first landed in a zeroed
+// buffer, turning -0 into +0. The op leaves those adds out: every value
+// they touched reaches the outputs only through products and sums that
+// start from +0, which absorb the sign of a zero.
 
-  Tensor z = Tensor::Uninitialized(Shape{m, n});
-  Gemm(xv.data(), wx.value().data(), z.data(), m, kx, n);
-  Tensor t = Tensor::Uninitialized(Shape{m, n});
-  Gemm(hv.data(), wh.value().data(), t.data(), m, kh, n);
-  // fl(fl(xwx + hwh) + bias): the composed Add(Add(..), bias) order.
-  const float* td = t.data();
-  const float* bias = b.value().data();
-  float* zd = z.data();
-  for (int64_t i = 0; i < m; ++i) {
-    float* row = zd + i * n;
-    const float* trow = td + i * n;
-    for (int64_t j = 0; j < n; ++j) row[j] = (row[j] + trow[j]) + bias[j];
+namespace {
+
+// LSTM: gates i|f|g|o, state rows (h, c).
+struct LstmCell {
+  static constexpr int64_t kGates = 4;
+  static constexpr int64_t kStates = 2;
+  static constexpr int64_t kSaved = 5;  // i|f|g|o|tanh(c'), H wide each
+  // Which state rows a step's backward sends gradient to straight, not
+  // through W_h: the cell state's f*c path.
+  static constexpr bool kCarries[kStates] = {false, true};
+  // The bias joins the hidden projection's sum: z = (xw + hw) + b.
+  static constexpr bool kSplitProjections = false;
+  static constexpr const char* kScope = "fused/lstm_layer";
+  static constexpr const char* kScopeBwd = "fused/lstm_layer_bwd";
+
+  // One row of one step: xw and hw are the row's x W_x and h W_h; hw is
+  // scratch. Two passes over the gates, as the per-step cell ops made,
+  // time faster than one pass that keeps every gate live across the five
+  // libm calls.
+  static void Step(int64_t n, const float* xw, float* hw, const float* bias,
+                   const float* const* prev, float* const* next,
+                   float* saved) {
+    float* z = hw;
+    for (int64_t k = 0; k < kGates * n; ++k) z[k] = (xw[k] + hw[k]) + bias[k];
+    for (int64_t j = 0; j < n; ++j) {
+      const float iv = SigmoidF(z[j]);
+      const float fv = SigmoidF(z[n + j]);
+      const float gv = std::tanh(z[2 * n + j]);
+      const float fc = fv * prev[1][j];
+      const float ig = iv * gv;
+      next[1][j] = fc + ig;
+      saved[j] = iv;
+      saved[n + j] = fv;
+      saved[2 * n + j] = gv;
+    }
+    for (int64_t j = 0; j < n; ++j) {
+      const float ov = SigmoidF(z[3 * n + j]);
+      const float tc = std::tanh(next[1][j]);
+      next[0][j] = ov * tc;
+      saved[3 * n + j] = ov;
+      saved[4 * n + j] = tc;
+    }
   }
 
-  return MakeOpNode(z, {x, wx, h, wh, b}, [](Node& self) {
-    KT_OBS_SCOPE("fused/dual_linear_bias_bwd");
+  // One row of one step's backward: dh is the step's whole h gradient and
+  // carry[1] the f*dc the step after sent to this step's c (+0 after the
+  // last step); it receives this step's.
+  static void Backward(int64_t n, const float* dh, const float* saved,
+                       const float* const* prev, float* const* carry,
+                       float* dz, float* /*dzh*/) {
+    for (int64_t j = 0; j < n; ++j) {
+      const float iv = saved[j], fv = saved[n + j], gv = saved[2 * n + j];
+      const float ov = saved[3 * n + j], tc = saved[4 * n + j];
+      dz[3 * n + j] = dh[j] * tc * (ov * (1.0f - ov));
+      const float dc = carry[1][j] + dh[j] * ov * (1.0f - tc * tc);
+      dz[j] = dc * gv * (iv * (1.0f - iv));
+      dz[n + j] = dc * prev[1][j] * (fv * (1.0f - fv));
+      dz[2 * n + j] = dc * iv * (1.0f - gv * gv);
+      carry[1][j] = dc * fv;
+    }
+  }
+};
+
+// GRU: gates r|z|n (u below is the update gate z), state row h.
+struct GruCell {
+  static constexpr int64_t kGates = 3;
+  static constexpr int64_t kStates = 1;
+  static constexpr int64_t kSaved = 4;  // r|u|n|zh_n, H wide each
+  static constexpr bool kCarries[kStates] = {true};  // the u*h path
+  // zx = xw + b and zh = hw stay apart (r gates zh_n), so the two have
+  // different gradients, and the bias is added to every xw row up front.
+  static constexpr bool kSplitProjections = true;
+  static constexpr const char* kScope = "fused/gru_layer";
+  static constexpr const char* kScopeBwd = "fused/gru_layer_bwd";
+
+  static void Step(int64_t n, const float* zx, const float* zh,
+                   const float* /*bias*/, const float* const* prev,
+                   float* const* next, float* saved) {
+    for (int64_t j = 0; j < n; ++j) {
+      const float rv = SigmoidF(zx[j] + zh[j]);
+      const float uv = SigmoidF(zx[n + j] + zh[n + j]);
+      const float rn = rv * zh[2 * n + j];
+      const float nv = std::tanh(zx[2 * n + j] + rn);
+      const float omu = 1.0f - uv;
+      const float a = omu * nv;
+      const float c = uv * prev[0][j];
+      next[0][j] = a + c;
+      saved[j] = rv;
+      saved[n + j] = uv;
+      saved[2 * n + j] = nv;
+      saved[3 * n + j] = zh[2 * n + j];
+    }
+  }
+
+  // Writes the zx gradient to dz, the zh gradient to dzh and u*dh, the
+  // gradient sent straight to h_prev, to carry[0].
+  static void Backward(int64_t n, const float* dh, const float* saved,
+                       const float* const* prev, float* const* carry,
+                       float* dz, float* dzh) {
+    for (int64_t j = 0; j < n; ++j) {
+      const float rv = saved[j], uv = saved[n + j], nv = saved[2 * n + j];
+      const float gj = dh[j];
+      const float du = gj * (prev[0][j] - nv) * (uv * (1.0f - uv));
+      const float dn = gj * (1.0f - uv) * (1.0f - nv * nv);
+      const float dr = dn * saved[3 * n + j] * (rv * (1.0f - rv));
+      dz[j] = dr;
+      dz[n + j] = du;
+      dz[2 * n + j] = dn;
+      dzh[j] = dr;
+      dzh[n + j] = du;
+      dzh[2 * n + j] = dn * rv;
+      carry[0][j] = gj * uv;
+    }
+  }
+};
+
+// The recurrence driver. Step s consumes x at t = s, or t = T-1-s under
+// `reverse`. State rows live in [T+1, B, H] tensors whose block T-s holds
+// the state before step s: block T is the initial state, block 0 the
+// final one, and blocks 1..T are the h_prev rows of steps T-1..0, the
+// order the backward accumulates W_h in. Without a tape only two blocks
+// exist and the steps alternate between them.
+template <typename Cell>
+Variable RunRecurrentLayer(const Variable& x, const Variable& w_x,
+                           const Variable& w_h, const Variable& bias,
+                           bool reverse, const std::vector<Variable>& initial,
+                           std::vector<Tensor>* final_state) {
+  KT_OBS_SCOPE(Cell::kScope);
+  constexpr int64_t S = Cell::kStates;
+  const Tensor& xv = x.value();
+  KT_CHECK_EQ(xv.dim(), 3);
+  const int64_t batch = xv.size(0), steps = xv.size(1), in = xv.size(2);
+  const int64_t n = w_h.value().size(0), gn = Cell::kGates * n;
+  KT_CHECK_GT(steps, 0);
+  KT_CHECK(w_x.shape() == (Shape{in, gn}));
+  KT_CHECK(w_h.shape() == (Shape{n, gn}));
+  KT_CHECK_EQ(bias.numel(), gn);
+  KT_CHECK(initial.empty() || static_cast<int64_t>(initial.size()) == S);
+  for (const Variable& row : initial) {
+    KT_CHECK(row.shape() == (Shape{batch, n}));
+  }
+  std::vector<Variable> inputs{x, w_x, w_h, bias};
+  inputs.insert(inputs.end(), initial.begin(), initial.end());
+  const bool record = RecordsGrad(inputs);
+  KT_CHECK(final_state == nullptr || !record)
+      << "a recurrent layer's final state is not differentiable; ask for it "
+         "under NoGradGuard";
+
+  const int64_t rows = batch * steps, hb = batch * n;
+  Tensor xw = Tensor::Uninitialized(Shape{rows, gn});  // row b*T + t
+  Gemm(xv.data(), w_x.value().data(), xw.data(), rows, in, gn);
+  const float* b = bias.value().data();
+  if (Cell::kSplitProjections) {
+    for (int64_t i = 0; i < rows; ++i) {
+      float* row = xw.data() + i * gn;
+      for (int64_t j = 0; j < gn; ++j) row[j] = row[j] + b[j];
+    }
+  }
+  const int64_t blocks = record ? steps + 1 : 2;
+  const auto block = [&](int64_t m) { return record ? m : m & 1; };
+  std::vector<Tensor> states;
+  for (int64_t r = 0; r < S; ++r) {
+    states.push_back(Tensor::Uninitialized(Shape{blocks, batch, n}));
+    float* init = states.back().data() + block(steps) * hb;
+    if (initial.empty()) {
+      std::fill(init, init + hb, 0.0f);
+    } else {
+      std::memcpy(init, initial[r].value().data(), sizeof(float) * hb);
+    }
+  }
+  // Per-step values the backward reads, step s at block T-1-s.
+  Tensor saved =
+      Tensor::Uninitialized(Shape{record ? steps : 1, batch, Cell::kSaved * n});
+  Tensor out = Tensor::Uninitialized(Shape{batch, steps, n});
+  Tensor hw = Tensor::Uninitialized(Shape{batch, gn});
+  const float* prev[S];
+  float* next[S];
+  for (int64_t s = 0; s < steps; ++s) {
+    const int64_t t = reverse ? steps - 1 - s : s;
+    const float* h_prev = states[0].data() + block(steps - s) * hb;
+    Gemm(h_prev, w_h.value().data(), hw.data(), batch, n, gn);
+    float* saved_step = saved.data() + (record ? steps - 1 - s : 0) * batch *
+                                           Cell::kSaved * n;
+    for (int64_t i = 0; i < batch; ++i) {
+      for (int64_t r = 0; r < S; ++r) {
+        prev[r] = states[r].data() + block(steps - s) * hb + i * n;
+        next[r] = states[r].data() + block(steps - s - 1) * hb + i * n;
+      }
+      Cell::Step(n, xw.data() + (i * steps + t) * gn, hw.data() + i * gn, b,
+                 prev, next, saved_step + i * Cell::kSaved * n);
+      std::memcpy(out.data() + (i * steps + t) * n, next[0],
+                  sizeof(float) * n);
+    }
+  }
+  if (final_state != nullptr) {
+    final_state->clear();
+    for (const Tensor& st : states) {
+      final_state->push_back(st.Slice(0, 0, 1).Reshape(Shape{batch, n}));
+    }
+  }
+  if (!record) return Variable::Leaf(std::move(out), false);
+
+  return MakeOpNode(out, inputs, [states, saved, reverse](Node& self) {
+    KT_OBS_SCOPE(Cell::kScopeBwd);
     Node* xn = self.inputs[0].get();
     Node* wxn = self.inputs[1].get();
-    Node* hn = self.inputs[2].get();
-    Node* whn = self.inputs[3].get();
-    Node* bn = self.inputs[4].get();
-    const int64_t m = self.grad.size(0), n = self.grad.size(1);
-    const int64_t kx = xn->value.size(1), kh = hn->value.size(1);
+    Node* whn = self.inputs[2].get();
+    Node* bn = self.inputs[3].get();
+    const int64_t batch = self.grad.size(0), steps = self.grad.size(1);
+    const int64_t n = self.grad.size(2), gn = Cell::kGates * n;
+    const int64_t in = xn->value.size(2), rows = batch * steps, hb = batch * n;
     const float* g = self.grad.data();
-    if (xn->requires_grad) TransBIntoGrad(xn, g, wxn->value.data(), m, n, kx);
-    if (wxn->requires_grad) {
-      wxn->EnsureGrad();
-      GemmTransAAccumulate(xn->value.data(), g, wxn->grad.data(), kx, m, n);
+    const auto position = [&](int64_t s) {
+      return reverse ? steps - 1 - s : s;
+    };
+    // Block of step s in the x-side buffers: the order the per-step graph
+    // accumulated W_x and b in. Its LSTM node ran steps last to first; its
+    // GRU input projection node ran positions last to first.
+    const auto input_block = [&](int64_t s) {
+      return Cell::kSplitProjections ? steps - 1 - position(s) : steps - 1 - s;
+    };
+    // Pre-activation gradients: x side by input_block, h side step T-1-s.
+    Tensor dzx = Tensor::Uninitialized(Shape{rows, gn});
+    Tensor dzh = Cell::kSplitProjections
+                     ? Tensor::Uninitialized(Shape{rows, gn})
+                     : dzx;
+    Tensor carry = Tensor::Zeros(Shape{Cell::kStates, batch, n});
+    Tensor dh = Tensor::Uninitialized(Shape{batch, n});
+    Tensor dot = Tensor::Uninitialized(Shape{batch, n});
+    // The last step's h gradient is its output's alone.
+    for (int64_t i = 0; i < batch; ++i) {
+      std::memcpy(dh.data() + i * n, g + (i * steps + position(steps - 1)) * n,
+                  sizeof(float) * n);
     }
-    if (hn->requires_grad) TransBIntoGrad(hn, g, whn->value.data(), m, n, kh);
+    const float* prev[Cell::kStates];
+    float* cr[Cell::kStates];
+    for (int64_t s = steps - 1; s >= 0; --s) {
+      const int64_t p = steps - 1 - s;
+      for (int64_t i = 0; i < batch; ++i) {
+        for (int64_t r = 0; r < Cell::kStates; ++r) {
+          prev[r] = states[r].data() + (steps - s) * hb + i * n;
+          cr[r] = carry.data() + r * hb + i * n;
+        }
+        Cell::Backward(n, dh.data() + i * n,
+                       saved.data() + (p * batch + i) * Cell::kSaved * n, prev,
+                       cr, dzx.data() + (input_block(s) * batch + i) * gn,
+                       dzh.data() + (p * batch + i) * gn);
+      }
+      if (s == 0) break;
+      // dh of step s-1: its output gradient, the carry and dzh W_hᵀ, summed
+      // in the order the per-step graph's consumers of h ran (§9.2).
+      GemmTransB(dzh.data() + p * batch * gn, whn->value.data(), dot.data(),
+                 batch, gn, n);
+      const float* ch = carry.data();
+      for (int64_t i = 0; i < batch; ++i) {
+        const float* go = g + (i * steps + position(s - 1)) * n;
+        for (int64_t j = 0; j < n; ++j) {
+          const int64_t k = i * n + j;
+          float& d = dh.data()[k];
+          if (!Cell::kCarries[0]) {
+            d = go[j] + dot.data()[k];
+          } else if (reverse) {
+            d = (go[j] + ch[k]) + dot.data()[k];
+          } else {
+            d = (ch[k] + dot.data()[k]) + go[j];
+          }
+        }
+      }
+    }
+    // A seeded initial state gets its carries first, then h's W_h term:
+    // the per-step graph's cell node ran before its h projection.
+    if (self.inputs.size() > 4) {
+      for (int64_t r = 0; r < Cell::kStates; ++r) {
+        Node* sn = self.inputs[4 + r].get();
+        if (!sn->requires_grad || !Cell::kCarries[r]) continue;
+        sn->EnsureGrad();
+        float* sg = sn->grad.data();
+        const float* c = carry.data() + r * hb;
+        for (int64_t k = 0; k < hb; ++k) sg[k] += c[k];
+      }
+      if (self.inputs[4]->requires_grad) {
+        TransBIntoGrad(self.inputs[4].get(),
+                       dzh.data() + (steps - 1) * batch * gn,
+                       whn->value.data(), batch, gn, n);
+      }
+    }
+    // Whole-sequence passes. The x gradient rows are independent dot
+    // chains; W_x, W_h and b accumulate straight into their buffers over
+    // rows in the order above, the chains the per-step graph ran.
+    // Calls copy(x-side row, row of x) for every row.
+    const auto for_rows = [&](const auto& copy) {
+      for (int64_t s = 0; s < steps; ++s) {
+        for (int64_t i = 0; i < batch; ++i) {
+          copy(input_block(s) * batch + i, i * steps + position(s));
+        }
+      }
+    };
+    if (xn->requires_grad) {
+      Tensor dxq = Tensor::Uninitialized(Shape{rows, in});
+      GemmTransB(dzx.data(), wxn->value.data(), dxq.data(), rows, gn, in);
+      Tensor dx = Tensor::Uninitialized(xn->value.shape());
+      for_rows([&](int64_t q, int64_t row) {
+        std::memcpy(dx.data() + row * in, dxq.data() + q * in,
+                    sizeof(float) * in);
+      });
+      xn->AccumulateGrad(std::move(dx));
+    }
+    if (wxn->requires_grad) {
+      Tensor xq = Tensor::Uninitialized(Shape{rows, in});
+      for_rows([&](int64_t q, int64_t row) {
+        std::memcpy(xq.data() + q * in, xn->value.data() + row * in,
+                    sizeof(float) * in);
+      });
+      wxn->EnsureGrad();
+      GemmTransAAccumulate(xq.data(), dzx.data(), wxn->grad.data(), in, rows,
+                           gn);
+    }
     if (whn->requires_grad) {
       whn->EnsureGrad();
-      GemmTransAAccumulate(hn->value.data(), g, whn->grad.data(), kh, m, n);
+      GemmTransAAccumulate(states[0].data() + hb, dzh.data(),
+                           whn->grad.data(), n, rows, gn);
     }
     if (bn->requires_grad) {
       bn->EnsureGrad();
-      AccumulateBiasGrad(g, m, n, bn->grad.data());
+      AccumulateBiasGrad(dzx.data(), rows, gn, bn->grad.data());
     }
   });
 }
 
-Variable LstmCellState(const Variable& z, const Variable& c_prev) {
-  KT_OBS_SCOPE("fused/lstm_cell_state");
-  const Tensor& zv = z.value();
-  const Tensor& cv = c_prev.value();
-  const int64_t b = cv.size(0), h = cv.size(1);
-  KT_CHECK_EQ(zv.size(0), b);
-  KT_CHECK_EQ(zv.size(1), 4 * h);
+}  // namespace
 
-  Tensor c_next = Tensor::Uninitialized(Shape{b, h});
-  // Saved gate activations [i|f|g] ([B, 3H]), reused by backward in place
-  // of the composed path's intermediate tensors.
-  Tensor gates = Tensor::Uninitialized(Shape{b, 3 * h});
-  {
-    const float* zd = zv.data();
-    const float* cd = cv.data();
-    float* od = c_next.data();
-    float* gd = gates.data();
-    for (int64_t r = 0; r < b; ++r) {
-      const float* zr = zd + r * 4 * h;
-      const float* cr = cd + r * h;
-      float* orow = od + r * h;
-      float* grow = gd + r * 3 * h;
-      for (int64_t j = 0; j < h; ++j) {
-        const float iv = SigmoidF(zr[j]);
-        const float fv = SigmoidF(zr[h + j]);
-        const float gv = std::tanh(zr[2 * h + j]);
-        const float fc = fv * cr[j];
-        const float ig = iv * gv;
-        orow[j] = fc + ig;
-        grow[j] = iv;
-        grow[h + j] = fv;
-        grow[2 * h + j] = gv;
-      }
-    }
-  }
-
-  return MakeOpNode(c_next, {z, c_prev}, [gates](Node& self) {
-    KT_OBS_SCOPE("fused/lstm_cell_state_bwd");
-    Node* zn = self.inputs[0].get();
-    Node* cn = self.inputs[1].get();
-    const int64_t b = self.grad.size(0), h = self.grad.size(1);
-    const float* g = self.grad.data();
-    const float* gt = gates.data();
-    const float* cd = cn->value.data();
-    if (zn->requires_grad) {
-      zn->EnsureGrad();
-      float* zg = zn->grad.data();
-      for (int64_t r = 0; r < b; ++r) {
-        const float* grow = g + r * h;
-        const float* gtr = gt + r * 3 * h;
-        const float* cr = cd + r * h;
-        float* zgr = zg + r * 4 * h;
-        for (int64_t j = 0; j < h; ++j) {
-          const float iv = gtr[j], fv = gtr[h + j], gv = gtr[2 * h + j];
-          zgr[j] += grow[j] * gv * (iv * (1.0f - iv));
-          zgr[h + j] += grow[j] * cr[j] * (fv * (1.0f - fv));
-          zgr[2 * h + j] += grow[j] * iv * (1.0f - gv * gv);
-          // o-block receives nothing from the cell state.
-        }
-      }
-    }
-    if (cn->requires_grad) {
-      cn->EnsureGrad();
-      float* cg = cn->grad.data();
-      for (int64_t r = 0; r < b; ++r) {
-        const float* grow = g + r * h;
-        const float* gtr = gt + r * 3 * h;
-        float* cgr = cg + r * h;
-        for (int64_t j = 0; j < h; ++j) cgr[j] += grow[j] * gtr[h + j];
-      }
-    }
-  });
-}
-
-Variable LstmCellOutput(const Variable& z, const Variable& c_next) {
-  KT_OBS_SCOPE("fused/lstm_cell_output");
-  const Tensor& zv = z.value();
-  const Tensor& cv = c_next.value();
-  const int64_t b = cv.size(0), h = cv.size(1);
-  KT_CHECK_EQ(zv.size(0), b);
-  KT_CHECK_EQ(zv.size(1), 4 * h);
-
-  Tensor h_next = Tensor::Uninitialized(Shape{b, h});
-  Tensor saved = Tensor::Uninitialized(Shape{b, 2 * h});  // [o|tanh(c')]
-  {
-    const float* zd = zv.data();
-    const float* cd = cv.data();
-    float* od = h_next.data();
-    float* sd = saved.data();
-    for (int64_t r = 0; r < b; ++r) {
-      const float* zr = zd + r * 4 * h;
-      const float* cr = cd + r * h;
-      float* orow = od + r * h;
-      float* srow = sd + r * 2 * h;
-      for (int64_t j = 0; j < h; ++j) {
-        const float ov = SigmoidF(zr[3 * h + j]);
-        const float tc = std::tanh(cr[j]);
-        orow[j] = ov * tc;
-        srow[j] = ov;
-        srow[h + j] = tc;
-      }
-    }
-  }
-
-  return MakeOpNode(h_next, {z, c_next}, [saved](Node& self) {
-    KT_OBS_SCOPE("fused/lstm_cell_output_bwd");
-    Node* zn = self.inputs[0].get();
-    Node* cn = self.inputs[1].get();
-    const int64_t b = self.grad.size(0), h = self.grad.size(1);
-    const float* g = self.grad.data();
-    const float* sd = saved.data();
-    if (zn->requires_grad) {
-      zn->EnsureGrad();
-      float* zg = zn->grad.data();
-      for (int64_t r = 0; r < b; ++r) {
-        const float* grow = g + r * h;
-        const float* srow = sd + r * 2 * h;
-        float* zgr = zg + r * 4 * h;
-        for (int64_t j = 0; j < h; ++j) {
-          const float ov = srow[j], tc = srow[h + j];
-          zgr[3 * h + j] += grow[j] * tc * (ov * (1.0f - ov));
-        }
-      }
-    }
-    if (cn->requires_grad) {
-      cn->EnsureGrad();
-      float* cg = cn->grad.data();
-      for (int64_t r = 0; r < b; ++r) {
-        const float* grow = g + r * h;
-        const float* srow = sd + r * 2 * h;
-        float* cgr = cg + r * h;
-        for (int64_t j = 0; j < h; ++j) {
-          const float ov = srow[j], tc = srow[h + j];
-          cgr[j] += grow[j] * ov * (1.0f - tc * tc);
-        }
-      }
-    }
-  });
-}
-
-Variable GruCellCombine(const Variable& zx, const Variable& zh,
-                        const Variable& h_prev) {
-  KT_OBS_SCOPE("fused/gru_cell_combine");
-  const Tensor& zxv = zx.value();
-  const Tensor& zhv = zh.value();
-  const Tensor& hv = h_prev.value();
-  const int64_t b = hv.size(0), h = hv.size(1);
-  KT_CHECK_EQ(zxv.size(0), b);
-  KT_CHECK_EQ(zxv.size(1), 3 * h);
-  KT_CHECK_EQ(zhv.size(0), b);
-  KT_CHECK_EQ(zhv.size(1), 3 * h);
-
-  Tensor h_next = Tensor::Uninitialized(Shape{b, h});
-  Tensor saved = Tensor::Uninitialized(Shape{b, 3 * h});  // [r|u|n]
-  {
-    const float* zxd = zxv.data();
-    const float* zhd = zhv.data();
-    const float* hd = hv.data();
-    float* od = h_next.data();
-    float* sd = saved.data();
-    for (int64_t r = 0; r < b; ++r) {
-      const float* zxr = zxd + r * 3 * h;
-      const float* zhr = zhd + r * 3 * h;
-      const float* hr = hd + r * h;
-      float* orow = od + r * h;
-      float* srow = sd + r * 3 * h;
-      for (int64_t j = 0; j < h; ++j) {
-        const float rv = SigmoidF(zxr[j] + zhr[j]);
-        const float uv = SigmoidF(zxr[h + j] + zhr[h + j]);
-        const float rn = rv * zhr[2 * h + j];
-        const float nv = std::tanh(zxr[2 * h + j] + rn);
-        const float omu = 1.0f - uv;
-        const float a = omu * nv;
-        const float c = uv * hr[j];
-        orow[j] = a + c;
-        srow[j] = rv;
-        srow[h + j] = uv;
-        srow[2 * h + j] = nv;
-      }
-    }
-  }
-
-  return MakeOpNode(h_next, {zx, zh, h_prev}, [saved](Node& self) {
-    KT_OBS_SCOPE("fused/gru_cell_combine_bwd");
-    Node* zxn = self.inputs[0].get();
-    Node* zhn = self.inputs[1].get();
-    Node* hn = self.inputs[2].get();
-    const int64_t b = self.grad.size(0), h = self.grad.size(1);
-    const float* g = self.grad.data();
-    const float* sd = saved.data();
-    const float* hd = hn->value.data();
-    const float* zhd = zhn->value.data();
-    const bool need_zx = zxn->requires_grad;
-    const bool need_zh = zhn->requires_grad;
-    const bool need_h = hn->requires_grad;
-    if (need_zx) zxn->EnsureGrad();
-    if (need_zh) zhn->EnsureGrad();
-    if (need_h) hn->EnsureGrad();
-    float* zxg = need_zx ? zxn->grad.data() : nullptr;
-    float* zhg = need_zh ? zhn->grad.data() : nullptr;
-    float* hg = need_h ? hn->grad.data() : nullptr;
-    for (int64_t r = 0; r < b; ++r) {
-      const float* grow = g + r * h;
-      const float* srow = sd + r * 3 * h;
-      const float* hr = hd + r * h;
-      const float* zhr = zhd + r * 3 * h;
-      for (int64_t j = 0; j < h; ++j) {
-        const float rv = srow[j], uv = srow[h + j], nv = srow[2 * h + j];
-        const float gj = grow[j];
-        // d pre-activation of u: g * (h - n) * u(1-u).
-        const float du = gj * (hr[j] - nv) * (uv * (1.0f - uv));
-        // d pre-activation of n: g * (1-u) * (1-n^2).
-        const float dn = gj * (1.0f - uv) * (1.0f - nv * nv);
-        // d pre-activation of r: dn * zh_n * r(1-r).
-        const float dr = dn * zhr[2 * h + j] * (rv * (1.0f - rv));
-        if (zxg != nullptr) {
-          float* zr = zxg + r * 3 * h;
-          zr[j] += dr;
-          zr[h + j] += du;
-          zr[2 * h + j] += dn;
-        }
-        if (zhg != nullptr) {
-          float* zr = zhg + r * 3 * h;
-          zr[j] += dr;
-          zr[h + j] += du;
-          zr[2 * h + j] += dn * rv;
-        }
-        if (hg != nullptr) hg[r * h + j] += gj * uv;
-      }
-    }
-  });
+Variable RecurrentLayer(RecurrentCell cell, const Variable& x,
+                        const Variable& w_x, const Variable& w_h,
+                        const Variable& bias, bool reverse,
+                        const std::vector<Variable>& initial,
+                        std::vector<Tensor>* final_state) {
+  return cell == RecurrentCell::kLstm
+             ? RunRecurrentLayer<LstmCell>(x, w_x, w_h, bias, reverse,
+                                           initial, final_state)
+             : RunRecurrentLayer<GruCell>(x, w_x, w_h, bias, reverse,
+                                          initial, final_state);
 }
 
 // ---- Layer normalization ----

@@ -78,9 +78,11 @@ Variable Dropout(const Variable& a, float p, Rng* streams,
 // with one tape node and no intermediate tensors, and is bit-identical to
 // the composed chain (the epilogues replay the same per-element expressions
 // in the same order; autograd/ops.cc builds with -ffp-contract=off so no
-// FMA contraction can merge what the composed path rounds separately).
-// The composed chains themselves live in tests/composed_reference.h, the
-// references the tests hold the nn modules to.
+// FMA contraction can merge what the composed path rounds separately). The
+// one exception is the recurrent layer's backward, which keeps the order of
+// the per-step graph it replaced (see RecurrentLayer). The composed chains
+// themselves live in tests/composed_reference.h, the references the tests
+// hold the nn modules to.
 
 // Activation epilogue selector for LinearBiasAct.
 enum class Act { kIdentity, kRelu, kSigmoid, kTanh };
@@ -99,23 +101,30 @@ Variable LinearBiasAct(const Variable& x, const Variable& w,
 Tensor LinearBiasActForward(const Tensor& x, const Tensor& w, const Tensor* b,
                             Act act);
 
-// z = x wx + h wh + b, the packed RNN pre-activation ([B, G*H]).
-// Bit-identical to Add(Add(MatMul(x, wx), MatMul(h, wh)), b).
-Variable DualLinearBias(const Variable& x, const Variable& wx,
-                        const Variable& h, const Variable& wh,
-                        const Variable& b);
-
-// LSTM gate fusions over the packed pre-activation z = [i|f|g|o] ([B, 4H]):
-//   c' = sigmoid(f) * c + sigmoid(i) * tanh(g)   (LstmCellState)
-//   h' = sigmoid(o) * tanh(c')                   (LstmCellOutput)
-Variable LstmCellState(const Variable& z, const Variable& c_prev);
-Variable LstmCellOutput(const Variable& z, const Variable& c_next);
-
-// GRU combine over zx = x Wx + b and zh = h Wh (both [B, 3H], blocks
-// r|z|n): r = sigmoid(zx_r + zh_r), u = sigmoid(zx_z + zh_z),
-// n = tanh(zx_n + r * zh_n), h' = (1 - u) * n + u * h_prev.
-Variable GruCellCombine(const Variable& zx, const Variable& zh,
-                        const Variable& h_prev);
+// A gated recurrent layer over x ([B, T, in]) as one node, returning the
+// hidden state after every step, [B, T, H]. With `reverse` the steps run
+// from t = T-1 down to 0, so the output at t summarizes x_t..x_{T-1}. w_x
+// is [in, G*H], w_h [H, G*H] and bias [G*H], gate blocks as below.
+// `initial` seeds the state before the first step (empty: zeros).
+// `final_state`, when non-null, receives the state after the last step as
+// plain tensors; it is not differentiable, so it may only be asked for
+// when no tape entry is recorded. A call that records none keeps nothing
+// for backward.
+//   kLstm: gates i|f|g|o, state {h, c}; z = (x w_x + h w_h) + b,
+//          c' = sigmoid(f)*c + sigmoid(i)*tanh(g), h' = sigmoid(o)*tanh(c').
+//   kGru:  gates r|z|n, state {h}; zx = x w_x + b, zh = h w_h,
+//          r = sigmoid(zx_r + zh_r), u = sigmoid(zx_z + zh_z),
+//          n = tanh(zx_n + r * zh_n), h' = (1 - u) * n + u * h.
+// The values equal the composed step-by-step chains of
+// tests/composed_reference.h bit for bit. The gradients keep the bits of
+// the per-step fused-cell graph the op replaced (DESIGN.md §9.2), which
+// golden digests pin.
+enum class RecurrentCell { kLstm, kGru };
+Variable RecurrentLayer(RecurrentCell cell, const Variable& x,
+                        const Variable& w_x, const Variable& w_h,
+                        const Variable& bias, bool reverse,
+                        const std::vector<Variable>& initial,
+                        std::vector<Tensor>* final_state);
 
 // Layer normalization over the last dimension of x ([*, d]) as one node:
 // (x - mean)/sqrt(var + eps)·gamma + beta with gamma and beta [d].

@@ -141,21 +141,20 @@ Variable Variable::FromNode(std::shared_ptr<internal::Node> node) {
   return v;
 }
 
+bool RecordsGrad(const std::vector<Variable>& inputs) {
+  if (!GradModeEnabled()) return false;
+  for (const Variable& v : inputs) {
+    KT_CHECK(v.defined());
+    if (v.requires_grad()) return true;
+  }
+  return false;
+}
+
 Variable MakeOpNode(Tensor value, const std::vector<Variable>& inputs,
                     std::function<void(internal::Node&)> backward_fn) {
   auto node = std::make_shared<internal::Node>();
   node->value = std::move(value);
-
-  bool needs_grad = false;
-  if (GradModeEnabled()) {
-    for (const Variable& v : inputs) {
-      KT_CHECK(v.defined());
-      if (v.requires_grad()) {
-        needs_grad = true;
-        break;
-      }
-    }
-  }
+  const bool needs_grad = RecordsGrad(inputs);
   node->requires_grad = needs_grad;
   if (needs_grad) {
     for (const Variable& v : inputs) node->inputs.push_back(v.node());

@@ -102,6 +102,10 @@ class Variable {
   std::shared_ptr<internal::Node> node_;
 };
 
+// True when an op over `inputs` records a tape entry: grad mode is on and
+// some input requires grad. Ops that keep state for backward ask first.
+bool RecordsGrad(const std::vector<Variable>& inputs);
+
 // Builds an op output node. `inputs` are the parent variables, `value` the
 // forward result, and `backward_fn` the gradient closure (invoked with the
 // node's grad already populated; it should call AccumulateGrad on inputs).

@@ -12,7 +12,7 @@
 #include "models/embedder.h"
 #include "models/neural_base.h"
 #include "nn/linear.h"
-#include "nn/lstm.h"
+#include "nn/recurrent.h"
 
 namespace kt {
 namespace models {

@@ -7,8 +7,7 @@
 #include "autograd/ops.h"
 #include "core/binio.h"
 #include "core/parallel.h"
-#include "nn/gru.h"
-#include "nn/lstm.h"
+#include "nn/recurrent.h"
 
 namespace kt {
 namespace rckt {
@@ -41,33 +40,25 @@ bool ReadRow(BinCursor* cursor, int64_t expect_numel, Tensor* out) {
   return true;
 }
 
-// A recurrent layer state viewed as its [B, hidden] rows: (h, c) for an
-// LSTM, (h) for a GRU. Stacking, splitting and (de)serializing streams go
-// through this view, so one encoder template serves both cells.
-std::vector<ag::Variable*> Rows(nn::LSTMCell::State& state) {
-  return {&state.h, &state.c};
-}
-std::vector<ag::Variable*> Rows(ag::Variable& h) { return {&h}; }
-
 // Stacked LSTMs (RCKT-DKT) or GRUs (RCKT-GRU) per direction. A forward
-// stream holds each layer's [1, hidden] state.
-template <typename Layer>
+// stream holds each layer's state rows, [1, hidden] each.
 class BiRecurrentEncoder : public BiEncoder {
  public:
-  using State = typename Layer::State;
+  using State = nn::Recurrent::State;
 
-  BiRecurrentEncoder(int64_t dim, int64_t num_layers, float dropout_p,
-                     Rng& rng)
+  BiRecurrentEncoder(ag::RecurrentCell cell, int64_t dim, int64_t num_layers,
+                     float dropout_p, Rng& rng)
       : dropout_p_(dropout_p) {
     KT_CHECK_GT(num_layers, 0);
     for (int64_t l = 0; l < num_layers; ++l) {
-      forward_layers_.push_back(std::make_unique<Layer>(dim, dim, rng));
+      forward_layers_.push_back(
+          std::make_unique<nn::Recurrent>(cell, dim, dim, rng));
       RegisterChild("fwd" + std::to_string(l), forward_layers_.back().get());
-      backward_layers_.push_back(std::make_unique<Layer>(dim, dim, rng));
+      backward_layers_.push_back(
+          std::make_unique<nn::Recurrent>(cell, dim, dim, rng));
       RegisterChild("bwd" + std::to_string(l), backward_layers_.back().get());
     }
-    State initial = forward_layers_[0]->cell().InitialState(1);
-    state_rows_ = Rows(initial).size();
+    state_rows_ = forward_layers_[0]->InitialState(1).size();
   }
 
   ag::Variable Encode(const ag::Variable& a, const nn::Context& ctx) override {
@@ -87,7 +78,7 @@ class BiRecurrentEncoder : public BiEncoder {
   std::unique_ptr<ForwardStreamState> NewForwardStream() const override {
     auto stream = std::make_unique<Stream>();
     for (const auto& layer : forward_layers_) {
-      stream->layers.push_back(layer->cell().InitialState(1));
+      stream->layers.push_back(layer->InitialState(1));
     }
     return stream;
   }
@@ -108,23 +99,20 @@ class BiRecurrentEncoder : public BiEncoder {
     ag::Variable f = ag::Constant(a);
     for (size_t l = 0; l < forward_layers_.size(); ++l) {
       State stacked;
-      const std::vector<ag::Variable*> stacked_rows = Rows(stacked);
       for (size_t r = 0; r < state_rows_; ++r) {
         std::vector<Tensor> parts;
         for (ForwardStreamState* state : states) {
-          parts.push_back(Rows(Layers(state)[l])[r]->value());
+          parts.push_back(Layers(state)[l][r].value());
         }
-        *stacked_rows[r] = ag::Constant(Tensor::Concat(parts, 0));
+        stacked.push_back(ag::Constant(Tensor::Concat(parts, 0)));
       }
       State final_state;
       f = forward_layers_[l]->Forward(f, /*reverse=*/false, &stacked,
                                       &final_state);
-      const std::vector<ag::Variable*> final_rows = Rows(final_state);
       for (int64_t i = 0; i < k; ++i) {
-        const std::vector<ag::Variable*> rows =
-            Rows(Layers(states[static_cast<size_t>(i)])[l]);
+        State& rows = Layers(states[static_cast<size_t>(i)])[l];
         for (size_t r = 0; r < state_rows_; ++r) {
-          *rows[r] = ag::Constant(final_rows[r]->value().Slice(0, i, i + 1));
+          rows[r] = ag::Constant(final_state[r].value().Slice(0, i, i + 1));
         }
       }
     }
@@ -137,13 +125,13 @@ class BiRecurrentEncoder : public BiEncoder {
            sizeof(float);
   }
 
-  // `u32 layers`, then each layer's state rows in Rows order.
+  // `u32 layers`, then each layer's state rows in order.
   void SerializeStream(const ForwardStreamState& state,
                        std::string* out) const override {
     const auto& stream = static_cast<const Stream&>(state);
     AppendPod<uint32_t>(out, static_cast<uint32_t>(stream.layers.size()));
-    for (State layer : stream.layers) {
-      for (const ag::Variable* row : Rows(layer)) AppendRow(out, row->value());
+    for (const State& layer : stream.layers) {
+      for (const ag::Variable& row : layer) AppendRow(out, row.value());
     }
   }
 
@@ -158,10 +146,10 @@ class BiRecurrentEncoder : public BiEncoder {
     auto stream = std::make_unique<Stream>();
     stream->layers.resize(layers);
     for (State& layer : stream->layers) {
-      for (ag::Variable* row : Rows(layer)) {
+      for (size_t r = 0; r < state_rows_; ++r) {
         Tensor values;
         if (!ReadRow(&cursor, hidden, &values)) return nullptr;
-        *row = ag::Constant(values);
+        layer.push_back(ag::Constant(values));
       }
     }
     if (!cursor.done()) return nullptr;
@@ -178,8 +166,8 @@ class BiRecurrentEncoder : public BiEncoder {
 
   float dropout_p_;
   size_t state_rows_ = 0;
-  std::vector<std::unique_ptr<Layer>> forward_layers_;
-  std::vector<std::unique_ptr<Layer>> backward_layers_;
+  std::vector<std::unique_ptr<nn::Recurrent>> forward_layers_;
+  std::vector<std::unique_ptr<nn::Recurrent>> backward_layers_;
 };
 
 }  // namespace
@@ -350,8 +338,8 @@ std::unique_ptr<BiEncoder> MakeBiEncoder(EncoderKind kind, int64_t dim,
                                          Rng& rng) {
   switch (kind) {
     case EncoderKind::kDKT:
-      return std::make_unique<BiRecurrentEncoder<nn::LSTM>>(
-          dim, num_layers, dropout_p, rng);
+      return std::make_unique<BiRecurrentEncoder>(
+          ag::RecurrentCell::kLstm, dim, num_layers, dropout_p, rng);
     case EncoderKind::kSAKT:
       return std::make_unique<BiAttentionEncoder>(
           dim, num_layers, num_heads, dropout_p, /*monotonic=*/false, rng);
@@ -359,8 +347,8 @@ std::unique_ptr<BiEncoder> MakeBiEncoder(EncoderKind kind, int64_t dim,
       return std::make_unique<BiAttentionEncoder>(
           dim, num_layers, num_heads, dropout_p, /*monotonic=*/true, rng);
     case EncoderKind::kGRU:
-      return std::make_unique<BiRecurrentEncoder<nn::GRU>>(
-          dim, num_layers, dropout_p, rng);
+      return std::make_unique<BiRecurrentEncoder>(
+          ag::RecurrentCell::kGru, dim, num_layers, dropout_p, rng);
   }
   KT_CHECK(false) << "unreachable";
   return nullptr;

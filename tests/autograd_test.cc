@@ -411,32 +411,16 @@ TEST(FusedOpsTest, LinearBiasActGradients) {
   }
 }
 
-TEST(FusedOpsTest, DualLinearBiasMatchesComposedAndGradients) {
-  Rng rng(23);
-  Variable x = Param(Tensor::Uniform({6, 4}, -1, 1, rng));
-  Variable wx = Param(Tensor::Uniform({4, 8}, -1, 1, rng));
-  Variable h = Param(Tensor::Uniform({6, 2}, -1, 1, rng));
-  Variable wh = Param(Tensor::Uniform({2, 8}, -1, 1, rng));
-  Variable b = Param(Tensor::Uniform({8}, -1, 1, rng));
-  Variable fused = DualLinearBias(x, wx, h, wh, b);
-  Variable composed = Add(Add(MatMul(x, wx), MatMul(h, wh)), b);
-  EXPECT_TRUE(BitEqualTensors(fused.value(), composed.value()));
-
-  std::vector<Variable> params{x, wx, h, wh, b};
-  ExpectGradOk(
-      [](const auto& p) {
-        return SumAll(DualLinearBias(p[0], p[1], p[2], p[3], p[4]));
-      },
-      params);
-}
-
 // An input with no gradient yet gets its dX from the store-form GemmTransB;
-// one that already holds a gradient P gets P + dX from
-// GemmTransBAccumulate. Both must give the bits of the old zero-fill plus
+// one that already holds a gradient P gets P + dX, from
+// GemmTransBAccumulate or, for the recurrent layer's x, from adding its
+// store-form dX. Both must give the bits of the old zero-fill plus
 // accumulate: dX itself, and P[i] + dX[i]. Checked for MatMul,
-// LinearBiasAct (every activation) and DualLinearBias, on shapes that take
-// the reference and the tiled kernels, with an upstream gradient that
-// contains +0 and -0 and a held gradient that contains zeros.
+// LinearBiasAct (every activation) and both recurrent layers (x over three
+// steps, and the LSTM's seeded h), on shapes that take the reference and
+// the tiled kernels, with an upstream gradient that contains +0 and -0 and
+// a held gradient that contains zeros. The GRU's seeded h is left out: it
+// sums two terms (u * dh, then dz W_hᵀ), so P + dX does not describe it.
 TEST(FusedOpsTest, InputGradientSameWhetherOrNotInputHoldsGradient) {
   Rng rng(26);
   auto signed_zeros = [&rng](const Shape& shape) {
@@ -447,52 +431,71 @@ TEST(FusedOpsTest, InputGradientSameWhetherOrNotInputHoldsGradient) {
   };
   struct Op {
     const char* name;
+    Shape x_shape;
     std::function<Variable(const Variable&, const Variable&)> run;
   };
   for (const Shape& dims : {Shape{3, 2, 5}, Shape{37, 19, 21},
                             Shape{50, 32, 64}}) {
     const int64_t m = dims[0], in = dims[1], out = dims[2];
-    const Tensor xv = Tensor::Uniform({m, in}, -1, 1, rng);
     const Tensor hv = Tensor::Uniform({m, in}, -1, 1, rng);
     const Variable w = Param(Tensor::Uniform({in, out}, -1, 1, rng));
-    const Variable wh = Param(Tensor::Uniform({in, out}, -1, 1, rng));
     const Variable b = Param(Tensor::Uniform({out}, -1, 1, rng));
-    const Tensor upstream = signed_zeros({m, out});
-    const Tensor held = signed_zeros({m, in});
+    // Recurrent weights with hidden size `in`, so h is a [m, in] state.
+    const Variable lstm_wx = Param(Tensor::Uniform({in, 4 * in}, -1, 1, rng));
+    const Variable lstm_wh = Param(Tensor::Uniform({in, 4 * in}, -1, 1, rng));
+    const Variable lstm_b = Param(Tensor::Uniform({4 * in}, -1, 1, rng));
+    const Variable gru_wx = Param(Tensor::Uniform({in, 3 * in}, -1, 1, rng));
+    const Variable gru_wh = Param(Tensor::Uniform({in, 3 * in}, -1, 1, rng));
+    const Variable gru_b = Param(Tensor::Uniform({3 * in}, -1, 1, rng));
+    const Variable c0 = Constant(Tensor::Zeros({m, in}));
     std::vector<Op> ops = {
-        {"MatMul",
+        {"MatMul", {m, in},
          [&](const Variable& x, const Variable&) { return MatMul(x, w); }},
-        {"DualLinearBias", [&](const Variable& x, const Variable& h) {
-           return DualLinearBias(x, w, h, wh, b);
+        {"LSTM layer", {m, 3, in},
+         [&](const Variable& x, const Variable& h) {
+           return RecurrentLayer(RecurrentCell::kLstm, x, lstm_wx, lstm_wh,
+                                 lstm_b, /*reverse=*/false, {h, c0}, nullptr);
+         }},
+        {"GRU layer", {m, 3, in},
+         [&](const Variable& x, const Variable&) {
+           return RecurrentLayer(RecurrentCell::kGru, x, gru_wx, gru_wh,
+                                 gru_b, /*reverse=*/true, {}, nullptr);
          }}};
     for (Act act : {Act::kIdentity, Act::kRelu, Act::kSigmoid, Act::kTanh}) {
-      ops.push_back({"LinearBiasAct", [&, act](const Variable& x,
-                                                const Variable&) {
+      ops.push_back({"LinearBiasAct", {m, in},
+                     [&, act](const Variable& x, const Variable&) {
                        return LinearBiasAct(x, w, b, act);
                      }});
     }
     for (const Op& op : ops) {
       SCOPED_TRACE(::testing::Message() << op.name << " " << m << "x" << in
                                         << "x" << out);
+      const Tensor xv = Tensor::Uniform(op.x_shape, -1, 1, rng);
+      const Tensor held_x = signed_zeros(op.x_shape);
+      const Tensor held_h = signed_zeros({m, in});
       Variable x = Param(xv);
       Variable h = Param(hv);
+      const Tensor upstream = signed_zeros(op.run(x, h).shape());
       SumAll(Mul(op.run(x, h), Constant(upstream))).Backward();
       const Tensor fresh_x = x.grad();
       const Tensor fresh_h = h.grad();
 
       Variable x2 = Param(xv);
       Variable h2 = Param(hv);
-      SumAll(Add(Mul(x2, Constant(held)), Mul(h2, Constant(held))))
+      SumAll(Add(SumAll(Mul(x2, Constant(held_x))),
+                 SumAll(Mul(h2, Constant(held_h)))))
           .Backward();
       const Tensor before_x = x2.grad().Clone();
       const Tensor before_h = h2.grad().Clone();
       SumAll(Mul(op.run(x2, h2), Constant(upstream))).Backward();
       const Tensor after_x = x2.grad();
       const Tensor after_h = h2.grad();
-      for (int64_t i = 0; i < m * in; ++i) {
+      for (int64_t i = 0; i < xv.numel(); ++i) {
         ASSERT_EQ(Bits(after_x.flat(i)),
                   Bits(before_x.flat(i) + fresh_x.flat(i)))
             << "x element " << i;
+      }
+      for (int64_t i = 0; i < m * in; ++i) {
         ASSERT_EQ(Bits(after_h.flat(i)),
                   Bits(before_h.flat(i) + fresh_h.flat(i)))
             << "h element " << i;
@@ -501,62 +504,6 @@ TEST(FusedOpsTest, InputGradientSameWhetherOrNotInputHoldsGradient) {
   }
 }
 
-TEST(FusedOpsTest, LstmCellMatchesComposedBitForBit) {
-  Rng rng(24);
-  const int64_t h = 3;
-  Variable z = Param(Tensor::Uniform({5, 4 * h}, -2, 2, rng));
-  Variable c = Param(Tensor::Uniform({5, h}, -1, 1, rng));
-  Variable c_next = LstmCellState(z, c);
-  Variable h_next = LstmCellOutput(z, c_next);
-  const nn::LSTMCell::State ref = reference::ComposedLstmGates(z, c);
-  EXPECT_TRUE(BitEqualTensors(c_next.value(), ref.c.value()));
-  EXPECT_TRUE(BitEqualTensors(h_next.value(), ref.h.value()));
-}
-
-TEST(FusedOpsTest, LstmCellGradients) {
-  Rng rng(25);
-  const int64_t h = 2;
-  std::vector<Variable> params{Param(Tensor::Uniform({3, 4 * h}, -1, 1, rng)),
-                               Param(Tensor::Uniform({3, h}, -1, 1, rng))};
-  // Loss touches both h' and c' so every gate block gets gradient,
-  // including o through LstmCellOutput and the c' diamond.
-  ExpectGradOk(
-      [](const auto& p) {
-        Variable c_next = LstmCellState(p[0], p[1]);
-        Variable h_next = LstmCellOutput(p[0], c_next);
-        return SumAll(Add(h_next, c_next));
-      },
-      params);
-}
-
-TEST(FusedOpsTest, GruCombineMatchesComposedBitForBit) {
-  Rng rng(26);
-  const int64_t n = 3;
-  Variable zx = Param(Tensor::Uniform({5, 3 * n}, -2, 2, rng));
-  Variable zh = Param(Tensor::Uniform({5, 3 * n}, -2, 2, rng));
-  Variable h = Param(Tensor::Uniform({5, n}, -1, 1, rng));
-  Variable fused = GruCellCombine(zx, zh, h);
-  Variable composed = reference::ComposedGruCombine(zx, zh, h);
-  EXPECT_TRUE(BitEqualTensors(fused.value(), composed.value()));
-}
-
-TEST(FusedOpsTest, GruCombineGradients) {
-  Rng rng(27);
-  const int64_t n = 2;
-  std::vector<Variable> params{Param(Tensor::Uniform({3, 3 * n}, -1, 1, rng)),
-                               Param(Tensor::Uniform({3, 3 * n}, -1, 1, rng)),
-                               Param(Tensor::Uniform({3, n}, -1, 1, rng))};
-  ExpectGradOk(
-      [](const auto& p) {
-        return SumAll(GruCellCombine(p[0], p[1], p[2]));
-      },
-      params);
-}
-
-// Bitwise equality with the composed attention chain (ComposedHeads) is
-// checked at module level (nn_test.cc, FusedToggleTest); this pins the
-// gradients themselves, decay included, with Tq != Tk, a query offset and a
-// fully blocked row.
 TEST(FusedOpsTest, MultiHeadAttentionCoreGradients) {
   Rng rng(25);
   Tensor mask(Shape{3, 4});  // row 0 attends nowhere

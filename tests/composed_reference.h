@@ -1,8 +1,8 @@
 // Op-per-node reference chains for the fused nn forward paths.
 //
 // Every nn module runs one forward path built on the fused autograd ops
-// (ag::LinearBiasAct, DualLinearBias, LstmCellState/Output, GruCellCombine,
-// LayerNormCore, MultiHeadAttentionCore). The chains below are what those
+// (ag::LinearBiasAct, RecurrentLayer, LayerNormCore,
+// MultiHeadAttentionCore). The chains below are what those
 // ops replace, written in the primitive ops one node per step. The tests
 // hold the modules to them bit for bit (values, attention maps and, where a
 // test checks them, every gradient), so the chains here must keep the node
@@ -25,7 +25,7 @@
 #include "autograd/ops.h"
 #include "core/check.h"
 #include "nn/attention.h"
-#include "nn/lstm.h"
+#include "nn/recurrent.h"
 #include "nn/module.h"
 #include "rckt/encoders.h"
 #include "tensor/tensor_ops.h"
@@ -79,37 +79,38 @@ inline ag::Variable ComposedLinearAct(const ag::Variable& x,
   return out;
 }
 
-// LSTM gates over the packed pre-activation z = [i|f|g|o] ([B, 4H]) and the
-// previous cell state c ([B, H]): what LstmCellState + LstmCellOutput fuse.
-inline nn::LSTMCell::State ComposedLstmGates(const ag::Variable& z,
-                                             const ag::Variable& c) {
-  const int64_t h = c.size(1);
+// One LSTM step (ag::RecurrentLayer's kLstm cell); w_x, w_h and bias are
+// the layer's parameters, gate blocks i|f|g|o.
+inline nn::LSTM::State ComposedLstmCell(const ag::Variable& x,
+                                        const nn::LSTM::State& state,
+                                        const ag::Variable& w_x,
+                                        const ag::Variable& w_h,
+                                        const ag::Variable& bias) {
+  const ag::Variable& h_prev = state[0];
+  const ag::Variable& c_prev = state[1];
+  ag::Variable z =
+      ag::Add(ag::Add(ag::MatMul(x, w_x), ag::MatMul(h_prev, w_h)), bias);
+  const int64_t h = c_prev.size(1);
   ag::Variable i_gate = ag::Sigmoid(ag::Slice(z, 1, 0, h));
   ag::Variable f_gate = ag::Sigmoid(ag::Slice(z, 1, h, 2 * h));
   ag::Variable g_gate = ag::Tanh(ag::Slice(z, 1, 2 * h, 3 * h));
   ag::Variable o_gate = ag::Sigmoid(ag::Slice(z, 1, 3 * h, 4 * h));
 
-  ag::Variable c_next = ag::Add(ag::Mul(f_gate, c), ag::Mul(i_gate, g_gate));
+  ag::Variable c_next =
+      ag::Add(ag::Mul(f_gate, c_prev), ag::Mul(i_gate, g_gate));
   ag::Variable h_next = ag::Mul(o_gate, ag::Tanh(c_next));
   return {h_next, c_next};
 }
 
-// One nn::LSTMCell step; w_x, w_h and bias are the cell's parameters.
-inline nn::LSTMCell::State ComposedLstmCell(const ag::Variable& x,
-                                            const nn::LSTMCell::State& state,
-                                            const ag::Variable& w_x,
-                                            const ag::Variable& w_h,
-                                            const ag::Variable& bias) {
-  ag::Variable z = ag::Add(
-      ag::Add(ag::MatMul(x, w_x), ag::MatMul(state.h, w_h)), bias);
-  return ComposedLstmGates(z, state.c);
-}
-
-// GRU combine over zx = x Wx + b and zh = h Wh (both [B, 3H], blocks
-// r|z|n) and the previous state h_prev ([B, H]): what GruCellCombine fuses.
-inline ag::Variable ComposedGruCombine(const ag::Variable& zx,
-                                       const ag::Variable& zh,
-                                       const ag::Variable& h_prev) {
+// One GRU step (ag::RecurrentLayer's kGru cell); w_x, w_h and bias are the
+// layer's parameters, gate blocks r|z|n.
+inline ag::Variable ComposedGruCell(const ag::Variable& x,
+                                    const ag::Variable& h_prev,
+                                    const ag::Variable& w_x,
+                                    const ag::Variable& w_h,
+                                    const ag::Variable& bias) {
+  ag::Variable zx = ag::Add(ag::MatMul(x, w_x), bias);  // [B, 3h]
+  ag::Variable zh = ag::MatMul(h_prev, w_h);            // [B, 3h]
   const int64_t n = h_prev.size(1);
   ag::Variable r = ag::Sigmoid(
       ag::Add(ag::Slice(zx, 1, 0, n), ag::Slice(zh, 1, 0, n)));
@@ -123,17 +124,6 @@ inline ag::Variable ComposedGruCombine(const ag::Variable& zx,
   ag::Variable one_minus_z =
       ag::Sub(ag::Constant(Tensor::Ones(z.shape())), z);
   return ag::Add(ag::Mul(one_minus_z, candidate), ag::Mul(z, h_prev));
-}
-
-// One nn::GRUCell step; w_x, w_h and bias are the cell's parameters.
-inline ag::Variable ComposedGruCell(const ag::Variable& x,
-                                    const ag::Variable& h,
-                                    const ag::Variable& w_x,
-                                    const ag::Variable& w_h,
-                                    const ag::Variable& bias) {
-  ag::Variable zx = ag::Add(ag::MatMul(x, w_x), bias);  // [B, 3h]
-  ag::Variable zh = ag::MatMul(h, w_h);                 // [B, 3h]
-  return ComposedGruCombine(zx, zh, h);
 }
 
 // Layer normalization over the last dimension: what LayerNormCore fuses.

@@ -9,7 +9,7 @@
 #include "autograd/grad_check.h"
 #include "data/io.h"
 #include "data/simulator.h"
-#include "nn/gru.h"
+#include "nn/recurrent.h"
 #include "rckt/interpretability.h"
 #include "rckt/rckt_model.h"
 #include "rckt/samples.h"
@@ -63,7 +63,8 @@ TEST(GruTest, GradientsFlow) {
     for (const ag::Variable& p : gru.Parameters()) leaves.push_back(p);
     ag::GradCheckResult result = ag::CheckGradients(
         [&](const std::vector<ag::Variable>& v) {
-          return ag::SumAll(ag::Mul(gru.Forward(v[0], reverse, &v[1]),
+          const nn::GRU::State initial{v[1]};
+          return ag::SumAll(ag::Mul(gru.Forward(v[0], reverse, &initial),
                                     ag::Constant(weights)));
         },
         leaves);

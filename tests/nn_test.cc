@@ -13,12 +13,11 @@
 #include "nn/adam.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
-#include "nn/gru.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/losses.h"
-#include "nn/lstm.h"
 #include "nn/module.h"
+#include "nn/recurrent.h"
 #include "rckt/encoders.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
@@ -187,7 +186,7 @@ TEST(LstmTest, GradFlowsThroughTime) {
     for (const ag::Variable& p : lstm.Parameters()) leaves.push_back(p);
     ag::GradCheckResult result = ag::CheckGradients(
         [&](const std::vector<ag::Variable>& v) {
-          const LSTMCell::State initial{v[1], v[2]};
+          const LSTM::State initial{v[1], v[2]};
           return ag::SumAll(ag::Mul(lstm.Forward(v[0], reverse, &initial),
                                     ag::Constant(weights)));
         },
@@ -222,28 +221,25 @@ Tensor GoldenOutputWeights(const Shape& shape, Rng& rng) {
   return w;
 }
 
-// Gradients of x, of the seeded initial state rows and of every parameter
-// after SumAll(layer(x) * weights).Backward(), forward then reverse.
-// `run(x, reverse, initial_rows)` calls the layer.
-template <typename Run>
-std::vector<Tensor> LayerGradients(const Module& layer, const Tensor& x,
-                                   const Tensor& weights, int64_t state_rows,
-                                   Rng& rng, const Run& run) {
+// Gradients of x, of a seeded initial state and of every parameter after
+// SumAll(layer(x) * weights).Backward(), forward then reverse.
+std::vector<Tensor> LayerGradients(Recurrent& layer, const Tensor& x,
+                                   const Tensor& weights, Rng& rng) {
   std::vector<Tensor> grads;
   const int64_t batch = x.size(0), hidden = weights.size(2);
   for (bool reverse : {false, true}) {
-    for (const ag::Variable& p : layer.Parameters()) {
-      ag::Variable(p).ZeroGrad();
-    }
-    std::vector<ag::Variable> leaves;
-    leaves.push_back(ag::Variable::Leaf(x, true));
-    for (int64_t r = 0; r < state_rows; ++r) {
-      leaves.push_back(ag::Variable::Leaf(
+    layer.ZeroGrad();
+    const ag::Variable in = ag::Variable::Leaf(x, true);
+    Recurrent::State initial;
+    for (size_t r = 0; r < layer.InitialState(1).size(); ++r) {
+      initial.push_back(ag::Variable::Leaf(
           Tensor::Uniform({batch, hidden}, -1, 1, rng), true));
     }
-    ag::SumAll(ag::Mul(run(leaves[0], reverse, leaves), ag::Constant(weights)))
+    ag::SumAll(ag::Mul(layer.Forward(in, reverse, &initial),
+                       ag::Constant(weights)))
         .Backward();
-    for (const ag::Variable& v : leaves) grads.push_back(v.grad().Clone());
+    grads.push_back(in.grad().Clone());
+    for (const ag::Variable& v : initial) grads.push_back(v.grad().Clone());
     for (const ag::Variable& p : layer.Parameters()) {
       grads.push_back(p.grad().Clone());
     }
@@ -256,14 +252,8 @@ TEST(LstmTest, GradientGolden) {
   LSTM lstm(6, 8, rng);
   const Tensor x = Tensor::Uniform({3, 7, 6}, -1, 1, rng);
   const Tensor weights = GoldenOutputWeights({3, 7, 8}, rng);
-  const std::vector<Tensor> grads = LayerGradients(
-      lstm, x, weights, 2, rng,
-      [&](const ag::Variable& in, bool reverse,
-          const std::vector<ag::Variable>& v) {
-        const LSTM::State initial{v[1], v[2]};
-        return lstm.Forward(in, reverse, &initial);
-      });
-  EXPECT_EQ(DigestTensors(grads), 0xf8013d0612896feeULL);
+  EXPECT_EQ(DigestTensors(LayerGradients(lstm, x, weights, rng)),
+            0xf8013d0612896feeULL);
 }
 
 TEST(GruTest, GradientGolden) {
@@ -271,13 +261,8 @@ TEST(GruTest, GradientGolden) {
   GRU gru(6, 8, rng);
   const Tensor x = Tensor::Uniform({3, 7, 6}, -1, 1, rng);
   const Tensor weights = GoldenOutputWeights({3, 7, 8}, rng);
-  const std::vector<Tensor> grads = LayerGradients(
-      gru, x, weights, 1, rng,
-      [&](const ag::Variable& in, bool reverse,
-          const std::vector<ag::Variable>& v) {
-        return gru.Forward(in, reverse, &v[1]);
-      });
-  EXPECT_EQ(DigestTensors(grads), 0x8f50acbe0fb4334aULL);
+  EXPECT_EQ(DigestTensors(LayerGradients(gru, x, weights, rng)),
+            0x8f50acbe0fb4334aULL);
 }
 
 TEST(AttentionDeathTest, NonPositiveHeadsFailCheckBeforeDividing) {
@@ -509,9 +494,10 @@ TEST(LossTest, GradCheckBothForms) {
 // Each module's one forward path runs the fused ops; it must match the
 // op-per-node chains of composed_reference.h bit for bit. For the linear
 // and recurrent layers the tests assert values, the contract the golden
-// influence tests rely on; the fused LSTM/GRU backward is held to finite
-// differences instead (LstmTest.GradFlowsThroughTime,
-// GruTest.GradientsFlow).
+// influence tests rely on. The recurrent layers' backward keeps the bits
+// of the per-step graph they replaced instead, pinned by
+// LstmTest/GruTest.GradientGolden and held to finite differences by
+// LstmTest.GradFlowsThroughTime and GruTest.GradientsFlow.
 
 using reference::ComposedAttention;
 using reference::Param;
@@ -552,44 +538,113 @@ TEST_F(FusedToggleTest, LinearForwardActMatchesComposed) {
   }
 }
 
-// Step t of x ([B, T, in]) as [B, in], the slice LSTM/GRU::Forward feed
-// their cell.
+// Step t of x ([B, T, in]) as [B, in].
 ag::Variable TimeStep(const ag::Variable& x, int64_t t) {
   return ag::Reshape(ag::Slice(x, 1, t, t + 1), Shape{x.size(0), x.size(2)});
 }
 
+// The composed chain over x ([B, T, in]): `step(x_t, state)` per step from
+// `state`, in the order Forward(x, reverse) consumes x; returns [B, T, H].
+template <typename Step>
+Tensor ComposedLayer(const Tensor& x, bool reverse, Recurrent::State state,
+                     const Step& step) {
+  const ag::Variable in = ag::Constant(x);
+  const int64_t steps = x.size(1);
+  std::vector<ag::Variable> outputs(static_cast<size_t>(steps));
+  for (int64_t s = 0; s < steps; ++s) {
+    const int64_t t = reverse ? steps - 1 - s : s;
+    state = step(TimeStep(in, t), state);
+    outputs[static_cast<size_t>(t)] =
+        ag::Reshape(state[0], Shape{x.size(0), 1, -1});
+  }
+  return ag::Concat(outputs, 1).value();
+}
+
+// Forward over x in two chunks split at position k: the chunk consumed
+// first runs from `initial` and its final state seeds the other.
+Tensor ChunkedForward(const Recurrent& layer, const Tensor& x, int64_t k,
+                      bool reverse, const Recurrent::State& initial) {
+  ag::NoGradGuard no_grad;
+  const Tensor left = x.Slice(1, 0, k);
+  const Tensor right = x.Slice(1, k, x.size(1));
+  Recurrent::State mid;
+  const Tensor first =
+      layer.Forward(ag::Constant(reverse ? right : left), reverse, &initial,
+                    &mid)
+          .value();
+  const Tensor second =
+      layer.Forward(ag::Constant(reverse ? left : right), reverse, &mid)
+          .value();
+  return reverse ? Tensor::Concat({second, first}, 1)
+                 : Tensor::Concat({first, second}, 1);
+}
+
+// Each layer against its composed step chain, bit for bit: both
+// directions, the zero and a seeded initial state, one pass and two chunks,
+// at 1, 2 and 8 threads. B*T*in*G*H puts the whole-sequence x W_x GEMM
+// above the parallel threshold.
 TEST_F(FusedToggleTest, LstmForwardMatchesComposed) {
   Rng rng(32);
-  LSTM lstm(3, 5, rng);
-  Tensor x = Tensor::Uniform({2, 6, 3}, -1, 1, rng);
-  ag::Variable fused = lstm.Forward(ag::Constant(x));
-  const ag::Variable in = ag::Constant(x);
-  LSTMCell::State state = lstm.cell().InitialState(2);
-  std::vector<ag::Variable> outputs;
-  for (int64_t t = 0; t < 6; ++t) {
-    state = reference::ComposedLstmCell(
-        TimeStep(in, t), state, Param(lstm, "cell.w_x"),
-        Param(lstm, "cell.w_h"), Param(lstm, "cell.bias"));
-    outputs.push_back(ag::Reshape(state.h, Shape{2, 1, 5}));
+  LSTM lstm(24, 24, rng);
+  const Tensor x = Tensor::Uniform({16, 20, 24}, -1, 1, rng);
+  const LSTM::State seeded{
+      ag::Constant(Tensor::Uniform({16, 24}, -1, 1, rng)),
+      ag::Constant(Tensor::Uniform({16, 24}, -1, 1, rng))};
+  const auto step = [&](const ag::Variable& x_t, const LSTM::State& state) {
+    return reference::ComposedLstmCell(x_t, state, Param(lstm, "cell.w_x"),
+                                       Param(lstm, "cell.w_h"),
+                                       Param(lstm, "cell.bias"));
+  };
+  const int saved_threads = GetNumThreads();
+  for (int threads : {1, 2, 8}) {
+    SetNumThreads(threads);
+    for (bool reverse : {false, true}) {
+      for (bool seed : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads, reverse "
+                                          << reverse << ", seeded " << seed);
+        const LSTM::State initial = seed ? seeded : lstm.InitialState(16);
+        const Tensor composed = ComposedLayer(x, reverse, initial, step);
+        EXPECT_TRUE(BitEqual(
+            lstm.Forward(ag::Constant(x), reverse, &initial).value(),
+            composed));
+        EXPECT_TRUE(
+            BitEqual(ChunkedForward(lstm, x, 7, reverse, initial), composed));
+      }
+    }
   }
-  EXPECT_TRUE(BitEqual(fused.value(), ag::Concat(outputs, 1).value()));
+  SetNumThreads(saved_threads);
 }
 
 TEST_F(FusedToggleTest, GruForwardMatchesComposed) {
   Rng rng(33);
-  GRU gru(3, 5, rng);
-  Tensor x = Tensor::Uniform({2, 6, 3}, -1, 1, rng);
-  ag::Variable fused = gru.Forward(ag::Constant(x));
-  const ag::Variable in = ag::Constant(x);
-  ag::Variable h = gru.cell().InitialState(2);
-  std::vector<ag::Variable> outputs;
-  for (int64_t t = 0; t < 6; ++t) {
-    h = reference::ComposedGruCell(TimeStep(in, t), h, Param(gru, "cell.w_x"),
-                                   Param(gru, "cell.w_h"),
-                                   Param(gru, "cell.bias"));
-    outputs.push_back(ag::Reshape(h, Shape{2, 1, 5}));
+  GRU gru(24, 24, rng);
+  const Tensor x = Tensor::Uniform({16, 20, 24}, -1, 1, rng);
+  const GRU::State seeded{
+      ag::Constant(Tensor::Uniform({16, 24}, -1, 1, rng))};
+  const auto step = [&](const ag::Variable& x_t, const GRU::State& h) {
+    return GRU::State{reference::ComposedGruCell(x_t, h[0],
+                                                 Param(gru, "cell.w_x"),
+                                                 Param(gru, "cell.w_h"),
+                                                 Param(gru, "cell.bias"))};
+  };
+  const int saved_threads = GetNumThreads();
+  for (int threads : {1, 2, 8}) {
+    SetNumThreads(threads);
+    for (bool reverse : {false, true}) {
+      for (bool seed : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads, reverse "
+                                          << reverse << ", seeded " << seed);
+        const GRU::State initial = seed ? seeded : gru.InitialState(16);
+        const Tensor composed = ComposedLayer(x, reverse, initial, step);
+        EXPECT_TRUE(BitEqual(
+            gru.Forward(ag::Constant(x), reverse, &initial).value(),
+            composed));
+        EXPECT_TRUE(
+            BitEqual(ChunkedForward(gru, x, 7, reverse, initial), composed));
+      }
+    }
   }
-  EXPECT_TRUE(BitEqual(fused.value(), ag::Concat(outputs, 1).value()));
+  SetNumThreads(saved_threads);
 }
 
 // ---- Fused attention core vs the composed reference ----

@@ -16,8 +16,7 @@
 #include "core/json.h"
 #include "core/parallel.h"
 #include "data/simulator.h"
-#include "nn/gru.h"
-#include "nn/lstm.h"
+#include "nn/recurrent.h"
 #include "nn/serialize.h"
 #include "rckt/encoders.h"
 #include "rckt/rckt_model.h"
@@ -345,7 +344,7 @@ TEST(ServeStreamTest, LstmChunkedForwardBitIdentical) {
     std::memcpy(a.data() + row * 4 * 8, src, 4 * 8 * sizeof(float));
     std::memcpy(b.data() + row * 6 * 8, src + 4 * 8, 6 * 8 * sizeof(float));
   }
-  nn::LSTMCell::State mid;
+  nn::LSTM::State mid;
   const Tensor out_a =
       lstm.Forward(ag::Constant(a), false, nullptr, &mid).value();
   const Tensor out_b = lstm.Forward(ag::Constant(b), false, &mid).value();
@@ -370,7 +369,7 @@ TEST(ServeStreamTest, GruChunkedForwardBitIdentical) {
   Tensor b = Tensor::Zeros({1, 6, 8});
   std::memcpy(a.data(), x.data(), 3 * 8 * sizeof(float));
   std::memcpy(b.data(), x.data() + 3 * 8, 6 * 8 * sizeof(float));
-  ag::Variable mid;
+  nn::GRU::State mid;
   const Tensor out_a =
       gru.Forward(ag::Constant(a), false, nullptr, &mid).value();
   const Tensor out_b = gru.Forward(ag::Constant(b), false, &mid).value();
