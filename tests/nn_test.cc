@@ -265,6 +265,33 @@ TEST(GruTest, GradientGolden) {
             0x8f50acbe0fb4334aULL);
 }
 
+// A layer call is one tape node, whose inputs are x, the parameters and
+// the seeded state rows.
+void ExpectOneTapeNode(const Recurrent& layer) {
+  Rng rng(43);
+  const ag::Variable x =
+      ag::Variable::Leaf(Tensor::Uniform({2, 5, 4}, -1, 1, rng), true);
+  const Recurrent::State initial = layer.InitialState(2);
+  const ag::Variable out = layer.Forward(x, /*reverse=*/true, &initial);
+  std::vector<ag::Variable> expected = {x};
+  for (const ag::Variable& p : layer.Parameters()) expected.push_back(p);
+  for (const ag::Variable& row : initial) expected.push_back(row);
+  ASSERT_EQ(out.node()->inputs.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(out.node()->inputs[i], expected[i].node()) << "input " << i;
+  }
+}
+
+TEST(LstmTest, OneTapeNodePerCall) {
+  Rng rng(44);
+  ExpectOneTapeNode(LSTM(4, 3, rng));
+}
+
+TEST(GruTest, OneTapeNodePerCall) {
+  Rng rng(45);
+  ExpectOneTapeNode(GRU(4, 3, rng));
+}
+
 TEST(AttentionDeathTest, NonPositiveHeadsFailCheckBeforeDividing) {
   Rng rng(12);
   EXPECT_DEATH({ MultiHeadAttention mha(32, 0, 0.0f, false, rng); },
