@@ -28,8 +28,9 @@ namespace {
 // Pins the kt::parallel pool to `threads` for one benchmark's duration and
 // restores the ambient setting after. The *Threads benchmark families sweep
 // thread counts in-process so one run reports the speedup curve directly
-// (compare e.g. BM_GemmThreads/256/1 against BM_GemmThreads/256/4); outputs
-// are bit-identical across the sweep by the pool's determinism contract.
+// (compare e.g. BM_RcktScoreExactThreads/threads:1 against /threads:4);
+// outputs are bit-identical across the sweep by the pool's determinism
+// contract.
 class ThreadCountScope {
  public:
   explicit ThreadCountScope(int threads) : previous_(GetNumThreads()) {
@@ -53,23 +54,6 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_GemmThreads(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  ThreadCountScope threads(static_cast<int>(state.range(1)));
-  Rng rng(1);
-  Tensor a = Tensor::Uniform({n, n}, -1, 1, rng);
-  Tensor b = Tensor::Uniform({n, n}, -1, 1, rng);
-  for (auto _ : state) {
-    Tensor c = MatMul(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmThreads)
-    ->ArgsProduct({{128, 256}, {1, 2, 4}})
-    ->ArgNames({"n", "threads"})
-    ->UseRealTime();
 
 void BM_BatchedAttentionScores(benchmark::State& state) {
   const int64_t t = state.range(0);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the test suite with ThreadSanitizer and runs the parallelism-
-# sensitive tests (thread pool, GEMM/tensor kernels, every RCKT suite
-# including the stacked training blocks at 1/2/8 threads, trainer/CV and
+# sensitive tests (thread pool, GEMM from concurrent callers, every RCKT
+# suite including the stacked training blocks at 1/2/8 threads, trainer/CV and
 # the golden trainer runs that drive eval::Evaluate's pool loop, the fused
 # attention core's batch split, and the forward-stream runs whose
 # attention streams fork on the pool) under an oversubscribed pool. Any
@@ -29,7 +29,7 @@ export KT_NUM_THREADS="${KT_NUM_THREADS:-8}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 
 "${BUILD_DIR}/tests/kt_tests" \
-  --gtest_filter='Parallel*:*GemmParallel*:*Rckt*:*StackedFanOut*:TrainerTest*:TrainerGolden*:FusedToggleTest.AttentionBatchSplit*:FusedToggleTest.*ForwardMatchesComposed:*GradientGolden:*ForwardStreamSuite*' \
+  --gtest_filter='Parallel*:GemmKernelEquivalence.ConcurrentCallersMatchSerial:*Rckt*:*StackedFanOut*:TrainerTest*:TrainerGolden*:ComposedParityTest.AttentionBatchSplit*:ComposedParityTest.*ForwardMatchesComposed:*GradientGolden:*ForwardStreamSuite*' \
   --gtest_brief=1
 
 echo "TSan check passed (KT_NUM_THREADS=${KT_NUM_THREADS})"

@@ -26,7 +26,7 @@ cmake --build "${BUILD_DIR}" --target kt_tests -j "$(nproc)"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 
 "${BUILD_DIR}/tests/kt_tests" \
-  --gtest_filter='GemmKernelEquivalence*:*GemmParallelEquivalence*:BroadcastTest*:*BroadcastShapeSweep*:ReduceTest*:OpsTest*:KernelBitwiseSweep*:GradCheck*:FusedOps*:*GradientGolden:FusedToggleTest.*ForwardMatchesComposed:ServeJsonTest.WriterEmitsNullForNonFinite:ServeProtocolTest.RefusesFractionalIds' \
+  --gtest_filter='GemmKernelEquivalence*:BroadcastTest*:*BroadcastShapeSweep*:ReduceTest*:OpsTest*:KernelBitwiseSweep*:GradCheck*:FusedOps*:*GradientGolden:ComposedParityTest.*ForwardMatchesComposed:ServeJsonTest.WriterEmitsNullForNonFinite:ServeProtocolTest.RefusesFractionalIds' \
   --gtest_brief=1
 
 echo "UBSan check passed"

@@ -1061,8 +1061,9 @@ Variable LayerNormCore(const Variable& x, const Variable& gamma,
 
 namespace {
 
-// Batch rows per parallel chunk: one when a head's work is large enough
-// to amortize the pool, else the whole batch (the BatchMatMul threshold).
+// Batch rows per parallel chunk: one when a head's work over the batch
+// reaches 2^17 multiply-adds, enough to amortize the pool, else the whole
+// batch as one chunk, which never forks.
 inline int64_t AttentionGrain(int64_t b, int64_t per_row_work) {
   return b * per_row_work >= (int64_t{1} << 17) ? 1 : b;
 }

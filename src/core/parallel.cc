@@ -7,6 +7,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "core/logging.h"
 
@@ -18,7 +19,7 @@ namespace {
 constexpr long kMaxThreads = 1024;
 
 // Set while a thread is executing chunks of some region; nested parallel
-// calls from such a thread run inline (see ParallelRunChunks).
+// calls from such a thread run inline (see RunChunks).
 thread_local bool t_in_region = false;
 
 // 0 means "not yet initialized"; resolved on first use.
@@ -190,6 +191,19 @@ class Pool {
   std::atomic<int64_t> completed_{0};
 };
 
+// Runs chunk_fn(c) for c in [0, num_chunks) across the pool; the calling
+// thread participates. Chunks are claimed dynamically, so chunk_fn must be
+// safe to run in any order and from any thread.
+void RunChunks(int64_t num_chunks,
+               const std::function<void(int64_t)>& chunk_fn) {
+  const int threads = GetNumThreads();
+  if (num_chunks == 1 || threads <= 1 || t_in_region) {
+    for (int64_t c = 0; c < num_chunks; ++c) chunk_fn(c);
+    return;
+  }
+  Pool::Get().Run(num_chunks, chunk_fn, threads);
+}
+
 }  // namespace
 
 int GetNumThreads() {
@@ -210,43 +224,22 @@ void SetNumThreads(int n) {
 
 bool InParallelRegion() { return t_in_region; }
 
-namespace internal {
-
-void ParallelRunChunks(int64_t num_chunks,
-                       const std::function<void(int64_t)>& chunk_fn) {
-  if (num_chunks <= 0) return;
-  const int threads = GetNumThreads();
-  if (num_chunks == 1 || threads <= 1 || t_in_region) {
-    for (int64_t c = 0; c < num_chunks; ++c) chunk_fn(c);
-    return;
-  }
-  Pool::Get().Run(num_chunks, chunk_fn, threads);
-}
-
-}  // namespace internal
-
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t)>& fn) {
-  if (begin >= end) return;
-  if (grain < 1) grain = 1;
-  internal::ParallelRunChunks(
-      internal::NumChunks(end - begin, grain), [&](int64_t c) {
-        const int64_t lo = begin + c * grain;
-        const int64_t hi = lo + grain < end ? lo + grain : end;
-        for (int64_t i = lo; i < hi; ++i) fn(i);
-      });
-}
-
 void ParallelForRange(int64_t begin, int64_t end, int64_t grain,
                       const std::function<void(int64_t, int64_t)>& fn) {
   if (begin >= end) return;
   if (grain < 1) grain = 1;
-  internal::ParallelRunChunks(
-      internal::NumChunks(end - begin, grain), [&](int64_t c) {
-        const int64_t lo = begin + c * grain;
-        const int64_t hi = lo + grain < end ? lo + grain : end;
-        fn(lo, hi);
-      });
+  RunChunks((end - begin + grain - 1) / grain, [&](int64_t c) {
+    const int64_t lo = begin + c * grain;
+    const int64_t hi = lo + grain < end ? lo + grain : end;
+    fn(lo, hi);
+  });
+}
+
+void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+                 const std::function<void(int64_t)>& fn) {
+  ParallelForRange(begin, end, grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) fn(i);
+  });
 }
 
 }  // namespace kt

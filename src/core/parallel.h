@@ -3,18 +3,20 @@
 // Design goals, in priority order:
 //   1. Determinism: every parallel primitive here produces bit-identical
 //      results regardless of the thread count (including KT_NUM_THREADS=1)
-//      and across repeated runs. ParallelFor achieves this by requiring
-//      callers to write disjoint outputs per index; ParallelReduce achieves
-//      it by fixing chunk boundaries from (begin, end, grain) alone — never
-//      from the thread count — and combining partials in ascending chunk
-//      order on the calling thread.
+//      and across repeated runs. Chunk boundaries depend on (begin, end,
+//      grain) alone, never on the thread count, and callers write disjoint
+//      outputs per index or chunk.
 //   2. Zero cost when serial: with one thread (the default on a 1-core
-//      machine), or below the caller's size threshold, everything runs
-//      inline with no pool, no locks, and no allocation.
+//      machine), everything runs inline with no pool, no locks, and no
+//      allocation.
 //   3. Nested-call safety: a ParallelFor issued from inside a pool task runs
 //      inline on that worker, so parallel callers (e.g. cross-validation
-//      folds) can freely call parallel leaves (e.g. GEMM) without deadlock
-//      or thread explosion.
+//      folds) can freely call parallel leaves (e.g. the attention core)
+//      without deadlock or thread explosion.
+//
+// What splits: whole ops over independent batch rows (the attention core,
+// the forward-stream fan-out, Evaluate's batches). GEMM never forks
+// (tensor/gemm.h).
 //
 // The pool is lazily created on the first parallel region that needs more
 // than one thread. The thread count comes from, in priority order:
@@ -29,8 +31,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
-#include <vector>
 
 namespace kt {
 
@@ -48,22 +48,6 @@ void SetNumThreads(int n);
 // (pool worker or participating caller). Nested regions run inline.
 bool InParallelRegion();
 
-namespace internal {
-
-// Runs chunk_fn(c) for c in [0, num_chunks) across the pool. The calling
-// thread participates. Chunks are claimed dynamically (work-stealing via an
-// atomic counter), so chunk_fn must be safe to run in any order and from
-// any thread; determinism is the caller's contract (disjoint writes, or
-// per-chunk outputs combined in chunk order afterwards).
-void ParallelRunChunks(int64_t num_chunks,
-                       const std::function<void(int64_t)>& chunk_fn);
-
-inline int64_t NumChunks(int64_t range, int64_t grain) {
-  return (range + grain - 1) / grain;
-}
-
-}  // namespace internal
-
 // Runs fn(i) for every i in [begin, end). The range is split into chunks of
 // `grain` indices (the last may be short); chunk boundaries depend only on
 // (begin, end, grain). fn must write disjoint state per index.
@@ -71,31 +55,10 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t)>& fn);
 
 // Range form: fn(chunk_begin, chunk_end) per chunk. Preferred for kernels
-// that want a tight inner loop (e.g. row-blocked GEMM).
+// that want a tight inner loop over their rows (e.g. the attention core's
+// batch split).
 void ParallelForRange(int64_t begin, int64_t end, int64_t grain,
                       const std::function<void(int64_t, int64_t)>& fn);
-
-// Deterministic reduction: partials[c] = map(chunk_begin, chunk_end) for the
-// fixed chunking of [begin, end) by `grain`; the result folds `combine` over
-// partials in ascending chunk order starting from `init`. Bit-identical for
-// any thread count because neither the chunk boundaries nor the combine
-// order ever depend on scheduling.
-template <typename T, typename MapFn, typename CombineFn>
-T ParallelReduce(int64_t begin, int64_t end, int64_t grain, T init,
-                 const MapFn& map, const CombineFn& combine) {
-  if (begin >= end) return init;
-  if (grain < 1) grain = 1;
-  const int64_t num_chunks = internal::NumChunks(end - begin, grain);
-  std::vector<T> partials(static_cast<size_t>(num_chunks));
-  internal::ParallelRunChunks(num_chunks, [&](int64_t c) {
-    const int64_t lo = begin + c * grain;
-    const int64_t hi = lo + grain < end ? lo + grain : end;
-    partials[static_cast<size_t>(c)] = map(lo, hi);
-  });
-  T acc = std::move(init);
-  for (T& partial : partials) acc = combine(std::move(acc), partial);
-  return acc;
-}
 
 }  // namespace kt
 

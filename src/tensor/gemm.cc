@@ -8,7 +8,6 @@
 
 #include "core/check.h"
 #include "core/cpu.h"
-#include "core/parallel.h"
 #include "obs/obs.h"
 #include "tensor/gemm_kernels.h"
 
@@ -132,12 +131,12 @@ inline void GemmTransBRows(const float* a, const float* b, float* c,
 
 // ---------------------------------------------------------------------------
 // Tiled kernels. B is packed once into column panels of the micro kernel's
-// width (contiguous per k step) on the calling thread, except by the TransA
-// form, which reads A and B in place; C is produced in register tiles of
-// the kernel's row count and one vector of columns (gemm_kernels.h). Each C
-// element is still one ascending-k accumulator chain, identical to the
-// reference kernels. The micro kernel is picked at runtime from the CPU
-// probe: the portable 4 x 8 one below, AVX2 (8 x 8) or AVX-512 (8 x 16).
+// width (contiguous per k step), except by the TransA form, which reads A
+// and B in place; C is produced in register tiles of the kernel's row count
+// and one vector of columns (gemm_kernels.h). Each C element is still one
+// ascending-k accumulator chain, identical to the reference kernels. The
+// micro kernel is picked at runtime from the CPU probe: the portable 4 x 8
+// one below, AVX2 (8 x 8) or AVX-512 (8 x 16).
 // ---------------------------------------------------------------------------
 
 using internal::MicroKernel;
@@ -263,38 +262,6 @@ const MicroKernel& PickKernel(int max_width = INT_MAX) {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-// Parallelization policy. All kernels split work by output row, so each
-// thread writes a disjoint slab of C and each C element sees exactly the
-// same sequence of floating-point updates (p ascending) as the serial
-// code — results are bit-identical for every thread count. Small products
-// stay serial: the pool dispatch (~µs) would dominate them.
-constexpr int64_t kParallelFlopThreshold = 1 << 18;  // m*k*n multiply-adds
-// Rows per chunk are sized for ~32k multiply-adds each, from the problem
-// shape alone (never the thread count), so chunk boundaries are stable.
-constexpr int64_t kChunkFlops = 1 << 15;
-
-inline bool UseParallel(int64_t m, int64_t k, int64_t n) {
-  return m >= 2 && m * k * n >= kParallelFlopThreshold && GetNumThreads() > 1;
-}
-
-inline int64_t RowGrain(int64_t k, int64_t n) {
-  const int64_t flops_per_row = k * n;
-  const int64_t rows = flops_per_row > 0 ? kChunkFlops / flops_per_row : 1;
-  return rows > 0 ? rows : 1;
-}
-
-// Runs rows(lo, hi) over the m rows of C: row-blocked across the pool
-// above the size threshold, else once on the calling thread (with no
-// std::function in between).
-template <class Rows>
-inline void ForRows(int64_t m, int64_t k, int64_t n, const Rows& rows) {
-  if (UseParallel(m, k, n)) {
-    ParallelForRange(0, m, RowGrain(k, n), rows);
-    return;
-  }
-  rows(0, m);
-}
-
 // Tiled kernels win once the B pack is amortized over two rows or more.
 // Every kernel masks its edge panel in registers, so from about 128
 // multiply-adds on they win (the 5 x 16 x 5 attention score GEMM included)
@@ -315,7 +282,7 @@ GemmKernel ResolveKernel(int64_t m, int64_t k, int64_t n) {
 
 // The packed tiled product C (=|+=) A * op(B): B, or with kDot and kStore
 // from GemmTransB* the [n, k] operand transposed, is packed once into the
-// kernel's panels on the calling thread, then the rows of C are swept.
+// kernel's panels, then the rows of C are swept.
 template <TileChain kChain, bool kTransposedB>
 void GemmTiledPacked(const float* a, const float* b, float* c, int64_t m,
                      int64_t k, int64_t n) {
@@ -328,11 +295,7 @@ void GemmTiledPacked(const float* a, const float* b, float* c, int64_t m,
   } else {
     PackB(b, k, n, kernel.width, bp.data());
   }
-  const float* bpp = bp.data();
-  ForRows(m, k, n, [=, &kernel](int64_t lo, int64_t hi) {
-    kernel.rows(a + lo * k, k, bpp, 0, c + lo * n, n, hi - lo, k, n, kChain,
-                false);
-  });
+  kernel.rows(a, k, bp.data(), 0, c, n, m, k, n, kChain, false);
 }
 
 // C (=|+=) A * B^T with B [n, k]: each element's dot chain starts at +0;
@@ -358,9 +321,7 @@ void GemmTransBForm(const float* a, const float* b, float* c, int64_t m,
   // A chain from +0 is never -0, so 0 + chain is the chain: zeroing C and
   // adding equals storing.
   if (kStore) std::memset(c, 0, sizeof(float) * static_cast<size_t>(m * n));
-  ForRows(m, k, n, [=](int64_t lo, int64_t hi) {
-    GemmTransBRows(a, b, c, n, lo, hi, k, n);
-  });
+  GemmTransBRows(a, b, c, n, 0, m, k, n);
 }
 
 }  // namespace
@@ -422,9 +383,7 @@ void GemmAccumulate(const float* a, const float* b, float* c, int64_t m,
     return;
   }
   CountBackendDispatch(GemmKernel::kReference, m, k, n);
-  ForRows(m, k, n, [=](int64_t lo, int64_t hi) {
-    GemmIkj(a + lo * k, k, b, c + lo * n, hi - lo, k, n);
-  });
+  GemmIkj(a, k, b, c, m, k, n);
 }
 
 void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
@@ -437,27 +396,13 @@ void GemmTransAAccumulate(const float* a, const float* b, float* c, int64_t m,
   if (resolved != GemmKernel::kReference) {
     // Both operands are read in place (rows p of A and B at each step), so
     // nothing is packed; the chain per C element (p ascending) is unchanged
-    // from the reference forms, k-blocked or not. Rows lo.. of C are
-    // columns lo.. of A.
-    const MicroKernel& kernel = PickKernel();
-    ForRows(m, k, n, [=, &kernel](int64_t lo, int64_t hi) {
-      kernel.rows(a + lo, m, b, n, c + lo * n, n, hi - lo, k, n,
-                  TileChain::kAccumulate, true);
-    });
+    // from the reference forms, k-blocked or not.
+    PickKernel().rows(a, m, b, n, c, n, m, k, n, TileChain::kAccumulate,
+                      true);
     return;
   }
-  if (UseParallel(m, k, n)) {
-    // Row-partitioned form: per output row i, accumulate over p ascending —
-    // the same per-element update order as the serial loop below, so the
-    // result is bit-identical (A is read with stride m, a cache cost we only
-    // pay above the size threshold where the parallel win dominates).
-    ParallelForRange(0, m, RowGrain(k, n), [=](int64_t lo, int64_t hi) {
-      GemmTransARows(a, b, c, lo, hi, m, k, n);
-    });
-    return;
-  }
-  // Serial: loop over p (rows of A and B) so both inner reads stay
-  // contiguous.
+  // Loop over p (rows of A and B) so both inner reads stay contiguous; per
+  // element the chain is p ascending, as in GemmTransARows.
   for (int64_t p = 0; p < k; ++p) {
     const float* a_row = a + p * m;
     const float* b_row = b + p * n;

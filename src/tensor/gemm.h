@@ -15,10 +15,13 @@
 //     across them). The micro kernel is ISA-dispatched at runtime:
 //     portable 4-wide vectors, AVX2 or AVX-512, all without FMA.
 //
-// Products above a size threshold are additionally row-blocked across the
-// kt::parallel pool (see core/parallel.h); the split is by output row with
-// per-element update order unchanged, so results are bit-identical for
-// every KT_NUM_THREADS value.
+// Every entry point runs on its caller's thread and never forks: splitting
+// one op's GEMM by rows cost more in pool wake-ups than it saved (DESIGN.md
+// §7). Callers that want threads split whole ops over independent batch
+// rows instead (core/parallel.h). So each C element's chain, and with it
+// every result bit, is the same for every KT_NUM_THREADS value. The entry
+// points are safe to call from several threads at once: the B pack buffer
+// is thread-local.
 #ifndef KT_TENSOR_GEMM_H_
 #define KT_TENSOR_GEMM_H_
 
@@ -96,7 +99,7 @@ void GemmTransB(const float* a, const float* b, float* c, int64_t m,
 // full form. So for kNN and kTransA the result equals the full product
 // whenever A is ±0 outside the band, B is finite and no element of C is -0
 // before the call: a chain from a non-(-0) value is unchanged by ±0 terms.
-// Does nothing if k <= 0. Runs on the calling thread; honours SetGemmKernel.
+// Does nothing if k <= 0. Honours SetGemmKernel.
 enum class GemmForm { kNN, kTransA, kTransB };
 inline constexpr int64_t kGemmBandRows = 8;
 void GemmBandedAccumulate(GemmForm form, const float* a, const float* b,

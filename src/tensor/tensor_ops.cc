@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/parallel.h"
 #include "tensor/gemm.h"
 
 namespace kt {
@@ -231,20 +230,10 @@ Tensor BatchMatMul(const Tensor& a, const Tensor& b) {
   Shape out_shape = a.shape();
   out_shape[out_shape.size() - 1] = n;
   Tensor out = Tensor::Uninitialized(out_shape);  // Gemm writes every C
-  // Parallelize across the batch when the per-matrix products are too small
-  // for Gemm's own row-blocking to kick in; each batch index writes a
-  // disjoint output slab, so results match the serial loop bit-for-bit.
-  // (When Gemm does parallelize itself, nested calls run inline.)
-  const float* a_data = a.data();
-  const float* b_data = b.data();
-  float* out_data = out.data();
-  constexpr int64_t kBatchParallelFlops = 1 << 17;
-  const int64_t grain =
-      batch * m * k * n >= kBatchParallelFlops ? 1 : batch;
-  ParallelFor(0, batch, grain, [=](int64_t i) {
-    Gemm(a_data + i * m * k, b_data + i * k * n, out_data + i * m * n, m, k,
-         n);
-  });
+  for (int64_t i = 0; i < batch; ++i) {
+    Gemm(a.data() + i * m * k, b.data() + i * k * n, out.data() + i * m * n,
+         m, k, n);
+  }
   return out;
 }
 

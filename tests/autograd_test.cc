@@ -527,7 +527,7 @@ TEST(FusedOpsTest, MultiHeadAttentionCoreGradients) {
 }
 
 // Bitwise equality with the composed LayerNorm chain (ComposedLayerNorm) is
-// checked at module level (nn_test.cc, FusedToggleTest); this pins the
+// checked at module level (nn_test.cc, ComposedParityTest); this pins the
 // gradients of x, gamma and beta against finite differences.
 TEST(FusedOpsTest, LayerNormCoreGradients) {
   Rng rng(26);

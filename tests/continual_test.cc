@@ -126,7 +126,9 @@ TEST(ReservoirTest, SelectionIsArrivalOrderInvariant) {
   std::vector<TrainSample> samples;
   for (int64_t s = 0; s < 20; ++s) {
     for (int64_t i = 0; i < 10; ++i) {
-      samples.push_back(MakeSample(HashStudent("u" + std::to_string(s)), i));
+      samples.push_back(
+          MakeSample(HashStudent(std::string("u").append(std::to_string(s))),
+                     i));
     }
   }
 
@@ -147,7 +149,9 @@ TEST(ReservoirTest, ShardPartitionAndMergeMatchGlobalFeed) {
   std::vector<TrainSample> samples;
   for (int64_t s = 0; s < 24; ++s) {
     for (int64_t i = 0; i < 8; ++i) {
-      samples.push_back(MakeSample(HashStudent("p" + std::to_string(s)), i));
+      samples.push_back(
+          MakeSample(HashStudent(std::string("p").append(std::to_string(s))),
+                     i));
     }
   }
 
@@ -173,7 +177,8 @@ TEST(ReservoirTest, ShardPartitionAndMergeMatchGlobalFeed) {
 TEST(ReservoirTest, SerializeRoundTripsAndRejectsTruncation) {
   Reservoir reservoir(16, /*seed=*/9);
   for (int64_t i = 0; i < 50; ++i) {
-    reservoir.Offer(MakeSample(HashStudent("r" + std::to_string(i % 5)), i));
+    reservoir.Offer(MakeSample(
+        HashStudent(std::string("r").append(std::to_string(i % 5))), i));
   }
   std::string bytes;
   reservoir.Serialize(&bytes);
@@ -236,7 +241,8 @@ TEST(CollectorTest, SampleMultisetIsShardLayoutInvariant) {
     options.seed = 5;
     EventCollector collector(options);
     for (const data::ResponseSequence& seq : ds.sequences) {
-      const std::string student = "c" + std::to_string(seq.student);
+      const std::string student =
+          std::string("c").append(std::to_string(seq.student));
       const int shard = static_cast<int>(serve::ShardSet::ShardFor(
           student, static_cast<uint32_t>(shards)));
       for (size_t i = 0; i < seq.interactions.size(); ++i) {

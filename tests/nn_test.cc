@@ -529,7 +529,7 @@ TEST(LossTest, GradCheckBothForms) {
 using reference::ComposedAttention;
 using reference::Param;
 
-class FusedToggleTest : public ::testing::Test {
+class ComposedParityTest : public ::testing::Test {
  protected:
   void TearDown() override { SetGemmKernel(GemmKernel::kAuto); }
 
@@ -542,7 +542,7 @@ class FusedToggleTest : public ::testing::Test {
 
 // The graph-free ag::LinearBiasActForward (the serve predict head's path)
 // is a third input to the same contract.
-TEST_F(FusedToggleTest, LinearForwardActMatchesComposed) {
+TEST_F(ComposedParityTest, LinearForwardActMatchesComposed) {
   Rng rng(31);
   Linear linear(6, 4, rng);
   ag::Variable x = ag::Constant(Tensor::Uniform({3, 5, 6}, -1, 1, rng));
@@ -610,7 +610,7 @@ Tensor ChunkedForward(const Recurrent& layer, const Tensor& x, int64_t k,
 // directions, the zero and a seeded initial state, one pass and two chunks,
 // at 1, 2 and 8 threads. B*T*in*G*H puts the whole-sequence x W_x GEMM
 // above the parallel threshold.
-TEST_F(FusedToggleTest, LstmForwardMatchesComposed) {
+TEST_F(ComposedParityTest, LstmForwardMatchesComposed) {
   Rng rng(32);
   LSTM lstm(24, 24, rng);
   const Tensor x = Tensor::Uniform({16, 20, 24}, -1, 1, rng);
@@ -642,7 +642,7 @@ TEST_F(FusedToggleTest, LstmForwardMatchesComposed) {
   SetNumThreads(saved_threads);
 }
 
-TEST_F(FusedToggleTest, GruForwardMatchesComposed) {
+TEST_F(ComposedParityTest, GruForwardMatchesComposed) {
   Rng rng(33);
   GRU gru(24, 24, rng);
   const Tensor x = Tensor::Uniform({16, 20, 24}, -1, 1, rng);
@@ -748,7 +748,7 @@ void SetDistinctDecay(Module& module) {
   }
 }
 
-TEST_F(FusedToggleTest, AttentionMatchesComposedBitwise) {
+TEST_F(ComposedParityTest, AttentionMatchesComposedBitwise) {
   struct DropoutCase {
     float p;
     int64_t streams;
@@ -800,7 +800,7 @@ TEST_F(FusedToggleTest, AttentionMatchesComposedBitwise) {
   }
 }
 
-TEST_F(FusedToggleTest, CrossAttentionBlockMatchesComposedBitwise) {
+TEST_F(ComposedParityTest, CrossAttentionBlockMatchesComposedBitwise) {
   // Tq != Tk, and a mask whose first row attends nowhere; the larger shape
   // spans several 8-row bands and takes the tiled GEMMs.
   struct CrossCase {
@@ -848,7 +848,7 @@ TEST_F(FusedToggleTest, CrossAttentionBlockMatchesComposedBitwise) {
 // The banded core at sizes that cross 8-row bands and take the tiled GEMMs
 // (dim 32, two heads): every mask kind, both kernel families, and the
 // captured maps exactly +0 wherever the mask blocks.
-TEST_F(FusedToggleTest, BandedAttentionMatchesComposedBitwise) {
+TEST_F(ComposedParityTest, BandedAttentionMatchesComposedBitwise) {
   const AttentionMaskKind kinds[] = {
       AttentionMaskKind::kCausalStrict, AttentionMaskKind::kCausalInclusive,
       AttentionMaskKind::kAntiCausalInclusive,
@@ -906,7 +906,7 @@ TEST_F(FusedToggleTest, BandedAttentionMatchesComposedBitwise) {
 
 // A batch large enough for the core to split it across the pool: fused
 // equals composed at 1 and 4 threads (and so across thread counts).
-TEST_F(FusedToggleTest, AttentionBatchSplitMatchesComposedAcrossThreads) {
+TEST_F(ComposedParityTest, AttentionBatchSplitMatchesComposedAcrossThreads) {
   const int64_t b = 16, t = 32, dim = 16;
   Rng data_rng(44);
   const std::vector<Tensor> inputs = {
@@ -948,7 +948,7 @@ TEST_F(FusedToggleTest, AttentionBatchSplitMatchesComposedAcrossThreads) {
 // Incremental decode through the fused core reproduces the fused full pass
 // row for row, one position at a time and in runs; the longer sequence
 // puts runs at query offsets inside and past the first 8-row band.
-TEST_F(FusedToggleTest, StepCausalMatchesFusedFullPass) {
+TEST_F(ComposedParityTest, StepCausalMatchesFusedFullPass) {
   struct StepCase {
     int64_t t, dim;
     std::vector<int64_t> runs;  // run lengths, summing to t
@@ -1013,7 +1013,7 @@ TEST_F(FusedToggleTest, StepCausalMatchesFusedFullPass) {
 // ag::LayerNormCore is held bitwise like the attention core: the value and
 // the gradients of x, gamma and beta, with and without a residual consumer
 // that hands x a gradient before the norm's backward runs.
-TEST_F(FusedToggleTest, LayerNormMatchesComposedBitwise) {
+TEST_F(ComposedParityTest, LayerNormMatchesComposedBitwise) {
   const int64_t d = 12;
   const std::vector<Shape> shapes = {{4, 6, d}, {9, d}, {1, 1, d}};
   Rng init(95);
@@ -1050,7 +1050,7 @@ TEST_F(FusedToggleTest, LayerNormMatchesComposedBitwise) {
 // Both streams of the bidirectional SAKT/AKT encoder start from the same
 // input, so its gradient collects the contributions of two residual Adds
 // and two norms: the order the fused nodes must land them in.
-TEST_F(FusedToggleTest, BiAttentionEncoderMatchesComposedBitwise) {
+TEST_F(ComposedParityTest, BiAttentionEncoderMatchesComposedBitwise) {
   const int64_t b = 4, t = 11, dim = 16;
   Rng data_rng(47);
   const std::vector<Tensor> inputs = {

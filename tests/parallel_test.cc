@@ -1,25 +1,21 @@
 // Unit tests for the kt::parallel pool plus the determinism contract of
-// everything built on it: GEMM, evaluation metrics, cross-validation, and
-// RCKT response influences must be bit-identical for KT_NUM_THREADS in
+// everything built on it: evaluation metrics, cross-validation, and RCKT
+// response influences must be bit-identical for KT_NUM_THREADS in
 // {1, 2, 8} and across repeated runs at 8 threads.
 #include "core/parallel.h"
 
 #include <atomic>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/rng.h"
 #include "data/simulator.h"
 #include "eval/trainer.h"
 #include "models/dkt.h"
 #include "rckt/rckt_model.h"
 #include "rckt/rckt_trainer.h"
 #include "rckt/samples.h"
-#include "tensor/gemm.h"
-#include "tensor/tensor.h"
 
 namespace kt {
 namespace {
@@ -108,84 +104,6 @@ TEST(ParallelForTest, SetNumThreadsClampsToOne) {
   EXPECT_EQ(GetNumThreads(), 1);
   SetNumThreads(5);
   EXPECT_EQ(GetNumThreads(), 5);
-}
-
-// ---- ParallelReduce determinism ----
-
-// Float summation is order-sensitive, which makes it the sharpest probe of
-// the fixed-chunk + ordered-combine contract: any scheduling dependence
-// shows up as a bit difference.
-float ChunkedSum(const std::vector<float>& values, int64_t grain) {
-  return ParallelReduce<float>(
-      0, static_cast<int64_t>(values.size()), grain, 0.0f,
-      [&](int64_t lo, int64_t hi) {
-        float partial = 0.0f;
-        for (int64_t i = lo; i < hi; ++i)
-          partial += values[static_cast<size_t>(i)];
-        return partial;
-      },
-      [](float acc, float partial) { return acc + partial; });
-}
-
-TEST(ParallelReduceTest, BitIdenticalAcrossThreadCounts) {
-  Rng rng(21);
-  std::vector<float> values(10007);
-  for (auto& v : values) v = static_cast<float>(rng.Uniform(-10.0, 10.0));
-
-  // Serial reference with the same fixed chunking.
-  constexpr int64_t kGrain = 64;
-  float reference = 0.0f;
-  for (size_t lo = 0; lo < values.size(); lo += kGrain) {
-    const size_t hi = std::min(values.size(), lo + kGrain);
-    float partial = 0.0f;
-    for (size_t i = lo; i < hi; ++i) partial += values[i];
-    reference += partial;
-  }
-
-  for (int threads : {1, 2, 8}) {
-    ThreadCountScope scope(threads);
-    for (int run = 0; run < 3; ++run) {
-      const float sum = ChunkedSum(values, kGrain);
-      EXPECT_EQ(std::memcmp(&sum, &reference, sizeof(float)), 0)
-          << "threads=" << threads << " run=" << run << " sum=" << sum
-          << " reference=" << reference;
-    }
-  }
-}
-
-TEST(ParallelReduceTest, EmptyRangeReturnsInit) {
-  ThreadCountScope threads(4);
-  const float result = ParallelReduce<float>(
-      3, 3, 8, 42.0f, [](int64_t, int64_t) { return 1.0f; },
-      [](float a, float b) { return a + b; });
-  EXPECT_FLOAT_EQ(result, 42.0f);
-}
-
-// ---- GEMM determinism across thread counts ----
-
-TEST(ParallelDeterminismTest, GemmBitIdenticalAcrossThreadCounts) {
-  Rng rng(33);
-  const int64_t m = 96, k = 64, n = 80;  // above the parallel threshold
-  Tensor a = Tensor::Uniform({m, k}, -1, 1, rng);
-  Tensor b = Tensor::Uniform({k, n}, -1, 1, rng);
-
-  Tensor reference;
-  {
-    ThreadCountScope scope(1);
-    reference = Tensor({m, n});
-    Gemm(a.data(), b.data(), reference.data(), m, k, n);
-  }
-  for (int threads : {1, 2, 8}) {
-    ThreadCountScope scope(threads);
-    for (int run = 0; run < 3; ++run) {
-      Tensor c({m, n});
-      Gemm(a.data(), b.data(), c.data(), m, k, n);
-      EXPECT_EQ(std::memcmp(c.data(), reference.data(),
-                            sizeof(float) * static_cast<size_t>(m * n)),
-                0)
-          << "threads=" << threads << " run=" << run;
-    }
-  }
 }
 
 // ---- Evaluate / cross-validation determinism ----

@@ -100,7 +100,8 @@ std::vector<ServeRequest> MixedTraffic(int num_students, int steps) {
     return x >> 33;
   };
   for (int i = 0; i < steps; ++i) {
-    const std::string student = "s" + std::to_string(next() % num_students);
+    const std::string student =
+        std::string("s").append(std::to_string(next() % num_students));
     const int64_t question = static_cast<int64_t>(next() % 25);
     if (next() % 3 == 0) {
       out.push_back(Predict(student, question));
@@ -126,7 +127,7 @@ TEST(ShardRoutingTest, IsDeterministicAndInRange) {
   // The hash must actually spread students (no degenerate constant).
   std::vector<int> hit(8, 0);
   for (int i = 0; i < 256; ++i) {
-    ++hit[ShardSet::ShardFor("u" + std::to_string(i), 8)];
+    ++hit[ShardSet::ShardFor(std::string("u").append(std::to_string(i)), 8)];
   }
   for (int shard = 0; shard < 8; ++shard) {
     EXPECT_GT(hit[shard], 0) << "shard " << shard << " never selected";

@@ -379,9 +379,9 @@ TEST(ServeTransportTest, FinishedConnectionsAreReapedWithoutNewArrivals) {
       LineClient client;
       std::string response, error;
       ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
-      ASSERT_TRUE(client.RoundTrip(PredictLine("r" + std::to_string(i), 1,
-                                               {0}),
-                                   &response, &error))
+      ASSERT_TRUE(client.RoundTrip(
+          PredictLine(std::string("r").append(std::to_string(i)), 1, {0}),
+          &response, &error))
           << error;
     }  // each client disconnects here; no further connections arrive
     bool ok = false;

@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <ostream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -14,7 +15,6 @@
 
 #include "autograd/ops.h"
 #include "core/cpu.h"
-#include "core/parallel.h"
 #include "core/rng.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
@@ -632,97 +632,6 @@ TEST(KernelBitwiseSweep, SumBackwardMatchesMemcpyExpansion) {
   }
 }
 
-// ---- Parallel-vs-serial GEMM equivalence ----
-//
-// The row-blocked parallel GEMM kernels promise *bit-identical* output for
-// every thread count (each output row keeps the serial kernel's per-element
-// FP update order). The sweep straddles the m*k*n parallel threshold so both
-// the serial fallback and the pool path are exercised.
-
-struct GemmCase {
-  int64_t m, k, n;
-};
-
-void PrintTo(const GemmCase& c, std::ostream* os) {
-  *os << c.m << "x" << c.k << "x" << c.n;
-}
-
-class GemmParallelEquivalence : public ::testing::TestWithParam<GemmCase> {
- protected:
-  void SetUp() override { previous_threads_ = GetNumThreads(); }
-  void TearDown() override { SetNumThreads(previous_threads_); }
-
-  static bool BitEqual(const Tensor& a, const Tensor& b) {
-    return std::memcmp(a.data(), b.data(),
-                       sizeof(float) * static_cast<size_t>(a.numel())) == 0;
-  }
-
-  int previous_threads_ = 1;
-};
-
-TEST_P(GemmParallelEquivalence, AllKernelsBitIdenticalToSerial) {
-  const GemmCase& c = GetParam();
-  Rng rng(41);
-  // Operands for every layout: plain (m,k)x(k,n), TransA (k,m)x(k,n),
-  // TransB (m,k)x(n,k); a shared non-zero accumulator seed.
-  Tensor a = Tensor::Uniform({c.m, c.k}, -1, 1, rng);
-  Tensor b = Tensor::Uniform({c.k, c.n}, -1, 1, rng);
-  Tensor at = Tensor::Uniform({c.k, c.m}, -1, 1, rng);
-  Tensor bt = Tensor::Uniform({c.n, c.k}, -1, 1, rng);
-  Tensor seed = Tensor::Uniform({c.m, c.n}, -1, 1, rng);
-
-  struct Kernel {
-    const char* name;
-    std::function<void(Tensor&)> run;
-  };
-  const std::vector<Kernel> kernels = {
-      {"Gemm",
-       [&](Tensor& out) { Gemm(a.data(), b.data(), out.data(), c.m, c.k, c.n); }},
-      {"GemmAccumulate",
-       [&](Tensor& out) {
-         out = seed.Clone();
-         GemmAccumulate(a.data(), b.data(), out.data(), c.m, c.k, c.n);
-       }},
-      {"GemmTransAAccumulate",
-       [&](Tensor& out) {
-         out = seed.Clone();
-         GemmTransAAccumulate(at.data(), b.data(), out.data(), c.m, c.k, c.n);
-       }},
-      {"GemmTransBAccumulate",
-       [&](Tensor& out) {
-         out = seed.Clone();
-         GemmTransBAccumulate(a.data(), bt.data(), out.data(), c.m, c.k, c.n);
-       }},
-  };
-
-  for (const Kernel& kernel : kernels) {
-    Tensor reference({c.m, c.n});
-    SetNumThreads(1);
-    kernel.run(reference);
-    for (int threads : {2, 4, 8}) {
-      SetNumThreads(threads);
-      Tensor out({c.m, c.n});
-      kernel.run(out);
-      EXPECT_TRUE(BitEqual(out, reference))
-          << kernel.name << " diverges from serial at threads=" << threads;
-    }
-  }
-}
-
-// Shapes straddling the parallel threshold (m*k*n >= 1<<18 = 262144 flops):
-// the first four stay on the serial path, the rest engage the pool, with
-// 64x64x64 and 256x8x128 sitting exactly on the boundary.
-INSTANTIATE_TEST_SUITE_P(Shapes, GemmParallelEquivalence,
-                         ::testing::Values(GemmCase{9, 13, 7},      //
-                                           GemmCase{2, 64, 64},     //
-                                           GemmCase{64, 64, 63},    //
-                                           GemmCase{1, 512, 513},   // m < 2
-                                           GemmCase{64, 64, 64},    //
-                                           GemmCase{256, 8, 128},   //
-                                           GemmCase{96, 50, 70},    //
-                                           GemmCase{33, 17, 471},   //
-                                           GemmCase{128, 128, 128}));
-
 // ---- Tiled-vs-reference kernel equivalence ----
 //
 // The tiled/packed kernels promise the same bits as the serial reference
@@ -759,13 +668,11 @@ void UseMicroKernel(const MicroKernelCase* kernel) {
 
 // The sweep crosses awkward extents around the register tiles (4 and 8
 // rows) and the 8/16-wide panels, the training prefix lengths T (5 ... 50),
-// and empty dims, and checks reference/tiled/auto at several thread counts
-// against the serial reference result. The 64- and 65-row shapes with
-// k = 64 and n = 65 reach the parallel threshold (m*k*n >= 1<<18), so every
-// micro kernel's row-blocked pool path is in the sweep.
+// and empty dims, and checks tiled and auto against the reference result.
+// The 64- and 65-row shapes with k = 64 and n = 65 sweep a whole 8-row
+// tile stack plus a one-row edge over every panel width.
 TEST(GemmKernelEquivalence, TiledAndAutoMatchReferenceBitForBit) {
   const GemmKernel previous_kernel = GetGemmKernel();
-  const int previous_threads = GetNumThreads();
   const std::vector<int64_t> ms = {0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 17,
                                    23, 33, 47, 50, 64, 65};
   const std::vector<int64_t> ks = {0, 1, 3, 8, 17, 64};
@@ -826,22 +733,18 @@ TEST(GemmKernelEquivalence, TiledAndAutoMatchReferenceBitForBit) {
         for (const Form& form : forms) {
           std::vector<float> reference(static_cast<size_t>(m * n));
           SetGemmKernel(GemmKernel::kReference);
-          SetNumThreads(1);
           form.run(reference);
           for (const MicroKernelCase& micro : micro_kernels) {
             UseMicroKernel(&micro);
             for (GemmKernel kernel : {GemmKernel::kTiled, GemmKernel::kAuto}) {
               SetGemmKernel(kernel);
-              for (int threads : {1, 2, 8}) {
-                SetNumThreads(threads);
-                std::vector<float> out(static_cast<size_t>(m * n));
-                form.run(out);
-                EXPECT_TRUE(bits_equal(out, reference))
-                    << form.name << " " << m << "x" << k << "x" << n
-                    << " diverges from serial reference (kernel="
-                    << GemmKernelName(kernel) << ", micro=" << micro.name
-                    << ", threads=" << threads << ")";
-              }
+              std::vector<float> out(static_cast<size_t>(m * n));
+              form.run(out);
+              EXPECT_TRUE(bits_equal(out, reference))
+                  << form.name << " " << m << "x" << k << "x" << n
+                  << " diverges from the reference (kernel="
+                  << GemmKernelName(kernel) << ", micro=" << micro.name
+                  << ")";
             }
           }
         }
@@ -850,7 +753,6 @@ TEST(GemmKernelEquivalence, TiledAndAutoMatchReferenceBitForBit) {
   }
   UseMicroKernel(nullptr);
   SetGemmKernel(previous_kernel);
-  SetNumThreads(previous_threads);
 }
 
 // The banded entry point equals the full forms: kNN and kTransA wherever A
@@ -974,12 +876,10 @@ const std::vector<int64_t> kSweepCols = {3, 8, 13, 15, 16, 17, 31, 50};
 
 // Gemm's tiled family stores each tile's chain from +0 instead of zeroing
 // C and accumulating. Whatever C held before (-0, ordinary values), the
-// result is the serial reference's zero-filled C plus GemmAccumulate, for
-// both families, every micro kernel, at 1, 2 and 8 threads (the
-// row-blocked path included).
+// result is the reference's zero-filled C plus GemmAccumulate, for both
+// families and every micro kernel.
 TEST(GemmKernelEquivalence, StoreFormMatchesZeroFillThenAccumulate) {
   const GemmKernel previous_kernel = GetGemmKernel();
-  const int previous_threads = GetNumThreads();
   const std::vector<MicroKernelCase> micro_kernels = HostMicroKernels();
   Rng rng(99);
   for (int64_t m : kSweepRows) {
@@ -988,7 +888,6 @@ TEST(GemmKernelEquivalence, StoreFormMatchesZeroFillThenAccumulate) {
         const std::vector<float> a = SignedZeroOperand(rng, m * k);
         const std::vector<float> b = SignedZeroOperand(rng, k * n);
         SetGemmKernel(GemmKernel::kReference);
-        SetNumThreads(1);
         std::vector<float> expected(static_cast<size_t>(m * n), 0.0f);
         GemmAccumulate(a.data(), b.data(), expected.data(), m, k, n);
         for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled,
@@ -996,17 +895,13 @@ TEST(GemmKernelEquivalence, StoreFormMatchesZeroFillThenAccumulate) {
           SetGemmKernel(kernel);
           for (const MicroKernelCase& micro : micro_kernels) {
             UseMicroKernel(&micro);
-            for (int threads : {1, 2, 8}) {
-              SetNumThreads(threads);
-              for (float preload : {-0.0f, 3.5f}) {
-                std::vector<float> c(static_cast<size_t>(m * n), preload);
-                Gemm(a.data(), b.data(), c.data(), m, k, n);
-                EXPECT_TRUE(BitsEqual(c, expected))
-                    << m << "x" << k << "x" << n
-                    << " kernel=" << GemmKernelName(kernel)
-                    << " micro=" << micro.name << " threads=" << threads
-                    << " preload=" << preload;
-              }
+            for (float preload : {-0.0f, 3.5f}) {
+              std::vector<float> c(static_cast<size_t>(m * n), preload);
+              Gemm(a.data(), b.data(), c.data(), m, k, n);
+              EXPECT_TRUE(BitsEqual(c, expected))
+                  << m << "x" << k << "x" << n
+                  << " kernel=" << GemmKernelName(kernel)
+                  << " micro=" << micro.name << " preload=" << preload;
             }
           }
         }
@@ -1015,17 +910,14 @@ TEST(GemmKernelEquivalence, StoreFormMatchesZeroFillThenAccumulate) {
   }
   UseMicroKernel(nullptr);
   SetGemmKernel(previous_kernel);
-  SetNumThreads(previous_threads);
 }
 
 // The store-form GemmTransB equals zero-filling C and calling
-// GemmTransBAccumulate (the serial reference), whatever C held before: its
-// dot chains start at +0, and a chain from +0 is never -0. Checked onto -0
-// and non-zero preloads, for both families, every micro kernel, at 1, 2
-// and 8 threads.
+// GemmTransBAccumulate (the reference), whatever C held before: its dot
+// chains start at +0, and a chain from +0 is never -0. Checked onto -0 and
+// non-zero preloads, for both families and every micro kernel.
 TEST(GemmKernelEquivalence, TransBStoreFormMatchesZeroFillThenAccumulate) {
   const GemmKernel previous_kernel = GetGemmKernel();
-  const int previous_threads = GetNumThreads();
   const std::vector<MicroKernelCase> micro_kernels = HostMicroKernels();
   Rng rng(101);
   for (int64_t m : kSweepRows) {
@@ -1034,7 +926,6 @@ TEST(GemmKernelEquivalence, TransBStoreFormMatchesZeroFillThenAccumulate) {
         const std::vector<float> a = SignedZeroOperand(rng, m * k);
         const std::vector<float> bt = SignedZeroOperand(rng, n * k);
         SetGemmKernel(GemmKernel::kReference);
-        SetNumThreads(1);
         std::vector<float> expected(static_cast<size_t>(m * n), 0.0f);
         GemmTransBAccumulate(a.data(), bt.data(), expected.data(), m, k, n);
         for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled,
@@ -1042,17 +933,13 @@ TEST(GemmKernelEquivalence, TransBStoreFormMatchesZeroFillThenAccumulate) {
           SetGemmKernel(kernel);
           for (const MicroKernelCase& micro : micro_kernels) {
             UseMicroKernel(&micro);
-            for (int threads : {1, 2, 8}) {
-              SetNumThreads(threads);
-              for (float preload : {-0.0f, 3.5f}) {
-                std::vector<float> c(static_cast<size_t>(m * n), preload);
-                GemmTransB(a.data(), bt.data(), c.data(), m, k, n);
-                EXPECT_TRUE(BitsEqual(c, expected))
-                    << m << "x" << k << "x" << n
-                    << " kernel=" << GemmKernelName(kernel)
-                    << " micro=" << micro.name << " threads=" << threads
-                    << " preload=" << preload;
-              }
+            for (float preload : {-0.0f, 3.5f}) {
+              std::vector<float> c(static_cast<size_t>(m * n), preload);
+              GemmTransB(a.data(), bt.data(), c.data(), m, k, n);
+              EXPECT_TRUE(BitsEqual(c, expected))
+                  << m << "x" << k << "x" << n
+                  << " kernel=" << GemmKernelName(kernel)
+                  << " micro=" << micro.name << " preload=" << preload;
             }
           }
         }
@@ -1061,17 +948,14 @@ TEST(GemmKernelEquivalence, TransBStoreFormMatchesZeroFillThenAccumulate) {
   }
   UseMicroKernel(nullptr);
   SetGemmKernel(previous_kernel);
-  SetNumThreads(previous_threads);
 }
 
 // The tiled TransA form reads A [k, m] and B [k, n] in place, k-blocked. It
 // must equal the packed form — A transposed into rows, then the packed-
-// panel GemmAccumulate — and the serial reference, onto C preloaded with
-// -0 and with ordinary values, for both families and every micro kernel
-// at 1, 2 and 8 threads.
+// panel GemmAccumulate — and the reference, onto C preloaded with -0 and
+// with ordinary values, for both families and every micro kernel.
 TEST(GemmKernelEquivalence, TransAInPlaceMatchesPackedAndReference) {
   const GemmKernel previous_kernel = GetGemmKernel();
-  const int previous_threads = GetNumThreads();
   const std::vector<MicroKernelCase> micro_kernels = HostMicroKernels();
   Rng rng(100);
   for (int64_t m : kSweepRows) {
@@ -1086,13 +970,11 @@ TEST(GemmKernelEquivalence, TransAInPlaceMatchesPackedAndReference) {
         for (const std::vector<float>& seed :
              {std::vector<float>(static_cast<size_t>(m * n), -0.0f),
               nonzero}) {
-          SetNumThreads(1);
           SetGemmKernel(GemmKernel::kReference);
           std::vector<float> reference = seed;
           GemmTransAAccumulate(at.data(), b.data(), reference.data(), m, k, n);
           for (const MicroKernelCase& micro : micro_kernels) {
             UseMicroKernel(&micro);
-            SetNumThreads(1);
             SetGemmKernel(GemmKernel::kTiled);
             std::vector<float> packed = seed;
             GemmAccumulate(a.data(), b.data(), packed.data(), m, k, n);
@@ -1101,15 +983,12 @@ TEST(GemmKernelEquivalence, TransAInPlaceMatchesPackedAndReference) {
             for (GemmKernel kernel :
                  {GemmKernel::kReference, GemmKernel::kTiled}) {
               SetGemmKernel(kernel);
-              for (int threads : {1, 2, 8}) {
-                SetNumThreads(threads);
-                std::vector<float> c = seed;
-                GemmTransAAccumulate(at.data(), b.data(), c.data(), m, k, n);
-                EXPECT_TRUE(BitsEqual(c, reference))
-                    << m << "x" << k << "x" << n
-                    << " kernel=" << GemmKernelName(kernel)
-                    << " micro=" << micro.name << " threads=" << threads;
-              }
+              std::vector<float> c = seed;
+              GemmTransAAccumulate(at.data(), b.data(), c.data(), m, k, n);
+              EXPECT_TRUE(BitsEqual(c, reference))
+                  << m << "x" << k << "x" << n
+                  << " kernel=" << GemmKernelName(kernel)
+                  << " micro=" << micro.name;
             }
           }
         }
@@ -1118,7 +997,69 @@ TEST(GemmKernelEquivalence, TransAInPlaceMatchesPackedAndReference) {
   }
   UseMicroKernel(nullptr);
   SetGemmKernel(previous_kernel);
-  SetNumThreads(previous_threads);
+}
+
+// GEMM never forks, so serve shards and pool workers run it on several
+// threads at once. Four threads each run every entry point 20 times on
+// their own shape (64 x 64 x 65 is above 2^18 multiply-adds; 1 x 40 x 33
+// stays on the reference family), and every result must equal the serial
+// run's bits. This drives the thread-local B pack buffer and the cached
+// micro kernel pick from concurrent callers.
+TEST(GemmKernelEquivalence, ConcurrentCallersMatchSerial) {
+  const GemmKernel previous_kernel = GetGemmKernel();
+  SetGemmKernel(GemmKernel::kAuto);
+  struct Case {
+    int64_t m, k, n;
+    std::vector<float> a, b, at, bt, seed;
+    std::vector<int64_t> band;  // k range per 8-row block, for kNN
+  };
+  Rng rng(102);
+  std::vector<Case> cases;
+  const int64_t shapes[][3] = {
+      {64, 64, 65}, {17, 33, 50}, {9, 300, 13}, {1, 40, 33}};
+  for (const auto& [m, k, n] : shapes) {
+    Case c{m, k, n,
+           SignedZeroOperand(rng, m * k), SignedZeroOperand(rng, k * n),
+           SignedZeroOperand(rng, k * m), SignedZeroOperand(rng, n * k),
+           SignedZeroOperand(rng, m * n), {}};
+    for (int64_t r = 0; r < (m + kGemmBandRows - 1) / kGemmBandRows; ++r) {
+      c.band.push_back(r % k);
+      c.band.push_back(k - r % 3);
+    }
+    cases.push_back(std::move(c));
+  }
+  auto run_all = [](const Case& c) {
+    std::vector<std::vector<float>> out(5, c.seed);
+    Gemm(c.a.data(), c.b.data(), out[0].data(), c.m, c.k, c.n);
+    GemmAccumulate(c.a.data(), c.b.data(), out[1].data(), c.m, c.k, c.n);
+    GemmTransAAccumulate(c.at.data(), c.b.data(), out[2].data(), c.m, c.k,
+                         c.n);
+    GemmTransBAccumulate(c.a.data(), c.bt.data(), out[3].data(), c.m, c.k,
+                         c.n);
+    GemmBandedAccumulate(GemmForm::kNN, c.a.data(), c.b.data(),
+                         out[4].data(), c.m, c.k, c.n, c.band.data());
+    return out;
+  };
+  std::vector<std::vector<std::vector<float>>> serial;
+  for (const Case& c : cases) serial.push_back(run_all(c));
+
+  std::vector<int> mismatches(cases.size(), 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < cases.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) {
+        const std::vector<std::vector<float>> out = run_all(cases[t]);
+        for (size_t f = 0; f < out.size(); ++f)
+          mismatches[t] += BitsEqual(out[f], serial[t][f]) ? 0 : 1;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < cases.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0)
+        << cases[t].m << "x" << cases[t].k << "x" << cases[t].n;
+  }
+  SetGemmKernel(previous_kernel);
 }
 
 // --gemm-kernel accepts exactly the dispatchable kernels and round-trips
