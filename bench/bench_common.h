@@ -33,7 +33,6 @@
 #include "obs/obs_flags.h"
 #include "rckt/rckt_model.h"
 #include "rckt/rckt_trainer.h"
-#include "tensor/gemm.h"
 
 namespace kt {
 namespace bench {
@@ -44,14 +43,12 @@ inline bool FullMode() {
 }
 
 // Flags shared by every bench binary (and ktcli): --threads sizes the
-// kt::parallel pool, --obs / --trace-out / --run-log arm kt::obs telemetry
-// so a BENCH_*.json run carries the same observability artifacts as a
-// training run, and --gemm-kernel applies the process-wide GEMM dispatch
-// override (tensor/gemm.h contract) so any bench can be pinned to one
-// backend family.
+// kt::parallel pool, and --obs / --trace-out / --run-log arm kt::obs
+// telemetry so a BENCH_*.json run carries the same observability artifacts
+// as a training run.
 inline bool IsCommonBenchFlag(const std::string& key) {
   return key == "threads" || key == "obs" || key == "trace-out" ||
-         key == "run-log" || key == "gemm-kernel";
+         key == "run-log";
 }
 
 // Parses and applies the shared flags, then compacts argv so wrappers with
@@ -62,14 +59,6 @@ inline FlagParser InitBenchFlags(int* argc, char** argv) {
   const Status status = flags.Parse(*argc, argv);
   KT_CHECK(status.ok()) << status.ToString();
   obs::ApplyCommonObsFlags(ApplyCommonFlags(flags));
-  const std::string gemm_kernel = flags.GetString("gemm-kernel", "");
-  if (!gemm_kernel.empty()) {
-    GemmKernel kernel;
-    KT_CHECK(GemmKernelByName(gemm_kernel, &kernel))
-        << "unknown --gemm-kernel '" << gemm_kernel
-        << "' (want auto|reference|tiled)";
-    SetGemmKernel(kernel);
-  }
   int kept = 1;
   for (int i = 1; i < *argc; ++i) {
     const std::string arg = argv[i];

@@ -110,13 +110,15 @@ void Run() {
   // Proficiency series: probe each concept after each of the 18 responses.
   std::vector<std::string> header = {"t", "concept", "response"};
   for (int64_t k : traced_concepts) {
-    header.push_back("prof(k" + std::to_string(k) + ")");
+    header.push_back(
+        std::string("prof(k").append(std::to_string(k)).append(")"));
   }
   TablePrinter table(header);
   for (int64_t t = 0; t < 18; ++t) {
     const auto& interaction = student->interactions[static_cast<size_t>(t)];
     std::vector<std::string> row = {
-        std::to_string(t), "k" + std::to_string(interaction.concepts[0]),
+        std::to_string(t),
+        std::string("k").append(std::to_string(interaction.concepts[0])),
         interaction.response ? "correct" : "INCORRECT"};
     data::ResponseSequence prefix = ProbePrefix(*student, t);
     data::Batch batch = data::MakeBatch({&prefix});

@@ -84,8 +84,10 @@ void Run() {
     const bool same_concept = it.concepts[0] == target_interaction.concepts[0];
     table.AddRow(
         {std::to_string(t),
-         "q" + std::to_string(it.question),
-         "k" + std::to_string(it.concepts[0]) + (same_concept ? " *" : ""),
+         std::string("q").append(std::to_string(it.question)),
+         std::string("k")
+             .append(std::to_string(it.concepts[0]))
+             .append(same_concept ? " *" : ""),
          it.response ? "correct" : "INCORRECT",
          FormatFloat(explanation.influence[static_cast<size_t>(t)], 4),
          FormatFloat(attention.at({0, story.target, t}), 4)});

@@ -49,12 +49,8 @@ LOADGEN="${BUILD_DIR}/tools/kt_loadgen"
 OBS_CHECK="${BUILD_DIR}/tools/obs_check"
 
 WORK="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-  [[ -n "${SERVER_PID}" ]] && kill "${SERVER_PID}" 2>/dev/null || true
-  rm -rf "${WORK}"
-}
-trap cleanup EXIT
+SERVER_POLLS=100
+source scripts/serve_lib.sh
 
 echo "== train the serving model on the scenario_base log =="
 "${KTCLI}" simulate --scenario scenario_base --scale "${SCALE}" \
@@ -65,27 +61,11 @@ echo "== train the serving model on the scenario_base log =="
 start_server() {  # start_server <shards> <continual-dir> [extra flags...]
   local shards="$1" dir="$2"
   shift 2
-  "${KTCLI}" serve --load "${WORK}/model.ktw" --port "${PORT}" --threads 2 \
+  launch_server --load "${WORK}/model.ktw" --threads 2 \
     --max-batch 8 --max-wait-us 500 --shards "${shards}" \
     --continual --continual-dir "${dir}" \
     --reservoir 256 --tail 64 --continual-window 16 --gate-min 32 \
-    --gate-eps 0.05 --continual-lr 1e-3 --continual-poll-ms 10 "$@" &
-  SERVER_PID=$!
-  for _ in $(seq 100); do
-    if "${LOADGEN}" --port "${PORT}" --mode bench --connections 1 \
-         --requests 1 >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  echo "FAIL: server did not come up on port ${PORT}" >&2
-  exit 1
-}
-
-stop_server() {
-  kill "${SERVER_PID}" 2>/dev/null || true
-  wait "${SERVER_PID}" 2>/dev/null || true
-  SERVER_PID=""
+    --gate-eps 0.05 --continual-lr 1e-3 --continual-poll-ms 10 "$@"
 }
 
 stats_line() {  # one {"op":"stats"} round-trip over /dev/tcp

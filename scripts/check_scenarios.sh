@@ -42,12 +42,7 @@ LOADGEN="${BUILD_DIR}/tools/kt_loadgen"
 OBS_CHECK="${BUILD_DIR}/tools/obs_check"
 
 WORK="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-  [[ -n "${SERVER_PID}" ]] && kill "${SERVER_PID}" 2>/dev/null || true
-  rm -rf "${WORK}"
-}
-trap cleanup EXIT
+source scripts/serve_lib.sh
 
 echo "== train the scenario-serving model on the scenario_base log =="
 "${KTCLI}" simulate --scenario scenario_base --scale "${SCALE}" \
@@ -70,22 +65,8 @@ fi
 grep -q "cold_start" "${WORK}/loadgen_err.txt"
 
 start_server() {  # start_server <shards>
-  "${KTCLI}" serve --load "${WORK}/model.ktw" --port "${PORT}" --threads 2 \
-    --max-batch 8 --max-wait-us 500 --shards "$1" &
-  SERVER_PID=$!
-  for _ in $(seq 50); do
-    if "${LOADGEN}" --port "${PORT}" --mode bench --connections 1 \
-         --requests 1 >/dev/null 2>&1; then
-      break
-    fi
-    sleep 0.1
-  done
-}
-
-stop_server() {
-  kill "${SERVER_PID}" 2>/dev/null || true
-  wait "${SERVER_PID}" 2>/dev/null || true
-  SERVER_PID=""
+  launch_server --load "${WORK}/model.ktw" --threads 2 \
+    --max-batch 8 --max-wait-us 500 --shards "$1"
 }
 
 json_field() {  # json_field <file> <key>  -> hex digest value

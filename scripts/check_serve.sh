@@ -41,32 +41,13 @@ KTCLI="${BUILD_DIR}/tools/ktcli"
 LOADGEN="${BUILD_DIR}/tools/kt_loadgen"
 
 WORK="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-  [[ -n "${SERVER_PID}" ]] && kill "${SERVER_PID}" 2>/dev/null || true
-  rm -rf "${WORK}"
-}
-trap cleanup EXIT
+source scripts/serve_lib.sh
 
 start_server() {  # start_server MODEL DATA EXTRA_FLAGS...
   local model="$1" data="$2"
   shift 2
-  "${KTCLI}" serve --load "${model}" --data "${data}" --port "${PORT}" \
-    --threads 2 --max-batch 8 --max-wait-us 500 "$@" &
-  SERVER_PID=$!
-  for _ in $(seq 50); do
-    if "${LOADGEN}" --port "${PORT}" --mode bench --connections 1 \
-         --requests 1 >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 0.1
-  done
-}
-
-stop_server() {
-  kill "${SERVER_PID}" 2>/dev/null || true
-  wait "${SERVER_PID}" 2>/dev/null || true
-  SERVER_PID=""
+  launch_server --load "${model}" --data "${data}" \
+    --threads 2 --max-batch 8 --max-wait-us 500 "$@"
 }
 
 echo "== train a tiny model (saved with metadata) =="
@@ -170,31 +151,27 @@ if [[ "${KT_SERVE_TSAN:-1}" != "0" ]]; then
   cmake --build "${TSAN_BUILD_DIR}" --target ktcli kt_loadgen -j "$(nproc)"
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 
+  # From here on the TSan binaries serve and drive; their startup is
+  # slow, so poll generously.
+  KTCLI="${TSAN_BUILD_DIR}/tools/ktcli"
+  LOADGEN="${TSAN_BUILD_DIR}/tools/kt_loadgen"
+  SERVER_POLLS=300
+
   # 1 MB budget + cold dir: eviction, replay rebuild, AND cold snapshot
   # save/load all run on the shard threads while the reactor mixes four
   # bench connections with a four-connection replay.
-  "${TSAN_BUILD_DIR}/tools/ktcli" serve --load "${WORK}/model.ktw" \
-    --data "${WORK}/data.csv" --port "${PORT}" --threads 2 \
-    --max-batch 8 --max-wait-us 500 --shards 4 \
-    --memory-budget-mb 1 --cold-dir "${WORK}/cold" &
-  SERVER_PID=$!
-  for _ in $(seq 300); do  # TSan startup is slow; poll generously
-    if "${TSAN_BUILD_DIR}/tools/kt_loadgen" --port "${PORT}" --mode bench \
-         --connections 1 --requests 1 >/dev/null 2>&1; then
-      break
-    fi
-    sleep 0.1
-  done
+  start_server "${WORK}/model.ktw" "${WORK}/data.csv" --shards 4 \
+    --memory-budget-mb 1 --cold-dir "${WORK}/cold"
 
-  "${TSAN_BUILD_DIR}/tools/kt_loadgen" --port "${PORT}" --mode bench \
+  "${LOADGEN}" --port "${PORT}" --mode bench \
     --connections 4 --requests 100 > /dev/null &
   BENCH_PID=$!
   # Recourse rides the shard workers' heavy lane concurrently with the
   # light predict traffic — the lane split itself runs under TSan.
-  "${TSAN_BUILD_DIR}/tools/kt_loadgen" --port "${PORT}" --mode recourse \
+  "${LOADGEN}" --port "${PORT}" --mode recourse \
     --data "${WORK}/data.csv" --connections 2 --k 2 --top 3 > /dev/null &
   RECOURSE_PID=$!
-  "${TSAN_BUILD_DIR}/tools/kt_loadgen" --port "${PORT}" \
+  "${LOADGEN}" --port "${PORT}" \
     --data "${WORK}/data.csv" --expect "${WORK}/offline.json" \
     --connections 4 > "${WORK}/replay_tsan.json"
   wait "${BENCH_PID}"

@@ -6,8 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "core/json.h"
 #include "eval/metrics.h"
@@ -67,6 +69,60 @@ bool LineClient::RoundTrip(const std::string& line, std::string* response,
     }
     buffer_.append(chunk, static_cast<size_t>(n));
   }
+}
+
+Result<double> Call(LineClient& client, const std::string& line,
+                     JsonValue* reply) {
+  std::string response, error;
+  const auto start = std::chrono::steady_clock::now();
+  if (!client.RoundTrip(line, &response, &error)) {
+    return Status::IoError(error);
+  }
+  const double us = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  if (!ParseJson(response, reply, &error) || !reply->GetBool("ok", false)) {
+    return Status::Internal("bad reply to " + line + ": " + response);
+  }
+  return us;
+}
+
+int ConnectionCount(int connections, int64_t units) {
+  return static_cast<int>(
+      std::max<int64_t>(1, std::min<int64_t>(connections, units)));
+}
+
+ConnectionRun RunConnections(int port, int connections, int64_t units,
+                             const ConnectionBody& body) {
+  ConnectionRun run;
+  const int n = ConnectionCount(connections, units);
+  run.connections = n;
+  std::vector<std::string> errors(static_cast<size_t>(n));
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<size_t>(n));
+  const auto start = std::chrono::steady_clock::now();
+  for (int w = 0; w < n; ++w) {
+    workers.emplace_back([&, w] {
+      std::string& error = errors[static_cast<size_t>(w)];
+      LineClient client;
+      if (!client.Connect(port, &error)) return;
+      for (int64_t unit = w; unit < units; unit += n) {
+        const Status status = body(client, w, unit);
+        if (!status.ok()) {
+          error = status.message();
+          return;
+        }
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  run.elapsed_s = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  for (auto& error : errors) {
+    if (!error.empty()) run.errors.push_back(std::move(error));
+  }
+  return run;
 }
 
 std::string PredictLine(const std::string& student, int64_t question,
@@ -212,11 +268,35 @@ LatencyStats SummarizeLatencies(std::vector<double>& us) {
   return stats;
 }
 
+namespace {
+
+// The RunSummary keys, where every closed-loop summary has them: "mode"
+// and "connections" open the object; the timing keys follow the mode's
+// own, with bench's throughput between elapsed_s and the latencies.
+void OpenRunSummary(JsonWriter& w, const char* mode, const RunSummary& s) {
+  w.BeginObject();
+  w.Key("mode").String(mode);
+  w.Key("connections").Int(s.connections);
+}
+
+void WriteRunTiming(JsonWriter& w, const RunSummary& s, bool throughput) {
+  w.Key("elapsed_s").Double(s.elapsed_s);
+  if (throughput) {
+    w.Key("throughput_rps")
+        .Double(s.elapsed_s > 0.0
+                    ? static_cast<double>(s.latency.count) / s.elapsed_s
+                    : 0.0);
+  }
+  w.Key("latency_p50_us").Double(s.latency.p50_us);
+  w.Key("latency_p99_us").Double(s.latency.p99_us);
+  w.Key("latency_mean_us").Double(s.latency.mean_us);
+}
+
+}  // namespace
+
 std::string ReplaySummaryJson(const ReplaySummary& s) {
   JsonWriter w;
-  w.BeginObject();
-  w.Key("mode").String("replay");
-  w.Key("connections").Int(s.connections);
+  OpenRunSummary(w, "replay", s);
   w.Key("predictions").Int(s.predictions);
   w.Key("compared").Int(s.check.compared);
   w.Key("mismatches").Int(s.check.mismatches);
@@ -224,47 +304,30 @@ std::string ReplaySummaryJson(const ReplaySummary& s) {
   w.Key("max_abs_err").Double(s.check.max_abs_err);
   w.Key("auc").Double(s.auc);
   w.Key("auc_samples").Int(s.auc_samples);
-  w.Key("elapsed_s").Double(s.elapsed_s);
-  w.Key("latency_p50_us").Double(s.latency.p50_us);
-  w.Key("latency_p99_us").Double(s.latency.p99_us);
-  w.Key("latency_mean_us").Double(s.latency.mean_us);
+  WriteRunTiming(w, s, /*throughput=*/false);
   w.EndObject();
   return w.str();
 }
 
 std::string BenchSummaryJson(const BenchSummary& s) {
   JsonWriter w;
-  w.BeginObject();
-  w.Key("mode").String("bench");
-  w.Key("connections").Int(s.connections);
+  OpenRunSummary(w, "bench", s);
   w.Key("requests").Int(s.latency.count);
-  w.Key("elapsed_s").Double(s.elapsed_s);
-  w.Key("throughput_rps")
-      .Double(s.elapsed_s > 0.0
-                  ? static_cast<double>(s.latency.count) / s.elapsed_s
-                  : 0.0);
-  w.Key("latency_p50_us").Double(s.latency.p50_us);
-  w.Key("latency_p99_us").Double(s.latency.p99_us);
-  w.Key("latency_mean_us").Double(s.latency.mean_us);
+  WriteRunTiming(w, s, /*throughput=*/true);
   w.EndObject();
   return w.str();
 }
 
 std::string RecourseSummaryJson(const RecourseSummary& s) {
   JsonWriter w;
-  w.BeginObject();
-  w.Key("mode").String("recourse");
-  w.Key("connections").Int(s.connections);
+  OpenRunSummary(w, "recourse", s);
   w.Key("students").Int(s.students);
   w.Key("updates").Int(s.updates);
   w.Key("recourses").Int(s.recourses);
   w.Key("candidates").Int(s.candidates);
   w.Key("mean_top_lift").Double(s.mean_top_lift);
   w.Key("brute").Bool(s.brute);
-  w.Key("elapsed_s").Double(s.elapsed_s);
-  w.Key("latency_p50_us").Double(s.latency.p50_us);
-  w.Key("latency_p99_us").Double(s.latency.p99_us);
-  w.Key("latency_mean_us").Double(s.latency.mean_us);
+  WriteRunTiming(w, s, /*throughput=*/false);
   // Hex keeps the digest readable and avoids int64 overflow in parsers.
   char hex[32];
   std::snprintf(hex, sizeof(hex), "%016llx",

@@ -1,15 +1,19 @@
 // kt::serve load-generation support: the testable core of tools/kt_loadgen.
 //
-// tools/kt_loadgen.cc keeps only flag parsing and the per-mode driver
-// loops; everything with a failure mode worth unit-testing lives here:
+// tools/kt_loadgen.cc keeps only flag parsing and what each mode sends
+// and folds; everything with a failure mode worth unit-testing lives here:
 //   * LineClient        — blocking NDJSON round-trip client (TCP loopback),
 //                         with explicit errors for refused connections and
 //                         mid-stream server disconnects,
+//   * Call              — one checked, timed round trip: every request of
+//                         every mode goes through it, so a refused request
+//                         (update and reset included) fails the run,
+//   * RunConnections    — the one connection driver all four modes share,
 //   * ParseExpectedPredictions — the `ktcli evaluate --json` reader behind
 //                         --expect, returning Status instead of dying on
 //                         malformed input,
 //   * CheckPredictions  — the online-vs-offline bitwise mismatch checker,
-//   * SummarizeLatencies / summary-JSON builders for all three modes,
+//   * SummarizeLatencies / summary-JSON builders for all four modes,
 //   * RollingAuc        — bounded ring of (score, label) pairs for the
 //                         scenario mode's rolling online AUC at scales
 //                         where keeping every prediction is not an option.
@@ -22,6 +26,7 @@
 #define KT_SERVE_LOADGEN_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -53,6 +58,36 @@ class LineClient {
   int fd_ = -1;
   std::string buffer_;
 };
+
+// Sends `line`, reads the reply into *reply and requires it to parse with
+// "ok":true. Returns the round-trip time in µs (send to reply, not the
+// parse); on failure the error names the request and carries the reply.
+Result<double> Call(LineClient& client, const std::string& line,
+                     JsonValue* reply);
+
+// One unit of a mode's work (a sequence, a student, a bench session) on
+// worker `worker`'s connection. A non-OK status stops that worker.
+using ConnectionBody =
+    std::function<Status(LineClient& client, int worker, int64_t unit)>;
+
+// The number of connections RunConnections opens for `units` units:
+// clamp(connections, 1, units), and 1 when there are no units.
+int ConnectionCount(int connections, int64_t units);
+
+struct ConnectionRun {
+  int connections = 0;              // connections opened (ConnectionCount)
+  double elapsed_s = 0.0;           // first spawn to last join
+  std::vector<std::string> errors;  // each failed worker's first error
+};
+
+// Opens n = ConnectionCount(connections, units) connections to
+// 127.0.0.1:port, one thread and one LineClient each; worker w runs units
+// w, w + n, w + 2n, ... in order. A worker whose connect or body fails
+// stops there; errors come back in worker order. Modes keep per-worker
+// results in a vector indexed by `worker` and fold it after the call, so
+// every fold runs in worker order and needs no lock.
+ConnectionRun RunConnections(int port, int connections, int64_t units,
+                             const ConnectionBody& body);
 
 // NDJSON request lines understood by `ktcli serve`.
 std::string PredictLine(const std::string& student, int64_t question,
@@ -126,8 +161,17 @@ LatencyStats SummarizeLatencies(std::vector<double>& us);
 
 // One-line JSON summaries (stdout contract of kt_loadgen, consumed by
 // scripts/check_serve.sh, scripts/check_scenarios.sh and tools/obs_check).
-struct ReplaySummary {
+//
+// The keys the closed-loop modes (replay, bench, recourse) share: the
+// connections actually opened, the driver's wall time, and the latency of
+// the round trips the mode times.
+struct RunSummary {
   int connections = 0;
+  double elapsed_s = 0.0;
+  LatencyStats latency;
+};
+
+struct ReplaySummary : RunSummary {
   int64_t predictions = 0;
   MismatchReport check;
   // Online AUC of the replayed predictions against the dataset's actual
@@ -135,16 +179,10 @@ struct ReplaySummary {
   // every probability, so this restates the offline AUC.
   double auc = 0.5;
   int64_t auc_samples = 0;
-  double elapsed_s = 0.0;
-  LatencyStats latency;
 };
 std::string ReplaySummaryJson(const ReplaySummary& s);
 
-struct BenchSummary {
-  int connections = 0;
-  double elapsed_s = 0.0;
-  LatencyStats latency;
-};
+using BenchSummary = RunSummary;
 std::string BenchSummaryJson(const BenchSummary& s);
 
 // Recourse-mode report (kt_loadgen --mode recourse). recourse_fnv64 is
@@ -152,17 +190,15 @@ std::string BenchSummaryJson(const BenchSummary& s);
 // two servers given the same traffic agree iff every recourse reply
 // (base probability, candidate ranking, every intervention) is bitwise
 // identical. scripts/check_serve.sh gates fast-vs-brute and
-// --shards 1 vs --shards 4 on exactly this digest.
-struct RecourseSummary {
-  int connections = 0;
+// --shards 1 vs --shards 4 on exactly this digest. `latency` covers the
+// recourse round trips only.
+struct RecourseSummary : RunSummary {
   int64_t students = 0;
   int64_t updates = 0;     // history updates sent
   int64_t recourses = 0;   // recourse ops sent
   int64_t candidates = 0;  // candidate sets returned in total
   double mean_top_lift = 0.0;  // mean best-candidate lift over students
   bool brute = false;
-  double elapsed_s = 0.0;
-  LatencyStats latency;  // recourse round-trips only
   uint64_t recourse_fnv64 = 0;
 };
 std::string RecourseSummaryJson(const RecourseSummary& s);

@@ -42,9 +42,9 @@ inline void CountGemmDispatch(obs::Counter* flavor_calls,
 #define KT_COUNT_GEMM(flavor, m, k, n) \
   KT_COUNT_GEMM_FLOPS(flavor, 2 * (m) * (k) * (n))
 
-// Per-backend telemetry for the --gemm-kernel override contract (gemm.h):
-// every dispatch logs which backend actually ran, so operators can confirm
-// an override took effect from the obs summary.
+// Per-backend telemetry: every dispatch logs which backend actually ran,
+// so the obs summary (and perfbench's gemm reference share) shows how
+// kAuto split the work between the families.
 inline void CountBackendDispatch(GemmKernel resolved, int64_t m, int64_t k,
                                  int64_t n) {
   if (!obs::Enabled()) return;
@@ -332,17 +332,6 @@ void SetGemmKernel(GemmKernel kernel) {
 
 GemmKernel GetGemmKernel() {
   return g_gemm_kernel.load(std::memory_order_relaxed);
-}
-
-bool GemmKernelByName(const std::string& name, GemmKernel* out) {
-  for (const GemmKernel kernel :
-       {GemmKernel::kAuto, GemmKernel::kReference, GemmKernel::kTiled}) {
-    if (name == GemmKernelName(kernel)) {
-      *out = kernel;
-      return true;
-    }
-  }
-  return false;
 }
 
 const char* GemmKernelName(GemmKernel kernel) {

@@ -26,19 +26,18 @@
 #define KT_TENSOR_GEMM_H_
 
 #include <cstdint>
-#include <string>
 
 namespace kt {
 
 // Kernel selection. kAuto picks per shape: tiled for shapes large enough
 // to amortize the pack, reference otherwise.
 //
-// Override contract (SetGemmKernel / --gemm-kernel): the override is a
-// process-wide, test/bench/operator-facing escape hatch. Both families
-// preserve the bit-identity contract for every shape and thread count, so
-// an override changes speed, never results. Every dispatch logs its
-// resolved backend through kt::obs ("gemm.backend.<name>.calls" /
-// ".bytes") when observability is on.
+// Override contract (SetGemmKernel): the override is a process-wide hook
+// for the kernel-equivalence tests. Both families preserve the
+// bit-identity contract for every shape and thread count, so an override
+// changes speed, never results. Every dispatch logs its resolved backend
+// through kt::obs ("gemm.backend.<name>.calls" / ".bytes") when
+// observability is on.
 enum class GemmKernel {
   kAuto,
   kReference,
@@ -49,11 +48,8 @@ enum class GemmKernel {
 void SetGemmKernel(GemmKernel kernel);
 GemmKernel GetGemmKernel();
 
-// Parses a --gemm-kernel flag value ("auto", "reference" or "tiled").
-// Returns false (with *out untouched) on anything else.
-bool GemmKernelByName(const std::string& name, GemmKernel* out);
-
-// Canonical flag-facing name for a kernel value ("auto", "reference", ...).
+// Name of a kernel value ("auto", "reference" or "tiled"), for test
+// diagnostics.
 const char* GemmKernelName(GemmKernel kernel);
 
 // ---------------------------------------------------------------------------

@@ -39,9 +39,11 @@ TEST(StatusTest, OkAndErrors) {
 }
 
 TEST(ResultTest, HoldsValueOrStatus) {
-  Result<int> good(42);
-  EXPECT_TRUE(good.ok());
-  EXPECT_EQ(good.value(), 42);
+  {
+    Result<int> good(42);
+    EXPECT_TRUE(good.ok());
+    EXPECT_EQ(good.value(), 42);
+  }
 
   Result<int> bad(Status::NotFound("missing"));
   EXPECT_FALSE(bad.ok());

@@ -1,11 +1,15 @@
 // Unit tests for the extracted load-generator core (serve/loadgen.h): the
 // --expect parser, the bit-exact mismatch checker, the summary JSON
-// builders, the rolling-AUC ring, and the line client's disconnect paths.
+// builders, the rolling-AUC ring, the line client's disconnect paths, and
+// the connection driver with its checked round trip.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -274,6 +278,171 @@ TEST(LineClientTest, ReportsServerDisconnectMidStream) {
 
   server.join();
   ::close(listener);
+}
+
+// Loopback NDJSON server for driver tests: answers every request line
+// with {"ok":false,"error":"x"} when it contains "fail", and with
+// {"ok":true} otherwise. One thread per accepted connection.
+class StubServer {
+ public:
+  StubServer() {
+    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;  // ephemeral
+    ok_ = listener_ >= 0 &&
+          ::bind(listener_, reinterpret_cast<sockaddr*>(&addr),
+                 sizeof(addr)) == 0 &&
+          ::listen(listener_, 16) == 0;
+    socklen_t len = sizeof(addr);
+    ok_ = ok_ && ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr),
+                               &len) == 0;
+    port_ = ntohs(addr.sin_port);
+    if (ok_) acceptor_ = std::thread([this] { AcceptLoop(); });
+  }
+  StubServer(const StubServer&) = delete;
+  StubServer& operator=(const StubServer&) = delete;
+
+  ~StubServer() {
+    // shutdown() wakes the blocked accept(); connection threads end when
+    // their client closes.
+    ::shutdown(listener_, SHUT_RDWR);
+    if (acceptor_.joinable()) acceptor_.join();
+    for (auto& connection : connections_) connection.join();
+    ::close(listener_);
+  }
+
+  bool ok() const { return ok_; }
+  int port() const { return port_; }
+
+ private:
+  void AcceptLoop() {
+    while (true) {
+      const int conn = ::accept(listener_, nullptr, nullptr);
+      if (conn < 0) return;
+      connections_.emplace_back([conn] { Serve(conn); });
+    }
+  }
+
+  static void Serve(int conn) {
+    std::string buffer;
+    char chunk[4096];
+    while (true) {
+      const ssize_t n = ::recv(conn, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      buffer.append(chunk, static_cast<size_t>(n));
+      size_t nl;
+      while ((nl = buffer.find('\n')) != std::string::npos) {
+        const std::string line = buffer.substr(0, nl);
+        buffer.erase(0, nl + 1);
+        const std::string reply = line.find("fail") != std::string::npos
+                                      ? "{\"ok\":false,\"error\":\"x\"}\n"
+                                      : "{\"ok\":true}\n";
+        if (::send(conn, reply.data(), reply.size(), MSG_NOSIGNAL) <= 0) {
+          break;
+        }
+      }
+    }
+    ::close(conn);
+  }
+
+  int listener_ = -1;
+  int port_ = 0;
+  bool ok_ = false;
+  std::vector<std::thread> connections_;  // touched by acceptor_ only
+  std::thread acceptor_;
+};
+
+TEST(RunConnectionsTest, RunsEveryUnitOnceOnClampedConnections) {
+  StubServer server;
+  ASSERT_TRUE(server.ok());
+  constexpr int64_t kUnits = 7;
+  for (const int connections : {1, 2, 3, 10}) {
+    SCOPED_TRACE(connections);
+    const int n = ConnectionCount(connections, kUnits);
+    EXPECT_EQ(n, std::min(connections, 7));
+    std::unique_ptr<std::atomic<int>[]> runs(new std::atomic<int>[kUnits]);
+    for (int64_t u = 0; u < kUnits; ++u) runs[u] = 0;
+    std::vector<std::vector<int64_t>> seen(static_cast<size_t>(n));
+    const ConnectionRun run = RunConnections(
+        server.port(), connections, kUnits,
+        [&](LineClient& client, int w, int64_t unit) -> Status {
+          JsonValue reply;
+          const Result<double> us = Call(
+              client, "{\"op\":\"stats\",\"unit\":" + std::to_string(unit) +
+                          "}",
+              &reply);
+          if (!us.ok()) return us.status();
+          EXPECT_GE(us.value(), 0.0);
+          ++runs[unit];
+          seen[static_cast<size_t>(w)].push_back(unit);
+          return Status::Ok();
+        });
+    EXPECT_TRUE(run.errors.empty());
+    EXPECT_EQ(run.connections, n);
+    EXPECT_GE(run.elapsed_s, 0.0);
+    for (int64_t u = 0; u < kUnits; ++u) EXPECT_EQ(runs[u].load(), 1) << u;
+    // Worker w runs units w, w + n, ... in order.
+    for (int w = 0; w < n; ++w) {
+      std::vector<int64_t> want;
+      for (int64_t u = w; u < kUnits; u += n) want.push_back(u);
+      EXPECT_EQ(seen[static_cast<size_t>(w)], want) << "worker " << w;
+    }
+  }
+}
+
+TEST(RunConnectionsTest, RefusedReplyToAnyRequestFailsTheRun) {
+  StubServer server;
+  ASSERT_TRUE(server.ok());
+  // Each unit sends a predict and then an update; the refusal lands on
+  // one request of one unit, first or second, and must fail the run.
+  for (int64_t fail_unit = 0; fail_unit < 7; ++fail_unit) {
+    for (const bool fail_update : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "unit " << fail_unit
+                                      << " update " << fail_update);
+      const ConnectionRun run = RunConnections(
+          server.port(), 3, 7,
+          [&](LineClient& client, int, int64_t unit) -> Status {
+            JsonValue reply;
+            const bool fail = unit == fail_unit;
+            const Result<double> predict = Call(
+                client, fail && !fail_update ? "predict fail" : "predict",
+                &reply);
+            if (!predict.ok()) return predict.status();
+            const Result<double> update = Call(
+                client, fail && fail_update ? "update fail" : "update",
+                &reply);
+            if (!update.ok()) return update.status();
+            return Status::Ok();
+          });
+      ASSERT_EQ(run.errors.size(), 1u);
+      EXPECT_NE(run.errors[0].find("{\"ok\":false,\"error\":\"x\"}"),
+                std::string::npos)
+          << run.errors[0];
+      EXPECT_NE(run.errors[0].find(fail_update ? "update fail"
+                                               : "predict fail"),
+                std::string::npos)
+          << run.errors[0];
+    }
+  }
+}
+
+TEST(RunConnectionsTest, ClosedPortFailsWithTheConnectError) {
+  std::atomic<int> ran{0};
+  // Port 1 on loopback: privileged and unbound.
+  const ConnectionRun run =
+      RunConnections(1, 2, 7, [&](LineClient&, int, int64_t) -> Status {
+        ++ran;
+        return Status::Ok();
+      });
+  EXPECT_EQ(run.connections, 2);
+  ASSERT_EQ(run.errors.size(), 2u);
+  for (const auto& error : run.errors) {
+    EXPECT_NE(error.find("connect()"), std::string::npos) << error;
+  }
+  EXPECT_EQ(ran.load(), 0);
 }
 
 }  // namespace

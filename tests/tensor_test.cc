@@ -1062,26 +1062,5 @@ TEST(GemmKernelEquivalence, ConcurrentCallersMatchSerial) {
   SetGemmKernel(previous_kernel);
 }
 
-// --gemm-kernel accepts exactly the dispatchable kernels and round-trips
-// their names.
-TEST(GemmKernelTest, ByNameAcceptsOnlyDispatchableKernels) {
-  for (GemmKernel kernel :
-       {GemmKernel::kAuto, GemmKernel::kReference, GemmKernel::kTiled}) {
-    GemmKernel parsed = kernel == GemmKernel::kAuto ? GemmKernel::kTiled
-                                                    : GemmKernel::kAuto;
-    EXPECT_TRUE(GemmKernelByName(GemmKernelName(kernel), &parsed))
-        << GemmKernelName(kernel);
-    EXPECT_EQ(parsed, kernel);
-  }
-  EXPECT_STREQ(GemmKernelName(GemmKernel::kAuto), "auto");
-  EXPECT_STREQ(GemmKernelName(GemmKernel::kReference), "reference");
-  EXPECT_STREQ(GemmKernelName(GemmKernel::kTiled), "tiled");
-  for (const char* name : {"tiled_fma", "bf16", "int8", "", "Tiled"}) {
-    GemmKernel untouched = GemmKernel::kReference;
-    EXPECT_FALSE(GemmKernelByName(name, &untouched)) << name;
-    EXPECT_EQ(untouched, GemmKernel::kReference) << name;
-  }
-}
-
 }  // namespace
 }  // namespace kt

@@ -56,7 +56,7 @@
 //
 // Flags:
 //   --port P            server TCP port (required)
-//   --mode replay|bench|scenario
+//   --mode replay|bench|scenario|recourse
 //   --connections N     concurrent client connections (default 1)
 //   replay:   --data data.csv [--expect eval.json] [--window 50]
 //             [--min-length 5] [--stride 4] [--min-target 4]
@@ -66,14 +66,10 @@
 //   recourse: --data data.csv [--window 50] [--min-length 5] [--k 2]
 //             [--top 3] [--target-p -1] [--brute]
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -94,10 +90,29 @@ namespace {
 
 using serve::LineClient;
 
-int CmdReplay(const FlagParser& flags, int port, int connections) {
+// Prints the run's errors under the mode's name; true when there were any.
+bool Failed(const char* mode, const serve::ConnectionRun& run) {
+  for (const auto& error : run.errors) {
+    std::fprintf(stderr, "%s: %s\n", mode, error.c_str());
+  }
+  return !run.errors.empty();
+}
+
+// Copies the driver's figures and the timed round trips into a summary.
+void SetRun(const serve::ConnectionRun& run, std::vector<double>& us,
+            serve::RunSummary* summary) {
+  summary->connections = run.connections;
+  summary->elapsed_s = run.elapsed_s;
+  summary->latency = serve::SummarizeLatencies(us);
+}
+
+// Loads --data and cuts it into --window/--min-length windows. Returns 0,
+// or the exit code after printing why: 2 without --data, 1 on a bad file.
+int LoadWindows(const FlagParser& flags, const char* mode,
+                data::Dataset* windows) {
   const std::string data_path = flags.GetString("data", "");
   if (data_path.empty()) {
-    std::fprintf(stderr, "replay: --data is required\n");
+    std::fprintf(stderr, "%s: --data is required\n", mode);
     return 2;
   }
   auto dataset = data::LoadCsv(data_path);
@@ -105,9 +120,15 @@ int CmdReplay(const FlagParser& flags, int port, int connections) {
     std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  const data::Dataset windows = data::SplitIntoWindows(
-      dataset.value(), flags.GetInt("window", 50),
-      flags.GetInt("min-length", 5));
+  *windows = data::SplitIntoWindows(dataset.value(),
+                                    flags.GetInt("window", 50),
+                                    flags.GetInt("min-length", 5));
+  return 0;
+}
+
+int CmdReplay(const FlagParser& flags, int port, int connections) {
+  data::Dataset windows;
+  if (const int rc = LoadWindows(flags, "replay", &windows)) return rc;
 
   // Expected probabilities keyed by (sequence, target), as float bits.
   serve::ExpectedPredictions expected;
@@ -141,93 +162,63 @@ int CmdReplay(const FlagParser& flags, int port, int connections) {
   }
   for (auto& t : targets) std::sort(t.begin(), t.end());
 
-  std::mutex mu;
-  serve::PredictionMap got;
-  std::vector<float> auc_scores;
-  std::vector<int> auc_labels;
-  std::vector<double> latencies_us;
-  std::vector<std::string> failures;
-  std::vector<std::thread> workers;
-  const int num_workers =
-      std::max(1, std::min(connections,
-                           static_cast<int>(windows.sequences.size())));
-  for (int w = 0; w < num_workers; ++w) {
-    workers.emplace_back([&, w] {
-      LineClient client;
-      std::string error;
-      if (!client.Connect(port, &error)) {
-        std::lock_guard<std::mutex> lock(mu);
-        failures.push_back(error);
-        return;
-      }
-      serve::PredictionMap local_got;
-      std::vector<float> local_scores;
-      std::vector<int> local_labels;
-      std::vector<double> local_us;
-      std::string response;
-      for (size_t i = static_cast<size_t>(w); i < windows.sequences.size();
-           i += static_cast<size_t>(num_workers)) {
-        const auto& seq = windows.sequences[i];
-        const std::string student = "s" + std::to_string(i);
-        const auto& seq_targets = targets[i];
+  struct Local {
+    serve::PredictionMap got;
+    std::vector<float> scores;
+    std::vector<int> labels;
+    std::vector<double> us;
+  };
+  const auto units = static_cast<int64_t>(windows.sequences.size());
+  std::vector<Local> locals(
+      static_cast<size_t>(serve::ConnectionCount(connections, units)));
+  const serve::ConnectionRun run = serve::RunConnections(
+      port, connections, units,
+      [&](LineClient& client, int w, int64_t i) -> Status {
+        Local& local = locals[static_cast<size_t>(w)];
+        const auto& seq = windows.sequences[static_cast<size_t>(i)];
+        const std::string student =
+            std::string("s").append(std::to_string(i));
+        const auto& seq_targets = targets[static_cast<size_t>(i)];
         size_t next_target = 0;
+        JsonValue reply;
         for (int64_t t = 0; t < seq.length(); ++t) {
           const auto& it = seq.interactions[static_cast<size_t>(t)];
           if (next_target < seq_targets.size() &&
               seq_targets[next_target] == t) {
             ++next_target;
-            const auto start = std::chrono::steady_clock::now();
-            if (!client.RoundTrip(
-                    serve::PredictLine(student, it.question, it.concepts),
-                    &response, &error)) {
-              std::lock_guard<std::mutex> lock(mu);
-              failures.push_back(error);
-              return;
-            }
-            const auto stop = std::chrono::steady_clock::now();
-            local_us.push_back(
-                std::chrono::duration<double, std::micro>(stop - start)
-                    .count());
-            JsonValue reply;
-            if (!ParseJson(response, &reply, &error) ||
-                !reply.GetBool("ok", false)) {
-              std::lock_guard<std::mutex> lock(mu);
-              failures.push_back("bad predict reply: " + response);
-              return;
-            }
+            const Result<double> us = serve::Call(
+                client, serve::PredictLine(student, it.question, it.concepts),
+                &reply);
+            if (!us.ok()) return us.status();
+            local.us.push_back(us.value());
             const float p = static_cast<float>(reply.GetNumber("p", NAN));
-            local_got[{static_cast<int64_t>(i), t}] = p;
-            local_scores.push_back(p);
-            local_labels.push_back(it.response);
+            local.got[{i, t}] = p;
+            local.scores.push_back(p);
+            local.labels.push_back(it.response);
           }
-          if (!client.RoundTrip(serve::UpdateLine(student, it.question,
-                                                  it.concepts, it.response),
-                                &response, &error)) {
-            std::lock_guard<std::mutex> lock(mu);
-            failures.push_back(error);
-            return;
-          }
+          const Result<double> update = serve::Call(
+              client,
+              serve::UpdateLine(student, it.question, it.concepts,
+                                it.response),
+              &reply);
+          if (!update.ok()) return update.status();
         }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      got.insert(local_got.begin(), local_got.end());
-      auc_scores.insert(auc_scores.end(), local_scores.begin(),
-                        local_scores.end());
-      auc_labels.insert(auc_labels.end(), local_labels.begin(),
-                        local_labels.end());
-      latencies_us.insert(latencies_us.end(), local_us.begin(),
-                          local_us.end());
-    });
-  }
-  const auto start = std::chrono::steady_clock::now();
-  for (auto& worker : workers) worker.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+        return Status::Ok();
+      });
+  if (Failed("replay", run)) return 1;
 
-  for (const auto& f : failures) std::fprintf(stderr, "replay: %s\n",
-                                              f.c_str());
-  if (!failures.empty()) return 1;
+  serve::PredictionMap got;
+  std::vector<float> auc_scores;
+  std::vector<int> auc_labels;
+  std::vector<double> latencies_us;
+  for (const Local& local : locals) {
+    got.insert(local.got.begin(), local.got.end());
+    auc_scores.insert(auc_scores.end(), local.scores.begin(),
+                      local.scores.end());
+    auc_labels.insert(auc_labels.end(), local.labels.begin(),
+                      local.labels.end());
+    latencies_us.insert(latencies_us.end(), local.us.begin(), local.us.end());
+  }
 
   // Comparison against the offline scorer's generator_score, bit for bit.
   serve::ReplaySummary summary;
@@ -236,15 +227,11 @@ int CmdReplay(const FlagParser& flags, int port, int connections) {
   for (const auto& d : summary.check.details) {
     std::fprintf(stderr, "replay: %s\n", d.c_str());
   }
-  summary.connections = num_workers;
+  SetRun(run, latencies_us, &summary);
   summary.predictions = static_cast<int64_t>(got.size());
-  // eval::ComputeAuc is permutation-invariant, so the worker merge order
-  // cannot move the online AUC.
   summary.auc_samples = static_cast<int64_t>(auc_scores.size());
   summary.auc =
       auc_scores.empty() ? 0.5 : eval::ComputeAuc(auc_scores, auc_labels);
-  summary.elapsed_s = elapsed;
-  summary.latency = serve::SummarizeLatencies(latencies_us);
   std::printf("%s\n", serve::ReplaySummaryJson(summary).c_str());
   return summary.check.ok() ? 0 : 1;
 }
@@ -252,212 +239,132 @@ int CmdReplay(const FlagParser& flags, int port, int connections) {
 // Recourse traffic: per CSV sequence, reset the student (so reruns
 // against one warm server see identical histories), feed every
 // interaction but the last as history updates, then ask for
-// counterfactual recourse on the final question. Reports recourse latency, the mean best-candidate
-// lift, and an order-independent digest of every reply (base_p bits,
-// candidate ranking, every intervention) — the parity key
-// scripts/check_serve.sh compares fast-vs---brute and across --shards.
+// counterfactual recourse on the final question. Reports recourse
+// latency, the mean best-candidate lift, and an order-independent digest
+// of every reply (base_p bits, candidate ranking, every intervention) —
+// the parity key scripts/check_serve.sh compares fast-vs---brute and
+// across --shards.
 int CmdRecourse(const FlagParser& flags, int port, int connections) {
-  const std::string data_path = flags.GetString("data", "");
-  if (data_path.empty()) {
-    std::fprintf(stderr, "recourse: --data is required\n");
-    return 2;
-  }
-  auto dataset = data::LoadCsv(data_path);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
-    return 1;
-  }
-  const data::Dataset windows = data::SplitIntoWindows(
-      dataset.value(), flags.GetInt("window", 50),
-      flags.GetInt("min-length", 5));
+  data::Dataset windows;
+  if (const int rc = LoadWindows(flags, "recourse", &windows)) return rc;
   const int k = static_cast<int>(flags.GetInt("k", 2));
   const int top = static_cast<int>(flags.GetInt("top", 3));
   const double target_p = flags.GetDouble("target-p", -1.0);
   const bool brute = flags.GetBool("brute", false);
 
-  std::mutex mu;
-  std::vector<double> latencies_us;
-  std::vector<std::string> failures;
-  uint64_t recourse_fnv64 = 0;
-  int64_t updates = 0, recourses = 0, candidates = 0;
-  double top_lift_sum = 0.0;
-  int64_t top_lift_count = 0;
-  std::vector<std::thread> workers;
-  const int num_workers =
-      std::max(1, std::min(connections,
-                           static_cast<int>(windows.sequences.size())));
-  const auto start = std::chrono::steady_clock::now();
-  for (int w = 0; w < num_workers; ++w) {
-    workers.emplace_back([&, w] {
-      LineClient client;
-      std::string error;
-      if (!client.Connect(port, &error)) {
-        std::lock_guard<std::mutex> lock(mu);
-        failures.push_back(error);
-        return;
-      }
-      std::vector<double> local_us;
-      uint64_t local_fnv = 0;
-      int64_t local_updates = 0, local_recourses = 0, local_candidates = 0;
-      double local_lift_sum = 0.0;
-      int64_t local_lift_count = 0;
-      std::string response;
-      for (size_t i = static_cast<size_t>(w); i < windows.sequences.size();
-           i += static_cast<size_t>(num_workers)) {
-        const auto& seq = windows.sequences[i];
-        if (seq.length() < 2) continue;
-        const std::string student = "r" + std::to_string(i);
-        if (!client.RoundTrip(serve::ResetLine(student), &response, &error)) {
-          std::lock_guard<std::mutex> lock(mu);
-          failures.push_back(error);
-          return;
-        }
+  struct Local {
+    std::vector<double> us;
+    uint64_t fnv = 0;
+    int64_t updates = 0, recourses = 0, candidates = 0, lift_count = 0;
+    double lift_sum = 0.0;
+  };
+  const auto units = static_cast<int64_t>(windows.sequences.size());
+  std::vector<Local> locals(
+      static_cast<size_t>(serve::ConnectionCount(connections, units)));
+  const serve::ConnectionRun run = serve::RunConnections(
+      port, connections, units,
+      [&](LineClient& client, int w, int64_t i) -> Status {
+        Local& local = locals[static_cast<size_t>(w)];
+        const auto& seq = windows.sequences[static_cast<size_t>(i)];
+        if (seq.length() < 2) return Status::Ok();
+        const std::string student =
+            std::string("r").append(std::to_string(i));
+        JsonValue reply;
+        const Result<double> reset =
+            serve::Call(client, serve::ResetLine(student), &reply);
+        if (!reset.ok()) return reset.status();
         for (int64_t t = 0; t + 1 < seq.length(); ++t) {
           const auto& it = seq.interactions[static_cast<size_t>(t)];
-          if (!client.RoundTrip(serve::UpdateLine(student, it.question,
-                                                  it.concepts, it.response),
-                                &response, &error)) {
-            std::lock_guard<std::mutex> lock(mu);
-            failures.push_back(error);
-            return;
-          }
-          ++local_updates;
+          const Result<double> update = serve::Call(
+              client,
+              serve::UpdateLine(student, it.question, it.concepts,
+                                it.response),
+              &reply);
+          if (!update.ok()) return update.status();
+          ++local.updates;
         }
         const auto& last =
             seq.interactions[static_cast<size_t>(seq.length() - 1)];
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!client.RoundTrip(
-                serve::RecourseLine(student, last.question, last.concepts, k,
-                                    top, target_p, {}, brute),
-                &response, &error)) {
-          std::lock_guard<std::mutex> lock(mu);
-          failures.push_back(error);
-          return;
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        local_us.push_back(
-            std::chrono::duration<double, std::micro>(t1 - t0).count());
-        JsonValue reply;
-        if (!ParseJson(response, &reply, &error) ||
-            !reply.GetBool("ok", false)) {
-          std::lock_guard<std::mutex> lock(mu);
-          failures.push_back("bad recourse reply: " + response);
-          return;
-        }
-        ++local_recourses;
-        local_fnv ^= serve::FnvMixRecourseReply(serve::kFnvOffset, reply);
+        const Result<double> us = serve::Call(
+            client,
+            serve::RecourseLine(student, last.question, last.concepts, k,
+                                top, target_p, {}, brute),
+            &reply);
+        if (!us.ok()) return us.status();
+        local.us.push_back(us.value());
+        ++local.recourses;
+        local.fnv ^= serve::FnvMixRecourseReply(serve::kFnvOffset, reply);
         if (const JsonValue* cands = reply.Find("candidates")) {
           if (cands->IsArray() && !cands->array.empty()) {
-            local_candidates += static_cast<int64_t>(cands->array.size());
-            local_lift_sum += cands->array[0].GetNumber("lift", 0.0);
-            ++local_lift_count;
+            local.candidates += static_cast<int64_t>(cands->array.size());
+            local.lift_sum += cands->array[0].GetNumber("lift", 0.0);
+            ++local.lift_count;
           }
         }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      latencies_us.insert(latencies_us.end(), local_us.begin(),
-                          local_us.end());
-      recourse_fnv64 ^= local_fnv;
-      updates += local_updates;
-      recourses += local_recourses;
-      candidates += local_candidates;
-      top_lift_sum += local_lift_sum;
-      top_lift_count += local_lift_count;
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  for (const auto& f : failures) std::fprintf(stderr, "recourse: %s\n",
-                                              f.c_str());
-  if (!failures.empty()) return 1;
+        return Status::Ok();
+      });
+  if (Failed("recourse", run)) return 1;
 
   serve::RecourseSummary summary;
-  summary.connections = num_workers;
-  summary.students = static_cast<int64_t>(windows.sequences.size());
-  summary.updates = updates;
-  summary.recourses = recourses;
-  summary.candidates = candidates;
+  std::vector<double> latencies_us;
+  double lift_sum = 0.0;
+  int64_t lift_count = 0;
+  for (const Local& local : locals) {
+    latencies_us.insert(latencies_us.end(), local.us.begin(), local.us.end());
+    summary.recourse_fnv64 ^= local.fnv;
+    summary.updates += local.updates;
+    summary.recourses += local.recourses;
+    summary.candidates += local.candidates;
+    lift_sum += local.lift_sum;
+    lift_count += local.lift_count;
+  }
+  SetRun(run, latencies_us, &summary);
+  summary.students = units;
   summary.mean_top_lift =
-      top_lift_count > 0 ? top_lift_sum / static_cast<double>(top_lift_count)
-                         : 0.0;
+      lift_count > 0 ? lift_sum / static_cast<double>(lift_count) : 0.0;
   summary.brute = brute;
-  summary.elapsed_s = elapsed;
-  summary.latency = serve::SummarizeLatencies(latencies_us);
-  summary.recourse_fnv64 = recourse_fnv64;
   std::printf("%s\n", serve::RecourseSummaryJson(summary).c_str());
   return 0;
 }
 
+// Closed-loop bench: one unit per connection, each its own session of
+// --requests alternating predict/update ops on random questions.
 int CmdBench(const FlagParser& flags, int port, int connections) {
   const int64_t requests = flags.GetInt("requests", 200);
   const int64_t questions = flags.GetInt("questions", 100);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
 
-  std::mutex mu;
-  std::vector<double> latencies_us;
-  std::vector<std::string> failures;
-  std::vector<std::thread> workers;
-  const auto start = std::chrono::steady_clock::now();
-  for (int w = 0; w < std::max(1, connections); ++w) {
-    workers.emplace_back([&, w] {
-      LineClient client;
-      std::string error;
-      if (!client.Connect(port, &error)) {
-        std::lock_guard<std::mutex> lock(mu);
-        failures.push_back(error);
-        return;
-      }
-      Rng rng(seed + static_cast<uint64_t>(w) * 7919);
-      const std::string student = "load-" + std::to_string(w);
-      const std::vector<int64_t> no_concepts;
-      std::vector<double> local_us;
-      std::string response;
-      for (int64_t r = 0; r < requests; ++r) {
-        const int64_t question =
-            rng.UniformInt(std::max<int64_t>(1, questions));
-        const bool predict = (r % 2) == 0;
-        const std::string line =
-            predict ? serve::PredictLine(student, question, no_concepts)
-                    : serve::UpdateLine(student, question, no_concepts,
-                                        static_cast<int>(rng.NextU64() & 1));
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!client.RoundTrip(line, &response, &error)) {
-          std::lock_guard<std::mutex> lock(mu);
-          failures.push_back(error);
-          return;
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        local_us.push_back(
-            std::chrono::duration<double, std::micro>(t1 - t0).count());
+  const int64_t units = std::max(1, connections);
+  std::vector<std::vector<double>> us(static_cast<size_t>(units));
+  const serve::ConnectionRun run = serve::RunConnections(
+      port, connections, units,
+      [&](LineClient& client, int w, int64_t) -> Status {
+        Rng rng(seed + static_cast<uint64_t>(w) * 7919);
+        const std::string student = "load-" + std::to_string(w);
+        const std::vector<int64_t> no_concepts;
         JsonValue reply;
-        if (!ParseJson(response, &reply, &error) ||
-            !reply.GetBool("ok", false)) {
-          std::lock_guard<std::mutex> lock(mu);
-          failures.push_back("bad reply: " + response);
-          return;
+        for (int64_t r = 0; r < requests; ++r) {
+          const int64_t question =
+              rng.UniformInt(std::max<int64_t>(1, questions));
+          const bool predict = (r % 2) == 0;
+          const std::string line =
+              predict ? serve::PredictLine(student, question, no_concepts)
+                      : serve::UpdateLine(student, question, no_concepts,
+                                          static_cast<int>(rng.NextU64() & 1));
+          const Result<double> call = serve::Call(client, line, &reply);
+          if (!call.ok()) return call.status();
+          us[static_cast<size_t>(w)].push_back(call.value());
         }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      latencies_us.insert(latencies_us.end(), local_us.begin(),
-                          local_us.end());
-    });
+        return Status::Ok();
+      });
+  if (Failed("bench", run)) return 1;
+
+  std::vector<double> latencies_us;
+  for (const auto& local : us) {
+    latencies_us.insert(latencies_us.end(), local.begin(), local.end());
   }
-  for (auto& worker : workers) worker.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  for (const auto& f : failures) std::fprintf(stderr, "bench: %s\n",
-                                              f.c_str());
-  if (!failures.empty()) return 1;
-
   serve::BenchSummary summary;
-  summary.connections = connections;
-  summary.elapsed_s = elapsed;
-  summary.latency = serve::SummarizeLatencies(latencies_us);
+  SetRun(run, latencies_us, &summary);
   std::printf("%s\n", serve::BenchSummaryJson(summary).c_str());
   return 0;
 }
@@ -467,12 +374,10 @@ int CmdBench(const FlagParser& flags, int port, int connections) {
 // when the server is unreachable or predates the section.
 bool PollModelIdentity(int port, std::string* fingerprint, int64_t* version) {
   LineClient client;
-  std::string error, response;
-  if (!client.Connect(port, &error)) return false;
-  if (!client.RoundTrip("{\"op\":\"stats\"}", &response, &error)) return false;
+  std::string error;
   JsonValue reply;
-  if (!ParseJson(response, &reply, &error) ||
-      !reply.GetBool("ok", false)) {
+  if (!client.Connect(port, &error) ||
+      !serve::Call(client, "{\"op\":\"stats\"}", &reply).ok()) {
     return false;
   }
   const JsonValue* model = reply.Find("model");
@@ -519,100 +424,71 @@ int CmdScenario(const FlagParser& flags, int port, int connections) {
   predict_hist->Reset();
   update_hist->Reset();
 
-  std::mutex mu;
-  std::vector<std::string> failures;
+  // Per-worker ring and digests. Worker w owns students lo+w, lo+w+n, ...
+  // (the driver's partition), so the merged AUC is reproducible for a
+  // fixed --connections and the XORed digests for any --connections.
+  struct Local {
+    serve::RollingAuc auc;
+    uint64_t traffic_fnv = 0, pred_fnv = 0;
+    int64_t interactions = 0, predictions = 0;
+  };
+  serve::ScenarioSummary summary;
   serve::RollingAuc merged_auc(auc_window);
-  uint64_t traffic_fnv64 = 0, pred_fnv64 = 0;
-  int64_t interactions = 0, predictions = 0;
-  std::vector<serve::ScenarioWindow> window_stats;
-  const auto start = std::chrono::steady_clock::now();
   for (int64_t win = 0; win < num_windows; ++win) {
     const int64_t lo = win * students / num_windows;
     const int64_t hi = (win + 1) * students / num_windows;
     if (hi <= lo) continue;
-    const int num_workers = static_cast<int>(
-        std::max<int64_t>(1, std::min<int64_t>(connections, hi - lo)));
-    serve::RollingAuc window_auc(auc_window);
-    std::vector<std::thread> workers;
-    for (int w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&, w] {
-        LineClient client;
-        std::string error;
-        if (!client.Connect(port, &error)) {
-          std::lock_guard<std::mutex> lock(mu);
-          failures.push_back(error);
-          return;
-        }
-        // Per-worker ring + digest: merged under the lock after the loop.
-        // Worker w owns students lo+w, lo+w+num_workers, ... — a
-        // deterministic partition, so the merged AUC and XORed digest are
-        // reproducible for a fixed --connections (and the digest for ANY
-        // --connections).
-        serve::RollingAuc local_auc(auc_window);
-        uint64_t local_fnv = 0, local_pred_fnv = 0;
-        int64_t local_interactions = 0, local_predictions = 0;
-        std::string response;
-        for (int64_t s = lo + w; s < hi; s += num_workers) {
+    std::vector<Local> locals(
+        static_cast<size_t>(serve::ConnectionCount(connections, hi - lo)),
+        Local{serve::RollingAuc(auc_window)});
+    const serve::ConnectionRun run = serve::RunConnections(
+        port, connections, hi - lo,
+        [&](LineClient& client, int w, int64_t unit) -> Status {
+          Local& local = locals[static_cast<size_t>(w)];
+          const int64_t s = lo + unit;
           const data::ResponseSequence seq =
               simulator.GenerateStudentAuto(static_cast<uint64_t>(s));
           const std::string student =
               config.name + "-s" + std::to_string(s);
           uint64_t h = serve::kFnvOffset;
           uint64_t ph = serve::kFnvOffset;  // this student's prediction bits
+          JsonValue reply;
           for (const auto& it : seq.interactions) {
-            const auto t0 = std::chrono::steady_clock::now();
-            if (!client.RoundTrip(
-                    serve::PredictLine(student, it.question, it.concepts),
-                    &response, &error)) {
-              std::lock_guard<std::mutex> lock(mu);
-              failures.push_back(error);
-              return;
-            }
-            const auto t1 = std::chrono::steady_clock::now();
-            predict_hist->Record(
-                std::chrono::duration<double, std::micro>(t1 - t0).count());
-            JsonValue reply;
-            if (!ParseJson(response, &reply, &error) ||
-                !reply.GetBool("ok", false)) {
-              std::lock_guard<std::mutex> lock(mu);
-              failures.push_back("bad predict reply: " + response);
-              return;
-            }
-            ++local_predictions;
+            const Result<double> predict_us = serve::Call(
+                client, serve::PredictLine(student, it.question, it.concepts),
+                &reply);
+            if (!predict_us.ok()) return predict_us.status();
+            predict_hist->Record(predict_us.value());
+            ++local.predictions;
             const float p = static_cast<float>(reply.GetNumber("p", NAN));
-            local_auc.Add(p, it.response);
+            local.auc.Add(p, it.response);
             ph = serve::FnvMixU64(ph, serve::FloatBits(p));
 
-            const auto t2 = std::chrono::steady_clock::now();
-            if (!client.RoundTrip(serve::UpdateLine(student, it.question,
-                                                    it.concepts, it.response),
-                                  &response, &error)) {
-              std::lock_guard<std::mutex> lock(mu);
-              failures.push_back(error);
-              return;
-            }
-            const auto t3 = std::chrono::steady_clock::now();
-            update_hist->Record(
-                std::chrono::duration<double, std::micro>(t3 - t2).count());
-            ++local_interactions;
+            const Result<double> update_us = serve::Call(
+                client,
+                serve::UpdateLine(student, it.question, it.concepts,
+                                  it.response),
+                &reply);
+            if (!update_us.ok()) return update_us.status();
+            update_hist->Record(update_us.value());
+            ++local.interactions;
             h = serve::FnvMixInteraction(h, it.question, it.concepts,
                                          it.response);
           }
-          local_fnv ^= h;
-          local_pred_fnv ^= ph;
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        window_auc.Merge(local_auc);
-        traffic_fnv64 ^= local_fnv;
-        pred_fnv64 ^= local_pred_fnv;
-        interactions += local_interactions;
-        predictions += local_predictions;
-      });
+          local.traffic_fnv ^= h;
+          local.pred_fnv ^= ph;
+          return Status::Ok();
+        });
+    if (Failed("scenario", run)) return 1;
+    summary.elapsed_s += run.elapsed_s;
+    serve::RollingAuc window_auc(auc_window);
+    for (const Local& local : locals) {
+      window_auc.Merge(local.auc);
+      summary.traffic_fnv64 ^= local.traffic_fnv;
+      summary.pred_fnv64 ^= local.pred_fnv;
+      summary.interactions += local.interactions;
+      summary.predictions += local.predictions;
     }
-    for (auto& worker : workers) worker.join();
-    for (const auto& f : failures) std::fprintf(stderr, "scenario: %s\n",
-                                                f.c_str());
-    if (!failures.empty()) return 1;
     merged_auc.Merge(window_auc);
     if (num_windows > 1) {
       serve::ScenarioWindow ws;
@@ -626,35 +502,27 @@ int CmdScenario(const FlagParser& flags, int port, int connections) {
                      "scenario: warning: stats poll failed after window %lld\n",
                      static_cast<long long>(win));
       }
-      window_stats.push_back(std::move(ws));
+      summary.window_stats.push_back(std::move(ws));
     }
   }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
 
-  serve::ScenarioSummary summary;
-  if (!window_stats.empty()) {
+  if (!summary.window_stats.empty()) {
     // Reuse the last window's poll; the run just ended, so it IS current.
-    summary.model_fingerprint = window_stats.back().model_fingerprint;
-    summary.weight_version = window_stats.back().weight_version;
+    summary.model_fingerprint = summary.window_stats.back().model_fingerprint;
+    summary.weight_version = summary.window_stats.back().weight_version;
   } else {
     PollModelIdentity(port, &summary.model_fingerprint,
                       &summary.weight_version);
   }
-  summary.window_stats = std::move(window_stats);
   summary.scenario = config.name;
-  summary.connections = static_cast<int>(
-      std::max<int64_t>(1, std::min<int64_t>(connections, students)));
+  summary.connections = serve::ConnectionCount(connections, students);
   summary.seed = config.seed;
   summary.scale = flags.GetDouble("scale", 1.0);
   summary.students = students;
-  summary.interactions = interactions;
-  summary.predictions = predictions;
-  summary.elapsed_s = elapsed;
   summary.throughput_rps =
-      elapsed > 0.0
-          ? static_cast<double>(interactions + predictions) / elapsed
+      summary.elapsed_s > 0.0
+          ? static_cast<double>(summary.interactions + summary.predictions) /
+                summary.elapsed_s
           : 0.0;
   summary.auc = merged_auc.Auc();
   summary.auc_samples = merged_auc.count();
@@ -667,8 +535,6 @@ int CmdScenario(const FlagParser& flags, int port, int connections) {
   summary.update_p50_us = update_snap.Percentile(0.50);
   summary.update_p99_us = update_snap.Percentile(0.99);
   summary.update_mean_us = update_snap.Mean();
-  summary.traffic_fnv64 = traffic_fnv64;
-  summary.pred_fnv64 = pred_fnv64;
   std::printf("%s\n", serve::ScenarioSummaryJson(summary).c_str());
   return 0;
 }

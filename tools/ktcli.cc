@@ -67,12 +67,6 @@
 //                 Outputs are bit-identical for every value. The resolved
 //                 size is logged to stderr at startup ("ktcli: N threads")
 //                 and recorded as "threads" in every run-log entry.
-//   --gemm-kernel auto|reference|tiled
-//                 Process-wide GEMM dispatch override (tensor/gemm.h
-//                 contract). Every kernel gives the same bits; only speed
-//                 changes. Default auto. The resolved backend is counted
-//                 per dispatch under kt::obs (gemm.backend.*.calls /
-//                 .bytes) when --obs is on.
 //   --checkpoint-every N / --checkpoint PATH / --resume PATH
 //                 Crash-safe training checkpoints (kt::ckpt): every N
 //                 epochs the full training state (parameters, Adam moments,
@@ -114,7 +108,6 @@
 #include "rckt/rckt_trainer.h"
 #include "serve/engine.h"
 #include "serve/server.h"
-#include "tensor/gemm.h"
 
 namespace kt {
 namespace {
@@ -638,23 +631,6 @@ int Main(int argc, char** argv) {
   // KT_NUM_THREADS, else the hardware count. The run log repeats it per
   // entry.
   std::fprintf(stderr, "ktcli: %d threads\n", GetNumThreads());
-  // --gemm-kernel lives here rather than in ApplyCommonFlags because
-  // kt_core cannot see kt_tensor; the override is process-wide and applies
-  // to every subcommand (contract in tensor/gemm.h).
-  const std::string gemm_kernel = flags.GetString("gemm-kernel", "");
-  if (!gemm_kernel.empty()) {
-    GemmKernel kernel;
-    if (!GemmKernelByName(gemm_kernel, &kernel)) {
-      std::fprintf(stderr,
-                   "ktcli: unknown --gemm-kernel '%s' (want "
-                   "auto|reference|tiled)\n",
-                   gemm_kernel.c_str());
-      return 2;
-    }
-    SetGemmKernel(kernel);
-    std::fprintf(stderr, "ktcli: gemm kernel override: %s\n",
-                 GemmKernelName(kernel));
-  }
   if (command == "simulate") return CmdSimulate(flags);
   if (command == "train") return CmdTrain(flags, common);
   if (command == "evaluate") return CmdEvaluate(flags);
