@@ -49,7 +49,6 @@ LOADGEN="${BUILD_DIR}/tools/kt_loadgen"
 OBS_CHECK="${BUILD_DIR}/tools/obs_check"
 
 WORK="$(mktemp -d)"
-SERVER_POLLS=100
 source scripts/serve_lib.sh
 
 echo "== train the serving model on the scenario_base log =="

@@ -151,11 +151,9 @@ if [[ "${KT_SERVE_TSAN:-1}" != "0" ]]; then
   cmake --build "${TSAN_BUILD_DIR}" --target ktcli kt_loadgen -j "$(nproc)"
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 
-  # From here on the TSan binaries serve and drive; their startup is
-  # slow, so poll generously.
+  # From here on the TSan binaries serve and drive.
   KTCLI="${TSAN_BUILD_DIR}/tools/ktcli"
   LOADGEN="${TSAN_BUILD_DIR}/tools/kt_loadgen"
-  SERVER_POLLS=300
 
   # 1 MB budget + cold dir: eviction, replay rebuild, AND cold snapshot
   # save/load all run on the shard threads while the reactor mixes four

@@ -92,11 +92,13 @@ int ConnectionCount(int connections, int64_t units) {
       std::max<int64_t>(1, std::min<int64_t>(connections, units)));
 }
 
-ConnectionRun RunConnections(int port, int connections, int64_t units,
-                             const ConnectionBody& body) {
-  ConnectionRun run;
-  const int n = ConnectionCount(connections, units);
-  run.connections = n;
+namespace internal {
+
+void DriveConnections(
+    int port, int n, int64_t units,
+    const std::function<Status(LineClient&, int, int64_t)>& body,
+    ConnectionRun* run) {
+  run->connections = n;
   std::vector<std::string> errors(static_cast<size_t>(n));
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(n));
@@ -116,14 +118,15 @@ ConnectionRun RunConnections(int port, int connections, int64_t units,
     });
   }
   for (auto& worker : workers) worker.join();
-  run.elapsed_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
+  run->elapsed_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   for (auto& error : errors) {
-    if (!error.empty()) run.errors.push_back(std::move(error));
+    if (!error.empty()) run->errors.push_back(std::move(error));
   }
-  return run;
 }
+
+}  // namespace internal
 
 std::string PredictLine(const std::string& student, int64_t question,
                         const std::vector<int64_t>& concepts) {

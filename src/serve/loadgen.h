@@ -6,8 +6,8 @@
 //                         with explicit errors for refused connections and
 //                         mid-stream server disconnects,
 //   * Call              — one checked, timed round trip: every request of
-//                         every mode goes through it, so a refused request
-//                         (update and reset included) fails the run,
+//                         every mode goes through it, so a refused traffic
+//                         request (update and reset included) fails the run,
 //   * RunConnections    — the one connection driver all four modes share,
 //   * ParseExpectedPredictions — the `ktcli evaluate --json` reader behind
 //                         --expect, returning Status instead of dying on
@@ -65,11 +65,6 @@ class LineClient {
 Result<double> Call(LineClient& client, const std::string& line,
                      JsonValue* reply);
 
-// One unit of a mode's work (a sequence, a student, a bench session) on
-// worker `worker`'s connection. A non-OK status stops that worker.
-using ConnectionBody =
-    std::function<Status(LineClient& client, int worker, int64_t unit)>;
-
 // The number of connections RunConnections opens for `units` units:
 // clamp(connections, 1, units), and 1 when there are no units.
 int ConnectionCount(int connections, int64_t units);
@@ -80,14 +75,43 @@ struct ConnectionRun {
   std::vector<std::string> errors;  // each failed worker's first error
 };
 
+// A RunConnections result: the driver's figures plus worker w's Local at
+// locals[w].
+template <typename Local>
+struct ConnectionResults : ConnectionRun {
+  std::vector<Local> locals;
+};
+
+namespace internal {
+// The type-erased driver behind RunConnections: opens exactly `n`
+// connections and runs body(client, worker, unit) on them.
+void DriveConnections(
+    int port, int n, int64_t units,
+    const std::function<Status(LineClient&, int, int64_t)>& body,
+    ConnectionRun* run);
+}  // namespace internal
+
 // Opens n = ConnectionCount(connections, units) connections to
-// 127.0.0.1:port, one thread and one LineClient each; worker w runs units
-// w, w + n, w + 2n, ... in order. A worker whose connect or body fails
-// stops there; errors come back in worker order. Modes keep per-worker
-// results in a vector indexed by `worker` and fold it after the call, so
-// every fold runs in worker order and needs no lock.
-ConnectionRun RunConnections(int port, int connections, int64_t units,
-                             const ConnectionBody& body);
+// 127.0.0.1:port, one thread, one LineClient and one copy of `init` each;
+// worker w calls body(client, local, unit) -> Status for units w, w + n,
+// w + 2n, ... in order. A worker whose connect or body fails stops there;
+// errors come back in worker order. Each mode folds `locals` after the
+// call, in worker order, so no fold takes a lock.
+template <typename Local, typename Body>
+ConnectionResults<Local> RunConnections(int port, int connections,
+                                        int64_t units, const Local& init,
+                                        const Body& body) {
+  ConnectionResults<Local> run;
+  const int n = ConnectionCount(connections, units);
+  run.locals.assign(static_cast<size_t>(n), init);
+  internal::DriveConnections(
+      port, n, units,
+      [&](LineClient& client, int w, int64_t unit) -> Status {
+        return body(client, run.locals[static_cast<size_t>(w)], unit);
+      },
+      &run);
+  return run;
+}
 
 // NDJSON request lines understood by `ktcli serve`.
 std::string PredictLine(const std::string& student, int64_t question,

@@ -361,14 +361,13 @@ TEST(RunConnectionsTest, RunsEveryUnitOnceOnClampedConnections) {
   constexpr int64_t kUnits = 7;
   for (const int connections : {1, 2, 3, 10}) {
     SCOPED_TRACE(connections);
-    const int n = ConnectionCount(connections, kUnits);
-    EXPECT_EQ(n, std::min(connections, 7));
     std::unique_ptr<std::atomic<int>[]> runs(new std::atomic<int>[kUnits]);
     for (int64_t u = 0; u < kUnits; ++u) runs[u] = 0;
-    std::vector<std::vector<int64_t>> seen(static_cast<size_t>(n));
-    const ConnectionRun run = RunConnections(
-        server.port(), connections, kUnits,
-        [&](LineClient& client, int w, int64_t unit) -> Status {
+    // Each worker's Local records the units it ran.
+    const auto run = RunConnections(
+        server.port(), connections, kUnits, std::vector<int64_t>{},
+        [&](LineClient& client, std::vector<int64_t>& seen,
+            int64_t unit) -> Status {
           JsonValue reply;
           const Result<double> us = Call(
               client, "{\"op\":\"stats\",\"unit\":" + std::to_string(unit) +
@@ -377,18 +376,20 @@ TEST(RunConnectionsTest, RunsEveryUnitOnceOnClampedConnections) {
           if (!us.ok()) return us.status();
           EXPECT_GE(us.value(), 0.0);
           ++runs[unit];
-          seen[static_cast<size_t>(w)].push_back(unit);
+          seen.push_back(unit);
           return Status::Ok();
         });
     EXPECT_TRUE(run.errors.empty());
+    const int n = std::min(connections, 7);
     EXPECT_EQ(run.connections, n);
+    ASSERT_EQ(run.locals.size(), static_cast<size_t>(n));
     EXPECT_GE(run.elapsed_s, 0.0);
     for (int64_t u = 0; u < kUnits; ++u) EXPECT_EQ(runs[u].load(), 1) << u;
     // Worker w runs units w, w + n, ... in order.
     for (int w = 0; w < n; ++w) {
       std::vector<int64_t> want;
       for (int64_t u = w; u < kUnits; u += n) want.push_back(u);
-      EXPECT_EQ(seen[static_cast<size_t>(w)], want) << "worker " << w;
+      EXPECT_EQ(run.locals[static_cast<size_t>(w)], want) << "worker " << w;
     }
   }
 }
@@ -402,9 +403,9 @@ TEST(RunConnectionsTest, RefusedReplyToAnyRequestFailsTheRun) {
     for (const bool fail_update : {false, true}) {
       SCOPED_TRACE(testing::Message() << "unit " << fail_unit
                                       << " update " << fail_update);
-      const ConnectionRun run = RunConnections(
-          server.port(), 3, 7,
-          [&](LineClient& client, int, int64_t unit) -> Status {
+      const auto run = RunConnections(
+          server.port(), 3, 7, 0,
+          [&](LineClient& client, int&, int64_t unit) -> Status {
             JsonValue reply;
             const bool fail = unit == fail_unit;
             const Result<double> predict = Call(
@@ -432,8 +433,8 @@ TEST(RunConnectionsTest, RefusedReplyToAnyRequestFailsTheRun) {
 TEST(RunConnectionsTest, ClosedPortFailsWithTheConnectError) {
   std::atomic<int> ran{0};
   // Port 1 on loopback: privileged and unbound.
-  const ConnectionRun run =
-      RunConnections(1, 2, 7, [&](LineClient&, int, int64_t) -> Status {
+  const auto run =
+      RunConnections(1, 2, 7, 0, [&](LineClient&, int&, int64_t) -> Status {
         ++ran;
         return Status::Ok();
       });

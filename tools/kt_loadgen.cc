@@ -168,13 +168,9 @@ int CmdReplay(const FlagParser& flags, int port, int connections) {
     std::vector<int> labels;
     std::vector<double> us;
   };
-  const auto units = static_cast<int64_t>(windows.sequences.size());
-  std::vector<Local> locals(
-      static_cast<size_t>(serve::ConnectionCount(connections, units)));
-  const serve::ConnectionRun run = serve::RunConnections(
-      port, connections, units,
-      [&](LineClient& client, int w, int64_t i) -> Status {
-        Local& local = locals[static_cast<size_t>(w)];
+  const auto run = serve::RunConnections(
+      port, connections, static_cast<int64_t>(windows.sequences.size()),
+      Local{}, [&](LineClient& client, Local& local, int64_t i) -> Status {
         const auto& seq = windows.sequences[static_cast<size_t>(i)];
         const std::string student =
             std::string("s").append(std::to_string(i));
@@ -211,7 +207,7 @@ int CmdReplay(const FlagParser& flags, int port, int connections) {
   std::vector<float> auc_scores;
   std::vector<int> auc_labels;
   std::vector<double> latencies_us;
-  for (const Local& local : locals) {
+  for (const Local& local : run.locals) {
     got.insert(local.got.begin(), local.got.end());
     auc_scores.insert(auc_scores.end(), local.scores.begin(),
                       local.scores.end());
@@ -259,12 +255,9 @@ int CmdRecourse(const FlagParser& flags, int port, int connections) {
     double lift_sum = 0.0;
   };
   const auto units = static_cast<int64_t>(windows.sequences.size());
-  std::vector<Local> locals(
-      static_cast<size_t>(serve::ConnectionCount(connections, units)));
-  const serve::ConnectionRun run = serve::RunConnections(
-      port, connections, units,
-      [&](LineClient& client, int w, int64_t i) -> Status {
-        Local& local = locals[static_cast<size_t>(w)];
+  const auto run = serve::RunConnections(
+      port, connections, units, Local{},
+      [&](LineClient& client, Local& local, int64_t i) -> Status {
         const auto& seq = windows.sequences[static_cast<size_t>(i)];
         if (seq.length() < 2) return Status::Ok();
         const std::string student =
@@ -309,7 +302,7 @@ int CmdRecourse(const FlagParser& flags, int port, int connections) {
   std::vector<double> latencies_us;
   double lift_sum = 0.0;
   int64_t lift_count = 0;
-  for (const Local& local : locals) {
+  for (const Local& local : run.locals) {
     latencies_us.insert(latencies_us.end(), local.us.begin(), local.us.end());
     summary.recourse_fnv64 ^= local.fnv;
     summary.updates += local.updates;
@@ -334,13 +327,11 @@ int CmdBench(const FlagParser& flags, int port, int connections) {
   const int64_t questions = flags.GetInt("questions", 100);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
 
-  const int64_t units = std::max(1, connections);
-  std::vector<std::vector<double>> us(static_cast<size_t>(units));
-  const serve::ConnectionRun run = serve::RunConnections(
-      port, connections, units,
-      [&](LineClient& client, int w, int64_t) -> Status {
-        Rng rng(seed + static_cast<uint64_t>(w) * 7919);
-        const std::string student = "load-" + std::to_string(w);
+  const auto run = serve::RunConnections(
+      port, connections, std::max(1, connections), std::vector<double>{},
+      [&](LineClient& client, std::vector<double>& us, int64_t session) {
+        Rng rng(seed + static_cast<uint64_t>(session) * 7919);
+        const std::string student = "load-" + std::to_string(session);
         const std::vector<int64_t> no_concepts;
         JsonValue reply;
         for (int64_t r = 0; r < requests; ++r) {
@@ -353,14 +344,14 @@ int CmdBench(const FlagParser& flags, int port, int connections) {
                                           static_cast<int>(rng.NextU64() & 1));
           const Result<double> call = serve::Call(client, line, &reply);
           if (!call.ok()) return call.status();
-          us[static_cast<size_t>(w)].push_back(call.value());
+          us.push_back(call.value());
         }
         return Status::Ok();
       });
   if (Failed("bench", run)) return 1;
 
   std::vector<double> latencies_us;
-  for (const auto& local : us) {
+  for (const auto& local : run.locals) {
     latencies_us.insert(latencies_us.end(), local.begin(), local.end());
   }
   serve::BenchSummary summary;
@@ -438,13 +429,9 @@ int CmdScenario(const FlagParser& flags, int port, int connections) {
     const int64_t lo = win * students / num_windows;
     const int64_t hi = (win + 1) * students / num_windows;
     if (hi <= lo) continue;
-    std::vector<Local> locals(
-        static_cast<size_t>(serve::ConnectionCount(connections, hi - lo)),
-        Local{serve::RollingAuc(auc_window)});
-    const serve::ConnectionRun run = serve::RunConnections(
-        port, connections, hi - lo,
-        [&](LineClient& client, int w, int64_t unit) -> Status {
-          Local& local = locals[static_cast<size_t>(w)];
+    const auto run = serve::RunConnections(
+        port, connections, hi - lo, Local{serve::RollingAuc(auc_window)},
+        [&](LineClient& client, Local& local, int64_t unit) -> Status {
           const int64_t s = lo + unit;
           const data::ResponseSequence seq =
               simulator.GenerateStudentAuto(static_cast<uint64_t>(s));
@@ -482,7 +469,7 @@ int CmdScenario(const FlagParser& flags, int port, int connections) {
     if (Failed("scenario", run)) return 1;
     summary.elapsed_s += run.elapsed_s;
     serve::RollingAuc window_auc(auc_window);
-    for (const Local& local : locals) {
+    for (const Local& local : run.locals) {
       window_auc.Merge(local.auc);
       summary.traffic_fnv64 ^= local.traffic_fnv;
       summary.pred_fnv64 ^= local.pred_fnv;
