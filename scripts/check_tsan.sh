@@ -4,9 +4,11 @@
 # suite including the stacked training blocks at 1/2/8 threads, trainer/CV and
 # the golden trainer runs that drive eval::Evaluate's pool loop, the fused
 # attention core's batch split, the forward-stream runs whose
-# attention streams fork on the pool, and kt_loadgen's connection driver
-# against a loopback stub server) under an oversubscribed pool. Any data
-# race in the kt::parallel layer or the code it drives fails the script.
+# attention streams fork on the pool, kt_loadgen's RunConnections
+# against a loopback stub server, and the serve shard queue: concurrent
+# submitters, completion callbacks, cold flushes and the weight-swap
+# barrier) under an oversubscribed pool. Any data race in the kt::parallel
+# layer or the code it drives fails the script.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -29,7 +31,7 @@ export KT_NUM_THREADS="${KT_NUM_THREADS:-8}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 
 "${BUILD_DIR}/tests/kt_tests" \
-  --gtest_filter='Parallel*:GemmKernelEquivalence.ConcurrentCallersMatchSerial:*Rckt*:*StackedFanOut*:TrainerTest*:TrainerGolden*:ComposedParityTest.AttentionBatchSplit*:ComposedParityTest.*ForwardMatchesComposed:*GradientGolden:*ForwardStreamSuite*:RunConnectionsTest*' \
+  --gtest_filter='Parallel*:GemmKernelEquivalence.ConcurrentCallersMatchSerial:*Rckt*:*StackedFanOut*:TrainerTest*:TrainerGolden*:ComposedParityTest.AttentionBatchSplit*:ComposedParityTest.*ForwardMatchesComposed:*GradientGolden:*ForwardStreamSuite*:RunConnectionsTest*:ShardSetTest*:SwapWeightsTest*' \
   --gtest_brief=1
 
 echo "TSan check passed (KT_NUM_THREADS=${KT_NUM_THREADS})"

@@ -326,6 +326,31 @@ std::vector<ag::Variable> RCKT::GenerateProbsFanOut(
   return out;
 }
 
+void RCKT::SumHistoryInfluences(const data::Batch& batch,
+                                InfluenceTensors& result) {
+  const int64_t b = batch.batch_size;
+  const int64_t t = batch.max_len;
+  result.mask_correct = Tensor::Zeros(Shape{b, t});
+  result.mask_incorrect = Tensor::Zeros(Shape{b, t});
+  for (int64_t row = 0; row < b; ++row) {
+    for (int64_t i = 0; i < t - 1; ++i) {
+      const int64_t idx = batch.FlatIndex(row, i);
+      if (batch.responses[static_cast<size_t>(idx)] == 1) {
+        result.mask_correct.flat(idx) = 1.0f;
+      } else {
+        result.mask_incorrect.flat(idx) = 1.0f;
+      }
+    }
+  }
+  result.delta_plus = ag::Sum(
+      ag::Mul(result.delta_plus_per_pos, ag::Constant(result.mask_correct)),
+      1);
+  result.delta_minus = ag::Sum(
+      ag::Mul(result.delta_minus_per_pos,
+              ag::Constant(result.mask_incorrect)),
+      1);
+}
+
 RCKT::InfluenceTensors RCKT::ComputeInfluences(
     const data::Batch& batch, const nn::Context& ctx,
     const ag::Variable* probe,
@@ -368,31 +393,12 @@ RCKT::InfluenceTensors RCKT::ComputeInfluences(
   }
 
   InfluenceTensors result;
-  result.mask_correct = Tensor::Zeros(Shape{b, t});
-  result.mask_incorrect = Tensor::Zeros(Shape{b, t});
-  for (int64_t row = 0; row < b; ++row) {
-    for (int64_t i = 0; i < target; ++i) {
-      const int64_t idx = batch.FlatIndex(row, i);
-      if (batch.responses[static_cast<size_t>(idx)] == 1) {
-        result.mask_correct.flat(idx) = 1.0f;
-      } else {
-        result.mask_incorrect.flat(idx) = 1.0f;
-      }
-    }
-  }
-
   // Delta+_i = pA_i - pB_i (drop in p(correct) when target flips to
   // incorrect); Delta-_i = pD_i - pC_i (drop in p(incorrect), rewritten in
   // terms of p(correct)).
   result.delta_plus_per_pos = ag::Sub(p_a, p_b);
   result.delta_minus_per_pos = ag::Sub(p_d, p_c);
-  result.delta_plus = ag::Sum(
-      ag::Mul(result.delta_plus_per_pos, ag::Constant(result.mask_correct)),
-      1);
-  result.delta_minus = ag::Sum(
-      ag::Mul(result.delta_minus_per_pos,
-              ag::Constant(result.mask_incorrect)),
-      1);
+  SumHistoryInfluences(batch, result);
   return result;
 }
 
@@ -429,19 +435,6 @@ RCKT::InfluenceTensors RCKT::ComputeInfluencesExact(
   // concatenate in fixed order.
   std::vector<ag::Variable> plus_cols(static_cast<size_t>(t)),
       minus_cols(static_cast<size_t>(t));
-  InfluenceTensors result;
-  result.mask_correct = Tensor::Zeros(Shape{b, t});
-  result.mask_incorrect = Tensor::Zeros(Shape{b, t});
-  for (int64_t row = 0; row < b; ++row) {
-    for (int64_t i = 0; i < target; ++i) {
-      const int64_t idx = batch.FlatIndex(row, i);
-      if (batch.responses[static_cast<size_t>(idx)] == 1) {
-        result.mask_correct.flat(idx) = 1.0f;
-      } else {
-        result.mask_incorrect.flat(idx) = 1.0f;
-      }
-    }
-  }
 
   // Builds the flattened category assignment for counterfactual position i.
   const auto fill_counterfactual = [&](int64_t i, std::vector<int>& cats,
@@ -492,15 +485,10 @@ RCKT::InfluenceTensors RCKT::ComputeInfluencesExact(
     }
   }
 
+  InfluenceTensors result;
   result.delta_plus_per_pos = ag::Concat(plus_cols, 1);    // [B, T]
   result.delta_minus_per_pos = ag::Concat(minus_cols, 1);  // [B, T]
-  result.delta_plus = ag::Sum(
-      ag::Mul(result.delta_plus_per_pos, ag::Constant(result.mask_correct)),
-      1);
-  result.delta_minus = ag::Sum(
-      ag::Mul(result.delta_minus_per_pos,
-              ag::Constant(result.mask_incorrect)),
-      1);
+  SumHistoryInfluences(batch, result);
   return result;
 }
 

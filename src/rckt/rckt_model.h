@@ -226,6 +226,11 @@ class RCKT : public nn::Module {
       const InfluenceTensors& influences) const;
 
   static void CheckEqualLength(const data::Batch& batch);
+  // Fills the history masks (positions before the target, split by the
+  // factual response) and the masked sums delta_plus / delta_minus from
+  // the per-position deltas already in `influences`.
+  static void SumHistoryInfluences(const data::Batch& batch,
+                                   InfluenceTensors& influences);
 
   RcktConfig config_;
   int64_t num_questions_ = 0;

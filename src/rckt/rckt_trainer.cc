@@ -7,8 +7,9 @@ namespace kt {
 namespace rckt {
 namespace {
 
-// Scores samples with `score_fn` (one batch of equal-length prefixes at a
-// time) and accumulates AUC/ACC against the target correctness.
+// Scores samples with `score_fn(group, batch)` (one batch of equal-length
+// prefixes at a time, one score per row) and accumulates AUC/ACC against
+// the target correctness.
 template <typename ScoreFn>
 eval::EvalResult EvaluateSamples(const data::Dataset& dataset,
                                  const RcktTrainOptions& options,
@@ -19,7 +20,7 @@ eval::EvalResult EvaluateSamples(const data::Dataset& dataset,
   for (const auto& group :
        GroupIntoBatches(std::move(samples), options.batch_size, nullptr)) {
     data::Batch batch = MakePrefixBatch(group);
-    const std::vector<float> scores = score_fn(batch);
+    const std::vector<float> scores = score_fn(group, batch);
     KT_CHECK_EQ(static_cast<int64_t>(scores.size()), batch.batch_size);
     const int64_t target = batch.max_len - 1;
     for (int64_t b = 0; b < batch.batch_size; ++b) {
@@ -39,61 +40,59 @@ eval::EvalResult EvaluateSamples(const data::Dataset& dataset,
 
 eval::EvalResult EvaluateRckt(RCKT& model, const data::Dataset& dataset,
                               const RcktTrainOptions& options) {
-  return EvaluateSamples(dataset, options, [&](const data::Batch& batch) {
-    return options.exact ? model.ScoreTargetsExact(batch)
-                         : model.ScoreTargets(batch);
-  });
+  return EvaluateSamples(
+      dataset, options,
+      [&](const std::vector<PrefixSample>&, const data::Batch& batch) {
+        return options.exact ? model.ScoreTargetsExact(batch)
+                             : model.ScoreTargets(batch);
+      });
 }
 
 DetailedEvalResult EvaluateRcktDetailed(RCKT& model,
                                         const data::Dataset& dataset,
                                         const RcktTrainOptions& options) {
-  std::vector<PrefixSample> samples =
-      MakePrefixSamples(dataset, options.eval_stride, options.min_target);
   DetailedEvalResult result;
-  eval::MetricAccumulator accumulator;
-  for (const auto& group :
-       GroupIntoBatches(std::move(samples), options.batch_size, nullptr)) {
-    data::Batch batch = MakePrefixBatch(group);
-    const std::vector<float> scores = options.exact
-                                          ? model.ScoreTargetsExact(batch)
-                                          : model.ScoreTargets(batch);
-    const std::vector<float> generator = model.GeneratorScoreTargets(batch);
-    const int64_t target = batch.max_len - 1;
-    for (int64_t b = 0; b < batch.batch_size; ++b) {
-      const size_t flat =
-          static_cast<size_t>(batch.FlatIndex(b, target));
-      PredictionRecord record;
-      record.sequence =
-          group[static_cast<size_t>(b)].sequence - dataset.sequences.data();
-      record.target = group[static_cast<size_t>(b)].target;
-      record.question = batch.questions[flat];
-      record.label = batch.responses[flat];
-      record.score = scores[static_cast<size_t>(b)];
-      record.generator_score = generator[static_cast<size_t>(b)];
-      accumulator.AddOne(record.score, record.label);
-      result.predictions.push_back(record);
-    }
-  }
-  result.metrics.auc = accumulator.Auc();
-  result.metrics.acc = accumulator.Acc();
-  result.metrics.num_predictions = accumulator.count();
+  result.metrics = EvaluateSamples(
+      dataset, options,
+      [&](const std::vector<PrefixSample>& group, const data::Batch& batch) {
+        std::vector<float> scores = options.exact
+                                        ? model.ScoreTargetsExact(batch)
+                                        : model.ScoreTargets(batch);
+        const std::vector<float> generator =
+            model.GeneratorScoreTargets(batch);
+        const int64_t target = batch.max_len - 1;
+        for (int64_t b = 0; b < batch.batch_size; ++b) {
+          const size_t row = static_cast<size_t>(b);
+          const size_t flat = static_cast<size_t>(batch.FlatIndex(b, target));
+          PredictionRecord record;
+          record.sequence = group[row].sequence - dataset.sequences.data();
+          record.target = group[row].target;
+          record.question = batch.questions[flat];
+          record.label = batch.responses[flat];
+          record.score = scores[row];
+          record.generator_score = generator[row];
+          result.predictions.push_back(record);
+        }
+        return scores;
+      });
   return result;
 }
 
 eval::EvalResult EvaluateModelOnSamples(models::KTModel& model,
                                         const data::Dataset& dataset,
                                         const RcktTrainOptions& options) {
-  return EvaluateSamples(dataset, options, [&](const data::Batch& batch) {
-    Tensor probs = model.PredictBatch(batch);
-    const int64_t target = batch.max_len - 1;
-    std::vector<float> scores(static_cast<size_t>(batch.batch_size));
-    for (int64_t b = 0; b < batch.batch_size; ++b) {
-      scores[static_cast<size_t>(b)] =
-          probs.flat(batch.FlatIndex(b, target));
-    }
-    return scores;
-  });
+  return EvaluateSamples(
+      dataset, options,
+      [&](const std::vector<PrefixSample>&, const data::Batch& batch) {
+        Tensor probs = model.PredictBatch(batch);
+        const int64_t target = batch.max_len - 1;
+        std::vector<float> scores(static_cast<size_t>(batch.batch_size));
+        for (int64_t b = 0; b < batch.batch_size; ++b) {
+          scores[static_cast<size_t>(b)] =
+              probs.flat(batch.FlatIndex(b, target));
+        }
+        return scores;
+      });
 }
 
 RcktTrainResult TrainAndEvaluateRckt(RCKT& model,

@@ -34,6 +34,9 @@ constexpr uint64_t kEventFdTag = ~0ull - 1;
 // a client that writes requests but never reads replies stops costing
 // memory instead of growing the buffer without bound.
 constexpr size_t kOutHighWater = 4u << 20;
+// Requests one connection may have submitted but not yet answered; at the
+// cap the connection is not read until replies drain.
+constexpr int64_t kMaxInFlight = 256;
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -207,7 +210,7 @@ bool Reactor::OnReadable(Conn& conn) {
 void Reactor::ProcessLines(Conn& conn) {
   std::string line;
   while (!conn.closing) {
-    if (conn.in_flight >= options_.max_inflight_per_conn) break;
+    if (conn.in_flight >= kMaxInFlight) break;
     if (conn.out.size() - conn.out_off > kOutHighWater) break;
     const LineFramer::Result r = conn.framer.Next(&line);
     if (r == LineFramer::Result::kNeedMore) break;
@@ -276,7 +279,7 @@ void Reactor::UpdateInterest(Conn& conn) {
   uint32_t want = 0;
   const size_t pending = conn.out.size() - conn.out_off;
   if (!conn.no_more_reads &&
-      conn.in_flight < options_.max_inflight_per_conn &&
+      conn.in_flight < kMaxInFlight &&
       pending <= kOutHighWater) {
     want |= EPOLLIN;
   }

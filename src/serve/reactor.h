@@ -11,7 +11,7 @@
 //
 // Flow control instead of threads: the old transport spent one blocking
 // thread per connection and leaked finished handles until the next
-// accept. Here a connection that has `max_inflight_per_conn` requests in
+// accept. Here a connection that has 256 requests (`kMaxInFlight`) in
 // the shards (or an unread outbound buffer past the high-water mark)
 // simply stops being read until replies drain — backpressure with zero
 // extra threads, no matter how many clients connect.
@@ -36,9 +36,6 @@ namespace serve {
 struct ReactorOptions {
   int port = 0;
   size_t max_line_bytes = kDefaultMaxLineBytes;
-  // Per-connection cap on requests submitted but not yet answered; when
-  // reached the connection is not read until replies drain.
-  int64_t max_inflight_per_conn = 256;
 };
 
 // Serves until a shutdown op (drains and returns 0) or a fatal listener

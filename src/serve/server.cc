@@ -347,8 +347,6 @@ int RunServer(rckt::RCKT& model, const ServerOptions& options,
     ReactorOptions reactor_options;
     reactor_options.port = options.port;
     reactor_options.max_line_bytes = options.max_line_bytes;
-    reactor_options.max_inflight_per_conn =
-        std::max<int64_t>(1, options.batcher.max_queue);
     code = RunReactor(shards, reactor_options);
   } else {
     code = RunStdioServer(shards, options.max_line_bytes);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <iterator>
 #include <utility>
 
@@ -74,15 +75,14 @@ void Release(std::unordered_map<std::string, int64_t>& pending,
 void ShardSet::Enqueue(Shard& shard, Item item) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    bool heavy = false;
-    if (item.kind == Item::Kind::kRequest) {
-      // A student with heavy work already queued keeps subsequent ops in
-      // the heavy lane: both lanes are FIFO and drain on the one worker
-      // thread, so per-student order survives the split.
-      heavy = HeavyOp(item.request.op) ||
-              (!item.request.student.empty() &&
-               shard.heavy_pending.count(item.request.student) != 0);
-    }
+    // A student with heavy work already queued keeps subsequent ops in the
+    // heavy lane: both lanes are FIFO and drain on the one worker thread,
+    // so per-student order survives the split.
+    const bool heavy =
+        !item.control &&
+        (HeavyOp(item.request.op) ||
+         (!item.request.student.empty() &&
+          shard.heavy_pending.count(item.request.student) != 0));
     if (heavy) {
       ++shard.heavy_pending[item.request.student];
       shard.heavy_queue.push_back(std::move(item));
@@ -101,79 +101,72 @@ void ShardSet::Enqueue(Shard& shard, Item item) {
   shard.cv.notify_all();
 }
 
-void ShardSet::SubmitAsync(ServeRequest request, uint64_t tag) {
+void ShardSet::Submit(ServeRequest request, Done done) {
   if (stopping_.load()) {
     ServeResponse response;
     response.ok = false;
     response.op = request.op;
     response.error = "server is shutting down";
+    done(std::move(response));
+    return;
+  }
+  if (request.op != Op::kStats) {
+    Shard& shard = *shards_[shard_for(request.student)];
+    Enqueue(shard, Item{std::move(request), std::move(done), nullptr});
+    return;
+  }
+  auto agg = std::make_shared<StatsAgg>();
+  agg->remaining = shards();
+  for (auto& shard : shards_) {
+    Enqueue(*shard, Item{request, [this, agg, done](ServeResponse part) {
+      {
+        std::lock_guard<std::mutex> lock(agg->mu);
+        agg->acc.op = Op::kStats;
+        agg->acc.sessions += part.sessions;
+        agg->acc.state_bytes += part.state_bytes;
+        agg->acc.history_bytes += part.history_bytes;
+        agg->acc.evictions += part.evictions;
+        if (--agg->remaining != 0) return;
+      }
+      // Model identity + continual section are shard-set-level facts,
+      // filled once on the aggregate rather than summed per shard.
+      agg->acc.model_fingerprint = fingerprint_.load();
+      agg->acc.weight_version = version_.load();
+      if (stats_decorator_) stats_decorator_(agg->acc);
+      done(std::move(agg->acc));
+    }, nullptr});
+  }
+}
+
+void ShardSet::SubmitAsync(ServeRequest request, uint64_t tag) {
+  // A 16-byte trivially copyable capture: std::function stores it inline,
+  // so handing a request to its shard costs no heap allocation.
+  Submit(std::move(request), [this, tag](ServeResponse response) {
     sink_(tag, SerializeResponse(response));
-    return;
-  }
-  if (request.op == Op::kStats) {
-    auto agg = std::make_shared<StatsAgg>();
-    agg->remaining = shards();
-    agg->tag = tag;
-    for (auto& shard : shards_) {
-      Item item;
-      item.request = request;
-      item.agg = agg;
-      Enqueue(*shard, std::move(item));
-    }
-    return;
-  }
-  Shard& shard = *shards_[shard_for(request.student)];
-  Item item;
-  item.request = std::move(request);
-  item.tag = tag;
-  Enqueue(shard, std::move(item));
+  });
 }
 
 ServeResponse ShardSet::SubmitSync(const ServeRequest& request) {
-  if (stopping_.load()) {
-    ServeResponse response;
-    response.ok = false;
-    response.op = request.op;
-    response.error = "server is shutting down";
-    return response;
-  }
-  SyncCell cell;
-  if (request.op == Op::kStats) {
-    auto agg = std::make_shared<StatsAgg>();
-    agg->remaining = shards();
-    agg->cell = &cell;
-    for (auto& shard : shards_) {
-      Item item;
-      item.request = request;
-      item.agg = agg;
-      Enqueue(*shard, std::move(item));
-    }
-  } else {
-    Item item;
-    item.request = request;
-    item.cell = &cell;
-    Enqueue(*shards_[shard_for(request.student)], std::move(item));
-  }
-  std::unique_lock<std::mutex> lock(cell.mu);
-  cell.cv.wait(lock, [&] { return cell.done; });
-  return std::move(cell.response);
+  // The callback owns the promise, so nothing a worker touches lives on
+  // this (waiting) frame.
+  auto reply = std::make_shared<std::promise<ServeResponse>>();
+  std::future<ServeResponse> response = reply->get_future();
+  Submit(request, [reply](ServeResponse r) { reply->set_value(std::move(r)); });
+  return response.get();
 }
 
 void ShardSet::FlushColdSnapshots() {
   // Run on each worker thread (the engines are single-threaded), and wait.
-  std::vector<std::unique_ptr<SyncCell>> cells;
+  std::vector<std::future<void>> flushed;
   for (auto& shard : shards_) {
-    auto cell = std::make_unique<SyncCell>();
-    Item item;
-    item.kind = Item::Kind::kFlush;
-    item.cell = cell.get();
-    Enqueue(*shard, std::move(item));
-    cells.push_back(std::move(cell));
+    auto promise = std::make_shared<std::promise<void>>();
+    flushed.push_back(promise->get_future());
+    Enqueue(*shard, Item{{}, nullptr, [promise](InferenceEngine& engine) {
+      engine.FlushColdSnapshots();
+      promise->set_value();
+    }});
   }
-  for (auto& cell : cells) {
-    std::unique_lock<std::mutex> lock(cell->mu);
-    cell->cv.wait(lock, [&] { return cell->done; });
-  }
+  for (auto& f : flushed) f.wait();
 }
 
 bool ShardSet::SwapWeights(const std::vector<Tensor>& state,
@@ -182,10 +175,16 @@ bool ShardSet::SwapWeights(const std::vector<Tensor>& state,
   const auto start = std::chrono::steady_clock::now();
   auto gate = std::make_shared<SwapGate>();
   for (auto& shard : shards_) {
-    Item item;
-    item.kind = Item::Kind::kSwap;
-    item.gate = gate;
-    Enqueue(*shard, std::move(item));
+    // Each worker parks here until the weights below are installed. The
+    // one heavy item its iteration may have popped executes AFTER the
+    // swap — benign: it replays its session against the new weights, same
+    // as any later op.
+    Enqueue(*shard, Item{{}, nullptr, [gate](InferenceEngine&) {
+      std::unique_lock<std::mutex> lock(gate->mu);
+      ++gate->arrived;
+      gate->cv.notify_all();
+      gate->cv.wait(lock, [&] { return gate->done; });
+    }});
   }
   {
     std::unique_lock<std::mutex> lock(gate->mu);
@@ -225,49 +224,6 @@ void ShardSet::Stop() {
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
-}
-
-void ShardSet::Deliver(const Item& item, ServeResponse response) {
-  if (item.agg != nullptr) {
-    StatsAgg& agg = *item.agg;
-    bool last = false;
-    {
-      std::lock_guard<std::mutex> lock(agg.mu);
-      agg.acc.op = Op::kStats;
-      agg.acc.sessions += response.sessions;
-      agg.acc.state_bytes += response.state_bytes;
-      agg.acc.history_bytes += response.history_bytes;
-      agg.acc.evictions += response.evictions;
-      last = --agg.remaining == 0;
-    }
-    if (!last) return;
-    // Model identity + continual section are shard-set-level facts, filled
-    // once on the aggregate rather than summed per shard.
-    agg.acc.model_fingerprint = fingerprint_.load();
-    agg.acc.weight_version = version_.load();
-    if (stats_decorator_) stats_decorator_(agg.acc);
-    if (agg.cell != nullptr) {
-      // Notify under the lock: the waiter owns the cell's storage and may
-      // destroy it the moment wait() returns, which it cannot do before we
-      // release — so notify_all never touches a dead condition variable.
-      std::lock_guard<std::mutex> lock(agg.cell->mu);
-      agg.cell->response = agg.acc;
-      agg.cell->done = true;
-      agg.cell->cv.notify_all();
-    } else {
-      sink_(agg.tag, SerializeResponse(agg.acc));
-    }
-    return;
-  }
-  if (item.cell != nullptr) {
-    // Notify under the lock (see above): the cell dies with the waiter.
-    std::lock_guard<std::mutex> lock(item.cell->mu);
-    item.cell->response = std::move(response);
-    item.cell->done = true;
-    item.cell->cv.notify_all();
-    return;
-  }
-  sink_(item.tag, SerializeResponse(response));
 }
 
 void ShardSet::WorkerLoop(Shard& shard) {
@@ -328,49 +284,29 @@ void ShardSet::WorkerLoop(Shard& shard) {
           ->Record(static_cast<double>(slice.size()));
     }
     // Contiguous request runs execute as one coalesced engine batch;
-    // control items (cold flush) run in order between them.
+    // control items run in order between them.
     size_t i = 0;
     while (i < slice.size()) {
-      if (slice[i].kind == Item::Kind::kSwap) {
-        // Park at the barrier until the swapping thread has installed the
-        // new weights (see SwapWeights). The one heavy item this iteration
-        // may have popped executes AFTER the swap — benign: it replays its
-        // session against the new weights, same as any later op.
-        SwapGate& gate = *slice[i].gate;
-        std::unique_lock<std::mutex> lock(gate.mu);
-        ++gate.arrived;
-        gate.cv.notify_all();
-        gate.cv.wait(lock, [&] { return gate.done; });
-        ++i;
-        continue;
-      }
-      if (slice[i].kind == Item::Kind::kFlush) {
-        shard.engine->FlushColdSnapshots();
-        if (slice[i].cell != nullptr) {
-          // Notify under the lock (see Deliver): the cell dies with the
-          // waiter the moment wait() observes done.
-          std::lock_guard<std::mutex> lock(slice[i].cell->mu);
-          slice[i].cell->done = true;
-          slice[i].cell->cv.notify_all();
-        }
+      if (slice[i].control) {
+        slice[i].control(*shard.engine);
         ++i;
         continue;
       }
       size_t j = i;
       std::vector<ServeRequest> requests;
-      while (j < slice.size() && slice[j].kind == Item::Kind::kRequest) {
+      while (j < slice.size() && !slice[j].control) {
         requests.push_back(std::move(slice[j].request));
         ++j;
       }
       std::vector<ServeResponse> responses = shard.engine->ExecuteBatch(requests);
       for (size_t k = i; k < j; ++k) {
-        Deliver(slice[k], std::move(responses[k - i]));
+        slice[k].done(std::move(responses[k - i]));
       }
       i = j;
     }
     slice.clear();
     if (have_heavy) {
-      Deliver(heavy_item, shard.engine->Execute(heavy_item.request));
+      heavy_item.done(shard.engine->Execute(heavy_item.request));
     }
   }
 }

@@ -16,10 +16,11 @@
 // serves bitwise the same predictions as `--shards 1` on the same
 // traffic; scripts/check_scenarios.sh gates on exactly that.
 //
-// Producers are either the epoll reactor (SubmitAsync: non-blocking
-// hand-off, reply delivered to the sink from the shard thread, already
-// serialized) or the stdio front end and tests (SubmitSync: blocks for
-// the ServeResponse).
+// Every request answers through one completion callback run on its shard
+// worker: the epoll reactor's SubmitAsync serializes the reply into the
+// sink, and the stdio front end and tests block in SubmitSync on a promise
+// the callback owns. Cold flushes and weight swaps ride the same queues as
+// control items that run on the worker in queue order.
 #ifndef KT_SERVE_SHARD_H_
 #define KT_SERVE_SHARD_H_
 
@@ -44,12 +45,10 @@ namespace serve {
 
 // Per-shard coalescing knobs. A worker takes up to `max_batch` queued light
 // requests as one engine batch, waiting up to `max_wait_us` for stragglers
-// while fewer are queued. `max_queue` caps each connection's in-flight
-// requests and is enforced upstream by the reactor, not by the shard.
+// while fewer are queued.
 struct BatcherOptions {
   int64_t max_batch = 16;
   int64_t max_wait_us = 1000;
-  int64_t max_queue = 256;
 };
 
 struct ShardSetOptions {
@@ -128,21 +127,13 @@ class ShardSet {
   InferenceEngine& engine(int shard) { return *shards_[shard]->engine; }
 
  private:
-  struct SyncCell {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    ServeResponse response;
-  };
+  using Done = std::function<void(ServeResponse)>;
 
   // Cross-shard sum for one kStats request.
   struct StatsAgg {
     std::mutex mu;
     int remaining = 0;
     ServeResponse acc;
-    uint64_t tag = 0;
-    // Set for SubmitSync(stats): deliver here instead of the sink.
-    SyncCell* cell = nullptr;
   };
 
   // Rendezvous for SwapWeights: each worker parks (++arrived) when it
@@ -155,21 +146,21 @@ class ShardSet {
     bool done = false;
   };
 
+  // One unit of shard work. A request executes on the shard's engine and
+  // answers through `done`; a control item (cold flush, swap barrier) runs
+  // `control` on the worker thread instead, in queue order.
   struct Item {
-    enum class Kind { kRequest, kFlush, kSwap };
-    Kind kind = Kind::kRequest;
     ServeRequest request;
-    uint64_t tag = 0;
-    SyncCell* cell = nullptr;             // blocking submit
-    std::shared_ptr<StatsAgg> agg;        // cross-shard stats
-    std::shared_ptr<SwapGate> gate;       // weight-swap barrier
+    Done done;
+    std::function<void(InferenceEngine&)> control;
   };
 
   // Two lanes per shard (both guarded by `mu`): `queue` holds O(1) work
-  // (predict/update/stats/flush) and is coalesced into engine batches;
-  // `heavy_queue` holds O(T) ops (explain/recourse), of which the worker
-  // executes at most ONE per loop iteration — so a burst of heavy ops can
-  // delay a predict by at most one heavy op, never a convoy of them.
+  // (predict/update/stats and control items) and is coalesced into engine
+  // batches; `heavy_queue` holds O(T) ops (explain/recourse), of which the
+  // worker executes at most ONE per loop iteration — so a burst of heavy
+  // ops can delay a predict by at most one heavy op, never a convoy of
+  // them.
   // `heavy_pending` counts queued heavy-lane items per student: while a
   // student has heavy work queued, that student's later ops are routed to
   // the heavy lane too, preserving per-student operation order across the
@@ -188,9 +179,12 @@ class ShardSet {
     std::thread worker;
   };
 
+  // Answers `request` through `done`, on a shard worker thread — or at
+  // once with an error while stopping. kStats fans out to every shard and
+  // answers once with the sum.
+  void Submit(ServeRequest request, Done done);
   void WorkerLoop(Shard& shard);
   void Enqueue(Shard& shard, Item item);
-  void Deliver(const Item& item, ServeResponse response);
 
   ShardSetOptions options_;
   Sink sink_;

@@ -428,6 +428,40 @@ TEST(ShardSetTest, HeavyOpsDoNotOvertakeQueuedLightOps) {
       << replies.back().second;
 }
 
+// ---- shutdown ----
+
+// After Stop() every entry point still answers, at once and with the
+// shutdown error: SubmitSync for a routed op and for the stats fan-out,
+// and SubmitAsync through the sink under the caller's tag.
+TEST(ShardSetTest, SubmitsAfterStopAnswerWithTheShutdownError) {
+  data::Dataset ds = TinyDataset();
+  rckt::RCKT model(ds.num_questions, ds.num_concepts,
+                   SmallConfig(rckt::EncoderKind::kDKT));
+  ShardSetOptions options;
+  options.shards = 2;
+  options.engine.num_questions = ds.num_questions;
+  options.engine.num_concepts = ds.num_concepts;
+  ShardSet shards(model, options, nullptr);
+  std::vector<std::pair<uint64_t, std::string>> lines;
+  shards.set_sink([&](uint64_t tag, std::string line) {
+    lines.emplace_back(tag, std::move(line));
+  });
+  shards.Stop();
+
+  ServeRequest stats;
+  stats.op = Op::kStats;
+  for (const ServeRequest& request : {Predict("late", 3), stats}) {
+    const ServeResponse response = shards.SubmitSync(request);
+    EXPECT_FALSE(response.ok) << OpName(request.op);
+    EXPECT_EQ(response.error, "server is shutting down");
+  }
+  shards.SubmitAsync(Predict("late", 3), 7);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].first, 7u);
+  EXPECT_EQ(lines[0].second,
+            "{\"ok\":false,\"error\":\"server is shutting down\"}");
+}
+
 // ---- bitwise parity across shard counts ----
 
 TEST(ShardSetTest, PredictionsAreBitwiseIdenticalAcrossShardCounts) {

@@ -34,7 +34,7 @@
 //             for one forward pass per candidate (identical output —
 //             the parity gate in scripts/check_serve.sh relies on it).
 //   serve     --load model.ktw [--data data.csv] [--port P] [--shards N]
-//             [--max-batch N] [--max-wait-us U] [--max-queue Q]
+//             [--max-batch N] [--max-wait-us U]
 //             [--memory-budget-mb M] [--cold-dir DIR]
 //             Online inference server speaking newline-delimited JSON over
 //             stdin/stdout (default) or TCP on 127.0.0.1:P (--port). The
@@ -536,7 +536,6 @@ int CmdServe(const FlagParser& flags) {
   server_options.engine.cold_dir = flags.GetString("cold-dir", "");
   server_options.batcher.max_batch = flags.GetInt("max-batch", 16);
   server_options.batcher.max_wait_us = flags.GetInt("max-wait-us", 1000);
-  server_options.batcher.max_queue = flags.GetInt("max-queue", 256);
 
   // ---- continual learning (kt::continual) ----
   std::unique_ptr<continual::ContinualTrainer> trainer;
