@@ -15,6 +15,9 @@
 # checkpoint code across the epoch and validation callbacks. The
 # forward-stream suite writes each attention stream's rows into one
 # Uninitialized [k, S, d] output, so a row left unwritten shows as poison.
+# The engine parity and recourse suites drive RCKT's streaming generator,
+# which copies forward-stream rows into stacked head inputs at computed
+# offsets and clones streams for each recourse candidate.
 # The JSON suite feeds the one JSON parser (core/json.cc) malformed and
 # truncated text; it reads untrusted bytes off the serving wire, and so do
 # the request-parser and transport cases that refuse fractional ids.
@@ -50,6 +53,7 @@ FILTER+=':TrainerTest*:TrainerGolden*:CrossValidationTest*'
 FILTER+=':*ForwardStreamSuite*:ServeJsonTest*'
 FILTER+=':ServeProtocolTest.RefusesFractionalIds'
 FILTER+=':ServeTransportTest.FractionalQuestionGetsAnErrorReply'
+FILTER+=':*EngineParitySuite*:EngineRecourseTest*'
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 halt_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"

@@ -89,25 +89,26 @@ void AppendAdamState(const nn::Adam& adam, std::string* out) {
 }
 
 Status ParseAdamState(const char* data, size_t size,
-                      const std::vector<Shape>& expected, nn::Adam* adam) {
+                      const std::vector<Shape>& expected, AdamState* out) {
   BinCursor cursor(data, size);
-  int64_t step = 0;
-  if (!cursor.Read(&step) || step < 0) {
+  AdamState parsed;
+  if (!cursor.Read(&parsed.step) || parsed.step < 0) {
     return Status::InvalidArgument("corrupt adam step counter");
   }
-  std::vector<Tensor> m, v;
-  if (Status status = ParseTensorList(cursor, expected, false, "adam m", &m);
+  if (Status status =
+          ParseTensorList(cursor, expected, false, "adam m", &parsed.m);
       !status.ok()) {
     return status;
   }
-  if (Status status = ParseTensorList(cursor, expected, false, "adam v", &v);
+  if (Status status =
+          ParseTensorList(cursor, expected, false, "adam v", &parsed.v);
       !status.ok()) {
     return status;
   }
   if (!cursor.done()) {
     return Status::InvalidArgument("trailing bytes in adam state");
   }
-  adam->SetState(m, v, step);
+  *out = std::move(parsed);
   return Status::Ok();
 }
 
@@ -199,29 +200,15 @@ Status LoadTrainingState(const TrainingState& state, const std::string& path) {
 
   const std::vector<Shape> shapes = ParameterShapes(*state.module);
 
-  int64_t adam_step = 0;
-  std::vector<Tensor> adam_m, adam_v;
+  AdamState adam;
   if (state.optimizer != nullptr) {
     if (Status status = reader.Find("adam", &section); !status.ok()) {
       return status;
     }
-    BinCursor cursor(section.data(), section.size());
-    if (!cursor.Read(&adam_step) || adam_step < 0) {
-      return Status::InvalidArgument("corrupt adam step counter in " + path);
-    }
     if (Status status =
-            ParseTensorList(cursor, shapes, false, "adam m", &adam_m);
+            ParseAdamState(section.data(), section.size(), shapes, &adam);
         !status.ok()) {
-      return status;
-    }
-    if (Status status =
-            ParseTensorList(cursor, shapes, false, "adam v", &adam_v);
-        !status.ok()) {
-      return status;
-    }
-    if (!cursor.done()) {
-      return Status::InvalidArgument("trailing bytes in adam section of " +
-                                     path);
+      return Status(status.code(), status.message() + " in " + path);
     }
   }
 
@@ -330,7 +317,7 @@ Status LoadTrainingState(const TrainingState& state, const std::string& path) {
 
   // Commit phase: everything below is validated and cannot fail.
   if (state.optimizer != nullptr) {
-    state.optimizer->SetState(adam_m, adam_v, adam_step);
+    state.optimizer->SetState(adam.m, adam.v, adam.step);
   }
   for (size_t j = 0; j < state.rngs.size(); ++j) {
     state.rngs[j].second->SetState(rng_states[j]);

@@ -69,11 +69,17 @@ Status LoadTrainingState(const TrainingState& state, const std::string& path);
 // so other checkpoint producers — the continual trainer — embed optimizer
 // state in their own kt::ckpt containers with the same validation story.
 void AppendAdamState(const nn::Adam& adam, std::string* out);
+// A parsed "adam" section, not yet applied to an optimizer.
+struct AdamState {
+  int64_t step = 0;
+  std::vector<Tensor> m, v;
+};
 // Parses a buffer written by AppendAdamState against `expected` (the
-// module's parameter shapes); mutates `adam` only after the whole buffer
-// validates.
+// module's parameter shapes) into *out, which is set only when the whole
+// buffer validates. The caller commits it with nn::Adam::SetState once
+// everything else it loads has validated too.
 Status ParseAdamState(const char* data, size_t size,
-                      const std::vector<Shape>& expected, nn::Adam* adam);
+                      const std::vector<Shape>& expected, AdamState* out);
 
 }  // namespace ckpt
 }  // namespace kt

@@ -442,9 +442,8 @@ bool ContinualTrainer::LoadCheckpoint() {
         << " was written for a different model architecture";
   }
 
-  // Stage the sample state, then apply. Weights/optimizer apply in
-  // sequence afterwards; the schema check above pins the architecture, so
-  // their shape validation cannot fail half-way for a well-formed file.
+  // Stage the sample state, then apply. Weights and optimizer are staged
+  // and applied afterwards.
   Reservoir reservoir(options_.reservoir_capacity, options_.seed);
   std::vector<TrainSample> tail, holdout;
   if (!reservoir.Deserialize(reservoir_bytes.data(), reservoir_bytes.size()) ||
@@ -468,6 +467,20 @@ bool ContinualTrainer::LoadCheckpoint() {
                     << "starting fresh";
     return false;
   }
+  // ParseModuleState stages too, so rejected bytes leave the candidate's
+  // weights and optimizer as they were.
+  std::vector<Shape> expected;
+  for (const ag::Variable& param : candidate_->Parameters()) {
+    expected.push_back(param.value().shape());
+  }
+  ckpt::AdamState adam;
+  const Status adam_status = ckpt::ParseAdamState(
+      adam_bytes.data(), adam_bytes.size(), expected, &adam);
+  if (!adam_status.ok()) {
+    KT_LOG(WARNING) << "continual: checkpoint optimizer rejected: "
+                    << adam_status.message();
+    return false;
+  }
   const Status weight_status = nn::ParseModuleState(
       weight_bytes.data(), weight_bytes.size(), *candidate_);
   if (!weight_status.ok()) {
@@ -475,17 +488,7 @@ bool ContinualTrainer::LoadCheckpoint() {
                     << weight_status.message();
     return false;
   }
-  std::vector<Shape> expected;
-  for (const ag::Variable& param : candidate_->Parameters()) {
-    expected.push_back(param.value().shape());
-  }
-  const Status adam_status = ckpt::ParseAdamState(
-      adam_bytes.data(), adam_bytes.size(), expected, candidate_->optimizer());
-  if (!adam_status.ok()) {
-    KT_LOG(WARNING) << "continual: checkpoint optimizer rejected: "
-                    << adam_status.message();
-    return false;
-  }
+  candidate_->optimizer()->SetState(adam.m, adam.v, adam.step);
 
   {
     std::lock_guard<std::mutex> lock(data_mu_);

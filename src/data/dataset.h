@@ -20,6 +20,11 @@ struct Interaction {
   std::vector<int64_t> concepts;
 };
 
+inline bool operator==(const Interaction& a, const Interaction& b) {
+  return a.question == b.question && a.response == b.response &&
+         a.concepts == b.concepts;
+}
+
 // One student's (windowed) response sequence, ordered by time.
 struct ResponseSequence {
   int64_t student = 0;

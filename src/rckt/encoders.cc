@@ -116,7 +116,20 @@ class BiRecurrentEncoder : public BiEncoder {
         }
       }
     }
+    for (ForwardStreamState* state : states) {
+      static_cast<Stream*>(state)->len += a.size(1);
+    }
     return f.value();
+  }
+
+  // The folded rows hold no earlier state, so only the full-length stream
+  // clones. A step replaces the state rows and never writes them, so the
+  // clone shares them.
+  std::unique_ptr<ForwardStreamState> CloneStreamPrefix(
+      const ForwardStreamState& state, int64_t prefix_len) const override {
+    const auto& stream = static_cast<const Stream&>(state);
+    if (prefix_len != stream.len) return nullptr;
+    return std::make_unique<Stream>(stream);
   }
 
   size_t StateBytes(int64_t /*history_len*/) const override {
@@ -136,14 +149,15 @@ class BiRecurrentEncoder : public BiEncoder {
   }
 
   std::unique_ptr<ForwardStreamState> DeserializeStream(
-      const char* data, size_t size) const override {
+      const char* data, size_t size, int64_t len) const override {
     BinCursor cursor(data, size);
     uint32_t layers = 0;
-    if (!cursor.Read(&layers) || layers != forward_layers_.size()) {
+    if (len < 0 || !cursor.Read(&layers) || layers != forward_layers_.size()) {
       return nullptr;
     }
     const int64_t hidden = forward_layers_[0]->hidden_size();
     auto stream = std::make_unique<Stream>();
+    stream->len = len;
     stream->layers.resize(layers);
     for (State& layer : stream->layers) {
       for (size_t r = 0; r < state_rows_; ++r) {
@@ -159,6 +173,7 @@ class BiRecurrentEncoder : public BiEncoder {
  private:
   struct Stream : ForwardStreamState {
     std::vector<State> layers;
+    int64_t len = 0;  // steps taken
   };
   static std::vector<State>& Layers(ForwardStreamState* state) {
     return static_cast<Stream*>(state)->layers;
@@ -308,7 +323,7 @@ void BiAttentionEncoder::SerializeStream(const ForwardStreamState& state,
 }
 
 std::unique_ptr<ForwardStreamState> BiAttentionEncoder::DeserializeStream(
-    const char* data, size_t size) const {
+    const char* data, size_t size, int64_t len) const {
   BinCursor cursor(data, size);
   uint32_t blocks = 0;
   if (!cursor.Read(&blocks) || blocks != forward_blocks_.size())
@@ -317,7 +332,7 @@ std::unique_ptr<ForwardStreamState> BiAttentionEncoder::DeserializeStream(
   state->caches.resize(blocks);
   for (uint32_t l = 0; l < blocks; ++l) {
     nn::AttentionKVCache& cache = state->caches[l];
-    if (!cursor.Read(&cache.len) || cache.len < 0) return nullptr;
+    if (!cursor.Read(&cache.len) || cache.len != len) return nullptr;
     const size_t floats =
         static_cast<size_t>(cache.len) * static_cast<size_t>(dim_);
     if (cursor.remaining() < 2 * floats * sizeof(float)) return nullptr;

@@ -12,7 +12,7 @@
 // Two flavors adapt the sequential encoders of DKT, SAKT and AKT
 // (paper Sec. V-A4):
 //   * a recurrent encoder   — stacked LSTMs (RCKT-DKT) or GRUs (RCKT-GRU)
-//     per direction, one template in encoders.cc behind MakeBiEncoder,
+//     per direction (nn::Recurrent) behind MakeBiEncoder,
 //   * BiAttentionEncoder    — stacked transformer blocks with causal /
 //     anticausal inclusive masks; standard dot-product attention (RCKT-SAKT)
 //     or monotonic distance-decay attention (RCKT-AKT).
@@ -79,12 +79,11 @@ class BiEncoder : public nn::Module {
   virtual Tensor StepForwardRun(const std::vector<ForwardStreamState*>& states,
                                 const Tensor& a) const = 0;
 
-  // Clone the stream as it stood after only its first `prefix_len` steps,
-  // in O(bytes) with no encoder work. Only possible when the state keeps
-  // per-position entries: attention KV caches are append-only, so the first
-  // `prefix_len` rows ARE the prefix stream's state. Recurrent encoders
-  // fold history into O(1) rows that cannot be rewound and return nullptr;
-  // callers then rebuild the prefix by replaying it.
+  // Clone the stream as it stood after its first `prefix_len` steps, in
+  // O(bytes), never touching the source. Attention KV caches are
+  // append-only, so their first `prefix_len` rows ARE that state. Recurrent
+  // encoders fold history into O(1) rows: they clone only at full length
+  // and return nullptr for a shorter prefix, which callers then replay.
   virtual std::unique_ptr<ForwardStreamState> CloneStreamPrefix(
       const ForwardStreamState& state, int64_t prefix_len) const;
 
@@ -98,13 +97,14 @@ class BiEncoder : public nn::Module {
   // Appends the stream state to `out` as raw little-endian float bytes, so
   // a deserialized stream is BIT-IDENTICAL to the serialized one — the
   // property the serve cold tier's "reload equals replay rebuild" contract
-  // rests on. DeserializeStream returns nullptr on truncated or
-  // shape-incompatible payloads (e.g. a snapshot written by a model with a
-  // different layer count); callers then fall back to a replay rebuild.
+  // rests on. `len` is the stream's step count (its history length), which
+  // recurrent bytes do not record. DeserializeStream returns nullptr on
+  // truncated, shape-incompatible (e.g. another layer count) or
+  // length-mismatched payloads; callers then fall back to a replay rebuild.
   virtual void SerializeStream(const ForwardStreamState& state,
                                std::string* out) const = 0;
   virtual std::unique_ptr<ForwardStreamState> DeserializeStream(
-      const char* data, size_t size) const = 0;
+      const char* data, size_t size, int64_t len) const = 0;
 };
 
 class BiAttentionEncoder : public BiEncoder {
@@ -122,7 +122,7 @@ class BiAttentionEncoder : public BiEncoder {
   void SerializeStream(const ForwardStreamState& state,
                        std::string* out) const override;
   std::unique_ptr<ForwardStreamState> DeserializeStream(
-      const char* data, size_t size) const override;
+      const char* data, size_t size, int64_t len) const override;
 
  private:
   int64_t dim_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -300,7 +303,9 @@ std::vector<ag::Variable> RCKT::GenerateProbsFanOut(
   KT_CHECK_GT(blocks, 0);
   if (obs::Enabled()) {
     static obs::Counter* const passes = obs::Counter::Get("rckt.fanout_passes");
-    passes->Add(blocks);
+    static obs::Counter* const eval_passes =
+        obs::Counter::Get("rckt.fanout_eval_passes");
+    (ag::GradModeEnabled() ? passes : eval_passes)->Add(blocks);
   }
   std::vector<Rng> streams = ForkPassStreams(ctx, blocks, config_.dropout);
   const nn::Context local = StreamContext(ctx, streams, 0, blocks);
@@ -642,6 +647,149 @@ std::vector<float> RCKT::GeneratorScoreTargets(
         probs.value().flat(prefix_batch.FlatIndex(row, target));
   }
   return out;
+}
+
+Tensor RCKT::EmbedRuns(
+    const std::vector<const std::vector<data::Interaction>*>& runs) const {
+  std::vector<int64_t> questions;
+  std::vector<int64_t> responses;
+  std::vector<std::vector<int64_t>> bags;
+  for (const std::vector<data::Interaction>* run : runs) {
+    for (const data::Interaction& interaction : *run) {
+      questions.push_back(interaction.question);
+      responses.push_back(interaction.response);
+      bags.push_back(interaction.concepts);
+    }
+  }
+  return ag::Add(embedder_.QuestionEmbedRows(questions, bags),
+                 ag::EmbeddingLookup(embedder_.response_table(), responses))
+      .value();
+}
+
+Tensor RCKT::AdvanceStreams(
+    const std::vector<ForwardStreamState*>& streams,
+    const std::vector<data::Interaction>& interactions) const {
+  ag::NoGradGuard no_grad;
+  const int64_t k = static_cast<int64_t>(streams.size());
+  KT_CHECK_GT(k, 0);
+  const int64_t run = static_cast<int64_t>(interactions.size()) / k;
+  KT_CHECK_GT(run, 0);
+  KT_CHECK_EQ(run * k, static_cast<int64_t>(interactions.size()));
+  const int64_t d = config_.dim;
+  const Tensor f = encoder_->StepForwardRun(
+      streams, EmbedRuns({&interactions}).Reshape(Shape{k, run, d}));
+  return f.Slice(1, run - 1, run).Reshape(Shape{k, d});
+}
+
+std::vector<float> RCKT::PredictNext(
+    const std::vector<StreamTarget>& targets) const {
+  ag::NoGradGuard no_grad;
+  const int64_t k = static_cast<int64_t>(targets.size());
+  const int64_t d = config_.dim;
+  std::vector<int64_t> questions;
+  std::vector<std::vector<int64_t>> bags;
+  // An empty history contributes the forward zero boundary.
+  Tensor last_rows = Tensor::Zeros(Shape{k, d});
+  for (int64_t j = 0; j < k; ++j) {
+    const StreamTarget& target = targets[static_cast<size_t>(j)];
+    questions.push_back(target.question);
+    bags.push_back(*target.concepts);
+    if (target.last_f->dim() > 0) {
+      KT_CHECK_EQ(target.last_f->numel(), d);
+      std::memcpy(last_rows.data() + j * d, target.last_f->data(),
+                  static_cast<size_t>(d) * sizeof(float));
+    }
+  }
+  // h = fwd_{T-2} + the backward zero boundary. The explicit Add replays
+  // the offline ShiftAndAdd, which normalizes -0.0f the same way.
+  const Tensor h = ag::Add(ag::Constant(last_rows),
+                           ag::Constant(Tensor::Zeros(Shape{k, d})))
+                       .value();
+  // x = [h, e] per row, the bytes Concat({h, e}, 2) lays out offline. The
+  // head runs graph-free on the exact kernels of the offline one.
+  const Tensor x = Tensor::Concat(
+      {h, embedder_.QuestionEmbedRows(questions, bags).value()}, 1);
+  const Tensor mid = ag::LinearBiasActForward(
+      x, mlp_hidden_.weight().value(), &mlp_hidden_.bias().value(),
+      ag::Act::kRelu);
+  const Tensor p = ag::LinearBiasActForward(
+      mid, mlp_out_.weight().value(), &mlp_out_.bias().value(),
+      ag::Act::kSigmoid);  // [k, 1]
+  return std::vector<float>(p.data(), p.data() + k);
+}
+
+std::vector<float> RCKT::ScoreTimelines(
+    const ForwardStreamState& stream,
+    const std::vector<data::Interaction>& history,
+    const std::vector<Timeline>& timelines, int64_t question,
+    const std::vector<int64_t>& concepts) const {
+  ag::NoGradGuard no_grad;
+  const int64_t d = config_.dim;
+  const int64_t history_len = static_cast<int64_t>(history.size());
+
+  // Rows embed independently, so each distinct row embeds once: the
+  // factual history, then every edited or appended row. A suffix row that
+  // equals the factual row at its position reads that one.
+  std::vector<data::Interaction> edits;
+  std::vector<std::vector<int64_t>> sources(timelines.size());
+  std::set<int64_t> walk_stops;
+  for (size_t c = 0; c < timelines.size(); ++c) {
+    const Timeline& timeline = timelines[c];
+    KT_CHECK(timeline.start >= 0 && timeline.start <= history_len &&
+             !timeline.suffix.empty());
+    if (timeline.start < history_len) walk_stops.insert(timeline.start);
+    int64_t pos = timeline.start;
+    for (const data::Interaction& row : timeline.suffix) {
+      if (pos < history_len && row == history[static_cast<size_t>(pos)]) {
+        sources[c].push_back(pos++);
+        continue;
+      }
+      const auto it = std::find(edits.begin(), edits.end(), row);
+      sources[c].push_back(history_len + (it - edits.begin()));
+      if (it == edits.end()) edits.push_back(row);
+      ++pos;
+    }
+  }
+  const Tensor a = EmbedRuns({&history, &edits});
+
+  // The stream at a start: a clone of the factual stream where the encoder
+  // can take one, else a copy kept by the prefix walk, which runs once, on
+  // first need, through every stop in ascending order.
+  std::map<int64_t, std::unique_ptr<ForwardStreamState>> walked;
+  const auto state_at = [&](int64_t p) {
+    if (auto clone = encoder_->CloneStreamPrefix(stream, p)) return clone;
+    if (walked.empty()) {
+      auto walk = encoder_->NewForwardStream();
+      int64_t pos = 0;
+      for (const int64_t stop : walk_stops) {
+        if (stop > pos) {
+          encoder_->StepForwardRun(
+              {walk.get()},
+              a.Slice(0, pos, stop).Reshape(Shape{1, stop - pos, d}));
+        }
+        pos = stop;
+        walked[stop] = encoder_->CloneStreamPrefix(*walk, stop);
+      }
+    }
+    return encoder_->CloneStreamPrefix(*walked.at(p), p);
+  };
+
+  std::vector<Tensor> last_f(timelines.size());
+  std::vector<StreamTarget> targets(timelines.size());
+  for (size_t c = 0; c < timelines.size(); ++c) {
+    const int64_t len = static_cast<int64_t>(sources[c].size());
+    Tensor suffix = Tensor::Uninitialized(Shape{1, len, d});
+    for (int64_t j = 0; j < len; ++j) {
+      std::memcpy(suffix.data() + j * d,
+                  a.data() + sources[c][static_cast<size_t>(j)] * d,
+                  static_cast<size_t>(d) * sizeof(float));
+    }
+    auto replay = state_at(timelines[c].start);
+    const Tensor f = encoder_->StepForwardRun({replay.get()}, suffix);
+    last_f[c] = f.Slice(1, len - 1, len).Reshape(Shape{1, d});
+    targets[c] = StreamTarget{&last_f[c], question, &concepts};
+  }
+  return PredictNext(targets);
 }
 
 std::vector<float> RCKT::ScoreTargetsExact(const data::Batch& prefix_batch) {

@@ -98,9 +98,8 @@ class RCKT : public nn::Module {
   nn::Adam* optimizer() { return optimizer_.get(); }
   Rng* dropout_rng() { return &rng_; }
 
-  // Component access for the online serving path (kt::serve), which
-  // re-assembles the generator chain — embed, forward-stream encode, MLP
-  // head — incrementally outside the batched Encode.
+  // Component access: serving creates, sizes and (cold tier) serializes
+  // streams through bi_encoder(); tests build reference passes from parts.
   const models::InteractionEmbedder& embedder() const { return embedder_; }
   const BiEncoder& bi_encoder() const { return *encoder_; }
   const nn::Linear& mlp_hidden() const { return mlp_hidden_; }
@@ -148,6 +147,45 @@ class RCKT : public nn::Module {
   // how much of RCKT's accuracy comes from the probability generator vs the
   // influence aggregation (see bench_interpretability).
   std::vector<float> GeneratorScoreTargets(const data::Batch& prefix_batch);
+
+  // ---- Streaming generator (online serving, DESIGN.md §11) ----
+  // The generator over forward streams: at a masked target after a history
+  // only the forward output of the last history step matters, and every
+  // result is bitwise the matching GeneratorScoreTargets value at any
+  // thread count. Const and grad-free: threads call them at once.
+
+  // Advances k distinct streams by one run each: stream i takes
+  // interactions [i*S, (i+1)*S), S = interactions.size() / k. Returns each
+  // stream's forward output at its new last step, [k, d].
+  Tensor AdvanceStreams(
+      const std::vector<ForwardStreamState*>& streams,
+      const std::vector<data::Interaction>& interactions) const;
+
+  // A next-response target after a history whose last step's forward
+  // output is `last_f` ([1, d]; a default Tensor for an empty history).
+  struct StreamTarget {
+    const Tensor* last_f = nullptr;
+    int64_t question = -1;
+    const std::vector<int64_t>* concepts = nullptr;
+  };
+  // p(correct) per target, from one stacked MLP-head pass.
+  std::vector<float> PredictNext(const std::vector<StreamTarget>& targets) const;
+
+  // A candidate timeline: the factual history's first `start` interactions,
+  // then the non-empty `suffix` (edited history, appended practice, ...).
+  struct Timeline {
+    int64_t start = 0;
+    std::vector<data::Interaction> suffix;
+  };
+  // p(correct) of one target after each timeline. `stream` is the forward
+  // stream over `history`; each timeline replays only its suffix, from a
+  // clone of `stream` at `start` (CloneStreamPrefix) or, where the encoder
+  // cannot rewind, a copy from one shared walk over the factual prefix.
+  std::vector<float> ScoreTimelines(
+      const ForwardStreamState& stream,
+      const std::vector<data::Interaction>& history,
+      const std::vector<Timeline>& timelines, int64_t question,
+      const std::vector<int64_t>& concepts) const;
 
   // ---- Exact forward mode (Table VI) ----
   // Influence computation without the backward approximation: one generator
@@ -224,6 +262,12 @@ class RCKT : public nn::Module {
   std::vector<Explanation> ExplanationsFromInfluences(
       const data::Batch& prefix_batch,
       const InfluenceTensors& influences) const;
+
+  // Encoder input rows a_i = e_i + r_emb[response_i] for the runs laid end
+  // to end, [rows, d]. Rows embed independently: each is bitwise its
+  // interaction embedded alone.
+  Tensor EmbedRuns(
+      const std::vector<const std::vector<data::Interaction>*>& runs) const;
 
   static void CheckEqualLength(const data::Batch& batch);
   // Fills the history masks (positions before the target, split by the

@@ -54,18 +54,6 @@ bool ReadHistory(std::string_view bytes,
   return cursor.done();
 }
 
-bool SameHistory(const std::vector<data::Interaction>& a,
-                 const std::vector<data::Interaction>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].question != b[i].question || a[i].response != b[i].response ||
-        a[i].concepts != b[i].concepts) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void BumpCounter(const char* name) {
   if (obs::Enabled()) obs::Counter::Get(name)->Add(1);
 }
@@ -152,8 +140,7 @@ bool ColdTier::Load(Session* session) {
 
   std::vector<data::Interaction> history;
   if (!ReadHistory(history_bytes, &history) || history.empty()) return false;
-  if (!session->history.empty() &&
-      !SameHistory(session->history, history)) {
+  if (!session->history.empty() && session->history != history) {
     // A snapshot that disagrees with the live history is stale garbage
     // (e.g. leftover from a previous run after a reset): drop it.
     std::remove(path.c_str());
@@ -173,8 +160,9 @@ bool ColdTier::Load(Session* session) {
     return false;
   }
 
-  auto stream =
-      encoder_.DeserializeStream(stream_bytes.data(), stream_bytes.size());
+  auto stream = encoder_.DeserializeStream(
+      stream_bytes.data(), stream_bytes.size(),
+      static_cast<int64_t>(history.size()));
   if (stream == nullptr) return false;
 
   BinCursor cursor(last_bytes.data(), last_bytes.size());

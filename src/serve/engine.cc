@@ -1,12 +1,9 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <cstring>
-#include <map>
 #include <unordered_set>
 #include <utility>
 
-#include "autograd/ops.h"
 #include "data/batch.h"
 #include "obs/obs.h"
 
@@ -49,12 +46,12 @@ const char* OpName(Op op) {
 InferenceEngine::InferenceEngine(rckt::RCKT& model, EngineOptions options)
     : model_(model),
       options_(std::move(options)),
-      dim_(model.config().dim),
       store_(options_.session_budget_bytes) {
   if (!options_.cold_dir.empty()) {
     cold_ = std::make_unique<ColdTier>(
         options_.cold_dir, model_.bi_encoder(), model_.config().encoder,
-        dim_, model_.config().num_layers, options_.model_fingerprint);
+        model_.config().dim, model_.config().num_layers,
+        options_.model_fingerprint);
     // Eviction becomes demotion: snapshot the victim's neural state right
     // before the store drops it. The hook only reads the session, so it is
     // safe mid-eviction.
@@ -174,11 +171,8 @@ void InferenceEngine::EnsureStream(Session& session) {
     if (obs::Enabled()) {
       obs::Histogram::Get("serve.replay_len")->Record(static_cast<double>(n));
     }
-    const Tensor a =
-        EmbedInteractions(session.history).Reshape(Shape{1, n, dim_});
-    const Tensor f =
-        model_.bi_encoder().StepForwardRun({session.stream.get()}, a);
-    session.last_f = f.Slice(1, n - 1, n).Reshape(Shape{1, dim_});
+    session.last_f = model_.AdvanceStreams({session.stream.get()},
+                                           session.history);
   }
   AccountState(session);
 }
@@ -195,62 +189,6 @@ void InferenceEngine::AccountState(Session& session) {
                 static_cast<int64_t>(session.history.size())) +
                 static_cast<size_t>(session.last_f.numel()) * sizeof(float);
   store_.SetStateBytes(session, bytes);
-}
-
-Tensor InferenceEngine::PredictInputRow(
-    const Session& session, int64_t question,
-    const std::vector<int64_t>& concepts) const {
-  return HeadInputRow(session.last_f, question, concepts);
-}
-
-Tensor InferenceEngine::HeadInputRow(
-    const Tensor& last_f, int64_t question,
-    const std::vector<int64_t>& concepts) const {
-  ag::NoGradGuard no_grad;
-  const ag::Variable e =
-      model_.embedder().QuestionEmbedRows({question}, {concepts});  // [1, d]
-  // ShiftAndAdd at the target: h = fwd_{T-2} + backward-zero-boundary. The
-  // explicit Add with zeros replays the offline op (it normalizes -0.0f the
-  // same way); an empty history contributes the forward zero boundary too.
-  const Tensor h_in =
-      last_f.numel() > 0 ? last_f : Tensor::Zeros(Shape{1, dim_});
-  const Tensor h = ag::Add(ag::Constant(h_in),
-                           ag::Constant(Tensor::Zeros(Shape{1, dim_})))
-                       .value();
-  // x = concat(h, e) along features, [1, 2d] — same bytes Concat({h,e},2)
-  // lays out for this row offline.
-  Tensor x(Shape{1, 2 * dim_});
-  std::memcpy(x.data(), h.data(), static_cast<size_t>(dim_) * sizeof(float));
-  std::memcpy(x.data() + dim_, e.value().data(),
-              static_cast<size_t>(dim_) * sizeof(float));
-  return x;
-}
-
-Tensor InferenceEngine::EmbedInteractions(
-    const std::vector<data::Interaction>& interactions) const {
-  ag::NoGradGuard no_grad;
-  const size_t n = interactions.size();
-  std::vector<int64_t> questions(n);
-  std::vector<int64_t> responses(n);
-  std::vector<std::vector<int64_t>> bags(n);
-  for (size_t i = 0; i < n; ++i) {
-    questions[i] = interactions[i].question;
-    responses[i] = interactions[i].response;
-    bags[i] = interactions[i].concepts;
-  }
-  const ag::Variable e = model_.embedder().QuestionEmbedRows(questions, bags);
-  const ag::Variable r =
-      ag::EmbeddingLookup(model_.embedder().response_table(), responses);
-  return ag::Add(e, r).value();
-}
-
-Tensor InferenceEngine::HeadProbs(const Tensor& rows) const {
-  const nn::Linear& hidden = model_.mlp_hidden();
-  const nn::Linear& out = model_.mlp_out();
-  const Tensor mid = ag::LinearBiasActForward(
-      rows, hidden.weight().value(), &hidden.bias().value(), ag::Act::kRelu);
-  return ag::LinearBiasActForward(mid, out.weight().value(),
-                                  &out.bias().value(), ag::Act::kSigmoid);
 }
 
 ServeResponse InferenceEngine::ExecuteExplain(const ServeRequest& request) {
@@ -302,7 +240,6 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
   ServeResponse response;
   if (!Validate(request, &response)) return response;
   KT_OBS_SCOPE("serve/recourse");
-  ag::NoGradGuard no_grad;
   Session& session = store_.GetOrCreate(request.student);
   EnsureStream(session);
   const std::vector<int64_t>& target_bag = ConceptsFor(request);
@@ -312,30 +249,21 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
   // base_p: the factual prediction, through the same head as predict —
   // bitwise the offline GeneratorScoreTargets result by the serve predict
   // contract.
-  response.base_p =
-      HeadProbs(PredictInputRow(session, request.question, target_bag))
-          .flat(0);
+  response.base_p = model_.PredictNext(
+      {{&session.last_f, request.question, &target_bag}})[0];
 
   // ---- Primitives ----
   // Flips: the most recent incorrect answers (newest first — recency is
   // the natural recourse horizon), capped.
-  struct Primitive {
-    Intervention intervention;
-    bool is_insert;
-  };
-  std::vector<Primitive> primitives;
+  std::vector<Intervention> primitives;
   for (int64_t i = history_len - 1;
        i >= 0 &&
        primitives.size() < static_cast<size_t>(kMaxFlipPrimitives);
        --i) {
     const auto& interaction = session.history[static_cast<size_t>(i)];
     if (interaction.response != 0) continue;
-    Primitive prim;
-    prim.intervention.kind = Intervention::Kind::kFlipResponse;
-    prim.intervention.position = i;
-    prim.intervention.question = interaction.question;
-    prim.is_insert = false;
-    primitives.push_back(prim);
+    primitives.push_back(Intervention{Intervention::Kind::kFlipResponse, i,
+                                      interaction.question});
   }
   // Inserts: requested practice questions (deduped in order, capped), else
   // practicing the target question itself.
@@ -352,12 +280,8 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
     insert_questions.push_back(request.question);
   }
   for (const int64_t q : insert_questions) {
-    Primitive prim;
-    prim.intervention.kind = Intervention::Kind::kInsertPractice;
-    prim.intervention.position = -1;
-    prim.intervention.question = q;
-    prim.is_insert = true;
-    primitives.push_back(prim);
+    primitives.push_back(
+        Intervention{Intervention::Kind::kInsertPractice, -1, q});
   }
 
   // ---- Candidate enumeration ----
@@ -385,167 +309,57 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
   response.evaluated = static_cast<int64_t>(candidates.size());
   if (candidates.empty()) return response;
 
-  // Sequence builder for brute mode: factual history with the candidate's
-  // flips applied, then its inserts (correct practice, in primitive order),
-  // then the target interaction. The target's response value never
-  // matters — GeneratorScoreTargets masks the target category.
-  auto build_sequence =
-      [&](const std::vector<int>& combo) -> data::ResponseSequence {
-    data::ResponseSequence sequence;
-    sequence.interactions = session.history;
+  // A candidate's timeline: the factual history from its first flip on
+  // (none of it when it only inserts) with its flips applied, then its
+  // inserts (correct practice). Combos are index-sorted and flips precede
+  // inserts among the primitives, so one pass keeps primitive order.
+  std::vector<rckt::RCKT::Timeline> timelines;
+  for (const std::vector<int>& combo : candidates) {
+    int64_t start = history_len;
     for (const int pi : combo) {
-      const Primitive& prim = primitives[static_cast<size_t>(pi)];
-      if (!prim.is_insert) {
-        sequence.interactions[static_cast<size_t>(prim.intervention.position)]
-            .response = 1;
+      const Intervention& edit = primitives[static_cast<size_t>(pi)];
+      if (edit.kind == Intervention::Kind::kFlipResponse) {
+        start = std::min(start, edit.position);
       }
     }
+    rckt::RCKT::Timeline& timeline = timelines.emplace_back();
+    timeline.start = start;
+    timeline.suffix.assign(session.history.begin() + start,
+                           session.history.end());
     for (const int pi : combo) {
-      const Primitive& prim = primitives[static_cast<size_t>(pi)];
-      if (prim.is_insert) {
-        sequence.interactions.push_back(data::Interaction{
-            prim.intervention.question, 1,
-            BagFor(prim.intervention.question)});
+      const Intervention& edit = primitives[static_cast<size_t>(pi)];
+      if (edit.kind == Intervention::Kind::kFlipResponse) {
+        timeline.suffix[static_cast<size_t>(edit.position - start)].response =
+            1;
+      } else {
+        timeline.suffix.push_back(
+            data::Interaction{edit.question, 1, BagFor(edit.question)});
       }
     }
-    sequence.interactions.push_back(
-        data::Interaction{request.question, 0, target_bag});
-    return sequence;
-  };
+  }
 
-  std::vector<float> probs(candidates.size(), 0.0f);
+  std::vector<float> probs;
   if (request.brute) {
-    // Reference path: one full offline re-encode per candidate.
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      const data::ResponseSequence sequence = build_sequence(candidates[c]);
-      probs[c] = model_.GeneratorScoreTargets(
-          data::MakeBatch({&sequence}))[0];
+    // Reference path: one full offline re-encode per candidate, the target
+    // appended. Its response never matters: GeneratorScoreTargets masks
+    // the target category.
+    for (const rckt::RCKT::Timeline& timeline : timelines) {
+      data::ResponseSequence sequence;
+      sequence.interactions.assign(session.history.begin(),
+                                   session.history.begin() + timeline.start);
+      sequence.interactions.insert(sequence.interactions.end(),
+                                   timeline.suffix.begin(),
+                                   timeline.suffix.end());
+      sequence.interactions.push_back(
+          data::Interaction{request.question, 0, target_bag});
+      probs.push_back(
+          model_.GeneratorScoreTargets(data::MakeBatch({&sequence}))[0]);
     }
   } else {
-    // Fast path (DESIGN.md §15): no candidate ever re-encodes the
-    // unmodified prefix. A candidate's timeline differs from the factual
-    // history only from its earliest edit position p onward, and the serve
-    // predict contract needs only the FORWARD stream at the last position
-    // (the backward contribution there is the zero boundary row), so each
-    // candidate is scored by (a) materializing the forward-stream state at
-    // p — a prefix-truncated clone of the session's KV caches for attention
-    // encoders, a snapshot from one shared prefix walk for recurrent ones —
-    // then (b) bulk-replaying its short modified suffix (flipped rows, then
-    // inserted practice) with StepForwardRun, and (c) scoring every final
-    // row in one stacked head pass.
-    const rckt::BiEncoder& encoder = model_.bi_encoder();
-
-    std::vector<int64_t> earliest(candidates.size(), history_len);
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      for (const int pi : candidates[c]) {
-        const Primitive& prim = primitives[static_cast<size_t>(pi)];
-        if (!prim.is_insert) {
-          earliest[c] = std::min(earliest[c], prim.intervention.position);
-        }
-      }
-    }
-
-    // Factual embedded rows, then one edited row per primitive: a flip
-    // re-embeds its position with the response forced correct, an insert
-    // embeds correct practice. Rows embed independently, so each is
-    // bitwise the row the session stream was built from.
-    Tensor a_factual;  // [history_len, d]
-    if (history_len > 0) a_factual = EmbedInteractions(session.history);
-    std::vector<data::Interaction> edits;
-    for (const Primitive& prim : primitives) {
-      const int64_t q = prim.intervention.question;
-      const std::vector<int64_t>& bag =
-          prim.is_insert ? BagFor(q)
-                         : session.history[static_cast<size_t>(
-                                               prim.intervention.position)]
-                               .concepts;
-      edits.push_back(data::Interaction{q, 1, bag});
-    }
-    const Tensor edited = EmbedInteractions(edits);  // [primitives, d]
-
-    // Prefix states. Attention encoders rewind in O(bytes); recurrent ones
-    // cannot, so one shared walk over the factual prefix snapshots the
-    // stream at every needed position (ascending, each segment replayed in
-    // bulk) — amortized over all candidates.
-    std::vector<int64_t> needed;
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      if (earliest[c] < history_len) needed.push_back(earliest[c]);
-    }
-    std::sort(needed.begin(), needed.end());
-    needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-    const bool can_rewind =
-        needed.empty() ||
-        encoder.CloneStreamPrefix(*session.stream, needed.front()) != nullptr;
-    std::map<int64_t, std::string> snapshots;
-    if (!can_rewind) {
-      auto walk = encoder.NewForwardStream();
-      int64_t pos = 0;
-      for (const int64_t p : needed) {
-        if (p > pos) {
-          encoder.StepForwardRun(
-              {walk.get()},
-              a_factual.Slice(0, pos, p).Reshape(Shape{1, p - pos, dim_}));
-          pos = p;
-        }
-        encoder.SerializeStream(*walk, &snapshots[p]);
-      }
-    }
-    std::string full_blob;  // lazily serialized full session stream
-    auto state_at =
-        [&](int64_t p) -> std::unique_ptr<rckt::ForwardStreamState> {
-      if (history_len == 0) return encoder.NewForwardStream();
-      if (auto clone = encoder.CloneStreamPrefix(*session.stream, p)) {
-        return clone;
-      }
-      if (p == history_len) {
-        // Bit-identical round-trip clone of the full cached stream, so the
-        // session's own state is never touched.
-        if (full_blob.empty()) {
-          encoder.SerializeStream(*session.stream, &full_blob);
-        }
-        return encoder.DeserializeStream(full_blob.data(), full_blob.size());
-      }
-      const std::string& blob = snapshots.at(p);
-      return encoder.DeserializeStream(blob.data(), blob.size());
-    };
-
-    Tensor stacked(Shape{static_cast<int64_t>(candidates.size()), 2 * dim_});
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      const int64_t p = earliest[c];
-      int64_t num_inserts = 0;
-      for (const int pi : candidates[c]) {
-        if (primitives[static_cast<size_t>(pi)].is_insert) ++num_inserts;
-      }
-      // Suffix timeline: factual tail rows with this candidate's flips
-      // overwritten in place, then its inserted practices in primitive
-      // order (candidate combos are index-sorted, and inserts follow flips
-      // in the primitive list).
-      const int64_t tail = history_len - p;
-      const int64_t suffix_len = tail + num_inserts;
-      Tensor suffix(Shape{1, suffix_len, dim_});
-      if (tail > 0) {
-        std::memcpy(suffix.data(), a_factual.data() + p * dim_,
-                    static_cast<size_t>(tail * dim_) * sizeof(float));
-      }
-      int64_t write = tail;
-      for (const int pi : candidates[c]) {
-        const Primitive& prim = primitives[static_cast<size_t>(pi)];
-        const int64_t at =
-            prim.is_insert ? write++ : prim.intervention.position - p;
-        std::memcpy(suffix.data() + at * dim_, edited.data() + pi * dim_,
-                    static_cast<size_t>(dim_) * sizeof(float));
-      }
-      auto stream = state_at(p);
-      const Tensor f_run = encoder.StepForwardRun({stream.get()}, suffix);
-      const Tensor row = HeadInputRow(
-          f_run.Slice(1, suffix_len - 1, suffix_len).Reshape(Shape{1, dim_}),
-          request.question, target_bag);
-      std::memcpy(stacked.data() + static_cast<int64_t>(c) * 2 * dim_,
-                  row.data(),
-                  static_cast<size_t>(2 * dim_) * sizeof(float));
-    }
-    const Tensor p = HeadProbs(stacked);  // [candidates, 1]
-    probs.assign(p.data(), p.data() + p.numel());
+    // Fast path (DESIGN.md §15): each candidate replays only its suffix,
+    // and one stacked head pass scores them all.
+    probs = model_.ScoreTimelines(*session.stream, session.history,
+                                  timelines, request.question, target_bag);
   }
 
   // ---- Ranking ----
@@ -576,7 +390,7 @@ ServeResponse InferenceEngine::ExecuteRecourse(const ServeRequest& request) {
     Counterfactual counterfactual;
     for (const int pi : candidates[c]) {
       counterfactual.interventions.push_back(
-          primitives[static_cast<size_t>(pi)].intervention);
+          primitives[static_cast<size_t>(pi)]);
     }
     counterfactual.p = probs[c];
     counterfactual.lift = probs[c] - response.base_p;
@@ -647,38 +461,32 @@ ServeResponse InferenceEngine::Execute(const ServeRequest& request) {
 void InferenceEngine::PredictRun(const ServeRequest* requests, size_t count,
                                  ServeResponse* out) {
   KT_OBS_SCOPE("serve/predict");
-  ag::NoGradGuard no_grad;
   std::vector<size_t> slots;
-  std::vector<Tensor> rows;
+  // Each target reads a copy of its session's row (sharing its storage): a
+  // later request's EnsureStream may evict an earlier session's state.
+  std::vector<Tensor> last_f;
+  last_f.reserve(count);
+  std::vector<rckt::RCKT::StreamTarget> targets;
   for (size_t i = 0; i < count; ++i) {
     if (!Validate(requests[i], &out[i])) continue;
     Session& session = store_.GetOrCreate(requests[i].student);
     EnsureStream(session);
-    rows.push_back(PredictInputRow(session, requests[i].question,
-                                   ConceptsFor(requests[i])));
+    last_f.push_back(session.last_f);
+    targets.push_back({&last_f.back(), requests[i].question,
+                       &ConceptsFor(requests[i])});
     slots.push_back(i);
     out[i].history = static_cast<int64_t>(session.history.size());
   }
-  if (rows.empty()) return;
+  if (targets.empty()) return;
   // One stacked MLP-head pass for the whole run; row j is bitwise the
   // single-request result.
-  const int64_t k = static_cast<int64_t>(rows.size());
-  Tensor stacked(Shape{k, 2 * dim_});
-  for (int64_t j = 0; j < k; ++j) {
-    std::memcpy(stacked.data() + j * 2 * dim_,
-                rows[static_cast<size_t>(j)].data(),
-                static_cast<size_t>(2 * dim_) * sizeof(float));
-  }
-  const Tensor p = HeadProbs(stacked);  // [k, 1]
-  for (int64_t j = 0; j < k; ++j) {
-    out[slots[static_cast<size_t>(j)]].p = p.flat(j);
-  }
+  const std::vector<float> p = model_.PredictNext(targets);
+  for (size_t j = 0; j < slots.size(); ++j) out[slots[j]].p = p[j];
 }
 
 void InferenceEngine::UpdateRun(const ServeRequest* requests, size_t count,
                                 ServeResponse* out) {
   KT_OBS_SCOPE("serve/update");
-  ag::NoGradGuard no_grad;
   std::vector<size_t> slots;
   std::vector<Session*> touched;
   std::vector<rckt::ForwardStreamState*> states;
@@ -701,15 +509,13 @@ void InferenceEngine::UpdateRun(const ServeRequest* requests, size_t count,
   }
   if (appended.empty()) return;
   // One encoder run across the distinct students of the run, one row each.
-  const int64_t k = static_cast<int64_t>(appended.size());
-  const Tensor f = model_.bi_encoder().StepForwardRun(
-      states, EmbedInteractions(appended).Reshape(Shape{k, 1, dim_}));
+  const Tensor f = model_.AdvanceStreams(states, appended);
   for (size_t j = 0; j < slots.size(); ++j) {
     Session& session = *touched[j];
     const ServeRequest& request = requests[slots[j]];
     const int64_t index = static_cast<int64_t>(session.history.size());
     const int64_t row = static_cast<int64_t>(j);
-    session.last_f = f.Slice(0, row, row + 1).Reshape(Shape{1, dim_});
+    session.last_f = f.Slice(0, row, row + 1);
     session.history.push_back(std::move(appended[j]));
     store_.SetHistoryBytes(
         session,

@@ -1,19 +1,21 @@
 // Tape-free online inference engine over a trained RCKT model.
 //
 // The offline scorer (`ktcli evaluate`) re-encodes a student's whole prefix
-// for every prediction. Online, the same quantities fall out of an
-// incremental decomposition of the generator chain:
+// for every prediction. Online, the engine keeps each session's forward
+// stream and runs the generator through RCKT's streaming methods
+// (rckt_model.h), which own the generator's layout:
 //
-//   predict(q): the generator's masked-target probability at the last
-//     position. ShiftAndAdd makes h_target = fwd_{T-2} + 0 — the backward
-//     stream contributes only its zero boundary at the final position — so
-//     a prediction needs just the cached forward-stream output of the last
-//     history step, the target's question embedding, and the two-layer MLP
-//     head: O(1) work per request for every encoder.
-//   update(q, r): advances the forward stream by one step (O(1) for
-//     DKT/GRU, O(history) attention over the KV cache for SAKT/AKT).
+//   predict(q): RCKT::PredictNext on the cached forward output of the last
+//     history step: O(1) work per request for every encoder.
+//   update(q, r): RCKT::AdvanceStreams by one step (O(1) for DKT/GRU,
+//     O(history) attention over the KV cache for SAKT/AKT).
 //   explain(q): full response-influence breakdown (RCKT::ExplainTargets)
 //     over the session history — inherently O(T) counterfactual passes.
+//   recourse(q): the engine enumerates and ranks candidate edits; each
+//     candidate's edited timeline is scored by RCKT::ScoreTimelines.
+//
+// The engine owns what belongs to serving: sessions, the memory budget,
+// validation, batching, and the recourse search space and ranking.
 //
 // Load-bearing contract (tests/serve_test.cc, scripts/check_serve.sh):
 // predict is BIT-IDENTICAL to RCKT::GeneratorScoreTargets on the
@@ -82,8 +84,8 @@ struct ServeRequest {
   bool has_insert_questions = false;
   std::vector<int64_t> insert_questions;
   // Evaluate every candidate by brute-force full re-encode instead of the
-  // stacked/stream-reuse fast path. Same bits by contract; exists so tests
-  // and the loadgen gate can prove it.
+  // stream-reuse fast path (RCKT::ScoreTimelines). Same bits by contract;
+  // exists so tests and the loadgen gate can prove it.
   bool brute = false;
 };
 
@@ -188,7 +190,6 @@ class InferenceEngine {
       const std::vector<ServeRequest>& requests);
 
   const SessionStore& sessions() const { return store_; }
-  int64_t dim() const { return dim_; }
 
   // Cold-tier plumbing. FlushColdSnapshots persists every resident
   // session (graceful shutdown), so a warm restart resumes them all; the
@@ -218,25 +219,8 @@ class InferenceEngine {
   void EnsureStream(Session& session);
   // Bookkeeping after the stream advanced (neural state size + LRU budget).
   void AccountState(Session& session);
-  // The MLP-head input row [1, 2*dim] for predicting `question` on
-  // `session` (h-half from the cached forward stream, e-half embedded).
-  Tensor PredictInputRow(const Session& session, int64_t question,
-                         const std::vector<int64_t>& concepts) const;
-  // Same row built from an explicit forward-stream output (numel 0 means
-  // "empty history": the zero boundary). Recourse uses this to score
-  // hypothetical streams without touching the session.
-  Tensor HeadInputRow(const Tensor& last_f, int64_t question,
-                      const std::vector<int64_t>& concepts) const;
   // Concept bag for an arbitrary question id (map lookup, else empty).
   const std::vector<int64_t>& BagFor(int64_t question) const;
-  // The embedded interaction rows a_i = e_i + r_emb[response_i], [n, dim].
-  // Rows are independent: row i is bitwise interaction i embedded alone.
-  Tensor EmbedInteractions(
-      const std::vector<data::Interaction>& interactions) const;
-  // The generator's MLP head over stacked input rows [k, 2*dim]: p(correct)
-  // per row, [k, 1]. Graph-free (ag::LinearBiasActForward), so it runs the
-  // exact kernels of the offline head without building autograd nodes.
-  Tensor HeadProbs(const Tensor& rows) const;
 
   ServeResponse ExecuteExplain(const ServeRequest& request);
   ServeResponse ExecuteRecourse(const ServeRequest& request);
@@ -251,7 +235,6 @@ class InferenceEngine {
 
   rckt::RCKT& model_;
   EngineOptions options_;
-  int64_t dim_;
   SessionStore store_;
   std::unique_ptr<ColdTier> cold_;  // null when options_.cold_dir is empty
   int64_t cold_loads_ = 0;

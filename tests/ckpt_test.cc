@@ -353,6 +353,76 @@ TEST(TrainingStateTest, CorruptFileLeavesStateUntouched) {
   std::remove(path.c_str());
 }
 
+// A container whose checksums hold but whose adam section is cut short
+// gets past the CRC, so it exercises the section parser's own checks.
+TEST(TrainingStateTest, TruncatedAdamSectionLeavesStateUntouched) {
+  data::Dataset ds = SmallDataset(23);
+  rckt::RCKT model(ds.num_questions, ds.num_concepts, SmallRcktConfig(11));
+  data::Batch batch = SmallPrefixBatch(ds);
+  model.TrainStep(batch);
+
+  Rng shuffle(6);
+  TrainerProgress progress;
+  std::vector<Tensor> best_state;
+  TrainingState state;
+  state.tag = model.name();
+  state.module = &model;
+  state.optimizer = model.optimizer();
+  state.rngs = {{"shuffle", &shuffle}, {"dropout", model.dropout_rng()}};
+  state.progress = &progress;
+  state.best_state = &best_state;
+
+  const std::string path = TempPath("truncated_adam.ktc");
+  ASSERT_TRUE(SaveTrainingState(state, path).ok());
+  {
+    CheckpointReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    CheckpointWriter writer;
+    for (const char* name :
+         {"meta", "module", "adam", "rng", "progress", "best"}) {
+      std::string_view section;
+      ASSERT_TRUE(reader.Find(name, &section).ok()) << name;
+      if (std::string(name) == "adam") {
+        section = section.substr(0, section.size() / 2);
+      }
+      writer.Section(name).assign(section.data(), section.size());
+    }
+    ASSERT_TRUE(writer.Commit(path).ok());
+  }
+
+  model.TrainStep(batch);
+  shuffle.NextU64();
+  progress.next_epoch = 3;
+  const std::vector<Tensor> params_before = model.StateClone();
+  std::vector<Tensor> m_before, v_before;  // deep clones: copies share storage
+  for (const Tensor& t : model.optimizer()->moment1()) {
+    m_before.push_back(t.Clone());
+  }
+  for (const Tensor& t : model.optimizer()->moment2()) {
+    v_before.push_back(t.Clone());
+  }
+  const int64_t step_before = model.optimizer()->step_count();
+  const Rng::State shuffle_before = shuffle.GetState();
+  const Rng::State dropout_before = model.dropout_rng()->GetState();
+
+  const Status status = LoadTrainingState(state, path);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("adam"), std::string::npos)
+      << status.message();
+  EXPECT_TRUE(BitsEqual(model.StateClone(), params_before));
+  EXPECT_TRUE(BitsEqual(model.optimizer()->moment1(), m_before));
+  EXPECT_TRUE(BitsEqual(model.optimizer()->moment2(), v_before));
+  EXPECT_EQ(model.optimizer()->step_count(), step_before);
+  EXPECT_EQ(std::memcmp(shuffle.GetState().s, shuffle_before.s,
+                        sizeof(shuffle_before.s)),
+            0);
+  EXPECT_EQ(std::memcmp(model.dropout_rng()->GetState().s, dropout_before.s,
+                        sizeof(dropout_before.s)),
+            0);
+  EXPECT_EQ(progress.next_epoch, 3);
+  std::remove(path.c_str());
+}
+
 TEST(TrainingStateTest, RejectsMissingRngStream) {
   Rng rng(3);
   nn::Linear module(4, 3, rng);

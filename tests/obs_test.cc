@@ -426,6 +426,7 @@ TEST_F(ObsTest, InstrumentationFiresWhenEnabled) {
   EXPECT_GT(Counter::Get("gemm.calls")->Value(), 0);
   EXPECT_GT(Counter::Get("gemm.flops")->Value(), 0);
   EXPECT_GT(Counter::Get("rckt.fanout_passes")->Value(), 0);
+  EXPECT_GT(Counter::Get("rckt.fanout_eval_passes")->Value(), 0);
   EXPECT_GT(Histogram::Get("rckt/train_step")->Snapshot().count, 0);
   EXPECT_GT(Histogram::Get("rckt/score_targets")->Snapshot().count, 0);
 

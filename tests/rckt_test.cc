@@ -933,6 +933,8 @@ TEST_P(StackedFanOutTest, GatheredJointRowsEqualLonePasses) {
   const std::vector<const std::vector<int>*> joint = {
       &factual, &keep_correct, &keep_incorrect};
   obs::Counter* const passes = obs::Counter::Get("rckt.fanout_passes");
+  obs::Counter* const eval_passes =
+      obs::Counter::Get("rckt.fanout_eval_passes");
   const bool obs_was_enabled = obs::Enabled();
   obs::SetEnabled(true);
   for (const bool mono : {true, false}) {
@@ -972,6 +974,12 @@ TEST_P(StackedFanOutTest, GatheredJointRowsEqualLonePasses) {
     passes->Reset();
     model.TrainStepExact(batch);
     EXPECT_EQ(passes->Value(), 3) << "mono=" << mono;
+    // No-grad scoring counts apart from training.
+    passes->Reset();
+    eval_passes->Reset();
+    model.ScoreTargets(batch);
+    EXPECT_EQ(passes->Value(), 0) << "mono=" << mono;
+    EXPECT_EQ(eval_passes->Value(), 4) << "mono=" << mono;
   }
   obs::SetEnabled(obs_was_enabled);
 }

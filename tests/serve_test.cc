@@ -529,8 +529,20 @@ TEST_P(ForwardStreamSuite, CloneStreamPrefixRewindsAttentionStreams) {
   const bool is_attention = GetParam() == rckt::EncoderKind::kSAKT ||
                             GetParam() == rckt::EncoderKind::kAKT;
   if (!is_attention) {
-    // Recurrent streams fold history into O(1) rows and cannot rewind.
+    // Recurrent streams fold history into O(1) rows and cannot rewind...
     EXPECT_EQ(clone, nullptr);
+    // ...but copy at full length: the copy steps like the source, and
+    // stepping it leaves the source as it was.
+    auto copy = encoder->CloneStreamPrefix(*full, T);
+    ASSERT_NE(copy, nullptr);
+    const std::string source_bytes = StreamBytes(*encoder, *full);
+    const Tensor next = Tensor::Uniform({1, 2, d}, -1.0f, 1.0f, rng);
+    const Tensor copy_out = RunOne(*encoder, *copy, next);
+    EXPECT_EQ(StreamBytes(*encoder, *full), source_bytes)
+        << "stepping the copy mutated the source stream";
+    EXPECT_TRUE(BitEqual(copy_out, RunOne(*encoder, *full, next)))
+        << "full-length copy diverges from its source";
+    EXPECT_EQ(StreamBytes(*encoder, *copy), StreamBytes(*encoder, *full));
     return;
   }
   ASSERT_NE(clone, nullptr);
@@ -1221,49 +1233,62 @@ TEST_P(EngineParitySuite, RecourseFastMatchesBruteBitwiseAcrossThreads) {
   rckt::RCKT model(ds.num_questions, ds.num_concepts,
                    SmallConfig(GetParam()));
   const auto& seq = ds.sequences[3];
-  const int64_t prefix = 8;
 
-  std::string reference;
-  for (int threads : {1, 2, 8}) {
-    SetNumThreads(threads);
-    EngineOptions options;
-    options.num_questions = ds.num_questions;
-    options.num_concepts = ds.num_concepts;
-    InferenceEngine engine(model, options);
-    FeedPrefix(engine, seq, prefix, "s0");
+  // A short and the longest prefix, each on a cached stream and on one a
+  // one-byte budget evicted, so the scorer starts from a replayed stream.
+  for (const int64_t prefix : {int64_t{8}, seq.length() - 1}) {
+    for (const bool evicted : {false, true}) {
+      SCOPED_TRACE("prefix " + std::to_string(prefix) +
+                   (evicted ? " evicted" : " cached"));
+      std::string reference;
+      for (int threads : {1, 2, 8}) {
+        SetNumThreads(threads);
+        EngineOptions options;
+        options.num_questions = ds.num_questions;
+        options.num_concepts = ds.num_concepts;
+        if (evicted) options.session_budget_bytes = 1;
+        InferenceEngine engine(model, options);
+        FeedPrefix(engine, seq, prefix, "s0");
+        // Touching another student evicts s0's stream; recourse replays it.
+        if (evicted) FeedPrefix(engine, seq, 1, "other");
 
-    ServeRequest request;
-    request.op = Op::kRecourse;
-    request.student = "s0";
-    request.question = seq.interactions[static_cast<size_t>(prefix)].question;
-    request.has_concepts = true;
-    request.concepts = seq.interactions[static_cast<size_t>(prefix)].concepts;
-    request.k = 2;
-    request.top = 16;
-    request.has_insert_questions = true;
-    request.insert_questions = {request.question,
-                                (request.question + 1) % ds.num_questions};
+        ServeRequest request;
+        request.op = Op::kRecourse;
+        request.student = "s0";
+        const auto& target = seq.interactions[static_cast<size_t>(prefix)];
+        request.question = target.question;
+        request.has_concepts = true;
+        request.concepts = target.concepts;
+        request.k = 2;
+        request.top = 16;
+        request.has_insert_questions = true;
+        request.insert_questions = {request.question,
+                                    (request.question + 1) % ds.num_questions};
 
-    const ServeResponse fast = engine.Execute(request);
-    ASSERT_TRUE(fast.ok) << fast.error;
-    EXPECT_GT(fast.evaluated, 2);
-    ASSERT_FALSE(fast.candidates.empty());
+        const int64_t replays_before = engine.replays();
+        const ServeResponse fast = engine.Execute(request);
+        ASSERT_TRUE(fast.ok) << fast.error;
+        EXPECT_GT(fast.evaluated, 2);
+        ASSERT_FALSE(fast.candidates.empty());
+        EXPECT_EQ(engine.replays() - replays_before, evicted ? 1 : 0);
 
-    // The fast path (stream clone + stacked generator variants) must be
-    // bitwise the brute-force per-candidate offline re-encode...
-    ServeRequest brute_request = request;
-    brute_request.brute = true;
-    const ServeResponse brute = engine.Execute(brute_request);
-    ASSERT_TRUE(brute.ok) << brute.error;
-    EXPECT_EQ(RecourseSignature(fast), RecourseSignature(brute))
-        << "threads " << threads;
+        // The fast path (stream clone + suffix replay) must be bitwise the
+        // brute-force per-candidate offline re-encode...
+        ServeRequest brute_request = request;
+        brute_request.brute = true;
+        const ServeResponse brute = engine.Execute(brute_request);
+        ASSERT_TRUE(brute.ok) << brute.error;
+        EXPECT_EQ(RecourseSignature(fast), RecourseSignature(brute))
+            << "threads " << threads;
 
-    // ...and identical at every thread count.
-    if (reference.empty()) {
-      reference = RecourseSignature(fast);
-    } else {
-      EXPECT_EQ(RecourseSignature(fast), reference)
-          << "threads " << threads;
+        // ...and identical at every thread count.
+        if (reference.empty()) {
+          reference = RecourseSignature(fast);
+        } else {
+          EXPECT_EQ(RecourseSignature(fast), reference)
+              << "threads " << threads;
+        }
+      }
     }
   }
 }
