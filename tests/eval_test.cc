@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -11,7 +13,11 @@
 #include "eval/metrics.h"
 #include "eval/trainer.h"
 #include "eval/ttest.h"
+#include "models/akt.h"
+#include "models/dimkt.h"
 #include "models/dkt.h"
+#include "models/qikt.h"
+#include "models/sakt.h"
 #include "nn/serialize.h"
 #include "rckt/rckt_trainer.h"
 
@@ -226,12 +232,21 @@ TEST(TrainerTest, EarlyStoppingRestoresBestEpoch) {
             result.best_epoch + options.patience + 1);
 }
 
-// Golden-value regression for the epoch driver: a fixed-seed 3-epoch DKT
-// run (dropout on) that commits a checkpoint after every epoch. The
-// literals were recorded from a known-good build; a change to the shuffle
-// stream, the order of calls into the model, the best-epoch restore or the
-// checkpoint path that moves one bit fails here.
-TEST(TrainerGoldenTest, DktThreeEpochsCheckpointEveryEpoch) {
+// Golden-value regressions for the epoch driver and the baselines' layers:
+// fixed-seed 3-epoch runs (dropout on) that commit a checkpoint after every
+// epoch. The literals were recorded from a known-good build; a change to
+// the shuffle stream, the order of calls into the model, the best-epoch
+// restore, the checkpoint path or the bits of any layer a baseline runs
+// (embedding, recurrent, attention, linear head) fails here.
+struct GoldenRun {
+  uint64_t fingerprint;
+  TrainResult result;
+};
+
+using BaselineFactory = std::function<std::unique_ptr<models::NeuralKTModel>(
+    const data::Dataset& train, const models::NeuralConfig& config)>;
+
+GoldenRun TrainThreeEpochs(const BaselineFactory& make) {
   data::SimulatorConfig config;
   config.num_students = 50;
   config.num_questions = 30;
@@ -248,24 +263,84 @@ TEST(TrainerGoldenTest, DktThreeEpochsCheckpointEveryEpoch) {
 
   models::NeuralConfig nc;
   nc.dim = 8;
-  models::DKT model(ds.num_questions, ds.num_concepts, nc);
-  const std::string path =
-      std::string(::testing::TempDir()) + "/trainer_golden_dkt.ktc";
+  std::unique_ptr<models::NeuralKTModel> model = make(split.train, nc);
+  const std::string path = std::string(::testing::TempDir()) +
+                           "/trainer_golden_" + model->name() + ".ktc";
   TrainOptions options;
   options.max_epochs = 3;
   options.batch_size = 16;
   options.checkpoint_every = 1;
   options.checkpoint_path = path;
-  const TrainResult result = TrainAndEvaluate(model, split, options);
+  TrainResult result = TrainAndEvaluate(*model, split, options);
   std::remove(path.c_str());
+  return {nn::FingerprintModule(*model), std::move(result)};
+}
 
+template <typename Model>
+std::unique_ptr<models::NeuralKTModel> MakeBaseline(
+    const data::Dataset& train, const models::NeuralConfig& config) {
+  return std::make_unique<Model>(train.num_questions, train.num_concepts,
+                                 config);
+}
+
+TEST(TrainerGoldenTest, DktThreeEpochsCheckpointEveryEpoch) {
+  const GoldenRun run = TrainThreeEpochs(MakeBaseline<models::DKT>);
   const std::vector<double> kGoldenLoss = {
       0.6948888897895813, 0.69383305311203003, 0.69241204857826233};
   const std::vector<double> kGoldenValAuc = {
       0.54535947712418298, 0.55738562091503263, 0.57333333333333336};
-  EXPECT_EQ(nn::FingerprintModule(model), 0x99e46d1b70998301ULL);
-  EXPECT_EQ(result.train_loss_history, kGoldenLoss);
-  EXPECT_EQ(result.val_auc_history, kGoldenValAuc);
+  EXPECT_EQ(run.fingerprint, 0x99e46d1b70998301ULL);
+  EXPECT_EQ(run.result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
+}
+
+TEST(TrainerGoldenTest, SaktThreeEpochs) {
+  const GoldenRun run = TrainThreeEpochs(MakeBaseline<models::SAKT>);
+  const std::vector<double> kGoldenLoss = {
+      0.68283095955848694, 0.67364615201950073, 0.66750559210777283};
+  const std::vector<double> kGoldenValAuc = {
+      0.4716339869281046, 0.50169934640522873, 0.51450980392156864};
+  EXPECT_EQ(run.fingerprint, 0x38247cc16b56df13ULL);
+  EXPECT_EQ(run.result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
+}
+
+TEST(TrainerGoldenTest, AktThreeEpochs) {
+  const GoldenRun run = TrainThreeEpochs(MakeBaseline<models::AKT>);
+  const std::vector<double> kGoldenLoss = {
+      0.67826101183891296, 0.65682554244995117, 0.64482173323631287};
+  const std::vector<double> kGoldenValAuc = {
+      0.5597385620915033, 0.55633986928104573, 0.57464052287581702};
+  EXPECT_EQ(run.fingerprint, 0xde04cbd42467a524ULL);
+  EXPECT_EQ(run.result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
+}
+
+TEST(TrainerGoldenTest, QiktThreeEpochs) {
+  const GoldenRun run = TrainThreeEpochs(MakeBaseline<models::QIKT>);
+  const std::vector<double> kGoldenLoss = {
+      0.69241860508918762, 0.69034376740455627, 0.68813842535018921};
+  const std::vector<double> kGoldenValAuc = {
+      0.49647058823529411, 0.51006535947712417, 0.53019607843137251};
+  EXPECT_EQ(run.fingerprint, 0x67dc5b6b94439c54ULL);
+  EXPECT_EQ(run.result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
+}
+
+TEST(TrainerGoldenTest, DimktThreeEpochs) {
+  const GoldenRun run = TrainThreeEpochs(
+      [](const data::Dataset& train, const models::NeuralConfig& config) {
+        return std::make_unique<models::DIMKT>(
+            train.num_questions, train.num_concepts,
+            models::ComputeDifficulty(train, train.num_questions), config);
+      });
+  const std::vector<double> kGoldenLoss = {
+      0.69262143969535828, 0.69170433282852173, 0.68901512026786804};
+  const std::vector<double> kGoldenValAuc = {
+      0.43581699346405228, 0.43529411764705883, 0.44130718954248366};
+  EXPECT_EQ(run.fingerprint, 0xb23ec5d2a4ddf966ULL);
+  EXPECT_EQ(run.result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
 }
 
 TEST(CrossValidationTest, ProducesOneResultPerFold) {

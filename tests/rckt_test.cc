@@ -1077,6 +1077,19 @@ TEST(TrainerGoldenRcktTest, SaktTwoEpochs) {
   EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
 }
 
+// AKT's encoder runs the same projection layers through monotonic
+// (distance-decayed) attention.
+TEST(TrainerGoldenRcktTest, AktTwoEpochs) {
+  const GoldenRun run = TrainTwoEpochs(SmallRckt(EncoderKind::kAKT));
+  const std::vector<double> kGoldenLoss = {1.085585402590888,
+                                          0.95216526729719975};
+  const std::vector<double> kGoldenValAuc = {0.61538461538461542,
+                                            0.53846153846153844};
+  EXPECT_EQ(run.fingerprint, 0x9105d73dab5d0a41ULL);
+  EXPECT_EQ(run.result.train_loss_history, kGoldenLoss);
+  EXPECT_EQ(run.result.val_auc_history, kGoldenValAuc);
+}
+
 // The recurrent encoders stack two layers, so the backward runs through a
 // layer fed by the dropout of another as well as one fed by the input.
 TEST(TrainerGoldenRcktTest, DktTwoEpochs) {
