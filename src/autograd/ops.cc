@@ -324,7 +324,8 @@ Variable Mean(const Variable& a, int64_t d, bool keepdim) {
 Variable EmbeddingLookup(const Variable& table,
                          const std::vector<int64_t>& indices) {
   Tensor out = Tensor::IndexSelectRows(table.value(), indices);
-  return MakeOpNode(out, {table}, [indices](Node& self) {
+  if (!RecordsGrad({table})) return Variable::Leaf(std::move(out), false);
+  return MakeOpNode(std::move(out), {table}, [indices](Node& self) {
     Node* table_node = self.inputs[0].get();
     if (!table_node->requires_grad) return;
     table_node->EnsureGrad();
@@ -354,7 +355,8 @@ Variable EmbeddingBagMean(const Variable& table,
     const float inv = 1.0f / static_cast<float>(bags[i].size());
     for (int64_t c = 0; c < cols; ++c) dst[c] *= inv;
   }
-  return MakeOpNode(out, {table}, [bags](Node& self) {
+  if (!RecordsGrad({table})) return Variable::Leaf(std::move(out), false);
+  return MakeOpNode(std::move(out), {table}, [bags](Node& self) {
     Node* table_node = self.inputs[0].get();
     if (!table_node->requires_grad) return;
     table_node->EnsureGrad();

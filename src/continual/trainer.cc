@@ -215,14 +215,7 @@ bool ContinualTrainer::RunMiniEpoch() {
     ++version;
     const uint64_t fingerprint = nn::FingerprintModule(*candidate_);
     if (!options_.dir.empty()) {
-      nn::ModelMeta meta;
-      const rckt::RcktConfig& config = candidate_->config();
-      meta.encoder_kind = static_cast<int32_t>(config.encoder);
-      meta.dim = config.dim;
-      meta.num_layers = config.num_layers;
-      meta.num_heads = config.num_heads;
-      meta.num_questions = candidate_->num_questions();
-      meta.num_concepts = candidate_->num_concepts();
+      nn::ModelMeta meta = rckt::ArchitectureMeta(*candidate_);
       meta.weights_fnv64 = fingerprint;
       meta.weight_version = version;
       const Status status = nn::SaveModuleWithMeta(

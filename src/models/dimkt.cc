@@ -48,7 +48,7 @@ ag::Variable DIMKT::ForwardLogits(const data::Batch& batch,
   ag::Variable h_shifted = ag::Concat({zeros, ag::Slice(h, 1, 0, t - 1)}, 1);
 
   ag::Variable x = ag::Concat({h_shifted, e, diff}, 2);  // [B, T, 3d]
-  ag::Variable mid = ag::Relu(hidden_.Forward(x));
+  ag::Variable mid = hidden_.Forward(x, ag::Act::kRelu);
   if (ctx.train) mid = ag::Dropout(mid, config_.dropout, *ctx.rng, true);
   return ag::Reshape(out_.Forward(mid), Shape{b, t});
 }

@@ -41,7 +41,7 @@ ag::Variable DKT::ForwardLogits(const data::Batch& batch,
       ag::Concat({zeros, ag::Slice(h, 1, 0, t - 1)}, 1);
 
   ag::Variable x = ag::Concat({h_shifted, e}, 2);  // [B, T, 2d]
-  ag::Variable mid = ag::Relu(hidden_.Forward(x));
+  ag::Variable mid = hidden_.Forward(x, ag::Act::kRelu);
   if (ctx.train) mid = ag::Dropout(mid, config_.dropout, *ctx.rng, true);
   ag::Variable logits = out_.Forward(mid);  // [B, T, 1]
   return ag::Reshape(logits, Shape{b, t});

@@ -19,9 +19,7 @@ InteractionEmbedder::InteractionEmbedder(int64_t num_questions,
 
 ag::Variable InteractionEmbedder::QuestionEmbed(
     const data::Batch& batch) const {
-  ag::Variable q = q_emb_.Forward(batch.questions);  // [B*T, d]
-  ag::Variable k = ag::EmbeddingBagMean(k_emb_.table(), batch.concept_bags);
-  return ag::Reshape(ag::Add(q, k),
+  return ag::Reshape(QuestionEmbedRows(batch.questions, batch.concept_bags),
                      Shape{batch.batch_size, batch.max_len, dim_});
 }
 
@@ -34,18 +32,20 @@ ag::Variable InteractionEmbedder::QuestionEmbedRows(
   return ag::Add(q, k);
 }
 
-ag::Variable InteractionEmbedder::InteractionEmbed(
-    const data::Batch& batch, const std::vector<int>& categories) const {
-  KT_CHECK_EQ(categories.size(), batch.questions.size());
+ag::Variable InteractionEmbedder::AddResponseEmbed(
+    const ag::Variable& e, const std::vector<int>& categories) const {
+  KT_CHECK_EQ(e.numel(), static_cast<int64_t>(categories.size()) * dim_);
   std::vector<int64_t> r_idx(categories.size());
   for (size_t i = 0; i < categories.size(); ++i) {
     KT_DCHECK(categories[i] >= 0 && categories[i] <= 2);
     r_idx[i] = categories[i];
   }
-  ag::Variable e = QuestionEmbed(batch);
-  ag::Variable r = ag::Reshape(r_emb_.Forward(r_idx),
-                               Shape{batch.batch_size, batch.max_len, dim_});
-  return ag::Add(e, r);
+  return ag::Add(e, ag::Reshape(r_emb_.Forward(r_idx), e.shape()));
+}
+
+ag::Variable InteractionEmbedder::InteractionEmbed(
+    const data::Batch& batch, const std::vector<int>& categories) const {
+  return AddResponseEmbed(QuestionEmbed(batch), categories);
 }
 
 std::vector<int> InteractionEmbedder::FactualCategories(

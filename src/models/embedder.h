@@ -27,16 +27,21 @@ class InteractionEmbedder : public nn::Module {
   InteractionEmbedder(int64_t num_questions, int64_t num_concepts,
                       int64_t dim, Rng& rng);
 
-  // e_i for every position: [B, T, dim].
+  // e_i for every position: QuestionEmbedRows reshaped to [B, T, dim].
   ag::Variable QuestionEmbed(const data::Batch& batch) const;
 
-  // Row-wise variant for online serving (kt::serve): e rows for bare
-  // (question, concept bag) pairs outside any Batch, shape [n, dim]. Uses
-  // the same op chain as QuestionEmbed, so each row is bitwise equal to the
-  // corresponding row of the batched pass.
+  // e rows for bare (question, concept bag) pairs outside any Batch, shape
+  // [n, dim]. Rows embed independently, so each row is bitwise equal to the
+  // corresponding row of a batched pass.
   ag::Variable QuestionEmbedRows(
       const std::vector<int64_t>& questions,
       const std::vector<std::vector<int64_t>>& concept_bags) const;
+
+  // a = e + r_emb[categories]: `e` is [..., dim] and `categories` holds one
+  // value in {0, 1, 2} per row of `e`, in flattened row order. Every
+  // interaction embedding, batched or streamed, is composed here.
+  ag::Variable AddResponseEmbed(const ag::Variable& e,
+                                const std::vector<int>& categories) const;
 
   // a_i = e_i + r_emb[categories[i]]; `categories` is flattened [B*T] with
   // values in {0, 1, 2}. Pass batch.responses (widened) for factual input.
@@ -55,8 +60,6 @@ class InteractionEmbedder : public nn::Module {
 
   const nn::Embedding& question_embedding() const { return q_emb_; }
   const nn::Embedding& concept_embedding() const { return k_emb_; }
-  // Response-category table [3, dim] (for callers composing a_i manually).
-  const ag::Variable& response_table() const { return r_emb_.table(); }
   int64_t dim() const { return dim_; }
 
  private:

@@ -37,9 +37,10 @@ ag::Variable QIKT::ForwardLogits(const data::Batch& batch,
 
   // IRT terms.
   ag::Variable mastery_in = ag::Concat({h_shifted, e}, 2);
-  ag::Variable mastery = ag::Reshape(
-      mastery_out_.Forward(ag::Relu(mastery_hidden_.Forward(mastery_in))),
-      Shape{b, t});
+  ag::Variable mastery_mid =
+      mastery_hidden_.Forward(mastery_in, ag::Act::kRelu);
+  ag::Variable mastery =
+      ag::Reshape(mastery_out_.Forward(mastery_mid), Shape{b, t});
   ag::Variable difficulty =
       ag::Reshape(difficulty_out_.Forward(e), Shape{b, t});
   // softplus keeps discrimination positive.

@@ -53,7 +53,7 @@ ag::Variable SAKT::ForwardLogits(const data::Batch& batch,
   }
 
   ag::Variable x = ag::Concat({context, e}, 2);
-  ag::Variable mid = ag::Relu(hidden_.Forward(x));
+  ag::Variable mid = hidden_.Forward(x, ag::Act::kRelu);
   if (ctx.train) mid = ag::Dropout(mid, config_.dropout, *ctx.rng, true);
   return ag::Reshape(out_.Forward(mid), Shape{b, t});
 }

@@ -143,9 +143,9 @@ TransformerBlock::TransformerBlock(int64_t dim, int64_t num_heads,
 
 ag::Variable TransformerBlock::FeedForward(const ag::Variable& x,
                                            const Context& ctx) const {
-  ag::Variable hidden = ff1_.ForwardAct(x, ag::Act::kRelu);
+  ag::Variable hidden = ff1_.Forward(x, ag::Act::kRelu);
   hidden = ag::Dropout(hidden, dropout_p_, ctx.rng, ctx.rng_count, ctx.train);
-  return ff2_.ForwardAct(hidden, ag::Act::kIdentity);
+  return ff2_.Forward(hidden);
 }
 
 ag::Variable TransformerBlock::Forward(

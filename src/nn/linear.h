@@ -14,13 +14,11 @@ class Linear : public Module {
   Linear(int64_t in_features, int64_t out_features, Rng& rng,
          bool use_bias = true);
 
-  // `x` may be [*, in]; leading dimensions are preserved.
-  ag::Variable Forward(const ag::Variable& x) const;
-
-  // act(x W + b) with the bias add and activation fused into the GEMM node
-  // (ag::LinearBiasAct): the same bits as Forward followed by the
-  // activation op, in one tape node.
-  ag::Variable ForwardAct(const ag::Variable& x, ag::Act act) const;
+  // act(x W + b) as one fused GEMM + bias + activation node
+  // (ag::LinearBiasAct). `x` may be [*, in]; leading dimensions are
+  // preserved.
+  ag::Variable Forward(const ag::Variable& x,
+                       ag::Act act = ag::Act::kIdentity) const;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }

@@ -143,6 +143,24 @@ Status ValidateArchitecture(const RcktConfig& config, int64_t num_questions,
   return Status::Ok();
 }
 
+nn::ModelMeta ArchitectureMeta(const RCKT& model) {
+  const RcktConfig& config = model.config();
+  return {static_cast<int32_t>(config.encoder), config.dim, config.num_layers,
+          config.num_heads, model.num_questions(), model.num_concepts()};
+}
+
+RcktConfig ArchitectureFromMeta(const nn::ModelMeta& meta,
+                                int64_t* num_questions, int64_t* num_concepts) {
+  RcktConfig config;
+  config.encoder = static_cast<EncoderKind>(meta.encoder_kind);
+  config.dim = meta.dim;
+  config.num_layers = meta.num_layers;
+  config.num_heads = meta.num_heads;
+  *num_questions = meta.num_questions;
+  *num_concepts = meta.num_concepts;
+  return config;
+}
+
 RcktConfig RcktConfigFor(const std::string& dataset, EncoderKind encoder) {
   // Paper Table III: {lr, lambda, l2, dropout, layers} per dataset/encoder.
   // Values follow the table; layer counts are capped at 2 for the CPU build.
@@ -235,17 +253,14 @@ ag::Variable RCKT::GenerateProbs(const data::Batch& batch,
     e = ag::Concat({ag::Slice(e, 1, 0, t - 1), probe_rows}, 1);
   }
 
-  std::vector<int64_t> r_idx(categories.begin(), categories.end());
-  ag::Variable r = ag::Reshape(
-      ag::EmbeddingLookup(embedder_.response_table(), r_idx), Shape{b, t, d});
-  ag::Variable a = ag::Add(e, r);
+  ag::Variable a = embedder_.AddResponseEmbed(e, categories);
 
   ag::Variable h = encoder_->Encode(a, ctx);
   ag::Variable x = ag::Concat({h, e}, 2);  // [B, T, 2d]
-  ag::Variable mid = ag::Dropout(mlp_hidden_.ForwardAct(x, ag::Act::kRelu),
+  ag::Variable mid = ag::Dropout(mlp_hidden_.Forward(x, ag::Act::kRelu),
                                  config_.dropout, ctx.rng, ctx.rng_count,
                                  ctx.train);
-  return ag::Reshape(mlp_out_.ForwardAct(mid, ag::Act::kSigmoid),
+  return ag::Reshape(mlp_out_.Forward(mid, ag::Act::kSigmoid),
                      Shape{b, t});
 }
 
@@ -652,7 +667,7 @@ std::vector<float> RCKT::GeneratorScoreTargets(
 Tensor RCKT::EmbedRuns(
     const std::vector<const std::vector<data::Interaction>*>& runs) const {
   std::vector<int64_t> questions;
-  std::vector<int64_t> responses;
+  std::vector<int> responses;
   std::vector<std::vector<int64_t>> bags;
   for (const std::vector<data::Interaction>* run : runs) {
     for (const data::Interaction& interaction : *run) {
@@ -661,9 +676,8 @@ Tensor RCKT::EmbedRuns(
       bags.push_back(interaction.concepts);
     }
   }
-  return ag::Add(embedder_.QuestionEmbedRows(questions, bags),
-                 ag::EmbeddingLookup(embedder_.response_table(), responses))
-      .value();
+  const ag::Variable e = embedder_.QuestionEmbedRows(questions, bags);
+  return embedder_.AddResponseEmbed(e, responses).value();
 }
 
 Tensor RCKT::AdvanceStreams(

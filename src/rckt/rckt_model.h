@@ -43,6 +43,7 @@
 #include "models/embedder.h"
 #include "nn/adam.h"
 #include "nn/linear.h"
+#include "nn/serialize.h"
 #include "rckt/encoders.h"
 
 namespace kt {
@@ -78,6 +79,17 @@ RcktConfig RcktConfigFor(const std::string& dataset, EncoderKind encoder);
 // flags with it, since the constructor KT_CHECKs (or divides by) them.
 Status ValidateArchitecture(const RcktConfig& config, int64_t num_questions,
                             int64_t num_concepts);
+
+class RCKT;
+
+// The architecture fields of a saved model's metadata chunk; the identity
+// fields (weights_fnv64, weight_version) stay 0 for the caller to fill.
+nn::ModelMeta ArchitectureMeta(const RCKT& model);
+
+// The inverse, with the id counts in *num_questions and *num_concepts. A
+// file's values are untrusted: check them with ValidateArchitecture.
+RcktConfig ArchitectureFromMeta(const nn::ModelMeta& meta,
+                                int64_t* num_questions, int64_t* num_concepts);
 
 class RCKT : public nn::Module {
  public:

@@ -53,8 +53,9 @@ inline ag::Variable Param(const nn::Module& module, const std::string& name) {
   return param;
 }
 
-// act(x W + b) as nn::Linear::Forward (flatten, MatMul, Add, restore the
-// leading dims) followed by the activation node. `bias` may be undefined.
+// act(x W + b) as the op-per-node chain nn::Linear::Forward fuses (flatten,
+// MatMul, Add, restore the leading dims, then the activation node). `bias`
+// may be undefined.
 inline ag::Variable ComposedLinearAct(const ag::Variable& x,
                                       const ag::Variable& weight,
                                       const ag::Variable& bias, ag::Act act) {

@@ -542,13 +542,13 @@ class ComposedParityTest : public ::testing::Test {
 
 // The graph-free ag::LinearBiasActForward (the serve predict head's path)
 // is a third input to the same contract.
-TEST_F(ComposedParityTest, LinearForwardActMatchesComposed) {
+TEST_F(ComposedParityTest, LinearForwardMatchesComposed) {
   Rng rng(31);
   Linear linear(6, 4, rng);
   ag::Variable x = ag::Constant(Tensor::Uniform({3, 5, 6}, -1, 1, rng));
   for (ag::Act act : {ag::Act::kIdentity, ag::Act::kRelu, ag::Act::kSigmoid,
                       ag::Act::kTanh}) {
-    ag::Variable fused = linear.ForwardAct(x, act);
+    ag::Variable fused = linear.Forward(x, act);
     ag::Variable composed = reference::ComposedLinearAct(
         x, Param(linear, "weight"), Param(linear, "bias"), act);
     EXPECT_TRUE(BitEqual(fused.value(), composed.value()))

@@ -811,9 +811,9 @@ TEST(EngineColdStartTest, ShortHistoriesPredictBitIdenticalToOffline) {
         std::memcpy(x.data() + dim, e.value().data(),
                     static_cast<size_t>(dim) * sizeof(float));
         const ag::Variable mid =
-            model.mlp_hidden().ForwardAct(ag::Constant(x), ag::Act::kRelu);
+            model.mlp_hidden().Forward(ag::Constant(x), ag::Act::kRelu);
         offline =
-            model.mlp_out().ForwardAct(mid, ag::Act::kSigmoid).value().flat(0);
+            model.mlp_out().Forward(mid, ag::Act::kSigmoid).value().flat(0);
       } else {
         data::Batch batch = rckt::MakePrefixBatch({{&seq, h}});
         offline = model.GeneratorScoreTargets(batch)[0];
@@ -1357,30 +1357,31 @@ TEST(ModelMetaTest, RoundTripsThroughSaveAndLoad) {
                    SmallConfig(rckt::EncoderKind::kSAKT));
   const std::string path = ::testing::TempDir() + "/serve_meta.ktw";
 
-  nn::ModelMeta meta;
-  meta.encoder_kind = static_cast<int32_t>(rckt::EncoderKind::kSAKT);
-  meta.dim = 16;
-  meta.num_layers = 2;
-  meta.num_heads = 2;
-  meta.num_questions = ds.num_questions;
-  meta.num_concepts = ds.num_concepts;
-  ASSERT_TRUE(nn::SaveModuleWithMeta(model, meta, path).ok());
+  ASSERT_TRUE(
+      nn::SaveModuleWithMeta(model, rckt::ArchitectureMeta(model), path).ok());
 
   bool present = false;
   nn::ModelMeta read;
   ASSERT_TRUE(nn::ReadModuleMeta(path, &present, &read).ok());
   ASSERT_TRUE(present);
-  EXPECT_EQ(read.encoder_kind, meta.encoder_kind);
+  EXPECT_EQ(read.encoder_kind, static_cast<int32_t>(rckt::EncoderKind::kSAKT));
   EXPECT_EQ(read.dim, 16);
   EXPECT_EQ(read.num_layers, 2);
   EXPECT_EQ(read.num_heads, 2);
   EXPECT_EQ(read.num_questions, ds.num_questions);
   EXPECT_EQ(read.num_concepts, ds.num_concepts);
+  EXPECT_EQ(read.weights_fnv64, 0u);
+  EXPECT_EQ(read.weight_version, 0);
 
-  // The weights still load (the chunk is skipped transparently) and
-  // reproduce the source model bit for bit.
-  rckt::RCKT loaded(ds.num_questions, ds.num_concepts,
-                    SmallConfig(rckt::EncoderKind::kSAKT));
+  // A model built from the metadata alone loads the weights (the chunk is
+  // skipped transparently) and reproduces the source model bit for bit.
+  int64_t num_questions = 0;
+  int64_t num_concepts = 0;
+  const rckt::RcktConfig config =
+      rckt::ArchitectureFromMeta(read, &num_questions, &num_concepts);
+  EXPECT_EQ(num_questions, ds.num_questions);
+  EXPECT_EQ(num_concepts, ds.num_concepts);
+  rckt::RCKT loaded(num_questions, num_concepts, config);
   ASSERT_TRUE(nn::LoadModule(loaded, path).ok());
   data::Batch batch = rckt::MakePrefixBatch({{&ds.sequences[0], 5}});
   const float a = model.GeneratorScoreTargets(batch)[0];

@@ -241,14 +241,8 @@ int CmdTrain(const FlagParser& flags, const CommonFlagValues& common) {
 
   const std::string save = flags.GetString("save", "");
   if (!save.empty()) {
-    nn::ModelMeta meta;
-    meta.encoder_kind = static_cast<int32_t>(model->config().encoder);
-    meta.dim = model->config().dim;
-    meta.num_layers = model->config().num_layers;
-    meta.num_heads = model->config().num_heads;
-    meta.num_questions = loaded.windows.num_questions;
-    meta.num_concepts = loaded.windows.num_concepts;
-    const Status status = nn::SaveModuleWithMeta(*model, meta, save);
+    const Status status =
+        nn::SaveModuleWithMeta(*model, rckt::ArchitectureMeta(*model), save);
     if (!status.ok()) {
       std::fprintf(stderr, "save: %s\n", status.ToString().c_str());
       return 1;
@@ -285,12 +279,7 @@ std::unique_ptr<rckt::RCKT> LoadModelAuto(const FlagParser& flags,
   int64_t num_questions = 0;
   int64_t num_concepts = 0;
   if (has_meta) {
-    config.encoder = static_cast<rckt::EncoderKind>(meta.encoder_kind);
-    config.dim = meta.dim;
-    config.num_layers = meta.num_layers;
-    config.num_heads = meta.num_heads;
-    num_questions = meta.num_questions;
-    num_concepts = meta.num_concepts;
+    config = rckt::ArchitectureFromMeta(meta, &num_questions, &num_concepts);
   } else if (windows != nullptr) {
     config.encoder = ParseEncoder(flags.GetString("encoder", "dkt"));
     config.dim = flags.GetInt("dim", 32);
