@@ -62,6 +62,18 @@ void TransBIntoGrad(Node* xn, const float* g, const float* w, int64_t m,
   GemmTransB(g, w, xn->grad.data(), m, n, k);
 }
 
+// Dropout keep masks for n elements split into `num_streams` equal row
+// blocks, block j drawn from streams[j] in element order.
+void FillKeepMasks(float p, Rng* streams, int64_t num_streams, int64_t n,
+                   uint8_t* keep) {
+  KT_CHECK_LT(p, 1.0f);
+  KT_CHECK(streams != nullptr);
+  KT_CHECK_GT(num_streams, 0);
+  const int64_t block = n / num_streams;
+  for (int64_t j = 0; j < num_streams; ++j)
+    streams[j].FillKeepMask(p, keep + j * block, block);
+}
+
 }  // namespace
 
 Variable Add(const Variable& a, const Variable& b) {
@@ -380,20 +392,15 @@ Variable Dropout(const Variable& a, float p, Rng& rng, bool train) {
 Variable Dropout(const Variable& a, float p, Rng* streams,
                  int64_t num_streams, bool train) {
   if (!train || p <= 0.0f) return a;
-  KT_CHECK_LT(p, 1.0f);
-  KT_CHECK(streams != nullptr);
-  KT_CHECK_GT(num_streams, 0);
   const Tensor& x = a.value();
   const int64_t n = x.numel();
   KT_CHECK(num_streams == 1 || (x.dim() > 0 && x.size(0) % num_streams == 0))
       << "dropout rows must split into " << num_streams << " equal blocks";
-  const int64_t block = n / num_streams;
   const float scale = 1.0f / (1.0f - p);
   // One byte per element; both passes multiply by (keep ? scale : 0),
   // with the factor picked branch-free.
   std::vector<uint8_t> keep(static_cast<size_t>(n));
-  for (int64_t j = 0; j < num_streams; ++j)
-    streams[j].FillKeepMask(p, keep.data() + j * block, block);
+  FillKeepMasks(p, streams, num_streams, n, keep.data());
   Tensor out = Tensor::Uninitialized(x.shape());
   const float* src = x.data();
   const uint8_t* kp = keep.data();
@@ -942,6 +949,113 @@ void AccumulateOverLeadingDims(Node* param, const Shape& shape, Value value) {
   for (int64_t j = 0; j < d; ++j) pg[j] += cur[j];
 }
 
+// One normalized row: ((x - mu) / sd)·gamma + beta.
+inline void NormRow(const float* xr, int64_t d, float mu, float sdv,
+                    const float* gam, const float* bet, float* yr) {
+  for (int64_t j = 0; j < d; ++j) yr[j] = ((xr[j] - mu) / sdv) * gam[j] + bet[j];
+}
+
+// LayerNorm forward over `rows` rows of d: each row's mean and sd, in the
+// composed expressions' order, then the normalized row.
+void LayerNormRows(const float* x, int64_t rows, int64_t d, const float* gam,
+                   const float* bet, float eps, float* mean, float* sd,
+                   float* y) {
+  const float inv_d = 1.0f / static_cast<float>(d);
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * d;
+    float s1 = 0.0f;
+    for (int64_t j = 0; j < d; ++j) s1 += xr[j];
+    const float mu = s1 * inv_d;
+    float s2 = 0.0f;
+    for (int64_t j = 0; j < d; ++j) {
+      const float c = xr[j] - mu;
+      s2 += c * c;
+    }
+    const float sdv = std::sqrt(s2 * inv_d + eps);
+    mean[r] = mu;
+    sd[r] = sdv;
+    NormRow(xr, d, mu, sdv, gam, bet, y + r * d);
+  }
+}
+
+// The normalized rows again, from x and the forward's row statistics: the
+// forward's expressions, so the bits are the forward's.
+Tensor LayerNormRecompute(const Tensor& x, const Tensor& mean,
+                          const Tensor& sd, const Tensor& gamma,
+                          const Tensor& beta) {
+  const int64_t d = x.size(-1);
+  const int64_t rows = x.numel() / d;
+  Tensor y = Tensor::Uninitialized(x.shape());
+  for (int64_t r = 0; r < rows; ++r) {
+    NormRow(x.data() + r * d, d, mean.data()[r], sd.data()[r], gamma.data(),
+            beta.data(), y.data() + r * d);
+  }
+  return y;
+}
+
+// LayerNorm backward from the output gradient g over x ([..., d]) and the
+// forward's row statistics: beta's and gamma's gradients when they require
+// one and, when `xg` is non-null, x's, added in place as (xg + dc) + ds1.
+// c = x - mean is recomputed per row with the forward's expression.
+void LayerNormBackward(const float* g, const Tensor& x, const Tensor& mean,
+                       const Tensor& sd, Node* gn, Node* bn, float* xg) {
+  const Shape& shape = x.shape();
+  const int64_t d = shape.back();
+  const int64_t rows = x.numel() / d;
+  const float inv_d = 1.0f / static_cast<float>(d);
+  const float* xv = x.data();
+  const float* mu = mean.data();
+  const float* sdp = sd.data();
+  const float* gam = gn->value.data();
+  // The output Add hands beta the gradient itself and the Mul node
+  // 0 + g, which Mul passes on times gamma (to x) and times c/sd (to
+  // gamma).
+  if (bn->requires_grad) {
+    AccumulateOverLeadingDims(
+        bn, shape, [=](int64_t r, int64_t j) { return g[r * d + j]; });
+  }
+  if (gn->requires_grad) {
+    AccumulateOverLeadingDims(gn, shape, [=](int64_t r, int64_t j) {
+      return (g[r * d + j] + 0.0f) * ((xv[r * d + j] - mu[r]) / sdp[r]);
+    });
+  }
+  if (xg == nullptr) return;
+  std::vector<float> c(static_cast<size_t>(d));
+  std::vector<float> dc(static_cast<size_t>(d));
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* gr = g + r * d;
+    const float* xr = xv + r * d;
+    float* xgr = xg + r * d;
+    for (int64_t j = 0; j < d; ++j) c[j] = xr[j] - mu[r];
+    const float sdv = sdp[r];
+    const float sd2 = sdv * sdv;
+    // Div: dn = (0 + g)·gamma + 0 to c (÷ sd, + 0) and to sd.
+    float dsd = 0.0f;
+    for (int64_t j = 0; j < d; ++j) {
+      const float dn = ((gr[j] + 0.0f) * gam[j]) + 0.0f;
+      dc[j] = (dn / sdv) + 0.0f;
+      dsd += -((dn * c[j]) / sd2);
+    }
+    // Sqrt, AddScalar, MulScalar and the Sum's expand, each adopted.
+    const float dvar = (((0.0f + dsd) * (0.5f / sdv)) + 0.0f) + 0.0f;
+    const float dsq = ((dvar * inv_d) + 0.0f) + 0.0f;
+    // Mul(c, c) adds dsq·c once per operand.
+    float dmu = 0.0f;
+    for (int64_t j = 0; j < d; ++j) {
+      dc[j] = (dc[j] + dsq * c[j]) + dsq * c[j];
+      dmu += -dc[j];
+    }
+    const float ds1 = ((0.0f + dmu) * inv_d) + 0.0f;
+    for (int64_t j = 0; j < d; ++j) xgr[j] = (xgr[j] + dc[j]) + ds1;
+  }
+}
+
+// x's gradient buffer, allocated as +0 if it has none yet.
+inline float* GradBuffer(Node* n) {
+  n->EnsureGrad();
+  return n->grad.data();
+}
+
 }  // namespace
 
 Variable LayerNormCore(const Variable& x, const Variable& gamma,
@@ -954,82 +1068,18 @@ Variable LayerNormCore(const Variable& x, const Variable& gamma,
   KT_CHECK_EQ(gamma.numel(), d);
   KT_CHECK_EQ(beta.numel(), d);
   const int64_t rows = xv.numel() / d;
-  const float inv_d = 1.0f / static_cast<float>(d);
-  Tensor centered = Tensor::Uninitialized(xv.shape());
+  Tensor mean = Tensor::Uninitialized(Shape{rows});
   Tensor sd = Tensor::Uninitialized(Shape{rows});
   Tensor y = Tensor::Uninitialized(xv.shape());
-  const float* gam = gamma.value().data();
-  const float* bet = beta.value().data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* xr = xv.data() + r * d;
-    float* cr = centered.data() + r * d;
-    float* yr = y.data() + r * d;
-    float s1 = 0.0f;
-    for (int64_t j = 0; j < d; ++j) s1 += xr[j];
-    const float mu = s1 * inv_d;
-    float s2 = 0.0f;
-    for (int64_t j = 0; j < d; ++j) {
-      cr[j] = xr[j] - mu;
-      s2 += cr[j] * cr[j];
-    }
-    const float sdv = std::sqrt(s2 * inv_d + eps);
-    sd.data()[r] = sdv;
-    for (int64_t j = 0; j < d; ++j) yr[j] = (cr[j] / sdv) * gam[j] + bet[j];
-  }
+  LayerNormRows(xv.data(), rows, d, gamma.value().data(), beta.value().data(),
+                eps, mean.data(), sd.data(), y.data());
 
-  return MakeOpNode(y, {x, gamma, beta}, [centered, sd, inv_d](Node& self) {
+  return MakeOpNode(y, {x, gamma, beta}, [mean, sd](Node& self) {
     KT_OBS_SCOPE("fused/layer_norm_bwd");
     Node* xn = self.inputs[0].get();
-    Node* gn = self.inputs[1].get();
-    Node* bn = self.inputs[2].get();
-    const Shape& shape = centered.shape();
-    const int64_t d = shape.back();
-    const int64_t rows = centered.numel() / d;
-    const float* g = self.grad.data();
-    const float* c = centered.data();
-    const float* sdp = sd.data();
-    const float* gam = gn->value.data();
-    // The output Add hands beta the gradient itself and the Mul node
-    // 0 + g, which Mul passes on times gamma (to x) and times c/sd (to
-    // gamma).
-    if (bn->requires_grad) {
-      AccumulateOverLeadingDims(
-          bn, shape, [=](int64_t r, int64_t j) { return g[r * d + j]; });
-    }
-    if (gn->requires_grad) {
-      AccumulateOverLeadingDims(gn, shape, [=](int64_t r, int64_t j) {
-        return (g[r * d + j] + 0.0f) * (c[r * d + j] / sdp[r]);
-      });
-    }
-    if (!xn->requires_grad) return;
-    xn->EnsureGrad();
-    float* xg = xn->grad.data();
-    std::vector<float> dc(static_cast<size_t>(d));
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* gr = g + r * d;
-      const float* cr = c + r * d;
-      float* xr = xg + r * d;
-      const float sdv = sdp[r];
-      const float sd2 = sdv * sdv;
-      // Div: dn = (0 + g)·gamma + 0 to c (÷ sd, + 0) and to sd.
-      float dsd = 0.0f;
-      for (int64_t j = 0; j < d; ++j) {
-        const float dn = ((gr[j] + 0.0f) * gam[j]) + 0.0f;
-        dc[j] = (dn / sdv) + 0.0f;
-        dsd += -((dn * cr[j]) / sd2);
-      }
-      // Sqrt, AddScalar, MulScalar and the Sum's expand, each adopted.
-      const float dvar = (((0.0f + dsd) * (0.5f / sdv)) + 0.0f) + 0.0f;
-      const float dsq = ((dvar * inv_d) + 0.0f) + 0.0f;
-      // Mul(c, c) adds dsq·c once per operand.
-      float dmu = 0.0f;
-      for (int64_t j = 0; j < d; ++j) {
-        dc[j] = (dc[j] + dsq * cr[j]) + dsq * cr[j];
-        dmu += -dc[j];
-      }
-      const float ds1 = ((0.0f + dmu) * inv_d) + 0.0f;
-      for (int64_t j = 0; j < d; ++j) xr[j] = (xr[j] + dc[j]) + ds1;
-    }
+    LayerNormBackward(self.grad.data(), xn->value, mean, sd,
+                      self.inputs[1].get(), self.inputs[2].get(),
+                      xn->requires_grad ? GradBuffer(xn) : nullptr);
   });
 }
 
@@ -1164,24 +1214,38 @@ inline void ZeroBands(const AttentionBands& bands, int64_t tq, int64_t tk,
     std::fill(x + i * tk + bands.lo(i), x + i * tk + bands.hi(i), 0.0f);
 }
 
-}  // namespace
+// What the core's backward reads besides q, k, v and the output gradient.
+struct AttentionState {
+  int64_t b = 0, tq = 0, tk = 0, d = 0, heads = 1, dh = 0;
+  float scale = 1.0f, drop_scale = 0.0f;
+  bool dropout = false, monotonic = false;
+  int64_t grain = 1, rows_max = 0;
+  // The softmax output P0 of every head, [heads, B, Tq, Tk]: the softmax
+  // gradient reads P0 itself, which the row mask and dropout zero out, and
+  // P2 is recomputed from it. Only the bands are ever written or read, so
+  // it is not zero-filled.
+  Tensor probs;
+  std::vector<uint8_t> keep;  // dropout masks, head by head
+  std::vector<float> row_any;
+  AttentionBands bands;
+  std::vector<float> dist, exp_theta, softplus_arg;
+};
 
-Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
-                                const Variable& v, const Tensor& mask,
-                                const Variable& decay,
-                                const AttentionCoreOptions& options,
-                                std::vector<Tensor>* attention_out) {
+struct AttentionGrads {
+  Tensor dq, dk, dv, decay;
+};
+
+// The core's forward over q ([B, Tq, D]) and k, v ([B, Tk, D]), row-major
+// pointers: the merged heads, [B, Tq, D]. `decay` is [heads] or null. With
+// `keep_probs` the state keeps P0 for backward; otherwise each block lives
+// in scratch only.
+Tensor AttentionForward(const float* q, const float* k, const float* v,
+                        int64_t b, int64_t tq, int64_t tk, int64_t d,
+                        const Tensor& mask, const Tensor* decay,
+                        const AttentionCoreOptions& options, bool keep_probs,
+                        std::vector<Tensor>* attention_out,
+                        AttentionState* st) {
   KT_OBS_SCOPE("fused/attention");
-  const Tensor& qv = q.value();
-  const Tensor& kv = k.value();
-  const Tensor& vv = v.value();
-  KT_CHECK_EQ(qv.dim(), 3);
-  KT_CHECK_EQ(kv.dim(), 3);
-  KT_CHECK(kv.SameShape(vv));
-  const int64_t b = qv.size(0), tq = qv.size(1), d = qv.size(2);
-  const int64_t tk = kv.size(1);
-  KT_CHECK_EQ(kv.size(0), b);
-  KT_CHECK_EQ(kv.size(2), d);
   KT_CHECK_EQ(mask.dim(), 2);
   KT_CHECK_EQ(mask.size(0), tq);
   KT_CHECK_EQ(mask.size(1), tk);
@@ -1190,14 +1254,18 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
   KT_CHECK_EQ(d % heads, 0);
   const int64_t dh = d / heads;
   const int64_t tt = tq * tk;
-  const bool monotonic = decay.defined();
-  if (monotonic) KT_CHECK_EQ(decay.numel(), heads);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  const bool monotonic = decay != nullptr;
+  if (monotonic) KT_CHECK_EQ(decay->numel(), heads);
+  st->b = b, st->tq = tq, st->tk = tk, st->d = d;
+  st->heads = heads, st->dh = dh, st->monotonic = monotonic;
+  st->scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  const float scale = st->scale;
 
   // The composed path's mask terms: additive (m - 1)·1e9, and row_any, the
   // row maximum of the mask from 0 (0 on rows that attend nowhere).
   std::vector<float> additive(static_cast<size_t>(tt));
-  std::vector<float> row_any(static_cast<size_t>(tq));
+  std::vector<float>& row_any = st->row_any;
+  row_any.assign(static_cast<size_t>(tq), 0.0f);
   for (int64_t i = 0; i < tq; ++i) {
     float any = 0.0f;
     for (int64_t j = 0; j < tk; ++j) {
@@ -1207,12 +1275,13 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
     }
     row_any[static_cast<size_t>(i)] = any;
   }
-  AttentionBands bands = MakeAttentionBands(mask);
+  st->bands = MakeAttentionBands(mask);
+  const AttentionBands& bands = st->bands;
 
   // Decay: dist = |query_offset + i - j| and softplus(θ) = log(exp(θ) + 1),
   // keeping exp(θ) and exp(θ) + 1 for backward.
-  std::vector<float> dist;
-  std::vector<float> exp_theta, softplus_arg, softplus;
+  std::vector<float>& dist = st->dist;
+  std::vector<float> softplus;
   if (monotonic) {
     dist.resize(static_cast<size_t>(tt));
     for (int64_t i = 0; i < tq; ++i)
@@ -1220,48 +1289,34 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
         dist[static_cast<size_t>(i * tk + j)] =
             static_cast<float>(std::abs(options.query_offset + i - j));
     for (int64_t h = 0; h < heads; ++h) {
-      const float e = std::exp(decay.value().data()[h]);
+      const float e = std::exp(decay->data()[h]);
       const float a = e + 1.0f;
-      exp_theta.push_back(e);
-      softplus_arg.push_back(a);
+      st->exp_theta.push_back(e);
+      st->softplus_arg.push_back(a);
       softplus.push_back(std::log(a));
     }
   }
 
   // Dropout masks in the composed draw order: head by head, row block j of
   // the batch from stream j, every element in order (out-of-band ones too).
-  const bool dropout = options.train && options.dropout_p > 0.0f;
-  std::vector<uint8_t> keep;
-  float drop_scale = 0.0f;
-  if (dropout) {
-    const float p = options.dropout_p;
-    KT_CHECK_LT(p, 1.0f);
-    KT_CHECK(options.rng != nullptr);
-    KT_CHECK_GT(options.rng_count, 0);
+  st->dropout = options.train && options.dropout_p > 0.0f;
+  if (st->dropout) {
     KT_CHECK(options.rng_count == 1 || b % options.rng_count == 0)
         << "dropout rows must split into " << options.rng_count
         << " equal blocks";
-    drop_scale = 1.0f / (1.0f - p);
+    st->drop_scale = 1.0f / (1.0f - options.dropout_p);
     const int64_t n = b * tt;
-    const int64_t block = n / options.rng_count;
-    keep.resize(static_cast<size_t>(heads * n));
+    st->keep.resize(static_cast<size_t>(heads * n));
     for (int64_t h = 0; h < heads; ++h) {
-      for (int64_t j = 0; j < options.rng_count; ++j)
-        options.rng[j].FillKeepMask(p, keep.data() + h * n + j * block, block);
+      FillKeepMasks(options.dropout_p, options.rng, options.rng_count, n,
+                    st->keep.data() + h * n);
     }
   }
+  const bool dropout = st->dropout;
+  const float drop_scale = st->drop_scale;
 
-  // Backward keeps the softmax output P0 of every head, [heads, B, Tq, Tk]:
-  // the softmax gradient reads P0 itself, which the row mask and dropout
-  // zero out, and P2 is recomputed from it. Without a tape each block lives
-  // in scratch only. Only the bands are ever written or read, so the
-  // buffer is not zero-filled.
-  const bool needs_grad =
-      GradModeEnabled() && (q.requires_grad() || k.requires_grad() ||
-                            v.requires_grad() ||
-                            (monotonic && decay.requires_grad()));
-  Tensor probs = needs_grad ? Tensor::Uninitialized(Shape{heads, b, tq, tk})
-                            : Tensor();
+  Tensor& probs = st->probs;
+  if (keep_probs) probs = Tensor::Uninitialized(Shape{heads, b, tq, tk});
   std::vector<Tensor> head_probs;
   if (attention_out != nullptr) {
     for (int64_t h = 0; h < heads; ++h)
@@ -1270,15 +1325,16 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
 
   // Every head scatters its columns of every batch row.
   Tensor y = Tensor::Uninitialized(Shape{b, tq, d});
-  const int64_t grain = AttentionGrain(b, tt * dh);
-  const int64_t rows_max = std::max(tq, tk);
+  st->grain = AttentionGrain(b, tt * dh);
+  st->rows_max = std::max(tq, tk);
+  const int64_t rows_max = st->rows_max;
   for (int64_t h = 0; h < heads; ++h) {
     const int64_t lo = h * dh;
     const float sp = monotonic ? softplus[static_cast<size_t>(h)] : 0.0f;
     float* p1_head =
         attention_out != nullptr ? head_probs[static_cast<size_t>(h)].data()
                                  : nullptr;
-    ParallelForRange(0, b, grain, [&](int64_t b0, int64_t b1) {
+    ParallelForRange(0, b, st->grain, [&](int64_t b0, int64_t b1) {
       float* qh =
           AttentionScratch(static_cast<size_t>(4 * rows_max * dh + 2 * tt));
       float* kh = qh + rows_max * dh;
@@ -1290,10 +1346,10 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
       std::fill(p2, p2 + tt, 0.0f);
       for (int64_t bi = b0; bi < b1; ++bi) {
         const int64_t block = h * b + bi;
-        GatherHead(qv.data() + bi * tq * d + lo, tq, d, dh, qh);
-        GatherHead(kv.data() + bi * tk * d + lo, tk, d, dh, kh);
-        GatherHead(vv.data() + bi * tk * d + lo, tk, d, dh, vh);
-        float* p0 = needs_grad ? probs.data() + block * tt : p0_scratch;
+        GatherHead(q + bi * tq * d + lo, tq, d, dh, qh);
+        GatherHead(k + bi * tk * d + lo, tk, d, dh, kh);
+        GatherHead(v + bi * tk * d + lo, tk, d, dh, vh);
+        float* p0 = keep_probs ? probs.data() + block * tt : p0_scratch;
         ZeroBands(bands, tq, tk, p0);
         GemmBandedAccumulate(GemmForm::kTransB, qh, kh, p0, tq, dh, tk,
                              bands.query.data());
@@ -1312,8 +1368,8 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
           SoftmaxRow(row + c0, row + c0, c1 - c0);
         }
         DropoutProbs(p0, row_any.data(),
-                     dropout ? keep.data() + block * tt : nullptr, drop_scale,
-                     bands, tq, tk,
+                     dropout ? st->keep.data() + block * tt : nullptr,
+                     drop_scale, bands, tq, tk,
                      p1_head != nullptr ? p1_head + bi * tt : nullptr, p2);
         std::fill(oh, oh + tq * dh, 0.0f);
         GemmBandedAccumulate(GemmForm::kNN, p2, vh, oh, tq, tk, dh,
@@ -1325,142 +1381,511 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
   if (attention_out != nullptr) {
     for (Tensor& t : head_probs) attention_out->push_back(std::move(t));
   }
+  return y;
+}
 
+// The core's backward from the output gradient g ([B, Tq, D]) over the
+// forward's q, k and v: the gradients asked for, each a fresh tensor (the
+// decay's [heads]).
+AttentionGrads AttentionBackward(const AttentionState& st, const float* g,
+                                 const float* q, const float* k,
+                                 const float* v, bool need_q, bool need_k,
+                                 bool need_v, bool need_decay) {
+  KT_OBS_SCOPE("fused/attention_bwd");
+  const bool need_scores = need_q || need_k || need_decay;
+  const int64_t b = st.b, tq = st.tq, tk = st.tk, d = st.d;
+  const int64_t heads = st.heads, dh = st.dh, rows_max = st.rows_max;
+  const int64_t tt = tq * tk;
+  const float scale = st.scale, drop_scale = st.drop_scale;
+  const AttentionBands& bands = st.bands;
+  AttentionGrads grads;
+  // Each head scatters its columns of every batch row.
+  if (need_q) grads.dq = Tensor::Uninitialized(Shape{b, tq, d});
+  if (need_k) grads.dk = Tensor::Uninitialized(Shape{b, tk, d});
+  if (need_v) grads.dv = Tensor::Uninitialized(Shape{b, tk, d});
+  // The score gradient of every batch row of one head, kept for the
+  // decay's reduction over B (ascending, after the parallel pass); +0 off
+  // the bands.
+  std::vector<float> ds_head(need_decay ? static_cast<size_t>(b * tt) : 0);
+  if (need_decay) grads.decay = Tensor(Shape{heads});
+  for (int64_t h = 0; h < heads; ++h) {
+    const int64_t lo = h * dh;
+    ParallelForRange(0, b, st.grain, [&](int64_t b0, int64_t b1) {
+      float* gh =
+          AttentionScratch(static_cast<size_t>(3 * rows_max * dh + 3 * tt));
+      float* xh = gh + rows_max * dh;  // v_h, k_h or q_h
+      float* oh = xh + rows_max * dh;
+      float* p2 = oh + rows_max * dh;
+      float* dp = p2 + tt;
+      float* ds_scratch = dp + tt;
+      // The dV and dK GEMMs read P2 and dS0 across whole key blocks: +0
+      // off the bands.
+      std::fill(p2, p2 + 2 * tt, 0.0f);
+      for (int64_t bi = b0; bi < b1; ++bi) {
+        const int64_t block = h * b + bi;
+        const float* p0 = st.probs.data() + block * tt;
+        const uint8_t* kp = st.dropout ? st.keep.data() + block * tt : nullptr;
+        GatherHead(g + bi * tq * d + lo, tq, d, dh, gh);
+        if (need_v) {
+          // dV_h = P2ᵀ G_h.
+          DropoutProbs(p0, st.row_any.data(), kp, drop_scale, bands, tq, tk,
+                       nullptr, p2);
+          std::fill(oh, oh + tk * dh, 0.0f);
+          GemmBandedAccumulate(GemmForm::kTransA, p2, gh, oh, tk, tq, dh,
+                               bands.key.data());
+          ScatterHead(oh, tk, d, dh, grads.dv.data() + bi * tk * d + lo);
+        }
+        if (!need_scores) continue;
+        // dP2 = G_h V_hᵀ, then per row: dropout, row mask, softmax.
+        GatherHead(v + bi * tk * d + lo, tk, d, dh, xh);
+        ZeroBands(bands, tq, tk, dp);
+        GemmBandedAccumulate(GemmForm::kTransB, gh, xh, dp, tq, dh, tk,
+                             bands.query.data());
+        float* ds = need_decay ? ds_head.data() + bi * tt : ds_scratch;
+        for (int64_t i = 0; i < tq; ++i) {
+          const int64_t c0 = bands.lo(i), c1 = bands.hi(i);
+          float* gr = dp + i * tk;
+          const float* yr = p0 + i * tk;
+          float* dsr = ds + i * tk;
+          if (kp != nullptr) {
+            const uint8_t* kr = kp + i * tk;
+            for (int64_t c = c0; c < c1; ++c)
+              gr[c] = gr[c] * SelectOrZero(kr[c], drop_scale);
+          }
+          const float ra = st.row_any[static_cast<size_t>(i)];
+          float sum = 0.0f;
+          for (int64_t c = c0; c < c1; ++c) {
+            gr[c] = gr[c] * ra;
+            sum += gr[c] * yr[c];
+          }
+          for (int64_t c = c0; c < c1; ++c) dsr[c] = yr[c] * (gr[c] - sum);
+        }
+        if (!need_q && !need_k) continue;
+        // dS0 = dS·scale; dQ_h = dS0 K_h, dK_h = dS0ᵀ Q_h.
+        for (int64_t i = 0; i < tq; ++i) {
+          for (int64_t c = i * tk + bands.lo(i); c < i * tk + bands.hi(i); ++c)
+            dp[c] = ds[c] * scale;
+        }
+        if (need_q) {
+          GatherHead(k + bi * tk * d + lo, tk, d, dh, xh);
+          std::fill(oh, oh + tq * dh, 0.0f);
+          GemmBandedAccumulate(GemmForm::kNN, dp, xh, oh, tq, tk, dh,
+                               bands.query.data());
+          ScatterHead(oh, tq, d, dh, grads.dq.data() + bi * tq * d + lo);
+        }
+        if (need_k) {
+          GatherHead(q + bi * tq * d + lo, tq, d, dh, xh);
+          std::fill(oh, oh + tk * dh, 0.0f);
+          GemmBandedAccumulate(GemmForm::kTransA, dp, xh, oh, tk, tq, dh,
+                               bands.key.data());
+          ScatterHead(oh, tk, d, dh, grads.dk.data() + bi * tk * d + lo);
+        }
+      }
+    });
+    if (need_decay) {
+      // The composed reductions in order: Neg and Sum over B (ascending),
+      // × dist, Sum over Tq, then over Tk; then the chain rule through
+      // log(a) and a = exp(θ) + 1.
+      std::vector<float> penalty_grad(static_cast<size_t>(tt), 0.0f);
+      for (int64_t bi = 0; bi < b; ++bi) {
+        const float* ds = ds_head.data() + bi * tt;
+        for (int64_t c = 0; c < tt; ++c) penalty_grad[c] += -ds[c];
+      }
+      std::vector<float> col(static_cast<size_t>(tk), 0.0f);
+      for (int64_t i = 0; i < tq; ++i)
+        for (int64_t c = 0; c < tk; ++c)
+          col[c] += penalty_grad[i * tk + c] * st.dist[i * tk + c];
+      float total = 0.0f;
+      for (int64_t c = 0; c < tk; ++c) total += col[c];
+      grads.decay.data()[h] =
+          (total / st.softplus_arg[h]) * st.exp_theta[h];
+    }
+  }
+  return grads;
+}
+
+}  // namespace
+
+Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
+                                const Variable& v, const Tensor& mask,
+                                const Variable& decay,
+                                const AttentionCoreOptions& options,
+                                std::vector<Tensor>* attention_out) {
+  const Tensor& qv = q.value();
+  const Tensor& kv = k.value();
+  const Tensor& vv = v.value();
+  KT_CHECK_EQ(qv.dim(), 3);
+  KT_CHECK_EQ(kv.dim(), 3);
+  KT_CHECK(kv.SameShape(vv));
+  KT_CHECK_EQ(kv.size(0), qv.size(0));
+  KT_CHECK_EQ(kv.size(2), qv.size(2));
+  const bool monotonic = decay.defined();
   std::vector<Variable> inputs{q, k, v};
   if (monotonic) inputs.push_back(decay);
+  AttentionState st;
+  Tensor y = AttentionForward(
+      qv.data(), kv.data(), vv.data(), qv.size(0), qv.size(1), kv.size(1),
+      qv.size(2), mask, monotonic ? &decay.value() : nullptr, options,
+      RecordsGrad(inputs), attention_out, &st);
+  return MakeOpNode(std::move(y), inputs, [st = std::move(st)](Node& self) {
+    Node* qn = self.inputs[0].get();
+    Node* kn = self.inputs[1].get();
+    Node* vn = self.inputs[2].get();
+    Node* dn = st.monotonic ? self.inputs[3].get() : nullptr;
+    const bool need_decay = dn != nullptr && dn->requires_grad;
+    AttentionGrads grads = AttentionBackward(
+        st, self.grad.data(), qn->value.data(), kn->value.data(),
+        vn->value.data(), qn->requires_grad, kn->requires_grad,
+        vn->requires_grad, need_decay);
+    if (qn->requires_grad) qn->AccumulateGrad(std::move(grads.dq));
+    if (kn->requires_grad) kn->AccumulateGrad(std::move(grads.dk));
+    if (vn->requires_grad) vn->AccumulateGrad(std::move(grads.dv));
+    if (need_decay) dn->AccumulateGrad(std::move(grads.decay));
+  });
+}
+
+// ---- Transformer block ----
+//
+// One node for the pre-norm block. The forward runs the composed chain's
+// expressions through the same bodies its nodes use (LayerNormRows,
+// LinearBiasActForward, AttentionForward, the Add and Dropout
+// expressions), in the same order, so the values and the dropout draws
+// (attention masks head by head, then the feed-forward mask) are the
+// chain's.
+//
+// Backward replays the composed closures in the order the tape ran them.
+// `Backward` runs nodes in reverse DFS post-order, and the DFS enters the
+// chain only through the output Add, whose first input is the residual
+// `mid` and whose first input in turn is x. So for self-attention x and
+// its subtree finish before anything inside the block, and every block
+// closure runs back to back:
+//   out Add      mid and the ff2 output each get G + 0;
+//   ff2          dh = G W2ᵀ, then W2 and b2;
+//   Dropout      (dh · keep · scale) + 0, adopted by h1;
+//   ff1 (ReLU)   × (h1 > 0), dn2 = · W1ᵀ, then W1 and b1;
+//   LN2          beta, gamma, then mid's gradient (mid + dc) + ds1;
+//   mid Add      x gets mid's gradient first (into +0 or onto its own),
+//                then the attended output adopts it;
+//   out-proj     dy = · Woᵀ, then Wo and bo;
+//   attention    dq, dk, dv and the decay, from dy;
+//   projections  v, then k, then q (the reverse of the core's inputs):
+//                dn1 = dv Wvᵀ, += dk Wkᵀ, += dq Wqᵀ;
+//   LN1          beta, gamma, then x's gradient (x + dc) + ds1.
+// Every +0 adoption add whose operand can be -0 is kept; the others (a dot
+// chain from +0, which is never -0) are left out. Parameter gradients go
+// to distinct parameters, so only their position against other calls of
+// the same block matters, and the node takes the chain's position.
+//
+// Cross-attention keeps its query norm as a LayerNormCore node (ops.h): on
+// the composed tape the keys' subtree ran between the k projection and the
+// q projection, so whatever it gives x lands between the residual's
+// contribution and the norm's. The keys get v's gradient, then k's.
+//
+// Kept for backward: q, k, v, the attention state (P0 and masks), the
+// merged heads y, mid, h1, the feed-forward mask and the norms' row
+// statistics. The norms' outputs and dropout(h1) are recomputed with the
+// forward's expressions.
+
+namespace {
+
+// The block's inputs: x, then the query-side norm (self: gamma and beta;
+// cross: the normed queries and the keys' source), the attention's
+// parameters, the feed-forward's, and the decay last when there is one.
+enum BlockInput : size_t {
+  kBlockX = 0,
+  kBlockNorm1Gamma = 1,  // self-attention
+  kBlockNorm1Beta = 2,
+  kBlockNormedQ = 1,  // cross-attention
+  kBlockKeys = 2,
+  kBlockWq = 3,
+  kBlockWk,
+  kBlockWv,
+  kBlockWo,
+  kBlockBo,
+  kBlockNorm2Gamma,
+  kBlockNorm2Beta,
+  kBlockW1,
+  kBlockB1,
+  kBlockW2,
+  kBlockB2,
+  kBlockDecay,
+};
+
+// h · (keep ? scale : 0), the Dropout expression.
+Tensor DropHidden(const Tensor& h, const std::vector<uint8_t>& keep,
+                  float scale) {
+  Tensor out = Tensor::Uninitialized(h.shape());
+  const float* src = h.data();
+  float* dst = out.data();
+  for (int64_t i = 0; i < h.numel(); ++i)
+    dst[i] = src[i] * SelectOrZero(keep[static_cast<size_t>(i)], scale);
+  return out;
+}
+
+}  // namespace
+
+Variable TransformerBlockCore(const Variable& x, const Variable& kv,
+                              const Tensor& mask,
+                              const TransformerBlockWeights& weights,
+                              const AttentionCoreOptions& options,
+                              std::vector<Tensor>* attention_out,
+                              AttentionKVCache* cache) {
+  KT_OBS_SCOPE("fused/transformer_block");
+  const TransformerBlockWeights& w = weights;
+  const bool cross = kv.defined();
+  KT_CHECK(!(cross && cache != nullptr))
+      << "incremental decode is self-attention";
+  const Tensor& xv = x.value();
+  KT_CHECK_EQ(xv.dim(), 3);
+  const int64_t b = xv.size(0), tq = xv.size(1), d = xv.size(2);
+  const int64_t rows = b * tq;
+  const int64_t hidden = w.ff1_weight.size(1);
+  const bool monotonic = w.decay.defined();
+
+  const Variable normed_q =
+      cross ? LayerNormCore(x, w.norm1_gamma, w.norm1_beta, w.eps)
+            : Variable();
+  std::vector<Variable> inputs{x};
+  if (cross) {
+    inputs.push_back(normed_q);
+    inputs.push_back(kv);
+  } else {
+    inputs.push_back(w.norm1_gamma);
+    inputs.push_back(w.norm1_beta);
+  }
+  for (const Variable* p :
+       {&w.q_weight, &w.k_weight, &w.v_weight, &w.out_weight, &w.out_bias,
+        &w.norm2_gamma, &w.norm2_beta, &w.ff1_weight, &w.ff1_bias,
+        &w.ff2_weight, &w.ff2_bias}) {
+    inputs.push_back(*p);
+  }
+  if (monotonic) inputs.push_back(w.decay);
+  const bool needs_grad = RecordsGrad(inputs);
+  KT_CHECK(cache == nullptr || !needs_grad)
+      << "incremental decode records no tape entry";
+
+  // Queries from LN1(x) (self) or the norm node (cross); keys and values
+  // from LN1(x) or the raw kv rows.
+  Tensor mean1, sd1, normed;
+  if (cross) {
+    normed = normed_q.value();
+  } else {
+    mean1 = Tensor::Uninitialized(Shape{rows});
+    sd1 = Tensor::Uninitialized(Shape{rows});
+    normed = Tensor::Uninitialized(xv.shape());
+    LayerNormRows(xv.data(), rows, d, w.norm1_gamma.value().data(),
+                  w.norm1_beta.value().data(), w.eps, mean1.data(),
+                  sd1.data(), normed.data());
+  }
+  const Tensor& src = cross ? kv.value() : normed;
+  KT_CHECK_EQ(src.dim(), 3);
+  KT_CHECK_EQ(src.size(0), b);
+  KT_CHECK_EQ(src.size(2), d);
+  int64_t tk = src.size(1);
+  const Shape flat{-1, d};
+  Tensor q = LinearBiasActForward(normed.Reshape(flat), w.q_weight.value(),
+                                  nullptr, Act::kIdentity);
+  Tensor k = LinearBiasActForward(src.Reshape(flat), w.k_weight.value(),
+                                  nullptr, Act::kIdentity);
+  Tensor v = LinearBiasActForward(src.Reshape(flat), w.v_weight.value(),
+                                  nullptr, Act::kIdentity);
+  normed = Tensor();
+  const float* kd = k.data();
+  const float* vd = v.data();
+  if (cache != nullptr) {
+    KT_CHECK_EQ(b, 1);
+    cache->k.insert(cache->k.end(), k.data(), k.data() + k.numel());
+    cache->v.insert(cache->v.end(), v.data(), v.data() + v.numel());
+    cache->len += tq;
+    tk = cache->len;
+    kd = cache->k.data();
+    vd = cache->v.data();
+  }
+  AttentionState st;
+  Tensor y = AttentionForward(q.data(), kd, vd, b, tq, tk, d, mask,
+                              monotonic ? &w.decay.value() : nullptr,
+                              options, needs_grad, attention_out, &st);
+
+  // mid = x + (y Wo + bo).
+  Tensor mid = LinearBiasActForward(y.Reshape(flat), w.out_weight.value(),
+                                    &w.out_bias.value(), Act::kIdentity)
+                   .Reshape(xv.shape());
+  {
+    const float* xd = xv.data();
+    float* md = mid.data();
+    for (int64_t i = 0; i < rows * d; ++i) md[i] = xd[i] + md[i];
+  }
+  // h1 = relu(LN2(mid) W1 + b1).
+  Tensor mean2 = Tensor::Uninitialized(Shape{rows});
+  Tensor sd2 = Tensor::Uninitialized(Shape{rows});
+  Tensor h1;
+  {
+    Tensor n2 = Tensor::Uninitialized(xv.shape());
+    LayerNormRows(mid.data(), rows, d, w.norm2_gamma.value().data(),
+                  w.norm2_beta.value().data(), w.eps, mean2.data(),
+                  sd2.data(), n2.data());
+    h1 = LinearBiasActForward(n2.Reshape(flat), w.ff1_weight.value(),
+                              &w.ff1_bias.value(), Act::kRelu);
+  }
+  // The feed-forward dropout draws after the attention's, over h1 as
+  // [B, Tq, 2D]: row block j of the batch from stream j.
+  const bool ff_dropout = options.train && options.dropout_p > 0.0f;
+  std::vector<uint8_t> ff_keep;
+  float ff_scale = 0.0f;
+  Tensor out;
+  if (ff_dropout) {
+    KT_CHECK(options.rng_count == 1 || b % options.rng_count == 0)
+        << "dropout rows must split into " << options.rng_count
+        << " equal blocks";
+    ff_scale = 1.0f / (1.0f - options.dropout_p);
+    ff_keep.resize(static_cast<size_t>(h1.numel()));
+    FillKeepMasks(options.dropout_p, options.rng, options.rng_count,
+                  h1.numel(), ff_keep.data());
+    out = LinearBiasActForward(DropHidden(h1, ff_keep, ff_scale),
+                               w.ff2_weight.value(), &w.ff2_bias.value(),
+                               Act::kIdentity);
+  } else {
+    out = LinearBiasActForward(h1, w.ff2_weight.value(), &w.ff2_bias.value(),
+                               Act::kIdentity);
+  }
+  {
+    const float* md = mid.data();
+    float* od = out.data();
+    for (int64_t i = 0; i < rows * d; ++i) od[i] = md[i] + od[i];
+  }
+  out = out.Reshape(xv.shape());
+  if (!needs_grad) return Variable::Leaf(std::move(out), false);
+
   return MakeOpNode(
-      std::move(y), inputs,
-      [probs, keep = std::move(keep), row_any = std::move(row_any),
-       bands = std::move(bands), dist = std::move(dist),
-       exp_theta = std::move(exp_theta),
-       softplus_arg = std::move(softplus_arg), heads, dh, scale, drop_scale,
-       dropout, monotonic, grain, rows_max](Node& self) {
-        KT_OBS_SCOPE("fused/attention_bwd");
-        Node* qn = self.inputs[0].get();
-        Node* kn = self.inputs[1].get();
-        Node* vn = self.inputs[2].get();
-        Node* dn = monotonic ? self.inputs[3].get() : nullptr;
-        const bool need_q = qn->requires_grad;
-        const bool need_k = kn->requires_grad;
-        const bool need_v = vn->requires_grad;
-        const bool need_decay = dn != nullptr && dn->requires_grad;
-        const bool need_scores = need_q || need_k || need_decay;
-        const int64_t b = self.grad.size(0), tq = self.grad.size(1);
-        const int64_t d = self.grad.size(2), tk = kn->value.size(1);
-        const int64_t tt = tq * tk;
-        // Each head scatters its columns of every batch row.
-        Tensor dq = need_q ? Tensor::Uninitialized(qn->value.shape())
-                           : Tensor();
-        Tensor dk = need_k ? Tensor::Uninitialized(kn->value.shape())
-                           : Tensor();
-        Tensor dv = need_v ? Tensor::Uninitialized(vn->value.shape())
-                           : Tensor();
-        // The score gradient of every batch row of one head, kept for the
-        // decay's reduction over B (ascending, after the parallel pass);
-        // +0 off the bands.
-        std::vector<float> ds_head(need_decay ? static_cast<size_t>(b * tt)
-                                              : 0);
-        Tensor decay_grad = need_decay ? Tensor(Shape{heads}) : Tensor();
-        const float* g = self.grad.data();
-        for (int64_t h = 0; h < heads; ++h) {
-          const int64_t lo = h * dh;
-          ParallelForRange(0, b, grain, [&](int64_t b0, int64_t b1) {
-            float* gh = AttentionScratch(static_cast<size_t>(
-                3 * rows_max * dh + 3 * tt));
-            float* xh = gh + rows_max * dh;  // v_h, k_h or q_h
-            float* oh = xh + rows_max * dh;
-            float* p2 = oh + rows_max * dh;
-            float* dp = p2 + tt;
-            float* ds_scratch = dp + tt;
-            // The dV and dK GEMMs read P2 and dS0 across whole key blocks:
-            // +0 off the bands.
-            std::fill(p2, p2 + 2 * tt, 0.0f);
-            for (int64_t bi = b0; bi < b1; ++bi) {
-              const int64_t block = h * b + bi;
-              const float* p0 = probs.data() + block * tt;
-              const uint8_t* kp = dropout ? keep.data() + block * tt : nullptr;
-              GatherHead(g + bi * tq * d + lo, tq, d, dh, gh);
-              if (need_v) {
-                // dV_h = P2ᵀ G_h.
-                DropoutProbs(p0, row_any.data(), kp, drop_scale, bands, tq,
-                             tk, nullptr, p2);
-                std::fill(oh, oh + tk * dh, 0.0f);
-                GemmBandedAccumulate(GemmForm::kTransA, p2, gh, oh, tk, tq,
-                                     dh, bands.key.data());
-                ScatterHead(oh, tk, d, dh, dv.data() + bi * tk * d + lo);
-              }
-              if (!need_scores) continue;
-              // dP2 = G_h V_hᵀ, then per row: dropout, row mask, softmax.
-              GatherHead(vn->value.data() + bi * tk * d + lo, tk, d, dh, xh);
-              ZeroBands(bands, tq, tk, dp);
-              GemmBandedAccumulate(GemmForm::kTransB, gh, xh, dp, tq, dh, tk,
-                                   bands.query.data());
-              float* ds = need_decay ? ds_head.data() + bi * tt : ds_scratch;
-              for (int64_t i = 0; i < tq; ++i) {
-                const int64_t c0 = bands.lo(i), c1 = bands.hi(i);
-                float* gr = dp + i * tk;
-                const float* yr = p0 + i * tk;
-                float* dsr = ds + i * tk;
-                if (kp != nullptr) {
-                  const uint8_t* kr = kp + i * tk;
-                  for (int64_t c = c0; c < c1; ++c)
-                    gr[c] = gr[c] * SelectOrZero(kr[c], drop_scale);
-                }
-                const float ra = row_any[static_cast<size_t>(i)];
-                float sum = 0.0f;
-                for (int64_t c = c0; c < c1; ++c) {
-                  gr[c] = gr[c] * ra;
-                  sum += gr[c] * yr[c];
-                }
-                for (int64_t c = c0; c < c1; ++c)
-                  dsr[c] = yr[c] * (gr[c] - sum);
-              }
-              if (!need_q && !need_k) continue;
-              // dS0 = dS·scale; dQ_h = dS0 K_h, dK_h = dS0ᵀ Q_h.
-              for (int64_t i = 0; i < tq; ++i) {
-                for (int64_t c = i * tk + bands.lo(i); c < i * tk + bands.hi(i);
-                     ++c)
-                  dp[c] = ds[c] * scale;
-              }
-              if (need_q) {
-                GatherHead(kn->value.data() + bi * tk * d + lo, tk, d, dh, xh);
-                std::fill(oh, oh + tq * dh, 0.0f);
-                GemmBandedAccumulate(GemmForm::kNN, dp, xh, oh, tq, tk, dh,
-                                     bands.query.data());
-                ScatterHead(oh, tq, d, dh, dq.data() + bi * tq * d + lo);
-              }
-              if (need_k) {
-                GatherHead(qn->value.data() + bi * tq * d + lo, tq, d, dh,
-                           xh);
-                std::fill(oh, oh + tk * dh, 0.0f);
-                GemmBandedAccumulate(GemmForm::kTransA, dp, xh, oh, tk, tq,
-                                     dh, bands.key.data());
-                ScatterHead(oh, tk, d, dh, dk.data() + bi * tk * d + lo);
-              }
-            }
-          });
-          if (need_decay) {
-            // The composed reductions in order: Neg and Sum over B
-            // (ascending), × dist, Sum over Tq, then over Tk; then the
-            // chain rule through log(a) and a = exp(θ) + 1.
-            std::vector<float> penalty_grad(static_cast<size_t>(tt), 0.0f);
-            for (int64_t bi = 0; bi < b; ++bi) {
-              const float* ds = ds_head.data() + bi * tt;
-              for (int64_t c = 0; c < tt; ++c) penalty_grad[c] += -ds[c];
-            }
-            std::vector<float> col(static_cast<size_t>(tk), 0.0f);
-            for (int64_t i = 0; i < tq; ++i)
-              for (int64_t c = 0; c < tk; ++c)
-                col[c] += penalty_grad[i * tk + c] * dist[i * tk + c];
-            float total = 0.0f;
-            for (int64_t c = 0; c < tk; ++c) total += col[c];
-            decay_grad.data()[h] = (total / softplus_arg[h]) * exp_theta[h];
+      std::move(out), inputs,
+      [q = std::move(q), k = std::move(k), v = std::move(v),
+       st = std::move(st), y = std::move(y), mid = std::move(mid),
+       h1 = std::move(h1), ff_keep = std::move(ff_keep), mean1, sd1, mean2,
+       sd2, ff_scale, ff_dropout, cross, monotonic, rows, d,
+       hidden](Node& self) {
+        KT_OBS_SCOPE("fused/transformer_block_bwd");
+        auto in = [&](BlockInput i) { return self.inputs[i].get(); };
+        Node* xn = in(kBlockX);
+        const int64_t kv_rows = k.size(0);
+        Tensor g = std::move(self.grad);
+        if (!g.StorageIsUnique()) g = g.Clone();
+        // The output Add: mid and the ff2 output each get G + 0.
+        float* gd = g.data();
+        for (int64_t i = 0; i < rows * d; ++i) gd[i] = gd[i] + 0.0f;
+
+        // ff2, then Dropout and ReLU into h1's pre-activation gradient.
+        Tensor dh = Tensor::Uninitialized(Shape{rows, hidden});
+        Node* w2 = in(kBlockW2);
+        GemmTransB(gd, w2->value.data(), dh.data(), rows, d, hidden);
+        if (w2->requires_grad) {
+          const Tensor dropped =
+              ff_dropout ? DropHidden(h1, ff_keep, ff_scale) : h1;
+          GemmTransAAccumulate(dropped.data(), gd, GradBuffer(w2), hidden,
+                               rows, d);
+        }
+        if (in(kBlockB2)->requires_grad)
+          AccumulateBiasGrad(gd, rows, d, GradBuffer(in(kBlockB2)));
+        {
+          float* dd = dh.data();
+          const float* hv = h1.data();
+          const int64_t n = rows * hidden;
+          if (ff_dropout) {
+            for (int64_t i = 0; i < n; ++i)
+              dd[i] = ((dd[i] * SelectOrZero(ff_keep[static_cast<size_t>(i)],
+                                              ff_scale)) +
+                       0.0f) *
+                      SelectOrZero(hv[i] > 0.0f, 1.0f);
+          } else {
+            for (int64_t i = 0; i < n; ++i)
+              dd[i] = dd[i] * SelectOrZero(hv[i] > 0.0f, 1.0f);
           }
         }
-        if (need_q) qn->AccumulateGrad(std::move(dq));
-        if (need_k) kn->AccumulateGrad(std::move(dk));
-        if (need_v) vn->AccumulateGrad(std::move(dv));
-        if (need_decay) dn->AccumulateGrad(std::move(decay_grad));
+
+        // ff1, then LN2 into mid's gradient, which holds G + 0.
+        Node* w1 = in(kBlockW1);
+        Node* g2 = in(kBlockNorm2Gamma);
+        Node* b2 = in(kBlockNorm2Beta);
+        Tensor dn2 = Tensor::Uninitialized(Shape{rows, d});
+        GemmTransB(dh.data(), w1->value.data(), dn2.data(), rows, hidden, d);
+        if (w1->requires_grad) {
+          const Tensor n2 =
+              LayerNormRecompute(mid, mean2, sd2, g2->value, b2->value);
+          GemmTransAAccumulate(n2.data(), dh.data(), GradBuffer(w1), d, rows,
+                               hidden);
+        }
+        if (in(kBlockB1)->requires_grad)
+          AccumulateBiasGrad(dh.data(), rows, hidden,
+                             GradBuffer(in(kBlockB1)));
+        dh = Tensor();
+        LayerNormBackward(dn2.data(), mid, mean2, sd2, g2, b2, gd);
+        dn2 = Tensor();
+
+        // The residual: x first, through a shared handle as the composed
+        // Add's first operand; the attended output then adopts it.
+        if (xn->requires_grad) xn->AccumulateGrad(g);
+        Node* wo = in(kBlockWo);
+        Tensor dy = Tensor::Uninitialized(Shape{rows, d});
+        GemmTransB(gd, wo->value.data(), dy.data(), rows, d, d);
+        if (wo->requires_grad)
+          GemmTransAAccumulate(y.data(), gd, GradBuffer(wo), d, rows, d);
+        if (in(kBlockBo)->requires_grad)
+          AccumulateBiasGrad(gd, rows, d, GradBuffer(in(kBlockBo)));
+        g = Tensor();
+
+        Node* decay = monotonic ? in(kBlockDecay) : nullptr;
+        const bool need_decay = decay != nullptr && decay->requires_grad;
+        AttentionGrads grads =
+            AttentionBackward(st, dy.data(), q.data(), k.data(), v.data(),
+                              true, true, true, need_decay);
+        dy = Tensor();
+        if (need_decay) decay->AccumulateGrad(std::move(grads.decay));
+
+        // The projections, v, then k, then q. Self-attention sums all three
+        // into LN1's output gradient; cross-attention gives v and k to the
+        // keys and q to the norm node.
+        Node* wv = in(kBlockWv);
+        Node* wk = in(kBlockWk);
+        Node* wq = in(kBlockWq);
+        if (cross) {
+          Node* keys = in(kBlockKeys);
+          Node* nq = in(kBlockNormedQ);
+          const float* src = keys->value.data();
+          for (auto [wn, dg] : {std::pair<Node*, Tensor*>{wv, &grads.dv},
+                                std::pair<Node*, Tensor*>{wk, &grads.dk}}) {
+            if (keys->requires_grad)
+              TransBIntoGrad(keys, dg->data(), wn->value.data(), kv_rows, d,
+                             d);
+            if (wn->requires_grad)
+              GemmTransAAccumulate(src, dg->data(), GradBuffer(wn), d,
+                                   kv_rows, d);
+            *dg = Tensor();
+          }
+          if (nq->requires_grad)
+            TransBIntoGrad(nq, grads.dq.data(), wq->value.data(), rows, d, d);
+          if (wq->requires_grad)
+            GemmTransAAccumulate(nq->value.data(), grads.dq.data(),
+                                 GradBuffer(wq), d, rows, d);
+          return;
+        }
+        Node* g1 = in(kBlockNorm1Gamma);
+        Node* b1 = in(kBlockNorm1Beta);
+        const Tensor n1 =
+            LayerNormRecompute(xn->value, mean1, sd1, g1->value, b1->value);
+        Tensor dn1 = Tensor::Uninitialized(xn->value.shape());
+        GemmTransB(grads.dv.data(), wv->value.data(), dn1.data(), rows, d, d);
+        for (auto [wn, dg] : {std::pair<Node*, Tensor*>{wv, &grads.dv},
+                              std::pair<Node*, Tensor*>{wk, &grads.dk},
+                              std::pair<Node*, Tensor*>{wq, &grads.dq}}) {
+          if (dg != &grads.dv)
+            GemmTransBAccumulate(dg->data(), wn->value.data(), dn1.data(),
+                                 rows, d, d);
+          if (wn->requires_grad)
+            GemmTransAAccumulate(n1.data(), dg->data(), GradBuffer(wn), d,
+                                 rows, d);
+          *dg = Tensor();
+        }
+        LayerNormBackward(dn1.data(), xn->value, mean1, sd1, g1, b1,
+                          xn->requires_grad ? GradBuffer(xn) : nullptr);
       });
 }
 

@@ -130,8 +130,8 @@ Variable RecurrentLayer(RecurrentCell cell, const Variable& x,
 // (x - mean)/sqrt(var + eps)·gamma + beta with gamma and beta [d].
 // Bit-identical, value and the gradients of x, gamma and beta, to the
 // composed Mean/Sub/Mul/Mean/AddScalar/Sqrt/Div/Mul/Add chain
-// (ComposedLayerNorm in tests/composed_reference.h). Keeps x - mean and
-// the row deviations for backward.
+// (ComposedLayerNorm in tests/composed_reference.h). Keeps the row means
+// and deviations for backward, which recomputes x - mean from x.
 Variable LayerNormCore(const Variable& x, const Variable& gamma,
                        const Variable& beta, float eps);
 
@@ -170,6 +170,68 @@ Variable MultiHeadAttentionCore(const Variable& q, const Variable& k,
                                 const Variable& decay,
                                 const AttentionCoreOptions& options,
                                 std::vector<Tensor>* attention_out);
+
+// Append-only key/value cache for incremental causal decoding of ONE
+// sequence (one batch row) through one attention: the post-projection key
+// and value rows of every position seen so far, so a new position attends
+// over its history without re-projecting it. The rows are bitwise the ones
+// a full-sequence pass computes, which is what makes incremental decode
+// bit-identical to the offline pass (see kt::serve and DESIGN.md §11).
+struct AttentionKVCache {
+  int64_t len = 0;       // positions appended so far
+  std::vector<float> k;  // [len * dim], row-major post-projection rows
+  std::vector<float> v;  // [len * dim], row-major post-projection rows
+};
+
+// The parameters of one pre-norm transformer block, as
+// nn::TransformerBlock registers them. The q/k/v projections have no bias;
+// `decay` is [num_heads] or undefined (no distance decay).
+struct TransformerBlockWeights {
+  Variable norm1_gamma, norm1_beta;
+  Variable q_weight, k_weight, v_weight;
+  Variable out_weight, out_bias;
+  Variable decay;
+  Variable norm2_gamma, norm2_beta;
+  Variable ff1_weight, ff1_bias;
+  Variable ff2_weight, ff2_bias;
+  float eps = 1e-5f;
+};
+
+// A pre-norm transformer block over x ([B, Tq, D]) as one node:
+//   n1 = LN1(x), q = n1 Wq, k = src Wk, v = src Wv,
+//   mid = x + (MultiHeadAttentionCore(q, k, v) Wo + bo),
+//   h1 = relu(LN2(mid) W1 + b1),
+//   out = mid + (dropout(h1) W2 + b2),
+// where src is n1 for self-attention (`kv` undefined) and the raw `kv`
+// ([B, Tk, D]) for cross-attention. `mask`, `options` and `attention_out`
+// are the attention core's; the dropout draws the attention masks head by
+// head, then the feed-forward mask, row block j from stream j.
+//
+// Values and every gradient equal the composed chain of LayerNormCore,
+// LinearBiasAct, MultiHeadAttentionCore, Add and Dropout nodes
+// (ComposedTransformerBlock in tests/composed_reference.h) bit for bit,
+// gradient accumulation order included (DESIGN.md §9.2). Backward keeps
+// q, k, v, the attention's softmax output and masks, its merged heads,
+// mid, h1, the feed-forward mask and the two norms' row statistics; it
+// recomputes both norms' outputs and dropout(h1).
+//
+// Cross-attention normalizes x in a LayerNormCore node of its own, so a
+// cross call records two nodes: the keys' subtree may feed x's gradient
+// (AKT's retriever reads keys computed from its own queries), and the
+// composed tape lands that contribution between the residual's and the
+// norm's.
+//
+// With `cache` non-null (self-attention, no tape entry) the block decodes
+// the S rows of x ([1, S, D]) causally: their key/value rows are appended
+// to the cache and the queries attend over all of it, with
+// options.query_offset the cache length before the call and `mask`
+// [S, len + S].
+Variable TransformerBlockCore(const Variable& x, const Variable& kv,
+                              const Tensor& mask,
+                              const TransformerBlockWeights& weights,
+                              const AttentionCoreOptions& options,
+                              std::vector<Tensor>* attention_out,
+                              AttentionKVCache* cache);
 
 // ---- Constants ----
 // Wraps a tensor as a non-differentiable graph input.

@@ -14,7 +14,6 @@
 #ifndef KT_NN_ATTENTION_H_
 #define KT_NN_ATTENTION_H_
 
-#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -42,63 +41,24 @@ enum class AttentionMaskKind {
 };
 Tensor MakeAttentionMask(int64_t t, AttentionMaskKind kind);
 
-// Append-only key/value cache for incremental causal decoding of ONE
-// sequence (one batch row) through one attention module. Holds the
-// post-projection key and value rows of every position seen so far, so a
-// new position attends over its history without re-projecting it. The rows
-// are bitwise the same values the full-sequence Forward computes, which is
-// what makes incremental decode bit-identical to the offline pass
-// (see kt::serve and DESIGN.md §11).
-struct AttentionKVCache {
-  int64_t len = 0;      // positions appended so far
-  std::vector<float> k;  // [len * dim], row-major post-k_proj rows
-  std::vector<float> v;  // [len * dim], row-major post-v_proj rows
-};
+// Append-only key/value cache for incremental causal decoding of one
+// sequence through one block's attention (see ag::AttentionKVCache).
+using AttentionKVCache = ag::AttentionKVCache;
 
+// The attention's parameters: the q/k/v projections (no bias), the output
+// projection and, with `monotonic`, the AKT-style per-head distance decay.
+// It has no forward of its own: TransformerBlock runs it inside the fused
+// ag::TransformerBlockCore, and tests run the core over its parameters.
 class MultiHeadAttention : public Module {
  public:
-  // `monotonic` enables the AKT-style distance decay.
-  MultiHeadAttention(int64_t dim, int64_t num_heads, float dropout_p,
-                     bool monotonic, Rng& rng);
-
-  // q, k, v: [B, T, dim]; `mask` is [Tq, Tk] (1 = attend). If
-  // `attention_out` is non-null it receives one [B, Tq, Tk] probability
-  // tensor per head (detached; for interpretability analyses).
-  ag::Variable Forward(const ag::Variable& q, const ag::Variable& k,
-                       const ag::Variable& v, const Tensor& mask,
-                       const Context& ctx,
-                       std::vector<Tensor>* attention_out = nullptr) const;
-
-  // Causal-inclusive decode of ONE sequence: `x_rows` is [1, S, dim], the
-  // (already normed) inputs of S new positions, whose key/value
-  // projections are appended to `cache` in one pass. Row i of the result
-  // is bitwise row len+i (pre-call len) of Forward(x, x, x, m, ...) over
-  // the full sequence with m = kCausalInclusive, for any split of the
-  // sequence into runs: projections and the weighted sum are
-  // row-independent, and the blocked future entries of each row's masked
-  // softmax carry exact-zero probability mass (inference only: no dropout
-  // is applied).
-  ag::Variable StepCausalRun(const ag::Variable& x_rows,
-                             AttentionKVCache& cache) const;
+  MultiHeadAttention(int64_t dim, int64_t num_heads, bool monotonic, Rng& rng);
 
   int64_t num_heads() const { return num_heads_; }
 
  private:
-  // Shared head loop: the fused ag::MultiHeadAttentionCore (scores, decay,
-  // mask, softmax, dropout, weighted sum, head merge) and the
-  // out-projection. Forward and StepCausalRun both run through it, so
-  // incremental decode replays exactly the arithmetic of the full pass.
-  // `mask` is [Tq, Tk] (1 = attend) and query row i sits at global
-  // position query_offset + i for the decay's distance.
-  ag::Variable AttendHeads(const ag::Variable& qp, const ag::Variable& kp,
-                           const ag::Variable& vp, const Tensor& mask,
-                           int64_t query_offset, const Context& ctx,
-                           std::vector<Tensor>* attention_out) const;
+  friend class TransformerBlock;
 
-  int64_t dim_;
   int64_t num_heads_;
-  float dropout_p_;
-  bool monotonic_;
   Linear q_proj_;
   Linear k_proj_;
   Linear v_proj_;
@@ -106,7 +66,9 @@ class MultiHeadAttention : public Module {
   ag::Variable decay_;  // [num_heads] raw decay params (monotonic only)
 };
 
-// Pre-LN transformer block: x + Attn(LN(x)) then x + FFN(LN(x)).
+// Pre-LN transformer block: x + Attn(LN(x)) then x + FFN(LN(x)). Every
+// call runs ag::TransformerBlockCore: one tape node for self-attention,
+// two (the query norm, then the block) for cross-attention.
 class TransformerBlock : public Module {
  public:
   TransformerBlock(int64_t dim, int64_t num_heads, float dropout_p,
@@ -126,12 +88,16 @@ class TransformerBlock : public Module {
   // (pre-LN attention + feed-forward), appending to `cache`. `x_rows` is
   // [1, S, dim]; row i is bitwise row len+i (pre-call len) of Forward(x,
   // causal inclusive mask) over the full sequence, inference mode (no
-  // dropout).
+  // dropout): projections and the feed-forward are row-independent, and
+  // the blocked future entries of each row's masked softmax carry
+  // exact-zero probability mass.
   ag::Variable StepCausalRun(const ag::Variable& x_rows,
                              AttentionKVCache& cache) const;
 
  private:
-  ag::Variable FeedForward(const ag::Variable& x, const Context& ctx) const;
+  // The parameters and attention options the fused core runs with.
+  ag::TransformerBlockWeights Weights() const;
+  ag::AttentionCoreOptions Options(const Context& ctx) const;
 
   MultiHeadAttention attention_;
   LayerNorm norm1_;

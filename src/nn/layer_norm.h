@@ -16,6 +16,11 @@ class LayerNorm : public Module {
   // gain and bias, as one fused ag::LayerNormCore node.
   ag::Variable Forward(const ag::Variable& x) const;
 
+  // Parameter handles, for blocks that run the norm inside a fused op.
+  const ag::Variable& gamma() const { return gamma_; }
+  const ag::Variable& beta() const { return beta_; }
+  float eps() const { return eps_; }
+
  private:
   int64_t dim_;
   float eps_;

@@ -203,16 +203,54 @@ const char* EncoderKindName(EncoderKind kind) {
 
 ag::Variable ShiftAndAdd(const ag::Variable& forward_stream,
                          const ag::Variable& backward_stream) {
-  const int64_t b = forward_stream.size(0);
-  const int64_t t = forward_stream.size(1);
-  const int64_t d = forward_stream.size(2);
-  ag::Variable zeros = ag::Constant(Tensor::Zeros(Shape{b, 1, d}));
-  // fwd_{i-1}: shift right; bwd_{i+1}: shift left.
-  ag::Variable f_shift =
-      ag::Concat({zeros, ag::Slice(forward_stream, 1, 0, t - 1)}, 1);
-  ag::Variable b_shift =
-      ag::Concat({ag::Slice(backward_stream, 1, 1, t), zeros}, 1);
-  return ag::Add(f_shift, b_shift);
+  const Tensor& fv = forward_stream.value();
+  const Tensor& bv = backward_stream.value();
+  KT_CHECK_EQ(fv.dim(), 3);
+  KT_CHECK(fv.SameShape(bv));
+  const int64_t b = fv.size(0);
+  const int64_t t = fv.size(1);
+  const int64_t d = fv.size(2);
+  // out_i = fwd_{i-1} + bwd_{i+1}. The boundary terms are real adds of +0
+  // (0 + bwd_1, fwd_{T-2} + 0), which turn -0 into +0.
+  Tensor out = Tensor::Uninitialized(fv.shape());
+  for (int64_t row = 0; row < b; ++row) {
+    const float* f = fv.data() + row * t * d;
+    const float* bw = bv.data() + row * t * d;
+    float* o = out.data() + row * t * d;
+    for (int64_t i = 0; i < t; ++i) {
+      for (int64_t j = 0; j < d; ++j) {
+        const float left = i > 0 ? f[(i - 1) * d + j] : 0.0f;
+        const float right = i + 1 < t ? bw[(i + 1) * d + j] : 0.0f;
+        o[i * d + j] = left + right;
+      }
+    }
+  }
+  return ag::MakeOpNode(
+      std::move(out), {forward_stream, backward_stream},
+      [b, t, d](ag::internal::Node& self) {
+        // Each stream gets the gradient shifted back, + 0, and +0 at the
+        // position nothing read: the backward stream's first, then the
+        // forward stream's, as the composed Slice scatters landed them.
+        const float* g = self.grad.data();
+        for (int stream = 1; stream >= 0; --stream) {
+          ag::internal::Node* n = self.inputs[static_cast<size_t>(stream)].get();
+          if (!n->requires_grad) continue;
+          const int64_t shift = stream == 0 ? 1 : -1;  // grad_i = G_{i+shift}
+          Tensor grad = Tensor::Uninitialized(n->value.shape());
+          for (int64_t row = 0; row < b; ++row) {
+            const float* gr = g + row * t * d;
+            float* out_row = grad.data() + row * t * d;
+            for (int64_t i = 0; i < t; ++i) {
+              const int64_t from = i + shift;
+              for (int64_t j = 0; j < d; ++j) {
+                out_row[i * d + j] =
+                    from >= 0 && from < t ? gr[from * d + j] + 0.0f : 0.0f;
+              }
+            }
+          }
+          n->AccumulateGrad(std::move(grad));
+        }
+      });
 }
 
 BiAttentionEncoder::BiAttentionEncoder(int64_t dim, int64_t num_layers,

@@ -137,7 +137,9 @@ std::unique_ptr<BiEncoder> MakeBiEncoder(EncoderKind kind, int64_t dim,
                                          Rng& rng);
 
 // Combines per-direction streams: out_i = fwd_{i-1} + bwd_{i+1} with zero
-// boundaries (exposed for testing).
+// boundaries, as one tape node that keeps nothing for backward. Values and
+// gradients equal the composed Slice/Concat/Add chain
+// (ComposedShiftAndAdd in tests/composed_reference.h) bit for bit.
 ag::Variable ShiftAndAdd(const ag::Variable& forward_stream,
                          const ag::Variable& backward_stream);
 

@@ -243,19 +243,28 @@ ag::Variable RCKT::GenerateProbs(const data::Batch& batch,
   const int64_t t = batch.max_len;
   const int64_t d = config_.dim;
 
-  ag::Variable e = embedder_.QuestionEmbed(batch);  // [B, T, d]
-  if (probe != nullptr) {
-    // Replace the target (last) position's question embedding with the
-    // probe, broadcast across the batch.
-    ag::Variable probe_rows = ag::Add(
-        ag::Reshape(*probe, Shape{1, 1, d}),
-        ag::Constant(Tensor::Zeros(Shape{b, 1, d})));
-    e = ag::Concat({ag::Slice(e, 1, 0, t - 1), probe_rows}, 1);
+  // Stage scopes (DESIGN.md §9.4); with rckt/loss around BuildLoss they
+  // cover a training step's forward.
+  ag::Variable e, a;
+  {
+    KT_OBS_SCOPE("rckt/embed");
+    e = embedder_.QuestionEmbed(batch);  // [B, T, d]
+    if (probe != nullptr) {
+      // Replace the target (last) position's question embedding with the
+      // probe, broadcast across the batch.
+      ag::Variable probe_rows = ag::Add(
+          ag::Reshape(*probe, Shape{1, 1, d}),
+          ag::Constant(Tensor::Zeros(Shape{b, 1, d})));
+      e = ag::Concat({ag::Slice(e, 1, 0, t - 1), probe_rows}, 1);
+    }
+    a = embedder_.AddResponseEmbed(e, categories);
   }
-
-  ag::Variable a = embedder_.AddResponseEmbed(e, categories);
-
-  ag::Variable h = encoder_->Encode(a, ctx);
+  ag::Variable h;
+  {
+    KT_OBS_SCOPE("rckt/encode");
+    h = encoder_->Encode(a, ctx);
+  }
+  KT_OBS_SCOPE("rckt/head");
   ag::Variable x = ag::Concat({h, e}, 2);  // [B, T, 2d]
   ag::Variable mid = ag::Dropout(mlp_hidden_.Forward(x, ag::Act::kRelu),
                                  config_.dropout, ctx.rng, ctx.rng_count,
@@ -593,6 +602,7 @@ float RCKT::RunTrainStep(const data::Batch& prefix_batch, bool exact) {
       influences = ComputeInfluences(prefix_batch, ctx, nullptr, joint_sets,
                                      &joint_probs);
     }
+    KT_OBS_SCOPE("rckt/loss");
     loss = BuildLoss(prefix_batch, influences, joint_probs);
   }
   {

@@ -1,8 +1,9 @@
 // Op-per-node reference chains for the fused nn forward paths.
 //
 // Every nn module runs one forward path built on the fused autograd ops
-// (ag::LinearBiasAct, RecurrentLayer, LayerNormCore,
-// MultiHeadAttentionCore). The chains below are what those
+// (ag::LinearBiasAct, RecurrentLayer, LayerNormCore, MultiHeadAttentionCore,
+// TransformerBlockCore) and rckt::ShiftAndAdd. The chains below are what
+// those
 // ops replace, written in the primitive ops one node per step. The tests
 // hold the modules to them bit for bit (values, attention maps and, where a
 // test checks them, every gradient), so the chains here must keep the node
@@ -27,7 +28,6 @@
 #include "nn/attention.h"
 #include "nn/recurrent.h"
 #include "nn/module.h"
-#include "rckt/encoders.h"
 #include "tensor/tensor_ops.h"
 
 namespace kt {
@@ -272,8 +272,25 @@ inline ag::Variable ComposedTransformerBlock(
   return ag::Add(mid, ff_out);
 }
 
+// rckt::ShiftAndAdd: out_i = fwd_{i-1} + bwd_{i+1}, the boundaries read
+// from a zero row, as Slice, Concat and Add nodes.
+inline ag::Variable ComposedShiftAndAdd(const ag::Variable& forward_stream,
+                                        const ag::Variable& backward_stream) {
+  const int64_t b = forward_stream.size(0);
+  const int64_t t = forward_stream.size(1);
+  const int64_t d = forward_stream.size(2);
+  ag::Variable zeros = ag::Constant(Tensor::Zeros(Shape{b, 1, d}));
+  // fwd_{i-1}: shift right; bwd_{i+1}: shift left.
+  ag::Variable f_shift =
+      ag::Concat({zeros, ag::Slice(forward_stream, 1, 0, t - 1)}, 1);
+  ag::Variable b_shift =
+      ag::Concat({ag::Slice(backward_stream, 1, 1, t), zeros}, 1);
+  return ag::Add(f_shift, b_shift);
+}
+
 // rckt::BiAttentionEncoder::Encode over `encoder`'s parameters: causal
-// blocks fwd0..fwd{L-1}, anti-causal blocks bwd0..bwd{L-1}, ShiftAndAdd.
+// blocks fwd0..fwd{L-1}, anti-causal blocks bwd0..bwd{L-1},
+// ComposedShiftAndAdd.
 inline ag::Variable ComposedBiAttentionEncode(const nn::Module& encoder,
                                               const ag::Variable& a,
                                               int64_t num_layers,
@@ -296,7 +313,34 @@ inline ag::Variable ComposedBiAttentionEncode(const nn::Module& encoder,
                                  nullptr, anticausal, num_heads, p, ctx,
                                  nullptr);
   }
-  return rckt::ShiftAndAdd(f, b);
+  return ComposedShiftAndAdd(f, b);
+}
+
+// The bidirectional recurrent encoder (rckt::MakeBiEncoder with kDKT or
+// kGRU) over `encoder`'s parameters: layers fwd0..fwd{L-1} forward and
+// bwd0..bwd{L-1} reversed, each the fused ag::RecurrentLayer (its own
+// reference is the step chain above) followed by Dropout, then
+// ComposedShiftAndAdd.
+inline ag::Variable ComposedBiRecurrentEncode(const nn::Module& encoder,
+                                              ag::RecurrentCell cell,
+                                              const ag::Variable& a,
+                                              int64_t num_layers, float p,
+                                              const nn::Context& ctx) {
+  auto stream = [&](const std::string& prefix, bool reverse) {
+    ag::Variable x = a;
+    for (int64_t l = 0; l < num_layers; ++l) {
+      const std::string layer = prefix + std::to_string(l) + ".cell.";
+      x = ag::RecurrentLayer(cell, x, Param(encoder, layer + "w_x"),
+                             Param(encoder, layer + "w_h"),
+                             Param(encoder, layer + "bias"), reverse, {},
+                             nullptr);
+      x = ag::Dropout(x, p, ctx.rng, ctx.rng_count, ctx.train);
+    }
+    return x;
+  };
+  ag::Variable f = stream("fwd", /*reverse=*/false);
+  ag::Variable b = stream("bwd", /*reverse=*/true);
+  return ComposedShiftAndAdd(f, b);
 }
 
 }  // namespace reference

@@ -294,11 +294,11 @@ TEST(GruTest, OneTapeNodePerCall) {
 
 TEST(AttentionDeathTest, NonPositiveHeadsFailCheckBeforeDividing) {
   Rng rng(12);
-  EXPECT_DEATH({ MultiHeadAttention mha(32, 0, 0.0f, false, rng); },
+  EXPECT_DEATH({ MultiHeadAttention mha(32, 0, false, rng); },
                "at least one head");
-  EXPECT_DEATH({ MultiHeadAttention mha(32, -2, 0.0f, false, rng); },
+  EXPECT_DEATH({ MultiHeadAttention mha(32, -2, false, rng); },
                "at least one head");
-  EXPECT_DEATH({ MultiHeadAttention mha(32, 3, 0.0f, false, rng); },
+  EXPECT_DEATH({ MultiHeadAttention mha(32, 3, false, rng); },
                "not divisible by heads 3");
 }
 
@@ -321,15 +321,26 @@ TEST(AttentionMaskTest, Kinds) {
   EXPECT_FLOAT_EQ(no_self.at({1, 0}), 1.0f);
 }
 
+// Attention core options for `heads` heads, dropout `p` and ctx's streams.
+ag::AttentionCoreOptions CoreOptions(int64_t heads, float p = 0.0f,
+                                     const Context& ctx = Context()) {
+  ag::AttentionCoreOptions options;
+  options.num_heads = heads;
+  options.dropout_p = p;
+  options.rng = ctx.rng;
+  options.rng_count = ctx.rng_count;
+  options.train = ctx.train;
+  return options;
+}
+
 TEST(AttentionTest, OutputShapeAndMaskRespected) {
   Rng rng(12);
-  MultiHeadAttention attn(8, 2, 0.0f, /*monotonic=*/false, rng);
   Tensor x = Tensor::Uniform({2, 4, 8}, -1, 1, rng);
-  Context ctx;
   Tensor mask = MakeAttentionMask(4, AttentionMaskKind::kCausalStrict);
   std::vector<Tensor> attention;
   ag::Variable q = ag::Constant(x);
-  ag::Variable out = attn.Forward(q, q, q, mask, ctx, &attention);
+  ag::Variable out = ag::MultiHeadAttentionCore(
+      q, q, q, mask, ag::Variable(), CoreOptions(2), &attention);
   EXPECT_EQ(out.shape(), (Shape{2, 4, 8}));
   ASSERT_EQ(attention.size(), 2u);  // one map per head
   // Blocked entries have zero probability; row 0 attends to nothing.
@@ -348,13 +359,12 @@ TEST(AttentionTest, OutputShapeAndMaskRespected) {
 
 TEST(AttentionTest, ProbabilitiesSumToOneOnAllowedRows) {
   Rng rng(13);
-  MultiHeadAttention attn(8, 2, 0.0f, /*monotonic=*/false, rng);
   Tensor x = Tensor::Uniform({1, 5, 8}, -1, 1, rng);
-  Context ctx;
   Tensor mask = MakeAttentionMask(5, AttentionMaskKind::kBidirectionalNoSelf);
   std::vector<Tensor> attention;
   ag::Variable q = ag::Constant(x);
-  attn.Forward(q, q, q, mask, ctx, &attention);
+  ag::MultiHeadAttentionCore(q, q, q, mask, ag::Variable(), CoreOptions(2),
+                             &attention);
   for (int64_t i = 0; i < 5; ++i) {
     float total = 0.0f;
     for (int64_t j = 0; j < 5; ++j) total += attention[0].at({0, i, j});
@@ -364,20 +374,15 @@ TEST(AttentionTest, ProbabilitiesSumToOneOnAllowedRows) {
 }
 
 TEST(AttentionTest, MonotonicDecayLowersDistantScores) {
-  Rng rng(14);
-  MultiHeadAttention attn(4, 1, 0.0f, /*monotonic=*/true, rng);
-  // Force a large decay parameter.
-  for (auto& p : attn.Parameters()) {
-    if (p.shape() == Shape{1}) p.mutable_value().Fill(5.0f);
-  }
-  // Identical keys at all positions: attention differences come only from
-  // the distance penalty, so nearer positions get more weight.
-  Tensor x = Tensor::Ones({1, 6, 4});
-  Context ctx;
+  // A large decay parameter and identical keys at all positions: attention
+  // differences come only from the distance penalty, so nearer positions
+  // get more weight.
+  const ag::Variable decay = ag::Constant(Tensor::Full({1}, 5.0f));
+  const ag::Variable x = ag::Constant(Tensor::Ones({1, 6, 4}));
   Tensor mask = MakeAttentionMask(6, AttentionMaskKind::kCausalStrict);
   std::vector<Tensor> attention;
-  ag::Variable q = ag::Constant(x);
-  attn.Forward(q, q, q, mask, ctx, &attention);
+  ag::MultiHeadAttentionCore(x, x, x, mask, decay, CoreOptions(1),
+                             &attention);
   // Row 5: weight at j=4 (distance 1) > weight at j=0 (distance 5).
   EXPECT_GT(attention[0].at({0, 5, 4}), attention[0].at({0, 5, 0}));
 }
@@ -398,6 +403,54 @@ TEST(TransformerBlockTest, ShapeAndGradient) {
     for (int64_t i = 0; i < g.numel(); ++i) total += std::fabs(g.flat(i));
   }
   EXPECT_GT(total, 0.0f);
+}
+
+// A self-attention call is one tape node over x and every parameter of the
+// block. A cross-attention call adds one: the query norm, whose output the
+// block node reads between x and the keys.
+TEST(TransformerBlockTest, OneTapeNodePerCall) {
+  for (bool monotonic : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "monotonic=" << monotonic);
+    Rng rng(46);
+    TransformerBlock block(8, 2, 0.1f, monotonic, rng);
+    auto param = [&](const std::string& name) {
+      return reference::Param(block, name).node();
+    };
+    std::vector<std::shared_ptr<ag::internal::Node>> params;
+    for (const char* name :
+         {"attention.q_proj.weight", "attention.k_proj.weight",
+          "attention.v_proj.weight", "attention.out_proj.weight",
+          "attention.out_proj.bias", "norm2.gamma", "norm2.beta",
+          "ff1.weight", "ff1.bias", "ff2.weight", "ff2.bias"}) {
+      params.push_back(param(name));
+    }
+    if (monotonic) params.push_back(param("attention.decay"));
+    const ag::Variable x =
+        ag::Variable::Leaf(Tensor::Uniform({2, 5, 8}, -1, 1, rng), true);
+    const ag::Variable kv =
+        ag::Variable::Leaf(Tensor::Uniform({2, 7, 8}, -1, 1, rng), true);
+
+    const ag::Variable self_out = block.Forward(
+        x, MakeAttentionMask(5, AttentionMaskKind::kCausalInclusive),
+        Context());
+    std::vector<std::shared_ptr<ag::internal::Node>> expected = {
+        x.node(), param("norm1.gamma"), param("norm1.beta")};
+    expected.insert(expected.end(), params.begin(), params.end());
+    EXPECT_EQ(self_out.node()->inputs, expected);
+
+    const ag::Variable cross_out =
+        block.ForwardCross(x, kv, Tensor::Ones({5, 7}), Context());
+    const auto& inputs = cross_out.node()->inputs;
+    ASSERT_EQ(inputs.size(), 3 + params.size());
+    EXPECT_EQ(inputs[0], x.node());
+    EXPECT_EQ(inputs[2], kv.node());
+    EXPECT_EQ(std::vector<std::shared_ptr<ag::internal::Node>>(
+                  inputs.begin() + 3, inputs.end()),
+              params);
+    const std::vector<std::shared_ptr<ag::internal::Node>> norm_inputs = {
+        x.node(), param("norm1.gamma"), param("norm1.beta")};
+    EXPECT_EQ(inputs[1]->inputs, norm_inputs);
+  }
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
@@ -526,7 +579,7 @@ TEST(LossTest, GradCheckBothForms) {
 // LstmTest/GruTest.GradientGolden and held to finite differences by
 // LstmTest.GradFlowsThroughTime and GruTest.GradientsFlow.
 
-using reference::ComposedAttention;
+using reference::ComposedHeads;
 using reference::Param;
 
 class ComposedParityTest : public ::testing::Test {
@@ -674,11 +727,13 @@ TEST_F(ComposedParityTest, GruForwardMatchesComposed) {
   SetNumThreads(saved_threads);
 }
 
-// ---- Fused attention core vs the composed reference ----
+// ---- Fused attention core and block vs the composed references ----
 //
-// Unlike the cell ops above, the attention core is held bitwise in both
-// directions: the output, the captured maps, and the gradients of every
-// input and parameter (decay included).
+// Unlike the cell ops above, the attention core and the transformer block
+// are held bitwise in both directions: the output, the captured maps, and
+// the gradients of every input and parameter (decay included). The core
+// runs over the parameters of a MultiHeadAttention module, whose decay it
+// reads; the block tests run whole TransformerBlock calls.
 
 struct AttentionRun {
   Tensor out;
@@ -769,8 +824,9 @@ TEST_F(ComposedParityTest, AttentionMatchesComposedBitwise) {
       for (DropoutCase drop : {DropoutCase{0.0f, 1}, DropoutCase{0.2f, 1},
                                DropoutCase{0.2f, 2}}) {
         Rng init(50 + heads);
-        MultiHeadAttention mha(dim, heads, drop.p, monotonic, init);
+        MultiHeadAttention mha(dim, heads, monotonic, init);
         SetDistinctDecay(mha);
+        const ag::Variable decay = reference::FindParam(mha, "decay");
         for (AttentionMaskKind kind : kinds) {
           SCOPED_TRACE(::testing::Message()
                        << "monotonic=" << monotonic << " heads=" << heads
@@ -781,15 +837,16 @@ TEST_F(ComposedParityTest, AttentionMatchesComposedBitwise) {
           const AttentionForward forward =
               [&](const std::vector<ag::Variable>& x, const Context& ctx,
                   std::vector<Tensor>* maps) {
-                return mha.Forward(x[0], x[1], x[2],
-                                   MakeAttentionMask(t, kind), ctx, maps);
+                return ag::MultiHeadAttentionCore(
+                    x[0], x[1], x[2], MakeAttentionMask(t, kind), decay,
+                    CoreOptions(heads, drop.p, ctx), maps);
               };
           const AttentionForward composed =
               [&](const std::vector<ag::Variable>& x, const Context& ctx,
                   std::vector<Tensor>* maps) {
-                return ComposedAttention(mha, "", x[0], x[1], x[2],
-                                         MakeAttentionMask(t, kind), heads,
-                                         drop.p, ctx, maps);
+                return ComposedHeads(x[0], x[1], x[2],
+                                     MakeAttentionMask(t, kind), decay, heads,
+                                     /*query_offset=*/0, drop.p, ctx, maps);
               };
           ExpectRunsBitEqual(
               RunAttention(mha, inputs, forward, true, drop.streams),
@@ -798,6 +855,69 @@ TEST_F(ComposedParityTest, AttentionMatchesComposedBitwise) {
       }
     }
   }
+}
+
+// A self-attention block call against the composed block chain: values,
+// maps and every gradient, over the encoders' mask shapes, window lengths
+// inside and across 8-row bands, both score variants, dropout off and on
+// (one stream and five, whose row blocks split the batch), both kernel
+// families and 1, 2 and 8 threads (at T = 50 the attention splits the
+// batch over the pool).
+TEST_F(ComposedParityTest, TransformerBlockForwardMatchesComposed) {
+  struct DropoutCase {
+    float p;
+    int64_t streams;
+  };
+  const AttentionMaskKind kinds[] = {AttentionMaskKind::kCausalInclusive,
+                                     AttentionMaskKind::kAntiCausalInclusive,
+                                     AttentionMaskKind::kFull};
+  const int64_t b = 5, dim = 32, heads = 2;
+  const int saved_threads = GetNumThreads();
+  for (int64_t t : {1, 7, 9, 17, 50}) {
+    Rng data_rng(48);
+    const std::vector<Tensor> inputs = {
+        Tensor::Uniform({b, t, dim}, -1, 1, data_rng)};
+    for (bool monotonic : {false, true}) {
+      for (DropoutCase drop : {DropoutCase{0.0f, 1}, DropoutCase{0.2f, 1},
+                               DropoutCase{0.2f, 5}}) {
+        Rng init(97);
+        TransformerBlock block(dim, heads, drop.p, monotonic, init);
+        SetDistinctDecay(block);
+        for (AttentionMaskKind kind : kinds) {
+          const AttentionForward forward =
+              [&](const std::vector<ag::Variable>& x, const Context& ctx,
+                  std::vector<Tensor>* maps) {
+                return block.Forward(x[0], MakeAttentionMask(t, kind), ctx,
+                                     maps);
+              };
+          const AttentionForward composed =
+              [&](const std::vector<ag::Variable>& x, const Context& ctx,
+                  std::vector<Tensor>* maps) {
+                return reference::ComposedTransformerBlock(
+                    block, "", x[0], nullptr, MakeAttentionMask(t, kind),
+                    heads, drop.p, ctx, maps);
+              };
+          for (GemmKernel kernel :
+               {GemmKernel::kReference, GemmKernel::kTiled}) {
+            for (int threads : {1, 2, 8}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "t=" << t << " monotonic=" << monotonic
+                           << " p=" << drop.p << " streams=" << drop.streams
+                           << " mask=" << static_cast<int>(kind)
+                           << " kernel=" << GemmKernelName(kernel)
+                           << " threads=" << threads);
+              SetGemmKernel(kernel);
+              SetNumThreads(threads);
+              ExpectRunsBitEqual(
+                  RunAttention(block, inputs, forward, true, drop.streams),
+                  RunAttention(block, inputs, composed, true, drop.streams));
+            }
+          }
+        }
+      }
+    }
+  }
+  SetNumThreads(saved_threads);
 }
 
 TEST_F(ComposedParityTest, CrossAttentionBlockMatchesComposedBitwise) {
@@ -862,20 +982,24 @@ TEST_F(ComposedParityTest, BandedAttentionMatchesComposedBitwise) {
         Tensor::Uniform({b, t, dim}, -1, 1, data_rng)};
     for (bool monotonic : {false, true}) {
       Rng init(90);
-      MultiHeadAttention mha(dim, 2, 0.2f, monotonic, init);
+      MultiHeadAttention mha(dim, 2, monotonic, init);
       SetDistinctDecay(mha);
+      const ag::Variable decay = reference::FindParam(mha, "decay");
       for (AttentionMaskKind kind : kinds) {
         const Tensor mask = MakeAttentionMask(t, kind);
         const AttentionForward forward =
             [&](const std::vector<ag::Variable>& x, const Context& ctx,
                 std::vector<Tensor>* maps) {
-              return mha.Forward(x[0], x[1], x[2], mask, ctx, maps);
+              return ag::MultiHeadAttentionCore(x[0], x[1], x[2], mask,
+                                                decay,
+                                                CoreOptions(2, 0.2f, ctx),
+                                                maps);
             };
         const AttentionForward composed =
             [&](const std::vector<ag::Variable>& x, const Context& ctx,
                 std::vector<Tensor>* maps) {
-              return ComposedAttention(mha, "", x[0], x[1], x[2], mask, 2,
-                                       0.2f, ctx, maps);
+              return ComposedHeads(x[0], x[1], x[2], mask, decay, 2,
+                                   /*query_offset=*/0, 0.2f, ctx, maps);
             };
         for (GemmKernel kernel :
              {GemmKernel::kReference, GemmKernel::kTiled}) {
@@ -916,23 +1040,24 @@ TEST_F(ComposedParityTest, AttentionBatchSplitMatchesComposedAcrossThreads) {
   const int saved_threads = GetNumThreads();
   for (bool monotonic : {false, true}) {
     Rng init(80);
-    MultiHeadAttention mha(dim, 2, 0.2f, monotonic, init);
+    MultiHeadAttention mha(dim, 2, monotonic, init);
     SetDistinctDecay(mha);
+    const ag::Variable decay = reference::FindParam(mha, "decay");
     const AttentionForward forward = [&](const std::vector<ag::Variable>& x,
                                          const Context& ctx,
                                          std::vector<Tensor>* maps) {
-      return mha.Forward(
+      return ag::MultiHeadAttentionCore(
           x[0], x[1], x[2],
-          MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive), ctx,
-          maps);
+          MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive), decay,
+          CoreOptions(2, 0.2f, ctx), maps);
     };
     const AttentionForward composed = [&](const std::vector<ag::Variable>& x,
                                           const Context& ctx,
                                           std::vector<Tensor>* maps) {
-      return ComposedAttention(
-          mha, "", x[0], x[1], x[2],
-          MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive), 2, 0.2f,
-          ctx, maps);
+      return ComposedHeads(
+          x[0], x[1], x[2],
+          MakeAttentionMask(t, AttentionMaskKind::kCausalInclusive), decay, 2,
+          /*query_offset=*/0, 0.2f, ctx, maps);
     };
     for (int threads : {1, 4}) {
       SCOPED_TRACE(::testing::Message()
@@ -1073,6 +1198,38 @@ TEST_F(ComposedParityTest, BiAttentionEncoderMatchesComposedBitwise) {
     };
     ExpectRunsBitEqual(RunAttention(encoder, inputs, forward, true, 2),
                        RunAttention(encoder, inputs, composed, true, 2));
+  }
+}
+
+// The recurrent encoders share ShiftAndAdd with the attention ones; with
+// dropout after every layer, both streams again feed one input.
+TEST_F(ComposedParityTest, BiRecurrentEncoderMatchesComposedBitwise) {
+  const int64_t b = 4, t = 9, dim = 8;
+  Rng data_rng(49);
+  const std::vector<Tensor> inputs = {
+      Tensor::Uniform({b, t, dim}, -1, 1, data_rng)};
+  for (rckt::EncoderKind kind :
+       {rckt::EncoderKind::kDKT, rckt::EncoderKind::kGRU}) {
+    SCOPED_TRACE(rckt::EncoderKindName(kind));
+    Rng init(98);
+    std::unique_ptr<rckt::BiEncoder> encoder =
+        rckt::MakeBiEncoder(kind, dim, 2, 2, 0.2f, init);
+    const ag::RecurrentCell cell = kind == rckt::EncoderKind::kDKT
+                                       ? ag::RecurrentCell::kLstm
+                                       : ag::RecurrentCell::kGru;
+    const AttentionForward forward = [&](const std::vector<ag::Variable>& x,
+                                         const Context& ctx,
+                                         std::vector<Tensor>*) {
+      return encoder->Encode(x[0], ctx);
+    };
+    const AttentionForward composed = [&](const std::vector<ag::Variable>& x,
+                                          const Context& ctx,
+                                          std::vector<Tensor>*) {
+      return reference::ComposedBiRecurrentEncode(*encoder, cell, x[0], 2,
+                                                  0.2f, ctx);
+    };
+    ExpectRunsBitEqual(RunAttention(*encoder, inputs, forward, true, 2),
+                       RunAttention(*encoder, inputs, composed, true, 2));
   }
 }
 

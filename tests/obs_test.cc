@@ -404,8 +404,9 @@ TEST_F(ObsTest, TrainStepRecordsEachPhaseOnce) {
   SetEnabled(true);
   const float on = step(TempPath("phase_on.ktw"), &on_bytes);
   SetEnabled(false);
-  for (const char* scope : {"rckt/train_step", "rckt/forward",
-                            "rckt/backward", "rckt/adam"}) {
+  for (const char* scope :
+       {"rckt/train_step", "rckt/forward", "rckt/embed", "rckt/encode",
+        "rckt/head", "rckt/loss", "rckt/backward", "rckt/adam"}) {
     EXPECT_EQ(Histogram::Get(scope)->Snapshot().count, 1) << scope;
   }
   EXPECT_TRUE(BitEqualFloats({off}, {on}));

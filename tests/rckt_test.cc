@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "composed_reference.h"
 #include "core/parallel.h"
 #include "data/simulator.h"
 #include "models/embedder.h"
@@ -173,6 +174,49 @@ TEST(ShiftAndAddTest, CombinesNeighborStates) {
   EXPECT_FLOAT_EQ(h.at({0, 0, 0}), 20.0f);
   EXPECT_FLOAT_EQ(h.at({0, 1, 0}), 31.0f);
   EXPECT_FLOAT_EQ(h.at({0, 2, 0}), 2.0f);
+}
+
+// The one-node ShiftAndAdd against the composed Slice/Concat/Add chain:
+// the value and both streams' gradients bit for bit, with planted -0 in
+// the inputs and in the output gradient, with and without a second
+// consumer of the forward stream, down to one position.
+TEST(ShiftAndAddTest, MatchesComposedBitwise) {
+  auto bits_equal = [](const Tensor& a, const Tensor& b) {
+    return a.SameShape(b) &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+  };
+  for (int64_t t : {1, 2, 5}) {
+    for (bool second_consumer : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "t=" << t << " second consumer=" << second_consumer);
+      Rng rng(60 + t);
+      Tensor f = Tensor::Uniform({2, t, 3}, -1, 1, rng);
+      Tensor b = Tensor::Uniform({2, t, 3}, -1, 1, rng);
+      Tensor w = Tensor::Uniform({2, t, 3}, -1, 1, rng);
+      for (Tensor* x : {&f, &b, &w}) {
+        x->flat(0) = -0.0f;
+        x->flat(x->numel() - 1) = -0.0f;
+        if (t > 1) x->flat(3) = -0.0f;
+      }
+      auto run = [&](bool fused) {
+        ag::Variable fv = ag::Variable::Leaf(f, true);
+        ag::Variable bv = ag::Variable::Leaf(b, true);
+        ag::Variable out = fused ? ShiftAndAdd(fv, bv)
+                                 : reference::ComposedShiftAndAdd(fv, bv);
+        ag::Variable loss = ag::SumAll(ag::Mul(out, ag::Constant(w)));
+        if (second_consumer)
+          loss = ag::Add(loss, ag::SumAll(ag::Mul(fv, ag::Constant(w))));
+        loss.Backward();
+        return std::vector<Tensor>{out.value(), fv.grad(), bv.grad()};
+      };
+      const std::vector<Tensor> fused = run(true);
+      const std::vector<Tensor> composed = run(false);
+      EXPECT_TRUE(bits_equal(fused[0], composed[0])) << "value";
+      EXPECT_TRUE(bits_equal(fused[1], composed[1])) << "forward grad";
+      EXPECT_TRUE(bits_equal(fused[2], composed[2])) << "backward grad";
+    }
+  }
 }
 
 // ---- Samples / protocol ----
