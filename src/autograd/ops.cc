@@ -74,6 +74,19 @@ void FillKeepMasks(float p, Rng* streams, int64_t num_streams, int64_t n,
     streams[j].FillKeepMask(p, keep + j * block, block);
 }
 
+// x · (keep ? scale : 0) elementwise, the factor picked branch-free: the
+// dropout product, forward and backward.
+Tensor ApplyKeepMask(const Tensor& x, const std::vector<uint8_t>& keep,
+                     float scale) {
+  Tensor out = Tensor::Uninitialized(x.shape());
+  const float* src = x.data();
+  const uint8_t* kp = keep.data();
+  float* dst = out.data();
+  for (int64_t i = 0; i < x.numel(); ++i)
+    dst[i] = src[i] * SelectOrZero(kp[i], scale);
+  return out;
+}
+
 }  // namespace
 
 Variable Add(const Variable& a, const Variable& b) {
@@ -397,24 +410,13 @@ Variable Dropout(const Variable& a, float p, Rng* streams,
   KT_CHECK(num_streams == 1 || (x.dim() > 0 && x.size(0) % num_streams == 0))
       << "dropout rows must split into " << num_streams << " equal blocks";
   const float scale = 1.0f / (1.0f - p);
-  // One byte per element; both passes multiply by (keep ? scale : 0),
-  // with the factor picked branch-free.
+  // One byte per element.
   std::vector<uint8_t> keep(static_cast<size_t>(n));
   FillKeepMasks(p, streams, num_streams, n, keep.data());
-  Tensor out = Tensor::Uninitialized(x.shape());
-  const float* src = x.data();
-  const uint8_t* kp = keep.data();
-  float* dst = out.data();
-  for (int64_t i = 0; i < n; ++i) dst[i] = src[i] * SelectOrZero(kp[i], scale);
+  Tensor out = ApplyKeepMask(x, keep, scale);
   return MakeOpNode(std::move(out), {a},
                     [keep = std::move(keep), scale](Node& self) {
-    Tensor g = Tensor::Uninitialized(self.grad.shape());
-    const float* gs = self.grad.data();
-    const uint8_t* kp = keep.data();
-    float* gd = g.data();
-    for (int64_t i = 0; i < g.numel(); ++i)
-      gd[i] = gs[i] * SelectOrZero(kp[i], scale);
-    self.inputs[0]->AccumulateGrad(std::move(g));
+    self.inputs[0]->AccumulateGrad(ApplyKeepMask(self.grad, keep, scale));
   });
 }
 
@@ -1611,17 +1613,6 @@ enum BlockInput : size_t {
   kBlockDecay,
 };
 
-// h · (keep ? scale : 0), the Dropout expression.
-Tensor DropHidden(const Tensor& h, const std::vector<uint8_t>& keep,
-                  float scale) {
-  Tensor out = Tensor::Uninitialized(h.shape());
-  const float* src = h.data();
-  float* dst = out.data();
-  for (int64_t i = 0; i < h.numel(); ++i)
-    dst[i] = src[i] * SelectOrZero(keep[static_cast<size_t>(i)], scale);
-  return out;
-}
-
 }  // namespace
 
 Variable TransformerBlockCore(const Variable& x, const Variable& kv,
@@ -1741,7 +1732,7 @@ Variable TransformerBlockCore(const Variable& x, const Variable& kv,
     ff_keep.resize(static_cast<size_t>(h1.numel()));
     FillKeepMasks(options.dropout_p, options.rng, options.rng_count,
                   h1.numel(), ff_keep.data());
-    out = LinearBiasActForward(DropHidden(h1, ff_keep, ff_scale),
+    out = LinearBiasActForward(ApplyKeepMask(h1, ff_keep, ff_scale),
                                w.ff2_weight.value(), &w.ff2_bias.value(),
                                Act::kIdentity);
   } else {
@@ -1779,7 +1770,7 @@ Variable TransformerBlockCore(const Variable& x, const Variable& kv,
         GemmTransB(gd, w2->value.data(), dh.data(), rows, d, hidden);
         if (w2->requires_grad) {
           const Tensor dropped =
-              ff_dropout ? DropHidden(h1, ff_keep, ff_scale) : h1;
+              ff_dropout ? ApplyKeepMask(h1, ff_keep, ff_scale) : h1;
           GemmTransAAccumulate(dropped.data(), gd, GradBuffer(w2), hidden,
                                rows, d);
         }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -19,6 +20,20 @@ namespace rckt {
 namespace {
 
 constexpr float kLogEps = 1e-6f;
+
+// Times one stage of a training step's forward (DESIGN.md §9.4), so that
+// rckt/embed, encode, head and loss sum to rckt/forward. Passes that
+// record no tape (evaluation, explain, serving) are not split: the
+// caller's own scope, such as rckt/score_targets, times them whole.
+class TrainStageScope {
+ public:
+  explicit TrainStageScope(const char* name) {
+    if (ag::GradModeEnabled()) timer_.emplace(name);
+  }
+
+ private:
+  std::optional<obs::ScopedTimer> timer_;
+};
 
 // Extracts one row's responses from a flattened batch.
 std::vector<int> RowResponses(const data::Batch& batch, int64_t b) {
@@ -243,11 +258,9 @@ ag::Variable RCKT::GenerateProbs(const data::Batch& batch,
   const int64_t t = batch.max_len;
   const int64_t d = config_.dim;
 
-  // Stage scopes (DESIGN.md §9.4); with rckt/loss around BuildLoss they
-  // cover a training step's forward.
   ag::Variable e, a;
   {
-    KT_OBS_SCOPE("rckt/embed");
+    TrainStageScope scope("rckt/embed");
     e = embedder_.QuestionEmbed(batch);  // [B, T, d]
     if (probe != nullptr) {
       // Replace the target (last) position's question embedding with the
@@ -261,10 +274,10 @@ ag::Variable RCKT::GenerateProbs(const data::Batch& batch,
   }
   ag::Variable h;
   {
-    KT_OBS_SCOPE("rckt/encode");
+    TrainStageScope scope("rckt/encode");
     h = encoder_->Encode(a, ctx);
   }
-  KT_OBS_SCOPE("rckt/head");
+  TrainStageScope head_scope("rckt/head");
   ag::Variable x = ag::Concat({h, e}, 2);  // [B, T, 2d]
   ag::Variable mid = ag::Dropout(mlp_hidden_.Forward(x, ag::Act::kRelu),
                                  config_.dropout, ctx.rng, ctx.rng_count,
