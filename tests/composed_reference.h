@@ -215,9 +215,9 @@ inline ag::Variable ComposedHeads(const ag::Variable& qp,
   return num_heads == 1 ? head_outputs[0] : ag::Concat(head_outputs, 2);
 }
 
-// nn::MultiHeadAttention::Forward over the parameters `module` holds under
-// `prefix` ("" for the attention module itself, "attention." inside a
-// TransformerBlock): projections, ComposedHeads, out-projection.
+// The attention inside nn::TransformerBlock, over the parameters `module`
+// holds under `prefix` ("attention." for a block): projections,
+// ComposedHeads, out-projection.
 inline ag::Variable ComposedAttention(const nn::Module& module,
                                       const std::string& prefix,
                                       const ag::Variable& q,
